@@ -384,15 +384,6 @@ func BenchmarkSearchDatabaseMixedFixed(b *testing.B) {
 	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Dispatch: "fixed"})
 }
 
-// BenchmarkSearchDatabaseMixedLanes16 is the other single-route
-// baseline on the mixed workload: every group forced down the int16
-// word-pass, the right call for the homologs and a ~2× loss on the
-// short noise.
-func BenchmarkSearchDatabaseMixedLanes16(b *testing.B) {
-	q, db, cells := benchMixedDB()
-	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Lanes: 16})
-}
-
 // benchSkewedDB builds the skewed search workload the pruning gate is
 // measured on: a handful of planted full-query homologs padded out to be
 // the LONGEST records, followed by a long tail of shorter noise. The
@@ -661,7 +652,7 @@ func benchPackColdStart(b *testing.B, format string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := search.RunCtx(context.Background(), q, p.DB, search.Options{NoEndpoints: true, Lanes: 8}); err != nil {
+		if _, err := search.RunCtx(context.Background(), q, p.DB, search.Options{NoEndpoints: true, Dispatch: "fixed"}); err != nil {
 			b.Fatal(err)
 		}
 		if err := p.Close(); err != nil {

@@ -36,8 +36,7 @@ func searchCmd(args []string, w io.Writer) error {
 		match    = fs.Int("match", 1, "match reward")
 		mismatch = fs.Int("mismatch", -1, "mismatch penalty (negative)")
 		gap      = fs.Int("gap", -2, "gap penalty (negative)")
-		lanes    = fs.Int("lanes", 0, "kernel: 0 adaptive dispatch, 8 int8 SWAR chain, 16 int16, 1 scalar")
-		disp     = fs.String("dispatch", "auto", "kernel routing when -lanes=0: auto (calibrated cost model), fixed (legacy thresholds), scalar")
+		disp     = fs.String("dispatch", "auto", "kernel routing: auto (calibrated cost model), fixed (legacy thresholds: the int8 ladder), scalar (force the exact scalar kernels)")
 		calib    = fs.Bool("calibrate", false, "measure the per-family kernel table (Mcells/s, overhead) and exit without searching")
 		scores   = fs.Bool("scores-only", false, "skip alignment-span retrieval of the hits")
 		jsonOut  = fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
@@ -65,7 +64,6 @@ func searchCmd(args []string, w io.Writer) error {
 		TopK:        *k,
 		Workers:     *workers,
 		MinScore:    *minScore,
-		Lanes:       *lanes,
 		Dispatch:    mode.String(),
 		NoEndpoints: *scores,
 		Prune:       *prune,

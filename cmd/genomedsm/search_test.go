@@ -165,8 +165,8 @@ func TestSearchCmdFASTA(t *testing.T) {
 
 func TestSearchCmdBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := searchCmd([]string{"-lanes", "7", "-n", "50", "-db-size", "4"}, &buf); err == nil {
-		t.Error("invalid lane width accepted")
+	if err := searchCmd([]string{"-lanes", "8", "-n", "50", "-db-size", "4"}, &buf); err == nil {
+		t.Error("the retired -lanes flag accepted")
 	}
 	if err := searchCmd([]string{"-match", "-1", "-n", "50", "-db-size", "4"}, &buf); err == nil {
 		t.Error("invalid scoring accepted")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,7 +74,7 @@ type qstate struct {
 	k        int
 	minScore int
 	qb       *bio.QueryBound
-	ft       *floorTracker
+	ft       *Floor
 	scan     *dispatch.ScanState
 	hint     func() int
 	onScore  func(score, index int)
@@ -122,33 +121,21 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	lanes := bio.PackedLanes8
+	var router *dispatch.Router // nil = the scalar reference scorer
 	switch opt.Lanes {
-	case 0, 8:
-		// adaptive routing (0) and the forced int8 chain (8) both pack
-		// groups of 8 records
-	case 16:
-		lanes = bio.PackedLanes16
-	case 1:
-		lanes = 1
-	default:
-		return nil, fmt.Errorf("search: lanes must be 8, 16 or 1, got %d", opt.Lanes)
-	}
-	var router *dispatch.Router
-	if opt.Lanes == 0 {
+	case 0:
 		var err error
 		if router, err = routerFor(opt); err != nil {
 			return nil, err
 		}
+	case 1:
+	default:
+		return nil, fmt.Errorf("search: lanes must be 0 or 1 (the scalar reference scorer), got %d: force a kernel with Dispatch", opt.Lanes)
 	}
 	if len(queries) == 0 {
 		return nil, nil
 	}
 
-	word := opt.PrefilterWord
-	if word == 0 {
-		word = 11
-	}
 	nq := len(queries)
 	states := make([]*qstate, nq)
 	for i, bq := range queries {
@@ -173,9 +160,9 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 		}
 		if opt.Prune {
 			st.qb = bio.NewQueryBound(bq.Seq, sc)
-			st.ft = newFloorTracker(st.k)
+			st.ft = &Floor{heap: topK{k: st.k}}
 			if opt.Prefilter && !st.done() {
-				seedFloorDB(st.ft, bq.Seq, db, sc, word, st.minScore)
+				seedFloor(st.ft, bq.Seq, db, sc, st.minScore)
 			}
 		}
 		states[i] = st
@@ -185,13 +172,7 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	groups := db.groups(lanes)
-	// The precomputed lane layout applies only to the 8-lane group cut it
-	// was built for; 16-lane and scalar cuts regroup records.
-	var lay *Layout
-	if lanes == bio.PackedLanes8 {
-		lay = db.layout
-	}
+	groups := db.groups()
 	if workers > len(groups) && len(groups) > 0 {
 		workers = len(groups)
 	}
@@ -216,8 +197,7 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 			pstats[w] = make([]PruneStats, nq)
 			procRecs[w] = make([]int, nq)
 			procCells[w] = make([]int64, nq)
-			targets := make([]bio.Sequence, 0, lanes)
-			kept := make([]int, 0, lanes)
+			var scratch groupScratch
 			gp := &groupProf{sc: sc}
 			for gi := range work {
 				group := groups[gi]
@@ -235,10 +215,10 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 				// layout words when the DB carries them. Singleton groups
 				// take the striped path and never need it.
 				use := (*groupProf)(nil)
-				if lanes == bio.PackedLanes8 && len(group) > 1 {
+				if len(group) > 1 {
 					gp.reset(db, group)
-					if lay != nil {
-						gp.words = lay.GroupWords(gi)
+					if db.layout != nil {
+						gp.words = db.layout.GroupWords(gi)
 					}
 					use = gp
 				}
@@ -246,8 +226,8 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 					if st.done() {
 						continue
 					}
-					err := scanGroupFor(&al, st, db, group, sc, opt, lanes,
-						heaps[w][qi], &pstats[w][qi], &padded[w][qi], targets, kept, use)
+					err := scanGroupFor(&al, st, db, group, sc, opt.Prune,
+						heaps[w][qi], &pstats[w][qi], &padded[w][qi], &scratch, use)
 					if err != nil {
 						errs[w] = err
 						return
@@ -301,7 +281,7 @@ feed:
 			}
 		}
 		if opt.Prune {
-			pst := &PruneStats{FloorFinal: st.ft.get()}
+			pst := &PruneStats{FloorFinal: st.ft.Get()}
 			for w := range pstats {
 				if pstats[w] == nil {
 					continue
@@ -326,14 +306,13 @@ feed:
 				merged.push(it)
 			}
 		}
-		res.Hits = merged.items
-		sort.Slice(res.Hits, func(a, b int) bool {
-			x, y := res.Hits[a], res.Hits[b]
-			if x.Score != y.Score {
-				return x.Score > y.Score
-			}
-			return x.Index < y.Index
-		})
+		if len(merged.items) > 0 { // no hits stays a nil slice
+			res.Hits = make([]Hit, len(merged.items))
+		}
+		for i, it := range merged.items {
+			res.Hits[i] = Hit{Index: it.index, ID: db.recs[it.index].ID, Score: it.score}
+		}
+		SortHits(res.Hits)
 		if !opt.NoEndpoints {
 			if err := Realign(st.q, db.recs, sc, res.Hits); err != nil {
 				return nil, err
@@ -388,17 +367,25 @@ func (g *groupProf) profile() *bio.PackedProfile {
 	return g.prof
 }
 
+// groupScratch is one worker's reusable per-group buffers: the records
+// that survived stage 1, their sequences and their lengths.
+type groupScratch struct {
+	kept    []int
+	targets []bio.Sequence
+	lens    []int
+}
+
 // scanGroupFor scores one lane group for one query: stage-1 record
-// skipping against the query's floor, the kernel route (adaptive,
-// bounded or plain), and the heap/floor pushes. This is the body of the
-// original single-query Run worker, parameterized by query state.
-func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scoring, opt Options, lanes int,
-	heap *topK, ps *PruneStats, padded *int64, targets []bio.Sequence, kept []int, gp *groupProf) error {
+// skipping against the query's floor, the group scorer (routed, or the
+// scalar reference when the query has no scan state), and the
+// heap/floor pushes. This is the body of the original single-query Run
+// worker, parameterized by query state.
+func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scoring, prune bool,
+	heap *topK, ps *PruneStats, padded *int64, buf *groupScratch, gp *groupProf) error {
 	q := st.q
-	targets = targets[:0]
-	kept = kept[:0]
-	var ab *swar.Bound
-	if opt.Prune {
+	kept := buf.kept[:0]
+	var ab *swar.Bound // nil = unpruned
+	if prune {
 		// Stage 1: the O(1) record bound against the floor read once per
 		// group (a stale, lower floor only makes the check more
 		// conservative — never wrong).
@@ -422,70 +409,50 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 			}
 			kept = append(kept, idx)
 		}
-		ab = &swar.Bound{Below: th, Query: st.qb, Every: opt.AbandonEvery}
+		ab = &swar.Bound{Below: th, Query: st.qb}
 	} else {
 		kept = append(kept, group...)
 	}
+	buf.kept = kept
 	if len(kept) == 0 {
 		return nil
 	}
 	if gp != nil && len(kept) != len(group) {
 		// Stage-1 skips compacted the surviving lanes, so the full-group
-		// profile no longer lines up lane for lane — the kernels rebuild
-		// from the compacted targets as before.
+		// profile no longer lines up lane for lane — the ladder rebuilds
+		// from the compacted targets.
 		gp = nil
 	}
-	maxLen := 0
+	targets, lens := buf.targets[:0], buf.lens[:0]
 	for _, idx := range kept {
 		t := db.recs[idx].Seq
 		targets = append(targets, t)
-		if len(t) > maxLen {
-			maxLen = len(t)
-		}
+		lens = append(lens, len(t))
 	}
-	var scores []int
-	var prunedMask []bool
-	var rowsScanned []int
-	var err error
+	buf.targets, buf.lens = targets, lens
+	var res swar.GroupResult
 	if st.scan != nil {
-		// Adaptive path: the router picks the route and the scorer
-		// reports the padded cells that route computed.
-		var pad int64
-		scores, prunedMask, rowsScanned, pad, err = scoreGroupRouted(al, q, targets, sc, st.scan, ab, gp)
-		*padded += pad
-	} else if opt.Prune {
-		scores, prunedMask, rowsScanned, err = scoreGroupBounded(al, q, targets, sc, opt.Lanes, ab, gp)
+		res = scoreGroup(al, q, targets, lens, sc, st.scan, ab, gp)
 	} else {
-		scores, err = scoreGroup(al, q, targets, sc, opt.Lanes, gp)
-	}
-	if err != nil {
-		return err
-	}
-	if st.scan == nil {
-		rowsUsed := len(q)
-		if rowsScanned != nil {
-			rowsUsed = 0
-			for _, r := range rowsScanned {
-				if r > rowsUsed {
-					rowsUsed = r
-				}
-			}
+		var err error
+		if res, err = referenceScores(q, targets, sc, ab); err != nil {
+			return err
 		}
-		*padded += int64(lanes) * int64(maxLen) * int64(rowsUsed)
 	}
+	*padded += res.Padded
 	for i, idx := range kept {
-		if prunedMask != nil && prunedMask[i] {
+		if res.Pruned&(1<<uint(i)) != 0 {
 			ps.Abandoned++
-			ps.CellsSaved += int64(len(q)-rowsScanned[i]) * int64(len(targets[i]))
+			ps.CellsSaved += int64(len(q)-res.Rows[i]) * int64(lens[i])
 			continue
 		}
-		if opt.Prune {
+		if prune {
 			ps.Scanned++
 		}
-		if s := scores[i]; s > 0 && s >= st.minScore {
-			heap.push(Hit{Index: idx, ID: db.recs[idx].ID, Score: s})
+		if s := res.Scores[i]; s > 0 && s >= st.minScore {
+			heap.push(scored{s, idx})
 			if st.ft != nil {
-				st.ft.push(s, idx)
+				st.ft.Push(s, idx)
 			}
 			if st.onScore != nil {
 				st.onScore(s, idx)
@@ -493,27 +460,4 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 		}
 	}
 	return nil
-}
-
-// seedFloorDB is seedFloor over a prepared DB: when the database carries
-// a word index of the right word size, the prefilter looks the query up
-// in it — one pass over the query instead of one pass over every record
-// — and otherwise falls back to the per-run query-side index. Both
-// produce true lower bounds, so either way the hit set is unchanged.
-func seedFloorDB(ft *floorTracker, q bio.Sequence, db *DB, sc bio.Scoring, word, minScore int) {
-	ix := db.ix
-	if ix == nil || ix.Word() != word {
-		seedFloor(ft, q, db.recs, sc, word, minScore)
-		return
-	}
-	ft.dedup = true
-	lo := minScore
-	if lo < 1 {
-		lo = 1
-	}
-	for i, lb := range ix.SeedScores(q, sc, 0) {
-		if lb >= lo {
-			ft.push(lb, i)
-		}
-	}
 }

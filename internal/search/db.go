@@ -92,8 +92,8 @@ func PreparedDB(recs []bio.Record, order []int) (*DB, error) {
 }
 
 // SetWordIndex attaches a database-side blast word index; scans with
-// Options.Prefilter whose word size matches seed the pruning floor from
-// it instead of re-indexing per query. Call before the first scan.
+// Options.Prefilter seed the pruning floor from it, at its word size,
+// instead of re-indexing per query. Call before the first scan.
 func (d *DB) SetWordIndex(ix *blast.DBWordIndex) { d.ix = ix }
 
 // WordIndex returns the attached word index, or nil.
@@ -111,8 +111,10 @@ func (d *DB) Size() int { return len(d.recs) }
 // TotalBases returns the summed record lengths.
 func (d *DB) TotalBases() int64 { return d.total }
 
-// groups cuts the canonical order into consecutive lane groups.
-func (d *DB) groups(lanes int) [][]int {
+// groups cuts the canonical order into consecutive lane groups of 8:
+// the one cut every scan and the precomputed Layout share.
+func (d *DB) groups() [][]int {
+	const lanes = bio.PackedLanes8
 	out := make([][]int, 0, (len(d.order)+lanes-1)/lanes)
 	for lo := 0; lo < len(d.order); lo += lanes {
 		out = append(out, d.order[lo:min(lo+lanes, len(d.order))])

@@ -6,27 +6,19 @@ import (
 	"genomedsm/internal/swar"
 )
 
-// This file connects the database scan to internal/dispatch: Run's
-// default kernel path (Options.Lanes == 0) asks the router for a route
-// per lane group instead of hard-coding the int8 ladder, and reports
-// observed int8 saturation back so the router's retry prediction tracks
-// the database actually being scanned. Every route resolves through the
-// same exact-or-flagged kernels, so the hit set is bit-identical across
+// This file connects the database scan to internal/dispatch: the one
+// group scorer asks the router for a route per lane group, maps it to
+// the rung the swar ladder starts at, and reports what the ladder
+// observed back so the router's retry prediction tracks the database
+// actually being scanned. Every route resolves through the same
+// exact-or-flagged ladder, so the hit set is bit-identical across
 // routes — only the padded-cell cost differs.
 
-// testRouter, when non-nil, overrides the router Run builds from
-// Options.Dispatch. Tests use it to force adversarial mis-routes
-// (dispatch.Router.ForceGroup/ForcePair) and prove the result does not
-// depend on routing.
-var testRouter *dispatch.Router
-
-// routerFor builds the scan router for one Run: the test override wins,
-// then a caller-provided shared router (Options.Router), then one built
-// from the Dispatch mode.
+// routerFor builds the scan router for one Run: a caller-provided
+// shared router (Options.Router) wins — the resident server's
+// calibrated one, or a test's forced mis-route — then one built from
+// the Dispatch mode.
 func routerFor(opt Options) (*dispatch.Router, error) {
-	if testRouter != nil {
-		return testRouter, nil
-	}
 	if opt.Router != nil {
 		return opt.Router, nil
 	}
@@ -42,166 +34,64 @@ func routerFor(opt Options) (*dispatch.Router, error) {
 	return dispatch.New(mode, nil), nil
 }
 
-// scoreGroupRouted scores one lane group down the route the scan state
-// picks, under an optional pruning bound (nil ab = no pruning), and
-// returns the padded cells the chosen kernels actually computed.
-// Results are bit-exact against scoreGroup/scoreGroupBounded for every
-// route, including forced mis-routes. A non-nil gp supplies the group's
-// shared prebuilt int8 profile for the inter8 route.
-func scoreGroupRouted(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, st *dispatch.ScanState, ab *swar.Bound, gp *groupProf) (scores []int, pruned []bool, rows []int, padded int64, err error) {
-	g := len(targets)
-	scores = make([]int, g)
-	pruned = make([]bool, g)
-	rows = make([]int, g)
-	for i := range rows {
-		rows[i] = len(q)
-	}
-	lens := make([]int, g)
-	maxLen := 0
-	for i, t := range targets {
-		lens[i] = len(t)
-		if len(t) > maxLen {
-			maxLen = len(t)
-		}
-	}
+// startRung maps the router's verdict for a lane group to the rung the
+// ladder starts at.
+var startRung = [...]swar.Rung{
+	dispatch.GroupInter8:  swar.RungInter8,
+	dispatch.GroupInter16: swar.RungInter16,
+	dispatch.GroupSingles: swar.RungSingles,
+	dispatch.GroupScalar:  swar.RungScalar,
+}
 
-	// observeExact feeds a completed (unpruned) exact score of target i
-	// back into the scan state when the lane was taken AWAY from the
-	// int8 rung: the exact score proves whether an int8 scan would have
+// scoreGroup is the one group scorer: it scores a lane group down the
+// route the scan state picks, under an optional pruning bound (nil ab =
+// unpruned), and feeds the ladder's saturation evidence back into the
+// scan state. Results are bit-exact for every route, including forced
+// mis-routes. lens holds the targets' lengths; a non-nil gp supplies
+// the group's shared prebuilt int8 profile, built only when the route
+// starts at the int8 rung.
+func scoreGroup(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, lens []int, sc bio.Scoring, st *dispatch.ScanState, ab *swar.Bound, gp *groupProf) swar.GroupResult {
+	route := st.Group(len(q), lens, sc)
+	var prof *bio.PackedProfile
+	if route == dispatch.GroupInter8 && gp != nil {
+		prof = gp.profile()
+	}
+	res := al.Ladder(q, targets, sc, startRung[route], ab, prof)
+
+	if route == dispatch.GroupInter8 {
+		// A completed int8 pass is full evidence: count the lanes that
+		// could saturate and those that did. A refused or abandoned pass
+		// is none — a partial scan proves nothing about saturation over
+		// the full matrix — and the int16 retry of the flagged lanes never
+		// observes them a second time.
+		if res.Done8 {
+			possible, flagged := 0, 0
+			for l, n := range lens {
+				if dispatch.SatPossible8(len(q), n, sc) {
+					possible++
+					if res.Sat8&(1<<uint(l)) != 0 {
+						flagged++
+					}
+				}
+			}
+			st.Observe8(possible, flagged)
+		}
+		return res
+	}
+	// The group was taken AWAY from the int8 rung: each completed
+	// (unpruned) exact score proves whether an int8 scan would have
 	// saturated, so the observed rate can recover after a burst of
 	// saturating records — without this, a high rate routes everything
 	// to int16, int16 passes produce no int8 evidence, and the estimate
 	// would stay stuck at its peak for the rest of the scan.
-	observeExact := func(i int) {
-		if !pruned[i] && dispatch.SatPossible8(len(q), lens[i], sc) {
+	for i, n := range lens {
+		if res.Pruned&(1<<uint(i)) == 0 && dispatch.SatPossible8(len(q), n, sc) {
 			flagged := 0
-			if scores[i] > bio.PackedCap8 {
+			if res.Scores[i] > bio.PackedCap8 {
 				flagged = 1
 			}
 			st.Observe8(1, flagged)
 		}
 	}
-	// scalarOne is the ladder's last rung: always succeeds, exact.
-	// observe reports the score back to the routing state (false when
-	// this call is an int8-retry whose saturation was already counted).
-	scalarOne := func(i int, observe bool) {
-		scores[i], rows[i], pruned[i] = swar.ScalarScoreBounded(q, targets[i], sc, ab)
-		padded += int64(lens[i]) * int64(rows[i])
-		if observe {
-			observeExact(i)
-		}
-	}
-	// inter16 scans the given target indices in int16 subgroups of 4,
-	// dropping still-saturated lanes to the scalar rung.
-	inter16 := func(idxs []int, observe bool) {
-		group := make([]bio.Sequence, 0, bio.PackedLanes16)
-		for lo := 0; lo < len(idxs); lo += bio.PackedLanes16 {
-			hi := min(lo+bio.PackedLanes16, len(idxs))
-			group = group[:0]
-			subMax := 0
-			for _, ix := range idxs[lo:hi] {
-				group = append(group, targets[ix])
-				subMax = max(subMax, lens[ix])
-			}
-			ls, ok := al.Scan16Bounded(q, group, sc, ab)
-			if !ok {
-				for _, ix := range idxs[lo:hi] {
-					scalarOne(ix, observe)
-				}
-				continue
-			}
-			padded += int64(bio.PackedLanes16) * int64(subMax) * int64(ls.Rows)
-			if ls.Pruned {
-				for _, ix := range idxs[lo:hi] {
-					pruned[ix], rows[ix] = true, ls.Rows
-				}
-				continue
-			}
-			for l, ix := range idxs[lo:hi] {
-				if ls.Saturated&(1<<uint(l)) != 0 {
-					scalarOne(ix, observe)
-				} else {
-					scores[ix], rows[ix] = ls.Scores[l], len(q)
-					if observe {
-						observeExact(ix)
-					}
-				}
-			}
-		}
-	}
-
-	switch st.Group(len(q), lens, sc) {
-	case dispatch.GroupInter8:
-		var ls swar.LaneScores
-		var ok bool
-		if gp != nil {
-			// gp.profile() is nil exactly when NewPackedProfile8 would be,
-			// and Scan8Prof refuses under the same gap condition as
-			// Scan8Bounded, so the fallback below triggers identically.
-			ls, ok = al.Scan8Prof(q, gp.profile(), sc, len(targets), ab)
-		} else {
-			ls, ok = al.Scan8Bounded(q, targets, sc, ab)
-		}
-		if !ok {
-			// Scoring magnitudes do not fit int8 lanes at all.
-			idxs := make([]int, g)
-			for i := range idxs {
-				idxs[i] = i
-			}
-			inter16(idxs, false)
-			return scores, pruned, rows, padded, nil
-		}
-		padded += int64(bio.PackedLanes8) * int64(maxLen) * int64(ls.Rows)
-		if ls.Pruned {
-			for i := range targets {
-				pruned[i], rows[i] = true, ls.Rows
-			}
-			return scores, pruned, rows, padded, nil
-		}
-		// Feed the observed saturation of saturation-capable lanes back
-		// into the scan state (a completed scan is full evidence; pruned
-		// scans above are not — a partial scan proves nothing about
-		// saturation over the full matrix).
-		possible, flagged := 0, 0
-		var narrow []int
-		for l := 0; l < ls.Lanes; l++ {
-			sat := ls.Saturated&(1<<uint(l)) != 0
-			if dispatch.SatPossible8(len(q), lens[l], sc) {
-				possible++
-				if sat {
-					flagged++
-				}
-			}
-			if sat {
-				narrow = append(narrow, l)
-			} else {
-				scores[l] = ls.Scores[l]
-			}
-		}
-		st.Observe8(possible, flagged)
-		if narrow != nil {
-			// Saturation of these lanes was counted above; the retry
-			// must not observe them a second time.
-			inter16(narrow, false)
-		}
-	case dispatch.GroupInter16:
-		idxs := make([]int, g)
-		for i := range idxs {
-			idxs[i] = i
-		}
-		inter16(idxs, true)
-	case dispatch.GroupSingles:
-		for i, t := range targets {
-			p, r, pr := al.StripedScoreBounded(q, t, sc, ab)
-			scores[i], rows[i], pruned[i] = p.Score, r, pr
-			// The striped layout pads the target to full words of 8 lanes.
-			padded += int64((lens[i]+bio.PackedLanes8-1)/bio.PackedLanes8*bio.PackedLanes8) * int64(r)
-			observeExact(i)
-		}
-	default: // dispatch.GroupScalar
-		for i := range targets {
-			scalarOne(i, true)
-		}
-	}
-	return scores, pruned, rows, padded, nil
+	return res
 }

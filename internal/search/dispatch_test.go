@@ -19,18 +19,36 @@ func forceRouter(groupRoute dispatch.GroupRoute, pairRoute dispatch.PairRoute) *
 	return r
 }
 
-// installForced routes this test's Run calls (testRouter) and its
-// realign align.Scan calls (the process-wide active router) down the
-// forced routes, restoring both on cleanup. Tests in this package do
-// not run in parallel, so mutating the globals is safe.
-func installForced(t *testing.T, r *dispatch.Router) {
-	t.Helper()
-	testRouter = r
+// inter16Router forces every lane group to start at the int16 rung —
+// how tests reach the route the retired Lanes: 16 selected.
+func inter16Router() *dispatch.Router {
+	r := dispatch.New(dispatch.ModeAuto, nil)
+	r.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	return r
+}
+
+// kernelAxis is the kernel axis of the differential suites: adaptive
+// routing, the forced int16 start, the forced scalar route and the
+// scalar reference scorer.
+var kernelAxis = []struct {
+	name string
+	opt  Options
+}{
+	{"auto", Options{}},
+	{"inter16", Options{Router: inter16Router()}},
+	{"scalar", Options{Dispatch: "scalar"}},
+	{"reference", Options{Lanes: 1}},
+}
+
+// runForced runs one scan with its lane groups (Options.Router) and its
+// realign align.Scan calls (the process-wide active router) down r's
+// forced routes, restoring the active router afterwards. Tests in this
+// package do not run in parallel, so mutating that global is safe.
+func runForced(q bio.Sequence, db []bio.Record, opt Options, r *dispatch.Router) (*Result, error) {
+	opt.Router = r
 	dispatch.SetActive(r)
-	t.Cleanup(func() {
-		testRouter = nil
-		dispatch.SetActive(nil)
-	})
+	defer dispatch.SetActive(nil)
+	return Run(q, db, opt)
 }
 
 var allGroupRoutes = []dispatch.GroupRoute{
@@ -56,7 +74,7 @@ func TestDispatchForcedRoutesBitExact(t *testing.T) {
 		{Match: 7000, Mismatch: -7000, Gap: -9000}, // int16-only
 	}
 	for si, sc := range scorings {
-		// Reference: the legacy scalar lane path, no router involved.
+		// Reference: the scalar reference scorer, no router involved.
 		want, err := Run(q, db, Options{Scoring: sc, TopK: 8, Lanes: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -64,10 +82,7 @@ func TestDispatchForcedRoutesBitExact(t *testing.T) {
 		for _, gr := range allGroupRoutes {
 			for _, pr := range allPairRoutes {
 				name := fmt.Sprintf("scoring%d/%v/%v", si, gr, pr)
-				installForced(t, forceRouter(gr, pr))
-				got, err := Run(q, db, Options{Scoring: sc, TopK: 8})
-				testRouter = nil
-				dispatch.SetActive(nil)
+				got, err := runForced(q, db, Options{Scoring: sc, TopK: 8}, forceRouter(gr, pr))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -118,10 +133,17 @@ func TestDispatchOptionModes(t *testing.T) {
 	if _, err := Run(q, db, Options{TopK: 6, Dispatch: "warp"}); err == nil {
 		t.Fatal("unknown dispatch mode accepted")
 	}
-	// An explicit lane count bypasses routing; Dispatch is ignored, not
-	// an error, even when invalid.
-	if _, err := Run(q, db, Options{TopK: 6, Lanes: 16, Dispatch: "warp"}); err != nil {
-		t.Fatalf("explicit lanes should ignore dispatch: %v", err)
+	// The scalar reference scorer uses no router; Dispatch is ignored,
+	// not an error, even when invalid.
+	if _, err := Run(q, db, Options{TopK: 6, Lanes: 1, Dispatch: "warp"}); err != nil {
+		t.Fatalf("the reference scorer should ignore dispatch: %v", err)
+	}
+	// Lanes is no longer a kernel knob: the old forced-kernel values are
+	// rejected, pointing at Dispatch.
+	for _, lanes := range []int{8, 16} {
+		if _, err := Run(q, db, Options{TopK: 6, Lanes: lanes}); err == nil {
+			t.Fatalf("lanes=%d accepted", lanes)
+		}
 	}
 }
 
@@ -139,10 +161,7 @@ func TestDispatchPrunedForcedRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gr := range allGroupRoutes {
-		installForced(t, forceRouter(gr, dispatch.PairScalar))
-		got, err := Run(q, db, Options{Scoring: sc, TopK: 5, Prune: true, NoEndpoints: true})
-		testRouter = nil
-		dispatch.SetActive(nil)
+		got, err := runForced(q, db, Options{Scoring: sc, TopK: 5, Prune: true, NoEndpoints: true}, forceRouter(gr, dispatch.PairScalar))
 		if err != nil {
 			t.Fatalf("%v: %v", gr, err)
 		}
@@ -217,11 +236,7 @@ func FuzzDispatchVsScalar(f *testing.F) {
 
 		gr := allGroupRoutes[int(routeByte)%len(allGroupRoutes)]
 		pr := allPairRoutes[int(routeByte/4)%len(allPairRoutes)]
-		testRouter = forceRouter(gr, pr)
-		dispatch.SetActive(testRouter)
-		got, err := Run(q, db, opt)
-		testRouter = nil
-		dispatch.SetActive(nil)
+		got, err := runForced(q, db, opt, forceRouter(gr, pr))
 		if err != nil {
 			t.Fatal(err)
 		}

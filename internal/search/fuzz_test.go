@@ -56,7 +56,7 @@ func FuzzPrunedSearchVsFull(f *testing.F) {
 		case 1:
 			opt.Prefilter = true
 		case 2:
-			opt.Lanes = 16
+			opt.Router = inter16Router()
 		case 3:
 			opt.MinScore = sc.Match * 3
 		}

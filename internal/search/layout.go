@@ -27,7 +27,7 @@ type Layout struct {
 // layout code path: the index-time encoder, the legacy v1 load and the
 // forged-section rebuild all come through here.
 func BuildLayout(d *DB) *Layout {
-	groups := d.groups(bio.PackedLanes8)
+	groups := d.groups()
 	l := &Layout{offs: make([]int64, 1, len(groups)+1)}
 	targets := make([]bio.Sequence, 0, bio.PackedLanes8)
 	for _, g := range groups {
@@ -100,7 +100,7 @@ func (l *Layout) Slice(from, to int) *Layout {
 // cannot pass this compare against the sequence bytes, and the loader
 // then rebuilds the layout from the records instead of trusting it.
 func (l *Layout) Validate(d *DB) error {
-	groups := d.groups(bio.PackedLanes8)
+	groups := d.groups()
 	if l.Groups() != len(groups) {
 		return fmt.Errorf("search: layout holds %d groups for %d", l.Groups(), len(groups))
 	}

@@ -6,7 +6,6 @@ import (
 
 	"genomedsm/internal/bio"
 	"genomedsm/internal/blast"
-	"genomedsm/internal/swar"
 )
 
 // This file holds the ALAE-style exact pruning pipeline of Run:
@@ -51,133 +50,81 @@ type PruneStats struct {
 	FloorFinal int
 }
 
-// floorEntry is one record's best known score evidence in the shared
-// floor heap: its exact score once scanned, or the prefilter's
-// seed-and-extend lower bound before that.
-type floorEntry struct {
-	score int
-	index int
+// Floor maintains a top-K score floor that makes pruning global across
+// workers (and, through the shard master, across shards): a bounded
+// heap of per-record score evidence — a record's exact score once
+// scanned, or the prefilter's seed-and-extend lower bound before that —
+// whose root, once K records are in, is published through an atomic,
+// so the hot path reads the current floor without a lock. The floor
+// only ever ratchets up, and is valid by construction: when Get
+// returns f > 0, K distinct records are known to score ≥ f and to be
+// result-eligible (callers only push eligible evidence, see Push), so
+// a record provably scoring < f cannot enter the final merged top K no
+// matter how worker scheduling interleaves.
+type Floor struct {
+	floor atomic.Int64
+	mu    sync.Mutex
+	// dedup: one record's evidence may arrive more than once (the
+	// prefilter seeded the heap; a shard replayed a span), so pushes must
+	// dedup by index.
+	dedup bool
+	heap  topK
 }
 
-// floorTracker maintains the shared top-K score floor that makes
-// pruning global across workers: a bounded min-heap of per-record
-// score evidence whose root — once K records are in — is published
-// through an atomic, so the hot path reads the current floor without
-// a lock. The floor only ever ratchets up, and is valid by
-// construction: when get() returns f > 0, K distinct records are known
-// to score ≥ f and to be result-eligible (callers only push eligible
-// evidence, see push), so a record provably scoring < f cannot enter
-// the final merged top K no matter how worker scheduling interleaves.
-type floorTracker struct {
-	floor   atomic.Int64
-	mu      sync.Mutex
-	k       int
-	dedup   bool         // prefilter seeded the heap: pushes must dedup by index
-	entries []floorEntry // min-heap on score
+// NewFloor returns a floor over the K best records with dedup on: the
+// shard master's global floor, where replayed spans and duplicated
+// messages can legitimately deliver the same record's score twice.
+func NewFloor(k int) *Floor {
+	return &Floor{dedup: true, heap: topK{k: k}}
 }
 
-func newFloorTracker(k int) *floorTracker {
-	return &floorTracker{k: k}
-}
-
-// get returns the current published floor (0 until K records have
+// Get returns the current published floor (0 until K records have
 // evidence).
-func (f *floorTracker) get() int { return int(f.floor.Load()) }
+func (f *Floor) Get() int { return int(f.floor.Load()) }
 
 // threshold folds the published floor with the caller's MinScore and
 // the implicit "hits must score > 0" rule into the strict pruning
 // threshold: a record provably scoring < threshold cannot appear in
 // the result. Records tying the threshold are never pruned — a score
 // equal to the floor can still win its place on the index tie-break.
-func (f *floorTracker) threshold(minScore int) int {
-	t := f.get()
-	if minScore > t {
-		t = minScore
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
+func (f *Floor) threshold(minScore int) int {
+	return max(f.Get(), minScore, 1)
 }
 
-// push records score evidence for one record: its exact score after a
-// completed scan, or a prefilter lower bound. Callers must only push
-// evidence for result-eligible records (score ≥ max(MinScore, 1)),
-// otherwise the floor could be propped up by records the result later
-// drops. When the prefilter seeded the heap, a record already present
-// is updated in place (lower bound upgraded to exact score), never
-// counted twice — double-counting would overstate how many distinct
-// records clear the floor and break the floor's validity.
-func (f *floorTracker) push(score, index int) {
-	if f.k <= 0 {
-		return
+// Push records score evidence for one record — its exact score after a
+// completed scan, or a prefilter lower bound — and reports whether the
+// published floor rose. Callers must only push evidence for
+// result-eligible records (score ≥ max(MinScore, 1)), otherwise the
+// floor could be propped up by records the result later drops. Under
+// dedup a record already present is raised in place (lower bound
+// upgraded to exact score), never counted twice — double-counting
+// would overstate how many distinct records clear the floor and break
+// the floor's validity.
+func (f *Floor) Push(score, index int) bool {
+	if f.heap.k <= 0 {
+		return false
 	}
 	// Fast path without the lock: once the heap is full every entry
 	// scores ≥ the published floor, so evidence at or below it can
 	// neither displace an entry nor improve one.
 	if fl := f.floor.Load(); fl > 0 && int64(score) <= fl {
-		return
+		return false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.dedup {
-		for i := range f.entries {
-			if f.entries[i].index == index {
-				if score > f.entries[i].score {
-					f.entries[i].score = score
-					f.siftDown(i)
-					f.publish()
-				}
-				return
-			}
+	if !f.dedup || !f.heap.raise(score, index) {
+		f.heap.push(scored{score, index})
+	}
+	// Publish the heap root as the floor once K records are in. The root
+	// never decreases (entries are only replaced by stronger ones), so
+	// readers observe a monotonically ratcheting floor.
+	if len(f.heap.items) == f.heap.k {
+		if root := int64(f.heap.items[0].score); root > f.floor.Load() {
+			f.floor.Store(root)
+			return true
 		}
 	}
-	if len(f.entries) < f.k {
-		f.entries = append(f.entries, floorEntry{score, index})
-		for i := len(f.entries) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if f.entries[parent].score <= f.entries[i].score {
-				break
-			}
-			f.entries[i], f.entries[parent] = f.entries[parent], f.entries[i]
-			i = parent
-		}
-		f.publish()
-		return
-	}
-	if score > f.entries[0].score {
-		f.entries[0] = floorEntry{score, index}
-		f.siftDown(0)
-		f.publish()
-	}
-}
-
-func (f *floorTracker) siftDown(i int) {
-	n := len(f.entries)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && f.entries[l].score < f.entries[smallest].score {
-			smallest = l
-		}
-		if r < n && f.entries[r].score < f.entries[smallest].score {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		f.entries[i], f.entries[smallest] = f.entries[smallest], f.entries[i]
-		i = smallest
-	}
-}
-
-// publish exposes the heap root as the floor once K records are in.
-// The root never decreases (entries are only replaced by larger
-// scores), so readers observe a monotonically ratcheting floor.
-func (f *floorTracker) publish() {
-	if len(f.entries) == f.k {
-		f.floor.Store(int64(f.entries[0].score))
-	}
+	return false
 }
 
 // seedFloor runs the optional stage-3 prefilter: every record gets a
@@ -185,67 +132,34 @@ func (f *floorTracker) publish() {
 // bounds pre-seed the floor so stage 1 and 2 start pruning from the
 // first group instead of waiting for K full scans. Records without
 // seed hits contribute no evidence and stay protected by the upper
-// bounds, so exactness is preserved by construction.
-func seedFloor(ft *floorTracker, q bio.Sequence, db []bio.Record, sc bio.Scoring, word, minScore int) {
-	ix := blast.NewWordIndex(q, word)
+// bounds, so exactness is preserved by construction. A database with a
+// word index attached looks the query up in it — one pass over the
+// query, at the index's own word size — and any other falls back to a
+// per-run query-side index over every record. Both produce true lower
+// bounds, so either way the hit set is unchanged.
+func seedFloor(ft *Floor, q bio.Sequence, db *DB, sc bio.Scoring, minScore int) {
+	lo := max(minScore, 1)
+	if db.ix != nil {
+		ft.dedup = true
+		for i, lb := range db.ix.SeedScores(q, sc, 0) {
+			if lb >= lo {
+				ft.Push(lb, i)
+			}
+		}
+		return
+	}
+	ix := blast.NewWordIndex(q, fallbackSeedWord)
 	if ix == nil {
 		return
 	}
 	ft.dedup = true
-	lo := minScore
-	if lo < 1 {
-		lo = 1
-	}
-	for i := range db {
-		if lb := ix.SeedScore(db[i].Seq, sc, 0); lb >= lo {
-			ft.push(lb, i)
+	for i := range db.recs {
+		if lb := ix.SeedScore(db.recs[i].Seq, sc, 0); lb >= lo {
+			ft.Push(lb, i)
 		}
 	}
 }
 
-// scoreGroupBounded is scoreGroup under a pruning bound: pruned[i]
-// reports that target i's exact score is provably below ab.Below (its
-// scores slot is then 0 and meaningless) and rows[i] is the number of
-// query rows the kernel rung that resolved target i consumed. Targets
-// that are not pruned are scored bit-exactly to scoreGroup's result.
-// A non-nil gp supplies the group's shared prebuilt int8 profile.
-func scoreGroupBounded(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, lanesOpt int, ab *swar.Bound, gp *groupProf) ([]int, []bool, []int, error) {
-	switch lanesOpt {
-	case 0, 8:
-		if len(targets) == 1 {
-			// Same singleton special-case as scoreGroup: the striped
-			// intra-sequence kernel uses all lanes on the single pair.
-			p, rows, pruned := al.StripedScoreBounded(q, targets[0], sc, ab)
-			return []int{p.Score}, []bool{pruned}, []int{rows}, nil
-		}
-		if gp != nil {
-			return al.GroupScores(q, targets, sc, gp.profile(), ab)
-		}
-		return al.ScoresBounded(q, targets, sc, ab)
-	case 16:
-		scores := make([]int, len(targets))
-		pruned := make([]bool, len(targets))
-		rows := make([]int, len(targets))
-		ls, ok := al.Scan16Bounded(q, targets, sc, ab)
-		for i := range targets {
-			switch {
-			case ok && ls.Pruned:
-				pruned[i], rows[i] = true, ls.Rows
-			case !ok || ls.Saturated&(1<<uint(i)) != 0:
-				p, r, pr := al.StripedScoreBounded(q, targets[i], sc, ab)
-				scores[i], rows[i], pruned[i] = p.Score, r, pr
-			default:
-				scores[i], rows[i] = ls.Scores[i], len(q)
-			}
-		}
-		return scores, pruned, rows, nil
-	default: // scalar reference path
-		scores := make([]int, len(targets))
-		pruned := make([]bool, len(targets))
-		rows := make([]int, len(targets))
-		for i, t := range targets {
-			scores[i], rows[i], pruned[i] = swar.ScalarScoreBounded(q, t, sc, ab)
-		}
-		return scores, pruned, rows, nil
-	}
-}
+// fallbackSeedWord is the seed word size of the query-side
+// prefilter index built when the database carries no word index.
+const fallbackSeedWord = 11

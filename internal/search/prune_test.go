@@ -1,11 +1,13 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"genomedsm/internal/bio"
+	"genomedsm/internal/blast"
 )
 
 // requireSameHits asserts two hit slices are bit-identical: same
@@ -32,9 +34,10 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 		q := g.Random(250 + int(seed)*13)
 		db := testDB(t, seed+100, q, 40, 12)
 		for _, k := range []int{3, 10} {
-			for _, lanes := range []int{0, 16, 1} {
+			for _, kern := range kernelAxis {
 				for _, prefilter := range []bool{false, true} {
-					base := Options{TopK: k, Lanes: lanes}
+					base := kern.opt
+					base.TopK = k
 					want, err := Run(q, db, base)
 					if err != nil {
 						t.Fatal(err)
@@ -46,7 +49,7 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("seed=%d k=%d lanes=%d prefilter=%v", seed, k, lanes, prefilter)
+					label := fmt.Sprintf("seed=%d k=%d kernel=%s prefilter=%v", seed, k, kern.name, prefilter)
 					requireSameHits(t, label, got.Hits, want.Hits)
 					if got.Prune == nil {
 						t.Fatalf("%s: no prune stats", label)
@@ -91,6 +94,56 @@ func TestPrunedMinScore(t *testing.T) {
 		}
 		requireSameHits(t, fmt.Sprintf("minscore=%d", minScore), got.Hits, ref.Hits)
 	}
+}
+
+// TestPrefilterUsesIndexWord pins the prefilter's word-size rule: a
+// database carrying a word index (as `genomedsm index -word 9` packs
+// one) seeds the floor from that index at its own word size, instead of
+// ignoring it for a query-side 11-mer index. Every record shares
+// exactly one 10-base word with the query, so 9-mer seeding finds
+// evidence where 11-mer seeding provably cannot.
+func TestPrefilterUsesIndexWord(t *testing.T) {
+	g := bio.NewGenerator(101)
+	q := g.Random(200)
+	other := func(b byte) byte {
+		if b == 'A' {
+			return 'C'
+		}
+		return 'A'
+	}
+	var recs []bio.Record
+	for i := 0; i < 12; i++ {
+		seq := g.Random(120)
+		at := 5 + i*12
+		copy(seq[40:], q[at:at+10])
+		seq[39], seq[50] = other(q[at-1]), other(q[at+10]) // the shared word is exactly 10 long
+		recs = append(recs, bio.Record{ID: fmt.Sprintf("w%d", i), Seq: seq})
+	}
+	bare := NewDB(recs)
+	indexed := NewDB(recs)
+	indexed.SetWordIndex(blast.NewDBWordIndex(recs, 9))
+	sc := bio.DefaultScoring()
+
+	unseeded, seeded := &Floor{heap: topK{k: 3}}, &Floor{heap: topK{k: 3}}
+	seedFloor(unseeded, q, bare, sc, 0)
+	if unseeded.Get() != 0 {
+		t.Fatalf("test precondition: 11-mer seeding found a floor of %d", unseeded.Get())
+	}
+	seedFloor(seeded, q, indexed, sc, 0)
+	if seeded.Get() < 9 {
+		t.Fatalf("the attached 9-mer index was not used: seeded floor %d", seeded.Get())
+	}
+
+	ctx := context.Background()
+	want, err := RunCtx(ctx, q, bare, Options{TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCtx(ctx, q, indexed, Options{TopK: 3, Prune: true, Prefilter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameHits(t, "9-mer prefilter", got.Hits, want.Hits)
 }
 
 // TestPrunedAdversarial drives the tie-handling edge cases: databases
@@ -220,7 +273,7 @@ func TestPrunedActuallyPrunes(t *testing.T) {
 // workers ratchet it while pushing near-tie hits, and the merged top-K
 // must stay deterministic — identical to both a single-worker pruned
 // run and the unpruned reference. Run with -race this also proves the
-// atomic publish / lock discipline of floorTracker.
+// atomic publish / lock discipline of Floor.
 func TestFloorRatchetRace(t *testing.T) {
 	g := bio.NewGenerator(101)
 	q := g.Random(300)
@@ -256,26 +309,26 @@ func TestFloorRatchetRace(t *testing.T) {
 }
 
 func TestFloorTracker(t *testing.T) {
-	ft := newFloorTracker(3)
-	if ft.get() != 0 || ft.threshold(0) != 1 {
-		t.Fatalf("empty tracker: floor %d threshold %d", ft.get(), ft.threshold(0))
+	ft := &Floor{heap: topK{k: 3}}
+	if ft.Get() != 0 || ft.threshold(0) != 1 {
+		t.Fatalf("empty tracker: floor %d threshold %d", ft.Get(), ft.threshold(0))
 	}
-	ft.push(10, 0)
-	ft.push(20, 1)
-	if ft.get() != 0 {
-		t.Fatalf("floor published before K records: %d", ft.get())
+	ft.Push(10, 0)
+	ft.Push(20, 1)
+	if ft.Get() != 0 {
+		t.Fatalf("floor published before K records: %d", ft.Get())
 	}
-	ft.push(30, 2)
-	if ft.get() != 10 {
-		t.Fatalf("floor %d, want 10", ft.get())
+	ft.Push(30, 2)
+	if ft.Get() != 10 {
+		t.Fatalf("floor %d, want 10", ft.Get())
 	}
-	ft.push(5, 3) // below the floor: no effect
-	if ft.get() != 10 {
-		t.Fatalf("floor dropped to %d", ft.get())
+	ft.Push(5, 3) // below the floor: no effect
+	if ft.Get() != 10 {
+		t.Fatalf("floor dropped to %d", ft.Get())
 	}
-	ft.push(15, 4) // displaces the 10
-	if ft.get() != 15 {
-		t.Fatalf("floor %d, want 15", ft.get())
+	ft.Push(15, 4) // displaces the 10
+	if ft.Get() != 15 {
+		t.Fatalf("floor %d, want 15", ft.Get())
 	}
 	if th := ft.threshold(40); th != 40 {
 		t.Errorf("threshold with MinScore 40 = %d", th)
@@ -283,16 +336,15 @@ func TestFloorTracker(t *testing.T) {
 
 	// Dedup mode: upgrading one record's lower bound must not count it
 	// twice (the floor stays backed by 3 distinct records).
-	ft = newFloorTracker(3)
-	ft.dedup = true
-	ft.push(10, 0)
-	ft.push(12, 1)
-	ft.push(50, 0) // same record, better evidence — still only 2 records
-	if ft.get() != 0 {
-		t.Fatalf("dedup failed: floor %d from 2 records", ft.get())
+	ft = NewFloor(3)
+	ft.Push(10, 0)
+	ft.Push(12, 1)
+	ft.Push(50, 0) // same record, better evidence — still only 2 records
+	if ft.Get() != 0 {
+		t.Fatalf("dedup failed: floor %d from 2 records", ft.Get())
 	}
-	ft.push(20, 2)
-	if ft.get() != 12 {
-		t.Fatalf("floor %d, want 12", ft.get())
+	ft.Push(20, 2)
+	if ft.Get() != 12 {
+		t.Fatalf("floor %d, want 12", ft.Get())
 	}
 }

@@ -20,6 +20,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
@@ -38,16 +39,19 @@ type Options struct {
 	Workers int
 	// MinScore drops hits scoring below it; scores ≤ 0 are always dropped.
 	MinScore int
-	// Lanes selects the kernel: 0 routes each lane group adaptively (see
-	// Dispatch), 8 forces the int8 SWAR chain, 16 starts at the int16
-	// kernel, 1 forces the scalar path (reference and benchmarking).
+	// Lanes is not a kernel knob: the only value besides 0 is 1, which
+	// scores every record with the scalar reference scorer
+	// (referenceScores) instead of the routed ladder. The field survives
+	// only because the differential tests and the benchmark's oracle
+	// compare against that reference, which must stay independent of
+	// the router and the packed rungs it checks. To force a kernel, use
+	// Dispatch.
 	Lanes int
-	// Dispatch selects the routing mode for the default kernel path
-	// (Lanes == 0): "" or "auto" picks the fastest exact route per lane
-	// group by the calibrated cost model of internal/dispatch, "fixed"
-	// reproduces the pre-dispatch fixed thresholds, "scalar" forces the
-	// exact scalar kernels. All modes return bit-identical hits; only
-	// speed varies. Ignored when Lanes selects an explicit kernel.
+	// Dispatch selects the routing mode: "" or "auto" picks the fastest
+	// exact route per lane group by the calibrated cost model of
+	// internal/dispatch, "fixed" reproduces the pre-dispatch fixed
+	// thresholds (the int8 ladder), "scalar" forces the exact scalar
+	// kernels. All modes return bit-identical hits; only speed varies.
 	Dispatch string
 	// NoEndpoints skips the scalar re-alignment of the final hits, for
 	// callers that only need scores.
@@ -59,15 +63,12 @@ type Options struct {
 	// tie-breaks — is bit-identical with or without it.
 	Prune bool
 	// Prefilter additionally seeds the floor with blast seed-and-extend
-	// lower bounds before any DP runs (stage 3; only with Prune).
+	// lower bounds before any DP runs (stage 3; only with Prune). The
+	// seed word size is the attached word index's (DB.SetWordIndex), or
+	// 11 when the database carries none.
 	Prefilter bool
-	// PrefilterWord is the prefilter seed word size (default 11).
-	PrefilterWord int
-	// AbandonEvery is the mid-scan abandon check cadence in query rows
-	// (default swar.DefaultAbandonEvery).
-	AbandonEvery int
-	// Router, when non-nil, routes this scan's lane groups (Lanes == 0)
-	// instead of a router built from Dispatch: a resident server shares
+	// Router, when non-nil, routes this scan's lane groups instead of a
+	// router built from Dispatch: a resident server shares
 	// one calibrated router — and its route statistics — across
 	// requests. Routing never changes results, only speed.
 	Router *dispatch.Router
@@ -100,43 +101,47 @@ type Result struct {
 	Prune *PruneStats
 }
 
-// laneGroups orders record indices by decreasing sequence length and
-// cuts them into consecutive groups of lanes, so each group packs
-// near-equal lengths and short lanes waste little padding.
-func laneGroups(db []bio.Record, lanes int) [][]int {
-	order := sortedOrder(db)
-	groups := make([][]int, 0, (len(order)+lanes-1)/lanes)
-	for lo := 0; lo < len(order); lo += lanes {
-		groups = append(groups, order[lo:min(lo+lanes, len(order))])
-	}
-	return groups
+// scored is one record's score evidence: the element of the bounded
+// heap behind the per-worker and merged top K and the pruning floors.
+type scored struct {
+	score, index int
 }
 
-// topK is a bounded min-heap of hits ordered by (score, then lower
-// index wins ties), so the heap root is the weakest kept hit. A plain
-// slice heap keeps the merge deterministic regardless of worker
-// scheduling: every record that belongs to the global top K under the
-// same total order survives its worker's local top K.
+// before is the result order, defined once: higher score first, lower
+// record index on ties. It is a strict total order over distinct
+// records, so every merge that respects it — worker heaps, the batch
+// merge, the shard merge — picks the same top K.
+func (a scored) before(b scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.index < b.index
+}
+
+// SortHits sorts hits into the result order.
+func SortHits(hits []Hit) {
+	sort.Slice(hits, func(a, b int) bool {
+		return scored{hits[a].Score, hits[a].Index}.before(scored{hits[b].Score, hits[b].Index})
+	})
+}
+
+// topK is a bounded min-heap of (score, index) under the result order,
+// so the root is the weakest kept entry. A plain slice heap keeps the
+// merge deterministic regardless of worker scheduling: every record
+// that belongs to the global top K under the same total order survives
+// its worker's local top K.
 type topK struct {
 	k     int
-	items []Hit
+	items []scored
 }
 
-// less orders a strictly below b: worse score first, higher index first
-// on ties.
-func (h *topK) less(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Index > b.Index
-}
-
-func (h *topK) push(it Hit) {
+// push offers one entry, keeping the k best.
+func (h *topK) push(it scored) {
 	if h.k <= 0 {
 		return
 	}
 	if len(h.items) == h.k {
-		if h.less(it, h.items[0]) || it == h.items[0] {
+		if !it.before(h.items[0]) {
 			return
 		}
 		h.items[0] = it
@@ -144,10 +149,9 @@ func (h *topK) push(it Hit) {
 		return
 	}
 	h.items = append(h.items, it)
-	// Sift up.
 	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !h.items[parent].before(h.items[i]) {
 			break
 		}
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
@@ -155,22 +159,37 @@ func (h *topK) push(it Hit) {
 	}
 }
 
+// raise lifts the entry of record index to score when it is present
+// and scores lower, and reports whether the record was present.
+func (h *topK) raise(score, index int) bool {
+	for i := range h.items {
+		if h.items[i].index == index {
+			if score > h.items[i].score {
+				h.items[i].score = score
+				h.siftDown(i)
+			}
+			return true
+		}
+	}
+	return false
+}
+
 func (h *topK) siftDown(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(h.items[l], h.items[smallest]) {
-			smallest = l
+		weakest := i
+		if l < n && h.items[weakest].before(h.items[l]) {
+			weakest = l
 		}
-		if r < n && h.less(h.items[r], h.items[smallest]) {
-			smallest = r
+		if r < n && h.items[weakest].before(h.items[r]) {
+			weakest = r
 		}
-		if smallest == i {
+		if weakest == i {
 			return
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		h.items[i], h.items[weakest] = h.items[weakest], h.items[i]
+		i = weakest
 	}
 }
 
@@ -183,57 +202,31 @@ func Run(q bio.Sequence, db []bio.Record, opt Options) (*Result, error) {
 	return RunCtx(context.Background(), q, NewDB(db), opt)
 }
 
-// scoreGroup dispatches one lane group to the kernel selected by the
-// Lanes option. The default (0/8) uses the full int8→int16→scalar chain
-// of swar.Scores; 16 starts at int16 with scalar fallback; 1 is the
-// scalar reference path (align.Scan with its striped fast path disabled,
-// so differential tests compare two independent kernels). A non-nil gp
-// supplies the group's shared prebuilt int8 profile (bit-identical to
-// the one the chain would build) for the 0/8 path.
-func scoreGroup(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, lanesOpt int, gp *groupProf) ([]int, error) {
-	switch lanesOpt {
-	case 0, 8:
-		if len(targets) == 1 {
-			// A singleton group (database tail, tiny database) would fill
-			// one of eight lanes; the striped intra-sequence kernel inside
-			// align.Scan uses all lanes on the single pair instead.
-			r, err := align.Scan(q, targets[0], sc, align.ScanOptions{})
-			if err != nil {
-				return nil, err
+// referenceScores is the scalar reference scorer behind Options.Lanes
+// == 1: every record of the group through the forced-scalar align.Scan
+// (striped fast path disabled), or through swar.ScalarScoreBounded
+// under a pruning bound. It consults no router and runs no packed
+// rung, so the differential tests and the benchmark's oracle compare
+// the ladder against an independent kernel.
+func referenceScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *swar.Bound) (swar.GroupResult, error) {
+	var res swar.GroupResult
+	for i, t := range targets {
+		res.Rows[i] = len(q)
+		if ab != nil {
+			var pruned bool
+			if res.Scores[i], res.Rows[i], pruned = swar.ScalarScoreBounded(q, t, sc, ab); pruned {
+				res.Pruned |= 1 << uint(i)
 			}
-			return []int{r.BestScore}, nil
-		}
-		if gp != nil {
-			scores, _, _, err := al.GroupScores(q, targets, sc, gp.profile(), nil)
-			return scores, err
-		}
-		return al.Scores(q, targets, sc)
-	case 16:
-		out := make([]int, len(targets))
-		ls, ok := al.Scan16(q, targets, sc)
-		for i := range targets {
-			if !ok || ls.Saturated&(1<<uint(i)) != 0 {
-				r, err := align.Scan(q, targets[i], sc, align.ScanOptions{})
-				if err != nil {
-					return nil, err
-				}
-				out[i] = r.BestScore
-			} else {
-				out[i] = ls.Scores[i]
-			}
-		}
-		return out, nil
-	default: // scalar
-		out := make([]int, len(targets))
-		for i, t := range targets {
+		} else {
 			r, err := align.Scan(q, t, sc, align.ScanOptions{ForceScalar: true})
 			if err != nil {
-				return nil, err
+				return res, err
 			}
-			out[i] = r.BestScore
+			res.Scores[i] = r.BestScore
 		}
-		return out, nil
+		res.Padded += int64(len(t)) * int64(res.Rows[i])
 	}
+	return res, nil
 }
 
 // Realign fills the alignment spans of the final hits with the exact

@@ -59,20 +59,22 @@ func TestRunMatchesBruteForce(t *testing.T) {
 	sc := bio.DefaultScoring()
 	want := bruteTopK(t, q, db, sc, 10, 0)
 	for _, workers := range []int{1, 3, 8} {
-		for _, lanes := range []int{0, 16, 1} {
-			res, err := Run(q, db, Options{Workers: workers, Lanes: lanes, NoEndpoints: true})
+		for _, kern := range kernelAxis {
+			opt, lanes := kern.opt, kern.name
+			opt.Workers, opt.NoEndpoints = workers, true
+			res, err := Run(q, db, opt)
 			if err != nil {
-				t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)
+				t.Fatalf("workers=%d lanes=%s: %v", workers, lanes, err)
 			}
 			if res.Searched != len(db) {
 				t.Errorf("searched %d, want %d", res.Searched, len(db))
 			}
 			if len(res.Hits) != len(want) {
-				t.Fatalf("workers=%d lanes=%d: %d hits, want %d", workers, lanes, len(res.Hits), len(want))
+				t.Fatalf("workers=%d lanes=%s: %d hits, want %d", workers, lanes, len(res.Hits), len(want))
 			}
 			for i := range want {
 				if res.Hits[i] != want[i] {
-					t.Errorf("workers=%d lanes=%d hit %d: %+v, want %+v", workers, lanes, i, res.Hits[i], want[i])
+					t.Errorf("workers=%d lanes=%s hit %d: %+v, want %+v", workers, lanes, i, res.Hits[i], want[i])
 				}
 			}
 		}
@@ -186,14 +188,14 @@ func TestLaneGroups(t *testing.T) {
 	for _, n := range []int{5, 900, 17, 900, 33, 1, 0, 250, 250, 249} {
 		db = append(db, bio.Record{Seq: g.Random(n)})
 	}
-	groups := laneGroups(db, 4)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
+	groups := NewDB(db).groups()
+	if len(groups) != 2 {
+		t.Fatalf("got %d groups, want 2", len(groups))
 	}
 	seen := map[int]bool{}
 	prevMin := 1 << 30
 	for _, grp := range groups {
-		if len(grp) > 4 {
+		if len(grp) > bio.PackedLanes8 {
 			t.Fatalf("group of %d lanes", len(grp))
 		}
 		for _, idx := range grp {
@@ -233,14 +235,14 @@ func TestLaneGroups(t *testing.T) {
 func TestTopKHeap(t *testing.T) {
 	h := &topK{k: 3}
 	for i, s := range []int{5, 1, 9, 3, 9, 2, 7} {
-		h.push(Hit{Index: i, Score: s})
+		h.push(scored{s, i})
 	}
 	if len(h.items) != 3 {
 		t.Fatalf("heap kept %d items", len(h.items))
 	}
 	got := map[int]bool{}
 	for _, it := range h.items {
-		got[it.Index] = true
+		got[it.index] = true
 	}
 	// Top 3 by (score, lower index): scores 9(idx 2), 9(idx 4), 7(idx 6).
 	for _, idx := range []int{2, 4, 6} {

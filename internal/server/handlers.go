@@ -47,7 +47,6 @@ type RequestJSON struct {
 	Queries []QueryJSON `json:"queries,omitempty"`
 
 	// nil keeps the server-wide setting.
-	Lanes      *int    `json:"lanes,omitempty"`
 	Dispatch   *string `json:"dispatch,omitempty"`
 	Prune      *bool   `json:"prune,omitempty"`
 	Prefilter  *bool   `json:"prefilter,omitempty"`
@@ -111,9 +110,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // deadline) ride in the BatchQueries and never block coalescing.
 func (s *Server) requestOptions(req *RequestJSON) (search.Options, string, error) {
 	opt := s.cfg.Options
-	if req.Lanes != nil {
-		opt.Lanes = *req.Lanes
-	}
 	if req.Dispatch != nil {
 		opt.Dispatch = *req.Dispatch
 	}
@@ -124,23 +120,18 @@ func (s *Server) requestOptions(req *RequestJSON) (search.Options, string, error
 		opt.Prefilter = *req.Prefilter
 	}
 	opt.NoEndpoints = opt.NoEndpoints || req.ScoresOnly
-	switch opt.Lanes {
-	case 0, 8, 16, 1:
-	default:
-		return opt, "", fmt.Errorf("lanes must be 0, 8, 16 or 1, got %d", opt.Lanes)
-	}
 	if _, err := dispatch.ParseMode(opt.Dispatch); err != nil {
 		return opt, "", err
 	}
 	// The shared router serves scans in the server's own dispatch mode;
 	// an override routes through a mode-built router inside RunBatch.
-	if opt.Lanes == 0 && opt.Dispatch == s.cfg.Options.Dispatch {
+	if opt.Dispatch == s.cfg.Options.Dispatch {
 		opt.Router = s.router
 	} else {
 		opt.Router = nil
 	}
-	key := fmt.Sprintf("%d|%s|%t|%t|%t",
-		opt.Lanes, opt.Dispatch, opt.Prune, opt.Prefilter, opt.NoEndpoints)
+	key := fmt.Sprintf("%s|%t|%t|%t",
+		opt.Dispatch, opt.Prune, opt.Prefilter, opt.NoEndpoints)
 	return opt, key, nil
 }
 

@@ -13,7 +13,7 @@
 //
 //	POST /search  — one query or a "queries" array; per-query top-K,
 //	                min-score and deadline; optional scan-option
-//	                overrides (lanes, dispatch, prune, prefilter,
+//	                overrides (dispatch, prune, prefilter,
 //	                scores_only). Hits are bit-identical to a direct
 //	                search.Run with the same options.
 //	GET  /healthz — liveness: 200 while serving, 503 while draining.
@@ -49,7 +49,7 @@ type Config struct {
 	DB *search.DB
 	// Options is the server-wide scan configuration: scoring, kernel
 	// selection, pruning, worker count. Requests may override TopK and
-	// MinScore per query, and lanes/dispatch/prune/prefilter/scores_only
+	// MinScore per query, and dispatch/prune/prefilter/scores_only
 	// per request. TopK 0 means the search default (10).
 	Options search.Options
 	// MaxQueue bounds the admission queue: requests beyond it are
@@ -170,11 +170,6 @@ func raise(m *atomic.Int64, v int64) {
 func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("server: nil database")
-	}
-	switch cfg.Options.Lanes {
-	case 0, 8, 16, 1:
-	default:
-		return nil, fmt.Errorf("server: lanes must be 0, 8, 16 or 1, got %d", cfg.Options.Lanes)
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64

@@ -17,6 +17,7 @@ import (
 	"genomedsm/internal/bio"
 	"genomedsm/internal/blast"
 	"genomedsm/internal/dbpack"
+	"genomedsm/internal/dispatch"
 	"genomedsm/internal/search"
 )
 
@@ -62,7 +63,7 @@ func newTestServer(t testing.TB, recs []bio.Record, cfg Config) (*Server, *httpt
 	return s, hs
 }
 
-func postSearch(t testing.TB, url string, req RequestJSON) (*http.Response, []byte) {
+func postSearch(t testing.TB, url string, req any) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -83,10 +84,21 @@ func postSearch(t testing.TB, url string, req RequestJSON) (*http.Response, []by
 // TestSearchDifferential is the service-level exactness pin: every HTTP
 // answer must be bit-identical — hit set, scores, coordinates,
 // tie-breaks, searched/cells accounting — to a direct search.Run with
-// the same options, across the kernel, pruning and dispatch grid.
+// the same options, across the kernel, pruning and dispatch grid. The
+// lanes axis is the retired request field: a body that still sends
+// "lanes" has it ignored, so the served side of those rows runs the
+// kernel's Dispatch re-spelling (or, for 16, the default route — no
+// request can force the int16 start) while the direct side runs the
+// kernel itself.
 func TestSearchDifferential(t *testing.T) {
 	q, recs := testDB(t, 48, 60, 40)
 	_, hs := newTestServer(t, recs, Config{})
+	inter16 := dispatch.New(dispatch.ModeAuto, nil)
+	inter16.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	type legacyRequest struct {
+		RequestJSON
+		Lanes int `json:"lanes"`
+	}
 
 	type pruneCase struct{ prune, prefilter bool }
 	pruneCases := []pruneCase{{false, false}, {true, false}, {true, true}}
@@ -97,24 +109,34 @@ func TestSearchDifferential(t *testing.T) {
 		}
 		for _, disp := range dispatches {
 			for _, pc := range pruneCases {
-				for _, k := range []int{3, 10} {
+				for _, k := range []int{1, 3, 10} {
 					name := fmt.Sprintf("lanes=%d/disp=%s/prune=%v/prefilter=%v/k=%d",
 						lanes, disp, pc.prune, pc.prefilter, k)
 					t.Run(name, func(t *testing.T) {
 						opt := search.Options{
-							TopK: k, Lanes: lanes, Dispatch: disp,
+							TopK: k, Dispatch: disp,
 							Prune: pc.prune, Prefilter: pc.prefilter,
+						}
+						dispArg := disp
+						switch lanes {
+						case 8:
+							opt.Dispatch, dispArg = "fixed", "fixed"
+						case 16:
+							opt.Router = inter16
+						case 1:
+							opt.Lanes, dispArg = 1, "scalar"
 						}
 						want, err := search.Run(q, recs, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						lanesArg, dispArg := lanes, disp
 						pruneArg, prefArg := pc.prune, pc.prefilter
-						resp, body := postSearch(t, hs.URL, RequestJSON{
-							Query: q.String(), TopK: k,
-							Lanes: &lanesArg, Dispatch: &dispArg,
-							Prune: &pruneArg, Prefilter: &prefArg,
+						resp, body := postSearch(t, hs.URL, legacyRequest{
+							RequestJSON: RequestJSON{
+								Query: q.String(), TopK: k, Dispatch: &dispArg,
+								Prune: &pruneArg, Prefilter: &prefArg,
+							},
+							Lanes: lanes,
 						})
 						if resp.StatusCode != http.StatusOK {
 							t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -336,11 +358,13 @@ func TestAdmissionControl(t *testing.T) {
 // stopped spending on it rather than finishing the scan.
 func TestDeadline(t *testing.T) {
 	q, recs := testDB(t, 512, 400, 120)
-	_, hs := newTestServer(t, recs, Config{Options: search.Options{Prune: true}})
+	// One scan worker, so the deadline fires with lane groups still
+	// queued however many cores the host has.
+	_, hs := newTestServer(t, recs, Config{Options: search.Options{Prune: true, Workers: 1}})
 
-	one := 1
+	scalar := "scalar"
 	resp, body := postSearch(t, hs.URL, RequestJSON{
-		Query: q.String(), TimeoutMS: 1, Lanes: &one,
+		Query: q.String(), TimeoutMS: 1, Dispatch: &scalar,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -527,7 +551,6 @@ func TestBadRequests(t *testing.T) {
 			}
 			return r
 		}(), http.StatusBadRequest},
-		{"bad lanes", func() RequestJSON { l := 4; return RequestJSON{Query: "ACGT", Lanes: &l} }(), http.StatusBadRequest},
 		{"bad dispatch", func() RequestJSON { d := "warp"; return RequestJSON{Query: "ACGT", Dispatch: &d} }(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {

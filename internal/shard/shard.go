@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,7 +93,7 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	waiters map[uint64]chan response
-	floors  map[uint64]*globalFloor
+	floors  map[uint64]*search.Floor
 
 	lastBeat []atomic.Int64 // unix nanos of each shard's last heartbeat
 	dead     []atomic.Bool  // master's failure-detector verdicts
@@ -132,7 +131,7 @@ func New(db *search.DB, opt Options) (*Cluster, error) {
 		spans:    spans,
 		stop:     make(chan struct{}),
 		waiters:  make(map[uint64]chan response),
-		floors:   make(map[uint64]*globalFloor),
+		floors:   make(map[uint64]*search.Floor),
 		lastBeat: make([]atomic.Int64, opt.Shards),
 		dead:     make([]atomic.Bool, opt.Shards),
 		lat:      make([]latAgg, opt.Shards),
@@ -212,11 +211,13 @@ func (c *Cluster) loop() {
 	}
 }
 
-// onGossip folds a worker's evidence into the query's global floor and
-// broadcasts a rise to every live shard. Evidence is deduped by global
-// record index, so replayed spans and duplicated messages cannot count
-// one record twice — the floor stays valid (K distinct eligible records
-// score ≥ it) under every fault the transport can draw.
+// onGossip folds a worker's evidence into the query's global floor — a
+// search.Floor, the same bounded heap and validity argument as the
+// single-node pruning floor — and broadcasts a rise to every live
+// shard. Evidence is deduped by global record index, so replayed spans
+// and duplicated messages cannot count one record twice — the floor
+// stays valid (K distinct eligible records score ≥ it) under every
+// fault the transport can draw.
 func (c *Cluster) onGossip(u floorUpdate) {
 	c.ct.gossipUpdates.Add(1)
 	c.mu.Lock()
@@ -225,94 +226,23 @@ func (c *Cluster) onGossip(u floorUpdate) {
 	if gf == nil {
 		return // query finished (or gossip disabled); stale evidence
 	}
-	floor, rose := gf.push(u.Evidence)
+	rose := false
+	for _, ev := range u.Evidence {
+		if gf.Push(ev.Score, ev.Index) {
+			rose = true
+		}
+	}
 	if !rose {
 		return
 	}
 	c.ct.floorBroadcasts.Add(1)
+	floor := gf.Get()
 	for i := range c.workers {
 		if !c.dead[i].Load() {
 			c.send(c.masterID(), i, cFloor, floorSet{QID: u.QID, Floor: floor})
 		}
 	}
 }
-
-// globalFloor is the master-side top-K floor of one in-flight query: a
-// bounded min-heap of per-record evidence, deduped by global index.
-// Same validity argument as search's floorTracker — when K distinct
-// result-eligible records score ≥ f, no record scoring < f can enter
-// the top K — with the dedup made unconditional because the distributed
-// layer can legitimately deliver the same record's score twice.
-type globalFloor struct {
-	mu      sync.Mutex
-	k       int
-	floor   int
-	entries []scoreEv // min-heap on Score
-}
-
-// push folds evidence in and reports the floor (and whether it rose).
-func (g *globalFloor) push(evs []scoreEv) (int, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rose := false
-	for _, ev := range evs {
-		if g.k <= 0 || (g.floor > 0 && ev.Score <= g.floor) {
-			continue
-		}
-		dup := false
-		for i := range g.entries {
-			if g.entries[i].Index == ev.Index {
-				dup = true
-				if ev.Score > g.entries[i].Score {
-					g.entries[i].Score = ev.Score
-					g.siftDown(i)
-				}
-				break
-			}
-		}
-		if !dup {
-			if len(g.entries) < g.k {
-				g.entries = append(g.entries, ev)
-				for i := len(g.entries) - 1; i > 0; {
-					parent := (i - 1) / 2
-					if g.entries[parent].Score <= g.entries[i].Score {
-						break
-					}
-					g.entries[i], g.entries[parent] = g.entries[parent], g.entries[i]
-					i = parent
-				}
-			} else if ev.Score > g.entries[0].Score {
-				g.entries[0] = ev
-				g.siftDown(0)
-			}
-		}
-		if len(g.entries) == g.k && g.entries[0].Score > g.floor {
-			g.floor = g.entries[0].Score
-			rose = true
-		}
-	}
-	return g.floor, rose
-}
-
-func (g *globalFloor) siftDown(i int) {
-	n := len(g.entries)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && g.entries[l].Score < g.entries[smallest].Score {
-			smallest = l
-		}
-		if r < n && g.entries[r].Score < g.entries[smallest].Score {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		g.entries[i], g.entries[smallest] = g.entries[smallest], g.entries[i]
-		i = smallest
-	}
-}
-
 
 // shardDead evaluates (and latches) the failure detector's verdict for
 // one shard: dead once its lease has expired.
@@ -389,7 +319,6 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 		qid uint64
 		ctx context.Context
 		k   int
-		gf  *globalFloor
 	}
 	metas := make([]qmeta, nq)
 	wqs := make([]wireQuery, nq)
@@ -415,10 +344,8 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 		metas[i] = qmeta{qid: qid, ctx: qctx, k: k}
 		wqs[i] = wireQuery{QID: qid, Seq: bq.Seq, TopK: k, MinScore: minScore}
 		if opt.Prune && !c.opt.NoGossip {
-			gf := &globalFloor{k: k}
-			metas[i].gf = gf
 			c.mu.Lock()
-			c.floors[qid] = gf
+			c.floors[qid] = search.NewFloor(k)
 			c.mu.Unlock()
 		}
 		if qctx.Done() != nil {
@@ -500,17 +427,12 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 		}
 		res.Searched = c.db.Size()
 		res.Cells = int64(len(queries[i].Seq)) * c.db.TotalBases()
-		// Merge under the canonical total order — score descending,
-		// record index ascending on ties — then keep the K best. Every
+		// Merge under the result order (search.SortHits: score descending,
+		// record index ascending on ties), then keep the K best. Every
 		// global winner survives its own span's top K, spans are
 		// disjoint, and one response per span reached here, so this
 		// reproduces the single-node merge bit for bit.
-		sort.Slice(hits, func(a, b int) bool {
-			if hits[a].Score != hits[b].Score {
-				return hits[a].Score > hits[b].Score
-			}
-			return hits[a].Index < hits[b].Index
-		})
+		search.SortHits(hits)
 		if len(hits) > m.k {
 			hits = hits[:m.k]
 		}

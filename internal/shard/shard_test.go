@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"genomedsm/internal/bio"
+	"genomedsm/internal/dispatch"
 	"genomedsm/internal/search"
 )
 
@@ -55,12 +56,15 @@ func mustEqualResults(t *testing.T, label string, got, want *search.Result) {
 func TestShardedMatchesSingleNode(t *testing.T) {
 	q, recs := synthInputs(42, 240, 48, 320)
 	db := search.NewDB(recs)
+	// Every lane group forced to start at the int16 rung.
+	inter16 := dispatch.New(dispatch.ModeAuto, nil)
+	inter16.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
 	for _, opt := range []search.Options{
 		{},
 		{Prune: true},
 		{Prune: true, Prefilter: true},
-		{Lanes: 16, TopK: 5},
-		{Lanes: 1, TopK: 3, Prune: true},
+		{Router: inter16, TopK: 5},
+		{Dispatch: "scalar", TopK: 3, Prune: true},
 		{MinScore: 25, Prune: true},
 		{NoEndpoints: true, TopK: 20},
 	} {

@@ -21,8 +21,10 @@ func fuzzSeq(raw []byte, limit int) bio.Sequence {
 	return s
 }
 
-// FuzzScoresVsScalar drives the full int8→int16→scalar chain against the
-// scalar align.Scan on arbitrary query/target bytes, splitting the
+// FuzzScoresVsScalar drives the full int8→int16→scalar chain — every
+// starting rung, bounded and unbounded, with and without a prebuilt
+// profile (checkLadder) — against the scalar align.Scan on arbitrary
+// query/target bytes, splitting the
 // target material into lanes of fuzzer-chosen uneven lengths. cut1/cut2
 // and the repeat count shape the lane group so the fuzzer can construct
 // empty lanes, duplicate lanes and high-identity (saturating) lanes.
@@ -43,21 +45,15 @@ func FuzzScoresVsScalar(f *testing.F) {
 		for i := 0; i < int(rep)%6; i++ {
 			targets = append(targets, q)
 		}
-		var al swar.Aligner
-		got, err := al.Scores(q, targets, bio.DefaultScoring())
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := make([]int, len(targets))
 		for i, tgt := range targets {
 			r, err := align.Scan(q, tgt, bio.DefaultScoring(), align.ScanOptions{ForceScalar: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[i] != r.BestScore {
-				t.Fatalf("lane %d (|q|=%d |t|=%d): packed %d, scalar %d",
-					i, len(q), len(tgt), got[i], r.BestScore)
-			}
+			want[i] = r.BestScore
 		}
+		checkLadder(q, targets, bio.DefaultScoring(), want, t.Fatalf)
 	})
 }
 
@@ -91,8 +87,8 @@ func FuzzStripedVsScalar(f *testing.F) {
 		if got, ok := al.StripedScan16(s, tt, sc); ok && got != want {
 			t.Fatalf("StripedScan16 (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
 		}
-		if got := al.StripedScore(s, tt, sc); got != want {
-			t.Fatalf("StripedScore (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
+		if got, _, _ := al.StripedScoreBounded(s, tt, sc, nil); got != want {
+			t.Fatalf("StripedScoreBounded (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
 		}
 	})
 }

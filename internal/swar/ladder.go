@@ -1,0 +1,152 @@
+package swar
+
+import "genomedsm/internal/bio"
+
+// Rung names the rung a Ladder call starts at. The search layer's
+// router derives it from the lane group (record lengths, observed
+// saturation); it is never a user option.
+type Rung int
+
+const (
+	// RungInter8 starts with one int8 word-pass over the whole group.
+	RungInter8 Rung = iota
+	// RungInter16 starts with int16 word-passes over subgroups of 4.
+	RungInter16
+	// RungSingles sends every target down its own striped ladder.
+	RungSingles
+	// RungScalar sends every target to the exact scalar kernel.
+	RungScalar
+)
+
+// GroupResult is the outcome of one Ladder call. Only the entries of
+// the group's targets are meaningful.
+type GroupResult struct {
+	// Scores holds each target's exact best local-alignment score,
+	// bit-exact against align.Scan (0 and meaningless when pruned).
+	Scores [bio.PackedLanes8]int
+	// Rows is the number of query rows the rung that resolved each
+	// target consumed: the full query length unless pruned.
+	Rows [bio.PackedLanes8]int
+	// Pruned is the bitmask of targets whose exact score is provably
+	// below the bound's Below threshold.
+	Pruned uint8
+	// Padded counts the cells the rungs actually computed: lane width ×
+	// padded length × rows for the packed passes, target length (padded
+	// to full striped words) × rows for the pairwise ones.
+	Padded int64
+	// Done8 reports that the int8 rung ran to completion, which makes
+	// Sat8 — the lanes it flagged saturated — full evidence of int8
+	// saturation over this group. A refused or abandoned int8 pass
+	// proves nothing and leaves both zero.
+	Done8 bool
+	Sat8  uint8
+}
+
+// Ladder scores q against one lane group of at most PackedLanes8
+// targets down the int8 → int16 → scalar fallback ladder, entered at
+// start: flagged int8 lanes retry in int16 subgroups of 4, lanes still
+// flagged go to the scalar kernel, and a rung that refuses the scoring
+// scheme falls through to the next. Under a non-nil Bound every rung
+// may abandon: an abandoned pass marks all its lanes pruned and stops.
+// prof, when non-nil, is the group's prebuilt int8 profile (see scan);
+// nil builds it per call. Every unpruned score is exact whatever the
+// starting rung, so start only ever changes the cost.
+func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start Rung, ab *Bound, prof *bio.PackedProfile) GroupResult {
+	var res GroupResult
+	for i := range targets {
+		res.Rows[i] = len(q)
+	}
+	all := uint8(1)<<uint(len(targets)) - 1
+	switch start {
+	case RungInter8:
+		if prof == nil {
+			prof = bio.NewPackedProfile8(targets, sc)
+		}
+		ls, ok := a.scan(q, prof, sc, len(targets), ab)
+		if !ok {
+			// Scoring magnitudes do not fit int8 lanes at all.
+			a.inter16(&res, q, targets, sc, ab, all)
+			break
+		}
+		res.Padded += int64(bio.PackedLanes8) * int64(prof.Words()) * int64(ls.Rows)
+		if ls.Pruned {
+			for i := range targets {
+				res.set(i, 0, ls.Rows, true)
+			}
+			break
+		}
+		res.Done8, res.Sat8 = true, ls.Saturated
+		for l := range targets {
+			res.Scores[l] = ls.Scores[l]
+		}
+		if ls.Saturated != 0 {
+			a.inter16(&res, q, targets, sc, ab, ls.Saturated)
+		}
+	case RungInter16:
+		a.inter16(&res, q, targets, sc, ab, all)
+	case RungSingles:
+		for i, t := range targets {
+			p, rows, pruned := a.StripedScoreBounded(q, t, sc, ab)
+			res.set(i, p.Score, rows, pruned)
+			// The striped layout pads the target to full words of 8 lanes.
+			padded := (len(t) + bio.PackedLanes8 - 1) / bio.PackedLanes8 * bio.PackedLanes8
+			res.Padded += int64(padded) * int64(rows)
+		}
+	default:
+		for i, t := range targets {
+			res.scalar(q, t, sc, ab, i)
+		}
+	}
+	return res
+}
+
+// set records target i's resolved outcome.
+func (r *GroupResult) set(i, score, rows int, pruned bool) {
+	r.Scores[i], r.Rows[i] = score, rows
+	if pruned {
+		r.Pruned |= 1 << uint(i)
+	}
+}
+
+// inter16 is the ladder's int16 rung: the targets named by mask, in
+// subgroups of 4, with still-saturated lanes (or a refused scoring
+// scheme) dropping to the scalar rung.
+func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, mask uint8) {
+	var idxs [bio.PackedLanes8]int
+	n := 0
+	for i := range targets {
+		if mask&(1<<uint(i)) != 0 {
+			idxs[n] = i
+			n++
+		}
+	}
+	var group [bio.PackedLanes16]bio.Sequence
+	for lo := 0; lo < n; lo += bio.PackedLanes16 {
+		sub := idxs[lo:min(lo+bio.PackedLanes16, n)]
+		for l, i := range sub {
+			group[l] = targets[i]
+		}
+		prof := bio.NewPackedProfile16(group[:len(sub)], sc)
+		ls, ok := a.scan(q, prof, sc, len(sub), ab)
+		if ok {
+			res.Padded += int64(bio.PackedLanes16) * int64(prof.Words()) * int64(ls.Rows)
+		}
+		for l, i := range sub {
+			switch {
+			case !ok || ls.Saturated&(1<<uint(l)) != 0:
+				res.scalar(q, targets[i], sc, ab, i)
+			case ls.Pruned:
+				res.set(i, 0, ls.Rows, true)
+			default:
+				res.Scores[i] = ls.Scores[l]
+			}
+		}
+	}
+}
+
+// scalar is the ladder's last rung for target i: always succeeds, exact.
+func (r *GroupResult) scalar(q, t bio.Sequence, sc bio.Scoring, ab *Bound, i int) {
+	score, rows, pruned := ScalarScoreBounded(q, t, sc, ab)
+	r.set(i, score, rows, pruned)
+	r.Padded += int64(len(t)) * int64(rows)
+}

@@ -2,23 +2,16 @@ package swar
 
 import "genomedsm/internal/bio"
 
-// scalarScore is the score-only scalar Smith–Waterman rung at the
-// bottom of the fallback ladder: lanes that overflow even the int16
-// clean range land here. It is the same profile-driven int32 row
-// kernel as align.Scan (differential tests in swar_test pin the two
-// against each other), kept package-local so align can itself import
-// swar for the striped fast path without an import cycle.
-func scalarScore(s, t bio.Sequence, sc bio.Scoring) int {
-	score, _, _ := ScalarScoreBounded(s, t, sc, nil)
-	return score
-}
-
-// ScalarScoreBounded is the exact scalar rung under a Bound, exported
-// for callers outside the packed ladder (the search layer's scalar
-// reference path). pruned reports that the exact score is provably
-// < ab.Below (score is then 0); rows is the number of query rows
-// consumed. With a nil or disabled bound it always scans the full
-// matrix and returns the exact score.
+// ScalarScoreBounded is the score-only scalar Smith–Waterman rung at
+// the bottom of the fallback ladder: lanes that overflow even the int16
+// clean range land here. It is the same profile-driven int32 row kernel
+// as align.Scan (differential tests in swar_test pin the two against
+// each other), kept in this package so align can itself import swar for
+// the striped fast path without an import cycle, and exported for the
+// search layer's pruned scalar reference scorer. pruned reports that
+// the exact score is provably < ab.Below (score is then 0); rows is the
+// number of query rows consumed. With a nil or disabled bound it always
+// scans the full matrix and returns the exact score.
 func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, rows int, pruned bool) {
 	m, n := s.Len(), t.Len()
 	if m == 0 || n == 0 {

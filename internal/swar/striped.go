@@ -324,19 +324,12 @@ func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int,
 	return res, len(s), false, true
 }
 
-// StripedScore runs the full striped fallback ladder — int8, int16,
-// exact scalar — and always returns the exact best score and end
-// coordinates, bit-exact against align.Scan.
-func (a *Aligner) StripedScore(s, t bio.Sequence, sc bio.Scoring) Pair {
-	p, _, _ := a.StripedScoreBounded(s, t, sc, nil)
-	return p
-}
-
-// StripedScoreBounded is StripedScore under a Bound: pruned reports
-// that the exact score is provably < ab.Below (the Pair is then zero),
-// and rows is the number of rows of s the resolving rung consumed.
-// Unpruned results are bit-exact against align.Scan, coordinates and
-// tie-breaks included.
+// StripedScoreBounded runs the full striped fallback ladder — int8,
+// int16, exact scalar — under an optional Bound (nil = none): pruned
+// reports that the exact score is provably < ab.Below (the Pair is then
+// zero), and rows is the number of rows of s the resolving rung
+// consumed. Unpruned results are bit-exact against align.Scan,
+// coordinates and tie-breaks included.
 func (a *Aligner) StripedScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pair, rows int, pruned bool) {
 	if -sc.Gap <= bio.PackedCap8 {
 		if prof := bio.NewStripedProfile8(t, sc); prof != nil {
@@ -355,9 +348,9 @@ func (a *Aligner) StripedScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bou
 	return a.scalarPair(s, t, sc, ab)
 }
 
-// scalarPair is the exact scalar rung with coordinates: scalarScore's
-// loop plus align.Scan's strict-improvement coordinate tracking, with
-// the same optional mid-scan abandon as ScalarScoreBounded.
+// scalarPair is the exact scalar rung with coordinates:
+// ScalarScoreBounded's loop, mid-scan abandon included, plus
+// align.Scan's strict-improvement coordinate tracking.
 func (a *Aligner) scalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pair, rows int, pruned bool) {
 	m, n := s.Len(), t.Len()
 	if m == 0 || n == 0 {

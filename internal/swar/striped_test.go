@@ -34,8 +34,8 @@ func checkStriped(t *testing.T, name string, s, tt bio.Sequence, sc bio.Scoring)
 	if got, ok := al.StripedScan16(s, tt, sc); ok && got != want {
 		t.Errorf("%s: StripedScan16 (|s|=%d |t|=%d) = %+v, want %+v", name, len(s), len(tt), got, want)
 	}
-	if got := al.StripedScore(s, tt, sc); got != want {
-		t.Errorf("%s: StripedScore (|s|=%d |t|=%d) = %+v, want %+v", name, len(s), len(tt), got, want)
+	if got, _, _ := al.StripedScoreBounded(s, tt, sc, nil); got != want {
+		t.Errorf("%s: StripedScoreBounded (|s|=%d |t|=%d) = %+v, want %+v", name, len(s), len(tt), got, want)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestStripedSaturation(t *testing.T) {
 // TestStripedSaturation16 straddles the int16 cap with a match reward
 // of 300: identities of length 109/110 score 32700/33000, either side
 // of 32767. The overflowing case must be flagged by both packed rungs
-// and recovered exactly by the scalar rung of StripedScore.
+// and recovered exactly by the scalar rung of StripedScoreBounded.
 func TestStripedSaturation16(t *testing.T) {
 	g := bio.NewGenerator(24)
 	sc := bio.Scoring{Match: 300, Mismatch: -300, Gap: -600}
@@ -118,8 +118,8 @@ func TestStripedSaturation16(t *testing.T) {
 		} else if ok16 {
 			t.Errorf("identity-%d: int16 rung accepted score %d above its cap", n, n*sc.Match)
 		}
-		if got := al.StripedScore(s, s, sc); got != want {
-			t.Errorf("identity-%d: StripedScore = %+v, want %+v", n, got, want)
+		if got, _, _ := al.StripedScoreBounded(s, s, sc, nil); got != want {
+			t.Errorf("identity-%d: StripedScoreBounded = %+v, want %+v", n, got, want)
 		}
 	}
 }

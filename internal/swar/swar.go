@@ -34,7 +34,8 @@
 // int8 → int16 → the exact scalar kernel (scalar.go). Wrapped garbage in a
 // flagged lane stays inside that lane (no operation carries or borrows
 // across lane boundaries for any input), so neighbours are unaffected.
-// The chain makes Scores bit-exact against align.Scan by construction.
+// The chain (Ladder, ladder.go) is bit-exact against align.Scan by
+// construction.
 package swar
 
 import (
@@ -234,33 +235,31 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 // (callers then use Scan16 or the scalar path); lanes that overflow it
 // are flagged Saturated in the result.
 func (a *Aligner) Scan8(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	if -sc.Gap > bio.PackedCap8 {
-		return LaneScores{}, false
-	}
-	prof := bio.NewPackedProfile8(targets, sc)
-	if prof == nil {
-		return LaneScores{}, false
-	}
-	return a.finish(q, prof, sc, len(targets), nil), true
+	return a.scan(q, bio.NewPackedProfile8(targets, sc), sc, len(targets), nil)
 }
 
 // Scan16 scores q against up to 4 targets in int16 lanes.
 func (a *Aligner) Scan16(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	if -sc.Gap > bio.PackedCap16 {
-		return LaneScores{}, false
-	}
-	prof := bio.NewPackedProfile16(targets, sc)
-	if prof == nil {
-		return LaneScores{}, false
-	}
-	return a.finish(q, prof, sc, len(targets), nil), true
+	return a.scan(q, bio.NewPackedProfile16(targets, sc), sc, len(targets), nil)
 }
 
-func (a *Aligner) finish(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound) LaneScores {
+// scan is the one packed rung: it scores q against the lanes live
+// targets prof describes — at the profile's own width, int8 or int16 —
+// under an optional Bound (nil = scan the full matrix). prof may be
+// built per call or prebuilt from the pack-v2 lane layout and shared by
+// the queries of a batch; either way it must describe exactly the
+// group being scanned under sc. ok is false when prof is nil (the
+// match/mismatch magnitudes do not fit the lane) or the gap penalty
+// does not fit it; callers then fall to the next rung. An abandoned
+// scan returns Pruned with Rows set to the rows consumed.
+func (a *Aligner) scan(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound) (LaneScores, bool) {
+	if prof == nil || -sc.Gap > prof.Cap() {
+		return LaneScores{}, false
+	}
 	best, sat, rows, pruned := a.scanPacked(q, prof, -sc.Gap, ab)
 	res := LaneScores{Lanes: lanes, Rows: rows, Pruned: pruned}
 	if pruned {
-		return res
+		return res, true
 	}
 	guard := uint64(1) << (uint(prof.Shift()) - 1)
 	for l := 0; l < lanes; l++ {
@@ -269,62 +268,5 @@ func (a *Aligner) finish(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring
 			res.Saturated |= 1 << uint(l)
 		}
 	}
-	return res
-}
-
-// Scores returns the exact best local-alignment score of q against
-// every target, bit-exact against align.Scan. Targets are scanned in
-// int8 lane groups of 8; lanes that overflow the 7-bit clean range (or
-// scoring schemes that do not fit it) are retried in int16 groups of 4,
-// and anything still overflowing falls back to the scalar kernel. The
-// Aligner's buffers are reused across calls, so a long-lived worker
-// allocates only per lane group (the packed profile).
-func (a *Aligner) Scores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) ([]int, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]int, len(targets))
-	var narrow []int // target indices needing the int16 retry
-	for lo := 0; lo < len(targets); lo += bio.PackedLanes8 {
-		hi := min(lo+bio.PackedLanes8, len(targets))
-		ls, ok := a.Scan8(q, targets[lo:hi], sc)
-		if !ok {
-			for i := lo; i < hi; i++ {
-				narrow = append(narrow, i)
-			}
-			continue
-		}
-		for l := 0; l < ls.Lanes; l++ {
-			if ls.Saturated&(1<<uint(l)) != 0 {
-				narrow = append(narrow, lo+l)
-			} else {
-				out[lo+l] = ls.Scores[l]
-			}
-		}
-	}
-	var scalar []int // target indices needing the exact scalar kernel
-	group := make([]bio.Sequence, 0, bio.PackedLanes16)
-	for lo := 0; lo < len(narrow); lo += bio.PackedLanes16 {
-		hi := min(lo+bio.PackedLanes16, len(narrow))
-		group = group[:0]
-		for _, idx := range narrow[lo:hi] {
-			group = append(group, targets[idx])
-		}
-		ls, ok := a.Scan16(q, group, sc)
-		if !ok {
-			scalar = append(scalar, narrow[lo:hi]...)
-			continue
-		}
-		for l := 0; l < ls.Lanes; l++ {
-			if ls.Saturated&(1<<uint(l)) != 0 {
-				scalar = append(scalar, narrow[lo+l])
-			} else {
-				out[narrow[lo+l]] = ls.Scores[l]
-			}
-		}
-	}
-	for _, idx := range scalar {
-		out[idx] = scalarScore(q, targets[idx], sc)
-	}
-	return out, nil
+	return res, true
 }

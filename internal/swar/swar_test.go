@@ -92,19 +92,68 @@ func scalarScores(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.S
 	return out
 }
 
-// checkScores runs the full fallback chain and compares against scalar.
+var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungSingles, swar.RungScalar}
+
+// checkLadder runs the one ladder over targets, cut into lane groups of
+// 8, from every starting rung × {nil bound, live bound} × {per-call
+// profile, prebuilt layout-words profile}. Every unpruned score must
+// equal want with the full query consumed; a lane may only be pruned
+// under the live bound, and only when its true score is below it. fail
+// reports a mismatch.
+func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, fail func(format string, args ...any)) {
+	// Half the best score: a bound that some lanes clear and some do not.
+	below := 1
+	for _, w := range want {
+		below = max(below, w/2+1)
+	}
+	bounds := []*swar.Bound{nil, {Below: below, Query: bio.NewQueryBound(q, sc)}}
+	var al swar.Aligner
+	for _, start := range allRungs {
+		for _, ab := range bounds {
+			for _, prebuilt := range []bool{false, true} {
+				for lo := 0; lo < len(targets); lo += bio.PackedLanes8 {
+					group := targets[lo:min(lo+bio.PackedLanes8, len(targets))]
+					var prof *bio.PackedProfile
+					if prebuilt {
+						lens := make([]int, len(group))
+						for i, tgt := range group {
+							lens[i] = len(tgt)
+						}
+						prof = bio.NewPackedProfile8FromWords(bio.InterleaveWords8(nil, group), lens, sc)
+					}
+					res := al.Ladder(q, group, sc, start, ab, prof)
+					for i := range group {
+						w := want[lo+i]
+						switch {
+						case res.Pruned&(1<<uint(i)) != 0:
+							if ab == nil || w >= ab.Below || res.Rows[i] > len(q) {
+								fail("rung %d bound %v prebuilt %v target %d: pruned after %d rows with true score %d",
+									start, ab != nil, prebuilt, lo+i, res.Rows[i], w)
+							}
+						case res.Scores[i] != w || res.Rows[i] != len(q):
+							fail("rung %d bound %v prebuilt %v target %d (|t|=%d): ladder score %d over %d rows, scalar %d",
+								start, ab != nil, prebuilt, lo+i, len(group[i]), res.Scores[i], res.Rows[i], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkScores runs the full fallback chain and compares against scalar,
+// and pins the ladder's own last rung (unbounded) to the same oracle.
 func checkScores(t *testing.T, name string, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) {
 	t.Helper()
-	var al swar.Aligner
-	got, err := al.Scores(q, targets, sc)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
 	want := scalarScores(t, q, targets, sc)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("%s: target %d (|t|=%d): packed score %d, scalar %d",
-				name, i, len(targets[i]), got[i], want[i])
+	checkLadder(q, targets, sc, want, func(format string, args ...any) {
+		t.Helper()
+		t.Errorf(name+": "+format, args...)
+	})
+	for i, tgt := range targets {
+		if got, rows, pruned := swar.ScalarScoreBounded(q, tgt, sc, nil); got != want[i] || rows != len(q) || pruned {
+			t.Errorf("%s: target %d: ScalarScoreBounded(nil) = %d over %d rows (pruned %v), scalar %d",
+				name, i, got, rows, pruned, want[i])
 		}
 	}
 }
@@ -156,12 +205,8 @@ func TestScoresWithN(t *testing.T) {
 	checkScores(t, "with-N", q, targets, sc)
 	// The all-N target must score 0: 'N' never matches, even itself.
 	var al swar.Aligner
-	got, err := al.Scores(q, targets, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[1] != 0 {
-		t.Errorf("all-N target scored %d, want 0 (N must never match)", got[1])
+	if got := al.Ladder(q, targets, sc, swar.RungInter8, nil, nil).Scores[1]; got != 0 {
+		t.Errorf("all-N target scored %d, want 0 (N must never match)", got)
 	}
 }
 
@@ -171,9 +216,8 @@ func TestScoresEmpty(t *testing.T) {
 	checkScores(t, "empty-query", bio.Sequence{}, []bio.Sequence{g.Random(50), {}}, sc)
 	checkScores(t, "empty-targets", g.Random(50), []bio.Sequence{{}, {}, {}}, sc)
 	var al swar.Aligner
-	got, err := al.Scores(g.Random(10), nil, sc)
-	if err != nil || len(got) != 0 {
-		t.Errorf("no targets: got %v, %v", got, err)
+	if got := al.Ladder(g.Random(10), nil, sc, swar.RungInter8, nil, nil); got != (swar.GroupResult{Done8: true}) {
+		t.Errorf("no targets: got %+v", got)
 	}
 }
 
@@ -199,6 +243,14 @@ func TestScoresSaturation(t *testing.T) {
 	}
 	if ls.Saturated&(1<<3) != 0 {
 		t.Errorf("score-100 lane wrongly saturated: mask %08b", ls.Saturated)
+	}
+	// The ladder reports the same mask as its int8 evidence — and none
+	// when it never ran the int8 rung.
+	if res := al.Ladder(q, targets, sc, swar.RungInter8, nil, nil); !res.Done8 || res.Sat8 != ls.Saturated {
+		t.Errorf("ladder int8 evidence done=%v mask %08b, want mask %08b", res.Done8, res.Sat8, ls.Saturated)
+	}
+	if res := al.Ladder(q, targets, sc, swar.RungInter16, nil, nil); res.Done8 || res.Sat8 != 0 {
+		t.Errorf("int16 start reported int8 evidence: done=%v mask %08b", res.Done8, res.Sat8)
 	}
 	checkScores(t, "saturation", q, targets, sc)
 }
@@ -256,10 +308,7 @@ func TestAlignerReuse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q := g.Random(10 + i*37)
 		targets := []bio.Sequence{g.Random(200 - i*13), g.Random(5 + i), g.MutatedCopy(q, bio.DefaultMutationModel())}
-		got, err := al.Scores(q, targets, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := al.Ladder(q, targets, sc, swar.RungInter8, nil, nil).Scores
 		want := scalarScores(t, q, targets, sc)
 		for j := range want {
 			if got[j] != want[j] {
