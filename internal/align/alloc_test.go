@@ -35,12 +35,17 @@ func TestRetrieverSteadyStateAllocs(t *testing.T) {
 	}
 	var rt Retriever
 	run := func() {
-		al, _, err := rt.ReverseRetrieve(s, tt, sc, res.BestI, res.BestJ, res.BestScore)
+		al, st, err := rt.ReverseRetrieve(s, tt, sc, res.BestI, res.BestJ, res.BestScore)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if al.Score != res.BestScore {
 			t.Fatalf("retrieved score %d, want %d", al.Score, res.BestScore)
+		}
+		// The arena stores arrows only: one byte per useful cell (plus
+		// the origin), never the 5 B/cell of a value + arrow arena.
+		if n := int64(len(rt.arrs)); n > st.CellsComputed+1 {
+			t.Fatalf("arena holds %d B for %d useful cells", n, st.CellsComputed)
 		}
 	}
 	run() // warm the arenas

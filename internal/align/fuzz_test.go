@@ -53,6 +53,10 @@ func FuzzLocalAlignmentConsistency(f *testing.F) {
 		if err := al.Validate(s, tt, sc); err != nil {
 			t.Fatal(err)
 		}
+		// Begin coordinates against the dense anchored reference.
+		if _, err := checkAgainstAnchoredRef(s, tt, r.BestI, r.BestJ, r.BestScore); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

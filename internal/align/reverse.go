@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"slices"
 
 	"genomedsm/internal/bio"
 )
@@ -39,25 +40,26 @@ func ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (*Ali
 	return r.ReverseRetrieve(s, t, sc, endI, endJ, k)
 }
 
-// Retriever carries the reusable sparse-row storage of ReverseRetrieve:
-// all rows live in one shared arena (vals/arrs), each row holding only
-// its index window into it, so a retrieval performs a handful of
-// amortized arena growths instead of one pair of appends per active
-// cell. The zero value is ready to use; a Retriever must not be shared
-// between goroutines. Steady-state reuse (the top-K realignment loop,
-// RetrieveAll) allocates only the profile and the result.
+// Retriever carries the reusable storage of ReverseRetrieve. Cell values
+// live only in two rolling rows (prev/cur, indexed by column); what the
+// traceback needs — one arrow byte per useful cell — stacks up in one
+// shared arena, each row holding only its index window into it, so a
+// retrieval performs a handful of amortized arena growths and stores
+// 1 B per useful cell. The zero value is ready to use; a Retriever must
+// not be shared between goroutines. Steady-state reuse (one per realign
+// worker, RetrieveAll) allocates only the profile and the result.
 type Retriever struct {
-	vals []int32      // row-value arena
-	arrs []byte       // parallel arrow arena
-	rows []rrow       // per-row windows into the arenas
-	rev  bio.Sequence // reversed-prefix scratch for the profile
+	prev, cur []int32      // rolling value rows, qmax+2 columns each
+	arrs      []byte       // arrow arena
+	rows      []rrow       // per-row windows into the arena
+	rev       bio.Sequence // reversed-prefix scratch for the profile
 	// High-water trim bookkeeping: one huge retrieval must not pin its
-	// arena for the lifetime of a long-lived Retriever (the search
-	// worker pool, RetrieveAll loops). Every trimWindow calls the arenas
-	// are shrunk back to the window's peak usage when their capacity
-	// dwarfs it; see observe.
+	// arena for the lifetime of a long-lived Retriever (a realign worker,
+	// RetrieveAll loops). Every trimWindow calls the buffers are shrunk
+	// back to the window's peak usage when their capacity dwarfs it; see
+	// observe.
 	calls  int
-	hw     int // peak len(vals) observed this window
+	hw     int // peak len(arrs) observed this window
 	hwRows int // peak len(rows) observed this window
 }
 
@@ -70,14 +72,14 @@ const (
 	arenaTrimMinCap = 4096
 )
 
-// observe runs at the start of each retrieval, while the arenas still
-// hold the previous call's rows: it folds that usage into the window's
-// high-water marks and, once per window, releases arenas whose
+// observe runs at the start of each retrieval, while the arena still
+// holds the previous call's rows: it folds that usage into the window's
+// high-water marks and, once per window, releases buffers whose
 // capacity exceeds arenaTrimFactor × the recent peak (so alternating
 // big/small workloads keep their buffers, while a one-off giant
 // retrieval stops taxing every later small one).
 func (rt *Retriever) observe() {
-	if n := len(rt.vals); n > rt.hw {
+	if n := len(rt.arrs); n > rt.hw {
 		rt.hw = n
 	}
 	if n := len(rt.rows); n > rt.hwRows {
@@ -86,10 +88,9 @@ func (rt *Retriever) observe() {
 	if rt.calls++; rt.calls < arenaTrimWindow {
 		return
 	}
-	if cap(rt.vals) > arenaTrimFactor*rt.hw && cap(rt.vals) > arenaTrimMinCap {
-		rt.vals = make([]int32, 0, rt.hw)
+	if cap(rt.arrs) > arenaTrimFactor*rt.hw && cap(rt.arrs) > arenaTrimMinCap {
 		rt.arrs = make([]byte, 0, rt.hw)
-		rt.rev = nil
+		rt.prev, rt.cur, rt.rev = nil, nil, nil
 	}
 	if cap(rt.rows) > arenaTrimFactor*rt.hwRows && cap(rt.rows) > arenaTrimMinCap {
 		rt.rows = make([]rrow, 0, rt.hwRows)
@@ -98,10 +99,16 @@ func (rt *Retriever) observe() {
 }
 
 // rrow is one sparse row: the active column window [lo, hi] stored at
-// arena offset off (so column q lives at index off+q-lo).
+// arena offset off (so column q's arrows live at index off+q-lo).
 type rrow struct {
 	lo, hi, off int
 }
+
+// deadCell is the value of a pruned cell in the rolling rows: far enough
+// below zero that no sum of scores lifts a candidate built on it above
+// zero, far enough above the int32 minimum that adding a score cannot
+// wrap.
+const deadCell int32 = -1 << 29
 
 // ReverseRetrieve is the buffer-reusing form of the package function of
 // the same name; see its documentation.
@@ -122,7 +129,7 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 	srevAt := func(p int) byte { return s[endI-p] }
 	trevAt := func(q int) byte { return t[endJ-q] }
 	pmax, qmax := endI, endJ
-	// Query profile over the reversed prefix of t: sub[p][q-1] is the
+	// Query profile over the reversed prefix of t: sub[q-1] is the
 	// substitution score of srev[p] against trev[q], one int32 load per
 	// cell in the hot loop below. The reversal scratch is reused.
 	rt.rev = rt.rev[:0]
@@ -130,110 +137,115 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 		rt.rev = append(rt.rev, t[q])
 	}
 	prof := bio.NewProfile(rt.rev, sc)
+	gap, kk := int32(sc.Gap), int32(k)
 
-	// Sparse row storage: row p keeps values and arrows for the active
-	// column window [lo, hi]. A cell is active when its value is positive
-	// and it is reachable from the (1,1) seed without crossing a zero —
-	// Theorem 6.2 says pruning the rest cannot lose the minimal-length
-	// alignment, because that alignment starts at the first character of
-	// each reversed sequence. Rows stack up in the shared arena: the
-	// current row grows at the arena tail, front shrinks just advance its
-	// offset, tail shrinks truncate the arena before the next row starts.
-	rt.vals = append(rt.vals[:0], 0)
+	// A cell is active when its value is positive and it is reachable
+	// from the (1,1) seed without crossing a zero — Theorem 6.2 says
+	// pruning the rest cannot lose the minimal-length alignment, because
+	// that alignment starts at the first character of each reversed
+	// sequence. Pruned cells hold deadCell, so a candidate built on one
+	// can never be positive and the recurrence needs no activity flag;
+	// the origin of row 0 is the one active cell with value 0. Row p
+	// keeps arrows for its active column window [lo, hi] only. Rows stack
+	// up in the shared arena: the current row grows at the arena tail,
+	// front shrinks just advance its offset, tail shrinks truncate the
+	// arena before the next row starts.
+	if cap(rt.prev) < qmax+2 {
+		rt.prev, rt.cur = make([]int32, qmax+2), make([]int32, qmax+2)
+	}
+	prev, cur := rt.prev[:qmax+2], rt.cur[:qmax+2]
+	prev[0], prev[1] = 0, deadCell
 	rt.arrs = append(rt.arrs[:0], 0)
 	rt.rows = append(rt.rows[:0], rrow{lo: 0, hi: 0, off: 0})
-
-	get := func(r rrow, q int) (int32, bool) {
-		if q < r.lo || q > r.hi {
-			return 0, false
-		}
-		v := rt.vals[r.off+q-r.lo]
-		return v, v > 0 || (q == 0 && r.lo == 0)
-	}
 
 	bestP, bestQ := -1, -1
 	bestSum := 1 << 30
 	for p := 1; p <= pmax; p++ {
-		prev := rt.rows[p-1]
+		pr := rt.rows[p-1]
 		// Any cell in this row has path length ≥ p; stop once no cell can
 		// beat the best minimal-length hit found so far.
 		if bestP >= 0 && p+1 > bestSum {
 			break
 		}
-		lo := prev.lo
-		if lo < 1 {
-			lo = 1
-		}
+		lo := max(pr.lo, 1)
 		if lo > qmax {
 			break
 		}
-		cur := rrow{lo: lo, hi: lo - 1, off: len(rt.vals)}
-		sub := prof.Row(srevAt(p))
-		rowAlive := false
-		// Columns [lo, prev.hi+1] can receive diagonal or north arrows
-		// from the previous row; beyond that only west chains (runs of
-		// gaps in s) can stay alive, and they die as soon as a value
-		// drops to zero.
-		for q := lo; q <= qmax; q++ {
-			diagOnly := q > prev.hi+1
-			var v int32
-			var arrows byte
-			if dv, ok := get(prev, q-1); ok {
-				if cand := dv + sub[q-1]; cand > 0 {
-					v, arrows = cand, ArrowDiag
-				}
+		// Columns [lo, mid] can receive diagonal or north arrows from the
+		// previous row, whose written cells [lo-1, mid] are all valid
+		// reads (deadCell outside its window).
+		mid := min(pr.hi+1, qmax)
+		n := mid - lo + 1
+		off := len(rt.arrs)
+		rt.arrs = slices.Grow(rt.arrs, n)[:off+n]
+		arr := rt.arrs[off:]
+		sub := prof.Row(srevAt(p))[lo-1 : mid]
+		north := prev[lo : mid+1]
+		out := cur[lo : mid+1]
+		cur[lo-1] = deadCell
+		d, w := prev[lo-1], deadCell
+		for i := range arr {
+			nv := north[i]
+			dc, wc, nc := d+sub[i], w+gap, nv+gap
+			v := max(dc, wc, nc)
+			// The arrows are every direction whose candidate attains the
+			// maximum; the traceback prefers diag, west, north. Written
+			// as independent selects so the compiler emits conditional
+			// moves instead of three unpredictable branches.
+			var ad, aw, an byte
+			if dc == v {
+				ad = ArrowDiag
 			}
-			if q-1 >= cur.lo && q-1 <= cur.hi {
-				if wv := rt.vals[cur.off+q-1-cur.lo]; wv > 0 {
-					switch cand := wv + int32(sc.Gap); {
-					case cand > v:
-						v, arrows = cand, ArrowWest
-					case cand == v && v > 0:
-						arrows |= ArrowWest
-					}
-				}
+			if wc == v {
+				aw = ArrowWest
 			}
-			if nv, ok := get(prev, q); ok {
-				switch cand := nv + int32(sc.Gap); {
-				case cand > v:
-					v, arrows = cand, ArrowNorth
-				case cand == v && v > 0:
-					arrows |= ArrowNorth
-				}
+			if nc == v {
+				an = ArrowNorth
 			}
-			st.CellsComputed++
+			a := ad | aw | an
 			if v <= 0 {
-				if diagOnly {
-					break // west chain exhausted; nothing further can revive
-				}
-				v, arrows = 0, 0
+				v, a = deadCell, 0
+			} else if v >= kk && p+lo+i < bestSum {
+				bestP, bestQ, bestSum = p, lo+i, p+lo+i
 			}
-			rt.vals = append(rt.vals, v)
-			rt.arrs = append(rt.arrs, arrows)
-			cur.hi = q
+			out[i], arr[i] = v, a
+			d, w = nv, v
+		}
+		// Beyond mid only west chains (runs of gaps in s) can stay alive,
+		// and they die as soon as a value drops to zero. The cell that
+		// kills the chain was evaluated, so it counts, but is not stored.
+		q := mid + 1
+		for ; q <= qmax; q++ {
+			v := w + gap
 			if v <= 0 {
-				continue
+				st.CellsComputed++
+				break
 			}
-			rowAlive = true
-			if int(v) >= k && p+q < bestSum {
+			cur[q] = v
+			rt.arrs = append(rt.arrs, ArrowWest)
+			if v >= kk && p+q < bestSum {
 				bestP, bestQ, bestSum = p, q, p+q
 			}
+			w = v
 		}
-		// Shrink the stored window to the live cells.
-		for cur.lo <= cur.hi && rt.vals[cur.off] <= 0 {
-			cur.off++
-			cur.lo++
+		cur[q] = deadCell
+		st.CellsComputed += int64(q - lo)
+		// Shrink the stored window to the live cells (arrows ≠ 0).
+		row := rrow{lo: lo, hi: q - 1, off: off}
+		for row.lo <= row.hi && rt.arrs[row.off] == 0 {
+			row.off++
+			row.lo++
 		}
-		for cur.hi >= cur.lo && rt.vals[len(rt.vals)-1] <= 0 {
-			rt.vals = rt.vals[:len(rt.vals)-1]
+		for row.hi >= row.lo && rt.arrs[len(rt.arrs)-1] == 0 {
 			rt.arrs = rt.arrs[:len(rt.arrs)-1]
-			cur.hi--
+			row.hi--
 		}
-		rt.rows = append(rt.rows, cur)
+		rt.rows = append(rt.rows, row)
 		st.RowsComputed = p
-		if !rowAlive {
-			break
+		if row.lo > row.hi {
+			break // the whole row is dead
 		}
+		prev, cur = cur, prev
 	}
 	st.FullCells = int64(st.RowsComputed+1) * int64(qmax+1)
 	if bestP < 0 {

@@ -172,6 +172,10 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	// The scan cannot use more workers than lane groups; the realign
+	// pool below is sized by its own items, so it gets the unclamped
+	// count.
+	poolWorkers := workers
 	groups := db.groups()
 	if workers > len(groups) && len(groups) > 0 {
 		workers = len(groups)
@@ -313,12 +317,15 @@ feed:
 			res.Hits[i] = Hit{Index: it.index, ID: db.recs[it.index].ID, Score: it.score}
 		}
 		SortHits(res.Hits)
-		if !opt.NoEndpoints {
-			if err := Realign(st.q, db.recs, sc, res.Hits); err != nil {
-				return nil, err
-			}
-		}
 		out[qi] = BatchResult{Result: res}
+	}
+	if !opt.NoEndpoints {
+		// One pool call over the whole batch: every (query, hit) pair is
+		// an independent item, so a 4-query batch keeps all workers busy
+		// where a per-query loop would leave them idle between queries.
+		if err := RealignBatch(ctx, queries, out, db.recs, sc, poolWorkers); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -1,0 +1,145 @@
+package search
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"genomedsm/internal/bio"
+)
+
+// realignBatch builds a multi-query batch over one database with hits
+// of very different sizes, so the longest-first schedule differs from
+// the (query, hit) order.
+func realignBatch(t *testing.T, seed int64) ([]BatchQuery, []bio.Record) {
+	t.Helper()
+	g := bio.NewGenerator(seed)
+	lens := []int{120, 400, 60, 250}
+	queries := make([]BatchQuery, len(lens))
+	var db []bio.Record
+	for i, n := range lens {
+		q := g.Random(n)
+		queries[i] = BatchQuery{Seq: q, TopK: 3 + i}
+		db = append(db, testDB(t, seed+int64(i)+1, q, 6, 4)...)
+	}
+	for i := range db {
+		db[i].ID = fmt.Sprintf("%s.%d", db[i].ID, i)
+	}
+	return queries, db
+}
+
+// TestRealignPoolWorkerCountInvariant: the pooled realign returns the
+// same hits — order and all four coordinates — on one goroutine, on
+// four, and for the Lanes: 1 scalar reference scan, across random
+// multi-query batches. ci.sh runs it under -race.
+func TestRealignPoolWorkerCountInvariant(t *testing.T) {
+	for _, seed := range []int64{3, 41, 97} {
+		queries, recs := realignBatch(t, seed)
+		db := NewDB(recs)
+		run := func(opt Options) []BatchResult {
+			t.Helper()
+			brs, err := RunBatch(context.Background(), queries, db, opt)
+			if err != nil {
+				t.Fatalf("seed %d %+v: %v", seed, opt, err)
+			}
+			return brs
+		}
+		want := run(Options{Workers: 1})
+		for _, opt := range []Options{{Workers: 4}, {Workers: 4, Prune: true}, {Workers: 4, Lanes: 1}, {Workers: 1, Lanes: 1}} {
+			got := run(opt)
+			for qi := range want {
+				if want[qi].Err != nil || got[qi].Err != nil {
+					t.Fatalf("seed %d query %d: errors %v / %v", seed, qi, want[qi].Err, got[qi].Err)
+				}
+				requireSameHits(t, fmt.Sprintf("seed %d query %d %+v", seed, qi, opt), got[qi].Result.Hits, want[qi].Result.Hits)
+			}
+		}
+		for qi, br := range want {
+			if len(br.Result.Hits) == 0 {
+				t.Fatalf("seed %d query %d: no hits", seed, qi)
+			}
+			for _, h := range br.Result.Hits {
+				if h.QBegin < 1 || h.QEnd < h.QBegin || h.TBegin < 1 || h.TEnd < h.TBegin {
+					t.Errorf("seed %d query %d: hit %+v has no span", seed, qi, h)
+				}
+			}
+		}
+	}
+}
+
+// scannedBatch is a batch scanned without endpoints: the input of a
+// direct RealignBatch call.
+func scannedBatch(t *testing.T, seed int64) ([]BatchQuery, []BatchResult, []bio.Record) {
+	t.Helper()
+	queries, recs := realignBatch(t, seed)
+	brs, err := RunBatch(context.Background(), queries, NewDB(recs), Options{NoEndpoints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return queries, brs, recs
+}
+
+// TestRealignBatchCancelledQuery: a query whose context has fired ends
+// with the context error, no hits and untouched coordinates, while the
+// other query of the call is bit-identical to a solo Realign.
+func TestRealignBatchCancelledQuery(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		queries, brs, recs := scannedBatch(t, 5)
+		queries, brs = queries[:2], brs[:2]
+		solo := append([]Hit(nil), brs[1].Result.Hits...)
+		if err := Realign(queries[1].Seq, recs, bio.Scoring{}, solo); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		queries[0].Ctx = ctx
+		dead := brs[0].Result.Hits
+		searched := brs[0].Result.Searched
+		if err := RealignBatch(context.Background(), queries, brs, recs, bio.Scoring{}, workers); err != nil {
+			t.Fatal(err)
+		}
+		if brs[0].Err != context.Canceled || brs[0].Result.Hits != nil || brs[0].Result.Searched != searched {
+			t.Errorf("workers %d: cancelled query = %+v, err %v", workers, brs[0].Result, brs[0].Err)
+		}
+		for _, h := range dead {
+			if h.QBegin != 0 || h.QEnd != 0 || h.TBegin != 0 || h.TEnd != 0 {
+				t.Errorf("workers %d: cancelled query paid for %+v", workers, h)
+			}
+		}
+		if brs[1].Err != nil {
+			t.Fatalf("workers %d: live query: %v", workers, brs[1].Err)
+		}
+		requireSameHits(t, fmt.Sprintf("workers %d live query", workers), brs[1].Result.Hits, solo)
+	}
+}
+
+// TestRealignDisagreementReportsFirstItem: the exact rescan is the
+// safety net under the packed kernels, so a hit whose score is off by
+// one fails the batch — and with two such hits the error names the
+// first in (query, hit) order on any worker count, although the
+// longest-first schedule reaches the later, larger one first.
+func TestRealignDisagreementReportsFirstItem(t *testing.T) {
+	var msgs []string
+	for _, workers := range []int{1, 2, 4} {
+		queries, brs, recs := scannedBatch(t, 9)
+		// Query 2 is the 60 bp one, query 1 the 400 bp one: its items
+		// sort first. Corrupt the last hit of query 0 and hits of the
+		// larger queries after it.
+		first := &brs[0].Result.Hits[len(brs[0].Result.Hits)-1]
+		first.Score++
+		brs[1].Result.Hits[0].Score--
+		brs[3].Result.Hits[1].Score++
+		err := RealignBatch(context.Background(), queries, brs, recs, bio.Scoring{}, workers)
+		if err == nil || !strings.Contains(err.Error(), "disagrees with scalar") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("%q", first.ID)) {
+			t.Fatalf("workers %d: err = %v, want the disagreement on %s", workers, err, first.ID)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	for _, m := range msgs[1:] {
+		if m != msgs[0] {
+			t.Errorf("error depends on the worker count: %q vs %q", msgs[0], m)
+		}
+	}
+}

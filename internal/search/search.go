@@ -19,7 +19,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"genomedsm/internal/align"
@@ -227,42 +226,4 @@ func referenceScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab 
 		res.Padded += int64(len(t)) * int64(res.Rows[i])
 	}
 	return res, nil
-}
-
-// Realign fills the alignment spans of the final hits with the exact
-// kernels: align.Scan (striped when the scheme fits, scalar otherwise)
-// finds the end cell, ReverseRetrieve walks back to the start. Only the
-// K winners pay this cost, and the exact re-scan doubles as a safety
-// net: a score disagreeing with the packed inter-sequence kernel is a
-// kernel bug and is reported, never papered over. One Retriever serves
-// the whole loop, so the sparse traceback arenas are allocated once.
-// Exported for the shard master, which realigns only the merged global
-// winners instead of every shard's local top K. A zero sc means
-// bio.DefaultScoring.
-func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error {
-	if sc == (bio.Scoring{}) {
-		sc = bio.DefaultScoring()
-	}
-	var rt align.Retriever
-	for i := range hits {
-		h := &hits[i]
-		t := db[h.Index].Seq
-		// The hit's score is already known: passing it as ExpectScore
-		// lets the scan skip packed rungs it proves will saturate.
-		r, err := align.Scan(q, t, sc, align.ScanOptions{ExpectScore: h.Score})
-		if err != nil {
-			return err
-		}
-		if r.BestScore != h.Score {
-			return fmt.Errorf("search: packed score %d for %q disagrees with scalar %d",
-				h.Score, h.ID, r.BestScore)
-		}
-		al, _, err := rt.ReverseRetrieve(q, t, sc, r.BestI, r.BestJ, r.BestScore)
-		if err != nil {
-			return err
-		}
-		h.QBegin, h.QEnd = al.SBegin, al.SEnd
-		h.TBegin, h.TEnd = al.TBegin, al.TEnd
-	}
-	return nil
 }

@@ -448,12 +448,15 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 			// dominate anything it could add.
 			pst.FloorFinal = hits[m.k-1].Score
 		}
-		if !opt.NoEndpoints {
-			if err := search.Realign(queries[i].Seq, c.db.Records(), sc, res.Hits); err != nil {
-				return nil, err
-			}
-		}
 		out[i] = search.BatchResult{Result: res}
+	}
+	if !opt.NoEndpoints {
+		// The merged global winners of every query realign in one pool
+		// call, sized by the request's worker count like a single-node
+		// scan — not per shard, and not query by query.
+		if err := search.RealignBatch(ctx, queries, out, c.db.Records(), sc, opt.Workers); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

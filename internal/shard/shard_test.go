@@ -88,13 +88,16 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 }
 
 // TestShardedBatchMatchesSingleNode covers the multi-query path the
-// serve layer uses.
+// serve layer uses: four queries of different lengths, so the master's
+// one realign pool call schedules hits across queries.
 func TestShardedBatchMatchesSingleNode(t *testing.T) {
 	q1, recs := synthInputs(7, 200, 40, 300)
-	q2 := bio.NewGenerator(8).Random(150)
+	g := bio.NewGenerator(8)
+	q2, q4 := g.Random(150), g.Random(60)
+	q3 := g.MutatedCopy(q1[40:160], bio.DefaultMutationModel())
 	db := search.NewDB(recs)
-	opt := search.Options{Prune: true}
-	batch := []search.BatchQuery{{Seq: q1}, {Seq: q2, TopK: 4}}
+	opt := search.Options{Prune: true, Workers: 4}
+	batch := []search.BatchQuery{{Seq: q1}, {Seq: q2, TopK: 4}, {Seq: q3, TopK: 6}, {Seq: q4, TopK: 2}}
 	want, err := search.RunBatch(context.Background(), batch, db, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,9 @@
 #      scans must hold parity with the best fixed route on the uniform
 #      and skewed databases and beat the fixed route outright on the
 #      mixed database,
+#      plus the realign pool scaling gate: SearchRealign's 20 kb shape
+#      at -cpu 2 must reach >= 1.4x its -cpu 1 cells/s (skipped with a
+#      notice on a 1-core host),
 #      plus the serve batching gate: one 16-query POST must beat 16
 #      sequential single-query POSTs by >= 1.5x queries/s, plus the
 #      pack cold-start gate: opening + first query on a v2 (mmap) pack
@@ -273,6 +276,33 @@ awk -v tol="$maxregress" -v sh="$sharded" -v u="$uniform" 'BEGIN {
     if (sh < floor * u) { printf "scaling gate FAILED: 4-shard at %.2fx of single-node (floor %.2fx)\n", sh / u, floor; exit 1 }
     printf "scaling gate ok: 4-shard at %.2fx of single-node\n", sh / u
 }'
+
+echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -cpu 1)"
+# The repo's first recorded multi-core number: the realign pool hands
+# ten independent 20 kb x 500 bp rescans to its workers, so two cores
+# must buy at least 1.4x the cells/s of one. The main run above uses the
+# host's default GOMAXPROCS only, so this gate makes its own -cpu 1,2
+# run; go test prints the -cpu 1 row without a suffix and the -cpu 2 row
+# as "-2".
+if [ "$(nproc)" -lt 2 ]; then
+    echo "realign scaling gate skipped: nproc $(nproc) < 2"
+else
+    realignout=$(mktemp)
+    go test -run '^$' -bench 'SearchRealign/long' -benchtime 1s -count "$count" -cpu 1,2 . >"$realignout"
+    bestcpu() {
+        awk -v name="BenchmarkSearchRealign/long20000x500$1" '
+            $1 == name { for (i = 2; i < NF; i++) if ($(i+1) == "cells/s" && $i > best) best = $i }
+            END { if (best == "") exit 1; print best }' "$realignout"
+    }
+    one=$(bestcpu "")
+    two=$(bestcpu "-2")
+    rm -f "$realignout"
+    echo "realign 20 kb shape: $one cells/s on 1 core vs $two on 2"
+    awk -v a="$one" -v b="$two" 'BEGIN {
+        if (b < 1.4 * a) { printf "realign scaling gate FAILED: 2 cores at %.2fx of 1 < 1.4x\n", b / a; exit 1 }
+        printf "realign scaling gate ok: 2 cores at %.2fx of 1\n", b / a
+    }'
+fi
 
 echo "== serve batching gate (batched >= 1.5x sequential queries/s)"
 # The shared-scan contract: one POST carrying 16 queries must amortize
