@@ -657,7 +657,7 @@ func BenchmarkCompareBlocked8(b *testing.B) {
 
 // benchPackDB is a database sized so pack load cost is visible: 256
 // records around 1kb each, with the default 11-mer prefilter index
-// embedded (the index decode is most of a v1 load).
+// embedded.
 func benchPackDB() (bio.Sequence, []bio.Record, int64) {
 	g := bio.NewGenerator(88)
 	q := g.Random(1000)
@@ -671,33 +671,28 @@ func benchPackDB() (bio.Sequence, []bio.Record, int64) {
 	return q, db, cells
 }
 
-// benchPackFile writes the benchPackDB database as one pack file in the
-// given format and returns its path.
-func benchPackFile(b *testing.B, format string) string {
+// benchPackFile writes the benchPackDB database as one pack file and
+// returns its path.
+func benchPackFile(b *testing.B) string {
 	b.Helper()
 	_, recs, _ := benchPackDB()
 	p, err := dbpack.Build(recs, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "bench-"+format+".pack")
-	if format == "v2" {
-		err = dbpack.WriteFileV2(path, p)
-	} else {
-		err = dbpack.WriteFile(path, p)
-	}
-	if err != nil {
+	path := filepath.Join(b.TempDir(), "bench.pack")
+	if err := dbpack.WriteFileV2(path, p); err != nil {
 		b.Fatal(err)
 	}
 	return path
 }
 
-// benchPackColdStart times open → first-query-ready: load the pack,
-// answer one short query through the full fast path (lane layout
+// BenchmarkPackColdStartV2 times open → first-query-ready: load the
+// pack, answer one short query through the full fast path (lane layout
 // included), close. This is the serve-restart metric the v2 format
-// exists for; ci.sh gates v2 mmap at ≥ 2× the v1 decode.
-func benchPackColdStart(b *testing.B, format string) {
-	path := benchPackFile(b, format)
+// exists for.
+func BenchmarkPackColdStartV2(b *testing.B) {
+	path := benchPackFile(b)
 	q := bio.NewGenerator(7).Random(12)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -715,14 +710,11 @@ func benchPackColdStart(b *testing.B, format string) {
 	}
 }
 
-func BenchmarkPackColdStartV1(b *testing.B) { benchPackColdStart(b, "v1") }
-func BenchmarkPackColdStartV2(b *testing.B) { benchPackColdStart(b, "v2") }
-
 // BenchmarkSearchDatabasePackV2 scans through an mmap-opened v2 pack:
 // the kernels read lane words straight out of the mapped section.
 // Comparable against BenchmarkSearchDatabase8 tier numbers via cells/s.
 func BenchmarkSearchDatabasePackV2(b *testing.B) {
-	path := benchPackFile(b, "v2")
+	path := benchPackFile(b)
 	p, err := dbpack.Open(path)
 	if err != nil {
 		b.Fatal(err)

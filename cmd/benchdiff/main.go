@@ -200,9 +200,9 @@ func saveFile(path string, f *File) error {
 
 func main() {
 	var (
-		file     = flag.String("file", "BENCH_kernels.json", "snapshot file")
-		snapshot = flag.String("snapshot", "", "record stdin bench output under this snapshot name")
-		doCheck  = flag.Bool("check", false, "check stdin bench output against the baseline snapshot")
+		file       = flag.String("file", "BENCH_kernels.json", "snapshot file")
+		snapshot   = flag.String("snapshot", "", "record stdin bench output under this snapshot name")
+		doCheck    = flag.Bool("check", false, "check stdin bench output against the baseline snapshot")
 		baseline   = flag.String("baseline", "current", "baseline snapshot name for -check")
 		maxRegress = flag.Float64("max-regress", 5, "allowed per-benchmark throughput regression for -check, in percent")
 		tol        = flag.Float64("tol", 0.05, "deprecated fractional form of -max-regress")

@@ -8,11 +8,9 @@ import (
 )
 
 // openPack is the one shared pack-prepare path for `serve` and
-// `search -pack`: open the file in whichever format it carries (v2 is
-// mmap'd with zero-copy views and the precomputed lane layout attached;
-// v1 decodes through the legacy path and builds the layout in heap),
-// and report how the bytes got into memory — including the re-index
-// notice a legacy pack earns. Both commands used to duplicate this
+// `search -pack`: open the file (mmap'd with zero-copy views and the
+// precomputed lane layout attached) and report how the bytes got into
+// memory, plus any load notice. Both commands used to duplicate this
 // load-and-prepare work with slightly different behavior; now neither
 // can drift.
 func openPack(path string, w io.Writer) (*dbpack.Pack, error) {

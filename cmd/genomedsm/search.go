@@ -72,7 +72,7 @@ func searchCmd(args []string, w io.Writer) error {
 	var q genomedsm.Sequence
 	var db *genomedsm.SearchDB
 	if *packFile != "" {
-		// Pre-packed database: the parse, sort, prefilter index and (v2)
+		// Pre-packed database: the parse, sort, prefilter index and
 		// lane layout were paid at `genomedsm index` time; the scan
 		// starts cold-path-free through the same shared prepare path the
 		// server uses. JSON mode keeps stdout machine-readable, so the

@@ -32,7 +32,6 @@ func indexCmd(args []string, w io.Writer) error {
 		dbFile = fs.String("db", "", "database FASTA file (synthetic when empty)")
 		out    = fs.String("o", "", "output pack file (required)")
 		word   = fs.Int("word", 11, "prefilter seed word size embedded in the pack (0 = no index)")
-		format = fs.String("format", "v2", "pack format: v2 (page-aligned sections, mmap'd zero-copy at load, lane layout precomputed) or v1 (legacy varint stream)")
 		n      = fs.Int("n", 1000, "synthetic query length (homolog planting)")
 		dbSize = fs.Int("db-size", 200, "synthetic database record count")
 		dbLen  = fs.Int("db-len", 1000, "synthetic database base record length")
@@ -63,26 +62,18 @@ func indexCmd(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "v2":
-		// Index time is where the lane-group interleave is paid: EncodeV2
-		// computes it once and lays it out exactly as the SWAR kernels
-		// consume it, so every later Open is validate-header-and-map.
-		err = dbpack.WriteFileV2(*out, p)
-	case "v1":
-		err = dbpack.WriteFile(*out, p)
-	default:
-		return fmt.Errorf("unknown -format %q: want v2 or v1", *format)
-	}
-	if err != nil {
+	// Index time is where the lane-group interleave is paid: EncodeV2
+	// computes it once and lays it out exactly as the SWAR kernels
+	// consume it, so every later Open is validate-header-and-map.
+	if err := dbpack.WriteFileV2(*out, p); err != nil {
 		return err
 	}
 	info, err := os.Stat(*out)
 	if err != nil {
 		return err
 	}
-	line := fmt.Sprintf("packed %d records (%d bases) into %s (%s): %d bytes in %.3fs",
-		p.DB.Size(), p.DB.TotalBases(), *out, *format, info.Size(), time.Since(start).Seconds())
+	line := fmt.Sprintf("packed %d records (%d bases) into %s (v2): %d bytes in %.3fs",
+		p.DB.Size(), p.DB.TotalBases(), *out, info.Size(), time.Since(start).Seconds())
 	if ix := p.DB.WordIndex(); ix != nil {
 		line += fmt.Sprintf(", %d-mer index (%d postings)", ix.Word(), ix.Postings())
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"os"
@@ -129,42 +128,35 @@ func buildTestPack(t *testing.T) string {
 }
 
 // TestOpenPackFormats pins the shared prepare path both `serve` and
-// `search -pack` go through: a default (v2) index mmaps and says so; a
-// -format v1 index still loads but earns the re-index notice.
+// `search -pack` go through: an index is v2, mmaps and says so — and
+// there is no second format to ask for.
 func TestOpenPackFormats(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		format string
-		wants  []string
-	}{
-		{"v2", []string{"mmap"}},
-		{"v1", []string{"legacy-v1", "re-index"}},
-	} {
-		pack := filepath.Join(dir, tc.format+".pack")
-		var buf bytes.Buffer
-		if err := indexCmd([]string{"-db-size", "16", "-db-len", "100", "-n", "150",
-			"-format", tc.format, "-o", pack}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(buf.String(), "("+tc.format+")") {
-			t.Errorf("index output %q does not name the %s format", buf.String(), tc.format)
-		}
-		buf.Reset()
-		p, err := openPack(pack, &buf)
-		if err != nil {
-			t.Fatalf("openPack(%s): %v", tc.format, err)
-		}
-		for _, want := range tc.wants {
-			if !strings.Contains(buf.String(), want) {
-				t.Errorf("%s load output %q, want mention of %q", tc.format, buf.String(), want)
-			}
-		}
-		if p.DB.Layout() == nil {
-			t.Errorf("%s pack loaded without a lane layout", tc.format)
-		}
-		if err := p.Close(); err != nil {
-			t.Errorf("Close(%s): %v", tc.format, err)
-		}
+	pack := filepath.Join(t.TempDir(), "v2.pack")
+	var buf bytes.Buffer
+	if err := indexCmd([]string{"-db-size", "16", "-db-len", "100", "-n", "150", "-o", pack}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "(v2)") {
+		t.Errorf("index output %q does not name the v2 format", buf.String())
+	}
+	buf.Reset()
+	p, err := openPack(pack, &buf)
+	if err != nil {
+		t.Fatalf("openPack: %v", err)
+	}
+	if !strings.Contains(buf.String(), "mmap") {
+		t.Errorf("load output %q, want mention of mmap", buf.String())
+	}
+	if p.DB.Layout() == nil {
+		t.Error("pack loaded without a lane layout")
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	buf.Reset()
+	err = indexCmd([]string{"-format", "v1", "-o", pack}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -format") {
+		t.Errorf("index -format v1: err %v, want an undefined-flag failure", err)
 	}
 }
 
@@ -185,15 +177,9 @@ func TestServeCmdBadPacks(t *testing.T) {
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)/2] ^= 0x55
 
-	// A stale-format pack with a correct checksum: bump the pack
-	// version varint (payload byte 1, after the codec version byte) and
-	// recompute the FNV-1a trailer.
-	stale := append([]byte(nil), good[8:len(good)-8]...)
-	stale[1]++
-	h := fnv.New64a()
-	h.Write(stale)
-	stale = h.Sum(stale)
-	stale = append(append([]byte(nil), good[:8]...), stale...)
+	// A stale-format pack: bump the u32 format version after the magic.
+	stale := append([]byte(nil), good...)
+	stale[8]++
 
 	cases := []struct {
 		name string

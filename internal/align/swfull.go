@@ -111,9 +111,6 @@ func newMatrix(s, t bio.Sequence, sc bio.Scoring, local bool) (*Matrix, error) {
 // empty-prefix corner).
 func (a *Matrix) Score(i, j int) int { return int(a.score[i*a.cols+j]) }
 
-// Arrows returns the arrow flags of A[i][j].
-func (a *Matrix) Arrows(i, j int) byte { return a.arrows[i*a.cols+j] }
-
 // Dims returns the extended-matrix dimensions (|s|+1, |t|+1).
 func (a *Matrix) Dims() (rows, cols int) { return a.rows, a.cols }
 

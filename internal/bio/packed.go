@@ -53,7 +53,6 @@ type PackedProfile struct {
 	shift uint // bits per lane (8 or 16)
 	cap   int  // per-lane saturation cap
 	words int  // padded target length (words per row)
-	lens  []int
 	plus  [AlphabetSize][]uint64
 	minus [AlphabetSize][]uint64
 }
@@ -81,14 +80,12 @@ func newPackedProfile(targets []Sequence, sc Scoring, lanes int, shift uint, cap
 		return nil
 	}
 	words := 0
-	lens := make([]int, len(targets))
-	for i, t := range targets {
-		lens[i] = len(t)
+	for _, t := range targets {
 		if len(t) > words {
 			words = len(t)
 		}
 	}
-	p := &PackedProfile{lanes: lanes, shift: shift, cap: capVal, words: words, lens: lens}
+	p := &PackedProfile{lanes: lanes, shift: shift, cap: capVal, words: words}
 	backing := make([]uint64, 2*AlphabetSize*words)
 	for c := 0; c < AlphabetSize; c++ {
 		p.plus[c] = backing[2*c*words : (2*c+1)*words : (2*c+1)*words]
@@ -135,15 +132,6 @@ func (p *PackedProfile) Cap() int { return p.cap }
 
 // Shift returns the number of bits per lane (8 or 16).
 func (p *PackedProfile) Shift() uint { return p.shift }
-
-// LaneLen returns the true (unpadded) length of target lane l, or 0 for
-// an empty lane.
-func (p *PackedProfile) LaneLen(l int) int {
-	if l >= len(p.lens) {
-		return 0
-	}
-	return p.lens[l]
-}
 
 // PlusRow returns the packed match-magnitude row for query residue a.
 // The slice is shared and must not be modified.

@@ -94,10 +94,7 @@ func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedP
 		// corrupt layout must never produce a silently wrong profile.
 		return nil
 	}
-	p := &PackedProfile{
-		lanes: PackedLanes8, shift: 8, cap: PackedCap8, words: n,
-		lens: append([]int(nil), lens...),
-	}
+	p := &PackedProfile{lanes: PackedLanes8, shift: 8, cap: PackedCap8, words: n}
 	backing := make([]uint64, 2*AlphabetSize*n)
 	for c := 0; c < AlphabetSize; c++ {
 		p.plus[c] = backing[2*c*n : (2*c+1)*n : (2*c+1)*n]

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"genomedsm/internal/cluster"
+	"genomedsm/internal/recovery"
 )
 
 // DelaySpec is the injected delay for one message class: Base extra
@@ -119,7 +120,7 @@ func (p *Plan) Delay(class cluster.MsgClass, node int) float64 {
 		return 0
 	}
 	k := p.delayCnt[int(class)*p.nodes+node].Add(1)
-	u := unit(mix64(uint64(p.seed), 0xDE1A, uint64(class), uint64(node), k))
+	u := unit(recovery.Mix64(uint64(p.seed), 0xDE1A, uint64(class), uint64(node), k))
 	return spec.Base + spec.Jitter*u
 }
 
@@ -132,7 +133,7 @@ func (p *Plan) Permute(class cluster.MsgClass, node, k int) []int {
 		return nil
 	}
 	c := p.permCnt[int(class)*p.nodes+node].Add(1)
-	rng := rand.New(rand.NewSource(int64(mix64(uint64(p.seed), 0x9E12, uint64(class), uint64(node), c))))
+	rng := rand.New(rand.NewSource(int64(recovery.Mix64(uint64(p.seed), 0x9E12, uint64(class), uint64(node), c))))
 	perm := make([]int, k)
 	for i := range perm {
 		perm[i] = i
@@ -164,7 +165,7 @@ func (p *Plan) Lose(class cluster.MsgClass, node int) int {
 	k := p.loseCnt[int(class)*p.nodes+node].Add(1)
 	lost := 0
 	for lost < cap {
-		u := unit(mix64(uint64(p.seed), 0x105E, uint64(class), uint64(node), k, uint64(lost)))
+		u := unit(recovery.Mix64(uint64(p.seed), 0x105E, uint64(class), uint64(node), k, uint64(lost)))
 		if u >= prob {
 			break
 		}
@@ -181,7 +182,7 @@ func (p *Plan) Duplicate(class cluster.MsgClass, node int) bool {
 		return false
 	}
 	k := p.dupCnt[int(class)*p.nodes+node].Add(1)
-	return unit(mix64(uint64(p.seed), 0xD0B1, uint64(class), uint64(node), k)) < prob
+	return unit(recovery.Mix64(uint64(p.seed), 0xD0B1, uint64(class), uint64(node), k)) < prob
 }
 
 // PickLockGrant implements cluster.ScheduleControl.
@@ -190,7 +191,7 @@ func (p *Plan) PickLockGrant(lock, k int) int {
 		return 0
 	}
 	c := p.lockCnt.Add(1)
-	return int(mix64(uint64(p.seed), 0x10C4, uint64(lock), c) % uint64(k))
+	return int(recovery.Mix64(uint64(p.seed), 0x10C4, uint64(lock), c) % uint64(k))
 }
 
 // PickBarrierOrder implements cluster.ScheduleControl.
@@ -199,7 +200,7 @@ func (p *Plan) PickBarrierOrder(k int) []int {
 		return nil
 	}
 	c := p.barrCnt.Add(1)
-	rng := rand.New(rand.NewSource(int64(mix64(uint64(p.seed), 0xBA22, c))))
+	rng := rand.New(rand.NewSource(int64(recovery.Mix64(uint64(p.seed), 0xBA22, c))))
 	return rng.Perm(k)
 }
 
@@ -209,7 +210,7 @@ func (p *Plan) PickEvictVictim(node int, pages []int) int {
 		return 0
 	}
 	c := p.evictCnt[node].Add(1)
-	return int(mix64(uint64(p.seed), 0xE71C, uint64(node), c) % uint64(len(pages)))
+	return int(recovery.Mix64(uint64(p.seed), 0xE71C, uint64(node), c) % uint64(len(pages)))
 }
 
 // Hooks bundles the plan, a fresh TokenGate on the same seed, and an
@@ -231,20 +232,7 @@ func (p *Plan) Hooks(observer any, cacheSlots int) *cluster.Hooks {
 // (base seed, strategy, schedule index) triple; exported so a failure
 // report's schedule can be replayed in isolation.
 func PlanSeed(seed int64, st Strategy, schedule int) int64 {
-	return int64(mix64(uint64(seed), 0x5EED, uint64(st), uint64(schedule)))
-}
-
-// mix64 hashes a word sequence (splitmix64-style finalizer per word).
-func mix64(words ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
+	return int64(recovery.Mix64(uint64(seed), 0x5EED, uint64(st), uint64(schedule)))
 }
 
 // unit maps a hash to [0, 1).

@@ -21,12 +21,12 @@ type Category int
 
 // Breakdown categories.
 const (
-	Compute Category = iota
-	Comm             // page fetches, diff propagation
-	LockCV           // lock acquire/release and condition-variable waits
-	Barrier          // barrier waits
-	IO               // disk writes of the pre-process strategy
-	Recovery         // failure detection, checkpoint I/O and crash recovery
+	Compute  Category = iota
+	Comm              // page fetches, diff propagation
+	LockCV            // lock acquire/release and condition-variable waits
+	Barrier           // barrier waits
+	IO                // disk writes of the pre-process strategy
+	Recovery          // failure detection, checkpoint I/O and crash recovery
 	numCategories
 )
 

@@ -2,6 +2,7 @@ package dbpack
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,12 +15,11 @@ import (
 
 // Pack format v2 — the zero-copy container (DESIGN.md §12).
 //
-// Where v1 is a varint value stream that must be decoded into heap
-// objects record by record, v2 lays every array the scan needs out as
-// raw little-endian bytes in page-aligned, individually-checksummed
-// sections, so `dbpack.Open` can mmap the file and hand internal/search
-// direct views: record sequences are subslices of the mapped seq
-// section, and the precomputed lane-group layout (group word offsets +
+// v2 lays every array the scan needs out as raw little-endian bytes in
+// page-aligned, individually-checksummed sections, so `dbpack.Open` can
+// mmap the file and hand internal/search direct views: record
+// sequences are subslices of the mapped seq section, and the
+// precomputed lane-group layout (group word offsets +
 // lane-interleaved code words, exactly the shape bio.PackedProfile is
 // built from) is reinterpreted in place as []uint64. Load time becomes
 // validate-header-and-map instead of decode-and-rebuild.
@@ -49,6 +49,9 @@ import (
 const (
 	magicV2       = "GDMPACK\x02"
 	packVersionV2 = 2
+	// magicV1 opened the retired varint-stream format. Open recognises
+	// it only to answer ErrLegacyV1 instead of "not a database pack".
+	magicV1 = "GDMPACK\x01"
 	// pageAlign is the section alignment: a page, so mmap'd sections can
 	// be reinterpreted as []uint64 (mmap bases are page-aligned) and
 	// section starts never share a cache line with foreign bytes.
@@ -81,8 +84,6 @@ const (
 	// LoadCopy marks a v2 pack read into one aligned buffer (mmap
 	// unavailable or refused); views still point into that buffer.
 	LoadCopy
-	// LoadLegacyV1 marks a v1 pack decoded by the legacy path.
-	LoadLegacyV1
 )
 
 func (m LoadMode) String() string {
@@ -91,8 +92,6 @@ func (m LoadMode) String() string {
 		return "mmap"
 	case LoadCopy:
 		return "copy"
-	case LoadLegacyV1:
-		return "legacy-v1"
 	default:
 		return "memory"
 	}
@@ -109,7 +108,7 @@ type Info struct {
 	// views (0 unless Mode is LoadMMap).
 	MappedBytes int64
 	// HeapBytes estimates the heap-resident side of the load: decoded
-	// metadata, the word index, and — for legacy or copy loads — the
+	// metadata, the word index, and — for copy loads — the
 	// sequence/layout bytes themselves.
 	HeapBytes int64
 	// LayoutRebuilt reports that the stored lane-group section failed
@@ -117,8 +116,8 @@ type Info struct {
 	// heap (forged or stale derived data; the load slows, results
 	// cannot change).
 	LayoutRebuilt bool
-	// Notice is a human-readable load remark, e.g. the legacy-v1
-	// re-index suggestion.
+	// Notice is a human-readable load remark, e.g. why the lane layout
+	// was rebuilt.
 	Notice string
 }
 
@@ -544,7 +543,7 @@ func readAligned(f *os.File, size int64) ([]byte, error) {
 }
 
 // WriteFileV2 writes the pack atomically in format v2 (temp file,
-// fsync, rename — same discipline as WriteFile).
+// fsync, rename).
 func WriteFileV2(path string, p *Pack) error {
 	blob, err := EncodeV2(p)
 	if err != nil {
@@ -553,11 +552,14 @@ func WriteFileV2(path string, p *Pack) error {
 	return writeBlob(path, blob)
 }
 
-// Open loads a pack file in whichever format it carries: a v2 pack is
-// mmap'd (falling back to one aligned read when the platform refuses)
-// and validated section by section; a v1 pack goes through the legacy
-// decoder with a re-index notice, and gets its lane layout built in
-// heap so both generations scan through the same fast path. Close the
+// ErrLegacyV1 is what Open answers a file carrying the retired v1
+// magic: the format is recognised, no longer decoded, and a pack is a
+// deterministic function of its FASTA, so the remedy is to rebuild it.
+var ErrLegacyV1 = errors.New("dbpack: v1 pack: re-run `genomedsm index`")
+
+// Open loads a pack file: it is mmap'd (falling back to one aligned
+// read when the platform refuses) and validated section by section. A
+// v1 pack fails with ErrLegacyV1 before anything is mapped. Close the
 // returned pack when done — and never after handing its DB to a scan
 // still running — to release the mapping.
 func Open(path string) (*Pack, error) {
@@ -571,19 +573,8 @@ func Open(path string) (*Pack, error) {
 		return nil, fmt.Errorf("%s: dbpack: not a database pack (%v)", path, err)
 	}
 	switch string(head[:]) {
-	case magic: // v1
-		p, err := ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		p.DB.EnsureLayout()
-		p.Info = Info{
-			Mode:      LoadLegacyV1,
-			Version:   1,
-			HeapBytes: p.DB.TotalBases() + p.DB.Layout().Bytes(),
-			Notice:    "legacy v1 pack: re-index to v2 for zero-copy mmap loading",
-		}
-		return p, nil
+	case magicV1:
+		return nil, fmt.Errorf("%s: %w", path, ErrLegacyV1)
 	case magicV2:
 		st, err := f.Stat()
 		if err != nil {

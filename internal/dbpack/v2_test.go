@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -183,6 +186,13 @@ func TestV2DecodeRejects(t *testing.T) {
 		t.Fatalf("no section kind %d", kind)
 		return v2Section{}
 	}
+	// The order mutants are in range and re-sealed, so only
+	// search.PreparedDB's canonical-order proof can refuse them: pin that
+	// it is that check which fires.
+	wantErr := map[string]string{
+		"order swapped but a valid permutation": "canonical",
+		"order names one record twice":          "twice",
+	}
 	for _, tc := range []struct {
 		name string
 		mut  func(b []byte) []byte
@@ -269,6 +279,20 @@ func TestV2DecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[s.off:], 99)
 			return refixV2(b)
 		}},
+		{"order swapped but a valid permutation", func(b []byte) []byte {
+			// Ranks 2 and 3 (r0, r1) tie on length, so swapping them keeps
+			// the length table true: only the index-ascending tie rule breaks.
+			s := secOf(secOrder)
+			r2, r3 := binary.LittleEndian.Uint32(b[s.off+8:]), binary.LittleEndian.Uint32(b[s.off+12:])
+			binary.LittleEndian.PutUint32(b[s.off+8:], r3)
+			binary.LittleEndian.PutUint32(b[s.off+12:], r2)
+			return refixV2(b)
+		}},
+		{"order names one record twice", func(b []byte) []byte {
+			s := secOf(secOrder)
+			copy(b[s.off+4:s.off+8], b[s.off:s.off+4])
+			return refixV2(b)
+		}},
 		{"length table lie", func(b []byte) []byte {
 			s := secOf(secLens)
 			binary.LittleEndian.PutUint32(b[s.off:], binary.LittleEndian.Uint32(b[s.off:])+1)
@@ -281,8 +305,11 @@ func TestV2DecodeRejects(t *testing.T) {
 		}},
 	} {
 		blob := tc.mut(append([]byte(nil), base...))
-		if _, err := decodeV2(alignedCopy(blob), Info{}); err == nil {
+		_, err := decodeV2(alignedCopy(blob), Info{})
+		if err == nil {
 			t.Errorf("%s: decodeV2 accepted the mutant", tc.name)
+		} else if want := wantErr[tc.name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
 		}
 	}
 }
@@ -344,51 +371,37 @@ func TestV2ForgedLayoutSection(t *testing.T) {
 	}
 }
 
-// TestOpenLegacyV1 pins the compatibility path: a v1 pack still loads —
-// through the legacy decoder, with the layout built in heap and a
-// re-index notice — and scans identically.
-func TestOpenLegacyV1(t *testing.T) {
-	p, err := Build(testRecords(), 4)
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRejectsLegacyV1 pins what is left of pack v1: its magic is
+// recognised so the error can name the format and the remedy, and
+// nothing behind it is read, mapped or kept open.
+func TestOpenRejectsLegacyV1(t *testing.T) {
+	for _, tail := range []string{"", "\x01", "\x01\x01\x05 any varint stream at all"} {
+		path := filepath.Join(t.TempDir(), "v1.pack")
+		if err := os.WriteFile(path, []byte(magicV1+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fds := openFDs()
+		p, err := Open(path)
+		if p != nil || !errors.Is(err, ErrLegacyV1) {
+			t.Fatalf("tail %q: Open = %v, %v; want ErrLegacyV1", tail, p, err)
+		}
+		if !strings.Contains(err.Error(), "genomedsm index") || strings.Contains(err.Error(), "not a database pack") {
+			t.Errorf("tail %q: error %q should name the remedy, not call the file foreign", tail, err)
+		}
+		if got := openFDs(); got != fds {
+			t.Errorf("tail %q: %d fds open after the rejection, %d before", tail, got, fds)
+		}
+		if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
+			t.Errorf("tail %q: rejected pack is still mapped", tail)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "v1.pack")
-	if err := WriteFile(path, p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if got.Info.Mode != LoadLegacyV1 || got.Info.Version != 1 {
-		t.Errorf("Info = %+v, want legacy-v1 version 1", got.Info)
-	}
-	if got.Info.Notice == "" {
-		t.Error("legacy load carries no re-index notice")
-	}
-	lay := got.DB.Layout()
-	if lay == nil {
-		t.Fatal("legacy load built no lane layout")
-	}
-	if lay.IsView() {
-		t.Error("legacy layout claims to be a view")
-	}
-	if got.DB.WordIndex() == nil {
-		t.Error("legacy load dropped the word index")
-	}
-	q := bio.Sequence("ACGTACGTACGT")
-	a, err := search.RunCtx(context.Background(), q, got.DB, search.Options{Dispatch: "fixed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := search.Run(q, testRecords(), search.Options{Dispatch: "fixed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Hits, b.Hits) {
-		t.Errorf("legacy pack hits diverged:\n got %+v\nwant %+v", a.Hits, b.Hits)
-	}
+}
+
+// openFDs counts this process's open descriptors (0 where /proc is
+// absent, which makes the leak check vacuous rather than wrong).
+func openFDs() int {
+	ents, _ := os.ReadDir("/proc/self/fd")
+	return len(ents)
 }
 
 // v2DiffDB builds a database large enough to exercise lane groups,
@@ -522,6 +535,7 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add(uint32(v2FixedHdr), byte(0x80))
 	f.Add(uint32(pageAlign), byte(0x40))
 	f.Add(uint32(len(base)-1), byte(0xff))
+	f.Add(uint32(len(magicV2)-1), magicV1[7]^magicV2[7]) // the blob Open rejects as legacy v1
 	f.Fuzz(func(t *testing.T, pos uint32, flip byte) {
 		blob := append([]byte(nil), base...)
 		blob[int(pos)%len(blob)] ^= flip | 1

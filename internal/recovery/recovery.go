@@ -127,7 +127,7 @@ func (b Backoff) Delay(key uint64, attempt int) float64 {
 		d = b.Cap
 	}
 	if b.Jitter > 0 {
-		u := float64(hash64(uint64(b.Seed), key, uint64(attempt))>>11) / float64(1<<53)
+		u := float64(Mix64(uint64(b.Seed), key, uint64(attempt))>>11) / float64(1<<53)
 		d += d * b.Jitter * u
 	}
 	return d
@@ -177,9 +177,10 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
-// hash64 is a splitmix64-style finalizer over a word sequence; it is the
-// package's only source of (deterministic) randomness.
-func hash64(words ...uint64) uint64 {
+// Mix64 is a splitmix64-style finalizer over a word sequence: the one
+// source of seeded, replayable randomness behind this package's backoff
+// jitter, chaos.Plan's fault draws and the shard transport's.
+func Mix64(words ...uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, w := range words {
 		h ^= w

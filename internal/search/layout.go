@@ -24,7 +24,7 @@ type Layout struct {
 }
 
 // BuildLayout computes the layout of d in memory — the single shared
-// layout code path: the index-time encoder, the legacy v1 load and the
+// layout code path: the index-time encoder, an in-memory build and the
 // forged-section rebuild all come through here.
 func BuildLayout(d *DB) *Layout {
 	groups := d.groups()

@@ -312,11 +312,11 @@ type StatszJSON struct {
 	BatchMax   int64 `json:"batch_max"`
 
 	// Pack describes how the served database got into memory: the pack
-	// load mode ("mmap", "copy", "legacy-v1" or "memory" for an
-	// in-process build), the pack format version (0 when built in
-	// memory), and the mapped vs heap-resident byte split. A true
-	// layout_rebuilt flags a pack whose stored lane-group section
-	// failed semantic validation and was rebuilt from the records.
+	// load mode ("mmap", "copy", or "memory" for an in-process build),
+	// the pack format version (0 when built in memory), and the mapped
+	// vs heap-resident byte split. A true layout_rebuilt flags a pack
+	// whose stored lane-group section failed semantic validation and was
+	// rebuilt from the records.
 	Pack PackJSON `json:"pack"`
 
 	// Shards is present when the server scans through a shard cluster:

@@ -69,8 +69,8 @@ type Config struct {
 	// Nil uses production defaults; tests inject faults through it.
 	ShardOptions *shard.Options
 	// Pack, when non-nil, records how the served database was loaded
-	// (dbpack.Open fills it: mmap vs copy vs legacy-v1, mapped and
-	// heap-resident bytes). Surfaced verbatim on /statsz; nil reports
+	// (dbpack.Open fills it: mmap vs copy, mapped and heap-resident
+	// bytes). Surfaced verbatim on /statsz; nil reports
 	// an in-memory build.
 	Pack *dbpack.Info
 }
@@ -182,9 +182,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// A resident server always scans with the lane-group layout in
-	// place: for a v2 pack this is the mapped (or validated-and-copied)
-	// section and costs nothing; for a v1 pack or in-memory build it is
-	// one interleaving pass here at startup instead of per scan.
+	// place: for a pack this is the mapped (or validated-and-copied)
+	// section and costs nothing; for an in-memory build it is one
+	// interleaving pass here at startup instead of per scan.
 	cfg.DB.EnsureLayout()
 	s := &Server{
 		cfg:     cfg,

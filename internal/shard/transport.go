@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"genomedsm/internal/recovery"
 )
 
 // The shard layer's messages travel over an in-process transport that
@@ -82,7 +84,7 @@ func newTransport(nodes int, faults *FaultConfig, stop chan struct{}) *transport
 // draw returns the k-th deterministic uniform in [0,1) for the link.
 func (t *transport) draw(m msg, salt uint64) float64 {
 	f := t.faults
-	h := mix64(uint64(f.Seed), uint64(m.class), uint64(m.from), uint64(m.to), salt)
+	h := recovery.Mix64(uint64(f.Seed), uint64(m.class), uint64(m.from), uint64(m.to), salt)
 	return float64(h>>11) / float64(1<<53)
 }
 
@@ -94,19 +96,19 @@ func (t *transport) send(m msg) {
 	}
 	link := (m.from*len(t.inboxes)+m.to)*int(numClasses) + int(m.class)
 	k := t.cnt[link].Add(1)
-	if f.Loss > 0 && t.draw(m, mix64(k, 1)) < f.Loss {
+	if f.Loss > 0 && t.draw(m, recovery.Mix64(k, 1)) < f.Loss {
 		t.lost.Add(1)
 		return
 	}
 	copies := 1
-	if f.Dup > 0 && t.draw(m, mix64(k, 2)) < f.Dup {
+	if f.Dup > 0 && t.draw(m, recovery.Mix64(k, 2)) < f.Dup {
 		copies = 2
 		t.dupped.Add(1)
 	}
 	// Reorder: hold this message back; it is released when the next
 	// same-link send overtakes it, or by a short flush timer so a quiet
 	// link cannot strand it forever.
-	if f.Reorder > 0 && t.draw(m, mix64(k, 3)) < f.Reorder {
+	if f.Reorder > 0 && t.draw(m, recovery.Mix64(k, 3)) < f.Reorder {
 		t.mu.Lock()
 		if !t.has[link] {
 			t.held[link], t.has[link] = m, true
@@ -132,7 +134,7 @@ func (t *transport) delay(m msg, k, c uint64) time.Duration {
 	f := t.faults
 	d := f.DelayBase
 	if f.DelayJitter > 0 {
-		d += time.Duration(t.draw(m, mix64(k, 4+c)) * float64(f.DelayJitter))
+		d += time.Duration(t.draw(m, recovery.Mix64(k, 4+c)) * float64(f.DelayJitter))
 	}
 	return d
 }
@@ -165,19 +167,4 @@ func (t *transport) deliver(m msg) {
 	default:
 		t.lost.Add(1)
 	}
-}
-
-// mix64 is a splitmix64-style finalizer over a word sequence — the
-// transport's only randomness source, shared shape with chaos.mix64 and
-// recovery.hash64.
-func mix64(words ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's full verification pipeline:
 #
-#   1. go vet, build, and the test suite under the race detector
+#   1. go vet, a gofmt -l check that fails on any unformatted file,
+#      build, and the test suite under the race detector
 #      (plus a doubled -race pass over the concurrency-heavy SWAR,
 #      align, search, dispatch, dbpack and server packages — the
 #      striped kernels, their pooled aligners, the adaptive routing
@@ -40,9 +41,7 @@
 #      at -cpu 2 must reach >= 1.4x its -cpu 1 cells/s (skipped with a
 #      notice on a 1-core host),
 #      plus the serve batching gate: one 16-query POST must beat 16
-#      sequential single-query POSTs by >= 1.5x queries/s, plus the
-#      pack cold-start gate: opening + first query on a v2 (mmap) pack
-#      must be >= 2x faster than the same on a v1 (varint-decode) pack
+#      sequential single-query POSTs by >= 1.5x queries/s
 #
 # The benchmark gate fails the build when any kernel loses more than
 # BENCHDIFF_MAX_REGRESS percent (default 5) cells/sec against the
@@ -64,6 +63,10 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet"
 go vet ./...
+
+echo "== gofmt -l"
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt FAILED, run gofmt -w on:"; echo "$unformatted"; exit 1; }
 
 echo "== go build"
 go build ./...
@@ -318,25 +321,4 @@ awk -v s="$seqrate" -v b="$batchrate" 'BEGIN {
     if (b < 1.5 * s) { printf "serve gate FAILED: batched at %.2fx of sequential < 1.5x\n", b / s; exit 1 }
     printf "serve gate ok: batched %.2fx over sequential\n", b / s
 }'
-
-echo "== pack cold-start gate (v2 mmap >= 2x v1 decode)"
-# The tentpole win of the v2 format: open-pack-and-answer-first-query
-# must be at least twice as fast mmap'ing v2 as varint-decoding v1 of
-# the same database. ns/op is a latency (lower is better), so collapse
-# the -count runs with min, not the max the throughput gates use.
-fastest() {
-    awk -v name="Benchmark$1" '
-        $1 ~ "^"name"(-[0-9]+)?$" {
-            for (i = 2; i < NF; i++)
-                if ($(i+1) == "ns/op" && (best == "" || $i < best)) best = $i
-        }
-        END { if (best == "") exit 1; print best }' "$benchout"
-}
-v1cold=$(fastest PackColdStartV1)
-v2cold=$(fastest PackColdStartV2)
 rm -f "$benchout"
-echo "v1 cold start $v1cold ns/op vs v2 $v2cold ns/op"
-awk -v a="$v1cold" -v b="$v2cold" 'BEGIN {
-    if (a < 2.0 * b) { printf "cold-start gate FAILED: v2 only %.2fx faster than v1 < 2x\n", a / b; exit 1 }
-    printf "cold-start gate ok: v2 %.2fx faster than v1\n", a / b
-}'
