@@ -656,8 +656,7 @@ func BenchmarkCompareBlocked8(b *testing.B) {
 }
 
 // benchPackDB is a database sized so pack load cost is visible: 256
-// records around 1kb each, with the default 11-mer prefilter index
-// embedded.
+// records around 1kb each.
 func benchPackDB() (bio.Sequence, []bio.Record, int64) {
 	g := bio.NewGenerator(88)
 	q := g.Random(1000)
@@ -676,7 +675,7 @@ func benchPackDB() (bio.Sequence, []bio.Record, int64) {
 func benchPackFile(b *testing.B) string {
 	b.Helper()
 	_, recs, _ := benchPackDB()
-	p, err := dbpack.Build(recs, 11)
+	p, err := dbpack.Build(recs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

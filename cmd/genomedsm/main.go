@@ -22,7 +22,7 @@
 //	genomedsm chaos -strategy phase2 -seed 7 -replay 1234567
 //
 // The index and serve subcommands make the database search resident:
-// index packs a database (records, scan order, prefilter word index)
+// index packs a database (records, scan order, lane-group layout)
 // into one validated file, and serve loads it behind an HTTP/JSON API
 // with shared-scan batching, admission control and graceful drain:
 //

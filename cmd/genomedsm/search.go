@@ -41,7 +41,6 @@ func searchCmd(args []string, w io.Writer) error {
 		scores   = fs.Bool("scores-only", false, "skip alignment-span retrieval of the hits")
 		jsonOut  = fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
 		prune    = fs.Bool("prune", true, "exact top-K pruning: skip and abandon records that provably cannot rank")
-		prefilt  = fs.Bool("prefilter", false, "seed the pruning floor with blast word-seed lower bounds before scanning")
 		plant    = fs.Int("plant-every", 8, "plant a mutated query homolog every Nth synthetic record (0 = pure noise)")
 		shards   = fs.Int("shards", 0, "scatter the scan across N in-process shards with gossiped pruning floors; results stay bit-identical (0 or 1 = single-node)")
 	)
@@ -67,16 +66,15 @@ func searchCmd(args []string, w io.Writer) error {
 		Dispatch:    mode.String(),
 		NoEndpoints: *scores,
 		Prune:       *prune,
-		Prefilter:   *prefilt,
 	}
 	var q genomedsm.Sequence
 	var db *genomedsm.SearchDB
 	if *packFile != "" {
-		// Pre-packed database: the parse, sort, prefilter index and
-		// lane layout were paid at `genomedsm index` time; the scan
-		// starts cold-path-free through the same shared prepare path the
-		// server uses. JSON mode keeps stdout machine-readable, so the
-		// load chatter is dropped there.
+		// Pre-packed database: the parse, sort and lane layout were
+		// paid at `genomedsm index` time; the scan starts
+		// cold-path-free through the same shared prepare path the server
+		// uses. JSON mode keeps stdout machine-readable, so the load
+		// chatter is dropped there.
 		pw := io.Writer(w)
 		if *jsonOut {
 			pw = io.Discard

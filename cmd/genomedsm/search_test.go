@@ -69,9 +69,8 @@ func TestSearchCmdJSON(t *testing.T) {
 }
 
 // TestSearchCmdPruneDifferential pins the CLI contract behind -prune:
-// identical hits with pruning on (with and without the prefilter) and
-// off, on both the skewed (planted homologs) and uniform (pure noise)
-// synthetic databases.
+// identical hits with pruning on and off, on both the skewed (planted
+// homologs) and uniform (pure noise) synthetic databases.
 func TestSearchCmdPruneDifferential(t *testing.T) {
 	hits := func(args ...string) []searchJSONHit {
 		t.Helper()
@@ -87,18 +86,13 @@ func TestSearchCmdPruneDifferential(t *testing.T) {
 	}
 	for _, plant := range []string{"8", "0"} {
 		want := hits("-prune=false", "-plant-every", plant)
-		for _, args := range [][]string{
-			{"-prune", "-plant-every", plant},
-			{"-prune", "-prefilter", "-plant-every", plant},
-		} {
-			got := hits(args...)
-			if len(got) != len(want) {
-				t.Fatalf("plant=%s %v: %d hits, want %d", plant, args, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("plant=%s %v hit %d: %+v, want %+v", plant, args, i, got[i], want[i])
-				}
+		got := hits("-prune", "-plant-every", plant)
+		if len(got) != len(want) {
+			t.Fatalf("plant=%s: %d hits, want %d", plant, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("plant=%s hit %d: %+v, want %+v", plant, i, got[i], want[i])
 			}
 		}
 	}

@@ -22,7 +22,7 @@ import (
 
 // indexCmd implements `genomedsm index`: build the pre-packed database
 // a resident `genomedsm serve` (or `search -pack`) loads without
-// re-parsing FASTA, re-sorting, or re-indexing. Inputs mirror the
+// re-parsing FASTA, re-sorting, or re-interleaving. Inputs mirror the
 // search subcommand: a FASTA database, or the same reproducible
 // synthetic database with planted homologs.
 func indexCmd(args []string, w io.Writer) error {
@@ -31,7 +31,6 @@ func indexCmd(args []string, w io.Writer) error {
 	var (
 		dbFile = fs.String("db", "", "database FASTA file (synthetic when empty)")
 		out    = fs.String("o", "", "output pack file (required)")
-		word   = fs.Int("word", 11, "prefilter seed word size embedded in the pack (0 = no index)")
 		n      = fs.Int("n", 1000, "synthetic query length (homolog planting)")
 		dbSize = fs.Int("db-size", 200, "synthetic database record count")
 		dbLen  = fs.Int("db-len", 1000, "synthetic database base record length")
@@ -58,7 +57,7 @@ func indexCmd(args []string, w io.Writer) error {
 		}
 	}
 	start := time.Now()
-	p, err := dbpack.Build(recs, *word)
+	p, err := dbpack.Build(recs, 0)
 	if err != nil {
 		return err
 	}
@@ -72,12 +71,8 @@ func indexCmd(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	line := fmt.Sprintf("packed %d records (%d bases) into %s (v2): %d bytes in %.3fs",
+	fmt.Fprintf(w, "packed %d records (%d bases) into %s (v2): %d bytes in %.3fs\n",
 		p.DB.Size(), p.DB.TotalBases(), *out, info.Size(), time.Since(start).Seconds())
-	if ix := p.DB.WordIndex(); ix != nil {
-		line += fmt.Sprintf(", %d-mer index (%d postings)", ix.Word(), ix.Postings())
-	}
-	fmt.Fprintln(w, line)
 	return nil
 }
 
@@ -104,7 +99,6 @@ func serveCmd(args []string, w io.Writer) error {
 		gap      = fs.Int("gap", -2, "gap penalty (negative)")
 		disp     = fs.String("dispatch", "auto", "default kernel routing: auto, fixed, scalar")
 		prune    = fs.Bool("prune", true, "default exact top-K pruning")
-		prefilt  = fs.Bool("prefilter", false, "default blast-seeded pruning floor (uses the pack's word index)")
 		shards   = fs.Int("shards", 0, "scatter every scan across N in-process shards with gossiped pruning floors (0 or 1 = single-node)")
 		queue    = fs.Int("queue", 64, "admission queue bound (requests; beyond it clients get 429 with Retry-After)")
 		batchMax = fs.Int("batch-max", 16, "max queries coalesced into one shared scan")
@@ -148,12 +142,11 @@ func serveCmd(args []string, w io.Writer) error {
 		DB:   db,
 		Pack: packInfo,
 		Options: search.Options{
-			Scoring:   genomedsm.Scoring{Match: *match, Mismatch: *mismatch, Gap: *gap},
-			TopK:      *k,
-			Workers:   *workers,
-			Dispatch:  mode.String(),
-			Prune:     *prune,
-			Prefilter: *prefilt,
+			Scoring:  genomedsm.Scoring{Match: *match, Mismatch: *mismatch, Gap: *gap},
+			TopK:     *k,
+			Workers:  *workers,
+			Dispatch: mode.String(),
+			Prune:    *prune,
 		},
 		MaxQueue: *queue,
 		BatchMax: *batchMax,
@@ -171,9 +164,6 @@ func serveCmd(args []string, w io.Writer) error {
 	}
 	bound := ln.Addr().String()
 	line := fmt.Sprintf("serving %d records (%d bases)", db.Size(), db.TotalBases())
-	if ix := db.WordIndex(); ix != nil {
-		line += fmt.Sprintf(" with a %d-mer prefilter index", ix.Word())
-	}
 	if *shards >= 2 {
 		line += fmt.Sprintf(" across %d shards", *shards)
 	}

@@ -46,8 +46,7 @@ func TestIndexCmd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "packed 24 records") ||
-		!strings.Contains(buf.String(), "11-mer index") {
+	if !strings.Contains(buf.String(), "packed 24 records") {
 		t.Errorf("index summary missing:\n%s", buf.String())
 	}
 	for _, f := range []string{pack, qOut} {
@@ -64,7 +63,6 @@ func TestIndexCmdErrors(t *testing.T) {
 		want string
 	}{
 		{"missing output", []string{"-db-size", "8"}, "missing -o"},
-		{"bad word size", []string{"-db-size", "8", "-word", "3", "-o", filepath.Join(t.TempDir(), "x.pack")}, "outside [4,15]"},
 		{"missing db file", []string{"-db", filepath.Join(t.TempDir(), "nope.fa"), "-o", filepath.Join(t.TempDir(), "x.pack")}, "no such file"},
 	}
 	for _, tc := range cases {
@@ -91,7 +89,7 @@ func TestSearchPackParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var direct, packed bytes.Buffer
-	common := []string{"-k", "5", "-prefilter", "-json"}
+	common := []string{"-k", "5", "-json"}
 	if err := searchCmd(append(append([]string{}, args...), common...), &direct); err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +172,18 @@ func TestServeCmdBadPacks(t *testing.T) {
 		return path
 	}
 
+	// The file ends with the last section's last byte (the middle of a
+	// small pack is inter-section padding, which no checksum covers).
 	corrupt := append([]byte(nil), good...)
-	corrupt[len(corrupt)/2] ^= 0x55
+	corrupt[len(corrupt)-1] ^= 0x55
 
 	// A stale-format pack: bump the u32 format version after the magic.
 	stale := append([]byte(nil), good...)
 	stale[8]++
+
+	// What the retired `index -word 11` wrote into the header.
+	wordIndexed := append([]byte(nil), good...)
+	wordIndexed[16] = 11
 
 	cases := []struct {
 		name string
@@ -191,6 +195,7 @@ func TestServeCmdBadPacks(t *testing.T) {
 		{"corrupt", write("corrupt.pack", corrupt), "checksum"},
 		{"truncated", write("short.pack", good[:len(good)/3]), "truncated"},
 		{"stale version", write("stale.pack", stale), "format version"},
+		{"legacy word index", write("word.pack", wordIndexed), "re-run `genomedsm index`"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -291,7 +291,7 @@ func Search(q Sequence, db []Record, opt SearchOptions) (*SearchResult, error) {
 }
 
 // SearchDB is a prepared database: records plus the derived scan state
-// (canonical order, prefilter index) built once and reused across
+// (canonical order, lane-group layout) built once and reused across
 // queries. Build with NewSearchDB, or load a pre-packed one with
 // internal/dbpack via `genomedsm index`/`serve`.
 type SearchDB = search.DB

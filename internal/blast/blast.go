@@ -235,74 +235,6 @@ func Search(s, t bio.Sequence, sc bio.Scoring, opt Options) ([]*align.Alignment,
 	return kept, nil
 }
 
-// WordIndex is a reusable hashed word index of one query — the seeding
-// stage of Search, exported on its own for the database-search pruning
-// prefilter (internal/search), which wants seed evidence without the
-// gapped refinement pass.
-type WordIndex struct {
-	q   bio.Sequence
-	w   int
-	idx map[uint32][]int32
-}
-
-// NewWordIndex indexes every exact w-mer of q. It returns nil when w is
-// outside the supported [4,15] range or q is shorter than one word;
-// callers then simply skip seeding.
-func NewWordIndex(q bio.Sequence, w int) *WordIndex {
-	if w < 4 || w > 15 || q.Len() < w {
-		return nil
-	}
-	return &WordIndex{q: q, w: w, idx: index(q, w)}
-}
-
-// SeedScore returns an exact lower bound on the best local-alignment
-// score of the indexed query against t: the best ungapped X-drop
-// extension over the exact words the two sequences share, or 0 when
-// they share none. Every reported value is the score of a concrete
-// ungapped local alignment, so SeedScore ≤ the exact Smith–Waterman
-// score — the direction the pruning prefilter relies on. Like Search's
-// seed scan, extensions are deduplicated per diagonal. xdrop ≤ 0
-// selects the DefaultOptions X-drop.
-func (ix *WordIndex) SeedScore(t bio.Sequence, sc bio.Scoring, xdrop int) int {
-	if ix == nil || t.Len() < ix.w {
-		return 0
-	}
-	if xdrop <= 0 {
-		xdrop = DefaultOptions().XDrop
-	}
-	best := 0
-	covered := make(map[int]int) // diagonal (t0-s0) → t index covered up to
-	mask := uint32(1)<<(2*uint(ix.w)) - 1
-	var word uint32
-	valid := 0
-	for j := 0; j < t.Len(); j++ {
-		code, ok := baseCode(t[j])
-		if !ok {
-			valid, word = 0, 0
-			continue
-		}
-		word = (word<<2 | code) & mask
-		valid++
-		if valid < ix.w {
-			continue
-		}
-		tStart := j - ix.w + 1
-		for _, sp := range ix.idx[word] {
-			si := int(sp)
-			diag := tStart - si
-			if covered[diag] >= tStart+ix.w {
-				continue
-			}
-			h := extend(ix.q, t, sc, si, tStart, ix.w, xdrop)
-			covered[diag] = h.t1
-			if h.score > best {
-				best = h.score
-			}
-		}
-	}
-	return best
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

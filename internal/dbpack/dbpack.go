@@ -1,12 +1,11 @@
 // Package dbpack persists a prepared search database: the FASTA records
 // plus everything internal/search derives from them once per database —
 // the canonical length-sorted scan order behind lane-group batching, the
-// per-record length table the O(1) skip bound reads, the database-side
-// blast word index the pruning prefilter seeds from, and the lane-group
+// per-record length table the O(1) skip bound reads, and the lane-group
 // layout the SWAR kernels scan. `genomedsm index` pays the FASTA parse,
-// the sort, the word indexing and the lane interleave once; `genomedsm
-// serve` (or `search -pack`) maps the pack and starts answering queries
-// without recomputing any of it.
+// the sort and the lane interleave once; `genomedsm serve` (or `search
+// -pack`) maps the pack and starts answering queries without
+// recomputing any of it.
 //
 // The file is one section container (v2.go, DESIGN.md §12): an 8-byte
 // magic, a checksummed header and section table, then page-aligned,
@@ -14,29 +13,23 @@
 // hands to internal/search as views. Loading validates the magic, the
 // format version, every checksum, the stored scan order (it must equal
 // the unique canonical order search.NewDB would compute), the length
-// table, the word index posting ranges and the lane layout. A pack
-// that opens is therefore indistinguishable, to a scan, from a database
-// prepared in-process.
+// table and the lane layout. A pack that opens is therefore
+// indistinguishable, to a scan, from a database prepared in-process.
 package dbpack
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/blast"
 	"genomedsm/internal/search"
 )
 
 // Pack is a loaded (or about-to-be-written) database pack.
 type Pack struct {
 	// DB is the prepared database, ready to scan. After Open it carries
-	// the stored scan order, word index and mapped lane-group layout.
+	// the stored scan order and mapped lane-group layout.
 	DB *search.DB
-	// Word is the word size of the embedded prefilter index, 0 when the
-	// pack was built without one.
-	Word int
 	// Info describes how the pack got into memory (Open fills it).
 	Info Info
 	// close releases the mmap'd region of an Open'd pack.
@@ -44,19 +37,11 @@ type Pack struct {
 }
 
 // Build prepares records for packing: the canonical scan order is
-// computed, and when word is within blast's [4,15] range a database-side
-// word index is built and embedded. word 0 skips the index.
-func Build(recs []bio.Record, word int) (*Pack, error) {
-	db := search.NewDB(recs)
-	if word != 0 {
-		ix := blast.NewDBWordIndex(recs, word)
-		if ix == nil {
-			return nil, fmt.Errorf("dbpack: prefilter word size %d outside [4,15]", word)
-		}
-		db.SetWordIndex(ix)
-		return &Pack{DB: db, Word: word}, nil
-	}
-	return &Pack{DB: db, Word: 0}, nil
+// computed. The second parameter is inert — it sized the retired word
+// index, and the frozen bench/layers.go still calls Build(recs, 11) and
+// Build(recs, 0); it goes in the next [benchmark] PR.
+func Build(recs []bio.Record, _ int) (*Pack, error) {
+	return &Pack{DB: search.NewDB(recs)}, nil
 }
 
 // writeBlob writes blob atomically: temp file in the destination

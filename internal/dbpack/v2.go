@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/blast"
 	"genomedsm/internal/search"
 )
 
@@ -27,7 +26,7 @@ import (
 //	offset 0   magic "GDMPACK\x02"
 //	       8   u32 version (=2)
 //	      12   u32 section count
-//	      16   u32 prefilter word size (0 = no blast section)
+//	      16   u32 reserved, must be 0 (was the prefilter word size)
 //	      20   u32 record count
 //	      24   u64 total bases
 //	      32   section table: count × {u32 kind, u32 zero, u64 off,
@@ -41,11 +40,11 @@ import (
 // bytes is detected at Open (inter-section zero padding is the only
 // undescribed region; flipping it cannot change what any view sees).
 // Consistency: the scan order is revalidated against the canonical
-// total order, the length table against the record views, the posting
-// table against blast's restore checks, and the lane-group words are
-// recomputed from the sequence views and compared — a forged-but-
-// checksummed lane section is therefore detected and rebuilt in heap,
-// never trusted: it can only slow a load, never corrupt a result.
+// total order, the length table against the record views, and the
+// lane-group words are recomputed from the sequence views and compared
+// — a forged-but-checksummed lane section is therefore detected and
+// rebuilt in heap, never trusted: it can only slow a load, never corrupt
+// a result.
 const (
 	magicV2       = "GDMPACK\x02"
 	packVersionV2 = 2
@@ -62,15 +61,15 @@ const (
 	secSeq      = 3 // concatenated sequence bytes, record order
 	secOrder    = 4 // n × u32: canonical scan order (rank → record)
 	secLens     = 5 // n × u32: record lengths in scan-rank order
-	secBlast    = 6 // prefilter word index (present iff word ≠ 0)
+	secRetired  = 6 // was the prefilter word index; never reused
 	secGroupOff = 7 // (ngroups+1) × u64: lane-group word offsets
 	secLanes    = 8 // lane-interleaved code words, u64 each
 
 	v2FixedHdr = 32
 	v2SecHdr   = 32
-	// maxSections bounds the table before it is trusted: v2 defines 8
+	// maxSections bounds the table before it is trusted: v2 defines 7
 	// section kinds and each may appear once.
-	maxSections = 8
+	maxSections = 7
 )
 
 // LoadMode reports how a pack's bytes got into memory.
@@ -108,8 +107,8 @@ type Info struct {
 	// views (0 unless Mode is LoadMMap).
 	MappedBytes int64
 	// HeapBytes estimates the heap-resident side of the load: decoded
-	// metadata, the word index, and — for copy loads — the
-	// sequence/layout bytes themselves.
+	// metadata and — for copy loads — the sequence/layout bytes
+	// themselves.
 	HeapBytes int64
 	// LayoutRebuilt reports that the stored lane-group section failed
 	// semantic validation against the sequence bytes and was rebuilt in
@@ -179,15 +178,15 @@ type v2Section struct {
 }
 
 // EncodeV2 serializes the pack in format v2. The blob is deterministic
-// for the same records, word size and layout (pinned by the golden
-// test). The DB's lane-group layout is computed here when missing —
-// index time is exactly where that cost belongs.
+// for the same records (pinned by the golden test). The DB's lane-group
+// layout is computed here when missing — index time is exactly where
+// that cost belongs.
 func EncodeV2(p *Pack) ([]byte, error) {
 	recs := p.DB.Records()
 	order := p.DB.Order()
 	lay := p.DB.EnsureLayout()
 
-	var meta, seqoff, seq, ordb, lensb, blastb, groupoff, lanes []byte
+	var meta, seqoff, seq, ordb, lensb, groupoff, lanes []byte
 	for _, r := range recs {
 		meta = binary.AppendUvarint(meta, uint64(len(r.ID)))
 		meta = append(meta, r.ID...)
@@ -205,24 +204,6 @@ func EncodeV2(p *Pack) ([]byte, error) {
 		ordb = binary.LittleEndian.AppendUint32(ordb, uint32(idx))
 		lensb = binary.LittleEndian.AppendUint32(lensb, uint32(len(recs[idx].Seq)))
 	}
-	if p.Word != 0 {
-		ix := p.DB.WordIndex()
-		if ix == nil {
-			return nil, fmt.Errorf("dbpack: word size %d set but no index attached", p.Word)
-		}
-		words, postings := ix.Export()
-		blastb = binary.LittleEndian.AppendUint32(blastb, uint32(len(words)))
-		for i, word := range words {
-			blastb = binary.LittleEndian.AppendUint32(blastb, word)
-			blastb = binary.LittleEndian.AppendUint32(blastb, uint32(len(postings[i])))
-		}
-		for _, ps := range postings {
-			for _, pt := range ps {
-				blastb = binary.LittleEndian.AppendUint32(blastb, uint32(pt.Rec))
-				blastb = binary.LittleEndian.AppendUint32(blastb, uint32(pt.Pos))
-			}
-		}
-	}
 	for _, o := range lay.Offsets() {
 		groupoff = binary.LittleEndian.AppendUint64(groupoff, uint64(o))
 	}
@@ -237,11 +218,8 @@ func EncodeV2(p *Pack) ([]byte, error) {
 	blobs := []blob{
 		{secMeta, meta}, {secSeqOff, seqoff}, {secSeq, seq},
 		{secOrder, ordb}, {secLens, lensb},
+		{secGroupOff, groupoff}, {secLanes, lanes},
 	}
-	if p.Word != 0 {
-		blobs = append(blobs, blob{secBlast, blastb})
-	}
-	blobs = append(blobs, blob{secGroupOff, groupoff}, blob{secLanes, lanes})
 
 	hdrLen := v2FixedHdr + len(blobs)*v2SecHdr + 8
 	pos := uint64(alignUp(hdrLen))
@@ -249,7 +227,7 @@ func EncodeV2(p *Pack) ([]byte, error) {
 	out = append(out, magicV2...)
 	out = binary.LittleEndian.AppendUint32(out, packVersionV2)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(blobs)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.Word))
+	out = binary.LittleEndian.AppendUint32(out, 0) // reserved
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(recs)))
 	out = binary.LittleEndian.AppendUint64(out, uint64(p.DB.TotalBases()))
 	for _, b := range blobs {
@@ -282,8 +260,13 @@ func decodeV2(data []byte, info Info) (*Pack, error) {
 	if v := binary.LittleEndian.Uint32(data[8:]); v != packVersionV2 {
 		return nil, fmt.Errorf("dbpack: pack format version %d, want %d", v, packVersionV2)
 	}
+	// A header that still names the retired prefilter word index (word
+	// ≠ 0 here, or section kind 6 in the table below) is refused before
+	// its 8-entry table or any section body is looked at.
+	if binary.LittleEndian.Uint32(data[16:]) != 0 {
+		return nil, ErrLegacyIndex
+	}
 	ns := int(binary.LittleEndian.Uint32(data[12:]))
-	word := int(binary.LittleEndian.Uint32(data[16:]))
 	n := int(binary.LittleEndian.Uint32(data[20:]))
 	total := binary.LittleEndian.Uint64(data[24:])
 	if ns <= 0 || ns > maxSections {
@@ -304,6 +287,9 @@ func decodeV2(data []byte, info Info) (*Pack, error) {
 			off:  binary.LittleEndian.Uint64(hdr[8:]),
 			len:  binary.LittleEndian.Uint64(hdr[16:]),
 			sum:  binary.LittleEndian.Uint64(hdr[24:]),
+		}
+		if s.kind == secRetired {
+			return nil, ErrLegacyIndex
 		}
 		if s.kind < secMeta || s.kind > secLanes {
 			return nil, fmt.Errorf("dbpack: unknown section kind %d", s.kind)
@@ -394,17 +380,7 @@ func decodeV2(data []byte, info Info) (*Pack, error) {
 	}
 	heapBytes += int64(n) * int64(unsafe.Sizeof(bio.Record{}))
 
-	p := &Pack{DB: db, Word: word, Info: info}
-	if word != 0 {
-		ix, hb, err := decodeBlastV2(secs[secBlast], recs, word)
-		if err != nil {
-			return nil, err
-		}
-		db.SetWordIndex(ix)
-		heapBytes += hb
-	} else if len(secs[secBlast]) != 0 {
-		return nil, fmt.Errorf("dbpack: blast section present but word size is 0")
-	}
+	p := &Pack{DB: db, Info: info}
 
 	// Lane-group layout: reinterpret the mapped words in place, then
 	// prove them consistent with the sequence bytes. Derived data never
@@ -459,63 +435,6 @@ func layoutFromSections(goffB, lanesB []byte) (*search.Layout, error) {
 	return search.NewLayoutView(offs, words)
 }
 
-func decodeBlastV2(b []byte, recs []bio.Record, word int) (*blast.DBWordIndex, int64, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("dbpack: blast section too short")
-	}
-	nw := int(binary.LittleEndian.Uint32(b))
-	if nw < 0 || len(b) < 4+8*nw {
-		return nil, 0, fmt.Errorf("dbpack: blast section holds %d bytes for %d words", len(b), nw)
-	}
-	words := make([]uint32, nw)
-	counts := make([]int, nw)
-	postings := make([][]blast.DBPosting, nw)
-	totalPosts := 0
-	for i := 0; i < nw; i++ {
-		words[i] = binary.LittleEndian.Uint32(b[4+8*i:])
-		counts[i] = int(binary.LittleEndian.Uint32(b[8+8*i:]))
-		if i > 0 && words[i] <= words[i-1] {
-			return nil, 0, fmt.Errorf("dbpack: word table not strictly ascending at entry %d", i)
-		}
-		if counts[i] < 0 || counts[i] > len(b) {
-			return nil, 0, fmt.Errorf("dbpack: implausible posting count %d", counts[i])
-		}
-		totalPosts += counts[i]
-	}
-	if len(b) != 4+8*nw+8*totalPosts {
-		return nil, 0, fmt.Errorf("dbpack: blast section holds %d bytes, want %d", len(b), 4+8*nw+8*totalPosts)
-	}
-	flat := b[4+8*nw:]
-	// DBPosting is two int32s — byte-identical to the file's {u32 rec,
-	// u32 pos} little-endian pairs — so on a little-endian host the
-	// posting lists are zero-copy subslices of the mapped section; the
-	// decode fallback batches them into one flat allocation either way.
-	var flatPost []blast.DBPosting
-	if totalPosts > 0 {
-		if hostLittleEndian && uintptr(unsafe.Pointer(&flat[0]))%unsafe.Alignof(blast.DBPosting{}) == 0 {
-			flatPost = unsafe.Slice((*blast.DBPosting)(unsafe.Pointer(&flat[0])), totalPosts)
-		} else {
-			flatPost = make([]blast.DBPosting, totalPosts)
-			for j := range flatPost {
-				flatPost[j] = blast.DBPosting{
-					Rec: int32(binary.LittleEndian.Uint32(flat[8*j:])),
-					Pos: int32(binary.LittleEndian.Uint32(flat[8*j+4:])),
-				}
-			}
-		}
-	}
-	pos := 0
-	for i := 0; i < nw; i++ {
-		postings[i] = flatPost[pos : pos+counts[i] : pos+counts[i]]
-		pos += counts[i]
-	}
-	ix, err := blast.RestoreDBWordIndex(recs, word, words, postings)
-	if err != nil {
-		return nil, 0, fmt.Errorf("dbpack: %w", err)
-	}
-	return ix, int64(len(b)), nil
-}
-
 func uvarintBytes(b []byte) ([]byte, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -557,11 +476,19 @@ func WriteFileV2(path string, p *Pack) error {
 // deterministic function of its FASTA, so the remedy is to rebuild it.
 var ErrLegacyV1 = errors.New("dbpack: v1 pack: re-run `genomedsm index`")
 
+// ErrLegacyIndex is what Open answers a v2 pack written with the
+// retired prefilter word index (header word ≠ 0 or a section of kind
+// 6). Same policy as ErrLegacyV1: the index was most of the file and
+// nothing reads it, so it is refused rather than mapped and
+// checksummed at every Open.
+var ErrLegacyIndex = errors.New("dbpack: pack carries the retired prefilter word index: re-run `genomedsm index`")
+
 // Open loads a pack file: it is mmap'd (falling back to one aligned
 // read when the platform refuses) and validated section by section. A
-// v1 pack fails with ErrLegacyV1 before anything is mapped. Close the
-// returned pack when done — and never after handing its DB to a scan
-// still running — to release the mapping.
+// v1 pack fails with ErrLegacyV1 before anything is mapped, a v2 pack
+// with a word index with ErrLegacyIndex off its header alone. Close
+// the returned pack when done — and never after handing its DB to a
+// scan still running — to release the mapping.
 func Open(path string) (*Pack, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -64,9 +64,9 @@ func refixV2(blob []byte) []byte {
 	return blob
 }
 
-func encodeV2T(t *testing.T, word int) []byte {
+func encodeV2T(t *testing.T) []byte {
 	t.Helper()
-	p, err := Build(testRecords(), word)
+	p, err := Build(testRecords(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,64 +78,56 @@ func encodeV2T(t *testing.T, word int) []byte {
 }
 
 func TestV2RoundTrip(t *testing.T) {
-	for _, word := range []int{0, 4, 11} {
-		p, err := Build(testRecords(), word)
-		if err != nil {
-			t.Fatalf("Build(word=%d): %v", word, err)
+	p, err := Build(testRecords(), 0)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "db.pack")
+	if err := WriteFileV2(path, p); err != nil {
+		t.Fatalf("WriteFileV2: %v", err)
+	}
+	got, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if got.Info.Version != 2 {
+		t.Errorf("Info.Version = %d, want 2", got.Info.Version)
+	}
+	if runtime.GOOS == "linux" && got.Info.Mode != LoadMMap {
+		t.Errorf("Info.Mode = %v, want mmap on linux", got.Info.Mode)
+	}
+	if got.Info.Mode == LoadMMap && got.Info.MappedBytes == 0 {
+		t.Error("mmap load reports 0 mapped bytes")
+	}
+	if got.Info.LayoutRebuilt {
+		t.Errorf("clean pack reports rebuilt layout: %s", got.Info.Notice)
+	}
+	want := testRecords()
+	recs := got.DB.Records()
+	if len(recs) != len(want) {
+		t.Fatalf("got %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if recs[i].ID != want[i].ID || recs[i].Description != want[i].Description ||
+			!bytes.Equal(recs[i].Seq, want[i].Seq) {
+			t.Errorf("record %d round-tripped to %+v", i, recs[i])
 		}
-		path := filepath.Join(t.TempDir(), "db.pack")
-		if err := WriteFileV2(path, p); err != nil {
-			t.Fatalf("WriteFileV2(word=%d): %v", word, err)
-		}
-		got, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open(word=%d): %v", word, err)
-		}
-		if got.Word != word {
-			t.Errorf("word %d round-tripped to %d", word, got.Word)
-		}
-		if got.Info.Version != 2 {
-			t.Errorf("Info.Version = %d, want 2", got.Info.Version)
-		}
-		if runtime.GOOS == "linux" && got.Info.Mode != LoadMMap {
-			t.Errorf("Info.Mode = %v, want mmap on linux", got.Info.Mode)
-		}
-		if got.Info.Mode == LoadMMap && got.Info.MappedBytes == 0 {
-			t.Error("mmap load reports 0 mapped bytes")
-		}
-		if got.Info.LayoutRebuilt {
-			t.Errorf("clean pack reports rebuilt layout: %s", got.Info.Notice)
-		}
-		want := testRecords()
-		recs := got.DB.Records()
-		if len(recs) != len(want) {
-			t.Fatalf("got %d records, want %d", len(recs), len(want))
-		}
-		for i := range want {
-			if recs[i].ID != want[i].ID || recs[i].Description != want[i].Description ||
-				!bytes.Equal(recs[i].Seq, want[i].Seq) {
-				t.Errorf("record %d round-tripped to %+v", i, recs[i])
-			}
-		}
-		if (got.DB.WordIndex() != nil) != (word != 0) {
-			t.Errorf("word=%d: index presence wrong", word)
-		}
-		lay := got.DB.Layout()
-		if lay == nil {
-			t.Fatalf("word=%d: no lane layout after Open", word)
-		}
-		if hostLittleEndian && !lay.IsView() {
-			t.Errorf("word=%d: layout copied on a little-endian host", word)
-		}
-		if err := lay.Validate(got.DB); err != nil {
-			t.Errorf("word=%d: loaded layout fails validation: %v", word, err)
-		}
-		if err := got.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-		if err := got.Close(); err != nil {
-			t.Errorf("second Close: %v", err)
-		}
+	}
+	lay := got.DB.Layout()
+	if lay == nil {
+		t.Fatal("no lane layout after Open")
+	}
+	if hostLittleEndian && !lay.IsView() {
+		t.Error("layout copied on a little-endian host")
+	}
+	if err := lay.Validate(got.DB); err != nil {
+		t.Errorf("loaded layout fails validation: %v", err)
+	}
+	if err := got.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if err := got.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }
 
@@ -145,21 +137,20 @@ func TestV2RoundTrip(t *testing.T) {
 // length + FNV-1a. If an intentional format change trips this, bump
 // packVersionV2 and re-pin.
 const (
-	goldenV2HeaderHex = "47444d5041434b02020000000800000004000000050000005100000000000000" +
+	goldenV2HeaderHex = "47444d5041434b02020000000700000000000000050000005100000000000000" +
 		"010000000000000000100000000000002f0000000000000016ad4f85406b1274" +
 		"0200000000000000002000000000000030000000000000001e86001c48d59308" +
 		"030000000000000000300000000000005100000000000000ebdfed02cf81de98" +
 		"0400000000000000004000000000000014000000000000007bd1411e87ac06f2" +
 		"0500000000000000005000000000000014000000000000001204c04187e0a778" +
-		"060000000000000000600000000000008c02000000000000b896cc051303df31" +
-		"0700000000000000007000000000000010000000000000005940ebb4076c3208" +
-		"08000000000000000080000000000000e000000000000000598d000667b99be5"
-	goldenV2BlobLen = 32992
-	goldenV2BlobFNV = uint64(0x4b39df3e33907372)
+		"0700000000000000006000000000000010000000000000005940ebb4076c3208" +
+		"08000000000000000070000000000000e000000000000000598d000667b99be5"
+	goldenV2BlobLen = 28896
+	goldenV2BlobFNV = uint64(0xffb9f42bf29743bf)
 )
 
 func TestV2GoldenHeader(t *testing.T) {
-	blob := encodeV2T(t, 4)
+	blob := encodeV2T(t)
 	ns := int(binary.LittleEndian.Uint32(blob[12:]))
 	hdrLen := v2FixedHdr + ns*v2SecHdr
 	got := fmt.Sprintf("%x", blob[:hdrLen])
@@ -176,7 +167,7 @@ func TestV2GoldenHeader(t *testing.T) {
 }
 
 func TestV2DecodeRejects(t *testing.T) {
-	base := encodeV2T(t, 4)
+	base := encodeV2T(t)
 	secOf := func(kind uint32) v2Section {
 		for _, s := range parseV2Table(t, base) {
 			if s.kind == kind {
@@ -186,12 +177,21 @@ func TestV2DecodeRejects(t *testing.T) {
 		t.Fatalf("no section kind %d", kind)
 		return v2Section{}
 	}
+	// reseal recomputes the header checksum over the table the blob now
+	// claims, leaving the section checksums alone (refixV2 redoes both).
+	reseal := func(b []byte) []byte {
+		hdrLen := v2FixedHdr + int(binary.LittleEndian.Uint32(b[12:]))*v2SecHdr
+		binary.LittleEndian.PutUint64(b[hdrLen:], sum64(b[:hdrLen]))
+		return b
+	}
 	// The order mutants are in range and re-sealed, so only
 	// search.PreparedDB's canonical-order proof can refuse them: pin that
 	// it is that check which fires.
 	wantErr := map[string]string{
 		"order swapped but a valid permutation": "canonical",
 		"order names one record twice":          "twice",
+		"legacy word-index header":              "genomedsm index",
+		"legacy section kind 6":                 "genomedsm index",
 	}
 	for _, tc := range []struct {
 		name string
@@ -225,35 +225,25 @@ func TestV2DecodeRejects(t *testing.T) {
 			// Shift a section's recorded offset off the page boundary and
 			// re-seal the header: alignment is checked before checksums.
 			binary.LittleEndian.PutUint64(b[v2FixedHdr+8:], secOf(secMeta).off+8)
-			hdrLen := v2FixedHdr + 8*v2SecHdr
-			binary.LittleEndian.PutUint64(b[hdrLen:], sum64(b[:hdrLen]))
-			return b
+			return reseal(b)
 		}},
 		{"section beyond EOF", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[v2FixedHdr+16:], uint64(len(b)))
-			hdrLen := v2FixedHdr + 8*v2SecHdr
-			binary.LittleEndian.PutUint64(b[hdrLen:], sum64(b[:hdrLen]))
-			return b
+			return reseal(b)
 		}},
 		{"duplicate section kind", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[v2FixedHdr+v2SecHdr:], secMeta)
-			hdrLen := v2FixedHdr + 8*v2SecHdr
-			binary.LittleEndian.PutUint64(b[hdrLen:], sum64(b[:hdrLen]))
-			return b
+			return reseal(b)
 		}},
 		{"unknown section kind", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[v2FixedHdr:], 99)
-			hdrLen := v2FixedHdr + 8*v2SecHdr
-			binary.LittleEndian.PutUint64(b[hdrLen:], sum64(b[:hdrLen]))
-			return b
+			return reseal(b)
 		}},
 		{"missing section", func(b []byte) []byte {
 			// Drop the last table entry: the shorter table must re-seal at
 			// its new end, and decode must notice the absent kind.
-			binary.LittleEndian.PutUint32(b[12:], 7)
-			hdrLen := v2FixedHdr + 8*v2SecHdr
-			binary.LittleEndian.PutUint64(b[hdrLen:], sum64(b[:hdrLen]))
-			return b
+			binary.LittleEndian.PutUint32(b[12:], 6)
+			return reseal(b)
 		}},
 		{"record count lie", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[20:], 6)
@@ -298,10 +288,14 @@ func TestV2DecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[s.off:], binary.LittleEndian.Uint32(b[s.off:])+1)
 			return refixV2(b)
 		}},
-		{"blast words unsorted", func(b []byte) []byte {
-			s := secOf(secBlast)
-			binary.LittleEndian.PutUint32(b[s.off+4:], ^uint32(0)>>1)
+		{"legacy word-index header", func(b []byte) []byte {
+			// What the retired `index -word 4` wrote at offset 16.
+			binary.LittleEndian.PutUint32(b[16:], 4)
 			return refixV2(b)
+		}},
+		{"legacy section kind 6", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[v2FixedHdr+5*v2SecHdr:], secRetired)
+			return reseal(b)
 		}},
 	} {
 		blob := tc.mut(append([]byte(nil), base...))
@@ -310,6 +304,8 @@ func TestV2DecodeRejects(t *testing.T) {
 			t.Errorf("%s: decodeV2 accepted the mutant", tc.name)
 		} else if want := wantErr[tc.name]; !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+		} else if strings.Contains(tc.name, "legacy") != errors.Is(err, ErrLegacyIndex) {
+			t.Errorf("%s: error %q: wrong use of ErrLegacyIndex", tc.name, err)
 		}
 	}
 }
@@ -330,7 +326,7 @@ func TestV2ForgedLayoutSection(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[s.off+8:], 0)
 		}},
 	} {
-		blob := encodeV2T(t, 4)
+		blob := encodeV2T(t)
 		for _, s := range parseV2Table(t, blob) {
 			if s.kind == tc.kind {
 				tc.mut(blob, s)
@@ -371,28 +367,40 @@ func TestV2ForgedLayoutSection(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsLegacyV1 pins what is left of pack v1: its magic is
+// TestOpenRejectsLegacyV1 pins what is left of pack v1 — its magic is
 // recognised so the error can name the format and the remedy, and
-// nothing behind it is read, mapped or kept open.
+// nothing behind it is read, mapped or kept open — and the same
+// contract for a v2 pack that still carries the retired word index.
 func TestOpenRejectsLegacyV1(t *testing.T) {
-	for _, tail := range []string{"", "\x01", "\x01\x01\x05 any varint stream at all"} {
-		path := filepath.Join(t.TempDir(), "v1.pack")
-		if err := os.WriteFile(path, []byte(magicV1+tail), 0o644); err != nil {
+	wordIndexed := encodeV2T(t)
+	binary.LittleEndian.PutUint32(wordIndexed[16:], 11)
+	refixV2(wordIndexed)
+	for _, tc := range []struct {
+		blob string
+		want error
+	}{
+		{magicV1, ErrLegacyV1},
+		{magicV1 + "\x01", ErrLegacyV1},
+		{magicV1 + "\x01\x01\x05 any varint stream at all", ErrLegacyV1},
+		{string(wordIndexed), ErrLegacyIndex},
+	} {
+		path := filepath.Join(t.TempDir(), "legacy.pack")
+		if err := os.WriteFile(path, []byte(tc.blob), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		fds := openFDs()
 		p, err := Open(path)
-		if p != nil || !errors.Is(err, ErrLegacyV1) {
-			t.Fatalf("tail %q: Open = %v, %v; want ErrLegacyV1", tail, p, err)
+		if p != nil || !errors.Is(err, tc.want) {
+			t.Fatalf("%d-byte pack: Open = %v, %v; want %v", len(tc.blob), p, err, tc.want)
 		}
 		if !strings.Contains(err.Error(), "genomedsm index") || strings.Contains(err.Error(), "not a database pack") {
-			t.Errorf("tail %q: error %q should name the remedy, not call the file foreign", tail, err)
+			t.Errorf("%d-byte pack: error %q should name the remedy, not call the file foreign", len(tc.blob), err)
 		}
 		if got := openFDs(); got != fds {
-			t.Errorf("tail %q: %d fds open after the rejection, %d before", tail, got, fds)
+			t.Errorf("%d-byte pack: %d fds open after the rejection, %d before", len(tc.blob), got, fds)
 		}
 		if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
-			t.Errorf("tail %q: rejected pack is still mapped", tail)
+			t.Errorf("%d-byte pack: rejected pack is still mapped", len(tc.blob))
 		}
 	}
 }
@@ -429,7 +437,7 @@ func v2DiffDB(t *testing.T) ([]bio.Record, bio.Sequence) {
 // same scan over an in-memory database prepared from the same records.
 func TestV2SearchDifferential(t *testing.T) {
 	recs, q := v2DiffDB(t)
-	p, err := Build(recs, 11)
+	p, err := Build(recs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +464,6 @@ func TestV2SearchDifferential(t *testing.T) {
 	}{
 		{"inter8", search.Options{Dispatch: "fixed", TopK: 8}},
 		{"inter8 pruned", search.Options{Dispatch: "fixed", TopK: 8, Prune: true}},
-		{"pruned prefiltered", search.Options{TopK: 8, Prune: true, Prefilter: true}},
 		{"dispatch auto", search.Options{TopK: 8, Dispatch: "auto"}},
 		{"int16", search.Options{Router: inter16, TopK: 8}},
 		{"scalar", search.Options{Lanes: 1, TopK: 8}},
@@ -496,7 +503,7 @@ func TestV2SearchDifferential(t *testing.T) {
 
 	// Sharded mode: workers attach to the pack's mapped layout slices.
 	sopt := search.Options{TopK: 8, Prune: true}
-	cl, err := shard.New(opened.DB, shard.Options{Shards: 3, Search: sopt})
+	cl, err := shard.New(opened.DB, shard.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +526,7 @@ func TestV2SearchDifferential(t *testing.T) {
 // the latter happens only when the flip lands in inter-section zero
 // padding, which no view ever reads.
 func FuzzDecodeV2(f *testing.F) {
-	p, err := Build(testRecords(), 4)
+	p, err := Build(testRecords(), 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -536,6 +543,7 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add(uint32(pageAlign), byte(0x40))
 	f.Add(uint32(len(base)-1), byte(0xff))
 	f.Add(uint32(len(magicV2)-1), magicV1[7]^magicV2[7]) // the blob Open rejects as legacy v1
+	f.Add(uint32(16), byte(0x0a))                        // header word 11: the legacy word-index blob
 	f.Fuzz(func(t *testing.T, pos uint32, flip byte) {
 		blob := append([]byte(nil), base...)
 		blob[int(pos)%len(blob)] ^= flip | 1

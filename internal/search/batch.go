@@ -161,9 +161,6 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 		if opt.Prune {
 			st.qb = bio.NewQueryBound(bq.Seq, sc)
 			st.ft = &Floor{heap: topK{k: st.k}}
-			if opt.Prefilter && !st.done() {
-				seedFloor(st.ft, bq.Seq, db, sc, st.minScore)
-			}
 		}
 		states[i] = st
 	}

@@ -5,23 +5,21 @@ import (
 	"sort"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/blast"
 )
 
 // DB is a prepared database: the records plus everything a scan derives
 // from them that does not depend on the query — the canonical
 // descending-length order behind the lane-group batching, the total
-// base count, and (optionally) a database-side blast word index for the
-// pruning prefilter. Build one DB per database and reuse it across
-// scans: a resident server amortizes the preparation over millions of
-// queries, and internal/dbpack persists exactly this state so a cold
-// process loads it without re-parsing FASTA or re-sorting. A DB is
-// read-only after construction and safe for concurrent scans.
+// base count, and (optionally) a pack's precomputed lane-group layout.
+// Build one DB per database and reuse it across scans: a resident
+// server amortizes the preparation over millions of queries, and
+// internal/dbpack persists exactly this state so a cold process loads
+// it without re-parsing FASTA or re-sorting. A DB is read-only after
+// construction and safe for concurrent scans.
 type DB struct {
 	recs   []bio.Record
-	order  []int // canonical scan order: length desc, index asc on ties
-	total  int64 // Σ record lengths
-	ix     *blast.DBWordIndex
+	order  []int   // canonical scan order: length desc, index asc on ties
+	total  int64   // Σ record lengths
 	layout *Layout // optional precomputed lane-group layout (layout.go)
 }
 
@@ -90,14 +88,6 @@ func PreparedDB(recs []bio.Record, order []int) (*DB, error) {
 	}
 	return d, nil
 }
-
-// SetWordIndex attaches a database-side blast word index; scans with
-// Options.Prefilter seed the pruning floor from it, at its word size,
-// instead of re-indexing per query. Call before the first scan.
-func (d *DB) SetWordIndex(ix *blast.DBWordIndex) { d.ix = ix }
-
-// WordIndex returns the attached word index, or nil.
-func (d *DB) WordIndex() *blast.DBWordIndex { return d.ix }
 
 // Records returns the underlying records (callers must not mutate).
 func (d *DB) Records() []bio.Record { return d.recs }

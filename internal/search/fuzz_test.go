@@ -52,12 +52,10 @@ func FuzzPrunedSearchVsFull(f *testing.F) {
 		sc := scorings[int(scheme)%len(scorings)]
 		k := int(kByte)%12 + 1
 		opt := Options{Scoring: sc, TopK: k}
-		switch mode % 4 {
+		switch mode % 3 {
 		case 1:
-			opt.Prefilter = true
-		case 2:
 			opt.Router = inter16Router()
-		case 3:
+		case 2:
 			opt.MinScore = sc.Match * 3
 		}
 		want, err := Run(q, db, opt)

@@ -84,9 +84,9 @@ func TestLayoutSlice(t *testing.T) {
 }
 
 // TestSearchWithLayoutDifferential is the exactness pin of the layout
-// fast path: every mode — plain, pruned, prefiltered, dispatched, solo
-// and batch — returns bit-identical hits whether the DB carries a
-// precomputed layout or not.
+// fast path: every mode — plain, pruned, dispatched, solo and batch —
+// returns bit-identical hits whether the DB carries a precomputed
+// layout or not.
 func TestSearchWithLayoutDifferential(t *testing.T) {
 	g := bio.NewGenerator(21)
 	q1 := g.Random(250)
@@ -103,7 +103,7 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 		{Dispatch: "fixed", NoEndpoints: true},
 		{Dispatch: "fixed", Workers: 3},
 		{Dispatch: "fixed", Prune: true, TopK: 5},
-		{Dispatch: "fixed", Prune: true, Prefilter: true, TopK: 3},
+		{Dispatch: "fixed", Prune: true, TopK: 3},
 		{Dispatch: "auto", NoEndpoints: true},
 		{Dispatch: "auto", Prune: true, TopK: 7},
 		{Router: inter16Router(), NoEndpoints: true},

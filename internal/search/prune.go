@@ -3,9 +3,6 @@ package search
 import (
 	"sync"
 	"sync/atomic"
-
-	"genomedsm/internal/bio"
-	"genomedsm/internal/blast"
 )
 
 // This file holds the ALAE-style exact pruning pipeline of Run:
@@ -17,15 +14,11 @@ import (
 //   stage 2 — mid-scan abandon: the floor is threaded into the packed
 //     kernels as a swar.Bound; every cadence rows the kernel checks
 //     whether any lane can still reach it and bails when none can.
-//   stage 3 — optional seed-and-extend prefilter: blast word seeding
-//     plus ungapped X-drop extension yields an exact LOWER bound per
-//     record, and the K-th best lower bound pre-seeds the floor before
-//     any DP runs.
 //
-// All three stages prove scores strictly below the pruning threshold,
-// and ties at the threshold are never pruned, so the surviving top-K
-// set, scores, coordinates and tie-breaks are bit-identical to the
-// unpruned scan — the differential and fuzz suites pin exactly that.
+// Both stages prove scores strictly below the pruning threshold, and
+// ties at the threshold are never pruned, so the surviving top-K set,
+// scores, coordinates and tie-breaks are bit-identical to the unpruned
+// scan — the differential and fuzz suites pin exactly that.
 
 // PruneStats reports what the pruning pipeline did during one Run.
 // Skipped + Abandoned + Scanned always equals the number of records
@@ -52,21 +45,18 @@ type PruneStats struct {
 
 // Floor maintains a top-K score floor that makes pruning global across
 // workers (and, through the shard master, across shards): a bounded
-// heap of per-record score evidence — a record's exact score once
-// scanned, or the prefilter's seed-and-extend lower bound before that —
-// whose root, once K records are in, is published through an atomic,
-// so the hot path reads the current floor without a lock. The floor
-// only ever ratchets up, and is valid by construction: when Get
-// returns f > 0, K distinct records are known to score ≥ f and to be
-// result-eligible (callers only push eligible evidence, see Push), so
-// a record provably scoring < f cannot enter the final merged top K no
-// matter how worker scheduling interleaves.
+// heap of per-record exact scores whose root, once K records are in, is
+// published through an atomic, so the hot path reads the current floor
+// without a lock. The floor only ever ratchets up, and is valid by
+// construction: when Get returns f > 0, K distinct records are known to
+// score ≥ f and to be result-eligible (callers only push eligible
+// scores, see Push), so a record provably scoring < f cannot enter the
+// final merged top K no matter how worker scheduling interleaves.
 type Floor struct {
 	floor atomic.Int64
 	mu    sync.Mutex
-	// dedup: one record's evidence may arrive more than once (the
-	// prefilter seeded the heap; a shard replayed a span), so pushes must
-	// dedup by index.
+	// dedup: one record's score may arrive more than once (a shard
+	// replayed a span), so pushes must dedup by index.
 	dedup bool
 	heap  topK
 }
@@ -91,15 +81,13 @@ func (f *Floor) threshold(minScore int) int {
 	return max(f.Get(), minScore, 1)
 }
 
-// Push records score evidence for one record — its exact score after a
-// completed scan, or a prefilter lower bound — and reports whether the
-// published floor rose. Callers must only push evidence for
+// Push records one record's exact score after a completed scan and
+// reports whether the published floor rose. Callers must only push
 // result-eligible records (score ≥ max(MinScore, 1)), otherwise the
 // floor could be propped up by records the result later drops. Under
-// dedup a record already present is raised in place (lower bound
-// upgraded to exact score), never counted twice — double-counting
-// would overstate how many distinct records clear the floor and break
-// the floor's validity.
+// dedup a record already present is raised in place, never counted
+// twice — double-counting would overstate how many distinct records
+// clear the floor and break the floor's validity.
 func (f *Floor) Push(score, index int) bool {
 	if f.heap.k <= 0 {
 		return false
@@ -126,40 +114,3 @@ func (f *Floor) Push(score, index int) bool {
 	}
 	return false
 }
-
-// seedFloor runs the optional stage-3 prefilter: every record gets a
-// blast seed-and-extend LOWER bound on its exact score, and the K best
-// bounds pre-seed the floor so stage 1 and 2 start pruning from the
-// first group instead of waiting for K full scans. Records without
-// seed hits contribute no evidence and stay protected by the upper
-// bounds, so exactness is preserved by construction. A database with a
-// word index attached looks the query up in it — one pass over the
-// query, at the index's own word size — and any other falls back to a
-// per-run query-side index over every record. Both produce true lower
-// bounds, so either way the hit set is unchanged.
-func seedFloor(ft *Floor, q bio.Sequence, db *DB, sc bio.Scoring, minScore int) {
-	lo := max(minScore, 1)
-	if db.ix != nil {
-		ft.dedup = true
-		for i, lb := range db.ix.SeedScores(q, sc, 0) {
-			if lb >= lo {
-				ft.Push(lb, i)
-			}
-		}
-		return
-	}
-	ix := blast.NewWordIndex(q, fallbackSeedWord)
-	if ix == nil {
-		return
-	}
-	ft.dedup = true
-	for i := range db.recs {
-		if lb := ix.SeedScore(db.recs[i].Seq, sc, 0); lb >= lo {
-			ft.Push(lb, i)
-		}
-	}
-}
-
-// fallbackSeedWord is the seed word size of the query-side
-// prefilter index built when the database carries no word index.
-const fallbackSeedWord = 11

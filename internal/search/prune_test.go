@@ -1,13 +1,11 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/blast"
 )
 
 // requireSameHits asserts two hit slices are bit-identical: same
@@ -25,9 +23,9 @@ func requireSameHits(t *testing.T, label string, got, want []Hit) {
 }
 
 // TestPrunedMatchesUnpruned is the core differential suite: across
-// random databases, kernels, worker counts, K values and the optional
-// prefilter, the pruned scan must return the bit-identical top-K —
-// scores, endpoints and tie-break order — as the unpruned scan.
+// random databases, kernels, worker counts and K values, the pruned
+// scan must return the bit-identical top-K — scores, endpoints and
+// tie-break order — as the unpruned scan.
 func TestPrunedMatchesUnpruned(t *testing.T) {
 	for _, seed := range []int64{7, 19, 23} {
 		g := bio.NewGenerator(seed)
@@ -35,31 +33,28 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 		db := testDB(t, seed+100, q, 40, 12)
 		for _, k := range []int{3, 10} {
 			for _, kern := range kernelAxis {
-				for _, prefilter := range []bool{false, true} {
-					base := kern.opt
-					base.TopK = k
-					want, err := Run(q, db, base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pr := base
-					pr.Prune = true
-					pr.Prefilter = prefilter
-					got, err := Run(q, db, pr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("seed=%d k=%d kernel=%s prefilter=%v", seed, k, kern.name, prefilter)
-					requireSameHits(t, label, got.Hits, want.Hits)
-					if got.Prune == nil {
-						t.Fatalf("%s: no prune stats", label)
-					}
-					if n := got.Prune.Skipped + got.Prune.Abandoned + got.Prune.Scanned; n != got.Searched {
-						t.Errorf("%s: stats cover %d of %d records", label, n, got.Searched)
-					}
-					if got.Prune.CellsSaved < 0 || got.Prune.CellsSaved > got.Cells {
-						t.Errorf("%s: cells saved %d outside [0, %d]", label, got.Prune.CellsSaved, got.Cells)
-					}
+				base := kern.opt
+				base.TopK = k
+				want, err := Run(q, db, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr := base
+				pr.Prune = true
+				got, err := Run(q, db, pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("seed=%d k=%d kernel=%s", seed, k, kern.name)
+				requireSameHits(t, label, got.Hits, want.Hits)
+				if got.Prune == nil {
+					t.Fatalf("%s: no prune stats", label)
+				}
+				if n := got.Prune.Skipped + got.Prune.Abandoned + got.Prune.Scanned; n != got.Searched {
+					t.Errorf("%s: stats cover %d of %d records", label, n, got.Searched)
+				}
+				if got.Prune.CellsSaved < 0 || got.Prune.CellsSaved > got.Cells {
+					t.Errorf("%s: cells saved %d outside [0, %d]", label, got.Prune.CellsSaved, got.Cells)
 				}
 			}
 		}
@@ -87,63 +82,13 @@ func TestPrunedMinScore(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr := base
-		pr.Prune, pr.Prefilter = true, true
+		pr.Prune = true
 		got, err := Run(q, db, pr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameHits(t, fmt.Sprintf("minscore=%d", minScore), got.Hits, ref.Hits)
 	}
-}
-
-// TestPrefilterUsesIndexWord pins the prefilter's word-size rule: a
-// database carrying a word index (as `genomedsm index -word 9` packs
-// one) seeds the floor from that index at its own word size, instead of
-// ignoring it for a query-side 11-mer index. Every record shares
-// exactly one 10-base word with the query, so 9-mer seeding finds
-// evidence where 11-mer seeding provably cannot.
-func TestPrefilterUsesIndexWord(t *testing.T) {
-	g := bio.NewGenerator(101)
-	q := g.Random(200)
-	other := func(b byte) byte {
-		if b == 'A' {
-			return 'C'
-		}
-		return 'A'
-	}
-	var recs []bio.Record
-	for i := 0; i < 12; i++ {
-		seq := g.Random(120)
-		at := 5 + i*12
-		copy(seq[40:], q[at:at+10])
-		seq[39], seq[50] = other(q[at-1]), other(q[at+10]) // the shared word is exactly 10 long
-		recs = append(recs, bio.Record{ID: fmt.Sprintf("w%d", i), Seq: seq})
-	}
-	bare := NewDB(recs)
-	indexed := NewDB(recs)
-	indexed.SetWordIndex(blast.NewDBWordIndex(recs, 9))
-	sc := bio.DefaultScoring()
-
-	unseeded, seeded := &Floor{heap: topK{k: 3}}, &Floor{heap: topK{k: 3}}
-	seedFloor(unseeded, q, bare, sc, 0)
-	if unseeded.Get() != 0 {
-		t.Fatalf("test precondition: 11-mer seeding found a floor of %d", unseeded.Get())
-	}
-	seedFloor(seeded, q, indexed, sc, 0)
-	if seeded.Get() < 9 {
-		t.Fatalf("the attached 9-mer index was not used: seeded floor %d", seeded.Get())
-	}
-
-	ctx := context.Background()
-	want, err := RunCtx(ctx, q, bare, Options{TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunCtx(ctx, q, indexed, Options{TopK: 3, Prune: true, Prefilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameHits(t, "9-mer prefilter", got.Hits, want.Hits)
 }
 
 // TestPrunedAdversarial drives the tie-handling edge cases: databases
@@ -186,17 +131,15 @@ func TestPrunedAdversarial(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			db = append(db, bio.Record{ID: fmt.Sprintf("tie%d", i), Seq: g.MutatedCopy(frag, bio.DefaultMutationModel())})
 		}
-		for _, prefilter := range []bool{false, true} {
-			want, err := Run(q, db, Options{TopK: 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Run(q, db, Options{TopK: 10, Prune: true, Prefilter: prefilter})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameHits(t, fmt.Sprintf("near-ties prefilter=%v", prefilter), got.Hits, want.Hits)
+		want, err := Run(q, db, Options{TopK: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := Run(q, db, Options{TopK: 10, Prune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameHits(t, "near-ties", got.Hits, want.Hits)
 	})
 
 	t.Run("all-unknown-query", func(t *testing.T) {
@@ -223,7 +166,7 @@ func TestPrunedAdversarial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(q, db, Options{TopK: 100, Prune: true, Prefilter: true})
+		got, err := Run(q, db, Options{TopK: 100, Prune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +242,7 @@ func TestFloorRatchetRace(t *testing.T) {
 	requireSameHits(t, "single-worker", single.Hits, want.Hits)
 	for _, workers := range []int{4, 16} {
 		for rep := 0; rep < 3; rep++ {
-			got, err := Run(q, db, Options{TopK: 15, NoEndpoints: true, Prune: true, Prefilter: rep%2 == 0, Workers: workers})
+			got, err := Run(q, db, Options{TopK: 15, NoEndpoints: true, Prune: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

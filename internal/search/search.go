@@ -61,11 +61,6 @@ type Options struct {
 	// cannot reach the result. The hit set — scores, coordinates and
 	// tie-breaks — is bit-identical with or without it.
 	Prune bool
-	// Prefilter additionally seeds the floor with blast seed-and-extend
-	// lower bounds before any DP runs (stage 3; only with Prune). The
-	// seed word size is the attached word index's (DB.SetWordIndex), or
-	// 11 when the database carries none.
-	Prefilter bool
 	// Router, when non-nil, routes this scan's lane groups instead of a
 	// router built from Dispatch: a resident server shares
 	// one calibrated router — and its route statistics — across

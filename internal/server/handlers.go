@@ -49,7 +49,6 @@ type RequestJSON struct {
 	// nil keeps the server-wide setting.
 	Dispatch   *string `json:"dispatch,omitempty"`
 	Prune      *bool   `json:"prune,omitempty"`
-	Prefilter  *bool   `json:"prefilter,omitempty"`
 	ScoresOnly bool    `json:"scores_only,omitempty"`
 }
 
@@ -116,13 +115,14 @@ func (s *Server) requestOptions(req *RequestJSON) (search.Options, string, error
 	if req.Prune != nil {
 		opt.Prune = *req.Prune
 	}
-	if req.Prefilter != nil {
-		opt.Prefilter = *req.Prefilter
-	}
 	opt.NoEndpoints = opt.NoEndpoints || req.ScoresOnly
-	if _, err := dispatch.ParseMode(opt.Dispatch); err != nil {
+	mode, err := dispatch.ParseMode(opt.Dispatch)
+	if err != nil {
 		return opt, "", err
 	}
+	// One spelling per mode ("" and "auto" are the same scan), so equal
+	// modes share a key and the server's own mode finds its router.
+	opt.Dispatch = mode.String()
 	// The shared router serves scans in the server's own dispatch mode;
 	// an override routes through a mode-built router inside RunBatch.
 	if opt.Dispatch == s.cfg.Options.Dispatch {
@@ -130,8 +130,7 @@ func (s *Server) requestOptions(req *RequestJSON) (search.Options, string, error
 	} else {
 		opt.Router = nil
 	}
-	key := fmt.Sprintf("%s|%t|%t|%t",
-		opt.Dispatch, opt.Prune, opt.Prefilter, opt.NoEndpoints)
+	key := fmt.Sprintf("%s|%t|%t", opt.Dispatch, opt.Prune, opt.NoEndpoints)
 	return opt, key, nil
 }
 
@@ -300,7 +299,6 @@ type StatszJSON struct {
 	UptimeMS   int64 `json:"uptime_ms"`
 	Records    int   `json:"records"`
 	TotalBases int64 `json:"total_bases"`
-	PackedWord int   `json:"prefilter_word,omitempty"`
 
 	Queries    int64 `json:"queries"`
 	Served     int64 `json:"served"`
@@ -356,9 +354,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	out.UptimeMS = time.Since(s.start).Milliseconds()
 	out.Records = s.cfg.DB.Size()
 	out.TotalBases = s.cfg.DB.TotalBases()
-	if ix := s.cfg.DB.WordIndex(); ix != nil {
-		out.PackedWord = ix.Word()
-	}
 	pi := dbpack.Info{} // zero value reports an in-memory build
 	if s.cfg.Pack != nil {
 		pi = *s.cfg.Pack

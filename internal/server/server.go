@@ -1,7 +1,7 @@
 // Package server is the resident search service: a prepared database
 // held in memory behind an HTTP/JSON API. It exists because the scan
-// pipeline's fixed costs — FASTA parsing, length sorting, prefilter
-// indexing, router calibration — dwarf the per-query cost for short
+// pipeline's fixed costs — FASTA parsing, length sorting, lane
+// interleaving, router calibration — dwarf the per-query cost for short
 // queries, and a process that pays them per invocation cannot serve
 // interactive load. The server pays them once (or loads them from a
 // dbpack file) and amortizes the rest per batch: concurrent requests
@@ -13,9 +13,9 @@
 //
 //	POST /search  — one query or a "queries" array; per-query top-K,
 //	                min-score and deadline; optional scan-option
-//	                overrides (dispatch, prune, prefilter,
-//	                scores_only). Hits are bit-identical to a direct
-//	                search.Run with the same options.
+//	                overrides (dispatch, prune, scores_only). Hits
+//	                are bit-identical to a direct search.Run with the
+//	                same options.
 //	GET  /healthz — liveness: 200 while serving, 503 while draining.
 //	GET  /statsz  — uptime, database shape, query/batch/reject totals,
 //	                queue and batch high-water marks, prune aggregates,
@@ -49,8 +49,8 @@ type Config struct {
 	DB *search.DB
 	// Options is the server-wide scan configuration: scoring, kernel
 	// selection, pruning, worker count. Requests may override TopK and
-	// MinScore per query, and dispatch/prune/prefilter/scores_only
-	// per request. TopK 0 means the search default (10).
+	// MinScore per query, and dispatch/prune/scores_only per request.
+	// TopK 0 means the search default (10).
 	Options search.Options
 	// MaxQueue bounds the admission queue: requests beyond it are
 	// rejected with 429 instead of queuing without bound (default 64).
@@ -181,6 +181,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Options.Dispatch = mode.String() // the spelling requestOptions compares and keys on
 	// A resident server always scans with the lane-group layout in
 	// place: for a pack this is the mapped (or validated-and-copied)
 	// section and costs nothing; for an in-memory build it is one

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/blast"
 	"genomedsm/internal/dbpack"
 	"genomedsm/internal/dispatch"
 	"genomedsm/internal/search"
@@ -44,11 +43,7 @@ func testDB(t testing.TB, n, recLen, count int) (bio.Sequence, []bio.Record) {
 // newTestServer spins up a Server over recs behind an httptest.Server.
 func newTestServer(t testing.TB, recs []bio.Record, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	db := search.NewDB(recs)
-	if ix := blast.NewDBWordIndex(recs, 11); ix != nil {
-		db.SetWordIndex(ix)
-	}
-	cfg.DB = db
+	cfg.DB = search.NewDB(recs)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +80,13 @@ func postSearch(t testing.TB, url string, req any) (*http.Response, []byte) {
 // answer must be bit-identical — hit set, scores, coordinates,
 // tie-breaks, searched/cells accounting — to a direct search.Run with
 // the same options, across the kernel, pruning and dispatch grid. The
-// lanes axis is the retired request field: a body that still sends
-// "lanes" has it ignored, so the served side of those rows runs the
-// kernel's Dispatch re-spelling (or, for 16, the default route — no
-// request can force the int16 start) while the direct side runs the
-// kernel itself.
+// lanes and prefilter axes are retired request fields: a body that
+// still sends "lanes" or "prefilter" has it ignored (neither ever
+// changed a hit), so the served side of the lanes rows runs the kernel's
+// Dispatch re-spelling (or, for 16, the default route — no request can
+// force the int16 start) while the direct side runs the kernel itself,
+// and a "prefilter": true body gets the hits of the same body without
+// it.
 func TestSearchDifferential(t *testing.T) {
 	q, recs := testDB(t, 48, 60, 40)
 	_, hs := newTestServer(t, recs, Config{})
@@ -97,7 +94,8 @@ func TestSearchDifferential(t *testing.T) {
 	inter16.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
 	type legacyRequest struct {
 		RequestJSON
-		Lanes int `json:"lanes"`
+		Lanes     int  `json:"lanes"`
+		Prefilter bool `json:"prefilter"`
 	}
 
 	type pruneCase struct{ prune, prefilter bool }
@@ -113,10 +111,7 @@ func TestSearchDifferential(t *testing.T) {
 					name := fmt.Sprintf("lanes=%d/disp=%s/prune=%v/prefilter=%v/k=%d",
 						lanes, disp, pc.prune, pc.prefilter, k)
 					t.Run(name, func(t *testing.T) {
-						opt := search.Options{
-							TopK: k, Dispatch: disp,
-							Prune: pc.prune, Prefilter: pc.prefilter,
-						}
+						opt := search.Options{TopK: k, Dispatch: disp, Prune: pc.prune}
 						dispArg := disp
 						switch lanes {
 						case 8:
@@ -130,13 +125,13 @@ func TestSearchDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						pruneArg, prefArg := pc.prune, pc.prefilter
+						pruneArg := pc.prune
 						resp, body := postSearch(t, hs.URL, legacyRequest{
 							RequestJSON: RequestJSON{
 								Query: q.String(), TopK: k, Dispatch: &dispArg,
-								Prune: &pruneArg, Prefilter: &prefArg,
+								Prune: &pruneArg,
 							},
-							Lanes: lanes,
+							Lanes: lanes, Prefilter: pc.prefilter,
 						})
 						if resp.StatusCode != http.StatusOK {
 							t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -271,7 +266,14 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postSearch(t, hs.URL, RequestJSON{Query: q[:32].String(), Tag: fmt.Sprintf("f%d", i)})
+			req := RequestJSON{Query: q[:32].String(), Tag: fmt.Sprintf("f%d", i)}
+			if i%2 == 1 {
+				// "auto" spells the mode this server (Dispatch: "") already
+				// runs: the same scan, so the same batch.
+				auto := "auto"
+				req.Dispatch = &auto
+			}
+			resp, body := postSearch(t, hs.URL, req)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("follower %d: status %d: %s", i, resp.StatusCode, body)
 				return
@@ -444,7 +446,7 @@ func TestShutdownDrain(t *testing.T) {
 // validate-header-and-map, and the stats page is where that shows.
 func TestStatszPackInfo(t *testing.T) {
 	q, recs := testDB(t, 48, 60, 30)
-	p, err := dbpack.Build(recs, 11)
+	p, err := dbpack.Build(recs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

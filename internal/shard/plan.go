@@ -155,12 +155,6 @@ func subDB(db *search.DB, sp Span) (*search.DB, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if ix := db.WordIndex(); ix != nil && sp.Lo == 0 && sp.Hi == len(recs) {
-		// The degenerate single-span plan can reuse the pack's word
-		// index; proper sub-spans re-derive nothing and fall back to the
-		// per-run query-side prefilter, which is equally exact.
-		d.SetWordIndex(ix)
-	}
 	if lay := db.Layout(); lay != nil && sp.Len() > 0 &&
 		sp.Lo%bio.PackedLanes8 == 0 && (sp.Hi%bio.PackedLanes8 == 0 || sp.Hi == len(order)) {
 		// A lane-aligned span's groups coincide with the global 8-lane

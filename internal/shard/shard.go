@@ -27,9 +27,6 @@ type Kill struct {
 type Options struct {
 	// Shards is the worker count (required, ≥ 1).
 	Shards int
-	// Search is the default scan configuration; SearchBatch's opt
-	// overrides it per call (the serve layer's per-request overrides).
-	Search search.Options
 	// Timeout is the per-attempt wait for a span response before the
 	// request is retransmitted (default 150ms). Retransmits to a live,
 	// busy shard are deduped by request id, so a Timeout shorter than a

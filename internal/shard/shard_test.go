@@ -62,7 +62,6 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 	for _, opt := range []search.Options{
 		{},
 		{Prune: true},
-		{Prune: true, Prefilter: true},
 		{Router: inter16, TopK: 5},
 		{Dispatch: "scalar", TopK: 3, Prune: true},
 		{MinScore: 25, Prune: true},

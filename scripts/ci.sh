@@ -121,11 +121,11 @@ done
 echo "sharded-search chaos matrix ok"
 
 echo "== pruned-vs-unpruned differential sweep (3 seeds x skewed/uniform, -race)"
-# The exact-pruning contract: `search -prune` (and -prune -prefilter)
-# must return bit-identical hits — scores, coordinates, tie-breaks — to
-# the unpruned scan, on skewed (planted homologs) and uniform (pure
-# noise, worst case) databases alike. Reuses the -race CLI binary so
-# the sweep also exercises the shared floor under the race detector.
+# The exact-pruning contract: `search -prune` must return bit-identical
+# hits — scores, coordinates, tie-breaks — to the unpruned scan, on
+# skewed (planted homologs) and uniform (pure noise, worst case)
+# databases alike. Reuses the -race CLI binary so the sweep also
+# exercises the shared floor under the race detector.
 hits_of() {
     "$chaos_bin" search -n 400 -db-size 64 -db-len 300 -json "$@" |
         sed -n '/"hits"/,/\]/p'
@@ -133,12 +133,10 @@ hits_of() {
 for seed in 1 2 3; do
     for plant in 8 0; do
         want=$(hits_of -seed "$seed" -plant-every "$plant" -prune=false)
-        for mode in "-prune" "-prune -prefilter"; do
-            got=$(hits_of -seed "$seed" -plant-every "$plant" $mode)
-            [ "$got" = "$want" ] ||
-                { echo "differential sweep FAILED: seed $seed plant $plant mode '$mode'"
-                  echo "--- unpruned"; echo "$want"; echo "--- pruned"; echo "$got"; exit 1; }
-        done
+        got=$(hits_of -seed "$seed" -plant-every "$plant" -prune)
+        [ "$got" = "$want" ] ||
+            { echo "differential sweep FAILED: seed $seed plant $plant"
+              echo "--- unpruned"; echo "$want"; echo "--- pruned"; echo "$got"; exit 1; }
     done
 done
 rm -rf "$(dirname "$chaos_bin")"
