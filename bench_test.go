@@ -486,8 +486,13 @@ func BenchmarkKernelReverseRetrieve(b *testing.B) {
 // over the realign pool — in the two shapes the serve-path benchmark
 // spends it on: homolog hits, where the reverse sweep's useful area is
 // large, and short hits of a 20 kb query, where the forward rescan is
-// everything. cells/s counts the forward matrices, Σ|q|·|t|. Run with
-// -cpu 1,2 for the pool's scaling; ci.sh gates the 20 kb shape on it.
+// everything. Those two rows realign hand-built hits, which know no
+// end-row block and rescan whole matrices; long20000x500/scanned takes
+// its hits from a NoEndpoints scan, blocks included, so it rescans
+// strips — what serve pays. cells/s counts the forward matrices,
+// Σ|q|·|t|, in every row, so the scanned row's rate is the whole-matrix
+// equivalent. Run with -cpu 1,2 for the pool's scaling; ci.sh gates the
+// hand-built 20 kb row on it.
 func BenchmarkSearchRealign(b *testing.B) {
 	g := bio.NewGenerator(123)
 	homQ := g.Random(600)
@@ -502,26 +507,45 @@ func BenchmarkSearchRealign(b *testing.B) {
 		longDB = append(longDB, bio.Record{ID: fmt.Sprintf("r%d", i), Seq: g.Random(500)})
 	}
 	for _, shape := range []struct {
-		name string
-		q    bio.Sequence
-		db   []bio.Record
-	}{{"homolog600x1000", homQ, homDB}, {"long20000x500", longQ, longDB}} {
+		name    string
+		q       bio.Sequence
+		db      []bio.Record
+		scanned bool
+	}{
+		{"homolog600x1000", homQ, homDB, false},
+		{"long20000x500", longQ, longDB, false},
+		{"long20000x500/scanned", longQ, longDB, true},
+	} {
 		b.Run(shape.name, func(b *testing.B) {
 			sc := bio.DefaultScoring()
-			hits := make([]search.Hit, len(shape.db))
+			var hits []search.Hit
 			cells := int64(0)
 			for i, rec := range shape.db {
+				cells += int64(shape.q.Len()) * int64(rec.Seq.Len())
+				if shape.scanned {
+					continue
+				}
 				r, err := align.Scan(shape.q, rec.Seq, sc, align.ScanOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				hits[i] = search.Hit{Index: i, ID: rec.ID, Score: r.BestScore}
-				cells += int64(shape.q.Len()) * int64(rec.Seq.Len())
+				hits = append(hits, search.Hit{Index: i, ID: rec.ID, Score: r.BestScore})
+			}
+			if shape.scanned {
+				res, err := search.Run(shape.q, shape.db, search.Options{TopK: len(shape.db), NoEndpoints: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				hits = res.Hits
 			}
 			reportCells(b, cells)
+			// Realign consumes a hit's block with its span, so every
+			// iteration starts from a fresh copy.
+			work := make([]search.Hit, len(hits))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := search.Realign(shape.q, shape.db, sc, hits); err != nil {
+				copy(work, hits)
+				if err := search.Realign(shape.q, shape.db, sc, work); err != nil {
 					b.Fatal(err)
 				}
 			}

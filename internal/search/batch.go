@@ -311,12 +311,22 @@ feed:
 			res.Hits = make([]Hit, len(merged.items))
 		}
 		for i, it := range merged.items {
-			res.Hits[i] = Hit{Index: it.index, ID: db.recs[it.index].ID, Score: it.score}
+			res.Hits[i] = Hit{Index: it.index, ID: db.recs[it.index].ID, Score: it.score, endBlock: it.endBlock}
 		}
 		SortHits(res.Hits)
 		out[qi] = BatchResult{Result: res}
 	}
 	if !opt.NoEndpoints {
+		if router == nil {
+			// The reference scorer is the oracle the strip re-alignment is
+			// tested against, so its own coordinates must not lean on the
+			// strip argument: unknown blocks rescan whole matrices.
+			for _, br := range out {
+				for i := range br.Result.Hits {
+					br.Result.Hits[i].endBlock = 0
+				}
+			}
+		}
 		// One pool call over the whole batch: every (query, hit) pair is
 		// an independent item, so a 4-query batch keeps all workers busy
 		// where a per-query loop would leave them idle between queries.
@@ -454,7 +464,7 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 			ps.Scanned++
 		}
 		if s := res.Scores[i]; s > 0 && s >= st.minScore {
-			heap.push(scored{s, idx})
+			heap.push(scored{score: s, index: idx, endBlock: res.EndBlock[i] + 1})
 			if st.ft != nil {
 				st.ft.Push(s, idx)
 			}

@@ -101,7 +101,7 @@ func (f *Floor) Push(score, index int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.dedup || !f.heap.raise(score, index) {
-		f.heap.push(scored{score, index})
+		f.heap.push(scored{score: score, index: index})
 	}
 	// Publish the heap root as the floor once K records are in. The root
 	// never decreases (entries are only replaced by stronger ones), so

@@ -131,7 +131,7 @@ func TestRealignDisagreementReportsFirstItem(t *testing.T) {
 		brs[1].Result.Hits[0].Score--
 		brs[3].Result.Hits[1].Score++
 		err := RealignBatch(context.Background(), queries, brs, recs, bio.Scoring{}, workers)
-		if err == nil || !strings.Contains(err.Error(), "disagrees with scalar") ||
+		if err == nil || !strings.Contains(err.Error(), "disagrees with the exact rescan") ||
 			!strings.Contains(err.Error(), fmt.Sprintf("%q", first.ID)) {
 			t.Fatalf("workers %d: err = %v, want the disagreement on %s", workers, err, first.ID)
 		}

@@ -13,8 +13,10 @@
 // minimized. Groups feed a shared work queue; each worker owns one
 // swar.Aligner (reused row buffers) and a bounded top-K heap. Per-worker
 // heaps merge into the global top K, and only those final hits pay for
-// scalar re-alignment (align.Scan end coordinates + align.ReverseRetrieve
-// start coordinates).
+// exact re-alignment (realign.go): every rung of the scan reports the
+// 64-row block of the query holding a score's end row, so align.Scan
+// re-derives the end cell from a strip of the matrix above that block
+// and align.ReverseRetrieve walks back from it to the start.
 package search
 
 import (
@@ -52,7 +54,7 @@ type Options struct {
 	// thresholds (the int8 ladder), "scalar" forces the exact scalar
 	// kernels. All modes return bit-identical hits; only speed varies.
 	Dispatch string
-	// NoEndpoints skips the scalar re-alignment of the final hits, for
+	// NoEndpoints skips the exact re-alignment of the final hits, for
 	// callers that only need scores.
 	NoEndpoints bool
 	// Prune enables the exact ALAE-style pruning pipeline (prune.go):
@@ -74,9 +76,19 @@ type Hit struct {
 	ID    string // FASTA record ID
 	Score int    // exact best local-alignment score
 	// Alignment span of the best hit, 1-based inclusive, filled by the
-	// scalar re-alignment pass (zero when NoEndpoints is set).
+	// re-alignment pass (RealignBatch; zero when NoEndpoints is set).
 	QBegin, QEnd int // in the query
 	TBegin, TEnd int // in the target record
+	// endBlock is what the scan tells the re-alignment pass about where
+	// the alignment ends: 1 + the index of the block of swar.BlockRows
+	// query rows holding its end row (swar.GroupResult.EndBlock), so the
+	// forward rescan covers a strip of the matrix instead of all of it.
+	// Zero means unknown — a hit built by hand, or one whose span is
+	// already filled — and rescans every row. It is set on the hits of a
+	// NoEndpoints scan, travels with the value (the shard workers hand it
+	// to the master this way), and is a function of (query, record,
+	// scoring) alone, so equal scans still produce == hits.
+	endBlock int
 }
 
 // Result is the outcome of a database scan.
@@ -93,12 +105,20 @@ type Result struct {
 	PaddedCells int64
 	// Prune holds the pruning statistics; nil when Options.Prune is off.
 	Prune *PruneStats
+	// RealignCells counts the forward DP cells the re-alignment of Hits
+	// computed: Σ strip rows × |target| (see RealignBatch). A function of
+	// the query, the hits and the scoring alone — worker scheduling never
+	// shows. Zero under NoEndpoints.
+	RealignCells int64
 }
 
 // scored is one record's score evidence: the element of the bounded
 // heap behind the per-worker and merged top K and the pruning floors.
 type scored struct {
 	score, index int
+	// endBlock becomes Hit.endBlock; the floors, which only rank, leave
+	// it zero.
+	endBlock int
 }
 
 // before is the result order, defined once: higher score first, lower
@@ -115,7 +135,7 @@ func (a scored) before(b scored) bool {
 // SortHits sorts hits into the result order.
 func SortHits(hits []Hit) {
 	sort.Slice(hits, func(a, b int) bool {
-		return scored{hits[a].Score, hits[a].Index}.before(scored{hits[b].Score, hits[b].Index})
+		return scored{score: hits[a].Score, index: hits[a].Index}.before(scored{score: hits[b].Score, index: hits[b].Index})
 	})
 }
 
@@ -201,14 +221,17 @@ func Run(q bio.Sequence, db []bio.Record, opt Options) (*Result, error) {
 // (striped fast path disabled), or through swar.ScalarScoreBounded
 // under a pruning bound. It consults no router and runs no packed
 // rung, so the differential tests and the benchmark's oracle compare
-// the ladder against an independent kernel.
+// the ladder — scores and end-row blocks — against an independent
+// kernel. (RunBatch drops the blocks before the reference's own
+// re-alignment, which therefore still rescans whole matrices.)
 func referenceScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *swar.Bound) (swar.GroupResult, error) {
 	var res swar.GroupResult
 	for i, t := range targets {
 		res.Rows[i] = len(q)
+		var endI int
 		if ab != nil {
 			var pruned bool
-			if res.Scores[i], res.Rows[i], pruned = swar.ScalarScoreBounded(q, t, sc, ab); pruned {
+			if res.Scores[i], endI, res.Rows[i], pruned = swar.ScalarScoreBounded(q, t, sc, ab); pruned {
 				res.Pruned |= 1 << uint(i)
 			}
 		} else {
@@ -216,8 +239,9 @@ func referenceScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab 
 			if err != nil {
 				return res, err
 			}
-			res.Scores[i] = r.BestScore
+			res.Scores[i], endI = r.BestScore, r.BestI
 		}
+		res.EndBlock[i] = swar.BlockOf(endI)
 		res.Padded += int64(len(t)) * int64(res.Rows[i])
 	}
 	return res, nil

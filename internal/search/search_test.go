@@ -6,6 +6,7 @@ import (
 
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
+	"genomedsm/internal/swar"
 )
 
 // testDB builds a synthetic database: noise records plus mutated copies
@@ -25,7 +26,9 @@ func testDB(t *testing.T, seed int64, q bio.Sequence, noise, homologs int) []bio
 }
 
 // bruteTopK is the reference: score every record with align.Scan, sort
-// by (score desc, index asc), trim to k.
+// by (score desc, index asc), trim to k. The hits are those of a
+// NoEndpoints scan, so they carry the end-row block of align.Scan's
+// BestI.
 func bruteTopK(t *testing.T, q bio.Sequence, db []bio.Record, sc bio.Scoring, k, minScore int) []Hit {
 	t.Helper()
 	var hits []Hit
@@ -35,7 +38,7 @@ func bruteTopK(t *testing.T, q bio.Sequence, db []bio.Record, sc bio.Scoring, k,
 			t.Fatal(err)
 		}
 		if r.BestScore > 0 && r.BestScore >= minScore {
-			hits = append(hits, Hit{Index: i, ID: rec.ID, Score: r.BestScore})
+			hits = append(hits, Hit{Index: i, ID: rec.ID, Score: r.BestScore, endBlock: swar.BlockOf(r.BestI) + 1})
 		}
 	}
 	for i := 1; i < len(hits); i++ {
@@ -235,7 +238,7 @@ func TestLaneGroups(t *testing.T) {
 func TestTopKHeap(t *testing.T) {
 	h := &topK{k: 3}
 	for i, s := range []int{5, 1, 9, 3, 9, 2, 7} {
-		h.push(scored{s, i})
+		h.push(scored{score: s, index: i})
 	}
 	if len(h.items) != 3 {
 		t.Fatalf("heap kept %d items", len(h.items))

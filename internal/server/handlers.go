@@ -220,6 +220,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.st.served.Add(1)
 		}
 		s.addPrune(br)
+		if br.Result != nil {
+			s.st.realignCells.Add(br.Result.RealignCells)
+		}
 	}
 	s.st.observeLatency(time.Since(started))
 
@@ -329,6 +332,12 @@ type StatszJSON struct {
 		CellsSaved int64 `json:"cells_saved"`
 	} `json:"prune"`
 
+	// RealignCells totals search.Result.RealignCells: the forward DP
+	// cells spent re-deriving the end cells of returned hits. Against
+	// Σ |query|·|hit record| it shows how much of the matrices the scan's
+	// end-row blocks let the re-alignment leave out.
+	RealignCells int64 `json:"realign_cells"`
+
 	Routes struct {
 		Group map[string]int64 `json:"group"`
 		Pair  map[string]int64 `json:"pair"`
@@ -379,6 +388,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	out.Prune.Abandoned = s.st.pruneAbandoned.Load()
 	out.Prune.Scanned = s.st.pruneScanned.Load()
 	out.Prune.CellsSaved = s.st.pruneCellsSaved.Load()
+	out.RealignCells = s.st.realignCells.Load()
 	out.Routes.Group = s.router.GroupCounts()
 	out.Routes.Pair = s.router.PairCounts()
 	out.LatencyMS = make(map[string]int64, len(latencyBucketsMS)+1)

@@ -19,7 +19,8 @@
 //	GET  /healthz — liveness: 200 while serving, 503 while draining.
 //	GET  /statsz  — uptime, database shape, query/batch/reject totals,
 //	                queue and batch high-water marks, prune aggregates,
-//	                dispatch route counts, latency histogram.
+//	                re-alignment cells, dispatch route counts, latency
+//	                histogram.
 //
 // Overload and shutdown are explicit protocol, not emergent behavior:
 // a bounded admission queue returns 429 when full, a draining server
@@ -131,6 +132,8 @@ type stats struct {
 	pruneAbandoned  atomic.Int64
 	pruneScanned    atomic.Int64
 	pruneCellsSaved atomic.Int64
+
+	realignCells atomic.Int64 // forward cells the re-alignment of hits computed
 
 	latency [len(latencyBucketsMS) + 1]int64 // atomic; +Inf last
 

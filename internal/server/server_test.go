@@ -521,6 +521,14 @@ func TestStatsz(t *testing.T) {
 	if len(st.Routes.Group) == 0 {
 		t.Error("statsz has no group route counts after auto-dispatch scans")
 	}
+	// The counter is exact: three times what one direct run reports.
+	direct, err := search.Run(q, recs, search.Options{Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RealignCells == 0 || st.RealignCells != 3*direct.RealignCells {
+		t.Errorf("statsz realign_cells %d, want 3 × %d", st.RealignCells, direct.RealignCells)
+	}
 	if st.Pack.Mode != "memory" || st.Pack.Version != 0 {
 		t.Errorf("in-memory server reports pack %+v, want memory mode version 0", st.Pack)
 	}

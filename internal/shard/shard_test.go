@@ -51,6 +51,17 @@ func mustEqualResults(t *testing.T, label string, got, want *search.Result) {
 	}
 }
 
+// mustRealignSameCells: the master realigns exactly the strips a single
+// node does only if the hits' end-row blocks survived the trip from the
+// workers. (Not for Lanes: 1, whose single-node realign is the oracle
+// and rescans whole matrices whatever the blocks say.)
+func mustRealignSameCells(t *testing.T, label string, got, want *search.Result) {
+	t.Helper()
+	if got.RealignCells != want.RealignCells {
+		t.Fatalf("%s: realigned %d cells, single node %d", label, got.RealignCells, want.RealignCells)
+	}
+}
+
 // TestShardedMatchesSingleNode pins bit-exactness of the sharded scan
 // against search.RunCtx over shard counts and option shapes.
 func TestShardedMatchesSingleNode(t *testing.T) {
@@ -82,21 +93,25 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 				t.Fatalf("shards=%d opt=%+v: %v", shards, opt, err)
 			}
 			mustEqualResults(t, fmt.Sprintf("shards=%d opt=%+v", shards, opt), got, want)
+			mustRealignSameCells(t, fmt.Sprintf("shards=%d opt=%+v", shards, opt), got, want)
 		}
 	}
 }
 
 // TestShardedBatchMatchesSingleNode covers the multi-query path the
-// serve layer uses: four queries of different lengths, so the master's
-// one realign pool call schedules hits across queries.
+// serve layer uses: queries of different lengths, so the master's one
+// realign pool call schedules hits across queries — the last of them
+// 4 kb over records of at most 450 bases, so its hits realign over
+// strips on a single node and must on the master too.
 func TestShardedBatchMatchesSingleNode(t *testing.T) {
 	q1, recs := synthInputs(7, 200, 40, 300)
 	g := bio.NewGenerator(8)
 	q2, q4 := g.Random(150), g.Random(60)
 	q3 := g.MutatedCopy(q1[40:160], bio.DefaultMutationModel())
+	q5 := g.Random(4000)
 	db := search.NewDB(recs)
 	opt := search.Options{Prune: true, Workers: 4}
-	batch := []search.BatchQuery{{Seq: q1}, {Seq: q2, TopK: 4}, {Seq: q3, TopK: 6}, {Seq: q4, TopK: 2}}
+	batch := []search.BatchQuery{{Seq: q1}, {Seq: q2, TopK: 4}, {Seq: q3, TopK: 6}, {Seq: q4, TopK: 2}, {Seq: q5, TopK: 5}}
 	want, err := search.RunBatch(context.Background(), batch, db, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +130,14 @@ func TestShardedBatchMatchesSingleNode(t *testing.T) {
 			t.Fatalf("query %d: errs %v / %v", i, got[i].Err, want[i].Err)
 		}
 		mustEqualResults(t, fmt.Sprintf("query %d", i), got[i].Result, want[i].Result)
+		mustRealignSameCells(t, fmt.Sprintf("query %d", i), got[i].Result, want[i].Result)
+	}
+	var full int64
+	for _, h := range got[4].Result.Hits {
+		full += int64(len(q5)) * int64(len(recs[h.Index].Seq))
+	}
+	if cells := got[4].Result.RealignCells; cells == 0 || cells*2 > full {
+		t.Errorf("the 4 kb query realigned %d cells of %d: its strips did not cross the shard wire", cells, full)
 	}
 }
 

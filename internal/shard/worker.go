@@ -14,7 +14,11 @@ import (
 // The wire types. The transport is in-process, so "wire" means "what a
 // real RPC would carry": the request holds the span and the resolved
 // per-query parameters, the response holds hits already mapped to
-// global record indices plus the scan diagnostics. Options rides along
+// global record indices plus the scan diagnostics. A hit carries, in an
+// unexported field that travels with the value, the end-row block the
+// master's realign turns into a strip (search.Hit); a transport that
+// serialises must carry it, or the master rescans whole matrices.
+// Options rides along
 // by value; its Router pointer is deliberately shared — the process is
 // the cluster, and one calibrated router serving every shard is the
 // resident server's sharing rule applied across shards.

@@ -19,11 +19,19 @@ import "genomedsm/internal/bio"
 // running maximum is garbage); they ride the usual fallback ladder,
 // where the wider retry gets its own chance to abandon.
 
-// DefaultAbandonEvery is the abandon check cadence in query rows: rare
-// enough that the fold and suffix lookup vanish against the
-// row cost, frequent enough that an abandoned record wastes at most one
-// cadence of rows past the provable cutoff.
-const DefaultAbandonEvery = 64
+// BlockRows is the one cadence of the kernels, in query rows. It is the
+// abandon check cadence: rare enough that the fold and suffix lookup
+// vanish against the row cost, frequent enough that an abandoned record
+// wastes at most one cadence of rows past the provable cutoff. And it is
+// the height of an end-row block: every rung of the ladder reports
+// which block of BlockRows query rows holds the end row of a target's
+// score (GroupResult.EndBlock), which the packed rungs find out at the
+// same stop.
+const BlockRows = 64
+
+// BlockOf returns the end-row block of the 1-based end row i (0 for the
+// i = 0 of a zero score).
+func BlockOf(i int) int { return max(i-1, 0) / BlockRows }
 
 // Bound configures the optional mid-scan early abandon of a packed
 // scan. The zero value — and a nil *Bound — disables it.
@@ -46,5 +54,5 @@ func (b *Bound) cadence() int {
 	if b == nil || b.Query == nil || b.Below <= 0 {
 		return 0
 	}
-	return DefaultAbandonEvery
+	return BlockRows
 }

@@ -27,6 +27,13 @@ type GroupResult struct {
 	// Rows is the number of query rows the rung that resolved each
 	// target consumed: the full query length unless pruned.
 	Rows [bio.PackedLanes8]int
+	// EndBlock is, per unpruned target, the block of BlockRows query rows
+	// holding the end row of its score: (BestI−1)/BlockRows for the BestI
+	// align.Scan reports — the first row, row-major, at which the running
+	// maximum reaches its final value — and 0 for a zero score. It is a
+	// function of (q, target, scoring) alone: whichever rung resolved the
+	// target, packed or pairwise, reports the same block.
+	EndBlock [bio.PackedLanes8]int
 	// Pruned is the bitmask of targets whose exact score is provably
 	// below the bound's Below threshold.
 	Pruned uint8
@@ -71,13 +78,13 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 		res.Padded += int64(bio.PackedLanes8) * int64(prof.Words()) * int64(ls.Rows)
 		if ls.Pruned {
 			for i := range targets {
-				res.set(i, 0, ls.Rows, true)
+				res.set(i, 0, 0, ls.Rows, true)
 			}
 			break
 		}
 		res.Done8, res.Sat8 = true, ls.Saturated
 		for l := range targets {
-			res.Scores[l] = ls.Scores[l]
+			res.Scores[l], res.EndBlock[l] = ls.Scores[l], ls.EndBlock[l]
 		}
 		if ls.Saturated != 0 {
 			a.inter16(&res, q, targets, sc, ab, ls.Saturated)
@@ -87,7 +94,7 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 	case RungSingles:
 		for i, t := range targets {
 			p, rows, pruned := a.StripedScoreBounded(q, t, sc, ab)
-			res.set(i, p.Score, rows, pruned)
+			res.set(i, p.Score, p.I, rows, pruned)
 			// The striped layout pads the target to full words of 8 lanes.
 			padded := (len(t) + bio.PackedLanes8 - 1) / bio.PackedLanes8 * bio.PackedLanes8
 			res.Padded += int64(padded) * int64(rows)
@@ -100,9 +107,10 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 	return res
 }
 
-// set records target i's resolved outcome.
-func (r *GroupResult) set(i, score, rows int, pruned bool) {
-	r.Scores[i], r.Rows[i] = score, rows
+// set records target i's outcome from a rung that knows the exact end
+// row endI (0 when pruned or scoreless).
+func (r *GroupResult) set(i, score, endI, rows int, pruned bool) {
+	r.Scores[i], r.EndBlock[i], r.Rows[i] = score, BlockOf(endI), rows
 	if pruned {
 		r.Pruned |= 1 << uint(i)
 	}
@@ -136,9 +144,9 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 			case !ok || ls.Saturated&(1<<uint(l)) != 0:
 				res.scalar(q, targets[i], sc, ab, i)
 			case ls.Pruned:
-				res.set(i, 0, ls.Rows, true)
+				res.set(i, 0, 0, ls.Rows, true)
 			default:
-				res.Scores[i] = ls.Scores[l]
+				res.Scores[i], res.EndBlock[i] = ls.Scores[l], ls.EndBlock[l]
 			}
 		}
 	}
@@ -146,7 +154,7 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 
 // scalar is the ladder's last rung for target i: always succeeds, exact.
 func (r *GroupResult) scalar(q, t bio.Sequence, sc bio.Scoring, ab *Bound, i int) {
-	score, rows, pruned := ScalarScoreBounded(q, t, sc, ab)
-	r.set(i, score, rows, pruned)
+	score, endI, rows, pruned := ScalarScoreBounded(q, t, sc, ab)
+	r.set(i, score, endI, rows, pruned)
 	r.Padded += int64(len(t)) * int64(rows)
 }

@@ -8,14 +8,16 @@ import "genomedsm/internal/bio"
 // as align.Scan (differential tests in swar_test pin the two against
 // each other), kept in this package so align can itself import swar for
 // the striped fast path without an import cycle, and exported for the
-// search layer's pruned scalar reference scorer. pruned reports that
-// the exact score is provably < ab.Below (score is then 0); rows is the
-// number of query rows consumed. With a nil or disabled bound it always
-// scans the full matrix and returns the exact score.
-func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, rows int, pruned bool) {
+// search layer's pruned scalar reference scorer. endI is the 1-based
+// row at which the running maximum first reached score — align.Scan's
+// BestI, 0 for a zero score. pruned reports that the exact score is
+// provably < ab.Below (score and endI are then 0); rows is the number
+// of query rows consumed. With a nil or disabled bound it always scans
+// the full matrix and returns the exact score.
+func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, endI, rows int, pruned bool) {
 	m, n := s.Len(), t.Len()
 	if m == 0 || n == 0 {
-		return 0, m, false
+		return 0, 0, m, false
 	}
 	every := ab.cadence()
 	next := every
@@ -26,6 +28,7 @@ func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, ro
 	var best int32
 	for i := 1; i <= m; i++ {
 		sub := prof.Row(s[i-1])
+		above := best
 		d := prev[0]
 		w := int32(0)
 		pr := prev[1:]
@@ -42,13 +45,16 @@ func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, ro
 			w = v
 			best = bio.Max32(best, v)
 		}
+		if best > above {
+			endI = i
+		}
 		prev, cur = cur, prev
 		if next != 0 && i == next {
 			next += every
 			if int(best)+ab.Query.SuffixBound(i) < ab.Below {
-				return 0, i, true
+				return 0, 0, i, true
 			}
 		}
 	}
-	return int(best), m, false
+	return int(best), endI, m, false
 }

@@ -146,6 +146,10 @@ type LaneScores struct {
 	// Saturated is the bitmask of lanes that ever set their guard bit:
 	// their true score may exceed the clean lane range.
 	Saturated uint8
+	// EndBlock holds, per unsaturated lane, the block of BlockRows query
+	// rows in which the lane's running maximum reached Scores[l] — the
+	// block of the end row align.Scan reports (see GroupResult.EndBlock).
+	EndBlock [bio.PackedLanes8]int
 	// Lanes is the number of live lanes (= number of targets scanned).
 	Lanes int
 	// Rows is the number of query rows the scan consumed: the full query
@@ -184,14 +188,21 @@ func (a *Aligner) rows(words int) ([]uint64, []uint64) {
 }
 
 // scanPacked runs the packed recurrence of q against prof and returns
-// the folded guard-stripped per-lane maximum and the saturation word.
-// Under a non-nil Bound it additionally abandons the scan (see Bound)
-// once no lane can still reach the threshold, reporting how many rows
-// it consumed and whether it pruned.
-func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, ab *Bound) (best, sat uint64, rows int, pruned bool) {
+// the folded guard-stripped per-lane maximum, the saturation word and
+// each lane's end-row block. Under a non-nil Bound it additionally
+// abandons the scan (see Bound) once no lane can still reach the
+// threshold, reporting how many rows it consumed and whether it pruned.
+//
+// The lanes keep one running maximum each and no coordinates, so the
+// end row is recovered at block granularity: best is compared with its
+// value one block of BlockRows rows earlier, and a lane that moved is
+// stamped with the block. A lane's maximum only ever grows, so its last
+// stamp is the block whose rows first reached the final score — one XOR
+// per block, per-lane work only when a maximum moved.
+func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, ab *Bound) (best, sat uint64, blocks [bio.PackedLanes8]int, rows int, pruned bool) {
 	words := prof.Words()
 	if words == 0 || len(q) == 0 {
-		return 0, 0, len(q), false
+		return 0, 0, blocks, len(q), false
 	}
 	prev, cur := a.rows(words)
 	gapV := prof.Broadcast(gap)
@@ -200,34 +211,42 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	if wide {
 		satMask = hi16
 	}
-	every := ab.cadence()
-	next := every
-	for i := 0; i < len(q); i++ {
-		c := q[i]
-		if wide {
-			best, sat = row16(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
-		} else {
-			best, sat = row8(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
+	bounded := ab.cadence() != 0
+	var snap uint64 // best at the previous block boundary
+	for lo := 0; lo < len(q); lo += BlockRows {
+		hi := min(lo+BlockRows, len(q))
+		for _, c := range q[lo:hi] {
+			if wide {
+				best, sat = row16(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
+			} else {
+				best, sat = row8(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
+			}
+			prev, cur = cur, prev
 		}
-		prev, cur = cur, prev
-		if next != 0 && i+1 == next {
-			next += every
-			// A saturated lane's running maximum is untrustworthy, so it
-			// is never abandon evidence; the wider retry re-checks.
-			if sat&satMask == 0 {
-				m := reduce8(best)
-				if wide {
-					m = reduce16(best)
+		if moved := best ^ snap; moved != 0 {
+			for l := 0; l < prof.Lanes(); l++ {
+				if prof.Lane(moved, l) != 0 {
+					blocks[l] = lo / BlockRows
 				}
-				if m+ab.Query.SuffixBound(i+1) < ab.Below {
-					a.prev, a.cur = prev, cur
-					return best, sat, i + 1, true
-				}
+			}
+			snap = best
+		}
+		// Abandon only at full-block boundaries. A saturated lane's running
+		// maximum is untrustworthy, so it is never abandon evidence; the
+		// wider retry re-checks.
+		if bounded && hi-lo == BlockRows && sat&satMask == 0 {
+			m := reduce8(best)
+			if wide {
+				m = reduce16(best)
+			}
+			if m+ab.Query.SuffixBound(hi) < ab.Below {
+				a.prev, a.cur = prev, cur
+				return best, sat, blocks, hi, true
 			}
 		}
 	}
 	a.prev, a.cur = prev, cur
-	return best, sat, len(q), false
+	return best, sat, blocks, len(q), false
 }
 
 // Scan8 scores q against up to 8 targets in int8 lanes. ok is false
@@ -256,11 +275,12 @@ func (a *Aligner) scan(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, 
 	if prof == nil || -sc.Gap > prof.Cap() {
 		return LaneScores{}, false
 	}
-	best, sat, rows, pruned := a.scanPacked(q, prof, -sc.Gap, ab)
+	best, sat, blocks, rows, pruned := a.scanPacked(q, prof, -sc.Gap, ab)
 	res := LaneScores{Lanes: lanes, Rows: rows, Pruned: pruned}
 	if pruned {
 		return res, true
 	}
+	res.EndBlock = blocks // lanes past the live ones never left zero
 	guard := uint64(1) << (uint(prof.Shift()) - 1)
 	for l := 0; l < lanes; l++ {
 		res.Scores[l] = prof.Lane(best, l)

@@ -97,10 +97,20 @@ var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungSingles, 
 // checkLadder runs the one ladder over targets, cut into lane groups of
 // 8, from every starting rung × {nil bound, live bound} × {per-call
 // profile, prebuilt layout-words profile}. Every unpruned score must
-// equal want with the full query consumed; a lane may only be pruned
+// equal want with the full query consumed and report the end-row block
+// of the forced-scalar align.Scan's BestI; a lane may only be pruned
 // under the live bound, and only when its true score is below it. fail
 // reports a mismatch.
 func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, fail func(format string, args ...any)) {
+	wantBlock := make([]int, len(targets))
+	for i, tgt := range targets {
+		r, err := align.Scan(q, tgt, sc, align.ScanOptions{ForceScalar: true})
+		if err != nil {
+			fail("target %d: %v", i, err)
+			return
+		}
+		wantBlock[i] = swar.BlockOf(r.BestI)
+	}
 	// Half the best score: a bound that some lanes clear and some do not.
 	below := 1
 	for _, w := range want {
@@ -133,6 +143,9 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 						case res.Scores[i] != w || res.Rows[i] != len(q):
 							fail("rung %d bound %v prebuilt %v target %d (|t|=%d): ladder score %d over %d rows, scalar %d",
 								start, ab != nil, prebuilt, lo+i, len(group[i]), res.Scores[i], res.Rows[i], w)
+						case res.EndBlock[i] != wantBlock[lo+i]:
+							fail("rung %d bound %v prebuilt %v target %d (|t|=%d): end block %d, scalar %d",
+								start, ab != nil, prebuilt, lo+i, len(group[i]), res.EndBlock[i], wantBlock[lo+i])
 						}
 					}
 				}
@@ -151,7 +164,7 @@ func checkScores(t *testing.T, name string, q bio.Sequence, targets []bio.Sequen
 		t.Errorf(name+": "+format, args...)
 	})
 	for i, tgt := range targets {
-		if got, rows, pruned := swar.ScalarScoreBounded(q, tgt, sc, nil); got != want[i] || rows != len(q) || pruned {
+		if got, _, rows, pruned := swar.ScalarScoreBounded(q, tgt, sc, nil); got != want[i] || rows != len(q) || pruned {
 			t.Errorf("%s: target %d: ScalarScoreBounded(nil) = %d over %d rows (pruned %v), scalar %d",
 				name, i, got, rows, pruned, want[i])
 		}

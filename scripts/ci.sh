@@ -18,7 +18,9 @@
 #      distributed scan stays bit-identical to single-node with the
 #      recovery counters proving each kill was detected and reassigned,
 #      plus a pruned-vs-unpruned search differential sweep (3 seeds x
-#      skewed/uniform databases, -race) asserting bit-identical hits
+#      skewed/uniform databases x 2 shapes — 400 x 300 and 4 kb x 120,
+#      the one whose hits realign over strips — -race) asserting
+#      bit-identical hits
 #   3. per-package coverage, gated on >= 85% combined coverage of
 #      internal/dsm + internal/chaos + internal/recovery (the
 #      protocol, its harness and the fault-tolerance layer)
@@ -120,23 +122,28 @@ while [ "$seed" -le 8 ]; do
 done
 echo "sharded-search chaos matrix ok"
 
-echo "== pruned-vs-unpruned differential sweep (3 seeds x skewed/uniform, -race)"
+echo "== pruned-vs-unpruned differential sweep (3 seeds x skewed/uniform x 2 shapes, -race)"
 # The exact-pruning contract: `search -prune` must return bit-identical
 # hits — scores, coordinates, tie-breaks — to the unpruned scan, on
 # skewed (planted homologs) and uniform (pure noise, worst case)
 # databases alike. Reuses the -race CLI binary so the sweep also
-# exercises the shared floor under the race detector.
+# exercises the shared floor under the race detector. The second shape,
+# a 4 kb query over 120-base records, is the one whose hits realign
+# over strips of the matrix (the query outruns any alignment against
+# its records), so the strip rescan runs under -race here too.
 hits_of() {
-    "$chaos_bin" search -n 400 -db-size 64 -db-len 300 -json "$@" |
+    "$chaos_bin" search -db-size 64 -json "$@" |
         sed -n '/"hits"/,/\]/p'
 }
-for seed in 1 2 3; do
-    for plant in 8 0; do
-        want=$(hits_of -seed "$seed" -plant-every "$plant" -prune=false)
-        got=$(hits_of -seed "$seed" -plant-every "$plant" -prune)
-        [ "$got" = "$want" ] ||
-            { echo "differential sweep FAILED: seed $seed plant $plant"
-              echo "--- unpruned"; echo "$want"; echo "--- pruned"; echo "$got"; exit 1; }
+for shape in "-n 400 -db-len 300" "-n 4000 -db-len 120"; do
+    for seed in 1 2 3; do
+        for plant in 8 0; do
+            want=$(hits_of $shape -seed "$seed" -plant-every "$plant" -prune=false)
+            got=$(hits_of $shape -seed "$seed" -plant-every "$plant" -prune)
+            [ "$got" = "$want" ] ||
+                { echo "differential sweep FAILED: shape '$shape' seed $seed plant $plant"
+                  echo "--- unpruned"; echo "$want"; echo "--- pruned"; echo "$got"; exit 1; }
+        done
     done
 done
 rm -rf "$(dirname "$chaos_bin")"
@@ -281,10 +288,13 @@ awk -v tol="$maxregress" -v sh="$sharded" -v u="$uniform" 'BEGIN {
 echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -cpu 1)"
 # The repo's first recorded multi-core number: the realign pool hands
 # ten independent 20 kb x 500 bp rescans to its workers, so two cores
-# must buy at least 1.4x the cells/s of one. The main run above uses the
-# host's default GOMAXPROCS only, so this gate makes its own -cpu 1,2
-# run; go test prints the -cpu 1 row without a suffix and the -cpu 2 row
-# as "-2".
+# must buy at least 1.4x the cells/s of one. The subject is the row of
+# hand-built hits, which know no end-row block and rescan whole
+# matrices: the long20000x500/scanned row beside it realigns over
+# strips, ten items of ~0.4 ms, too short for a pool to show scaling.
+# The main run above uses the host's default GOMAXPROCS only, so this
+# gate makes its own -cpu 1,2 run; go test prints the -cpu 1 row without
+# a suffix and the -cpu 2 row as "-2".
 if [ "$(nproc)" -lt 2 ]; then
     echo "realign scaling gate skipped: nproc $(nproc) < 2"
 else
