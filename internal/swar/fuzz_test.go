@@ -32,6 +32,13 @@ func FuzzScoresVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgt"), []byte("tacgtacg"), uint8(3), uint8(5), uint8(2))
 	f.Add([]byte{}, []byte{1, 2, 3, 4}, uint8(0), uint8(0), uint8(9))
 	f.Add([]byte("aaaaaaaaaaaaaaaa"), []byte("aaaaaaaaaaaaaaaa"), uint8(8), uint8(16), uint8(6))
+	// The packed kernels advance two query rows per pass: a one-row query,
+	// odd queries (the last row pairs with a phantom 'N' row), with and
+	// without identity lanes, and one-base targets (a one-word row buffer).
+	f.Add([]byte("a"), []byte("acgtacgta"), uint8(1), uint8(2), uint8(1))
+	f.Add([]byte("acgtacgtacgtacg"), []byte("tacgtacgnacgtta"), uint8(4), uint8(9), uint8(0))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), []byte("aaaaaaaaaaaaaaaaa"), uint8(3), uint8(7), uint8(5))
+	f.Add([]byte("acgtacg"), []byte("a"), uint8(0), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, cut1, cut2, rep uint8) {
 		q := fuzzSeq(rawQ, 128)
 		pool := fuzzSeq(rawT, 160)

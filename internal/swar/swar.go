@@ -27,15 +27,16 @@
 //     that implements the zero clamp.
 //
 // A lane whose value sets the guard bit may be about to overflow, so
-// the kernel ORs every cell into a saturation accumulator; the first
-// excess value is still computed exactly (sums stay within the lane),
-// so a lane is either never flagged — and bit-exact against the scalar
-// kernel — or flagged and retried with the next wider layout:
-// int8 → int16 → the exact scalar kernel (scalar.go). Wrapped garbage in a
-// flagged lane stays inside that lane (no operation carries or borrows
-// across lane boundaries for any input), so neighbours are unaffected.
-// The chain (Ladder, ladder.go) is bit-exact against align.Scan by
-// construction.
+// the kernel ORs every diagonal term — the only term that adds, and so
+// the only place a clean lane can first exceed its cap (rowPair8) —
+// into a saturation accumulator; the first excess value is still
+// computed exactly (sums stay within the lane), so a lane is either
+// never flagged — and bit-exact against the scalar kernel — or flagged
+// and retried with the next wider layout: int8 → int16 → the exact
+// scalar kernel (scalar.go). Wrapped garbage in a flagged lane stays
+// inside that lane (no operation carries or borrows across lane
+// boundaries for any input), so neighbours are unaffected. The chain
+// (Ladder, ladder.go) is bit-exact against align.Scan by construction.
 package swar
 
 import (
@@ -51,90 +52,134 @@ const (
 // SubClamp8 returns per byte max(0, x−y), the zero-clamped subtract of
 // the local recurrence, for penalty lanes y ≤ 127. The result lane is
 // exact when the x lane is clean (≤ 127) and always ≤ 127; no borrow
-// ever crosses a lane boundary, for any x.
+// ever crosses a lane boundary, for any x. The guard bit t of z says
+// "did not underflow"; t − t>>7 turns it into the lane's 7-bit value
+// mask (0x80 − 0x01 = 0x7F, no borrow out of the lane).
 func SubClamp8(x, y uint64) uint64 {
 	z := (x | hi8) - y
-	m := ((z & hi8) >> 7) * 0xFF
-	return (z &^ hi8) & m
+	t := z & hi8
+	return z & (t - t>>7)
 }
 
 // MaxClamped8 returns the per-byte unsigned maximum for y lanes ≤ 127
 // and any x: a lane with the guard bit set always beats y, otherwise
 // the guard bit of (x|hi)−y decides. Exact for every x ≤ 255, y ≤ 127.
+// t<<1 − t>>7 spreads each set guard bit over its whole lane: the word
+// subtract is Σ (0x100 − 0x01)·2^(8l) over the set lanes, mod 2^64.
 func MaxClamped8(x, y uint64) uint64 {
 	z := (x | hi8) - y
-	m := (((x | z) & hi8) >> 7) * 0xFF
-	return (x & m) | (y &^ m)
+	t := (x | z) & hi8
+	m := t<<1 - t>>7
+	return y ^ ((x ^ y) & m)
 }
 
 // SubClamp16 and MaxClamped16 are the 4-lane uint16 variants, with the
 // penalty bound 32767.
 func SubClamp16(x, y uint64) uint64 {
 	z := (x | hi16) - y
-	m := ((z & hi16) >> 15) * 0xFFFF
-	return (z &^ hi16) & m
+	t := z & hi16
+	return z & (t - t>>15)
 }
 
 // MaxClamped16 is the 4-lane uint16 maximum for y lanes ≤ 32767.
 func MaxClamped16(x, y uint64) uint64 {
 	z := (x | hi16) - y
-	m := (((x | z) & hi16) >> 15) * 0xFFFF
-	return (x & m) | (y &^ m)
+	t := (x | z) & hi16
+	m := t<<1 - t>>15
+	return y ^ ((x ^ y) & m)
 }
 
-// row8 advances one packed row of the zero-clamped local recurrence for
-// all 8 lanes at once — the SWAR lift of align.swRow: per word,
+// max8 is the maximum the two-row kernels use: y + clamp(x − y), one
+// op shorter than MaxClamped8. For y lanes ≤ 127 it is the exact
+// per-byte maximum of every clean x lane; a dirty x lane (guard bit set)
+// yields x−128 or y — garbage, but ≤ 127 and confined to its lane (the
+// clamped subtract never borrows and the sum stays below 256), which is
+// all a lane already flagged saturated has to guarantee.
+func max8(x, y uint64) uint64 { return y + SubClamp8(x, y) }
+
+// max16 is max8 for 4 uint16 lanes.
+func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
+
+// rowPair8 advances two packed rows of the zero-clamped local
+// recurrence for all 8 lanes at once — the SWAR lift of align.swRow,
 //
-//	cur[j] = max(clamp(prev[j-1] − minus[j]) + plus[j],
-//	             clamp(prev[j] − gap), clamp(cur[j-1] − gap))
+//	H[i][j] = max(clamp(H[i-1][j-1] − minus[j]) + plus[j],
+//	              clamp(H[i-1][j] − gap), clamp(H[i][j-1] − gap))
 //
-// with the zero clamp implicit in the clamped subtracts. It folds the
-// row into the running guard-stripped per-lane maximum and ORs every
-// cell into the saturation accumulator sat; lanes that ever set their
-// guard bit in sat are unreliable and must be retried wider.
-func row8(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uint64) {
-	n := len(plus)
-	d := prev[0]   // diag carry: prev[j-1]
-	w := uint64(0) // left carry: cur[j-1]; the border column is all zero
-	pr := prev[1:]
-	out := cur[1:]
-	_ = pr[n-1] // bounds hints for the loop body
-	_ = out[n-1]
-	_ = minus[n-1]
-	for j := 0; j < n; j++ {
-		v := SubClamp8(d, minus[j]) + plus[j]
-		d = pr[j]
-		v = MaxClamped8(v, SubClamp8(d, gapV))
-		v = MaxClamped8(v, SubClamp8(w, gapV))
-		out[j] = v
-		w = v
-		sat |= v
-		best = MaxClamped8(best, v&^hi8)
+// with the zero clamp implicit in the clamped subtracts — in one
+// skewed pass: the step at word j computes row i at j (a) and row i+1
+// at j−1 (b). Row i never reaches memory: b needs a[j−2] (diagonal)
+// and a[j−1] (up), both still in registers, and clamp(a[j−1] − gap) is
+// at once a[j]'s left term and b[j−1]'s up term. row holds row i−1 on
+// entry and row i+1 on return, updated in place: word j−1 is rewritten
+// one step after its old value was read as a[j]'s diagonal. The two
+// rows are two independent carried chains, which is what the pass buys
+// over two one-row passes (DESIGN §5.6).
+//
+// sat ORs the diagonal terms only. That is the one place a clean lane
+// can first exceed its cap: the up and left terms are clamped subtracts
+// and so ≤ 127 whatever their input, and max8 of a clean diagonal term
+// is exact — so up to a lane's first guard bit every cell equals the
+// scalar recurrence, and that first excess (≤ 254, still inside the
+// lane) is ORed into sat before max8 mangles it. best folds both rows;
+// every max8 output is ≤ 127, so it needs no guard strip. Lanes whose
+// guard bit is set in sat are unreliable and must be retried wider.
+func rowPair8(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
+	n := len(row)
+	plusA, minusA = plusA[:n], minusA[:n] // bounds hints for the loop body
+	plusB, minusB = plusB[:n], minusB[:n]
+	// Word 0 of row i: the borders are zero, so the diagonal term is
+	// plus alone (≤ 127) and the left term vanishes.
+	a1 := max8(plusA[0], SubClamp8(row[0], gapV)) // a[j-1]
+	a2 := uint64(0)                               // a[j-2]: the zero border
+	b := uint64(0)                                // b[j-2]: the zero border
+	best = max8(a1, best)
+	for j := 1; j < n; j++ {
+		ag := SubClamp8(a1, gapV)
+		da := SubClamp8(row[j-1], minusA[j]) + plusA[j]
+		db := SubClamp8(a2, minusB[j-1]) + plusB[j-1]
+		sat |= da | db
+		a := max8(max8(da, SubClamp8(row[j], gapV)), ag)
+		b = max8(max8(db, ag), SubClamp8(b, gapV))
+		row[j-1] = b // row i-1's word, read just above as a's diagonal
+		best = max8(max8(a, b), best)
+		a2, a1 = a1, a
 	}
-	return best, sat
+	// Last word of row i+1.
+	db := SubClamp8(a2, minusB[n-1]) + plusB[n-1]
+	sat |= db
+	b = max8(max8(db, SubClamp8(a1, gapV)), SubClamp8(b, gapV))
+	row[n-1] = b
+	return max8(b, best), sat
 }
 
-// row16 is row8 for 4 uint16 lanes.
-func row16(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uint64) {
-	n := len(plus)
-	d := prev[0]
-	w := uint64(0)
-	pr := prev[1:]
-	out := cur[1:]
-	_ = pr[n-1]
-	_ = out[n-1]
-	_ = minus[n-1]
-	for j := 0; j < n; j++ {
-		v := SubClamp16(d, minus[j]) + plus[j]
-		d = pr[j]
-		v = MaxClamped16(v, SubClamp16(d, gapV))
-		v = MaxClamped16(v, SubClamp16(w, gapV))
-		out[j] = v
-		w = v
-		sat |= v
-		best = MaxClamped16(best, v&^hi16)
+// rowPair16 is rowPair8 for 4 uint16 lanes. The two stay specialised
+// copies: one kernel taking the guard mask and lane shift as arguments
+// measured 23 % slower (variable shifts, two more live registers).
+func rowPair16(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
+	n := len(row)
+	plusA, minusA = plusA[:n], minusA[:n]
+	plusB, minusB = plusB[:n], minusB[:n]
+	a1 := max16(plusA[0], SubClamp16(row[0], gapV))
+	a2 := uint64(0)
+	b := uint64(0)
+	best = max16(a1, best)
+	for j := 1; j < n; j++ {
+		ag := SubClamp16(a1, gapV)
+		da := SubClamp16(row[j-1], minusA[j]) + plusA[j]
+		db := SubClamp16(a2, minusB[j-1]) + plusB[j-1]
+		sat |= da | db
+		a := max16(max16(da, SubClamp16(row[j], gapV)), ag)
+		b = max16(max16(db, ag), SubClamp16(b, gapV))
+		row[j-1] = b // row i-1's word, read just above as a's diagonal
+		best = max16(max16(a, b), best)
+		a2, a1 = a1, a
 	}
-	return best, sat
+	db := SubClamp16(a2, minusB[n-1]) + plusB[n-1]
+	sat |= db
+	b = max16(max16(db, SubClamp16(a1, gapV)), SubClamp16(b, gapV))
+	row[n-1] = b
+	return max16(b, best), sat
 }
 
 // LaneScores is the outcome of one packed scan.
@@ -166,25 +211,21 @@ type LaneScores struct {
 // zero value is ready to use; an Aligner must not be shared between
 // goroutines.
 type Aligner struct {
-	prev, cur   []uint64 // inter-sequence packed rows (Scan8/Scan16)
+	row         []uint64 // inter-sequence packed row (Scan8/Scan16)
 	sprev, scur []uint64 // striped rows (StripedScan8/StripedScan16)
 	schg        []uint64 // striped correction-loop change mask
 }
 
-// rows returns the two row buffers of length words+1, with prev cleared
-// (the zero top border) — cur is fully overwritten row by row and its
-// border cell cur[0] is never read (the left carry starts at the
-// constant zero column instead).
-func (a *Aligner) rows(words int) ([]uint64, []uint64) {
-	if cap(a.prev) < words+1 {
-		a.prev = make([]uint64, words+1)
-		a.cur = make([]uint64, words+1)
+// zeroRow returns the inter-sequence row buffer, one word per target
+// position, cleared: the zero top border. The kernels carry the zero
+// border column in registers, so the row has no border cell.
+func (a *Aligner) zeroRow(words int) []uint64 {
+	if cap(a.row) < words {
+		a.row = make([]uint64, words)
 	}
-	a.prev = a.prev[:words+1]
-	a.cur = a.cur[:words+1]
-	clear(a.prev)
-	a.cur[0] = 0
-	return a.prev, a.cur
+	a.row = a.row[:words]
+	clear(a.row)
+	return a.row
 }
 
 // scanPacked runs the packed recurrence of q against prof and returns
@@ -204,7 +245,7 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	if words == 0 || len(q) == 0 {
 		return 0, 0, blocks, len(q), false
 	}
-	prev, cur := a.rows(words)
+	row := a.zeroRow(words)
 	gapV := prof.Broadcast(gap)
 	wide := prof.Lanes() == bio.PackedLanes16
 	satMask := uint64(hi8)
@@ -215,13 +256,22 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	var snap uint64 // best at the previous block boundary
 	for lo := 0; lo < len(q); lo += BlockRows {
 		hi := min(lo+BlockRows, len(q))
-		for _, c := range q[lo:hi] {
-			if wide {
-				best, sat = row16(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
-			} else {
-				best, sat = row8(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
+		// Two rows per pass. BlockRows is even, so a pair never straddles a
+		// block boundary; only the query's last row can be left without a
+		// partner, and it pairs with the all-mismatch 'N' row: every cell
+		// of that phantom row is at most one of its neighbours (its
+		// diagonal term adds no match reward), so it can neither raise a
+		// lane's maximum nor set a guard bit.
+		for i := lo; i < hi; i += 2 {
+			c, c2 := q[i], byte('N')
+			if i+1 < hi {
+				c2 = q[i+1]
 			}
-			prev, cur = cur, prev
+			if wide {
+				best, sat = rowPair16(row, prof.PlusRow(c), prof.MinusRow(c), prof.PlusRow(c2), prof.MinusRow(c2), gapV, best, sat)
+			} else {
+				best, sat = rowPair8(row, prof.PlusRow(c), prof.MinusRow(c), prof.PlusRow(c2), prof.MinusRow(c2), gapV, best, sat)
+			}
 		}
 		if moved := best ^ snap; moved != 0 {
 			for l := 0; l < prof.Lanes(); l++ {
@@ -240,12 +290,10 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 				m = reduce16(best)
 			}
 			if m+ab.Query.SuffixBound(hi) < ab.Below {
-				a.prev, a.cur = prev, cur
 				return best, sat, blocks, hi, true
 			}
 		}
 	}
-	a.prev, a.cur = prev, cur
 	return best, sat, blocks, len(q), false
 }
 

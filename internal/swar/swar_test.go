@@ -1,6 +1,7 @@
 package swar_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -19,13 +20,122 @@ const (
 
 // ---- SWAR primitive unit tests: packed ops vs per-lane reference loops ----
 
-// TestClampPrimitives pins the guard-bit contracts of the packed ops:
-// for penalty lanes y within the clean range, SubClamp* is the exact
-// zero-clamped subtract on clean x lanes and always lands back in the
-// clean range (containment) for any x — even when neighbouring lanes
-// carry dirty guard-bit values — and MaxClamped* is the exact unsigned
-// per-lane maximum for every x.
+// refSubClamp8, refMaxClamped8 and their int16 twins are the primitives
+// as they were before the two-row kernel: each builds its lane mask by
+// multiplying the shifted-down guard bits. The shift-and-subtract forms
+// that replaced them must return the same word for every word in.
+func refSubClamp8(x, y uint64) uint64 {
+	z := (x | hi8) - y
+	m := ((z & hi8) >> 7) * 0xFF
+	return (z &^ hi8) & m
+}
+
+func refMaxClamped8(x, y uint64) uint64 {
+	z := (x | hi8) - y
+	m := (((x | z) & hi8) >> 7) * 0xFF
+	return (x & m) | (y &^ m)
+}
+
+func refSubClamp16(x, y uint64) uint64 {
+	z := (x | hi16) - y
+	m := ((z & hi16) >> 15) * 0xFFFF
+	return (z &^ hi16) & m
+}
+
+func refMaxClamped16(x, y uint64) uint64 {
+	z := (x | hi16) - y
+	m := (((x | z) & hi16) >> 15) * 0xFFFF
+	return (x & m) | (y &^ m)
+}
+
+// laneOps names the packed primitives of one lane width next to the
+// retired forms they must equal.
+type laneOps struct {
+	bits                       uint // lane width: 8 or 16
+	sub, max, kmax             func(x, y uint64) uint64
+	refSub, refMax             func(x, y uint64) uint64
+	subName, maxName, kmaxName string
+}
+
+var (
+	ops8  = laneOps{8, swar.SubClamp8, swar.MaxClamped8, swar.Max8, refSubClamp8, refMaxClamped8, "SubClamp8", "MaxClamped8", "Max8"}
+	ops16 = laneOps{16, swar.SubClamp16, swar.MaxClamped16, swar.Max16, refSubClamp16, refMaxClamped16, "SubClamp16", "MaxClamped16", "Max16"}
+)
+
+// check pins one (x, y) word pair, y lanes within the clean range: the
+// primitives equal the retired forms word for word; SubClamp is the
+// exact clamped subtract of clean x lanes and lands in the clean range
+// for any x; MaxClamped is the exact unsigned maximum; and the in-kernel
+// maximum is exact for clean x lanes and, for any x, a function of its
+// own lane alone (no carry or borrow reaches a neighbour).
+func (o laneOps) check(t *testing.T, x, y uint64) {
+	t.Helper()
+	sub, mx, kmax := o.sub(x, y), o.max(x, y), o.kmax(x, y)
+	if want := o.refSub(x, y); sub != want {
+		t.Fatalf("%s(%#x,%#x) = %#x, multiply form %#x", o.subName, x, y, sub, want)
+	}
+	if want := o.refMax(x, y); mx != want {
+		t.Fatalf("%s(%#x,%#x) = %#x, multiply form %#x", o.maxName, x, y, mx, want)
+	}
+	mask := uint64(1)<<o.bits - 1
+	clean := int(mask >> 1) // 127 or 32767
+	for l := uint(0); l < 64/o.bits; l++ {
+		xl := int(x >> (o.bits * l) & mask)
+		yl := int(y >> (o.bits * l) & mask)
+		sl := int(sub >> (o.bits * l) & mask)
+		ml := int(mx >> (o.bits * l) & mask)
+		kl := kmax >> (o.bits * l) & mask
+		if sl > clean {
+			t.Fatalf("%s(%#x,%#x) lane %d = %d escapes the clean range", o.subName, x, y, l, sl)
+		}
+		if xl <= clean && sl != max(0, xl-yl) {
+			t.Fatalf("%s(%#x,%#x) lane %d = %d, want %d", o.subName, x, y, l, sl, max(0, xl-yl))
+		}
+		if ml != max(xl, yl) {
+			t.Fatalf("%s(%#x,%#x) lane %d = %d, want %d", o.maxName, x, y, l, ml, max(xl, yl))
+		}
+		if xl <= clean && int(kl) != max(xl, yl) {
+			t.Fatalf("%s(%#x,%#x) lane %d = %d, want %d", o.kmaxName, x, y, l, kl, max(xl, yl))
+		}
+		if alone := o.kmax(uint64(xl), uint64(yl)); kl != alone {
+			t.Fatalf("%s(%#x,%#x) lane %d = %d, but %d with the lane on its own", o.kmaxName, x, y, l, kl, alone)
+		}
+	}
+}
+
+// TestClampPrimitives pins the guard-bit contracts of the packed ops
+// (laneOps.check) exhaustively per lane: every (x, y) byte pair
+// with y ≤ 127 in each of the 8 lane positions, between neighbours that
+// are dirty (guard bit set) in x and at the penalty cap in y — the
+// values most likely to leak a borrow or a carry — or on the borrow
+// edge x|hi − y = 1; int16 lanes at their boundaries; and random words.
 func TestClampPrimitives(t *testing.T) {
+	const lanes8 = 0x0101010101010101
+	for l := 0; l < 8; l++ {
+		lane := uint64(0xFF) << (8 * l)
+		for _, nb := range [][2]uint64{{0xFF * lanes8, 0x7F * lanes8}, {0x80 * lanes8, 0x7F * lanes8}, {0, 0}} {
+			for x := uint64(0); x < 256; x++ {
+				for y := uint64(0); y < 128; y++ {
+					ops8.check(t, nb[0]&^lane|x<<(8*l), nb[1]&^lane|y<<(8*l))
+				}
+			}
+		}
+	}
+	const lanes16 = 0x0001000100010001
+	edgeX := []uint64{0, 1, 32766, 32767, 32768, 65535}
+	edgeY := []uint64{0, 1, 32766, 32767}
+	for l := 0; l < 4; l++ {
+		lane := uint64(0xFFFF) << (16 * l)
+		for _, nx := range edgeX {
+			for _, ny := range edgeY {
+				for _, x := range edgeX {
+					for _, y := range edgeY {
+						ops16.check(t, nx*lanes16&^lane|x<<(16*l), ny*lanes16&^lane|y<<(16*l))
+					}
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(7))
 	base := []uint64{0, ^uint64(0), hi8, hi16, 0x00FF00FF00FF00FF,
 		0x0101010101010101, ^uint64(hi8), ^uint64(hi16)}
@@ -33,42 +143,8 @@ func TestClampPrimitives(t *testing.T) {
 		words := append(base[:len(base):len(base)], rng.Uint64(), rng.Uint64())
 		for _, x := range words {
 			for _, yr := range words {
-				y := yr &^ hi8 // penalty lanes stay ≤ 127 by contract
-				sub := swar.SubClamp8(x, y)
-				mx := swar.MaxClamped8(x, y)
-				for l := 0; l < 8; l++ {
-					xl := int(x >> (8 * l) & 0xFF)
-					yl := int(y >> (8 * l) & 0xFF)
-					sl := int(sub >> (8 * l) & 0xFF)
-					ml := int(mx >> (8 * l) & 0xFF)
-					if sl > 127 {
-						t.Fatalf("SubClamp8(%#x,%#x) lane %d = %d escapes the clean range", x, y, l, sl)
-					}
-					if xl <= 127 && sl != max(0, xl-yl) {
-						t.Fatalf("SubClamp8(%#x,%#x) lane %d = %d, want %d", x, y, l, sl, max(0, xl-yl))
-					}
-					if ml != max(xl, yl) {
-						t.Fatalf("MaxClamped8(%#x,%#x) lane %d = %d, want %d", x, y, l, ml, max(xl, yl))
-					}
-				}
-				y = yr &^ hi16
-				sub = swar.SubClamp16(x, y)
-				mx = swar.MaxClamped16(x, y)
-				for l := 0; l < 4; l++ {
-					xl := int(x >> (16 * l) & 0xFFFF)
-					yl := int(y >> (16 * l) & 0xFFFF)
-					sl := int(sub >> (16 * l) & 0xFFFF)
-					ml := int(mx >> (16 * l) & 0xFFFF)
-					if sl > 32767 {
-						t.Fatalf("SubClamp16(%#x,%#x) lane %d = %d escapes the clean range", x, y, l, sl)
-					}
-					if xl <= 32767 && sl != max(0, xl-yl) {
-						t.Fatalf("SubClamp16(%#x,%#x) lane %d = %d, want %d", x, y, l, sl, max(0, xl-yl))
-					}
-					if ml != max(xl, yl) {
-						t.Fatalf("MaxClamped16(%#x,%#x) lane %d = %d, want %d", x, y, l, ml, max(xl, yl))
-					}
-				}
+				ops8.check(t, x, yr&^hi8) // penalty lanes stay ≤ 127 by contract
+				ops16.check(t, x, yr&^hi16)
 			}
 		}
 	}
@@ -390,4 +466,183 @@ func TestScoresManyLengths(t *testing.T) {
 		targets = append(targets, g.Random(n))
 	}
 	checkScores(t, "many-lengths", q, targets, sc)
+}
+
+// ---- Two-row kernel vs the retired one-row kernel ----
+
+// row8 is the one-row int8 kernel the two-row rowPair8 replaced, kept —
+// on the retired multiply primitives — as its reference: one packed row
+// of the recurrence per call, every cell ORed into sat, the
+// guard-stripped cell folded into best.
+func row8(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uint64) {
+	d := prev[0]   // diag carry: prev[j-1]
+	w := uint64(0) // left carry: cur[j-1]; the border column is all zero
+	for j := range plus {
+		v := refSubClamp8(d, minus[j]) + plus[j]
+		d = prev[j+1]
+		v = refMaxClamped8(v, refSubClamp8(d, gapV))
+		v = refMaxClamped8(v, refSubClamp8(w, gapV))
+		cur[j+1] = v
+		w = v
+		sat |= v
+		best = refMaxClamped8(best, v&^hi8)
+	}
+	return best, sat
+}
+
+// row16 is row8 for 4 uint16 lanes.
+func row16(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uint64) {
+	d := prev[0]
+	w := uint64(0)
+	for j := range plus {
+		v := refSubClamp16(d, minus[j]) + plus[j]
+		d = prev[j+1]
+		v = refMaxClamped16(v, refSubClamp16(d, gapV))
+		v = refMaxClamped16(v, refSubClamp16(w, gapV))
+		cur[j+1] = v
+		w = v
+		sat |= v
+		best = refMaxClamped16(best, v&^hi16)
+	}
+	return best, sat
+}
+
+// oneRowScan is the packed scan as it ran on row8/row16: one row per
+// pass over two swapped row buffers, end-row blocks stamped every
+// BlockRows rows. It returns the folded maximum, the saturation word
+// and the blocks after the last row of q, and the stored row an even
+// number of rows in: q's last row, or for an odd q the all-mismatch 'N'
+// row after it, which the two-row kernel pairs it with — and which must
+// move neither the maximum nor a clean lane's guard bit.
+func oneRowScan(t *testing.T, q bio.Sequence, prof *bio.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, last []uint64) {
+	t.Helper()
+	row, hi := row8, uint64(hi8)
+	if prof.Lanes() == bio.PackedLanes16 {
+		row, hi = row16, hi16
+	}
+	prev, cur := make([]uint64, prof.Words()+1), make([]uint64, prof.Words()+1)
+	gapV := prof.Broadcast(gap)
+	var snap uint64
+	for lo := 0; lo < len(q); lo += swar.BlockRows {
+		for _, c := range q[lo:min(lo+swar.BlockRows, len(q))] {
+			best, sat = row(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
+			prev, cur = cur, prev
+		}
+		moved := best ^ snap
+		for l := 0; l < prof.Lanes(); l++ {
+			if prof.Lane(moved, l) != 0 {
+				blocks[l] = lo / swar.BlockRows
+			}
+		}
+		snap = best
+	}
+	if len(q)%2 == 1 {
+		b, s := row(prev, cur, prof.PlusRow('N'), prof.MinusRow('N'), gapV, best, sat)
+		if b != best || (s^sat)&hi != 0 {
+			t.Fatalf("phantom N row moved the one-row scan: best %#x → %#x, sat %#x → %#x", best, b, sat, s)
+		}
+		prev = cur
+	}
+	return best, sat, blocks, prev[1:]
+}
+
+// twoRowInputs builds the query and lane targets of one
+// TestTwoRowMatchesOneRow case: the longest lane is exactly words long,
+// the others uneven down to empty.
+func twoRowInputs(g *bio.Generator, kind string, qLen, words, lanes int) (bio.Sequence, []bio.Sequence) {
+	fit := func(s bio.Sequence, n int) bio.Sequence { // s repeated or cut to n bases
+		out := make(bio.Sequence, n)
+		for i := range out {
+			out[i] = s[i%len(s)]
+		}
+		return out
+	}
+	q := g.Random(qLen)
+	targets := make([]bio.Sequence, lanes)
+	for l := range targets {
+		n := words
+		if l > 0 {
+			n = words * ((l * 5) % lanes) / lanes // uneven; empty when words is small
+		}
+		switch kind {
+		case "random":
+			targets[l] = g.Random(n)
+		case "homolog": // lanes carry mutated copies of the query: scores grow with |q|
+			targets[l] = fit(g.MutatedCopy(q, bio.DefaultMutationModel()), n)
+		case "two-letter": // half of all cells match
+			targets[l] = fit(bio.MustSequence("ACCA"[l%3:]), n)
+		case "n-run": // wildcard runs cut every alignment short
+			targets[l] = fit(append(g.Random(5+l), bio.MustSequence("NNNNNNN")...), n)
+		}
+	}
+	switch kind {
+	case "two-letter":
+		q = fit(bio.MustSequence("CAAC"), qLen)
+	case "n-run":
+		q = fit(append(g.Random(9), bio.MustSequence("NNN")...), qLen)
+	}
+	return q, targets
+}
+
+// TestTwoRowMatchesOneRow drives the two-row kernel and the one-row
+// kernel it replaced over the same profiles — query lengths around the
+// pair and block boundaries, one word to 600, both lane widths, scoring
+// schemes from the paper's to ones that saturate a lane within a few
+// matches — and asserts what the ladder relies on: the same set of
+// flagged lanes, and in every unflagged lane the same maximum, the same
+// end-row block and the same stored row.
+func TestTwoRowMatchesOneRow(t *testing.T) {
+	scorings := []bio.Scoring{
+		bio.DefaultScoring(),
+		{Match: 5, Mismatch: -4, Gap: -1},          // cheap gaps: up and left terms win often
+		{Match: 25, Mismatch: -2, Gap: -3},         // saturates int8 in 6 matches
+		{Match: 127, Mismatch: -127, Gap: -127},    // every magnitude at the int8 cap
+		{Match: 7000, Mismatch: -7000, Gap: -9000}, // int16 only, saturates it in 5 matches
+	}
+	g := bio.NewGenerator(19)
+	var al swar.Aligner
+	for _, kind := range []string{"random", "homolog", "two-letter", "n-run"} {
+		for _, qLen := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129} {
+			for _, words := range []int{1, 2, 3, 7, 600} {
+				q8, t8 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes8)
+				q16, t16 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes16)
+				for _, sc := range scorings {
+					for _, c := range []struct {
+						q    bio.Sequence
+						prof *bio.PackedProfile
+					}{{q8, bio.NewPackedProfile8(t8, sc)}, {q16, bio.NewPackedProfile16(t16, sc)}} {
+						if c.prof == nil || -sc.Gap > c.prof.Cap() {
+							continue // the scheme does not fit this lane width
+						}
+						name := fmt.Sprintf("%s |q|=%d words=%d %+v lanes=%d", kind, qLen, words, sc, c.prof.Lanes())
+						wantBest, wantSat, wantBlocks, wantRow := oneRowScan(t, c.q, c.prof, -sc.Gap)
+						best, sat, blocks, row := al.ScanPackedRow(c.q, c.prof, -sc.Gap)
+						guard := uint64(1) << (c.prof.Shift() - 1)
+						var clean uint64 // all-ones in every unflagged lane
+						for l := 0; l < c.prof.Lanes(); l++ {
+							flagged := c.prof.Lane(sat, l)&int(guard) != 0
+							if want := c.prof.Lane(wantSat, l)&int(guard) != 0; flagged != want {
+								t.Fatalf("%s: lane %d flagged %v, one-row kernel %v", name, l, flagged, want)
+							}
+							if flagged {
+								continue
+							}
+							clean |= (guard<<1 - 1) << (uint(l) * c.prof.Shift())
+							if blocks[l] != wantBlocks[l] {
+								t.Fatalf("%s: lane %d end block %d, one-row kernel %d", name, l, blocks[l], wantBlocks[l])
+							}
+						}
+						if (best^wantBest)&clean != 0 {
+							t.Fatalf("%s: best %#x, one-row kernel %#x (clean lanes %#x)", name, best, wantBest, clean)
+						}
+						for j := range wantRow {
+							if (row[j]^wantRow[j])&clean != 0 {
+								t.Fatalf("%s: stored word %d = %#x, one-row kernel %#x (clean lanes %#x)", name, j, row[j], wantRow[j], clean)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -8,7 +8,11 @@
 #      striped kernels, their pooled aligners, the adaptive routing
 #      state and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
-#      which the root ./... patterns cannot see
+#      which the root ./... patterns cannot see, then a kernel oracle
+#      fuzz: 10 s each of the three differential fuzzers that pin the
+#      packed and striped kernels to the scalar one (FuzzScoresVsScalar,
+#      FuzzStripedVsScalar, FuzzDispatchVsScalar) — past their seed
+#      corpora, which is all `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
@@ -81,6 +85,11 @@ echo "== bench module (nested: the root ./... cannot see it)"
 
 echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpack + server)"
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
+
+echo "== kernel oracle fuzz (10 s x 3 differential fuzzers)"
+go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
+go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
+go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
 
 echo "== chaos sweep (16 seeds x 3 strategies, -race)"
 chaos_bin=$(mktemp -d)/genomedsm
