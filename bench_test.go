@@ -483,18 +483,18 @@ func BenchmarkKernelReverseRetrieve(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchRealign measures the realign stage alone — the exact
-// forward rescan plus the §6 reverse retrieval of ten final hits, fanned
-// over the realign pool — in the two shapes the serve-path benchmark
-// spends it on: homolog hits, where the reverse sweep's useful area is
-// large, and short hits of a 20 kb query, where the forward rescan is
-// everything. Those two rows realign hand-built hits, which know no
-// end-row block and rescan whole matrices; long20000x500/scanned takes
-// its hits from a NoEndpoints scan, blocks included, so it rescans
-// strips — what serve pays. cells/s counts the forward matrices,
-// Σ|q|·|t|, in every row, so the scanned row's rate is the whole-matrix
-// equivalent. Run with -cpu 1,2 for the pool's scaling; ci.sh gates the
-// hand-built 20 kb row on it.
+// BenchmarkSearchRealign measures the realign stage alone — finding the
+// end cell plus the §6 reverse retrieval of ten final hits, fanned over
+// the realign pool — in the two shapes the serve-path benchmark spends
+// it on: homolog hits, where the reverse sweep's useful area is large,
+// and short hits of a 20 kb query, where it is small. The plain rows
+// realign hand-built hits, which know no end cell and scan whole
+// matrices forward first; the /scanned rows take their hits from a
+// NoEndpoints scan, end cells included, so only the reverse sweep is
+// left — what serve pays. cells/s counts the forward matrices, Σ|q|·|t|,
+// in every row, so a scanned row's rate is the whole-matrix equivalent.
+// Run with -cpu 1,2 for the pool's scaling; ci.sh gates the hand-built
+// 20 kb row on it.
 func BenchmarkSearchRealign(b *testing.B) {
 	g := bio.NewGenerator(123)
 	homQ := g.Random(600)
@@ -515,6 +515,7 @@ func BenchmarkSearchRealign(b *testing.B) {
 		scanned bool
 	}{
 		{"homolog600x1000", homQ, homDB, false},
+		{"homolog600x1000/scanned", homQ, homDB, true},
 		{"long20000x500", longQ, longDB, false},
 		{"long20000x500/scanned", longQ, longDB, true},
 	} {
@@ -541,7 +542,7 @@ func BenchmarkSearchRealign(b *testing.B) {
 				hits = res.Hits
 			}
 			reportCells(b, cells)
-			// Realign consumes a hit's block with its span, so every
+			// Realign consumes a hit's end cell with its span, so every
 			// iteration starts from a fresh copy.
 			work := make([]search.Hit, len(hits))
 			b.ResetTimer()

@@ -9,8 +9,9 @@ import (
 // The reusable aligner structs (Retriever, AffineAligner) exist to cut
 // steady-state allocation: the one-shot package functions allocate the
 // full working set per call (sparse rows per active cell, three O(m·n)
-// Gotoh layers), while a warm struct should allocate only the query
-// profile and the returned alignment. These tests pin that property with
+// Gotoh layers), while a warm struct should allocate only the returned
+// alignment (and, for the affine aligner, the query profile). These
+// tests pin that property with
 // generous ceilings — a regression back to per-cell or per-row
 // allocation blows through them by orders of magnitude.
 
@@ -50,7 +51,7 @@ func TestRetrieverSteadyStateAllocs(t *testing.T) {
 	}
 	run() // warm the arenas
 	allocs := testing.AllocsPerRun(20, run)
-	const ceiling = 32 // profile + result + op appends; was ~14.5k one-shot
+	const ceiling = 32 // result + op appends; was ~14.5k one-shot
 	if allocs > ceiling {
 		t.Errorf("Retriever.ReverseRetrieve: %.0f allocs/op, ceiling %d", allocs, ceiling)
 	}

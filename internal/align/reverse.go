@@ -47,12 +47,13 @@ func ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (*Ali
 // retrieval performs a handful of amortized arena growths and stores
 // 1 B per useful cell. The zero value is ready to use; a Retriever must
 // not be shared between goroutines. Steady-state reuse (one per realign
-// worker, RetrieveAll) allocates only the profile and the result.
+// worker, RetrieveAll) allocates only the result.
 type Retriever struct {
 	prev, cur []int32      // rolling value rows, qmax+2 columns each
 	arrs      []byte       // arrow arena
 	rows      []rrow       // per-row windows into the arena
 	rev       bio.Sequence // reversed-prefix scratch for the profile
+	prof      bio.Profile  // query profile over rev, rebuilt per call
 	// High-water trim bookkeeping: one huge retrieval must not pin its
 	// arena for the lifetime of a long-lived Retriever (a realign worker,
 	// RetrieveAll loops). Every trimWindow calls the buffers are shrunk
@@ -90,7 +91,7 @@ func (rt *Retriever) observe() {
 	}
 	if cap(rt.arrs) > arenaTrimFactor*rt.hw && cap(rt.arrs) > arenaTrimMinCap {
 		rt.arrs = make([]byte, 0, rt.hw)
-		rt.prev, rt.cur, rt.rev = nil, nil, nil
+		rt.prev, rt.cur, rt.rev, rt.prof = nil, nil, nil, bio.Profile{}
 	}
 	if cap(rt.rows) > arenaTrimFactor*rt.hwRows && cap(rt.rows) > arenaTrimMinCap {
 		rt.rows = make([]rrow, 0, rt.hwRows)
@@ -136,7 +137,8 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 	for q := endJ - 1; q >= 0; q-- {
 		rt.rev = append(rt.rev, t[q])
 	}
-	prof := bio.NewProfile(rt.rev, sc)
+	prof := &rt.prof
+	prof.Reset(rt.rev, sc.Match, sc.Mismatch)
 	gap, kk := int32(sc.Gap), int32(k)
 
 	// A cell is active when its value is positive and it is reachable

@@ -35,10 +35,12 @@ func BaseCode(b byte) uint8 { return baseCode[b] }
 // Profile is a query profile against a fixed sequence t: Row(a)[j] is
 // the substitution score of residue a against t[j] under the rule of
 // Substitution. Build it once per comparison; it is read-only afterwards
-// and safe for concurrent use.
+// and safe for concurrent use. The zero value is an empty profile that
+// Reset can fill.
 type Profile struct {
-	n    int
-	rows [AlphabetSize][]int32
+	n       int
+	backing []int32
+	rows    [AlphabetSize][]int32
 }
 
 // NewProfile builds the query profile of t under the linear scheme sc.
@@ -50,9 +52,22 @@ func NewProfile(t Sequence, sc Scoring) *Profile {
 // match/mismatch pair (used by the affine aligner, whose gap model lives
 // outside the substitution rule).
 func NewSubstProfile(t Sequence, match, mismatch int) *Profile {
+	p := new(Profile)
+	p.Reset(t, match, mismatch)
+	return p
+}
+
+// Reset rebuilds p as the profile of t under match/mismatch, reusing
+// p's storage when it is large enough — for owners that build one
+// profile per comparison and keep nothing of the last (a Retriever, a
+// swar.Aligner). Rows handed out before the call are invalid after it.
+func (p *Profile) Reset(t Sequence, match, mismatch int) {
 	n := len(t)
-	p := &Profile{n: n}
-	backing := make([]int32, AlphabetSize*n)
+	if cap(p.backing) < AlphabetSize*n {
+		p.backing = make([]int32, AlphabetSize*n)
+	}
+	p.n = n
+	backing := p.backing[:AlphabetSize*n]
 	mm := int32(mismatch)
 	for i := range backing {
 		backing[i] = mm
@@ -68,7 +83,6 @@ func NewSubstProfile(t Sequence, match, mismatch int) *Profile {
 			p.rows[c][j] = int32(match)
 		}
 	}
-	return p
 }
 
 // Len returns the profile's query length |t|.

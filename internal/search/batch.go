@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -189,7 +190,8 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var al swar.Aligner
+			al := aligners.Get().(*swar.Aligner)
+			defer aligners.Put(al)
 			heaps[w] = make([]*topK, nq)
 			for qi, st := range states {
 				heaps[w][qi] = &topK{k: st.k}
@@ -227,7 +229,7 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 					if st.done() {
 						continue
 					}
-					err := scanGroupFor(&al, st, db, group, sc, opt.Prune,
+					err := scanGroupFor(al, st, db, group, sc, opt.Prune,
 						heaps[w][qi], &pstats[w][qi], &padded[w][qi], &scratch, use)
 					if err != nil {
 						errs[w] = err
@@ -262,6 +264,7 @@ feed:
 	}
 
 	out := make([]BatchResult, nq)
+	from := make([][]scored, nq) // per query, the heap entries behind its Hits
 	for qi, st := range states {
 		qerr := st.ctx.Err()
 		res := &Result{}
@@ -307,32 +310,36 @@ feed:
 				merged.push(it)
 			}
 		}
-		if len(merged.items) > 0 { // no hits stays a nil slice
-			res.Hits = make([]Hit, len(merged.items))
+		ends := merged.items
+		sort.Slice(ends, func(a, b int) bool { return ends[a].before(ends[b]) })
+		if len(ends) > 0 { // no hits stays a nil slice
+			res.Hits = make([]Hit, len(ends))
 		}
-		for i, it := range merged.items {
-			res.Hits[i] = Hit{Index: it.index, ID: db.recs[it.index].ID, Score: it.score, endBlock: it.endBlock}
-		}
-		SortHits(res.Hits)
-		out[qi] = BatchResult{Result: res}
-	}
-	if !opt.NoEndpoints {
-		if router == nil {
-			// The reference scorer is the oracle the strip re-alignment is
-			// tested against, so its own coordinates must not lean on the
-			// strip argument: unknown blocks rescan whole matrices.
-			for _, br := range out {
-				for i := range br.Result.Hits {
-					br.Result.Hits[i].endBlock = 0
-				}
+		for i, it := range ends {
+			res.Hits[i] = Hit{Index: it.index, ID: db.recs[it.index].ID, Score: it.score}
+			if it.endJ > 0 {
+				res.Hits[i].endI, res.Hits[i].endJ = it.endI, it.endJ
 			}
 		}
-		// One pool call over the whole batch: every (query, hit) pair is
-		// an independent item, so a 4-query batch keeps all workers busy
-		// where a per-query loop would leave them idle between queries.
-		if err := RealignBatch(ctx, queries, out, db.recs, sc, poolWorkers); err != nil {
-			return nil, err
+		from[qi] = ends
+		out[qi] = BatchResult{Result: res}
+	}
+	if router == nil && !opt.NoEndpoints {
+		// The reference scorer is the oracle the located re-alignment is
+		// tested against, so its own coordinates must not lean on the end
+		// cells of its scan: without them every hit scans its whole matrix.
+		from = nil
+		for _, br := range out {
+			for i := range br.Result.Hits {
+				br.Result.Hits[i].endI, br.Result.Hits[i].endJ = 0, 0
+			}
 		}
+	}
+	// One pool call over the whole batch: every (query, hit) pair is an
+	// independent item, so a 4-query batch keeps all workers busy where a
+	// per-query loop would leave them idle between queries.
+	if err := finishHits(ctx, queries, out, db.recs, sc, poolWorkers, from, !opt.NoEndpoints); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -449,7 +456,7 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 		res = scoreGroup(al, q, targets, lens, sc, st.scan, ab, gp)
 	} else {
 		var err error
-		if res, err = referenceScores(q, targets, sc, ab); err != nil {
+		if res, err = referenceScores(al, q, targets, sc, ab); err != nil {
 			return err
 		}
 	}
@@ -464,7 +471,22 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 			ps.Scanned++
 		}
 		if s := res.Scores[i]; s > 0 && s >= st.minScore {
-			heap.push(scored{score: s, index: idx, endBlock: res.EndBlock[i] + 1})
+			it := scored{score: s, index: idx, endI: res.EndI[i], endJ: res.EndJ[i]}
+			seeded := res.Seeded&(1<<uint(i)) != 0
+			if seeded {
+				it.endI = res.EndBlock[i] * swar.BlockRows
+			}
+			// A score with neither an end cell nor a seed comes from a packed
+			// rung and lies below the threshold it was scanned under: K
+			// records are known to beat it, so it is no hit and the heap need
+			// not see it. The seed is copied out of the Aligner, into the
+			// evicted entry's buffer, only once the heap takes the entry.
+			if (seeded || it.endJ > 0) && heap.admits(it) {
+				if seeded {
+					it.seed = append(heap.spare(), al.Seed(i)...)
+				}
+				heap.push(it)
+			}
 			if st.ft != nil {
 				st.ft.Push(s, idx)
 			}

@@ -15,40 +15,38 @@ import (
 
 // Realign is the one-query form of RealignBatch: it fills the alignment
 // spans of hits, the final top K of q, on up to runtime.NumCPU()
-// goroutines — over strips of the matrix for hits that come from a
-// NoEndpoints scan of q, whole matrices for any others. A zero sc means
-// bio.DefaultScoring.
+// goroutines — walking back from the end cell for hits that come from a
+// NoEndpoints scan of q, scanning whole matrices forward first for any
+// others. A zero sc means bio.DefaultScoring.
 func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error {
 	out := []BatchResult{{Result: &Result{Hits: hits}}}
 	return RealignBatch(context.Background(), []BatchQuery{{Seq: q}}, out, db, sc, 0)
 }
 
-// RealignBatch fills the alignment spans of every final hit of a batch
-// with the exact kernels: align.Scan (striped when the scheme fits,
-// scalar otherwise) finds the end cell, ReverseRetrieve walks back to
-// the start. Only the K winners of each query pay this cost, and the
-// exact re-scan doubles as a safety net: a score disagreeing with the
-// scan that produced the hit is a kernel bug and is reported, never
-// papered over.
+// RealignBatch fills the alignment spans of every final hit of a batch:
+// align.ReverseRetrieve walks back from the hit's end cell to the start
+// of the alignment, and on the way proves that an alignment of the
+// hit's score ends there. Only the K winners of each query pay this
+// cost.
 //
-// A hit straight from a scan carries the block of swar.BlockRows query
-// rows holding its end row, and the re-scan then covers only a strip of
-// the matrix (Hit.window): the block itself plus, above it, the most
-// rows an alignment against the record can span. A hit without a block
-// — built by hand, or already realigned — re-scans the whole matrix.
-// The strip finds the matrix's own end cell or fails the score check;
-// it never finds another one (DESIGN §5.6 has the argument). Filling a
-// hit's span clears its block, so a realigned hit compares equal to one
-// realigned over the whole matrix.
+// A hit straight from a scan carries its end cell, which the scan
+// located with the score check built in (finishHits). A hit without one
+// — built by hand, or already realigned — gets it from an exact
+// align.Scan of the whole matrix (striped when the scheme fits, scalar
+// otherwise), which doubles as the safety net for such hits: a score
+// disagreeing with the rescan is reported, never papered over. Filling
+// a hit's span clears its end cell, so a realigned hit compares equal
+// whichever way it came.
 //
 // Every (query, hit) pair of the batch is one independent work item.
 // The items run on min(workers, items) goroutines (workers ≤ 0 means
 // runtime.NumCPU(); one worker or one item runs on the caller), handed
-// out dynamically in decreasing order of the forward cells each will
-// compute, strip rows × |t| — the longest-first rule, so the largest
-// realignment is never the last item started. The cells of a query's
-// items add up to its Result.RealignCells. Each worker holds one pooled
-// align.Retriever for the whole call.
+// out dynamically in decreasing order of the box the item sweeps, end
+// row × end column (the whole matrix where the cell is unknown) — the
+// longest-first rule, so the largest realignment is never the last item
+// started. Each worker holds one pooled align.Retriever and one pooled
+// swar.Aligner for the whole call. Result.RealignCells says what the
+// items of a query add up to.
 //
 // out[i] belongs to queries[i]; entries that already carry an Err are
 // left alone. A query whose context (BatchQuery.Ctx, or ctx when nil)
@@ -59,6 +57,20 @@ func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error 
 // error fails the whole batch; when several items fail it is the error
 // of the first one in (query, hit) order, whatever the scheduling was.
 func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, db []bio.Record, sc bio.Scoring, workers int) error {
+	return finishHits(ctx, queries, out, db, sc, workers, nil, true)
+}
+
+// finishHits is the one pool pass over the final hits of a batch, and
+// each item is locate, then reverse. from, when non-nil, holds per query
+// the scan's merged heap entries, from[qi][i] behind out[qi].Result.Hits[i]:
+// a hit the packed rungs scored has no end cell yet, only the entry's
+// end block and saved border row, and swar.LocateEnd replays that block
+// to the cell. The replay is also where such a score is checked, over
+// the block it was claimed for: a block that never reaches the score,
+// or exceeds it first, is a kernel bug and fails the batch. spans then runs the reverse sweep of
+// RealignBatch on every hit; without it (a NoEndpoints scan) the pass
+// stops at the end cells.
+func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db []bio.Record, sc bio.Scoring, workers int, from [][]scored, spans bool) error {
 	if sc == (bio.Scoring{}) {
 		sc = bio.DefaultScoring()
 	}
@@ -75,10 +87,11 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 		return ctx
 	}
 	type item struct {
-		n, qi  int // n: position in (query, hit) order
-		hit    *Hit
-		lo, hi int // the strip: query rows q[lo:hi]
-		cells  int64
+		n, qi int // n: position in (query, hit) order
+		hit   *Hit
+		from  *scored // block and seed of a hit still to be located
+		box   int64   // the schedule key
+		cells int64   // what the item adds to RealignCells
 	}
 	var items []item
 	for qi := range out {
@@ -87,20 +100,40 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 		}
 		hits := out[qi].Result.Hits
 		for i := range hits {
-			h := &hits[i]
-			n := len(db[h.Index].Seq)
-			lo, hi := h.window(len(queries[qi].Seq), n, sc)
-			items = append(items, item{len(items), qi, h, lo, hi, int64(hi-lo) * int64(n)})
+			it := item{n: len(items), qi: qi, hit: &hits[i]}
+			m, n := int64(len(queries[qi].Seq)), int64(len(db[it.hit.Index].Seq))
+			switch {
+			case it.hit.endI > 0:
+				it.box = int64(it.hit.endI) * int64(it.hit.endJ)
+			case from != nil:
+				it.from = &from[qi][i]
+				it.box = min(int64(it.from.endI+swar.BlockRows), m) * n
+			default:
+				it.box = m * n
+			}
+			if spans || it.from != nil {
+				items = append(items, it)
+			}
 		}
 	}
 	// errs stays in (query, hit) order while the schedule is sorted.
 	errs := make([]error, len(items))
-	sort.SliceStable(items, func(a, b int) bool { return items[a].cells > items[b].cells })
+	sort.SliceStable(items, func(a, b int) bool { return items[a].box > items[b].box })
 
 	var next atomic.Int64
 	work := func() {
-		rt := retrievers.Get().(*align.Retriever)
-		defer retrievers.Put(rt)
+		// A pass holds only what its items use: no Retriever without spans,
+		// no Aligner without a hit to locate (the shard master has none).
+		var rt *align.Retriever
+		if spans {
+			rt = retrievers.Get().(*align.Retriever)
+			defer retrievers.Put(rt)
+		}
+		var al *swar.Aligner
+		if from != nil {
+			al = aligners.Get().(*swar.Aligner)
+			defer aligners.Put(al)
+		}
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(items) {
@@ -108,10 +141,17 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 			}
 			it := &items[i]
 			if ctxOf(it.qi).Err() != nil {
-				it.cells = 0 // skipped: nothing computed
-				continue
+				continue // skipped: nothing computed
 			}
-			errs[it.n] = realignHit(rt, queries[it.qi].Seq, db[it.hit.Index].Seq, sc, it.hit, it.lo, it.hi)
+			q, t := queries[it.qi].Seq, db[it.hit.Index].Seq
+			if it.from != nil {
+				if errs[it.n] = locateHit(al, q, t, sc, it.hit, it.from); errs[it.n] != nil {
+					continue
+				}
+			}
+			if spans {
+				it.cells, errs[it.n] = realignHit(rt, q, t, sc, it.hit)
+			}
 		}
 	}
 	if workers = min(workers, len(items)); workers <= 1 {
@@ -144,55 +184,61 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 	return nil
 }
 
-// retrievers keeps the workers' align.Retrievers — their arrow arenas
-// and rolling rows — alive between RealignBatch calls, like align's own
-// pool of striped row buffers; a Retriever trims itself after an
-// outsized retrieval, so a pooled one pins no more than a fresh one
-// would soon hold.
+// retrievers keeps the workers' align.Retrievers — their arrow arenas,
+// rolling rows and profile — alive between calls, like align's own pool
+// of striped row buffers; a Retriever trims itself after an outsized
+// retrieval, so a pooled one pins no more than a fresh one would soon
+// hold.
 var retrievers = sync.Pool{New: func() any { return new(align.Retriever) }}
 
-// rowSpan bounds the rows a positive-score local alignment against n
-// target columns can span: at most n diagonal steps, plus row-only gaps
-// that Match·n can still pay for with a point to spare. sc must be
-// valid (Match > 0 > Gap).
-func rowSpan(n int, sc bio.Scoring) int {
-	return n + (sc.Match*n-1)/-sc.Gap
+// aligners does the same for the swar.Aligners of the scan workers and
+// of the locate step: row buffers, saved border rows and seeds sized by
+// the longest record group seen.
+var aligners = sync.Pool{New: func() any { return new(swar.Aligner) }}
+
+// locateHit turns the end block and border row a packed rung left for h
+// into its end cell.
+func locateHit(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, h *Hit, from *scored) error {
+	endI, endJ, ok := al.LocateEnd(q, t, sc, from.endI/swar.BlockRows, from.seed, h.Score)
+	if !ok {
+		return fmt.Errorf("search: scan score %d for %q disagrees with the exact rescan of query rows %d..%d from the saved border row",
+			h.Score, h.ID, from.endI+1, min(from.endI+swar.BlockRows, len(q)))
+	}
+	h.endI, h.endJ = endI, endJ
+	return nil
 }
 
-// window returns the strip q[lo:hi] of a query of qLen rows that holds
-// the end cell of h on a record of n bases and every alignment ending
-// there: all rows when the end block is unknown, otherwise the end
-// block and the rowSpan rows above it. A block past the query (only a
-// corrupted hit has one) yields an empty or misplaced strip, which the
-// score check of realignHit then rejects.
-func (h *Hit) window(qLen, n int, sc bio.Scoring) (lo, hi int) {
-	if h.endBlock == 0 {
-		return 0, qLen
+// realignHit fills one hit's spans by the reverse sweep from its end
+// cell, which an exact scan of the whole matrix finds first when the hit
+// does not carry it. cells is the hit's share of Result.RealignCells.
+func realignHit(rt *align.Retriever, q, t bio.Sequence, sc bio.Scoring, h *Hit) (cells int64, err error) {
+	if h.endI == 0 {
+		// The hit's score is already known: passing it as ExpectScore lets
+		// the scan skip packed rungs it proves will saturate.
+		r, err := align.Scan(q, t, sc, align.ScanOptions{ExpectScore: h.Score})
+		if err != nil {
+			return 0, err
+		}
+		if r.BestScore != h.Score {
+			return 0, fmt.Errorf("search: scan score %d for %q disagrees with the exact rescan of query rows 1..%d: %d",
+				h.Score, h.ID, len(q), r.BestScore)
+		}
+		h.endI, h.endJ = r.BestI, r.BestJ
+		cells = int64(len(q)) * int64(len(t))
+	} else {
+		cells = int64((h.endI-1)%swar.BlockRows+1) * int64(len(t))
 	}
-	top := (h.endBlock - 1) * swar.BlockRows // rows above the end block
-	hi = min(top+swar.BlockRows, qLen)
-	return min(max(top-rowSpan(n, sc), 0), hi), hi
-}
-
-// realignHit fills one hit's spans from the exact kernels, re-scanning
-// the strip q[lo:hi] for the end cell.
-func realignHit(rt *align.Retriever, q, t bio.Sequence, sc bio.Scoring, h *Hit, lo, hi int) error {
-	// The hit's score is already known: passing it as ExpectScore lets
-	// the scan skip packed rungs it proves will saturate.
-	r, err := align.Scan(q[lo:hi], t, sc, align.ScanOptions{ExpectScore: h.Score})
+	al, _, err := rt.ReverseRetrieve(q, t, sc, h.endI, h.endJ, h.Score)
+	if err == nil && (al.SEnd != h.endI || al.TEnd != h.endJ) {
+		// Only the dense fallback relocates, and only from a cell that is
+		// not the first to hold the score.
+		err = fmt.Errorf("align: the alignment of score %d ends at (%d,%d)", h.Score, al.SEnd, al.TEnd)
+	}
 	if err != nil {
-		return err
-	}
-	if r.BestScore != h.Score {
-		return fmt.Errorf("search: scan score %d for %q disagrees with the exact rescan of query rows %d..%d: %d",
-			h.Score, h.ID, lo+1, hi, r.BestScore)
-	}
-	al, _, err := rt.ReverseRetrieve(q, t, sc, lo+r.BestI, r.BestJ, r.BestScore)
-	if err != nil {
-		return err
+		return 0, fmt.Errorf("search: no alignment of %q ends at the located cell (%d,%d): %w", h.ID, h.endI, h.endJ, err)
 	}
 	h.QBegin, h.QEnd = al.SBegin, al.SEnd
 	h.TBegin, h.TEnd = al.TBegin, al.TEnd
-	h.endBlock = 0
-	return nil
+	h.endI, h.endJ = 0, 0
+	return cells, nil
 }

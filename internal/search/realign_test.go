@@ -114,15 +114,23 @@ func TestRealignBatchCancelledQuery(t *testing.T) {
 	}
 }
 
-// TestRealignDisagreementReportsFirstItem: the exact rescan is the
-// safety net under the packed kernels, so a hit whose score is off by
-// one fails the batch — and with two such hits the error names the
-// first in (query, hit) order on any worker count, although the
-// longest-first schedule reaches the later, larger one first.
+// TestRealignDisagreementReportsFirstItem: for a hit that arrives
+// without an end cell the exact rescan is the safety net, so one whose
+// score is off by one fails the batch — and with several such hits the
+// error names the first in (query, hit) order on any worker count,
+// although the longest-first schedule reaches the later, larger ones
+// first. A located hit is not rescanned; a score one too high still
+// fails it, inside ReverseRetrieve: no alignment of that score ends at
+// its cell.
 func TestRealignDisagreementReportsFirstItem(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 2, 4} {
 		queries, brs, recs := scannedBatch(t, 9)
+		for _, br := range brs {
+			for i := range br.Result.Hits {
+				br.Result.Hits[i].endI, br.Result.Hits[i].endJ = 0, 0
+			}
+		}
 		// Query 2 is the 60 bp one, query 1 the 400 bp one: its items
 		// sort first. Corrupt the last hit of query 0 and hits of the
 		// larger queries after it.
@@ -136,6 +144,18 @@ func TestRealignDisagreementReportsFirstItem(t *testing.T) {
 			t.Fatalf("workers %d: err = %v, want the disagreement on %s", workers, err, first.ID)
 		}
 		msgs = append(msgs, err.Error())
+
+		queries, brs, recs = scannedBatch(t, 9)
+		located := &brs[1].Result.Hits[0]
+		if located.endI == 0 {
+			t.Fatalf("workers %d: the scan returned %+v unlocated", workers, *located)
+		}
+		located.Score++
+		err = RealignBatch(context.Background(), queries, brs, recs, bio.Scoring{}, workers)
+		if err == nil || !strings.Contains(err.Error(), "ends at the located cell") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("%q", located.ID)) {
+			t.Fatalf("workers %d: err = %v, want ReverseRetrieve's refusal of %s", workers, err, located.ID)
+		}
 	}
 	for _, m := range msgs[1:] {
 		if m != msgs[0] {

@@ -13,10 +13,12 @@
 // minimized. Groups feed a shared work queue; each worker owns one
 // swar.Aligner (reused row buffers) and a bounded top-K heap. Per-worker
 // heaps merge into the global top K, and only those final hits pay for
-// exact re-alignment (realign.go): every rung of the scan reports the
-// 64-row block of the query holding a score's end row, so align.Scan
-// re-derives the end cell from a strip of the matrix above that block
-// and align.ReverseRetrieve walks back from it to the start.
+// coordinates (realign.go). The scan itself says where each score ends:
+// the pairwise rungs report the end cell, and the packed rungs save the
+// H row entering the 64-row block a lane's score ends in — the border
+// row of the paper's pre-process strategy (§5) — from which
+// swar.LocateEnd replays that one block to the cell. All that is left
+// for a hit is align.ReverseRetrieve's walk back from it to the start.
 package search
 
 import (
@@ -79,16 +81,17 @@ type Hit struct {
 	// re-alignment pass (RealignBatch; zero when NoEndpoints is set).
 	QBegin, QEnd int // in the query
 	TBegin, TEnd int // in the target record
-	// endBlock is what the scan tells the re-alignment pass about where
-	// the alignment ends: 1 + the index of the block of swar.BlockRows
-	// query rows holding its end row (swar.GroupResult.EndBlock), so the
-	// forward rescan covers a strip of the matrix instead of all of it.
-	// Zero means unknown — a hit built by hand, or one whose span is
-	// already filled — and rescans every row. It is set on the hits of a
-	// NoEndpoints scan, travels with the value (the shard workers hand it
-	// to the master this way), and is a function of (query, record,
-	// scoring) alone, so equal scans still produce == hits.
-	endBlock int
+	// endI, endJ is the cell the alignment ends in, as the scan located
+	// it: align.Scan's (BestI, BestJ), the first cell, row-major, holding
+	// Score. Every hit a scan returns carries it, so the re-alignment
+	// pass only walks back from it. Zero means unknown — a hit built by
+	// hand, or one whose span is already filled (QEnd, TEnd say the
+	// same) — and scans the whole matrix forward first. It is set on the
+	// hits of a NoEndpoints scan, travels with the value (the shard
+	// workers hand it to the master this way), and is a function of
+	// (query, record, scoring) alone, so equal scans still produce ==
+	// hits.
+	endI, endJ int
 }
 
 // Result is the outcome of a database scan.
@@ -105,10 +108,13 @@ type Result struct {
 	PaddedCells int64
 	// Prune holds the pruning statistics; nil when Options.Prune is off.
 	Prune *PruneStats
-	// RealignCells counts the forward DP cells the re-alignment of Hits
-	// computed: Σ strip rows × |target| (see RealignBatch). A function of
-	// the query, the hits and the scoring alone — worker scheduling never
-	// shows. Zero under NoEndpoints.
+	// RealignCells counts the forward DP cells behind the end cells of
+	// the Hits whose spans were filled: per hit the rows of its end block
+	// down to the end row × |target| — what locating it replays at most —
+	// or |q|·|target| for a hit that arrived without an end cell (see
+	// RealignBatch). A function of the hits alone: neither worker
+	// scheduling nor the rung that scored a record shows. Zero under
+	// NoEndpoints.
 	RealignCells int64
 }
 
@@ -116,9 +122,15 @@ type Result struct {
 // heap behind the per-worker and merged top K and the pruning floors.
 type scored struct {
 	score, index int
-	// endBlock becomes Hit.endBlock; the floors, which only rank, leave
-	// it zero.
-	endBlock int
+	// Where the score's alignment ends, as far as the rung that resolved
+	// the record knows; the floors, which only rank, leave it zero. A
+	// pairwise rung knows the cell: endI, endJ ≥ 1. A packed rung knows
+	// the end block and the H row entering it (swar.Aligner.Seed): endJ
+	// is 0, endI the rows above the block — a multiple of swar.BlockRows
+	// — and seed that row, empty for the first block. seed is a copy the
+	// entry owns.
+	endI, endJ int
+	seed       []uint16
 }
 
 // before is the result order, defined once: higher score first, lower
@@ -149,15 +161,27 @@ type topK struct {
 	items []scored
 }
 
+// admits reports whether push would keep it, so a caller can put off
+// what only a kept entry needs (copying its seed).
+func (h *topK) admits(it scored) bool {
+	return h.k > 0 && (len(h.items) < h.k || it.before(h.items[0]))
+}
+
+// spare returns the seed buffer of the entry the next kept push evicts,
+// emptied for reuse; nil while the heap still grows.
+func (h *topK) spare() []uint16 {
+	if len(h.items) < h.k {
+		return nil
+	}
+	return h.items[0].seed[:0]
+}
+
 // push offers one entry, keeping the k best.
 func (h *topK) push(it scored) {
-	if h.k <= 0 {
+	if !h.admits(it) {
 		return
 	}
 	if len(h.items) == h.k {
-		if !it.before(h.items[0]) {
-			return
-		}
 		h.items[0] = it
 		h.siftDown(0)
 		return
@@ -218,20 +242,21 @@ func Run(q bio.Sequence, db []bio.Record, opt Options) (*Result, error) {
 
 // referenceScores is the scalar reference scorer behind Options.Lanes
 // == 1: every record of the group through the forced-scalar align.Scan
-// (striped fast path disabled), or through swar.ScalarScoreBounded
-// under a pruning bound. It consults no router and runs no packed
-// rung, so the differential tests and the benchmark's oracle compare
-// the ladder — scores and end-row blocks — against an independent
-// kernel. (RunBatch drops the blocks before the reference's own
-// re-alignment, which therefore still rescans whole matrices.)
-func referenceScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *swar.Bound) (swar.GroupResult, error) {
+// (striped fast path disabled), or through al's scalar kernel
+// (swar.Aligner.ScalarPair) under a pruning bound. It consults no
+// router and runs no packed rung, so the differential tests and the
+// benchmark's oracle compare the ladder — scores and end cells —
+// against an independent kernel. (RunBatch drops the end cells before
+// the reference's own re-alignment, which therefore still scans whole
+// matrices.)
+func referenceScores(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *swar.Bound) (swar.GroupResult, error) {
 	var res swar.GroupResult
 	for i, t := range targets {
 		res.Rows[i] = len(q)
-		var endI int
 		if ab != nil {
-			var pruned bool
-			if res.Scores[i], endI, res.Rows[i], pruned = swar.ScalarScoreBounded(q, t, sc, ab); pruned {
+			p, rows, pruned := al.ScalarPair(q, t, sc, ab)
+			res.Scores[i], res.EndI[i], res.EndJ[i], res.Rows[i] = p.Score, p.I, p.J, rows
+			if pruned {
 				res.Pruned |= 1 << uint(i)
 			}
 		} else {
@@ -239,9 +264,9 @@ func referenceScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab 
 			if err != nil {
 				return res, err
 			}
-			res.Scores[i], endI = r.BestScore, r.BestI
+			res.Scores[i], res.EndI[i], res.EndJ[i] = r.BestScore, r.BestI, r.BestJ
 		}
-		res.EndBlock[i] = swar.BlockOf(endI)
+		res.EndBlock[i] = swar.BlockOf(res.EndI[i])
 		res.Padded += int64(len(t)) * int64(res.Rows[i])
 	}
 	return res, nil

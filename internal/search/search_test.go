@@ -6,7 +6,6 @@ import (
 
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
-	"genomedsm/internal/swar"
 )
 
 // testDB builds a synthetic database: noise records plus mutated copies
@@ -27,8 +26,7 @@ func testDB(t *testing.T, seed int64, q bio.Sequence, noise, homologs int) []bio
 
 // bruteTopK is the reference: score every record with align.Scan, sort
 // by (score desc, index asc), trim to k. The hits are those of a
-// NoEndpoints scan, so they carry the end-row block of align.Scan's
-// BestI.
+// NoEndpoints scan, so they carry align.Scan's end cell.
 func bruteTopK(t *testing.T, q bio.Sequence, db []bio.Record, sc bio.Scoring, k, minScore int) []Hit {
 	t.Helper()
 	var hits []Hit
@@ -38,7 +36,7 @@ func bruteTopK(t *testing.T, q bio.Sequence, db []bio.Record, sc bio.Scoring, k,
 			t.Fatal(err)
 		}
 		if r.BestScore > 0 && r.BestScore >= minScore {
-			hits = append(hits, Hit{Index: i, ID: rec.ID, Score: r.BestScore, endBlock: swar.BlockOf(r.BestI) + 1})
+			hits = append(hits, Hit{Index: i, ID: rec.ID, Score: r.BestScore, endI: r.BestI, endJ: r.BestJ})
 		}
 	}
 	for i := 1; i < len(hits); i++ {

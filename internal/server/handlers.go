@@ -333,9 +333,10 @@ type StatszJSON struct {
 	} `json:"prune"`
 
 	// RealignCells totals search.Result.RealignCells: the forward DP
-	// cells spent re-deriving the end cells of returned hits. Against
-	// Σ |query|·|hit record| it shows how much of the matrices the scan's
-	// end-row blocks let the re-alignment leave out.
+	// cells behind the end cells of returned hits — one block of query
+	// rows per hit the scan located. Against Σ |query|·|hit record| it
+	// shows how much of the matrices the scan's saved border rows let
+	// the re-alignment leave out.
 	RealignCells int64 `json:"realign_cells"`
 
 	Routes struct {

@@ -51,10 +51,12 @@ func mustEqualResults(t *testing.T, label string, got, want *search.Result) {
 	}
 }
 
-// mustRealignSameCells: the master realigns exactly the strips a single
-// node does only if the hits' end-row blocks survived the trip from the
-// workers. (Not for Lanes: 1, whose single-node realign is the oracle
-// and rescans whole matrices whatever the blocks say.)
+// mustRealignSameCells: RealignCells reads the rows of each hit's end
+// block × |t| for a hit that reaches the realign pass located and the
+// whole matrix |q|·|t| for one that does not, so the master's count
+// equals a single node's only if every hit's end cell survived the trip
+// from the workers. (Not for Lanes: 1, whose single-node realign is the
+// oracle and rescans whole matrices whatever the scan located.)
 func mustRealignSameCells(t *testing.T, label string, got, want *search.Result) {
 	t.Helper()
 	if got.RealignCells != want.RealignCells {
@@ -101,8 +103,10 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 // TestShardedBatchMatchesSingleNode covers the multi-query path the
 // serve layer uses: queries of different lengths, so the master's one
 // realign pool call schedules hits across queries — the last of them
-// 4 kb over records of at most 450 bases, so its hits realign over
-// strips on a single node and must on the master too.
+// 4 kb over records of at most 450 bases, so a hit that lost its end
+// cell on the wire would show as a whole 4 kb matrix in RealignCells.
+// A scan without endpoints must hand back the same located hits on both
+// sides too (DeepEqual sees the unexported end cell).
 func TestShardedBatchMatchesSingleNode(t *testing.T) {
 	q1, recs := synthInputs(7, 200, 40, 300)
 	g := bio.NewGenerator(8)
@@ -137,7 +141,17 @@ func TestShardedBatchMatchesSingleNode(t *testing.T) {
 		full += int64(len(q5)) * int64(len(recs[h.Index].Seq))
 	}
 	if cells := got[4].Result.RealignCells; cells == 0 || cells*2 > full {
-		t.Errorf("the 4 kb query realigned %d cells of %d: its strips did not cross the shard wire", cells, full)
+		t.Errorf("the 4 kb query realigned %d cells of %d: its end cells did not cross the shard wire", cells, full)
+	}
+	opt.NoEndpoints = true
+	if want, err = search.RunBatch(context.Background(), batch, db, opt); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = c.SearchBatch(context.Background(), batch, opt); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		mustEqualResults(t, fmt.Sprintf("query %d without endpoints", i), got[i].Result, want[i].Result)
 	}
 }
 
@@ -238,6 +252,8 @@ func TestKillOneShardMidQuery(t *testing.T) {
 		st := c.Stats()
 		c.Close()
 		mustEqualResults(t, fmt.Sprintf("seed %d (killed shard %d)", seed, victim), got, want)
+		// The reassigned span's hits arrive located like everyone else's.
+		mustRealignSameCells(t, fmt.Sprintf("seed %d (killed shard %d)", seed, victim), got, want)
 		if st.Kills < 1 {
 			t.Fatalf("seed %d: no kill recorded: %+v", seed, st)
 		}

@@ -14,10 +14,11 @@ import (
 // The wire types. The transport is in-process, so "wire" means "what a
 // real RPC would carry": the request holds the span and the resolved
 // per-query parameters, the response holds hits already mapped to
-// global record indices plus the scan diagnostics. A hit carries, in an
-// unexported field that travels with the value, the end-row block the
-// master's realign turns into a strip (search.Hit); a transport that
-// serialises must carry it, or the master rescans whole matrices.
+// global record indices plus the scan diagnostics. A hit carries, in two
+// unexported ints that travel with the value, the end cell the worker's
+// scan located and the master's realign walks back from (search.Hit); a
+// transport that serialises must carry them, or the master scans whole
+// matrices forward again.
 // Options rides along
 // by value; its Router pointer is deliberately shared — the process is
 // the cluster, and one calibrated router serving every shard is the

@@ -47,6 +47,15 @@ type Bound struct {
 	Query *bio.QueryBound
 }
 
+// floor returns the score a lane must reach to matter to the caller:
+// Below under an active bound, 1 — any positive score — without one.
+func (b *Bound) floor() int {
+	if b.cadence() == 0 {
+		return 1
+	}
+	return b.Below
+}
+
 // cadence returns the active check cadence, or 0 when the bound is
 // disabled (nil receiver, no query bounds, or an unreachable
 // threshold).

@@ -1,6 +1,7 @@
 package swar_test
 
 import (
+	"bytes"
 	"testing"
 
 	"genomedsm/internal/align"
@@ -28,6 +29,10 @@ func fuzzSeq(raw []byte, limit int) bio.Sequence {
 // target material into lanes of fuzzer-chosen uneven lengths. cut1/cut2
 // and the repeat count shape the lane group so the fuzzer can construct
 // empty lanes, duplicate lanes and high-identity (saturating) lanes.
+// The oracle covers where each score ends as well: the pairwise rungs'
+// end cell, the packed rungs' saved border row against the full scalar
+// matrix, and LocateEnd's replay from it. Queries reach 200 rows, so a
+// score can end in any of four blocks.
 func FuzzScoresVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgt"), []byte("tacgtacg"), uint8(3), uint8(5), uint8(2))
 	f.Add([]byte{}, []byte{1, 2, 3, 4}, uint8(0), uint8(0), uint8(9))
@@ -39,8 +44,11 @@ func FuzzScoresVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgtacg"), []byte("tacgtacgnacgtta"), uint8(4), uint8(9), uint8(0))
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), []byte("aaaaaaaaaaaaaaaaa"), uint8(3), uint8(7), uint8(5))
 	f.Add([]byte("acgtacg"), []byte("a"), uint8(0), uint8(1), uint8(0))
+	// Three blocks of query: scores that end past the first block, so the
+	// saved border row is a real row.
+	f.Add(bytes.Repeat([]byte("acgttgcaatc"), 15), []byte("ttgcaatcacgtacgttgca"), uint8(6), uint8(13), uint8(1))
 	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, cut1, cut2, rep uint8) {
-		q := fuzzSeq(rawQ, 128)
+		q := fuzzSeq(rawQ, 200)
 		pool := fuzzSeq(rawT, 160)
 		a, b := int(cut1)%(len(pool)+1), int(cut2)%(len(pool)+1)
 		if a > b {

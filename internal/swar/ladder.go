@@ -34,6 +34,17 @@ type GroupResult struct {
 	// function of (q, target, scoring) alone: whichever rung resolved the
 	// target, packed or pairwise, reports the same block.
 	EndBlock [bio.PackedLanes8]int
+	// EndI and EndJ are align.Scan's (BestI, BestJ) for the targets a
+	// pairwise rung resolved — the striped ladder and the scalar kernel
+	// track the end cell anyway — and zero for every other target.
+	EndI, EndJ [bio.PackedLanes8]int
+	// Seeded is the bitmask of targets a packed rung resolved with a
+	// positive score and whose border row it saved: Aligner.Seed(i) is
+	// the H row entering EndBlock[i], from which LocateEnd finds the cell
+	// the pairwise rungs report directly. Under a Bound, a packed target
+	// scoring below Below is neither pruned nor Seeded: it cannot enter a
+	// result and nothing was saved for it.
+	Seeded uint8
 	// Pruned is the bitmask of targets whose exact score is provably
 	// below the bound's Below threshold.
 	Pruned uint8
@@ -78,13 +89,13 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 		res.Padded += int64(bio.PackedLanes8) * int64(prof.Words()) * int64(ls.Rows)
 		if ls.Pruned {
 			for i := range targets {
-				res.set(i, 0, 0, ls.Rows, true)
+				res.set(i, Pair{}, ls.Rows, true)
 			}
 			break
 		}
 		res.Done8, res.Sat8 = true, ls.Saturated
-		for l := range targets {
-			res.Scores[l], res.EndBlock[l] = ls.Scores[l], ls.EndBlock[l]
+		for l, t := range targets {
+			a.packed(&res, &ls, l, l, len(t))
 		}
 		if ls.Saturated != 0 {
 			a.inter16(&res, q, targets, sc, ab, ls.Saturated)
@@ -94,25 +105,45 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 	case RungSingles:
 		for i, t := range targets {
 			p, rows, pruned := a.StripedScoreBounded(q, t, sc, ab)
-			res.set(i, p.Score, p.I, rows, pruned)
+			res.set(i, p, rows, pruned)
 			// The striped layout pads the target to full words of 8 lanes.
 			padded := (len(t) + bio.PackedLanes8 - 1) / bio.PackedLanes8 * bio.PackedLanes8
 			res.Padded += int64(padded) * int64(rows)
 		}
 	default:
 		for i, t := range targets {
-			res.scalar(q, t, sc, ab, i)
+			a.scalar(&res, q, t, sc, ab, i)
 		}
 	}
 	return res
 }
 
-// set records target i's outcome from a rung that knows the exact end
-// row endI (0 when pruned or scoreless).
-func (r *GroupResult) set(i, score, endI, rows int, pruned bool) {
-	r.Scores[i], r.EndBlock[i], r.Rows[i] = score, BlockOf(endI), rows
+// Seed returns the border row saved for target i of the last Ladder
+// call: one H value per base of the target, empty when the end block is
+// the first. It is meaningful only for a target that call reported
+// Seeded, and valid until the next call.
+func (a *Aligner) Seed(i int) []uint16 { return a.seed[i] }
+
+// set records target i's outcome from a pairwise rung, which knows the
+// exact end cell (a zero Pair when pruned or scoreless).
+func (r *GroupResult) set(i int, p Pair, rows int, pruned bool) {
+	r.Scores[i], r.EndBlock[i], r.Rows[i] = p.Score, BlockOf(p.I), rows
+	r.EndI[i], r.EndJ[i] = p.I, p.J
 	if pruned {
 		r.Pruned |= 1 << uint(i)
+	}
+}
+
+// packed records target i's outcome from lane l of a completed packed
+// pass, taking over the lane's saved border row — by swapping buffers,
+// so the seeds of the int8 pass survive the int16 retry of its flagged
+// lanes — cut to the target's own n bases (the pass saves padded rows).
+func (a *Aligner) packed(res *GroupResult, ls *LaneScores, i, l, n int) {
+	res.Scores[i], res.EndBlock[i] = ls.Scores[l], ls.EndBlock[l]
+	if ls.Seeded&(1<<uint(l)) != 0 {
+		res.Seeded |= 1 << uint(i)
+		a.seed[i], a.laneSeed[l] = a.laneSeed[l], a.seed[i]
+		a.seed[i] = a.seed[i][:min(n, len(a.seed[i]))]
 	}
 }
 
@@ -142,19 +173,19 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 		for l, i := range sub {
 			switch {
 			case !ok || ls.Saturated&(1<<uint(l)) != 0:
-				res.scalar(q, targets[i], sc, ab, i)
+				a.scalar(res, q, targets[i], sc, ab, i)
 			case ls.Pruned:
-				res.set(i, 0, 0, ls.Rows, true)
+				res.set(i, Pair{}, ls.Rows, true)
 			default:
-				res.Scores[i], res.EndBlock[i] = ls.Scores[l], ls.EndBlock[l]
+				a.packed(res, &ls, i, l, len(targets[i]))
 			}
 		}
 	}
 }
 
 // scalar is the ladder's last rung for target i: always succeeds, exact.
-func (r *GroupResult) scalar(q, t bio.Sequence, sc bio.Scoring, ab *Bound, i int) {
-	score, endI, rows, pruned := ScalarScoreBounded(q, t, sc, ab)
-	r.set(i, score, endI, rows, pruned)
-	r.Padded += int64(len(t)) * int64(rows)
+func (a *Aligner) scalar(res *GroupResult, q, t bio.Sequence, sc bio.Scoring, ab *Bound, i int) {
+	p, rows, pruned := a.ScalarPair(q, t, sc, ab)
+	res.set(i, p, rows, pruned)
+	res.Padded += int64(len(t)) * int64(rows)
 }

@@ -2,59 +2,128 @@ package swar
 
 import "genomedsm/internal/bio"
 
-// ScalarScoreBounded is the score-only scalar Smith–Waterman rung at
-// the bottom of the fallback ladder: lanes that overflow even the int16
-// clean range land here. It is the same profile-driven int32 row kernel
-// as align.Scan (differential tests in swar_test pin the two against
-// each other), kept in this package so align can itself import swar for
-// the striped fast path without an import cycle, and exported for the
-// search layer's pruned scalar reference scorer. endI is the 1-based
-// row at which the running maximum first reached score — align.Scan's
-// BestI, 0 for a zero score. pruned reports that the exact score is
-// provably < ab.Below (score and endI are then 0); rows is the number
-// of query rows consumed. With a nil or disabled bound it always scans
-// the full matrix and returns the exact score.
-func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, endI, rows int, pruned bool) {
+// This file holds the exact scalar rung at the bottom of both fallback
+// ladders — lanes that overflow even the int16 clean range land here —
+// and LocateEnd, which replays the same row kernel over one block from
+// a saved border row. It is the profile-driven int32 row kernel of
+// align.Scan (differential tests in swar_test pin the two against each
+// other), kept in this package so align can itself import swar for the
+// striped fast path without an import cycle.
+
+// scalarRow advances one row of the zero-clamped local recurrence: prev
+// and cur are rows of len(sub)+1 cells whose cell 0 is the zero border
+// column, sub the profile row of this row's query residue. It returns
+// the row's maximum and the first column (1-based) attaining it, 0 for
+// an all-zero row.
+func scalarRow(prev, cur, sub []int32, gap int32) (rowBest int32, rowJ int) {
+	n := len(sub)
+	d := prev[0]
+	w := int32(0)
+	pr := prev[1:]
+	out := cur[1:]
+	_ = pr[n-1] // bounds hints for the loop body
+	_ = out[n-1]
+	for j := 0; j < n; j++ {
+		v := d + sub[j]
+		v = bio.Max32(v, w+gap)
+		d = pr[j]
+		v = bio.Max32(v, d+gap)
+		v = bio.Clamp0(v)
+		out[j] = v
+		w = v
+		if v > rowBest {
+			rowBest, rowJ = v, j+1
+		}
+	}
+	return rowBest, rowJ
+}
+
+// scalarRows returns the Aligner's two scalar rows of n+1 cells: prev
+// all zero (the top border), cur with its border cell zero.
+func (a *Aligner) scalarRows(n int) (prev, cur []int32) {
+	if cap(a.iprev) < n+1 {
+		a.iprev, a.icur = make([]int32, n+1), make([]int32, n+1)
+	}
+	prev, cur = a.iprev[:n+1], a.icur[:n+1]
+	clear(prev)
+	cur[0] = 0
+	return prev, cur
+}
+
+// ScalarPair is the exact scalar rung: the best local-alignment score
+// of s against t with align.Scan's end cell — the first cell, row-major,
+// at which the running maximum reaches its final value; zero for a zero
+// score. pruned reports that the exact score is provably < ab.Below
+// (the Pair is then zero); rows is the number of rows of s consumed.
+// With a nil or disabled bound it always scans the full matrix.
+func (a *Aligner) ScalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pair, rows int, pruned bool) {
 	m, n := s.Len(), t.Len()
 	if m == 0 || n == 0 {
-		return 0, 0, m, false
+		return Pair{}, m, false
 	}
 	every := ab.cadence()
 	next := every
-	prof := bio.NewProfile(t, sc)
+	a.iprof.Reset(t, sc.Match, sc.Mismatch)
 	gap := int32(sc.Gap)
-	prev := make([]int32, n+1)
-	cur := make([]int32, n+1)
-	var best int32
+	prev, cur := a.scalarRows(n)
 	for i := 1; i <= m; i++ {
-		sub := prof.Row(s[i-1])
-		above := best
-		d := prev[0]
-		w := int32(0)
-		pr := prev[1:]
-		out := cur[1:]
-		_ = pr[n-1]
-		_ = out[n-1]
-		for j := 0; j < n; j++ {
-			v := d + sub[j]
-			v = bio.Max32(v, w+gap)
-			d = pr[j]
-			v = bio.Max32(v, d+gap)
-			v = bio.Clamp0(v)
-			out[j] = v
-			w = v
-			best = bio.Max32(best, v)
-		}
-		if best > above {
-			endI = i
+		rowBest, rowJ := scalarRow(prev, cur, a.iprof.Row(s[i-1]), gap)
+		if int(rowBest) > p.Score {
+			p = Pair{Score: int(rowBest), I: i, J: rowJ}
 		}
 		prev, cur = cur, prev
 		if next != 0 && i == next {
 			next += every
-			if int(best)+ab.Query.SuffixBound(i) < ab.Below {
-				return 0, 0, i, true
+			if p.Score+ab.Query.SuffixBound(i) < ab.Below {
+				return Pair{}, i, true
 			}
 		}
 	}
-	return int(best), endI, m, false
+	return p, m, false
+}
+
+// ScalarScoreBounded is ScalarPair without an Aligner to reuse, for
+// callers that score one pair and keep the end row only: endI is the
+// Pair's I.
+func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, endI, rows int, pruned bool) {
+	var a Aligner
+	p, rows, pruned := a.ScalarPair(s, t, sc, ab)
+	return p.Score, p.I, rows, pruned
+}
+
+// LocateEnd finds the end cell of a score the packed rungs report by
+// block only. seed is the H row entering block — row block·BlockRows of
+// the matrix of q against t, one value per base of t, as Seed hands it
+// out; empty for block 0, whose border row is zero. The block's rows
+// are replayed with the scalar row kernel until a row's maximum equals
+// score; that row and the first column attaining the maximum are the
+// cell align.Scan reports as (BestI, BestJ), because every row above
+// the block holds less than score (that is what makes it the end block)
+// and so does every earlier row inside it. ok is false when the replay
+// contradicts the claim — a row exceeds score before any equals it, no
+// row of the block reaches it, or block and seed do not fit q and t —
+// which only a wrong score, block or seed can cause.
+func (a *Aligner) LocateEnd(q, t bio.Sequence, sc bio.Scoring, block int, seed []uint16, score int) (endI, endJ int, ok bool) {
+	top := block * BlockRows
+	n := t.Len()
+	if block < 0 || top >= q.Len() || n == 0 || score <= 0 || len(seed) != min(block, 1)*n {
+		return 0, 0, false
+	}
+	a.iprof.Reset(t, sc.Match, sc.Mismatch)
+	gap := int32(sc.Gap)
+	prev, cur := a.scalarRows(n)
+	for j, v := range seed {
+		prev[j+1] = int32(v)
+	}
+	for i := top + 1; i <= min(top+BlockRows, q.Len()); i++ {
+		rowBest, rowJ := scalarRow(prev, cur, a.iprof.Row(q[i-1]), gap)
+		if int(rowBest) > score {
+			break
+		}
+		if int(rowBest) == score {
+			return i, rowJ, true
+		}
+		prev, cur = cur, prev
+	}
+	return 0, 0, false
 }

@@ -345,54 +345,5 @@ func (a *Aligner) StripedScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bou
 			}
 		}
 	}
-	return a.scalarPair(s, t, sc, ab)
-}
-
-// scalarPair is the exact scalar rung with coordinates:
-// ScalarScoreBounded's loop, mid-scan abandon included, plus
-// align.Scan's strict-improvement coordinate tracking.
-func (a *Aligner) scalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pair, rows int, pruned bool) {
-	m, n := s.Len(), t.Len()
-	if m == 0 || n == 0 {
-		return Pair{}, m, false
-	}
-	every := ab.cadence()
-	next := every
-	prof := bio.NewProfile(t, sc)
-	gap := int32(sc.Gap)
-	prev := make([]int32, n+1)
-	cur := make([]int32, n+1)
-	var res Pair
-	var best int32
-	for i := 1; i <= m; i++ {
-		sub := prof.Row(s[i-1])
-		d := prev[0]
-		w := int32(0)
-		var rowBest int32
-		rowJ := 0
-		for j := 0; j < n; j++ {
-			v := d + sub[j]
-			v = bio.Max32(v, w+gap)
-			d = prev[j+1]
-			v = bio.Max32(v, d+gap)
-			v = bio.Clamp0(v)
-			cur[j+1] = v
-			w = v
-			if v > rowBest {
-				rowBest, rowJ = v, j+1
-			}
-		}
-		if rowBest > best {
-			best = rowBest
-			res.Score, res.I, res.J = int(rowBest), i, rowJ
-		}
-		prev, cur = cur, prev
-		if next != 0 && i == next {
-			next += every
-			if int(best)+ab.Query.SuffixBound(i) < ab.Below {
-				return Pair{}, i, true
-			}
-		}
-	}
-	return res, m, false
+	return a.ScalarPair(s, t, sc, ab)
 }

@@ -195,6 +195,11 @@ type LaneScores struct {
 	// rows in which the lane's running maximum reached Scores[l] — the
 	// block of the end row align.Scan reports (see GroupResult.EndBlock).
 	EndBlock [bio.PackedLanes8]int
+	// Seeded is the bitmask of unsaturated lanes with a positive score
+	// whose border row — the H row entering EndBlock[l] — the scan saved
+	// for LocateEnd (see scanPacked). Under a Bound those are the lanes
+	// scoring ≥ Below only.
+	Seeded uint8
 	// Lanes is the number of live lanes (= number of targets scanned).
 	Lanes int
 	// Rows is the number of query rows the scan consumed: the full query
@@ -207,13 +212,20 @@ type LaneScores struct {
 	Pruned bool
 }
 
-// Aligner carries the reusable packed row buffers of one worker. The
-// zero value is ready to use; an Aligner must not be shared between
+// Aligner carries the reusable row buffers of one worker. The zero
+// value is ready to use; an Aligner must not be shared between
 // goroutines.
 type Aligner struct {
 	row         []uint64 // inter-sequence packed row (Scan8/Scan16)
+	border      []uint64 // copy of row as it entered the current block
 	sprev, scur []uint64 // striped rows (StripedScan8/StripedScan16)
 	schg        []uint64 // striped correction-loop change mask
+	iprev, icur []int32  // scalar rows (ScalarPair, LocateEnd)
+	iprof       bio.Profile
+	// laneSeed[l] is the saved border row of lane l of the last packed
+	// scan; seed[i] that of target i of the last Ladder call, whichever
+	// packed pass resolved it (Seed).
+	laneSeed, seed [bio.PackedLanes8][]uint16
 }
 
 // zeroRow returns the inter-sequence row buffer, one word per target
@@ -222,6 +234,7 @@ type Aligner struct {
 func (a *Aligner) zeroRow(words int) []uint64 {
 	if cap(a.row) < words {
 		a.row = make([]uint64, words)
+		a.border = make([]uint64, words)
 	}
 	a.row = a.row[:words]
 	clear(a.row)
@@ -240,22 +253,45 @@ func (a *Aligner) zeroRow(words int) []uint64 {
 // stamped with the block. A lane's maximum only ever grows, so its last
 // stamp is the block whose rows first reached the final score — one XOR
 // per block, per-lane work only when a maximum moved.
+//
+// The same stop saves what LocateEnd needs to turn the block into the
+// end cell — the paper's §5 border row. Every block past the first
+// starts by copying the row buffer, the H row entering the block, and a
+// lane that moved has its column of the copy unpacked into laneSeed[l];
+// a later move overwrites it, so what is left at the end is the row
+// entering the lane's end block (empty for block 0, whose border row is
+// zero). A lane is skipped while its maximum is below the Bound's
+// threshold — its final score, if it stays there, cannot enter a result
+// (the floor contract of the search layer's prune.go) — and once it is
+// flagged saturated, when the wider retry saves its own. For every
+// other lane the seed is bit-equal to the scalar recurrence, by the
+// argument that makes the maximum exact: up to a lane's first guard bit
+// every cell it stores is.
 func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, ab *Bound) (best, sat uint64, blocks [bio.PackedLanes8]int, rows int, pruned bool) {
+	for l := range a.laneSeed {
+		a.laneSeed[l] = a.laneSeed[l][:0]
+	}
 	words := prof.Words()
 	if words == 0 || len(q) == 0 {
 		return 0, 0, blocks, len(q), false
 	}
 	row := a.zeroRow(words)
+	border := a.border[:words]
 	gapV := prof.Broadcast(gap)
 	wide := prof.Lanes() == bio.PackedLanes16
 	satMask := uint64(hi8)
 	if wide {
 		satMask = hi16
 	}
+	guard := 1 << (prof.Shift() - 1)
 	bounded := ab.cadence() != 0
+	below := ab.floor()
 	var snap uint64 // best at the previous block boundary
 	for lo := 0; lo < len(q); lo += BlockRows {
 		hi := min(lo+BlockRows, len(q))
+		if lo > 0 {
+			copy(border, row)
+		}
 		// Two rows per pass. BlockRows is even, so a pair never straddles a
 		// block boundary; only the query's last row can be left without a
 		// partner, and it pairs with the all-mismatch 'N' row: every cell
@@ -275,8 +311,12 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 		}
 		if moved := best ^ snap; moved != 0 {
 			for l := 0; l < prof.Lanes(); l++ {
-				if prof.Lane(moved, l) != 0 {
-					blocks[l] = lo / BlockRows
+				if prof.Lane(moved, l) == 0 {
+					continue
+				}
+				blocks[l] = lo / BlockRows
+				if lo > 0 && prof.Lane(best, l) >= below && prof.Lane(sat, l)&guard == 0 {
+					a.laneSeed[l] = unpackLane(a.laneSeed[l], border, uint(l)*prof.Shift(), uint64(guard)<<1-1)
 				}
 			}
 			snap = best
@@ -295,6 +335,19 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 		}
 	}
 	return best, sat, blocks, len(q), false
+}
+
+// unpackLane returns dst resized to len(row) and filled with one lane
+// of row: the bits mask selects after a right shift by off.
+func unpackLane(dst []uint16, row []uint64, off uint, mask uint64) []uint16 {
+	if cap(dst) < len(row) {
+		dst = make([]uint16, len(row))
+	}
+	dst = dst[:len(row)]
+	for j, w := range row {
+		dst[j] = uint16(w >> off & mask)
+	}
+	return dst
 }
 
 // Scan8 scores q against up to 8 targets in int8 lanes. ok is false
@@ -329,11 +382,14 @@ func (a *Aligner) scan(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, 
 		return res, true
 	}
 	res.EndBlock = blocks // lanes past the live ones never left zero
-	guard := uint64(1) << (uint(prof.Shift()) - 1)
+	guard := 1 << (prof.Shift() - 1)
+	below := ab.floor()
 	for l := 0; l < lanes; l++ {
 		res.Scores[l] = prof.Lane(best, l)
-		if prof.Lane(sat, l)&int(guard) != 0 {
+		if prof.Lane(sat, l)&guard != 0 {
 			res.Saturated |= 1 << uint(l)
+		} else if res.Scores[l] >= below {
+			res.Seeded |= 1 << uint(l)
 		}
 	}
 	return res, true

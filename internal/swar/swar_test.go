@@ -175,17 +175,28 @@ var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungSingles, 
 // profile, prebuilt layout-words profile}. Every unpruned score must
 // equal want with the full query consumed and report the end-row block
 // of the forced-scalar align.Scan's BestI; a lane may only be pruned
-// under the live bound, and only when its true score is below it. fail
-// reports a mismatch.
+// under the live bound, and only when its true score is below it. And
+// every unpruned target with a positive score must say where it ends:
+// a pairwise rung by align.Scan's own (BestI, BestJ); a packed rung by
+// a Seed that equals, cell for cell, the row entering the end block in
+// the full scalar matrix, and from which LocateEnd finds that same
+// cell. The one exception is a packed target scoring below the live
+// bound, which must carry neither — and nothing pruned or scoreless is
+// ever Seeded. fail reports a mismatch.
 func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, fail func(format string, args ...any)) {
-	wantBlock := make([]int, len(targets))
+	wantEnd := make([]swar.Pair, len(targets))
+	matrix := make([]*align.Matrix, len(targets))
 	for i, tgt := range targets {
 		r, err := align.Scan(q, tgt, sc, align.ScanOptions{ForceScalar: true})
 		if err != nil {
 			fail("target %d: %v", i, err)
 			return
 		}
-		wantBlock[i] = swar.BlockOf(r.BestI)
+		wantEnd[i] = swar.Pair{Score: r.BestScore, I: r.BestI, J: r.BestJ}
+		if matrix[i], err = align.NewSWMatrix(q, tgt, sc); err != nil {
+			fail("target %d: %v", i, err)
+			return
+		}
 	}
 	// Half the best score: a bound that some lanes clear and some do not.
 	below := 1
@@ -193,7 +204,7 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 		below = max(below, w/2+1)
 	}
 	bounds := []*swar.Bound{nil, {Below: below, Query: bio.NewQueryBound(q, sc)}}
-	var al swar.Aligner
+	var al, loc swar.Aligner
 	for _, start := range allRungs {
 		for _, ab := range bounds {
 			for _, prebuilt := range []bool{false, true} {
@@ -208,20 +219,49 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 						prof = bio.NewPackedProfile8FromWords(bio.InterleaveWords8(nil, group), lens, sc)
 					}
 					res := al.Ladder(q, group, sc, start, ab, prof)
-					for i := range group {
-						w := want[lo+i]
+					for i, tgt := range group {
+						w, end := want[lo+i], wantEnd[lo+i]
+						seeded := res.Seeded&(1<<uint(i)) != 0
+						where := fmt.Sprintf("rung %d bound %v prebuilt %v target %d (|t|=%d)", start, ab != nil, prebuilt, lo+i, len(tgt))
 						switch {
 						case res.Pruned&(1<<uint(i)) != 0:
 							if ab == nil || w >= ab.Below || res.Rows[i] > len(q) {
-								fail("rung %d bound %v prebuilt %v target %d: pruned after %d rows with true score %d",
-									start, ab != nil, prebuilt, lo+i, res.Rows[i], w)
+								fail("%s: pruned after %d rows with true score %d", where, res.Rows[i], w)
 							}
+							if seeded || res.EndI[i] != 0 || res.EndJ[i] != 0 {
+								fail("%s: pruned, yet seeded %v with end cell (%d,%d)", where, seeded, res.EndI[i], res.EndJ[i])
+							}
+							continue
 						case res.Scores[i] != w || res.Rows[i] != len(q):
-							fail("rung %d bound %v prebuilt %v target %d (|t|=%d): ladder score %d over %d rows, scalar %d",
-								start, ab != nil, prebuilt, lo+i, len(group[i]), res.Scores[i], res.Rows[i], w)
-						case res.EndBlock[i] != wantBlock[lo+i]:
-							fail("rung %d bound %v prebuilt %v target %d (|t|=%d): end block %d, scalar %d",
-								start, ab != nil, prebuilt, lo+i, len(group[i]), res.EndBlock[i], wantBlock[lo+i])
+							fail("%s: ladder score %d over %d rows, scalar %d", where, res.Scores[i], res.Rows[i], w)
+							continue
+						case res.EndBlock[i] != swar.BlockOf(end.I):
+							fail("%s: end block %d, scalar %d", where, res.EndBlock[i], swar.BlockOf(end.I))
+							continue
+						}
+						got := swar.Pair{Score: w, I: res.EndI[i], J: res.EndJ[i]}
+						switch {
+						case seeded && (w == 0 || start >= swar.RungSingles || (ab != nil && w < ab.Below) || got.I != 0 || got.J != 0):
+							fail("%s: score %d is seeded, with end cell (%d,%d)", where, w, got.I, got.J)
+						case seeded:
+							seed, top := al.Seed(i), res.EndBlock[i]*swar.BlockRows
+							if wantLen := min(top, 1) * len(tgt); len(seed) != wantLen {
+								fail("%s: seed of %d cells for end block %d, want %d", where, len(seed), res.EndBlock[i], wantLen)
+								continue
+							}
+							for j, v := range seed {
+								if m := matrix[lo+i].Score(top, j+1); int(v) != m {
+									fail("%s: seed[%d] = %d, scalar matrix row %d holds %d", where, j, v, top, m)
+									break
+								}
+							}
+							if endI, endJ, ok := loc.LocateEnd(q, tgt, sc, res.EndBlock[i], seed, w); !ok || endI != end.I || endJ != end.J {
+								fail("%s: LocateEnd = (%d,%d) ok %v, scalar end cell (%d,%d)", where, endI, endJ, ok, end.I, end.J)
+							}
+						case ab != nil && w < ab.Below && start < swar.RungSingles && got.I == 0 && got.J == 0:
+							// A packed target below the bound: nothing saved.
+						case got != end:
+							fail("%s: end cell (%d,%d), scalar (%d,%d)", where, got.I, got.J, end.I, end.J)
 						}
 					}
 				}
@@ -466,6 +506,107 @@ func TestScoresManyLengths(t *testing.T) {
 		targets = append(targets, g.Random(n))
 	}
 	checkScores(t, "many-lengths", q, targets, sc)
+}
+
+// ---- LocateEnd: the end cell from a saved border row ----
+
+// matrixRow returns row i of the full scalar matrix, one value per base
+// of the target: the seed of the block that row enters (empty for row
+// 0, the zero border).
+func matrixRow(m *align.Matrix, i int) []uint16 {
+	if i == 0 {
+		return nil
+	}
+	_, cols := m.Dims()
+	row := make([]uint16, cols-1)
+	for j := range row {
+		row[j] = uint16(m.Score(i, j+1))
+	}
+	return row
+}
+
+// TestLocateEnd replays one block from the scalar matrix's own row and
+// must land on align.Scan's (BestI, BestJ) — which each case pins to
+// the cell it was built to end on: the first and last rows of the first
+// blocks, a score reached in two columns of one row, in two rows of one
+// block and in two blocks (the first wins each time), wildcard runs, a
+// one-base target. The scoring steps by 2 along a diagonal, so a score
+// one too low is stepped over like one too high is never reached: both,
+// a seed of the wrong length, the block before the end block replayed
+// from its own true seed, and a block past the query must all come back
+// not ok.
+func TestLocateEnd(t *testing.T) {
+	sc := bio.Scoring{Match: 2, Mismatch: -3, Gap: -4}
+	g := bio.NewGenerator(23)
+	m := g.Random(24)
+	cat := func(parts ...bio.Sequence) bio.Sequence {
+		var out bio.Sequence
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// query returns n random rows with the motif planted to end on each
+	// of the given rows.
+	query := func(n int, ends ...int) bio.Sequence {
+		q := g.Random(n)
+		for _, e := range ends {
+			copy(q[e-len(m):e], m)
+		}
+		return q
+	}
+	ns := bio.MustSequence("NNNNNNN")
+	for _, c := range []struct {
+		name   string
+		q, tgt bio.Sequence
+		i, j   int // the end cell the case is built for
+	}{
+		{"row 1", cat(bio.MustSequence("A"), ns, ns), bio.MustSequence("CCAC"), 1, 3},
+		{"row 64", query(150, 64), m, 64, 24},
+		{"row 65", query(150, 65), m, 65, 24},
+		{"row 128", query(150, 128), m, 128, 24},
+		{"last row", query(192, 192), m, 192, 24},
+		{"twice in one row", query(200, 100), cat(m, ns[:1], m), 100, 24},
+		{"twice in one block", query(200, 90, 120), m, 90, 24},
+		{"tie across blocks", query(400, 40, 300), m, 40, 24},
+		{"N runs", cat(g.Random(70), ns, m[:12], ns[:2], m[12:], ns), cat(ns, m, ns), 70 + 7 + 12 + 2 + 12, 7 + 24},
+		{"one base", cat(ns, ns, bio.MustSequence("NNNNG"), ns), bio.MustSequence("G"), 19, 1},
+		{"one base, second block", cat(ns, ns, ns, ns, ns, ns, ns, ns, ns, ns, bio.MustSequence("G")), bio.MustSequence("G"), 71, 1},
+	} {
+		r, err := align.Scan(c.q, c.tgt, sc, align.ScanOptions{ForceScalar: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BestI != c.i || r.BestJ != c.j {
+			t.Fatalf("%s: the case ends on (%d,%d), built for (%d,%d)", c.name, r.BestI, r.BestJ, c.i, c.j)
+		}
+		full, err := align.NewSWMatrix(c.q, c.tgt, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block := swar.BlockOf(r.BestI)
+		seed := matrixRow(full, block*swar.BlockRows)
+		var al swar.Aligner
+		if i, j, ok := al.LocateEnd(c.q, c.tgt, sc, block, seed, r.BestScore); !ok || i != r.BestI || j != r.BestJ {
+			t.Errorf("%s: LocateEnd = (%d,%d) ok %v, want (%d,%d)", c.name, i, j, ok, r.BestI, r.BestJ)
+		}
+		for _, bad := range []struct {
+			what  string
+			block int
+			seed  []uint16
+			score int
+		}{
+			{"score one too high", block, seed, r.BestScore + 1},
+			{"score one too low", block, seed, r.BestScore - 1},
+			{"seed one cell long", block, append(seed[:len(seed):len(seed)], 0), r.BestScore},
+			{"previous block", block - 1, matrixRow(full, max(block-1, 0)*swar.BlockRows), r.BestScore},
+			{"block past the query", (len(c.q) + swar.BlockRows - 1) / swar.BlockRows, make([]uint16, len(c.tgt)), r.BestScore},
+		} {
+			if i, j, ok := al.LocateEnd(c.q, c.tgt, sc, bad.block, bad.seed, bad.score); ok {
+				t.Errorf("%s, %s: LocateEnd = (%d,%d) ok, want not ok", c.name, bad.what, i, j)
+			}
+		}
+	}
 }
 
 // ---- Two-row kernel vs the retired one-row kernel ----

@@ -9,10 +9,12 @@
 #      state and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then a kernel oracle
-#      fuzz: 10 s each of the three differential fuzzers that pin the
-#      packed and striped kernels to the scalar one (FuzzScoresVsScalar,
-#      FuzzStripedVsScalar, FuzzDispatchVsScalar) — past their seed
-#      corpora, which is all `go test` runs
+#      fuzz: 10 s each of the four differential fuzzers that pin the
+#      packed and striped kernels — scores, saved border rows and the
+#      end cells located from them — to the scalar one
+#      (FuzzScoresVsScalar, FuzzStripedVsScalar, FuzzDispatchVsScalar,
+#      FuzzStripRealignVsFull) — past their seed corpora, which is all
+#      `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
@@ -23,8 +25,8 @@
 #      recovery counters proving each kill was detected and reassigned,
 #      plus a pruned-vs-unpruned search differential sweep (3 seeds x
 #      skewed/uniform databases x 2 shapes — 400 x 300 and 4 kb x 120,
-#      the one whose hits realign over strips — -race) asserting
-#      bit-identical hits
+#      the one whose hits end up to 60 blocks below the first — -race)
+#      asserting bit-identical hits
 #   3. per-package coverage, gated on >= 85% combined coverage of
 #      internal/dsm + internal/chaos + internal/recovery (the
 #      protocol, its harness and the fault-tolerance layer)
@@ -86,10 +88,11 @@ echo "== bench module (nested: the root ./... cannot see it)"
 echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpack + server)"
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
 
-echo "== kernel oracle fuzz (10 s x 3 differential fuzzers)"
+echo "== kernel oracle fuzz (10 s x 4 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
+go test -run '^$' -fuzz '^FuzzStripRealignVsFull$' -fuzztime 10s ./internal/search
 
 echo "== chaos sweep (16 seeds x 3 strategies, -race)"
 chaos_bin=$(mktemp -d)/genomedsm
@@ -137,9 +140,9 @@ echo "== pruned-vs-unpruned differential sweep (3 seeds x skewed/uniform x 2 sha
 # skewed (planted homologs) and uniform (pure noise, worst case)
 # databases alike. Reuses the -race CLI binary so the sweep also
 # exercises the shared floor under the race detector. The second shape,
-# a 4 kb query over 120-base records, is the one whose hits realign
-# over strips of the matrix (the query outruns any alignment against
-# its records), so the strip rescan runs under -race here too.
+# a 4 kb query over 120-base records, is the one whose hits end far
+# below the first block of query rows, so the saved border rows and the
+# locate step that replays a block from them run under -race here too.
 hits_of() {
     "$chaos_bin" search -db-size 64 -json "$@" |
         sed -n '/"hits"/,/\]/p'
@@ -298,9 +301,10 @@ echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -c
 # The repo's first recorded multi-core number: the realign pool hands
 # ten independent 20 kb x 500 bp rescans to its workers, so two cores
 # must buy at least 1.4x the cells/s of one. The subject is the row of
-# hand-built hits, which know no end-row block and rescan whole
-# matrices: the long20000x500/scanned row beside it realigns over
-# strips, ten items of ~0.4 ms, too short for a pool to show scaling.
+# hand-built hits, which know no end cell and scan whole matrices
+# forward: the long20000x500/scanned row beside it only walks back from
+# located cells, ten items of ~20 us, too short for a pool to show
+# scaling.
 # The main run above uses the host's default GOMAXPROCS only, so this
 # gate makes its own -cpu 1,2 run; go test prints the -cpu 1 row without
 # a suffix and the -cpu 2 row as "-2".
