@@ -275,7 +275,7 @@ func BenchmarkSearchDatabase(b *testing.B) {
 }
 
 // benchUniformDB is the BenchmarkSearchDatabase workload, shared by the
-// dispatch-mode variants so their cells/s numbers are comparable.
+// sharded variant so their cells/s numbers are comparable.
 func benchUniformDB() (bio.Sequence, []bio.Record, int64) {
 	g := bio.NewGenerator(88)
 	q := g.Random(1000)
@@ -290,9 +290,8 @@ func benchUniformDB() (bio.Sequence, []bio.Record, int64) {
 }
 
 // benchSearch runs one search benchmark over a prebuilt workload with a
-// warmup pass outside the timer, so one-time calibration (auto mode
-// probes the kernel families on first use) never lands in the measured
-// window.
+// warmup pass outside the timer, so first-use buffer and pool growth
+// never lands in the measured window.
 func benchSearch(b *testing.B, q bio.Sequence, db []bio.Record, cells int64, opt search.Options) {
 	b.Helper()
 	if _, err := search.Run(q, db, opt); err != nil {
@@ -305,21 +304,6 @@ func benchSearch(b *testing.B, q bio.Sequence, db []bio.Record, cells int64, opt
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSearchDatabaseDispatch / ...Fixed time the uniform database
-// under calibrated auto routing versus the legacy fixed thresholds.
-// ci.sh gates auto at ≥ 1.0× fixed: on a uniform workload the cost
-// model must pick the same int8 word-pass route, so any gap is routing
-// overhead.
-func BenchmarkSearchDatabaseDispatch(b *testing.B) {
-	q, db, cells := benchUniformDB()
-	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Dispatch: "auto"})
-}
-
-func BenchmarkSearchDatabaseFixed(b *testing.B) {
-	q, db, cells := benchUniformDB()
-	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Dispatch: "fixed"})
 }
 
 // BenchmarkSearchDatabaseSharded times the uniform database scan
@@ -349,14 +333,11 @@ func BenchmarkSearchDatabaseSharded(b *testing.B) {
 	}
 }
 
-// benchMixedDB builds the workload adaptive dispatch exists for: two
-// dozen long planted homologs whose scores blow past the int8 clean cap
-// (every narrow scan of them is a doomed pass plus an int16 retry), and
-// a long tail of short noise records that can never saturate (length ×
-// match stays under the cap) where the int8 word-pass is unbeatable. No
-// single fixed route wins both halves: the int8 ladder pays the doomed
-// pass on every homolog group, forced int16 halves throughput on the
-// noise, and auto learns the saturation rate and splits the routes.
+// benchMixedDB builds the workload that exercises the int16 retry path:
+// two dozen long planted homologs whose scores blow past the int8 clean
+// cap (every int8 pass over them flags lanes that retry at int16), and a
+// long tail of short noise records that can never saturate (length ×
+// match stays under the cap) and resolve in the int8 word-pass alone.
 func benchMixedDB() (bio.Sequence, []bio.Record, int64) {
 	g := bio.NewGenerator(88)
 	q := g.Random(1000)
@@ -379,11 +360,6 @@ func benchMixedDB() (bio.Sequence, []bio.Record, int64) {
 func BenchmarkSearchDatabaseMixed(b *testing.B) {
 	q, db, cells := benchMixedDB()
 	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Dispatch: "auto"})
-}
-
-func BenchmarkSearchDatabaseMixedFixed(b *testing.B) {
-	q, db, cells := benchMixedDB()
-	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Dispatch: "fixed"})
 }
 
 // benchSkewedDB builds the skewed search workload the pruning gate is
@@ -423,14 +399,6 @@ func BenchmarkSearchDatabaseSkewed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSearchDatabaseSkewedFixed is the fixed-route baseline of the
-// skewed workload; ci.sh gates the default (auto-dispatched) skewed
-// scan at ≥ 1.0× this.
-func BenchmarkSearchDatabaseSkewedFixed(b *testing.B) {
-	q, db, cells := benchSkewedDB()
-	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Dispatch: "fixed"})
 }
 
 // BenchmarkSearchDatabasePruned runs the same skewed database with the
@@ -632,7 +600,7 @@ func BenchmarkServeQueryLatency(b *testing.B) {
 	}
 	c := hs.Client()
 	url := hs.URL + "/search"
-	benchServePost(b, c, url, body) // warmup: dispatch calibration, conn setup
+	benchServePost(b, c, url, body) // warmup: buffer pools, conn setup
 	reportCells(b, cellsPerQuery)
 	reportQueries(b, 1)
 	b.ResetTimer()
@@ -727,7 +695,7 @@ func BenchmarkPackColdStartV2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := search.RunCtx(context.Background(), q, p.DB, search.Options{NoEndpoints: true, Dispatch: "fixed"}); err != nil {
+		if _, err := search.RunCtx(context.Background(), q, p.DB, search.Options{NoEndpoints: true}); err != nil {
 			b.Fatal(err)
 		}
 		if err := p.Close(); err != nil {

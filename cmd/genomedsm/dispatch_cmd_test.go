@@ -3,81 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"strings"
 	"testing"
-
-	"genomedsm/internal/dispatch"
 )
 
-// TestMain points the dispatch calibration cache at a throwaway dir for
-// every test in this package: searchCmd's auto mode persists probe
-// results to the user cache dir otherwise, and tests must not write
-// outside their sandbox.
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "genomedsm-dispatch-cache")
-	if err != nil {
-		panic(err)
-	}
-	os.Setenv("GENOMEDSM_DISPATCH_CACHE", dir)
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-func TestSearchCmdCalibrateText(t *testing.T) {
-	var buf bytes.Buffer
-	if err := searchCmd([]string{"-calibrate"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "kernel calibration for") {
-		t.Fatalf("missing header:\n%s", out)
-	}
-	for _, fam := range []string{"scalar", "inter8", "inter16", "striped8", "striped16", "band"} {
-		if !strings.Contains(out, fam) {
-			t.Errorf("family %s missing from table:\n%s", fam, out)
-		}
-	}
-	if !strings.Contains(out, "Mcells/s") || !strings.Contains(out, "overhead ns") {
-		t.Errorf("missing table columns:\n%s", out)
-	}
-	// The first run persisted the profile; a repeat run must report the
-	// cached source instead of re-probing.
-	buf.Reset()
-	if err := searchCmd([]string{"-calibrate"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "(cached)") {
-		t.Errorf("second calibration did not use the cache:\n%s", buf.String())
-	}
-}
-
-func TestSearchCmdCalibrateJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := searchCmd([]string{"-calibrate", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var prof dispatch.Profile
-	if err := json.Unmarshal(buf.Bytes(), &prof); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if prof.Version != dispatch.ProfileVersion || prof.Host == "" || prof.Build == "" {
-		t.Errorf("profile header: %+v", prof)
-	}
-	if len(prof.Families) != len(dispatch.Families) {
-		t.Fatalf("profile holds %d families, want %d: %+v", len(prof.Families), len(dispatch.Families), prof)
-	}
-	for fam, st := range prof.Families {
-		if st.MCells <= 0 {
-			t.Errorf("family %s: non-positive throughput %+v", fam, st)
-		}
-	}
-}
-
 // TestSearchCmdDispatchModes pins the routing flag contract: every mode
-// returns the identical hit list on the same synthetic database, and an
-// unknown mode is rejected.
+// returns the identical hit list on the same synthetic database ("fixed"
+// is an alias of auto), and an unknown mode and the retired -calibrate
+// flag are rejected.
 func TestSearchCmdDispatchModes(t *testing.T) {
 	hits := func(mode string) []searchJSONHit {
 		t.Helper()
@@ -110,5 +42,8 @@ func TestSearchCmdDispatchModes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := searchCmd([]string{"-dispatch", "warp", "-n", "50", "-db-size", "4"}, &buf); err == nil {
 		t.Error("unknown dispatch mode accepted")
+	}
+	if err := searchCmd([]string{"-calibrate"}, &buf); err == nil {
+		t.Error("retired -calibrate flag accepted")
 	}
 }

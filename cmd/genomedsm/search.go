@@ -36,8 +36,7 @@ func searchCmd(args []string, w io.Writer) error {
 		match    = fs.Int("match", 1, "match reward")
 		mismatch = fs.Int("mismatch", -1, "mismatch penalty (negative)")
 		gap      = fs.Int("gap", -2, "gap penalty (negative)")
-		disp     = fs.String("dispatch", "auto", "kernel routing: auto (calibrated cost model), fixed (legacy thresholds: the int8 ladder), scalar (force the exact scalar kernels)")
-		calib    = fs.Bool("calibrate", false, "measure the per-family kernel table (Mcells/s, overhead) and exit without searching")
+		disp     = fs.String("dispatch", "auto", "kernel routing: auto (every lane group starts on the int8 ladder; fixed is an alias), scalar (force the exact scalar kernels)")
 		scores   = fs.Bool("scores-only", false, "skip alignment-span retrieval of the hits")
 		jsonOut  = fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
 		prune    = fs.Bool("prune", true, "exact top-K pruning: skip and abandon records that provably cannot rank")
@@ -50,14 +49,11 @@ func searchCmd(args []string, w io.Writer) error {
 		}
 		return err
 	}
-	if *calib {
-		return runCalibrate(w, *jsonOut)
-	}
 	mode, err := dispatch.ParseMode(*disp)
 	if err != nil {
 		return err
 	}
-	installDispatch(mode)
+	dispatch.SetActive(dispatch.New(mode, nil))
 	opt := genomedsm.SearchOptions{
 		Scoring:     genomedsm.Scoring{Match: *match, Mismatch: *mismatch, Gap: *gap},
 		TopK:        *k,
@@ -142,52 +138,6 @@ func writeShardText(w io.Writer, st shard.Stats) {
 		fmt.Fprintf(w, "floor gossip: %d evidence batches up, %d floor broadcasts down\n",
 			st.GossipUpdates, st.FloorBroadcasts)
 	}
-}
-
-// installDispatch wires the process-wide kernel router for this run.
-// Auto mode loads the host calibration from the on-disk cache — keyed
-// by host and build, re-probed on any mismatch — so repeat CLI runs
-// skip the startup probes; the loaded profile is also installed as the
-// process profile so the search layer shares it.
-func installDispatch(mode dispatch.Mode) {
-	var prof *dispatch.Profile
-	if mode == dispatch.ModeAuto {
-		if path, err := dispatch.CachePath(); err == nil {
-			prof, _ = dispatch.LoadOrCalibrate(path)
-		} else {
-			prof = dispatch.Host()
-		}
-		dispatch.SetHostProfile(prof)
-	}
-	dispatch.SetActive(dispatch.New(mode, prof))
-}
-
-// runCalibrate implements -calibrate: measure (or load from cache) the
-// per-family kernel table and print it.
-func runCalibrate(w io.Writer, jsonOut bool) error {
-	var prof *dispatch.Profile
-	fromCache := false
-	if path, err := dispatch.CachePath(); err == nil {
-		prof, fromCache = dispatch.LoadOrCalibrate(path)
-	} else {
-		prof = dispatch.Calibrate()
-	}
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(prof)
-	}
-	src := "measured now"
-	if fromCache {
-		src = "cached"
-	}
-	fmt.Fprintf(w, "kernel calibration for %s (%s)\n", prof.Host, src)
-	tbl := stats.NewTable("", "family", "Mcells/s", "overhead ns")
-	for _, row := range prof.TableRows() {
-		tbl.AddRowRaw(row[0], row[1], row[2])
-	}
-	fmt.Fprint(w, tbl.Render())
-	return nil
 }
 
 // loadSearchInputs reads the query and database from FASTA files, or

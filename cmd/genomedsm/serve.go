@@ -97,7 +97,7 @@ func serveCmd(args []string, w io.Writer) error {
 		match    = fs.Int("match", 1, "match reward")
 		mismatch = fs.Int("mismatch", -1, "mismatch penalty (negative)")
 		gap      = fs.Int("gap", -2, "gap penalty (negative)")
-		disp     = fs.String("dispatch", "auto", "default kernel routing: auto, fixed, scalar")
+		disp     = fs.String("dispatch", "auto", "default kernel routing: auto (fixed is an alias), scalar")
 		prune    = fs.Bool("prune", true, "default exact top-K pruning")
 		shards   = fs.Int("shards", 0, "scatter every scan across N in-process shards with gossiped pruning floors (0 or 1 = single-node)")
 		queue    = fs.Int("queue", 64, "admission queue bound (requests; beyond it clients get 429 with Retry-After)")
@@ -137,7 +137,7 @@ func serveCmd(args []string, w io.Writer) error {
 		db = search.NewDB(recs)
 	}
 
-	installDispatch(mode)
+	dispatch.SetActive(dispatch.New(mode, nil))
 	srv, err := server.New(server.Config{
 		DB:   db,
 		Pack: packInfo,

@@ -9,18 +9,15 @@ import (
 
 // Calibration probes. Each kernel family is timed on deterministic
 // synthetic sequences at two matrix sizes; the two (cells, time) points
-// solve the linear cost model t = overhead + cells/throughput, so the
-// router can separate a family's asymptotic Mcells/s from its per-call
-// setup cost (profile construction, row buffers). The probe matrices
-// are a few hundred KCells, so a full Calibrate costs a few
-// milliseconds — amortized to zero by the on-disk cache for CLI runs
-// and by the per-process Host() cache for library use.
+// solve the linear cost model t = overhead + cells/throughput,
+// separating a family's asymptotic Mcells/s from its per-call setup
+// cost (profile construction, row buffers). No start path runs them:
+// routers read the committed table, and a test checks that a same-run
+// Calibrate reaches the same Pair and Band verdicts as that table.
 //
 // Probe inputs are random DNA under the default scoring, whose local
 // scores stay far below the int8 clean range: the narrow kernels are
-// timed on their fast path, which is the regime routing cares about
-// (a saturating int8 pass costs the same as a clean one — it is the
-// retry that routing predicts separately).
+// timed on their fast path.
 
 // probe sizes: the small size exposes per-call overhead, the large one
 // the asymptotic throughput.
@@ -32,7 +29,7 @@ const (
 	// granularity cannot dominate.
 	probeMinTime = 200 * time.Microsecond
 	// probeMaxReps caps the repetitions so a mis-measured fast family
-	// cannot stall startup.
+	// cannot stall the probe.
 	probeMaxReps = 512
 	// probePasses timed passes are taken per point; the minimum wins.
 	probePasses = 5
@@ -40,9 +37,7 @@ const (
 
 // measure times fn (which scans cells cells per call) and returns the
 // per-call seconds: the minimum over a few timed passes, since the
-// minimum is the least contaminated by scheduler and GC interference —
-// a single noisy pass here would mis-rank kernel families for the
-// whole process lifetime.
+// minimum is the least contaminated by scheduler and GC interference.
 func measure(cells float64, fn func()) (secsPerCall float64) {
 	fn() // warm caches and lazily-allocated buffers outside the timer
 	reps := 1
@@ -96,10 +91,6 @@ func Calibrate() *Profile {
 	sc := bio.DefaultScoring()
 	q := g.Random(probeLarge)
 	t := g.Random(probeLarge)
-	targets := make([]bio.Sequence, bio.PackedLanes8)
-	for i := range targets {
-		targets[i] = g.Random(probeLarge)
-	}
 	var al swar.Aligner
 
 	fams := make(map[string]FamilyStats, len(Families))
@@ -112,22 +103,6 @@ func Calibrate() *Profile {
 	twoPoint(FamScalar, func(n int) {
 		swar.ScalarScoreBounded(q[:n], t[:n], sc, nil)
 	}, func(n int) float64 { return float64(n) * float64(n) })
-
-	twoPoint(FamInter8, func(n int) {
-		group := make([]bio.Sequence, bio.PackedLanes8)
-		for i := range group {
-			group[i] = targets[i][:n]
-		}
-		al.Scan8(q[:n], group, sc)
-	}, func(n int) float64 { return float64(bio.PackedLanes8) * float64(n) * float64(n) })
-
-	twoPoint(FamInter16, func(n int) {
-		group := make([]bio.Sequence, bio.PackedLanes16)
-		for i := range group {
-			group[i] = targets[i][:n]
-		}
-		al.Scan16(q[:n], group, sc)
-	}, func(n int) float64 { return float64(bio.PackedLanes16) * float64(n) * float64(n) })
 
 	twoPoint(FamStriped8, func(n int) {
 		al.StripedScan8(q[:n], t[:n], sc)
@@ -158,10 +133,5 @@ func Calibrate() *Profile {
 		}
 	}, func(n int) float64 { return float64(bandRows) * float64(n) })
 
-	return &Profile{
-		Version:  ProfileVersion,
-		Host:     hostSignature(),
-		Build:    buildSignature(),
-		Families: fams,
-	}
+	return &Profile{Families: fams}
 }

@@ -1,22 +1,23 @@
 // Package dispatch routes every exact-alignment workload in the repo to
-// the fastest exact kernel for this host. The repo has four exact kernel
+// an exact kernel by a fixed rule. The repo has four exact kernel
 // families — the scalar int32 row kernel, the inter-sequence SWAR lanes
 // (8× int8 / 4× int16 per word), the striped intra-sequence Farrar
-// kernels, and the band kernel of the pre-process strategy — and until
-// this package the choice between them was hard-coded by thresholds
-// tuned on one machine and one workload shape. Following the KNL tuning
-// study (Rucci et al.) and SWAPHI's per-batch routing, dispatch instead:
+// kernels, and the band kernel of the pre-process strategy — and the
+// rule is a pure function of its inputs, computed before the scan
+// starts, as the source paper computes each processor's share:
 //
-//  1. calibrates: a few milliseconds of synthetic probes measure each
-//     family's Mcells/s and per-call overhead on the actual host
-//     (calibrate.go), cached to a versioned on-disk profile keyed by
-//     host + build so repeat CLI runs skip the probes (profile.go);
-//  2. routes: a small cost model picks the cheapest exact path per
-//     workload from the query length, the record-length distribution of
-//     a lane group, the leftover-lane count, and the expected score
-//     range — which predicts int8 guard-bit saturation and avoids
-//     paying the int8 → int16 → scalar fallback ladder when the narrow
-//     rung is provably (or statistically) doomed (router.go).
+//   - every lane group of a database scan starts on the inter-sequence
+//     int8 ladder (ModeScalar aside); the §5.6 ladder retries flagged
+//     lanes at int16 and then scalar, so saturation costs one cheap
+//     narrow pass, never a prediction (router.go);
+//   - a pairwise scan starts past any rung its known score proves will
+//     saturate, and a tiny pair whose striped profile build would
+//     dominate runs the scalar kernel; a pre-process band narrower than
+//     a word runs the scalar column loop. Both read the committed
+//     kernel table (profile.go), never a measurement of this host.
+//
+// Calibrate still probes each family (calibrate.go), but no start path
+// calls it: it is the oracle a test checks the committed table against.
 //
 // Routing never changes results: every route ends in the same
 // exact-or-flagged ladder, so scores, coordinates and tie-breaks are
@@ -34,25 +35,20 @@ import (
 type Mode int
 
 const (
-	// ModeAuto routes each workload by the calibrated cost model.
+	// ModeAuto routes each workload by the package's fixed rule.
 	ModeAuto Mode = iota
-	// ModeFixed reproduces the pre-dispatch hard-coded thresholds:
-	// inter-sequence int8 ladder for lane groups, striped ladder for
-	// singletons and pairwise scans, band kernel always on.
-	ModeFixed
 	// ModeScalar forces the exact scalar kernels everywhere (reference
 	// and benchmarking).
 	ModeScalar
 )
 
 // ParseMode maps the CLI spelling to a Mode; the empty string means
-// auto.
+// auto. "fixed", the spelling of a retired mode that HTTP clients and
+// scripts still send, is an alias of auto.
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "auto":
+	case "", "auto", "fixed":
 		return ModeAuto, nil
-	case "fixed":
-		return ModeFixed, nil
 	case "scalar":
 		return ModeScalar, nil
 	}
@@ -61,10 +57,7 @@ func ParseMode(s string) (Mode, error) {
 
 // String returns the CLI spelling of m.
 func (m Mode) String() string {
-	switch m {
-	case ModeFixed:
-		return "fixed"
-	case ModeScalar:
+	if m == ModeScalar {
 		return "scalar"
 	}
 	return "auto"
@@ -79,11 +72,10 @@ const (
 	// kernel and its int16 → scalar fallback ladder.
 	GroupInter8 GroupRoute = iota
 	// GroupInter16 starts the group directly at the int16 kernel (two
-	// 4-lane words per 8-record group), skipping a doomed int8 pass.
+	// 4-lane words per 8-record group). Only ForceGroup picks it.
 	GroupInter16
 	// GroupSingles scans each record of the group as its own striped
-	// intra-sequence ladder — the right call for ragged leftover groups
-	// whose padding would waste most of the packed lanes.
+	// intra-sequence ladder. Only ForceGroup picks it.
 	GroupSingles
 	// GroupScalar runs the exact scalar kernel per record.
 	GroupScalar
@@ -129,9 +121,8 @@ func (r PairRoute) String() string {
 
 // active is the process-wide router consulted by call sites that have
 // no per-scan router of their own (align.Scan's fast path, the
-// pre-process band loop). It defaults to ModeFixed — the pre-dispatch
-// behavior — until something (the CLI -dispatch flag, a test) installs
-// a calibrated one.
+// pre-process band loop). It defaults to ModeAuto until something (the
+// CLI -dispatch flag, a test) installs another.
 var active atomic.Pointer[Router]
 
 // Active returns the process-wide router, never nil.
@@ -139,18 +130,18 @@ func Active() *Router {
 	if r := active.Load(); r != nil {
 		return r
 	}
-	r := New(ModeFixed, nil)
+	r := New(ModeAuto, nil)
 	if active.CompareAndSwap(nil, r) {
 		return r
 	}
 	return active.Load()
 }
 
-// SetActive installs the process-wide router; nil resets to the fixed
+// SetActive installs the process-wide router; nil resets to the auto
 // default.
 func SetActive(r *Router) {
 	if r == nil {
-		active.Store(New(ModeFixed, nil))
+		active.Store(New(ModeAuto, nil))
 		return
 	}
 	active.Store(r)

@@ -76,7 +76,7 @@ type qstate struct {
 	minScore int
 	qb       *bio.QueryBound
 	ft       *Floor
-	scan     *dispatch.ScanState
+	scan     *dispatch.Router // nil = the scalar reference scorer
 	hint     func() int
 	onScore  func(score, index int)
 	onGroup  func()
@@ -156,9 +156,7 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 		if st.minScore == 0 {
 			st.minScore = opt.MinScore
 		}
-		if router != nil {
-			st.scan = router.NewScan()
-		}
+		st.scan = router
 		if opt.Prune {
 			st.qb = bio.NewQueryBound(bq.Seq, sc)
 			st.ft = &Floor{heap: topK{k: st.k}}
@@ -398,7 +396,7 @@ type groupScratch struct {
 
 // scanGroupFor scores one lane group for one query: stage-1 record
 // skipping against the query's floor, the group scorer (routed, or the
-// scalar reference when the query has no scan state), and the
+// scalar reference when the query has no router), and the
 // heap/floor pushes. This is the body of the original single-query Run
 // worker, parameterized by query state.
 func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scoring, prune bool,

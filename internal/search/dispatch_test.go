@@ -27,9 +27,9 @@ func inter16Router() *dispatch.Router {
 	return r
 }
 
-// kernelAxis is the kernel axis of the differential suites: adaptive
-// routing, the forced int16 start, the forced scalar route and the
-// scalar reference scorer.
+// kernelAxis is the kernel axis of the differential suites: the routing
+// rule (the int8 ladder), the forced int16 start, the forced scalar
+// route and the scalar reference scorer.
 var kernelAxis = []struct {
 	name string
 	opt  Options
@@ -143,6 +143,48 @@ func TestDispatchOptionModes(t *testing.T) {
 	for _, lanes := range []int{8, 16} {
 		if _, err := Run(q, db, Options{TopK: 6, Lanes: lanes}); err == nil {
 			t.Fatalf("lanes=%d accepted", lanes)
+		}
+	}
+}
+
+// TestRoutesIndependentOfSchedule: routing is a function of its inputs,
+// so a database whose int8-saturating homologs come first in scan order
+// — the shape that once flipped routes by the order the workers
+// reported saturation in — routes every lane group to inter8, with the
+// same counts for every worker count and every repeat run.
+func TestRoutesIndependentOfSchedule(t *testing.T) {
+	g := bio.NewGenerator(93)
+	q := g.Random(300)
+	var db []bio.Record
+	for i := 0; i < 16; i++ {
+		// Full-query homologs padded to be the longest records: each
+		// scores ≥ 300, far above the int8 clean cap.
+		pad := g.Random(120 + i)
+		db = append(db, bio.Record{ID: fmt.Sprintf("hom%d", i), Seq: append(pad.Clone(), q...)})
+	}
+	for i := 0; i < 48; i++ {
+		db = append(db, bio.Record{ID: fmt.Sprintf("noise%d", i), Seq: g.Random(100 + i*3)})
+	}
+	var want map[string]int64
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 2; run++ {
+			r := dispatch.New(dispatch.ModeAuto, nil)
+			res, err := Run(q, db, Options{Router: r, Workers: workers, NoEndpoints: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Hits[0].Score <= bio.PackedCap8 {
+				t.Fatalf("top hit scores %d: the homologs do not saturate int8", res.Hits[0].Score)
+			}
+			got := r.GroupCounts()
+			if len(got) != 1 || got["inter8"] == 0 {
+				t.Fatalf("workers %d run %d: routes %v, want inter8 only", workers, run, got)
+			}
+			if want == nil {
+				want = got
+			} else if got["inter8"] != want["inter8"] {
+				t.Fatalf("workers %d run %d: routes %v, want %v", workers, run, got, want)
+			}
 		}
 	}
 }

@@ -341,7 +341,7 @@ func TestLocateCatchesWrongScore(t *testing.T) {
 	// rungs and every entry in one heap.
 	scan := func() []scored {
 		t.Helper()
-		st := &qstate{q: q, ctx: context.Background(), k: len(recs), scan: forceRouter(dispatch.GroupInter8, dispatch.PairScalar).NewScan()}
+		st := &qstate{q: q, ctx: context.Background(), k: len(recs), scan: forceRouter(dispatch.GroupInter8, dispatch.PairScalar)}
 		heap := &topK{k: st.k}
 		var al swar.Aligner
 		var ps PruneStats

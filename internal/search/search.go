@@ -50,10 +50,9 @@ type Options struct {
 	// the router and the packed rungs it checks. To force a kernel, use
 	// Dispatch.
 	Lanes int
-	// Dispatch selects the routing mode: "" or "auto" picks the fastest
-	// exact route per lane group by the calibrated cost model of
-	// internal/dispatch, "fixed" reproduces the pre-dispatch fixed
-	// thresholds (the int8 ladder), "scalar" forces the exact scalar
+	// Dispatch selects the routing mode: "" or "auto" (or "fixed", an
+	// alias of auto) starts every lane group on the int8 ladder by the
+	// fixed rule of internal/dispatch, "scalar" forces the exact scalar
 	// kernels. All modes return bit-identical hits; only speed varies.
 	Dispatch string
 	// NoEndpoints skips the exact re-alignment of the final hits, for
@@ -66,9 +65,9 @@ type Options struct {
 	// tie-breaks — is bit-identical with or without it.
 	Prune bool
 	// Router, when non-nil, routes this scan's lane groups instead of a
-	// router built from Dispatch: a resident server shares
-	// one calibrated router — and its route statistics — across
-	// requests. Routing never changes results, only speed.
+	// router built from Dispatch: a resident server shares one router —
+	// and its route statistics — across requests. Routing never changes
+	// results, only speed.
 	Router *dispatch.Router
 }
 

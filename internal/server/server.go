@@ -1,7 +1,7 @@
 // Package server is the resident search service: a prepared database
 // held in memory behind an HTTP/JSON API. It exists because the scan
 // pipeline's fixed costs — FASTA parsing, length sorting, lane
-// interleaving, router calibration — dwarf the per-query cost for short
+// interleaving, pack validation — dwarf the per-query cost for short
 // queries, and a process that pays them per invocation cannot serve
 // interactive load. The server pays them once (or loads them from a
 // dbpack file) and amortizes the rest per batch: concurrent requests
@@ -80,7 +80,7 @@ type Config struct {
 // Handler() on an http.Server, and call Shutdown to drain.
 type Server struct {
 	cfg     Config
-	router  *dispatch.Router // shared calibrated router for default-mode scans
+	router  *dispatch.Router // shared router for default-mode scans
 	cluster *shard.Cluster   // non-nil when cfg.Shards ≥ 2
 	start   time.Time
 
@@ -197,14 +197,9 @@ func New(cfg Config) (*Server, error) {
 		stopped: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
-	// One calibrated router for the server's lifetime: every
-	// default-mode scan shares its adaptive profile and feeds the route
-	// counters /statsz reports.
-	if mode == dispatch.ModeAuto {
-		s.router = dispatch.New(mode, dispatch.Host())
-	} else {
-		s.router = dispatch.New(mode, nil)
-	}
+	// One router for the server's lifetime: every default-mode scan
+	// feeds the route counters /statsz reports.
+	s.router = dispatch.New(mode, nil)
 	if cfg.Shards >= 2 {
 		co := shard.Options{}
 		if cfg.ShardOptions != nil {

@@ -541,6 +541,49 @@ func TestStatsz(t *testing.T) {
 	}
 }
 
+// TestFixedDispatchIsAuto: "fixed" is an alias of auto, so a request
+// that sends it shares the default batch key and the server's router,
+// and its group routes land in /statsz's route counts.
+func TestFixedDispatchIsAuto(t *testing.T) {
+	q, recs := testDB(t, 48, 60, 40)
+	s, hs := newTestServer(t, recs, Config{})
+	fixed := "fixed"
+	defOpt, defKey, err := s.requestOptions(&RequestJSON{Query: q.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixOpt, fixKey, err := s.requestOptions(&RequestJSON{Query: q.String(), Dispatch: &fixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixKey != defKey || fixOpt.Router != s.router || defOpt.Router != s.router {
+		t.Fatalf("fixed key %q router %p, default key %q router %p; server router %p",
+			fixKey, fixOpt.Router, defKey, defOpt.Router, s.router)
+	}
+
+	resp, body := postSearch(t, hs.URL, RequestJSON{Query: q.String(), Dispatch: &fixed})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	sresp, err := http.Get(hs.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var st StatszJSON
+	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	// One direct unpruned scan routes every lane group once.
+	want := dispatch.New(dispatch.ModeAuto, nil)
+	if _, err := search.Run(q, recs, search.Options{Router: want}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(st.Routes.Group) != fmt.Sprint(want.GroupCounts()) || st.Routes.Group["inter8"] == 0 {
+		t.Fatalf("statsz group routes %v after one fixed request, want %v", st.Routes.Group, want.GroupCounts())
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, recs := testDB(t, 32, 40, 10)
 	_, hs := newTestServer(t, recs, Config{BatchMax: 4})

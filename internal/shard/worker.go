@@ -21,7 +21,7 @@ import (
 // matrices forward again.
 // Options rides along
 // by value; its Router pointer is deliberately shared — the process is
-// the cluster, and one calibrated router serving every shard is the
+// the cluster, and one router counting the routes of every shard is the
 // resident server's sharing rule applied across shards.
 
 // wireQuery is one query of a scattered batch.

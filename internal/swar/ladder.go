@@ -3,8 +3,8 @@ package swar
 import "genomedsm/internal/bio"
 
 // Rung names the rung a Ladder call starts at. The search layer's
-// router derives it from the lane group (record lengths, observed
-// saturation); it is never a user option.
+// router derives it from the routing mode (the test hooks aside); it is
+// never a user option.
 type Rung int
 
 const (
@@ -52,12 +52,6 @@ type GroupResult struct {
 	// padded length × rows for the packed passes, target length (padded
 	// to full striped words) × rows for the pairwise ones.
 	Padded int64
-	// Done8 reports that the int8 rung ran to completion, which makes
-	// Sat8 — the lanes it flagged saturated — full evidence of int8
-	// saturation over this group. A refused or abandoned int8 pass
-	// proves nothing and leaves both zero.
-	Done8 bool
-	Sat8  uint8
 }
 
 // Ladder scores q against one lane group of at most PackedLanes8
@@ -93,7 +87,6 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 			}
 			break
 		}
-		res.Done8, res.Sat8 = true, ls.Saturated
 		for l, t := range targets {
 			a.packed(&res, &ls, l, l, len(t))
 		}

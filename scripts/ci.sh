@@ -5,8 +5,8 @@
 #      build, and the test suite under the race detector
 #      (plus a doubled -race pass over the concurrency-heavy SWAR,
 #      align, search, dispatch, dbpack and server packages — the
-#      striped kernels, their pooled aligners, the adaptive routing
-#      state and the HTTP batching/admission machinery run under
+#      striped kernels, their pooled aligners, the shared router's
+#      counters and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then a kernel oracle
 #      fuzz: 10 s each of the four differential fuzzers that pin the
@@ -41,10 +41,7 @@
 #      cmd/benchdiff against the committed BENCH_kernels.json baseline,
 #      plus the pruning speedup gate: SearchDatabasePruned must hold
 #      >= 1.5x the cells/s of both SearchDatabaseSkewed and
-#      SearchDatabase, plus the dispatch routing gate: auto-dispatched
-#      scans must hold parity with the best fixed route on the uniform
-#      and skewed databases and beat the fixed route outright on the
-#      mixed database,
+#      SearchDatabase,
 #      plus the realign pool scaling gate: SearchRealign's 20 kb shape
 #      at -cpu 2 must reach >= 1.4x its -cpu 1 cells/s (skipped with a
 #      notice on a 1-core host),
@@ -256,39 +253,12 @@ awk -v p="$pruned" -v s="$skewed" -v u="$uniform" 'BEGIN {
     printf "pruning gate ok: %.2fx over skewed, %.2fx over uniform\n", p / s, p / u
 }'
 
-echo "== dispatch routing gate (auto vs fixed routes)"
-# On the uniform and skewed databases auto and fixed routing are a
-# statistical tie (uniform routes identically; skewed trades an int8
-# retry against feedback-driven int16 starts), so those pairs are
-# parity checks: the floor is twice the benchdiff tolerance, wide
-# enough for the ±7% run-to-run spread of two same-speed runs on a
-# 1-core host but still tripped by any real routing regression. On the
-# mixed database (saturating homologs + provably non-saturating noise)
-# the fixed int8 ladder pays a doomed pass on every homolog group, so
-# auto must beat it outright; that is the structural win routing exists
-# to capture (≈1.15-1.3x on the dev host).
-dauto=$(best SearchDatabaseDispatch)
-dfixed=$(best SearchDatabaseFixed)
-skewfixed=$(best SearchDatabaseSkewedFixed)
-mixed=$(best SearchDatabaseMixed)
-mixfixed=$(best SearchDatabaseMixedFixed)
-echo "uniform auto $dauto vs fixed $dfixed; skewed auto $skewed vs fixed $skewfixed"
-echo "mixed auto $mixed vs fixed $mixfixed"
-awk -v tol="$maxregress" -v d="$dauto" -v f="$dfixed" \
-    -v sa="$skewed" -v sf="$skewfixed" \
-    -v m="$mixed" -v mf="$mixfixed" 'BEGIN {
-    floor = 1 - 2 * tol / 100
-    if (d < floor * f)  { printf "dispatch gate FAILED: uniform auto at %.2fx of fixed (floor %.2fx)\n", d / f, floor; exit 1 }
-    if (sa < floor * sf) { printf "dispatch gate FAILED: skewed auto at %.2fx of fixed (floor %.2fx)\n", sa / sf, floor; exit 1 }
-    if (m < mf) { printf "dispatch gate FAILED: mixed auto at %.2fx of the fixed route\n", m / mf; exit 1 }
-    printf "dispatch gate ok: uniform %.2fx, skewed %.2fx, mixed %.2fx over fixed\n", d / f, sa / sf, m / mf
-}'
-
 echo "== sharded scaling sanity gate (4-shard in-process >= single-node)"
 # The distribution layer's wins come from adding hosts; on one host it
 # must at least hold parity with the single-node scan on the uniform
 # benchmark database. The floor is twice the benchdiff tolerance — the
-# same same-speed-parity allowance the dispatch gate uses.
+# usual allowance for two same-speed runs (±7% run to run on a 1-core
+# host).
 sharded=$(best SearchDatabaseSharded)
 echo "sharded $sharded cells/s vs single-node $uniform"
 awk -v tol="$maxregress" -v sh="$sharded" -v u="$uniform" 'BEGIN {
