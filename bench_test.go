@@ -214,6 +214,31 @@ func BenchmarkKernelSWARScan16(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelLadderSaturating times the ladder on a lane group that
+// saturates int8 throughout: 8 planted homologs of a 600-row query, each
+// a mutated copy behind a random prefix, scoring ≈ 450 against the int8
+// cap of 127. Entered at RungInter8, as every group is, the int8 pass
+// stops once all 8 lanes are flagged and the two int16 subgroups resume
+// from the row entering the block of its first guard bit. cells/s counts
+// the true cells, Σ|q|·|t|.
+func BenchmarkKernelLadderSaturating(b *testing.B) {
+	g := bio.NewGenerator(61)
+	q := g.Random(600)
+	targets := make([]bio.Sequence, bio.PackedLanes8)
+	cells := int64(0)
+	for i := range targets {
+		targets[i] = append(g.Random(40+i*13), g.MutatedCopy(q, bio.DefaultMutationModel())...)
+		cells += int64(q.Len()) * int64(targets[i].Len())
+	}
+	var al swar.Aligner
+	sc := bio.DefaultScoring()
+	reportCells(b, cells)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		al.Ladder(q, targets, sc, swar.RungInter8, nil, nil)
+	}
+}
+
 // benchRandomPair returns two independent random sequences: unrelated
 // data keeps local scores far below the int8 cap, so the striped
 // benchmarks time the pure packed path with no fallback.

@@ -19,10 +19,11 @@ import (
 // so per-scan costs (worker pool, group traversal, channel traffic) are
 // paid once per batch instead of once per query — the shared-scan
 // serving mode of the resident server. Sharing changes only scheduling:
-// each query keeps its own top-K heap, pruning floor, query bound and
-// adaptive routing state, so every completed query's result is
-// bit-identical — hits, scores, coordinates, tie-breaks, cells — to a
-// solo Run of the same query against the same DB with the same Options.
+// each query keeps its own top-K heap, pruning floor and query bound,
+// and routing is a fixed rule of the group, so every completed query's
+// result is bit-identical — hits, scores, coordinates, tie-breaks, cells
+// — to a solo Run of the same query against the same DB with the same
+// Options.
 
 // BatchQuery is one query of a shared scan.
 type BatchQuery struct {

@@ -129,9 +129,10 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 					t.Errorf("query %d: hits differ with layout attached\nwant %+v\ngot  %+v",
 						qi, want[qi].Result.Hits, got[qi].Result.Hits)
 				}
-				if want[qi].Result.PaddedCells != got[qi].Result.PaddedCells && opt.Dispatch != "auto" && !opt.Prune {
-					// Without pruning or adaptive routing the padded-cell
-					// accounting is scheduling-independent and must agree.
+				if want[qi].Result.PaddedCells != got[qi].Result.PaddedCells && !opt.Prune {
+					// Routing is a fixed rule, so without pruning the
+					// padded-cell accounting is scheduling-independent and
+					// must agree.
 					t.Errorf("query %d: padded cells %d vs %d",
 						qi, want[qi].Result.PaddedCells, got[qi].Result.PaddedCells)
 				}

@@ -103,7 +103,10 @@ type Result struct {
 	// padding-waste metric that the length-sorted batching keeps close
 	// to Cells. Under pruning it shrinks with the abandoned rows and
 	// skipped records, and — like the PruneStats — depends on worker
-	// scheduling.
+	// scheduling. It counts what the kernels ran (swar.GroupResult.Padded):
+	// an int16 retry of saturated int8 lanes from the border row it
+	// resumed at, and the int8 pass only the columns its unsaturated lanes
+	// still needed.
 	PaddedCells int64
 	// Prune holds the pruning statistics; nil when Options.Prune is off.
 	Prune *PruneStats

@@ -13,6 +13,6 @@ var Max8, Max16 = max8, max16
 // it left behind next to the folded maximum, the saturation word and the
 // end-row blocks. For an odd query that row is the phantom 'N' row's.
 func (a *Aligner) ScanPackedRow(q bio.Sequence, prof *bio.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, row []uint64) {
-	best, sat, blocks, _, _ = a.scanPacked(q, prof, gap, nil)
+	best, sat, blocks, _, _, _ = a.scanPacked(q, prof, gap, nil, pass{})
 	return best, sat, blocks, a.row
 }

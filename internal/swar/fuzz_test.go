@@ -2,6 +2,7 @@ package swar_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"genomedsm/internal/align"
@@ -20,6 +21,17 @@ func fuzzSeq(raw []byte, limit int) bio.Sequence {
 		s[i] = "ACGTN"[int(b)%5]
 	}
 	return s
+}
+
+// fuzzBases returns n raw bytes that fuzzSeq maps to random bases, no
+// 'N', from a fixed seed.
+func fuzzBases(n int, seed int64) []byte {
+	r := rand.New(rand.NewSource(seed))
+	raw := make([]byte, n)
+	for i := range raw {
+		raw[i] = byte(r.Intn(4))
+	}
+	return raw
 }
 
 // FuzzScoresVsScalar drives the full int8→int16→scalar chain — every
@@ -47,6 +59,18 @@ func FuzzScoresVsScalar(f *testing.F) {
 	// Three blocks of query: scores that end past the first block, so the
 	// saved border row is a real row.
 	f.Add(bytes.Repeat([]byte("acgttgcaatc"), 15), []byte("ttgcaatcacgtacgttgca"), uint8(6), uint8(13), uint8(1))
+	// The int16 retry resumes at the row entering the block of the int8
+	// pass's first guard bit. One lane, q[40:190], first passes 127 at row
+	// 168: the retry resumes at row 128, and with the other two lanes
+	// empty the int8 pass stops after row 192.
+	q200 := fuzzBases(200, 1)
+	f.Add(q200, q200[40:190], uint8(150), uint8(150), uint8(0))
+	// A 199-row query: five copies of it flag in block 1 and the pool lane
+	// q[39:199] in block 2, so the retry resumes at row 64; once the
+	// copies are flagged the int8 pass runs on the pool lane's 160 columns
+	// alone, and it stops after row 192.
+	q199 := fuzzBases(199, 2)
+	f.Add(q199, q199[39:], uint8(0), uint8(0), uint8(5))
 	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, cut1, cut2, rep uint8) {
 		q := fuzzSeq(rawQ, 200)
 		pool := fuzzSeq(rawT, 160)

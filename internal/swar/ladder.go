@@ -50,16 +50,22 @@ type GroupResult struct {
 	Pruned uint8
 	// Padded counts the cells the rungs actually computed: lane width ×
 	// padded length × rows for the packed passes, target length (padded
-	// to full striped words) × rows for the pairwise ones.
+	// to full striped words) × rows for the pairwise ones. An int16 retry
+	// resumed from the int8 pass's border row counts its rows from that
+	// row, and the int8 pass only the columns and rows it ran (see
+	// LaneScores.Padded).
 	Padded int64
 }
 
 // Ladder scores q against one lane group of at most PackedLanes8
 // targets down the int8 → int16 → scalar fallback ladder, entered at
-// start: flagged int8 lanes retry in int16 subgroups of 4, lanes still
-// flagged go to the scalar kernel, and a rung that refuses the scoring
-// scheme falls through to the next. Under a non-nil Bound every rung
-// may abandon: an abandoned pass marks all its lanes pruned and stops.
+// start: flagged int8 lanes retry in int16 subgroups of 4, resumed from
+// the row entering the block of the int8 pass's first guard bit (the
+// int8 pass itself narrows to its clean lanes' columns and stops once
+// none is left), lanes still flagged go to the scalar kernel, and a
+// rung that refuses the scoring scheme falls through to the next. Under
+// a non-nil Bound every rung may abandon: an abandoned pass marks all
+// its lanes pruned and stops.
 // prof, when non-nil, is the group's prebuilt int8 profile (see scan);
 // nil builds it per call. Every unpruned score is exact whatever the
 // starting rung, so start only ever changes the cost.
@@ -74,13 +80,17 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 		if prof == nil {
 			prof = bio.NewPackedProfile8(targets, sc)
 		}
-		ls, ok := a.scan(q, prof, sc, len(targets), ab)
+		var lens [bio.PackedLanes8]int
+		for i, t := range targets {
+			lens[i] = len(t)
+		}
+		ls, ok := a.scan(q, prof, sc, len(targets), ab, pass{lens: lens[:len(targets)]})
 		if !ok {
 			// Scoring magnitudes do not fit int8 lanes at all.
-			a.inter16(&res, q, targets, sc, ab, all)
+			a.inter16(&res, q, targets, sc, ab, all, 0)
 			break
 		}
-		res.Padded += int64(bio.PackedLanes8) * int64(prof.Words()) * int64(ls.Rows)
+		res.Padded += ls.Padded
 		if ls.Pruned {
 			for i := range targets {
 				res.set(i, Pair{}, ls.Rows, true)
@@ -91,10 +101,10 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 			a.packed(&res, &ls, l, l, len(t))
 		}
 		if ls.Saturated != 0 {
-			a.inter16(&res, q, targets, sc, ab, ls.Saturated)
+			a.inter16(&res, q, targets, sc, ab, ls.Saturated, len(a.marks)*BlockRows)
 		}
 	case RungInter16:
-		a.inter16(&res, q, targets, sc, ab, all)
+		a.inter16(&res, q, targets, sc, ab, all, 0)
 	case RungSingles:
 		for i, t := range targets {
 			p, rows, pruned := a.StripedScoreBounded(q, t, sc, ab)
@@ -142,8 +152,18 @@ func (a *Aligner) packed(res *GroupResult, ls *LaneScores, i, l, n int) {
 
 // inter16 is the ladder's int16 rung: the targets named by mask, in
 // subgroups of 4, with still-saturated lanes (or a refused scoring
-// scheme) dropping to the scalar rung.
-func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, mask uint8) {
+// scheme) dropping to the scalar rung from row 0.
+//
+// from > 0 resumes the flagged lanes of the int8 pass just run at its
+// resume point, query row from (see pass): each subgroup first replays
+// the abandon tests a from-scratch pass would have made above from, then
+// scans on from the widened resume row. Rows, prune decisions, scores,
+// end blocks and seeds all equal a from-scratch retry's. Nothing above
+// from is needed for the rest: a flagged lane's first guard bit is a
+// diagonal term above 127 — a cell above its every earlier maximum — so
+// the lane's maximum moves in that block or later, and its final end
+// block and seed are both set by the resumed pass.
+func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, mask uint8, from int) {
 	var idxs [bio.PackedLanes8]int
 	n := 0
 	for i := range targets {
@@ -159,10 +179,18 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 			group[l] = targets[i]
 		}
 		prof := bio.NewPackedProfile16(group[:len(sub)], sc)
-		ls, ok := a.scan(q, prof, sc, len(sub), ab)
-		if ok {
-			res.Padded += int64(bio.PackedLanes16) * int64(prof.Words()) * int64(ls.Rows)
+		var p pass
+		if from > 0 {
+			if rows := a.abandoned(sub, ab); rows > 0 {
+				for _, i := range sub {
+					res.set(i, Pair{}, rows, true)
+				}
+				continue
+			}
+			p = pass{from: from, best: a.widen(sub, prof.Words())}
 		}
+		ls, ok := a.scan(q, prof, sc, len(sub), ab, p)
+		res.Padded += ls.Padded
 		for l, i := range sub {
 			switch {
 			case !ok || ls.Saturated&(1<<uint(l)) != 0:

@@ -200,10 +200,18 @@ type LaneScores struct {
 	// for LocateEnd (see scanPacked). Under a Bound those are the lanes
 	// scoring ≥ Below only.
 	Seeded uint8
+	// Padded counts the cells the scan computed: lane width × the words
+	// of each block it ran × that block's rows. That is the profile's
+	// words × Rows, except for the ladder's int8 pass, which narrows once
+	// lanes are flagged, and a resumed retry, whose rows start at the
+	// resume row (see pass).
+	Padded int64
 	// Lanes is the number of live lanes (= number of targets scanned).
 	Lanes int
 	// Rows is the number of query rows the scan consumed: the full query
-	// length for a completed scan, fewer when a Bound abandoned it.
+	// length for a completed scan, fewer when a Bound abandoned it — or,
+	// without pruning, when the ladder's int8 pass stopped early because
+	// no clean lane was left (see pass).
 	Rows int
 	// Pruned reports that a bounded scan was abandoned mid-matrix: every
 	// lane's exact score is provably below the bound's Below threshold.
@@ -216,12 +224,16 @@ type LaneScores struct {
 // value is ready to use; an Aligner must not be shared between
 // goroutines.
 type Aligner struct {
-	row         []uint64 // inter-sequence packed row (Scan8/Scan16)
-	border      []uint64 // copy of row as it entered the current block
-	sprev, scur []uint64 // striped rows (StripedScan8/StripedScan16)
-	schg        []uint64 // striped correction-loop change mask
-	iprev, icur []int32  // scalar rows (ScalarPair, LocateEnd)
-	iprof       bio.Profile
+	row    []uint64 // inter-sequence packed row (Scan8/Scan16)
+	border []uint64 // copy of row as it entered the current block
+	// resume and marks are the resume point of the ladder's last int8
+	// pass (pass.lens): the row entering the block of its first guard bit
+	// and the folded maximum at each block end before it.
+	resume, marks []uint64
+	sprev, scur   []uint64 // striped rows (StripedScan8/StripedScan16)
+	schg          []uint64 // striped correction-loop change mask
+	iprev, icur   []int32  // scalar rows (ScalarPair, LocateEnd)
+	iprof         bio.Profile
 	// laneSeed[l] is the saved border row of lane l of the last packed
 	// scan; seed[i] that of target i of the last Ladder call, whichever
 	// packed pass resolved it (Seed).
@@ -267,15 +279,25 @@ func (a *Aligner) zeroRow(words int) []uint64 {
 // other lane the seed is bit-equal to the scalar recurrence, by the
 // argument that makes the maximum exact: up to a lane's first guard bit
 // every cell it stores is.
-func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, ab *Bound) (best, sat uint64, blocks [bio.PackedLanes8]int, rows int, pruned bool) {
+//
+// p says where the pass starts and whether it narrows (see pass); rows
+// counts from the origin whatever p.from is, and steps counts the
+// word-rows the pass ran: Σ words × rows over its blocks.
+func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, ab *Bound, p pass) (best, sat uint64, blocks [bio.PackedLanes8]int, rows int, steps int64, pruned bool) {
 	for l := range a.laneSeed {
 		a.laneSeed[l] = a.laneSeed[l][:0]
 	}
+	if p.lens != nil {
+		a.marks = a.marks[:0]
+	}
 	words := prof.Words()
 	if words == 0 || len(q) == 0 {
-		return 0, 0, blocks, len(q), false
+		return 0, 0, blocks, len(q), 0, false
 	}
-	row := a.zeroRow(words)
+	row := a.row
+	if p.from == 0 {
+		row = a.zeroRow(words)
+	}
 	border := a.border[:words]
 	gapV := prof.Broadcast(gap)
 	wide := prof.Lanes() == bio.PackedLanes16
@@ -286,8 +308,9 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	guard := 1 << (prof.Shift() - 1)
 	bounded := ab.cadence() != 0
 	below := ab.floor()
-	var snap uint64 // best at the previous block boundary
-	for lo := 0; lo < len(q); lo += BlockRows {
+	best = p.best
+	snap := best // best at the previous block boundary
+	for lo := p.from; lo < len(q); lo += BlockRows {
 		hi := min(lo+BlockRows, len(q))
 		if lo > 0 {
 			copy(border, row)
@@ -309,6 +332,7 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 				best, sat = rowPair8(row, prof.PlusRow(c), prof.MinusRow(c), prof.PlusRow(c2), prof.MinusRow(c2), gapV, best, sat)
 			}
 		}
+		steps += int64(len(row)) * int64(hi-lo)
 		if moved := best ^ snap; moved != 0 {
 			for l := 0; l < prof.Lanes(); l++ {
 				if prof.Lane(moved, l) == 0 {
@@ -321,6 +345,28 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 			}
 			snap = best
 		}
+		if p.lens != nil {
+			if sat&satMask == 0 {
+				a.marks = append(a.marks, best)
+			} else {
+				if len(a.marks) == lo/BlockRows && lo > 0 {
+					// The first guard bit, in this block: every lane was
+					// clean on the row that entered it.
+					a.resume = append(a.resume[:0], border...)
+				}
+				// Only the clean lanes' columns are still needed.
+				w := 0
+				for l, n := range p.lens {
+					if prof.Lane(sat, l)&guard == 0 {
+						w = max(w, n)
+					}
+				}
+				if w == 0 {
+					return best, sat, blocks, hi, steps, false
+				}
+				row, border = row[:w], border[:w]
+			}
+		}
 		// Abandon only at full-block boundaries. A saturated lane's running
 		// maximum is untrustworthy, so it is never abandon evidence; the
 		// wider retry re-checks.
@@ -330,11 +376,75 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 				m = reduce16(best)
 			}
 			if m+ab.Query.SuffixBound(hi) < ab.Below {
-				return best, sat, blocks, hi, true
+				return best, sat, blocks, hi, steps, true
 			}
 		}
 	}
-	return best, sat, blocks, len(q), false
+	return best, sat, blocks, len(q), steps, false
+}
+
+// pass is where a packed pass starts and whether it narrows. The zero
+// value scans every column of every row from the zero top border.
+type pass struct {
+	// from is the first query row, a multiple of BlockRows. Past 0 the
+	// caller has loaded the row buffer with H row from and best with each
+	// lane's maximum over the rows above it (Aligner.widen).
+	from int
+	best uint64
+	// lens, when non-nil, holds the target length of each live lane; only
+	// the ladder's int8 pass sets it, Scan8 and Scan16 run in full. From
+	// the first block end with a flagged lane on, the pass computes only
+	// the columns of the lanes still clean: a column depends only on the
+	// ones left of it, so theirs stay exact, and the flagged lanes' values
+	// are retried wider anyway. It ends once no clean lane has a column
+	// left. It also keeps a resume point for that retry: Aligner.marks,
+	// the folded maximum at every block end before the block b of the
+	// first guard bit, and Aligner.resume, the row entering b, taken
+	// before any narrowing. Both are exact in every lane: no lane had set
+	// a guard bit yet.
+	lens []int
+}
+
+// widen loads the row buffer for an int16 pass over the int8 lanes sub
+// of the ladder's last int8 pass, resumed at that pass's resume point:
+// each lane's column of the resume row and its maximum there move, value
+// for value, to the lane's int16 position. It returns the widened maxima.
+// The int8 columns past the int16 profile's words are padding only that
+// wider group saw; the ones before them equal a from-scratch int16 pass's
+// row, because a column depends only on the target bases left of it.
+func (a *Aligner) widen(sub []int, words int) uint64 {
+	row := a.zeroRow(words)
+	snap := a.marks[len(a.marks)-1]
+	var best uint64
+	for l16, l8 := range sub {
+		from, to := uint(l8)*8, uint(l16)*16
+		for j := range row {
+			row[j] |= a.resume[j] >> from & 0xFF << to
+		}
+		best |= snap >> from & 0xFF << to
+	}
+	return best
+}
+
+// abandoned replays, for an int16 pass over the int8 lanes sub resumed
+// at block len(a.marks), the abandon test a from-scratch pass would have
+// made at each block end before it, on the int8 pass's maxima there —
+// the int16 pass's own, bit for bit, since every lane was clean. It
+// returns the rows after which that pass gives up, or 0.
+func (a *Aligner) abandoned(sub []int, ab *Bound) int {
+	if ab.cadence() == 0 {
+		return 0
+	}
+	for k, m := range a.marks {
+		top := 0
+		for _, l := range sub {
+			top = max(top, int(m>>(uint(l)*8)&0xFF))
+		}
+		if hi := (k + 1) * BlockRows; top+ab.Query.SuffixBound(hi) < ab.Below {
+			return hi
+		}
+	}
+	return 0
 }
 
 // unpackLane returns dst resized to len(row) and filled with one lane
@@ -355,12 +465,12 @@ func unpackLane(dst []uint16, row []uint64, off uint, mask uint64) []uint16 {
 // (callers then use Scan16 or the scalar path); lanes that overflow it
 // are flagged Saturated in the result.
 func (a *Aligner) Scan8(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	return a.scan(q, bio.NewPackedProfile8(targets, sc), sc, len(targets), nil)
+	return a.scan(q, bio.NewPackedProfile8(targets, sc), sc, len(targets), nil, pass{})
 }
 
 // Scan16 scores q against up to 4 targets in int16 lanes.
 func (a *Aligner) Scan16(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	return a.scan(q, bio.NewPackedProfile16(targets, sc), sc, len(targets), nil)
+	return a.scan(q, bio.NewPackedProfile16(targets, sc), sc, len(targets), nil, pass{})
 }
 
 // scan is the one packed rung: it scores q against the lanes live
@@ -371,13 +481,14 @@ func (a *Aligner) Scan16(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring)
 // group being scanned under sc. ok is false when prof is nil (the
 // match/mismatch magnitudes do not fit the lane) or the gap penalty
 // does not fit it; callers then fall to the next rung. An abandoned
-// scan returns Pruned with Rows set to the rows consumed.
-func (a *Aligner) scan(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound) (LaneScores, bool) {
+// scan returns Pruned with Rows set to the rows consumed. p is the
+// pass's start and narrowing (see pass).
+func (a *Aligner) scan(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound, p pass) (LaneScores, bool) {
 	if prof == nil || -sc.Gap > prof.Cap() {
 		return LaneScores{}, false
 	}
-	best, sat, blocks, rows, pruned := a.scanPacked(q, prof, -sc.Gap, ab)
-	res := LaneScores{Lanes: lanes, Rows: rows, Pruned: pruned}
+	best, sat, blocks, rows, steps, pruned := a.scanPacked(q, prof, -sc.Gap, ab, p)
+	res := LaneScores{Lanes: lanes, Rows: rows, Pruned: pruned, Padded: int64(prof.Lanes()) * steps}
 	if pruned {
 		return res, true
 	}

@@ -3,6 +3,8 @@ package swar_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"genomedsm/internal/align"
@@ -374,6 +376,153 @@ func TestScoresSaturation(t *testing.T) {
 		t.Errorf("score-100 lane wrongly saturated: mask %08b", ls.Saturated)
 	}
 	checkScores(t, "saturation", q, targets, sc)
+}
+
+// firstGuardBlock returns the block of query rows in which an int8 pass
+// over targets first sets a guard bit, or -1 when none does: Scan8 over
+// ever longer block-aligned prefixes of q.
+func firstGuardBlock(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) int {
+	t.Helper()
+	var al swar.Aligner
+	for hi := swar.BlockRows; ; hi += swar.BlockRows {
+		ls, ok := al.Scan8(q[:min(hi, len(q))], targets, sc)
+		if !ok {
+			t.Fatalf("Scan8 rejected %+v", sc)
+		}
+		if ls.Saturated != 0 {
+			return (min(hi, len(q)) - 1) / swar.BlockRows
+		}
+		if hi >= len(q) {
+			return -1
+		}
+	}
+}
+
+// TestLadderResume pins the resumed int16 retry. Entered at RungInter8,
+// the ladder runs an int8 pass that narrows to its clean lanes' columns
+// once lanes are flagged and stops when none is left, then int16
+// subgroups resumed at the row entering the block of the pass's first
+// guard bit; entered at RungInter16, it scans every lane in int16 from
+// row 0. On groups whose flagged lanes form the same subgroups both ways
+// — every lane flagged, or the clean lanes placed so that no subgroup
+// changes its abandon decision — the two must agree on every
+// GroupResult field but Padded, and on every seed, unbounded and under a
+// live Bound; Padded must be strictly below the from-scratch ladder's,
+// an int8 pass over every column and row plus that retry. Every case
+// also goes through checkScores against the scalar oracle.
+func TestLadderResume(t *testing.T) {
+	g := bio.NewGenerator(31)
+	cat := func(parts ...bio.Sequence) bio.Sequence {
+		var out bio.Sequence
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// lanes returns n targets, lane l being a random prefix of pre(l)
+	// bases before q[from(l):to(l)] — an identity run whose score first
+	// passes 127 at query row from(l)+128.
+	lanes := func(q bio.Sequence, n int, pre, from, to func(l int) int) []bio.Sequence {
+		out := make([]bio.Sequence, n)
+		for l := range out {
+			out[l] = cat(g.Random(pre(l)), q[from(l):to(l)])
+		}
+		return out
+	}
+	q600, q1000, q451 := g.Random(600), g.Random(1000), g.Random(451)
+	qN := cat(bio.MustSequence(strings.Repeat("N", 200)), g.Random(400))
+	end := func(q bio.Sequence) func(int) int { return func(int) int { return len(q) } }
+	for _, c := range []struct {
+		name     string
+		q        bio.Sequence
+		targets  []bio.Sequence
+		sc       bio.Scoring
+		below    int   // the live bound's threshold
+		minBlock int   // the first guard bit's block is at least this
+		pruned   bool  // the live bound prunes a subgroup by the resume row
+		clean    uint8 // the lanes the int8 pass never flags
+	}{
+		{"first guard in block 4", q600,
+			lanes(q600, 8, func(l int) int { return 10 + 7*l }, func(l int) int { return 150 + l }, end(q600)),
+			bio.DefaultScoring(), 300, 4, false, 0},
+		{"lanes flagged in blocks 1 to 8", q600,
+			lanes(q600, 8, func(l int) int { return 5 * l }, func(l int) int { return 60 * l }, end(q600)),
+			bio.DefaultScoring(), 200, 1, false, 0},
+		{"five lanes flagged by block 8 of 16", q1000,
+			lanes(q1000, 5, func(l int) int { return 30 * l }, func(l int) int { return 100 * l }, func(l int) int { return 100*l + 300 }),
+			bio.DefaultScoring(), 250, 1, false, 0},
+		// Query rows 1–200 are N, so no lane can score before block 3; lane
+		// 0's 400-base identity run scores 40 000, past the int16 cap too.
+		{"int16 saturates too", qN,
+			append([]bio.Sequence{qN[200:]}, lanes(qN, 3, func(l int) int { return 7 * l }, func(l int) int { return 260 + 60*l }, func(l int) int { return 360 + 60*l })...),
+			bio.Scoring{Match: 100, Mismatch: -100, Gap: -120}, 5000, 3, false, 0},
+		// Lanes 0–3 clear the bound; lanes 4–7 score 170–200 and cannot:
+		// their subgroup is hopeless at row 64, before the resume row 128.
+		{"bound prunes a subgroup before the resume row", q600,
+			append(lanes(q600, 4, func(l int) int { return 20 + l }, func(l int) int { return 30 + l }, end(q600)),
+				lanes(q600, 4, func(l int) int { return 50 + l }, func(l int) int { return 400 + 10*l }, end(q600))...),
+			bio.DefaultScoring(), 560, 2, true, 0},
+		{"odd query, not a multiple of 64", q451,
+			lanes(q451, 8, func(l int) int { return 3 * l }, func(l int) int { return 20 + 10*l }, end(q451)),
+			bio.DefaultScoring(), 200, 2, false, 0},
+		// Lanes 2, 3, 6 and 7 are 60–120 bases, and lane 2, the longest, an
+		// identity run of 120 that ends on its last column in block 6: once
+		// the homologs are flagged the int8 pass runs on over the short
+		// lanes' columns alone. Each from-scratch subgroup keeps a homolog
+		// above the bound, so neither abandons.
+		{"clean short lanes beside flagged long ones", q600,
+			[]bio.Sequence{
+				cat(g.Random(17), q600[40:]), cat(g.Random(5), q600[45:]), q600[300:420], g.Random(97),
+				cat(g.Random(9), q600[50:]), cat(g.Random(30), q600[55:]), g.Random(60), g.Random(111),
+			},
+			bio.DefaultScoring(), 200, 2, false, 0b11001100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var al swar.Aligner
+			all := uint8(1)<<uint(len(c.targets)) - 1
+			if ls, ok := al.Scan8(c.q, c.targets, c.sc); !ok || ls.Saturated != all&^c.clean {
+				t.Fatalf("int8 pass flags lanes %08b, want %08b", ls.Saturated, all&^c.clean)
+			}
+			b := firstGuardBlock(t, c.q, c.targets, c.sc)
+			if b < c.minBlock {
+				t.Fatalf("first guard bit in block %d, want ≥ %d", b, c.minBlock)
+			}
+			checkScores(t, c.name, c.q, c.targets, c.sc)
+			words := 0
+			for _, tgt := range c.targets {
+				words = max(words, len(tgt))
+			}
+			for _, ab := range []*swar.Bound{nil, {Below: c.below, Query: bio.NewQueryBound(c.q, c.sc)}} {
+				got := al.Ladder(c.q, c.targets, c.sc, swar.RungInter8, ab, nil)
+				seeds := make([][]uint16, len(c.targets))
+				for i := range seeds {
+					seeds[i] = append([]uint16(nil), al.Seed(i)...)
+				}
+				want := al.Ladder(c.q, c.targets, c.sc, swar.RungInter16, ab, nil)
+				if scratch := int64(bio.PackedLanes8)*int64(words)*int64(len(c.q)) + want.Padded; got.Padded >= scratch {
+					t.Errorf("bound %v: padded %d, from-scratch ladder %d", ab != nil, got.Padded, scratch)
+				}
+				got.Padded, want.Padded = 0, 0
+				if got != want {
+					t.Errorf("bound %v: resumed ladder %+v\nfrom-scratch %+v", ab != nil, got, want)
+				}
+				for i := range seeds {
+					if want.Seeded&(1<<uint(i)) != 0 && !slices.Equal(seeds[i], al.Seed(i)) {
+						t.Errorf("bound %v: target %d seed differs from the from-scratch retry's", ab != nil, i)
+					}
+				}
+				if c.pruned && ab != nil {
+					early := false
+					for i := range c.targets {
+						early = early || want.Pruned&(1<<uint(i)) != 0 && want.Rows[i] <= b*swar.BlockRows
+					}
+					if !early {
+						t.Errorf("no lane pruned by row %d: pruned %08b rows %v", b*swar.BlockRows, want.Pruned, want.Rows)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestScoresScalarFallback forces the full chain down to align.Scan: a

@@ -9,11 +9,12 @@
 #      counters and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then a kernel oracle
-#      fuzz: 10 s each of the four differential fuzzers that pin the
+#      fuzz: 10 s each of the five differential fuzzers that pin the
 #      packed and striped kernels — scores, saved border rows and the
-#      end cells located from them — to the scalar one
-#      (FuzzScoresVsScalar, FuzzStripedVsScalar, FuzzDispatchVsScalar,
-#      FuzzStripRealignVsFull) — past their seed corpora, which is all
+#      end cells located from them — to the scalar one, and pruned
+#      search hits to unpruned ones (FuzzScoresVsScalar,
+#      FuzzStripedVsScalar, FuzzDispatchVsScalar, FuzzStripRealignVsFull,
+#      FuzzPrunedSearchVsFull) — past their seed corpora, which is all
 #      `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
@@ -85,11 +86,14 @@ echo "== bench module (nested: the root ./... cannot see it)"
 echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpack + server)"
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
 
-echo "== kernel oracle fuzz (10 s x 4 differential fuzzers)"
+echo "== kernel oracle fuzz (10 s x 5 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
 go test -run '^$' -fuzz '^FuzzStripRealignVsFull$' -fuzztime 10s ./internal/search
+# A resumed int16 retry under a live Bound replays the abandon tests
+# above its resume row: pruned hits must stay the unpruned ones.
+go test -run '^$' -fuzz '^FuzzPrunedSearchVsFull$' -fuzztime 10s ./internal/search
 
 echo "== chaos sweep (16 seeds x 3 strategies, -race)"
 chaos_bin=$(mktemp -d)/genomedsm
