@@ -476,6 +476,30 @@ func BenchmarkKernelReverseRetrieve(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelReverseBegin is the same sweep over the same pair in the
+// form the realign pool runs: the begin cell only, no arrows and no
+// traceback. The denominator is the same CellsComputed, so the two rows
+// read as one kernel with and without its traceback store; ci.sh gates
+// this one at ≥ 2× KernelReverseRetrieve's cells/s in the same run.
+func BenchmarkKernelReverseBegin(b *testing.B) {
+	s, t := benchPair(1000)
+	sc := bio.DefaultScoring()
+	r, err := align.Scan(s, t, sc, align.ScanOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rt align.Retriever
+	_, _, st, ok := rt.Begin(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+	if !ok {
+		b.Fatal("no alignment ends at the scan's best cell")
+	}
+	reportCells(b, st.CellsComputed)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Begin(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+	}
+}
+
 // BenchmarkSearchRealign measures the realign stage alone — finding the
 // end cell plus the §6 reverse retrieval of ten final hits, fanned over
 // the realign pool — in the two shapes the serve-path benchmark spends

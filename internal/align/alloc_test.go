@@ -45,7 +45,7 @@ func TestRetrieverSteadyStateAllocs(t *testing.T) {
 		}
 		// The arena stores arrows only: one byte per useful cell (plus
 		// the origin), never the 5 B/cell of a value + arrow arena.
-		if n := int64(len(rt.arrs)); n > st.CellsComputed+1 {
+		if n := int64(len(rt.arrows.arrs)); n > st.CellsComputed+1 {
 			t.Fatalf("arena holds %d B for %d useful cells", n, st.CellsComputed)
 		}
 	}
@@ -54,6 +54,26 @@ func TestRetrieverSteadyStateAllocs(t *testing.T) {
 	const ceiling = 32 // result + op appends; was ~14.5k one-shot
 	if allocs > ceiling {
 		t.Errorf("Retriever.ReverseRetrieve: %.0f allocs/op, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestRetrieverBeginAllocs: Begin keeps nothing but the rolling rows and
+// the profile, both reused, so a warm call allocates nothing at all.
+func TestRetrieverBeginAllocs(t *testing.T) {
+	s, tt, sc := allocPair()
+	res, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt Retriever
+	run := func() {
+		if _, _, _, ok := rt.Begin(s, tt, sc, res.BestI, res.BestJ, res.BestScore); !ok {
+			t.Fatal("Begin found no alignment at the scan's best cell")
+		}
+	}
+	run() // size the rolling rows and the profile
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("Retriever.Begin: %.1f allocs/op, want 0", allocs)
 	}
 }
 

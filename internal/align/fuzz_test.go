@@ -60,6 +60,61 @@ func FuzzLocalAlignmentConsistency(f *testing.F) {
 	})
 }
 
+// FuzzBeginVsRetrieve pins Begin to ReverseRetrieve on arbitrary pairs,
+// five scoring schemes and every endpoint Scan reports — local maxima of
+// any score from minScore up, so cells that are not the first to hold
+// their score are included and the dense fallback runs. Where
+// ReverseRetrieve's sweep reaches the score, Begin must report its begin
+// cell and its RetrieveStats exactly; where it falls back, Begin must
+// report ok=false, and its counters plus the dense pass's must be
+// ReverseRetrieve's. The fallback always relocates the end (a dense
+// traceback that reached the origin would be an anchored path the sweep
+// keeps), which is how the test tells the two apart.
+func FuzzBeginVsRetrieve(f *testing.F) {
+	f.Add([]byte("acgtacgtaacgt"), []byte("tgcacgtaacgtt"), uint8(0), uint8(1))
+	f.Add([]byte("aaaaaaaa"), []byte("aaaa"), uint8(1), uint8(2))
+	f.Add([]byte("acacacacacacac"), []byte("cacacaacacac"), uint8(2), uint8(0))
+	f.Add([]byte("ggggttttggggttttgggg"), []byte("ggggtttggggtttgggg"), uint8(3), uint8(3))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 3, 3, 0}, []byte{0, 1, 2, 0, 1, 2, 3, 3, 0}, uint8(4), uint8(1))
+	schemes := []bio.Scoring{
+		sc,
+		{Match: 1, Mismatch: -1, Gap: -1},
+		{Match: 2, Mismatch: -3, Gap: -5},
+		{Match: 5, Mismatch: -4, Gap: -3},
+		{Match: 1, Mismatch: -3, Gap: -2},
+	}
+	var rt Retriever // reused across inputs, as a realign worker does
+	f.Fuzz(func(t *testing.T, rawS, rawT []byte, scheme, minScore uint8) {
+		s, tt := fuzzSeq(rawS, 128), fuzzSeq(rawT, 128)
+		sc := schemes[int(scheme)%len(schemes)]
+		r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true, EndpointMinScore: 1 + int(minScore%8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range r.Endpoints {
+			al, want, err := ReverseRetrieve(s, tt, sc, ep.I, ep.J, ep.Score)
+			if err != nil {
+				t.Fatalf("retrieve %+v: %v", ep, err)
+			}
+			fellBack := al.SEnd != ep.I || al.TEnd != ep.J
+			sBegin, tBegin, got, ok := rt.Begin(s, tt, sc, ep.I, ep.J, ep.Score)
+			if ok == fellBack {
+				t.Fatalf("%+v: Begin ok=%v, ReverseRetrieve fell back=%v", ep, ok, fellBack)
+			}
+			if !ok {
+				if _, got, err = reverseRetrieveDense(s, tt, sc, ep.I, ep.J, ep.Score, got); err != nil {
+					t.Fatalf("%+v: dense pass: %v", ep, err)
+				}
+			} else if sBegin != al.SBegin || tBegin != al.TBegin {
+				t.Fatalf("%+v: Begin (%d,%d), ReverseRetrieve (%d,%d)", ep, sBegin, tBegin, al.SBegin, al.TBegin)
+			}
+			if got != want {
+				t.Fatalf("%+v (ok=%v): Begin stats %+v, ReverseRetrieve %+v", ep, ok, got, want)
+			}
+		}
+	})
+}
+
 // FuzzGlobalConsistency cross-checks Needleman–Wunsch against Hirschberg.
 func FuzzGlobalConsistency(f *testing.F) {
 	f.Add([]byte("acgt"), []byte("gtac"))

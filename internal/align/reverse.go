@@ -40,28 +40,28 @@ func ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (*Ali
 	return r.ReverseRetrieve(s, t, sc, endI, endJ, k)
 }
 
-// Retriever carries the reusable storage of ReverseRetrieve. Cell values
-// live only in two rolling rows (prev/cur, indexed by column); what the
-// traceback needs — one arrow byte per useful cell — stacks up in one
-// shared arena, each row holding only its index window into it, so a
-// retrieval performs a handful of amortized arena growths and stores
-// 1 B per useful cell. The zero value is ready to use; a Retriever must
-// not be shared between goroutines. Steady-state reuse (one per realign
-// worker, RetrieveAll) allocates only the result.
+// Retriever carries the reusable storage of the reverse sweep. Cell
+// values live only in two rolling rows (prev/cur, indexed by column);
+// what ReverseRetrieve's traceback needs — one arrow byte per useful cell
+// — stacks up in one shared arena, each row holding only its index
+// window into it, so a retrieval performs a handful of amortized arena
+// growths and stores 1 B per useful cell. Begin keeps no arrows at all.
+// The zero value is ready to use; a Retriever must not be shared between
+// goroutines. Steady-state reuse (one per realign worker, RetrieveAll)
+// allocates only ReverseRetrieve's result, and nothing in Begin.
 type Retriever struct {
 	prev, cur []int32      // rolling value rows, qmax+2 columns each
-	arrs      []byte       // arrow arena
-	rows      []rrow       // per-row windows into the arena
 	rev       bio.Sequence // reversed-prefix scratch for the profile
 	prof      bio.Profile  // query profile over rev, rebuilt per call
+	arrows    arrowRows    // ReverseRetrieve's traceback store
 	// High-water trim bookkeeping: one huge retrieval must not pin its
 	// arena for the lifetime of a long-lived Retriever (a realign worker,
 	// RetrieveAll loops). Every trimWindow calls the buffers are shrunk
 	// back to the window's peak usage when their capacity dwarfs it; see
 	// observe.
 	calls  int
-	hw     int // peak len(arrs) observed this window
-	hwRows int // peak len(rows) observed this window
+	hw     int // peak len(arrows.arrs) observed this window
+	hwRows int // peak len(arrows.rows) observed this window
 }
 
 // Arena trim tuning: how many retrievals one observation window spans,
@@ -80,21 +80,22 @@ const (
 // big/small workloads keep their buffers, while a one-off giant
 // retrieval stops taxing every later small one).
 func (rt *Retriever) observe() {
-	if n := len(rt.arrs); n > rt.hw {
+	a := &rt.arrows
+	if n := len(a.arrs); n > rt.hw {
 		rt.hw = n
 	}
-	if n := len(rt.rows); n > rt.hwRows {
+	if n := len(a.rows); n > rt.hwRows {
 		rt.hwRows = n
 	}
 	if rt.calls++; rt.calls < arenaTrimWindow {
 		return
 	}
-	if cap(rt.arrs) > arenaTrimFactor*rt.hw && cap(rt.arrs) > arenaTrimMinCap {
-		rt.arrs = make([]byte, 0, rt.hw)
+	if cap(a.arrs) > arenaTrimFactor*rt.hw && cap(a.arrs) > arenaTrimMinCap {
+		a.arrs = make([]byte, 0, rt.hw)
 		rt.prev, rt.cur, rt.rev, rt.prof = nil, nil, nil, bio.Profile{}
 	}
-	if cap(rt.rows) > arenaTrimFactor*rt.hwRows && cap(rt.rows) > arenaTrimMinCap {
-		rt.rows = make([]rrow, 0, rt.hwRows)
+	if cap(a.rows) > arenaTrimFactor*rt.hwRows && cap(a.rows) > arenaTrimMinCap {
+		a.rows = make([]rrow, 0, rt.hwRows)
 	}
 	rt.calls, rt.hw, rt.hwRows = 0, 0, 0
 }
@@ -111,28 +112,61 @@ type rrow struct {
 // wrap.
 const deadCell int32 = -1 << 29
 
-// ReverseRetrieve is the buffer-reusing form of the package function of
-// the same name; see its documentation.
-func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (*Alignment, RetrieveStats, error) {
-	rt.observe()
-	var st RetrieveStats
+// checkEnd validates the arguments of a reverse sweep.
+func checkEnd(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) error {
 	if err := sc.Validate(); err != nil {
-		return nil, st, err
+		return err
 	}
 	if endI < 1 || endI > s.Len() || endJ < 1 || endJ > t.Len() {
-		return nil, st, fmt.Errorf("align: end position (%d,%d) out of range for |s|=%d |t|=%d",
+		return fmt.Errorf("align: end position (%d,%d) out of range for |s|=%d |t|=%d",
 			endI, endJ, s.Len(), t.Len())
 	}
 	if k < 1 {
-		return nil, st, fmt.Errorf("align: target score %d must be >= 1", k)
+		return fmt.Errorf("align: target score %d must be >= 1", k)
 	}
-	// Work over the reversed prefixes. srev[p] (1-based) is s[endI-p+1].
-	srevAt := func(p int) byte { return s[endI-p] }
-	trevAt := func(q int) byte { return t[endJ-q] }
+	return nil
+}
+
+// A rowKernel is what sets the two forms of the reverse sweep apart: how
+// the interior of a row is evaluated and what a finished row leaves
+// behind. The windows, the west-chain tail and the stop rule belong to
+// sweep alone.
+type rowKernel interface {
+	// interior evaluates the columns [lo, lo+len(out)) of a row reachable
+	// from the previous one: out[i] is column lo+i, sub[i] its
+	// substitution score, north[i] the previous row's value above it and
+	// d the previous row's value at column lo-1. A cell that is not
+	// positive is stored as deadCell. It returns the largest value stored.
+	interior(sub, north, out []int32, d, gap int32) int32
+	// done closes the row: columns [lo, end) were evaluated, those past
+	// mid as the west-chain tail, and [liveLo, liveHi] is the window of
+	// its live cells (empty when liveLo > liveHi).
+	done(lo, mid, end, liveLo, liveHi int)
+}
+
+// sweep runs the §6 reverse sweep from the end cell (endI, endJ): the
+// dynamic programming over the reverses of s[1..endI] and t[1..endJ]
+// (Observation 6.1), pruning every computation that descends from an
+// intermediate zero (Theorem 6.2). It returns the begin cell (bestP,
+// bestQ) over the reversed prefixes — the cell reaching k with the
+// smallest p+q, the first in row-major order on ties — or bestP < 0 when
+// no anchored path reaches k. The arguments must have passed checkEnd.
+//
+// A cell is active when its value is positive and it is reachable from
+// the (1,1) seed without crossing a zero — Theorem 6.2 says pruning the
+// rest cannot lose the minimal-length alignment, because that alignment
+// starts at the first character of each reversed sequence. Pruned cells
+// hold deadCell, so a candidate built on one can never be positive and
+// the recurrence needs no activity flag; the origin of row 0 is the one
+// active cell with value 0. Row p evaluates the columns its predecessor's
+// live window [lo, hi] reaches — [lo, hi+1] through rk.interior, then
+// the west chain beyond them until it dies — and hands its own live
+// window to the next row.
+func (rt *Retriever) sweep(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int, rk rowKernel) (bestP, bestQ int, st RetrieveStats) {
 	pmax, qmax := endI, endJ
 	// Query profile over the reversed prefix of t: sub[q-1] is the
-	// substitution score of srev[p] against trev[q], one int32 load per
-	// cell in the hot loop below. The reversal scratch is reused.
+	// substitution score of srev[p] = s[endI-p] against trev[q], one
+	// int32 load per cell. The reversal scratch is reused.
 	rt.rev = rt.rev[:0]
 	for q := endJ - 1; q >= 0; q-- {
 		rt.rev = append(rt.rev, t[q])
@@ -140,82 +174,46 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 	prof := &rt.prof
 	prof.Reset(rt.rev, sc.Match, sc.Mismatch)
 	gap, kk := int32(sc.Gap), int32(k)
-
-	// A cell is active when its value is positive and it is reachable
-	// from the (1,1) seed without crossing a zero — Theorem 6.2 says
-	// pruning the rest cannot lose the minimal-length alignment, because
-	// that alignment starts at the first character of each reversed
-	// sequence. Pruned cells hold deadCell, so a candidate built on one
-	// can never be positive and the recurrence needs no activity flag;
-	// the origin of row 0 is the one active cell with value 0. Row p
-	// keeps arrows for its active column window [lo, hi] only. Rows stack
-	// up in the shared arena: the current row grows at the arena tail,
-	// front shrinks just advance its offset, tail shrinks truncate the
-	// arena before the next row starts.
 	if cap(rt.prev) < qmax+2 {
 		rt.prev, rt.cur = make([]int32, qmax+2), make([]int32, qmax+2)
 	}
 	prev, cur := rt.prev[:qmax+2], rt.cur[:qmax+2]
 	prev[0], prev[1] = 0, deadCell
-	rt.arrs = append(rt.arrs[:0], 0)
-	rt.rows = append(rt.rows[:0], rrow{lo: 0, hi: 0, off: 0})
 
-	bestP, bestQ := -1, -1
+	bestP, bestQ = -1, -1
 	bestSum := 1 << 30
+	lo, hi := 0, 0 // the previous row's live window
 	for p := 1; p <= pmax; p++ {
-		pr := rt.rows[p-1]
 		// Any cell in this row has path length ≥ p; stop once no cell can
 		// beat the best minimal-length hit found so far.
 		if bestP >= 0 && p+1 > bestSum {
 			break
 		}
-		lo := max(pr.lo, 1)
-		if lo > qmax {
+		if lo = max(lo, 1); lo > qmax {
 			break
 		}
-		// Columns [lo, mid] can receive diagonal or north arrows from the
-		// previous row, whose written cells [lo-1, mid] are all valid
-		// reads (deadCell outside its window).
-		mid := min(pr.hi+1, qmax)
-		n := mid - lo + 1
-		off := len(rt.arrs)
-		rt.arrs = slices.Grow(rt.arrs, n)[:off+n]
-		arr := rt.arrs[off:]
-		sub := prof.Row(srevAt(p))[lo-1 : mid]
-		north := prev[lo : mid+1]
+		// Columns [lo, mid] can be reached from the previous row, whose
+		// written cells [lo-1, mid] are all valid reads (deadCell outside
+		// its window).
+		mid := min(hi+1, qmax)
 		out := cur[lo : mid+1]
 		cur[lo-1] = deadCell
-		d, w := prev[lo-1], deadCell
-		for i := range arr {
-			nv := north[i]
-			dc, wc, nc := d+sub[i], w+gap, nv+gap
-			v := max(dc, wc, nc)
-			// The arrows are every direction whose candidate attains the
-			// maximum; the traceback prefers diag, west, north. Written
-			// as independent selects so the compiler emits conditional
-			// moves instead of three unpredictable branches.
-			var ad, aw, an byte
-			if dc == v {
-				ad = ArrowDiag
+		if rk.interior(prof.Row(s[endI-p])[lo-1:mid], prev[lo:mid+1], out, prev[lo-1], gap) >= kk {
+			// The first column of the row to reach k has the row's smallest
+			// p+q; it wins if it beats the rows above.
+			for i, v := range out {
+				if v >= kk {
+					if p+lo+i < bestSum {
+						bestP, bestQ, bestSum = p, lo+i, p+lo+i
+					}
+					break
+				}
 			}
-			if wc == v {
-				aw = ArrowWest
-			}
-			if nc == v {
-				an = ArrowNorth
-			}
-			a := ad | aw | an
-			if v <= 0 {
-				v, a = deadCell, 0
-			} else if v >= kk && p+lo+i < bestSum {
-				bestP, bestQ, bestSum = p, lo+i, p+lo+i
-			}
-			out[i], arr[i] = v, a
-			d, w = nv, v
 		}
 		// Beyond mid only west chains (runs of gaps in s) can stay alive,
 		// and they die as soon as a value drops to zero. The cell that
 		// kills the chain was evaluated, so it counts, but is not stored.
+		w := out[len(out)-1]
 		q := mid + 1
 		for ; q <= qmax; q++ {
 			v := w + gap
@@ -224,7 +222,6 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 				break
 			}
 			cur[q] = v
-			rt.arrs = append(rt.arrs, ArrowWest)
 			if v >= kk && p+q < bestSum {
 				bestP, bestQ, bestSum = p, q, p+q
 			}
@@ -232,24 +229,165 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 		}
 		cur[q] = deadCell
 		st.CellsComputed += int64(q - lo)
-		// Shrink the stored window to the live cells (arrows ≠ 0).
-		row := rrow{lo: lo, hi: q - 1, off: off}
-		for row.lo <= row.hi && rt.arrs[row.off] == 0 {
-			row.off++
-			row.lo++
-		}
-		for row.hi >= row.lo && rt.arrs[len(rt.arrs)-1] == 0 {
-			rt.arrs = rt.arrs[:len(rt.arrs)-1]
-			row.hi--
-		}
-		rt.rows = append(rt.rows, row)
 		st.RowsComputed = p
-		if row.lo > row.hi {
+		// Shrink the window to the live cells.
+		liveLo, liveHi := lo, q-1
+		for liveLo <= liveHi && cur[liveLo] == deadCell {
+			liveLo++
+		}
+		for liveHi >= liveLo && cur[liveHi] == deadCell {
+			liveHi--
+		}
+		rk.done(lo, mid, q, liveLo, liveHi)
+		if liveLo > liveHi {
 			break // the whole row is dead
 		}
+		lo, hi = liveLo, liveHi
 		prev, cur = cur, prev
 	}
 	st.FullCells = int64(st.RowsComputed+1) * int64(qmax+1)
+	return bestP, bestQ, st
+}
+
+// valueRows is Begin's row kernel: values only.
+type valueRows struct{}
+
+func (valueRows) interior(sub, north, out []int32, d, gap int32) int32 {
+	return rowValues(sub, north, out, d, gap)
+}
+
+func (valueRows) done(lo, mid, end, liveLo, liveHi int) {}
+
+// rowValues is the score-only row of the reverse sweep: the diagonal and
+// west values ride in registers, and each cell is one profile load, one
+// load of the row above and one store.
+//
+// The west value is the one that carries from cell to cell, so it skips
+// the dead clamp: a west value that is not positive only ever yields a
+// candidate below zero, which loses to any live one and is stored as
+// deadCell like any other, so the stored row is the clamped recurrence's
+// and the chain from one cell to the next is an add and a select.
+func rowValues(sub, north, out []int32, d, gap int32) int32 {
+	n := len(out)
+	sub, north = sub[:n], north[:n]
+	w, top := deadCell, deadCell
+	// Four cells per pass: the loop is bound by instructions, not by the
+	// west chain, and its own bookkeeping was a fifth of a cell's.
+	i := 0
+	for ; i < n-3; i += 4 {
+		n0, n1, n2, n3 := north[i], north[i+1], north[i+2], north[i+3]
+		v0 := max(d+sub[i], n0+gap, w+gap)
+		v1 := max(n0+sub[i+1], n1+gap, v0+gap)
+		v2 := max(n1+sub[i+2], n2+gap, v1+gap)
+		v3 := max(n2+sub[i+3], n3+gap, v2+gap)
+		w, d = v3, n3
+		if v0 <= 0 {
+			v0 = deadCell
+		}
+		if v1 <= 0 {
+			v1 = deadCell
+		}
+		if v2 <= 0 {
+			v2 = deadCell
+		}
+		if v3 <= 0 {
+			v3 = deadCell
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = v0, v1, v2, v3
+		top = max(top, v0, v1, v2, v3)
+	}
+	for ; i < n; i++ {
+		nv := north[i]
+		v := max(d+sub[i], nv+gap, w+gap)
+		w, d = v, nv
+		if v <= 0 {
+			v = deadCell
+		}
+		out[i] = v
+		top = max(top, v)
+	}
+	return top
+}
+
+// arrowRows is ReverseRetrieve's row kernel and the traceback's store:
+// beside the values it records, per useful cell, the directions whose
+// candidate attains the maximum. Rows stack up in the shared arena: the
+// current row grows at the arena tail, front shrinks just advance its
+// offset, tail shrinks truncate the arena before the next row starts.
+type arrowRows struct {
+	arrs []byte // arrow arena
+	rows []rrow // per-row windows into the arena, row 0 first
+	off  int    // arena offset of the row being evaluated
+}
+
+// reset starts a retrieval with row 0, whose one active cell is the
+// origin.
+func (a *arrowRows) reset() {
+	a.arrs = append(a.arrs[:0], 0)
+	a.rows = append(a.rows[:0], rrow{lo: 0, hi: 0, off: 0})
+}
+
+func (a *arrowRows) interior(sub, north, out []int32, d, gap int32) int32 {
+	n := len(out)
+	a.off = len(a.arrs)
+	a.arrs = slices.Grow(a.arrs, n)[:a.off+n]
+	return rowArrows(sub, north, out, a.arrs[a.off:], d, gap)
+}
+
+func (a *arrowRows) done(lo, mid, end, liveLo, liveHi int) {
+	for q := mid + 1; q < end; q++ {
+		a.arrs = append(a.arrs, ArrowWest)
+	}
+	row := rrow{lo: liveLo, hi: liveHi, off: a.off + liveLo - lo}
+	if liveLo <= liveHi {
+		a.arrs = a.arrs[:a.off+liveHi-lo+1]
+	}
+	a.rows = append(a.rows, row)
+}
+
+// rowArrows evaluates a row like rowValues and also records the arrows
+// of each cell: every direction whose candidate attains the maximum,
+// computed as independent selects so the compiler emits conditional
+// moves instead of three unpredictable branches. A dead cell gets no
+// arrow, so a cell is live exactly when it has one.
+func rowArrows(sub, north, out []int32, arr []byte, d, gap int32) int32 {
+	sub, north, arr = sub[:len(out)], north[:len(out)], arr[:len(out)]
+	w, top := deadCell, deadCell
+	for i := range out {
+		nv := north[i]
+		dc, wc, nc := d+sub[i], w+gap, nv+gap
+		v := max(dc, wc, nc)
+		var ad, aw, an byte
+		if dc == v {
+			ad = ArrowDiag
+		}
+		if wc == v {
+			aw = ArrowWest
+		}
+		if nc == v {
+			an = ArrowNorth
+		}
+		a := ad | aw | an
+		if v <= 0 {
+			v, a = deadCell, 0
+		}
+		out[i], arr[i] = v, a
+		top = max(top, v)
+		d, w = nv, v
+	}
+	return top
+}
+
+// ReverseRetrieve is the buffer-reusing form of the package function of
+// the same name; see its documentation.
+func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (*Alignment, RetrieveStats, error) {
+	rt.observe()
+	if err := checkEnd(s, t, sc, endI, endJ, k); err != nil {
+		return nil, RetrieveStats{}, err
+	}
+	a := &rt.arrows
+	a.reset()
+	bestP, bestQ, st := rt.sweep(s, t, sc, endI, endJ, k, a)
 	if bestP < 0 {
 		// Rare but possible: every score-k path ending exactly at
 		// (endI, endJ) revisits score k at an interior point, so its
@@ -268,17 +406,17 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 	var revOps []Op
 	p, q := bestP, bestQ
 	for p > 0 || q > 0 {
-		r := rt.rows[p]
+		r := a.rows[p]
 		if q < r.lo || q > r.hi {
 			return nil, st, fmt.Errorf("align: traceback escaped the stored area at (%d,%d)", p, q)
 		}
-		arrows := rt.arrs[r.off+q-r.lo]
+		arrows := a.arrs[r.off+q-r.lo]
 		if arrows == 0 {
 			break
 		}
 		switch {
 		case arrows&ArrowDiag != 0:
-			if bio.Matches(srevAt(p), trevAt(q)) {
+			if bio.Matches(s[endI-p], t[endJ-q]) {
 				revOps = append(revOps, OpMatch)
 			} else {
 				revOps = append(revOps, OpMismatch)
@@ -305,6 +443,26 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 		Ops:   revOps,
 	}
 	return al, st, nil
+}
+
+// Begin is the begin-cell form of ReverseRetrieve: the same sweep, with
+// the same windows, stop rule, begin cell and RetrieveStats, but it keeps
+// cell values only in the two rolling rows — no arrows, no traceback, no
+// Ops — and has no dense fallback. When an alignment of score k ending
+// at (endI, endJ) passes Theorem 6.2's pruning, (sBegin, tBegin) is where
+// ReverseRetrieve's alignment begins and ok is true. Otherwise — no such
+// alignment ends exactly there, or the arguments are out of range — ok
+// is false. Begin leaves the arrow arena alone and allocates nothing once
+// the Retriever has held a sweep of the same size.
+func (rt *Retriever) Begin(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (sBegin, tBegin int, st RetrieveStats, ok bool) {
+	if checkEnd(s, t, sc, endI, endJ, k) != nil {
+		return 0, 0, st, false
+	}
+	p, q, st := rt.sweep(s, t, sc, endI, endJ, k, valueRows{})
+	if p < 0 {
+		return 0, 0, st, false
+	}
+	return endI - p + 1, endJ - q + 1, st, true
 }
 
 // reverseRetrieveDense is the unpruned fallback for ReverseRetrieve: a

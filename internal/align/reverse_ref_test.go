@@ -76,6 +76,31 @@ func checkAgainstAnchoredRef(s, t bio.Sequence, endI, endJ, k int) (RetrieveStat
 	return st, nil
 }
 
+// checkBeginAgainstAnchoredRef runs Begin from (endI, endJ) with score k
+// and compares it with the dense reference: the same begin cell where an
+// anchored path reaches k, ok=false exactly where none does. The stats
+// it returns are Begin's plus, on ok=false, those of the dense pass that
+// ReverseRetrieve falls back to and Begin does not run — so summed over
+// endpoints they are ReverseRetrieve's to the cell.
+func checkBeginAgainstAnchoredRef(rt *Retriever, s, t bio.Sequence, endI, endJ, k int) (RetrieveStats, error) {
+	sBegin, tBegin, st, ok := rt.Begin(s, t, sc, endI, endJ, k)
+	p, q, refOK := refAnchoredBegin(s, t, sc, endI, endJ, k)
+	if ok != refOK {
+		return st, fmt.Errorf("begin (%d,%d,%d): ok=%v, reference ok=%v", endI, endJ, k, ok, refOK)
+	}
+	if !ok {
+		_, st, err := reverseRetrieveDense(s, t, sc, endI, endJ, k, st)
+		if err != nil {
+			err = fmt.Errorf("begin (%d,%d,%d): dense pass: %v", endI, endJ, k, err)
+		}
+		return st, err
+	}
+	if got, want := [2]int{sBegin, tBegin}, [2]int{endI - p + 1, endJ - q + 1}; got != want {
+		return st, fmt.Errorf("begin (%d,%d,%d): (SBegin TBegin) = %v, reference %v", endI, endJ, k, got, want)
+	}
+	return st, nil
+}
+
 // refPair builds the seed's test pair of one shape: unrelated random
 // sequences, a mutated copy planted between random flanks, or a
 // two-letter alphabet (ties on almost every cell).
@@ -110,6 +135,9 @@ func refPair(shape string, seed int64) (s, t bio.Sequence) {
 // the values the pre-kernel (closure + value-arena) implementation
 // produced for the same seeds: the §6 experiment and the Eq. (3) bound
 // read these counters, so the tight sweep must count exactly as before.
+// Begin, the arrow-free form of the same sweep, is held to the same
+// reference and — with the dense pass it leaves out added back on its
+// ok=false endpoints — the same recorded sums.
 func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 	type sums struct {
 		cells, full int64
@@ -120,8 +148,15 @@ func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 		"homolog":   {cells: 3092813, full: 3860283, rows: 4621, n: 300},
 		"twoletter": {cells: 626453, full: 1043658, rows: 7853, n: 300},
 	}
+	var rt Retriever
 	for _, shape := range []string{"random", "homolog", "twoletter"} {
-		var got sums
+		var got, gotBegin sums
+		add := func(to *sums, st RetrieveStats) {
+			to.cells += st.CellsComputed
+			to.full += st.FullCells
+			to.rows += st.RowsComputed
+			to.n++
+		}
 		for seed := int64(1); seed <= 12; seed++ {
 			s, tt := refPair(shape, seed)
 			r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true, EndpointMinScore: 4})
@@ -140,14 +175,18 @@ func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", shape, seed, err)
 				}
-				got.cells += st.CellsComputed
-				got.full += st.FullCells
-				got.rows += st.RowsComputed
-				got.n++
+				add(&got, st)
+				if st, err = checkBeginAgainstAnchoredRef(&rt, s, tt, ep.I, ep.J, ep.Score); err != nil {
+					t.Fatalf("%s seed %d: %v", shape, seed, err)
+				}
+				add(&gotBegin, st)
 			}
 		}
 		if w := want[shape]; got != w {
 			t.Errorf("%s: stats %+v, recorded %+v", shape, got, w)
+		}
+		if w := want[shape]; gotBegin != w {
+			t.Errorf("%s: Begin stats %+v, recorded %+v", shape, gotBegin, w)
 		}
 	}
 }

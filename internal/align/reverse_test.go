@@ -243,7 +243,7 @@ func TestRetrieverArenaTrim(t *testing.T) {
 
 	// The identity pair maximizes the useful area, so the arena balloons.
 	retrieve(big, big)
-	bigCap := cap(rt.arrs)
+	bigCap := cap(rt.arrows.arrs)
 	if bigCap <= arenaTrimMinCap {
 		t.Fatalf("giant retrieval only grew the arena to %d, test needs > %d", bigCap, arenaTrimMinCap)
 	}
@@ -254,11 +254,11 @@ func TestRetrieverArenaTrim(t *testing.T) {
 	for i := 0; i < 2*arenaTrimWindow+1; i++ {
 		retrieve(small, small)
 	}
-	if c := cap(rt.arrs); c >= bigCap {
+	if c := cap(rt.arrows.arrs); c >= bigCap {
 		t.Errorf("arena capacity %d never shrank from %d after %d small retrievals",
 			c, bigCap, 2*arenaTrimWindow+1)
 	}
-	if c := cap(rt.rows); c > 4*small.Len()+arenaTrimMinCap {
+	if c := cap(rt.arrows.rows); c > 4*small.Len()+arenaTrimMinCap {
 		t.Errorf("row arena capacity %d not trimmed for %d-base retrievals", c, small.Len())
 	}
 

@@ -280,7 +280,7 @@ func scannedPair(t *testing.T, q bio.Sequence, recs []bio.Record, sc bio.Scoring
 
 // TestRealignWrongBlockIsAnError: a located hit is not rescanned, so
 // what stands between a wrong end cell and wrong coordinates is
-// ReverseRetrieve's own proof. Every cell before a hit's end cell,
+// the reverse sweep's own proof. Every cell before a hit's end cell,
 // row-major, holds less than its score, so no alignment of that score
 // ends a row higher or a block higher, and one that ends a column
 // further is not the one the cell promises: each corruption fails the

@@ -1,10 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,10 +25,12 @@ func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error 
 }
 
 // RealignBatch fills the alignment spans of every final hit of a batch:
-// align.ReverseRetrieve walks back from the hit's end cell to the start
-// of the alignment, and on the way proves that an alignment of the
-// hit's score ends there. Only the K winners of each query pay this
-// cost.
+// align.Retriever.Begin runs the §6 reverse sweep from the hit's end
+// cell to the start of the alignment, and on the way proves that an
+// alignment of the hit's score ends there. A hit keeps four coordinates
+// and no alignment, so the sweep records no traceback: cell values live
+// in its two rolling rows only. Only the K winners of each query pay
+// this cost.
 //
 // A hit straight from a scan carries its end cell, which the scan
 // located with the score check built in (finishHits). A hit without one
@@ -93,7 +96,11 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 		box   int64   // the schedule key
 		cells int64   // what the item adds to RealignCells
 	}
-	var items []item
+	total := 0
+	for qi := range out {
+		total += len(out[qi].Result.Hits)
+	}
+	items := make([]item, 0, total)
 	for qi := range out {
 		if out[qi].Err != nil {
 			continue
@@ -118,7 +125,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	}
 	// errs stays in (query, hit) order while the schedule is sorted.
 	errs := make([]error, len(items))
-	sort.SliceStable(items, func(a, b int) bool { return items[a].box > items[b].box })
+	slices.SortStableFunc(items, func(a, b item) int { return cmp.Compare(b.box, a.box) })
 
 	var next atomic.Int64
 	work := func() {
@@ -184,11 +191,11 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	return nil
 }
 
-// retrievers keeps the workers' align.Retrievers — their arrow arenas,
-// rolling rows and profile — alive between calls, like align's own pool
-// of striped row buffers; a Retriever trims itself after an outsized
-// retrieval, so a pooled one pins no more than a fresh one would soon
-// hold.
+// retrievers keeps the workers' align.Retrievers — their rolling rows
+// and profile — alive between calls, like align's own pool of striped
+// row buffers. Begin never touches a Retriever's arrow arena, so a
+// pooled one holds two rows and a profile sized by the longest record
+// realigned.
 var retrievers = sync.Pool{New: func() any { return new(align.Retriever) }}
 
 // aligners does the same for the swar.Aligners of the scan workers and
@@ -210,7 +217,12 @@ func locateHit(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, h *Hit, from
 
 // realignHit fills one hit's spans by the reverse sweep from its end
 // cell, which an exact scan of the whole matrix finds first when the hit
-// does not carry it. cells is the hit's share of Result.RealignCells.
+// does not carry it. The sweep is Begin, which has no dense fallback: a
+// cell from which no alignment of the hit's score passes Theorem 6.2's
+// pruning — only a cell that is not the first to hold the score can be
+// one — is a hard error, so an alignment of exactly the hit's score ends
+// at exactly its cell (DESIGN §5.6). cells is the hit's share of
+// Result.RealignCells.
 func realignHit(rt *align.Retriever, q, t bio.Sequence, sc bio.Scoring, h *Hit) (cells int64, err error) {
 	if h.endI == 0 {
 		// The hit's score is already known: passing it as ExpectScore lets
@@ -228,17 +240,12 @@ func realignHit(rt *align.Retriever, q, t bio.Sequence, sc bio.Scoring, h *Hit) 
 	} else {
 		cells = int64((h.endI-1)%swar.BlockRows+1) * int64(len(t))
 	}
-	al, _, err := rt.ReverseRetrieve(q, t, sc, h.endI, h.endJ, h.Score)
-	if err == nil && (al.SEnd != h.endI || al.TEnd != h.endJ) {
-		// Only the dense fallback relocates, and only from a cell that is
-		// not the first to hold the score.
-		err = fmt.Errorf("align: the alignment of score %d ends at (%d,%d)", h.Score, al.SEnd, al.TEnd)
+	qBegin, tBegin, _, ok := rt.Begin(q, t, sc, h.endI, h.endJ, h.Score)
+	if !ok {
+		return 0, fmt.Errorf("search: no alignment of %q with score %d ends at the located cell (%d,%d)", h.ID, h.Score, h.endI, h.endJ)
 	}
-	if err != nil {
-		return 0, fmt.Errorf("search: no alignment of %q ends at the located cell (%d,%d): %w", h.ID, h.endI, h.endJ, err)
-	}
-	h.QBegin, h.QEnd = al.SBegin, al.SEnd
-	h.TBegin, h.TEnd = al.TBegin, al.TEnd
+	h.QBegin, h.QEnd = qBegin, h.endI
+	h.TBegin, h.TEnd = tBegin, h.endJ
 	h.endI, h.endJ = 0, 0
 	return cells, nil
 }

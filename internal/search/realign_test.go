@@ -120,7 +120,7 @@ func TestRealignBatchCancelledQuery(t *testing.T) {
 // error names the first in (query, hit) order on any worker count,
 // although the longest-first schedule reaches the later, larger ones
 // first. A located hit is not rescanned; a score one too high still
-// fails it, inside ReverseRetrieve: no alignment of that score ends at
+// fails it, inside the reverse sweep: no alignment of that score ends at
 // its cell.
 func TestRealignDisagreementReportsFirstItem(t *testing.T) {
 	var msgs []string
@@ -154,12 +154,51 @@ func TestRealignDisagreementReportsFirstItem(t *testing.T) {
 		err = RealignBatch(context.Background(), queries, brs, recs, bio.Scoring{}, workers)
 		if err == nil || !strings.Contains(err.Error(), "ends at the located cell") ||
 			!strings.Contains(err.Error(), fmt.Sprintf("%q", located.ID)) {
-			t.Fatalf("workers %d: err = %v, want ReverseRetrieve's refusal of %s", workers, err, located.ID)
+			t.Fatalf("workers %d: err = %v, want the reverse sweep's refusal of %s", workers, err, located.ID)
 		}
 	}
 	for _, m := range msgs[1:] {
 		if m != msgs[0] {
 			t.Errorf("error depends on the worker count: %q vs %q", msgs[0], m)
 		}
+	}
+}
+
+// TestRealignLocatedAllocs: a located hit's span costs one arrow-free
+// reverse sweep on a pooled Retriever, so a warm Realign of ten located
+// homolog hits allocates only the pool pass's own bookkeeping — at most
+// two allocations per hit, where a traceback per hit cost ten.
+func TestRealignLocatedAllocs(t *testing.T) {
+	g := bio.NewGenerator(123)
+	q := g.Random(300)
+	var db []bio.Record
+	for i := 0; i < 10; i++ {
+		seq := append(g.Random(50), g.MutatedCopy(q, bio.DefaultMutationModel())...)
+		db = append(db, bio.Record{ID: fmt.Sprintf("hom%d", i), Seq: append(seq, g.Random(50)...)})
+	}
+	res, err := Run(q, db, Options{TopK: len(db), NoEndpoints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) != len(db) {
+		t.Fatalf("%d hits, want %d", len(res.Hits), len(db))
+	}
+	for _, h := range res.Hits {
+		if h.endI == 0 {
+			t.Fatalf("hit %+v arrived unlocated", h)
+		}
+	}
+	work := make([]Hit, len(res.Hits))
+	run := func() {
+		copy(work, res.Hits)
+		if err := Realign(q, db, bio.Scoring{}, work); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pooled Retrievers
+	perHit := testing.AllocsPerRun(20, run) / float64(len(work))
+	t.Logf("%.2f allocs per hit", perHit)
+	if perHit > 2 {
+		t.Errorf("Realign: %.2f allocs per located hit, want ≤ 2", perHit)
 	}
 }

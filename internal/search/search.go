@@ -18,7 +18,9 @@
 // H row entering the 64-row block a lane's score ends in — the border
 // row of the paper's pre-process strategy (§5) — from which
 // swar.LocateEnd replays that one block to the cell. All that is left
-// for a hit is align.ReverseRetrieve's walk back from it to the start.
+// for a hit is the walk back from it to the start: align.Retriever.Begin,
+// the §6 reverse sweep without its traceback, since a hit keeps its four
+// coordinates and no alignment.
 package search
 
 import (

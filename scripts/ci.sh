@@ -9,13 +9,14 @@
 #      counters and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then a kernel oracle
-#      fuzz: 10 s each of the five differential fuzzers that pin the
+#      fuzz: 10 s each of the six differential fuzzers that pin the
 #      packed and striped kernels — scores, saved border rows and the
-#      end cells located from them — to the scalar one, and pruned
-#      search hits to unpruned ones (FuzzScoresVsScalar,
+#      end cells located from them — to the scalar one, pruned search
+#      hits to unpruned ones, and the realign pool's arrow-free begin
+#      sweep to the §6 traceback (FuzzScoresVsScalar,
 #      FuzzStripedVsScalar, FuzzDispatchVsScalar, FuzzStripRealignVsFull,
-#      FuzzPrunedSearchVsFull) — past their seed corpora, which is all
-#      `go test` runs
+#      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve) — past their seed
+#      corpora, which is all `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
@@ -43,6 +44,8 @@
 #      plus the pruning speedup gate: SearchDatabasePruned must hold
 #      >= 1.5x the cells/s of both SearchDatabaseSkewed and
 #      SearchDatabase,
+#      plus the begin-sweep gate: KernelReverseBegin must hold >= 2x the
+#      cells/s of KernelReverseRetrieve in the same run,
 #      plus the realign pool scaling gate: SearchRealign's 20 kb shape
 #      at -cpu 2 must reach >= 1.4x its -cpu 1 cells/s (skipped with a
 #      notice on a 1-core host),
@@ -86,7 +89,7 @@ echo "== bench module (nested: the root ./... cannot see it)"
 echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpack + server)"
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
 
-echo "== kernel oracle fuzz (10 s x 5 differential fuzzers)"
+echo "== kernel oracle fuzz (10 s x 6 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
@@ -94,6 +97,9 @@ go test -run '^$' -fuzz '^FuzzStripRealignVsFull$' -fuzztime 10s ./internal/sear
 # A resumed int16 retry under a live Bound replays the abandon tests
 # above its resume row: pruned hits must stay the unpruned ones.
 go test -run '^$' -fuzz '^FuzzPrunedSearchVsFull$' -fuzztime 10s ./internal/search
+# The realign pool finds begin cells with the arrow-free sweep: it must
+# agree with the traceback sweep on every endpoint, fallbacks included.
+go test -run '^$' -fuzz '^FuzzBeginVsRetrieve$' -fuzztime 10s ./internal/align
 
 echo "== chaos sweep (16 seeds x 3 strategies, -race)"
 chaos_bin=$(mktemp -d)/genomedsm
@@ -255,6 +261,19 @@ awk -v p="$pruned" -v s="$skewed" -v u="$uniform" 'BEGIN {
     if (p < 1.5 * s) { printf "pruning gate FAILED: %.2fx over skewed < 1.5x\n", p / s; exit 1 }
     if (p < 1.5 * u) { printf "pruning gate FAILED: %.2fx over uniform < 1.5x\n", p / u; exit 1 }
     printf "pruning gate ok: %.2fx over skewed, %.2fx over uniform\n", p / s, p / u
+}'
+
+echo "== begin-sweep gate (KernelReverseBegin >= 2x KernelReverseRetrieve)"
+# The realign pool's begin-cell sweep is the §6 sweep without its
+# traceback store: same pair, same useful cells, so a same-run ratio
+# reads what dropping the arrows buys, whatever the host's speed that
+# hour. It must stay at least twice the traceback form's cells/s.
+begin=$(best KernelReverseBegin)
+retrieve=$(best KernelReverseRetrieve)
+echo "begin sweep $begin cells/s vs traceback sweep $retrieve"
+awk -v b="$begin" -v r="$retrieve" 'BEGIN {
+    if (b < 2 * r) { printf "begin-sweep gate FAILED: %.2fx < 2x\n", b / r; exit 1 }
+    printf "begin-sweep gate ok: %.2fx\n", b / r
 }'
 
 echo "== sharded scaling sanity gate (4-shard in-process >= single-node)"
