@@ -21,7 +21,7 @@ var alignerPool = sync.Pool{New: func() any { return new(swar.Aligner) }}
 // pairs stay far below the cap and a saturating scan bails out at the
 // first flagged row, so a doomed rung costs a small prefix of the
 // matrix, not a full pass; a route starting at int16 skips even that
-// prefix when saturation is predicted or proven.
+// prefix when saturation is proven.
 func stripedScan(s, t bio.Sequence, sc bio.Scoring, route dispatch.PairRoute) (swar.Pair, bool) {
 	al := alignerPool.Get().(*swar.Aligner)
 	defer alignerPool.Put(al)

@@ -102,7 +102,7 @@ func Scan(s, t bio.Sequence, sc bio.Scoring, opt ScanOptions) (*ScanResult, erro
 	// ladder starts at — and whether the packed path is worth entering
 	// at all for this matrix shape — is the process router's call.
 	if !opt.ForceScalar && opt.EndpointMinScore <= 0 && opt.HitThreshold <= 0 {
-		if route := dispatch.Active().Pair(m, n, sc, opt.ExpectScore); route != dispatch.PairScalar {
+		if route := dispatch.Active().Pair(m, n, opt.ExpectScore); route != dispatch.PairScalar {
 			if p, ok := stripedScan(s, t, sc, route); ok {
 				res.BestScore, res.BestI, res.BestJ = p.Score, p.I, p.J
 				res.Cells = int64(m) * int64(n)

@@ -11,13 +11,11 @@
 //     lanes at int16 and then scalar, so saturation costs one cheap
 //     narrow pass, never a prediction (router.go);
 //   - a pairwise scan starts past any rung its known score proves will
-//     saturate, and a tiny pair whose striped profile build would
-//     dominate runs the scalar kernel; a pre-process band narrower than
-//     a word runs the scalar column loop. Both read the committed
-//     kernel table (profile.go), never a measurement of this host.
+//     saturate, and a pair under a constant cell cutoff, whose striped
+//     profile build would dominate, runs the scalar kernel; a
+//     pre-process band narrower than a word runs the scalar column loop.
 //
-// Calibrate still probes each family (calibrate.go), but no start path
-// calls it: it is the oracle a test checks the committed table against.
+// No rule reads a kernel table or a measurement of this host.
 //
 // Routing never changes results: every route ends in the same
 // exact-or-flagged ladder, so scores, coordinates and tie-breaks are
@@ -74,9 +72,6 @@ const (
 	// GroupInter16 starts the group directly at the int16 kernel (two
 	// 4-lane words per 8-record group). Only ForceGroup picks it.
 	GroupInter16
-	// GroupSingles scans each record of the group as its own striped
-	// intra-sequence ladder. Only ForceGroup picks it.
-	GroupSingles
 	// GroupScalar runs the exact scalar kernel per record.
 	GroupScalar
 )
@@ -88,8 +83,6 @@ func (r GroupRoute) String() string {
 		return "inter8"
 	case GroupInter16:
 		return "inter16"
-	case GroupSingles:
-		return "singles"
 	}
 	return "scalar"
 }

@@ -11,7 +11,6 @@ import (
 // safe for concurrent use.
 type Router struct {
 	mode Mode
-	prof *Profile
 
 	// counts tallies routing decisions over the router's lifetime.
 	// Counters are atomics behind a pointer, so counting does not break
@@ -35,7 +34,7 @@ type routeCounts struct {
 }
 
 // GroupCounts returns the lane-group routing decisions taken so far,
-// keyed by route label ("inter8", "inter16", "singles", "scalar").
+// keyed by route label ("inter8", "inter16", "scalar").
 // Routes never taken are omitted.
 func (r *Router) GroupCounts() map[string]int64 {
 	out := make(map[string]int64)
@@ -60,13 +59,10 @@ func (r *Router) PairCounts() map[string]int64 {
 	return out
 }
 
-// New builds a router in the given mode; a nil profile selects the
-// committed default table, which is what every non-test caller passes.
-func New(mode Mode, prof *Profile) *Router {
-	if prof == nil {
-		prof = DefaultProfile()
-	}
-	return &Router{mode: mode, prof: prof, counts: &routeCounts{}}
+// New builds a router in the given mode. The second argument is
+// ignored: routing reads no kernel table.
+func New(mode Mode, _ *Profile) *Router {
+	return &Router{mode: mode, counts: &routeCounts{}}
 }
 
 // Mode returns the router's mode.
@@ -94,73 +90,44 @@ func (r *Router) group(qLen int, lens []int) GroupRoute {
 	return GroupInter8
 }
 
-// stripedOverheadScale adjusts the striped families' per-call overhead
-// for the actual query length: the dominant term is the striped profile
-// build, which is linear in the query, and the probes measured it at
-// probeLarge rows. Queries at or below the probe size keep the table's
-// constant (the floor covers the length-independent call cost).
-func stripedOverheadScale(qLen int) float64 {
-	s := float64(qLen) / probeLarge
-	if s < 1 {
-		return 1
-	}
-	return s
-}
+// stripedMinCells is the matrix size, in cells, from which a pairwise
+// scan enters the striped ladder; a smaller pair runs the scalar kernel,
+// whose whole cost there is below the striped profile build. It is the
+// crossover of the retired kernel table (scalar 360 Mcells/s + 2.5 µs a
+// call, striped8 1200 Mcells/s + 5 µs), fixed as one constant.
+const stripedMinCells = 1286
 
 // Pair picks the opening rung of a striped pairwise scan of an m-row
 // query against an n-base target. expectScore, when positive, is a
 // known lower bound on the final score (the search layer re-aligns hits
 // whose score it already knows): a bound above a rung's clean cap
 // proves that rung will saturate, so the ladder starts past it in every
-// mode — that is a proof, not a tuned threshold.
-func (r *Router) Pair(m, n int, sc bio.Scoring, expectScore int) PairRoute {
-	route := r.pair(m, n, sc, expectScore)
+// mode — that is a proof, not a tuned threshold. A pair of fewer than
+// stripedMinCells cells runs the scalar kernel.
+func (r *Router) Pair(m, n, expectScore int) PairRoute {
+	route := r.pair(m, n, expectScore)
 	r.counts.pair[route].Add(1)
 	return route
 }
 
-func (r *Router) pair(m, n int, sc bio.Scoring, expectScore int) PairRoute {
+func (r *Router) pair(m, n, expectScore int) PairRoute {
 	if r.ForcePair != nil {
 		if route, ok := r.ForcePair(m, n); ok {
 			return route
 		}
 	}
-	start := PairStriped8
-	if expectScore > bio.PackedCap8 {
-		start = PairStriped16
-	}
-	if expectScore > bio.PackedCap16 {
-		start = PairScalar
-	}
-	if r.mode == ModeScalar {
+	switch {
+	case r.mode == ModeScalar, expectScore > bio.PackedCap16, m*n < stripedMinCells:
 		return PairScalar
+	case expectScore > bio.PackedCap8:
+		return PairStriped16
 	}
-	if start == PairScalar {
-		return start
-	}
-	// Tiny pairs: the striped profile build dominates the matrix; run
-	// the scalar kernel when the table's cost model says it is cheaper.
-	cells := float64(m) * float64(n)
-	striped := r.prof.Stats(FamStriped8)
-	if start == PairStriped16 {
-		striped = r.prof.Stats(FamStriped16)
-	}
-	tStriped := striped.OverheadNS*stripedOverheadScale(m)/1e9 + cells/(striped.MCells*1e6)
-	if r.prof.Stats(FamScalar).seconds(cells) < tStriped {
-		return PairScalar
-	}
-	return start
+	return PairStriped8
 }
 
 // Band reports whether a pre-process band of the given height should
-// run the striped band kernel (true) or the scalar column loop (false).
+// run the striped band kernel (true) or the scalar column loop (false):
+// a band of fewer rows than int8 lanes would be mostly padding.
 func (r *Router) Band(rows int) bool {
-	if r.mode == ModeScalar {
-		return false
-	}
-	if rows < bio.PackedLanes8 {
-		// Fewer rows than lanes: the striped layout is mostly padding.
-		return false
-	}
-	return r.prof.Stats(FamBand).MCells > r.prof.Stats(FamScalar).MCells
+	return r.mode != ModeScalar && rows >= bio.PackedLanes8
 }

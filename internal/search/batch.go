@@ -214,22 +214,17 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 				// Every query of the batch scans this group with the same
 				// query-independent packed profile: reset the lazy holder
 				// once per work item, point it at the group's precomputed
-				// layout words when the DB carries them. Singleton groups
-				// take the striped path and never need it.
-				use := (*groupProf)(nil)
-				if len(group) > 1 {
-					gp.reset(db, group)
-					if db.layout != nil {
-						gp.words = db.layout.GroupWords(gi)
-					}
-					use = gp
+				// layout words when the DB carries them.
+				gp.reset(db, group)
+				if db.layout != nil {
+					gp.words = db.layout.GroupWords(gi)
 				}
 				for qi, st := range states {
 					if st.done() {
 						continue
 					}
 					err := scanGroupFor(al, st, db, group, sc, opt.Prune,
-						heaps[w][qi], &pstats[w][qi], &padded[w][qi], &scratch, use)
+						heaps[w][qi], &pstats[w][qi], &padded[w][qi], &scratch, gp)
 					if err != nil {
 						errs[w] = err
 						return

@@ -31,7 +31,6 @@ func routerFor(opt Options) (*dispatch.Router, error) {
 var startRung = [...]swar.Rung{
 	dispatch.GroupInter8:  swar.RungInter8,
 	dispatch.GroupInter16: swar.RungInter16,
-	dispatch.GroupSingles: swar.RungSingles,
 	dispatch.GroupScalar:  swar.RungScalar,
 }
 

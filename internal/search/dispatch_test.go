@@ -52,7 +52,7 @@ func runForced(q bio.Sequence, db []bio.Record, opt Options, r *dispatch.Router)
 }
 
 var allGroupRoutes = []dispatch.GroupRoute{
-	dispatch.GroupInter8, dispatch.GroupInter16, dispatch.GroupSingles, dispatch.GroupScalar,
+	dispatch.GroupInter8, dispatch.GroupInter16, dispatch.GroupScalar,
 }
 
 var allPairRoutes = []dispatch.PairRoute{

@@ -341,7 +341,6 @@ type StatszJSON struct {
 
 	Routes struct {
 		Group map[string]int64 `json:"group"`
-		Pair  map[string]int64 `json:"pair"`
 	} `json:"routes"`
 
 	// LatencyMS is the request latency histogram: bucket upper bound in
@@ -391,7 +390,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	out.Prune.CellsSaved = s.st.pruneCellsSaved.Load()
 	out.RealignCells = s.st.realignCells.Load()
 	out.Routes.Group = s.router.GroupCounts()
-	out.Routes.Pair = s.router.PairCounts()
 	out.LatencyMS = make(map[string]int64, len(latencyBucketsMS)+1)
 	for i, ub := range latencyBucketsMS {
 		if n := atomic.LoadInt64(&s.st.latency[i]); n > 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -508,9 +509,22 @@ func TestStatsz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatszJSON
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var st StatszJSON
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	// The server's router routes lane groups only; pairwise scans go
+	// through the process-wide one, so /statsz reports no pair routes.
+	var keys struct{ Routes map[string]json.RawMessage }
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys.Routes["group"]; !ok || len(keys.Routes) != 1 {
+		t.Errorf("statsz routes %v, want only group", keys.Routes)
 	}
 	if st.Records != len(recs) || st.Queries != 3 || st.Served != 3 || st.Batches == 0 {
 		t.Errorf("statsz %+v: want %d records, 3 queries, 3 served, >0 batches", st, len(recs))

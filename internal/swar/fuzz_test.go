@@ -96,17 +96,22 @@ func FuzzScoresVsScalar(f *testing.F) {
 	})
 }
 
-// FuzzStripedVsScalar drives the striped intra-sequence ladder against
+// FuzzStripedVsScalar drives the striped rungs and align.Scan's ladder
+// (striped int8 → int16 → scalar, opened by the process router) against
 // the forced-scalar align.Scan on arbitrary sequence pairs and three
 // scoring schemes, checking score AND end-coordinate bit-exactness.
 // The high-reward scheme saturates int8 within 6 matches and int16
-// within ~5, exercising every rung of the fallback ladder.
+// within ~5, exercising every rung of the fallback ladder. The seeds
+// include a pair under the router's scalar cell cutoff and a 513-row
+// query.
 func FuzzStripedVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgt"), []byte("tacgtacg"), uint8(0))
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(1))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4}, uint8(2))
+	f.Add([]byte("acgt"), []byte("acg"), uint8(0))
+	f.Add(fuzzBases(513, 5), fuzzBases(40, 6), uint8(1))
 	f.Fuzz(func(t *testing.T, rawS, rawT []byte, scheme uint8) {
-		s := fuzzSeq(rawS, 128)
+		s := fuzzSeq(rawS, 600)
 		tt := fuzzSeq(rawT, 128)
 		scorings := []bio.Scoring{
 			bio.DefaultScoring(),
@@ -126,8 +131,11 @@ func FuzzStripedVsScalar(f *testing.F) {
 		if got, ok := al.StripedScan16(s, tt, sc); ok && got != want {
 			t.Fatalf("StripedScan16 (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
 		}
-		if got, _, _ := al.StripedScoreBounded(s, tt, sc, nil); got != want {
-			t.Fatalf("StripedScoreBounded (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
+		if r, err = align.Scan(s, tt, sc, align.ScanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := (swar.Pair{Score: r.BestScore, I: r.BestI, J: r.BestJ}); got != want {
+			t.Fatalf("align.Scan (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
 		}
 	})
 }

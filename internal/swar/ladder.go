@@ -12,8 +12,6 @@ const (
 	RungInter8 Rung = iota
 	// RungInter16 starts with int16 word-passes over subgroups of 4.
 	RungInter16
-	// RungSingles sends every target down its own striped ladder.
-	RungSingles
 	// RungScalar sends every target to the exact scalar kernel.
 	RungScalar
 )
@@ -32,16 +30,16 @@ type GroupResult struct {
 	// align.Scan reports — the first row, row-major, at which the running
 	// maximum reaches its final value — and 0 for a zero score. It is a
 	// function of (q, target, scoring) alone: whichever rung resolved the
-	// target, packed or pairwise, reports the same block.
+	// target, packed or scalar, reports the same block.
 	EndBlock [bio.PackedLanes8]int
-	// EndI and EndJ are align.Scan's (BestI, BestJ) for the targets a
-	// pairwise rung resolved — the striped ladder and the scalar kernel
-	// track the end cell anyway — and zero for every other target.
+	// EndI and EndJ are align.Scan's (BestI, BestJ) for the targets the
+	// scalar rung resolved — it tracks the end cell anyway — and zero for
+	// every other target.
 	EndI, EndJ [bio.PackedLanes8]int
 	// Seeded is the bitmask of targets a packed rung resolved with a
 	// positive score and whose border row it saved: Aligner.Seed(i) is
 	// the H row entering EndBlock[i], from which LocateEnd finds the cell
-	// the pairwise rungs report directly. Under a Bound, a packed target
+	// the scalar rung reports directly. Under a Bound, a packed target
 	// scoring below Below is neither pruned nor Seeded: it cannot enter a
 	// result and nothing was saved for it.
 	Seeded uint8
@@ -49,11 +47,10 @@ type GroupResult struct {
 	// below the bound's Below threshold.
 	Pruned uint8
 	// Padded counts the cells the rungs actually computed: lane width ×
-	// padded length × rows for the packed passes, target length (padded
-	// to full striped words) × rows for the pairwise ones. An int16 retry
-	// resumed from the int8 pass's border row counts its rows from that
-	// row, and the int8 pass only the columns and rows it ran (see
-	// LaneScores.Padded).
+	// padded length × rows for the packed passes, target length × rows
+	// for the scalar rung. An int16 retry resumed from the int8 pass's
+	// border row counts its rows from that row, and the int8 pass only
+	// the columns and rows it ran (see LaneScores.Padded).
 	Padded int64
 }
 
@@ -105,14 +102,6 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 		}
 	case RungInter16:
 		a.inter16(&res, q, targets, sc, ab, all, 0)
-	case RungSingles:
-		for i, t := range targets {
-			p, rows, pruned := a.StripedScoreBounded(q, t, sc, ab)
-			res.set(i, p, rows, pruned)
-			// The striped layout pads the target to full words of 8 lanes.
-			padded := (len(t) + bio.PackedLanes8 - 1) / bio.PackedLanes8 * bio.PackedLanes8
-			res.Padded += int64(padded) * int64(rows)
-		}
 	default:
 		for i, t := range targets {
 			a.scalar(&res, q, t, sc, ab, i)
@@ -127,8 +116,8 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 // Seeded, and valid until the next call.
 func (a *Aligner) Seed(i int) []uint16 { return a.seed[i] }
 
-// set records target i's outcome from a pairwise rung, which knows the
-// exact end cell (a zero Pair when pruned or scoreless).
+// set records target i's outcome from the scalar rung, which knows the
+// exact end cell, or a pruned target's (a zero Pair).
 func (r *GroupResult) set(i int, p Pair, rows int, pruned bool) {
 	r.Scores[i], r.EndBlock[i], r.Rows[i] = p.Score, BlockOf(p.I), rows
 	r.EndI[i], r.EndJ[i] = p.I, p.J

@@ -82,15 +82,6 @@ func (a *Aligner) ScalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pa
 	return p, m, false
 }
 
-// ScalarScoreBounded is ScalarPair without an Aligner to reuse, for
-// callers that score one pair and keep the end row only: endI is the
-// Pair's I.
-func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, endI, rows int, pruned bool) {
-	var a Aligner
-	p, rows, pruned := a.ScalarPair(s, t, sc, ab)
-	return p.Score, p.I, rows, pruned
-}
-
 // LocateEnd finds the end cell of a score the packed rungs report by
 // block only. seed is the H row entering block — row block·BlockRows of
 // the matrix of q against t, one value per base of t, as Seed hands it

@@ -243,8 +243,7 @@ func (a *Aligner) StripedScan8(s, t bio.Sequence, sc bio.Scoring) (Pair, bool) {
 	if prof == nil {
 		return Pair{}, false
 	}
-	p, _, _, ok := a.stripedScan(s, prof, -sc.Gap, nil)
-	return p, ok
+	return a.stripedScan(s, prof, -sc.Gap)
 }
 
 // StripedScan16 is StripedScan8 with 4 int16 lanes: half the
@@ -257,18 +256,14 @@ func (a *Aligner) StripedScan16(s, t bio.Sequence, sc bio.Scoring) (Pair, bool) 
 	if prof == nil {
 		return Pair{}, false
 	}
-	p, _, _, ok := a.stripedScan(s, prof, -sc.Gap, nil)
-	return p, ok
+	return a.stripedScan(s, prof, -sc.Gap)
 }
 
-// stripedScan streams s over the striped profile. Under a non-nil
-// Bound it abandons the scan once even bestSoFar + remaining-suffix
-// cannot reach ab.Below (see bound.go for the exactness argument);
-// rows is the number of rows of s consumed. Saturation (ok=false)
-// still defers to the wider rung, which re-checks the bound itself.
-func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int, ab *Bound) (p Pair, rows int, pruned, ok bool) {
+// stripedScan streams s over the striped profile; ok is false once any
+// cell saturates the lanes, and the caller moves to the wider rung.
+func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int) (Pair, bool) {
 	if len(s) == 0 || prof.SegLen() == 0 {
-		return Pair{}, len(s), false, true
+		return Pair{}, true
 	}
 	prev, cur, changed := a.stripedRows(prof.SegLen())
 	gapV := prof.Broadcast(gap)
@@ -278,8 +273,6 @@ func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int,
 	if wide {
 		satMask = hi16
 	}
-	every := ab.cadence()
-	next := every
 	var best, sat uint64
 	var res Pair
 	for i := 1; i <= len(s); i++ {
@@ -291,7 +284,7 @@ func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int,
 			nb, sat = stepStriped8(prev, cur, prof.PlusRow(c), prof.MinusRow(c), value, changed, gapV, 0, 0, best, sat)
 		}
 		if sat&satMask != 0 {
-			return Pair{}, i, false, false
+			return Pair{}, false
 		}
 		if nb != best {
 			// Some lane's running maximum grew this row; only a strict
@@ -310,40 +303,7 @@ func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int,
 			}
 		}
 		prev, cur = cur, prev
-		if next != 0 && i == next {
-			next += every
-			// res.Score tracks reduce(best) exactly (best only grows and
-			// every strict improvement updates it), so no extra fold.
-			if res.Score+ab.Query.SuffixBound(i) < ab.Below {
-				a.sprev, a.scur = prev, cur
-				return Pair{}, i, true, true
-			}
-		}
 	}
 	a.sprev, a.scur = prev, cur
-	return res, len(s), false, true
-}
-
-// StripedScoreBounded runs the full striped fallback ladder — int8,
-// int16, exact scalar — under an optional Bound (nil = none): pruned
-// reports that the exact score is provably < ab.Below (the Pair is then
-// zero), and rows is the number of rows of s the resolving rung
-// consumed. Unpruned results are bit-exact against align.Scan,
-// coordinates and tie-breaks included.
-func (a *Aligner) StripedScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pair, rows int, pruned bool) {
-	if -sc.Gap <= bio.PackedCap8 {
-		if prof := bio.NewStripedProfile8(t, sc); prof != nil {
-			if p, rows, pruned, ok := a.stripedScan(s, prof, -sc.Gap, ab); ok {
-				return p, rows, pruned
-			}
-		}
-	}
-	if -sc.Gap <= bio.PackedCap16 {
-		if prof := bio.NewStripedProfile16(t, sc); prof != nil {
-			if p, rows, pruned, ok := a.stripedScan(s, prof, -sc.Gap, ab); ok {
-				return p, rows, pruned
-			}
-		}
-	}
-	return a.ScalarPair(s, t, sc, ab)
+	return res, true
 }

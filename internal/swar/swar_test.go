@@ -170,7 +170,7 @@ func scalarScores(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.S
 	return out
 }
 
-var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungSingles, swar.RungScalar}
+var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungScalar}
 
 // checkLadder runs the one ladder over targets, cut into lane groups of
 // 8, from every starting rung × {nil bound, live bound} × {per-call
@@ -243,7 +243,7 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 						}
 						got := swar.Pair{Score: w, I: res.EndI[i], J: res.EndJ[i]}
 						switch {
-						case seeded && (w == 0 || start >= swar.RungSingles || (ab != nil && w < ab.Below) || got.I != 0 || got.J != 0):
+						case seeded && (w == 0 || start == swar.RungScalar || (ab != nil && w < ab.Below) || got.I != 0 || got.J != 0):
 							fail("%s: score %d is seeded, with end cell (%d,%d)", where, w, got.I, got.J)
 						case seeded:
 							seed, top := al.Seed(i), res.EndBlock[i]*swar.BlockRows
@@ -260,7 +260,7 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 							if endI, endJ, ok := loc.LocateEnd(q, tgt, sc, res.EndBlock[i], seed, w); !ok || endI != end.I || endJ != end.J {
 								fail("%s: LocateEnd = (%d,%d) ok %v, scalar end cell (%d,%d)", where, endI, endJ, ok, end.I, end.J)
 							}
-						case ab != nil && w < ab.Below && start < swar.RungSingles && got.I == 0 && got.J == 0:
+						case ab != nil && w < ab.Below && start != swar.RungScalar && got.I == 0 && got.J == 0:
 							// A packed target below the bound: nothing saved.
 						case got != end:
 							fail("%s: end cell (%d,%d), scalar (%d,%d)", where, got.I, got.J, end.I, end.J)
@@ -281,10 +281,11 @@ func checkScores(t *testing.T, name string, q bio.Sequence, targets []bio.Sequen
 		t.Helper()
 		t.Errorf(name+": "+format, args...)
 	})
+	var al swar.Aligner
 	for i, tgt := range targets {
-		if got, _, rows, pruned := swar.ScalarScoreBounded(q, tgt, sc, nil); got != want[i] || rows != len(q) || pruned {
-			t.Errorf("%s: target %d: ScalarScoreBounded(nil) = %d over %d rows (pruned %v), scalar %d",
-				name, i, got, rows, pruned, want[i])
+		if got, rows, pruned := al.ScalarPair(q, tgt, sc, nil); got.Score != want[i] || rows != len(q) || pruned {
+			t.Errorf("%s: target %d: ScalarPair(nil) = %d over %d rows (pruned %v), scalar %d",
+				name, i, got.Score, rows, pruned, want[i])
 		}
 	}
 }

@@ -10,8 +10,9 @@
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then a kernel oracle
 #      fuzz: 10 s each of the six differential fuzzers that pin the
-#      packed and striped kernels — scores, saved border rows and the
-#      end cells located from them — to the scalar one, pruned search
+#      packed kernels — scores, saved border rows and the end cells
+#      located from them — and the striped rungs and align.Scan's
+#      striped → scalar ladder to the scalar kernel, pruned search
 #      hits to unpruned ones, and the realign pool's arrow-free begin
 #      sweep to the §6 traceback (FuzzScoresVsScalar,
 #      FuzzStripedVsScalar, FuzzDispatchVsScalar, FuzzStripRealignVsFull,
@@ -91,6 +92,8 @@ go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./inte
 
 echo "== kernel oracle fuzz (10 s x 6 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
+# The striped rungs and align.Scan's ladder, from a pair under the
+# router's scalar cutoff to a 513-row query.
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
 go test -run '^$' -fuzz '^FuzzStripRealignVsFull$' -fuzztime 10s ./internal/search
