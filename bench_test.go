@@ -358,6 +358,86 @@ func BenchmarkSearchDatabaseSharded(b *testing.B) {
 	}
 }
 
+// benchHomologBatch builds the shape pruning decides on a sharded
+// server: a dozen long planted homologs of a 500-base source, the
+// longest records, among short noise, and a 4-query batch against it —
+// two near copies of the source, unrelated noise and a half-length
+// fragment. The database carries its lane layout, as a loaded pack
+// does.
+func benchHomologBatch() ([]search.BatchQuery, *search.DB) {
+	g := bio.NewGenerator(89)
+	src := g.Random(500)
+	var recs []bio.Record
+	for i := 0; i < 12; i++ {
+		core := g.MutatedCopy(src, bio.DefaultMutationModel())
+		pad := max(650-len(core), 0)
+		seq := append(g.Random(pad/2), core...)
+		recs = append(recs, bio.Record{ID: fmt.Sprintf("hom%d", i), Seq: append(seq, g.Random(pad-pad/2)...)})
+	}
+	for i := 0; i < 270; i++ {
+		recs = append(recs, bio.Record{ID: fmt.Sprintf("r%d", i), Seq: g.Random(60 + i*67%68)})
+	}
+	// Interleave the homologs into the noise, so record index says
+	// nothing about length or homology.
+	for i := range recs {
+		j := (i*97 + 13) % len(recs)
+		recs[i], recs[j] = recs[j], recs[i]
+	}
+	full := g.MutatedCopy(src, bio.DefaultMutationModel())
+	batch := []search.BatchQuery{
+		{Seq: full, TopK: 10},
+		{Seq: g.MutatedCopy(full, bio.MutationModel{SubstitutionRate: 0.01}), TopK: 10},
+		{Seq: g.Random(150), TopK: 10},
+		{Seq: g.MutatedCopy(src[:250], bio.DefaultMutationModel()), TopK: 10},
+	}
+	db := search.NewDB(recs)
+	db.EnsureLayout()
+	return batch, db
+}
+
+// BenchmarkSearchShardedPruned runs the homolog batch through a 2-shard
+// cluster and through search.RunBatch on the same database, alternating
+// which goes first per iteration, and reports the time ratio
+// sharded/single. It is the shard layer's cost where pruning decides
+// the time: a shard that meets no homolog prunes only as fast as the
+// shared floor reaches it. ci.sh gates the ratio at ≤ 1.3.
+func BenchmarkSearchShardedPruned(b *testing.B) {
+	batch, db := benchHomologBatch()
+	c, err := shard.New(db, shard.Options{Shards: 2, Lease: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	opt := search.Options{Prune: true}
+	run := func(sharded bool) time.Duration {
+		start := time.Now()
+		var err error
+		if sharded {
+			_, err = c.SearchBatch(context.Background(), batch, opt)
+		} else {
+			_, err = search.RunBatch(context.Background(), batch, db, opt)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	run(true)
+	run(false)
+	var sharded, single time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			sharded += run(true)
+			single += run(false)
+		} else {
+			single += run(false)
+			sharded += run(true)
+		}
+	}
+	b.ReportMetric(float64(sharded)/float64(single), "sharded/single")
+}
+
 // benchMixedDB builds the workload that exercises the int16 retry path:
 // two dozen long planted homologs whose scores blow past the int8 clean
 // cap (every int8 pass over them flags lanes that retry at int16), and a

@@ -122,12 +122,13 @@ func searchCmd(args []string, w io.Writer) error {
 	return nil
 }
 
-// writeShardText summarizes a sharded scan: the partition each shard
-// answered for plus the robustness counters (all zero on a clean run).
+// writeShardText summarizes a sharded scan: the records and bases of
+// each shard's partition plus the robustness counters (all zero on a
+// clean run).
 func writeShardText(w io.Writer, st shard.Stats) {
 	fmt.Fprintf(w, "sharded across %d workers:", len(st.Shards))
 	for _, h := range st.Shards {
-		fmt.Fprintf(w, " %d:[%d,%d)", h.Shard, h.SpanLo, h.SpanHi)
+		fmt.Fprintf(w, " %d:%d records/%d bases", h.Shard, h.Records, h.Bases)
 	}
 	fmt.Fprintln(w)
 	if st.Retries+st.Kills+st.Reassigns > 0 {

@@ -86,12 +86,15 @@ func TestRunShardedOnceReplays(t *testing.T) {
 // FuzzShardPlan fuzzes partition shapes — empty shards, single-record
 // spans, k larger than any shard, databases of all-identical lengths —
 // and asserts the sharded search stays bit-identical to the single-node
-// oracle under every valid plan the inputs decode to.
+// oracle under every valid plan the inputs decode to: the dealt plan
+// PlanSpans computes, and the contiguous custom plan of the cut bytes.
 func FuzzShardPlan(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(3), uint8(5), false, []byte{4, 8})
 	f.Add(int64(2), uint8(1), uint8(4), uint8(3), false, []byte{})
 	f.Add(int64(3), uint8(16), uint8(5), uint8(40), true, []byte{0, 0, 1, 16})
 	f.Add(int64(4), uint8(9), uint8(2), uint8(1), true, []byte{9})
+	f.Add(int64(5), uint8(20), uint8(2), uint8(4), false, []byte{5, 13})
+	f.Add(int64(6), uint8(23), uint8(3), uint8(9), true, []byte{8, 1, 16})
 	f.Fuzz(func(t *testing.T, seed int64, n, shards, k uint8, identical bool, cuts []byte) {
 		nn := int(n)%24 + 1
 		ns := int(shards)%6 + 1
@@ -109,15 +112,16 @@ func FuzzShardPlan(f *testing.F) {
 		db := search.NewDB(recs)
 
 		// Decode the fuzz bytes into a custom plan: each byte is a cut
-		// rank; sorted and clamped they become span boundaries. Invalid
-		// plans (wrong count after dedup) fall back to the balanced
-		// planner — the fuzz target's job is exploring valid shapes, not
-		// re-testing ValidateSpans rejection.
-		spans := decodeCuts(cuts, nn, ns)
-		if spans != nil {
+		// rank; sorted and clamped they become contiguous span
+		// boundaries. Bytes that decode to no plan (too few distinct
+		// cuts) test the dealt plan alone — the fuzz target's job is
+		// exploring valid shapes, not re-testing ValidateSpans rejection.
+		plans := [][]shard.Span{shard.PlanSpans(db, ns)}
+		if spans := decodeCuts(cuts, nn, ns); spans != nil {
 			if err := shard.ValidateSpans(spans, nn); err != nil {
 				t.Fatalf("decodeCuts produced invalid plan %v: %v", spans, err)
 			}
+			plans = append(plans, spans)
 		}
 
 		opt := search.Options{Prune: true, TopK: kk}
@@ -125,29 +129,31 @@ func FuzzShardPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := shard.New(db, shard.Options{Shards: ns, Spans: spans, Lease: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		got, err := c.Search(context.Background(), q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Hits, want.Hits) {
-			t.Fatalf("plan %v (n=%d shards=%d k=%d identical=%v):\n got %+v\nwant %+v",
-				spans, nn, ns, kk, identical, got.Hits, want.Hits)
-		}
-		if got.Searched != want.Searched || got.Cells != want.Cells {
-			t.Fatalf("plan %v: searched/cells %d/%d, single-node %d/%d",
-				spans, got.Searched, got.Cells, want.Searched, want.Cells)
+		for _, spans := range plans {
+			c, err := shard.New(db, shard.Options{Shards: ns, Spans: spans, Lease: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Search(context.Background(), q, opt)
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Hits, want.Hits) {
+				t.Fatalf("plan %v (n=%d shards=%d k=%d identical=%v):\n got %+v\nwant %+v",
+					spans, nn, ns, kk, identical, got.Hits, want.Hits)
+			}
+			if got.Searched != want.Searched || got.Cells != want.Cells {
+				t.Fatalf("plan %v: searched/cells %d/%d, single-node %d/%d",
+					spans, got.Searched, got.Cells, want.Searched, want.Cells)
+			}
 		}
 	})
 }
 
-// decodeCuts turns fuzz bytes into a valid ns-span partition of [0, n),
-// or nil (meaning: use the balanced planner) when the bytes don't
-// supply enough distinct interior cuts.
+// decodeCuts turns fuzz bytes into a valid ns-span contiguous partition
+// of [0, n), or nil when the bytes don't supply enough distinct
+// interior cuts.
 func decodeCuts(cuts []byte, n, ns int) []shard.Span {
 	if ns == 1 {
 		return nil

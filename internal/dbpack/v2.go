@@ -204,11 +204,12 @@ func EncodeV2(p *Pack) ([]byte, error) {
 		ordb = binary.LittleEndian.AppendUint32(ordb, uint32(idx))
 		lensb = binary.LittleEndian.AppendUint32(lensb, uint32(len(recs[idx].Seq)))
 	}
-	for _, o := range lay.Offsets() {
-		groupoff = binary.LittleEndian.AppendUint64(groupoff, uint64(o))
-	}
-	for _, w := range lay.Words() {
-		lanes = binary.LittleEndian.AppendUint64(lanes, w)
+	groupoff = binary.LittleEndian.AppendUint64(groupoff, 0)
+	for g := 0; g < lay.Groups(); g++ {
+		for _, w := range lay.GroupWords(g) {
+			lanes = binary.LittleEndian.AppendUint64(lanes, w)
+		}
+		groupoff = binary.LittleEndian.AppendUint64(groupoff, uint64(len(lanes)/8))
 	}
 
 	type blob struct {

@@ -14,13 +14,21 @@ import (
 // computes it once at index time and a pack-v2 load maps the words
 // straight from the file: the scan's profile build becomes five
 // word-wide compares per position over memory it never copied, and the
-// shard layer hands each worker a Slice of the same words without
+// shard layer hands each worker a Pick of the same words without
 // materializing a sub-database. A Layout is read-only after
 // construction and safe for concurrent scans.
 type Layout struct {
-	offs  []int64  // len Groups()+1: word offset of each group's first word
-	words []uint64 // lane-interleaved code words, groups concatenated
-	view  bool     // words alias a caller-owned region (an mmap'd pack)
+	// Group g's words are words[lo[g]:hi[g]]. A whole layout's bounds
+	// are two views of one cumulative offset table; a Pick's are its
+	// own, over the parent's words.
+	lo, hi []int64
+	words  []uint64 // lane-interleaved code words
+	view   bool     // words alias a caller-owned region (an mmap'd pack)
+}
+
+// cumulative wraps words cut by a cumulative offset table.
+func cumulative(offs []int64, words []uint64, view bool) *Layout {
+	return &Layout{lo: offs[:len(offs)-1], hi: offs[1:], words: words, view: view}
 }
 
 // BuildLayout computes the layout of d in memory — the single shared
@@ -28,17 +36,18 @@ type Layout struct {
 // forged-section rebuild all come through here.
 func BuildLayout(d *DB) *Layout {
 	groups := d.groups()
-	l := &Layout{offs: make([]int64, 1, len(groups)+1)}
+	offs := make([]int64, 1, len(groups)+1)
+	var words []uint64
 	targets := make([]bio.Sequence, 0, bio.PackedLanes8)
 	for _, g := range groups {
 		targets = targets[:0]
 		for _, idx := range g {
 			targets = append(targets, d.recs[idx].Seq)
 		}
-		l.words = bio.InterleaveWords8(l.words, targets)
-		l.offs = append(l.offs, int64(len(l.words)))
+		words = bio.InterleaveWords8(words, targets)
+		offs = append(offs, int64(len(words)))
 	}
-	return l
+	return cumulative(offs, words, false)
 }
 
 // NewLayoutView wraps precomputed layout data — typically slices into
@@ -58,38 +67,31 @@ func NewLayoutView(offs []int64, words []uint64) (*Layout, error) {
 	if offs[len(offs)-1] != int64(len(words)) {
 		return nil, fmt.Errorf("search: layout offsets end at %d for %d words", offs[len(offs)-1], len(words))
 	}
-	return &Layout{offs: offs, words: words, view: true}, nil
+	return cumulative(offs, words, true), nil
 }
 
 // Groups returns the number of lane groups.
-func (l *Layout) Groups() int { return len(l.offs) - 1 }
+func (l *Layout) Groups() int { return len(l.lo) }
 
 // GroupWords returns group g's interleaved code words (do not modify).
-func (l *Layout) GroupWords(g int) []uint64 { return l.words[l.offs[g]:l.offs[g+1]] }
-
-// Offsets returns the group word-offset table (do not modify).
-func (l *Layout) Offsets() []int64 { return l.offs }
-
-// Words returns the concatenated code words (do not modify).
-func (l *Layout) Words() []uint64 { return l.words }
+func (l *Layout) GroupWords(g int) []uint64 { return l.words[l.lo[g]:l.hi[g]] }
 
 // IsView reports whether the words alias a caller-owned region rather
 // than heap memory built by BuildLayout.
 func (l *Layout) IsView() bool { return l.view }
 
-// Bytes returns the in-memory size of the layout data.
-func (l *Layout) Bytes() int64 { return int64(len(l.words))*8 + int64(len(l.offs))*8 }
+// Bytes returns the in-memory size of a whole layout's data.
+func (l *Layout) Bytes() int64 { return int64(len(l.words))*8 + int64(len(l.lo)+1)*8 }
 
-// Slice returns the sub-layout of groups [from, to) sharing the same
-// underlying words — how a shard worker attaches to its span's byte
-// range of an mmap'd pack without copying.
-func (l *Layout) Slice(from, to int) *Layout {
-	base := l.offs[from]
-	offs := make([]int64, to-from+1)
-	for i := range offs {
-		offs[i] = l.offs[from+i] - base
+// Pick returns the sub-layout of the listed groups, in list order,
+// sharing the parent's words — how a shard worker attaches to the lane
+// groups it owns of an mmap'd pack without copying.
+func (l *Layout) Pick(groups []int) *Layout {
+	p := &Layout{lo: make([]int64, len(groups)), hi: make([]int64, len(groups)), words: l.words, view: l.view}
+	for i, g := range groups {
+		p.lo[i], p.hi[i] = l.lo[g], l.hi[g]
 	}
-	return &Layout{offs: offs, words: l.words[base:l.offs[to]], view: l.view}
+	return p
 }
 
 // Validate proves the layout semantically consistent with d: every

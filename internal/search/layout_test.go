@@ -64,21 +64,25 @@ func TestLayoutSlice(t *testing.T) {
 	g := bio.NewGenerator(9)
 	db := NewDB(testDB(t, 10, g.Random(150), 25, 0))
 	lay := BuildLayout(db)
-	if lay.Groups() < 3 {
-		t.Fatalf("need at least 3 groups, got %d", lay.Groups())
+	if lay.Groups() < 4 {
+		t.Fatalf("need at least 4 groups, got %d", lay.Groups())
 	}
-	sub := lay.Slice(1, 3)
-	if sub.Groups() != 2 {
-		t.Fatalf("slice holds %d groups, want 2", sub.Groups())
-	}
-	for gi := 0; gi < 2; gi++ {
-		want := lay.GroupWords(1 + gi)
-		got := sub.GroupWords(gi)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("slice group %d words differ", gi)
+	// A contiguous run of groups and a dealt one (every other group,
+	// the shard layer's scattered mapping) both alias the parent.
+	for _, pick := range [][]int{{1, 2}, {0, 2}, {3, 1}} {
+		sub := lay.Pick(pick)
+		if sub.Groups() != len(pick) {
+			t.Fatalf("pick %v holds %d groups", pick, sub.Groups())
 		}
-		if len(want) > 0 && &want[0] != &got[0] {
-			t.Fatalf("slice group %d does not alias the parent words", gi)
+		for gi, pg := range pick {
+			want := lay.GroupWords(pg)
+			got := sub.GroupWords(gi)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("pick %v group %d words differ", pick, gi)
+			}
+			if len(want) > 0 && &want[0] != &got[0] {
+				t.Fatalf("pick %v group %d does not alias the parent words", pick, gi)
+			}
 		}
 	}
 }

@@ -148,15 +148,22 @@ func TestStatszShardsAndQueueDepth(t *testing.T) {
 	if len(st.Shards.Shards) != 3 {
 		t.Fatalf("%d shard healths, want 3", len(st.Shards.Shards))
 	}
-	covered := 0
+	covered, bases := 0, int64(0)
 	for _, h := range st.Shards.Shards {
 		if !h.Alive || h.Killed {
 			t.Errorf("shard %d unhealthy on a clean server: %+v", h.Shard, h)
 		}
-		covered += h.SpanHi - h.SpanLo
+		if h.Records == 0 || h.Bases == 0 {
+			// 40 records are five lane groups: the deal gives the
+			// three shards two, two and one.
+			t.Errorf("shard %d owns %d records / %d bases, want a share", h.Shard, h.Records, h.Bases)
+		}
+		covered += h.Records
+		bases += h.Bases
 	}
-	if covered != s.cfg.DB.Size() {
-		t.Errorf("shard spans cover %d of %d records", covered, s.cfg.DB.Size())
+	if covered != s.cfg.DB.Size() || bases != s.cfg.DB.TotalBases() {
+		t.Errorf("shards own %d records / %d bases of %d / %d",
+			covered, bases, s.cfg.DB.Size(), s.cfg.DB.TotalBases())
 	}
 	if st.Shards.Queries < 1 || st.Shards.Batches < 1 {
 		t.Errorf("cluster saw %d queries / %d batches, want ≥1", st.Shards.Queries, st.Shards.Batches)

@@ -1,9 +1,8 @@
 // Package shard is the distributed database-search layer: a master
-// partitions a prepared database across N worker shards by total cell
-// count (the DSA load-balance rule — cells, not record counts, predict
-// scan time), scatters each query batch to every shard, runs the full
-// pruned/dispatched kernel stack per shard, and merges the per-shard
-// top-K heaps under the canonical tie-break order. The result is
+// deals a prepared database's lane groups across N worker shards by the
+// source paper's scattered mapping (§4.4), scatters each query batch to
+// every shard, runs the full pruned/dispatched kernel stack per shard,
+// and merges the per-shard top-K heaps under the canonical tie-break order. The result is
 // bit-identical — hits, scores, coordinates, tie-breaks, Searched and
 // Cells — to a single-node search.Run of the same query with the same
 // Options.
@@ -23,82 +22,73 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"genomedsm/internal/bio"
 	"genomedsm/internal/search"
 )
 
-// Span is one shard's partition: the half-open rank range [Lo, Hi) of
-// the database's canonical scan order (length descending, record index
-// ascending on ties). Partitioning by rank range keeps every shard's
-// local scan order a contiguous slice of the global one, so lane
-// groups inside a shard pack the same near-equal lengths they would in
-// a single-node scan. An empty span (Lo == Hi) is a valid shard with
-// no work — it appears when shards outnumber records.
+// Span is one shard's partition of the database's canonical scan order
+// (length descending, record index ascending on ties), in one of two
+// forms. A contiguous span (Deal ≤ 1) owns the ranks [Lo, Hi). A dealt
+// span owns, of the ranks in [Lo, Hi), the runs of bio.PackedLanes8
+// ranks starting at Lo, Lo+8·Deal, Lo+16·Deal, … — every Deal-th lane
+// group. Either way the shard's local scan order is a subsequence of
+// the global one, so its lane groups pack the same near-equal lengths
+// they would in a single-node scan. A span owning no rank is a valid
+// shard with no work — it appears when shards outnumber lane groups.
 type Span struct {
 	Lo, Hi int
+	Deal   int
 }
 
-// Len returns the number of records in the span.
-func (s Span) Len() int { return s.Hi - s.Lo }
+// runs calls f with each run [lo, hi) of ranks the span owns, in rank
+// order.
+func (s Span) runs(f func(lo, hi int)) {
+	step := max(s.Deal, 1) * bio.PackedLanes8
+	for lo := s.Lo; lo < s.Hi; lo += step {
+		f(lo, min(lo+bio.PackedLanes8, s.Hi))
+	}
+}
 
-func (s Span) String() string { return fmt.Sprintf("[%d,%d)", s.Lo, s.Hi) }
+// Len returns the number of records the span owns.
+func (s Span) Len() int {
+	n := 0
+	s.runs(func(lo, hi int) { n += hi - lo })
+	return n
+}
 
-// PlanSpans cuts the database's canonical order into shards contiguous
-// spans balanced by total base count: with every shard scanning the
-// same query, bases are proportional to DP cells, so equal bases means
-// equal work (DSA's partition rule). The cut points are the ranks where
-// the cumulative base count first reaches i/shards of the total,
-// rounded to the nearest lane-group boundary (multiple of
-// bio.PackedLanes8) — an aligned span's lane groups coincide with the
-// global 8-lane groups, so a worker attaches to its slice of the
-// pack's precomputed (possibly mmap'd) lane layout instead of
-// re-interleaving its sub-database (see subDB). The rounding moves at
-// most half a group of records per cut and is deterministic — every
-// master over the same database computes the same plan, and FuzzShardPlan
-// proves the plan never affects results, only balance.
+func (s Span) String() string {
+	if s.Deal > 1 {
+		return fmt.Sprintf("[%d,%d)/%d", s.Lo, s.Hi, s.Deal)
+	}
+	return fmt.Sprintf("[%d,%d)", s.Lo, s.Hi)
+}
+
+// PlanSpans deals the canonical lane groups to shards by the source
+// paper's scattered mapping (§4.4): group g, ranks [8g, 8g+8), goes to
+// shard g mod shards. Every shard's scan therefore starts with the
+// longest records — where homologs sort, so every shard's pruning
+// floor rises from its own first groups, not only from gossip (a
+// contiguous cut of equal bases can leave every homolog on the first
+// shard). It balances cells too: shard i's k-th group is never shorter
+// than shard i+1's, so loads fall with the shard id and the first and
+// last differ by at most the first group's bases. Each dealt group is a whole
+// global group, so a worker attaches to its groups of the pack's
+// precomputed (possibly mmap'd) lane layout instead of re-interleaving
+// (see subDB). The plan is deterministic, and FuzzShardPlan proves no
+// plan affects results, only speed.
 func PlanSpans(db *search.DB, shards int) []Span {
-	order := db.Order()
-	recs := db.Records()
-	n := len(order)
+	n := db.Size()
 	spans := make([]Span, shards)
-	lo := 0
-	var cum int64
-	for s := 0; s < shards; s++ {
-		hi := lo
-		if s == shards-1 {
-			hi = n
-		} else {
-			target := db.TotalBases() * int64(s+1) / int64(shards)
-			for hi < n && cum < target {
-				cum += int64(len(recs[order[hi]].Seq))
-				hi++
-			}
-			if hi < n {
-				down := hi - hi%bio.PackedLanes8
-				up := min(down+bio.PackedLanes8, n)
-				if hi-down <= up-hi {
-					for hi > down {
-						hi--
-						cum -= int64(len(recs[order[hi]].Seq))
-					}
-				} else {
-					for hi < up {
-						cum += int64(len(recs[order[hi]].Seq))
-						hi++
-					}
-				}
-			}
-		}
-		spans[s] = Span{Lo: lo, Hi: hi}
-		lo = hi
+	for i := range spans {
+		spans[i] = Span{Lo: min(i*bio.PackedLanes8, n), Hi: n, Deal: shards}
 	}
 	return spans
 }
 
-// ValidateSpans checks that spans is a partition of [0, n): contiguous,
-// non-overlapping, covering every rank exactly once. Overlap would
+// ValidateSpans checks that spans partition [0, n): each span lies in
+// [0, n) and every rank is owned by exactly one span. Overlap would
 // double records into the merged top K (corrupting tie-breaks), a gap
 // would silently drop them — both break bit-exactness, so a custom
 // plan is rejected up front.
@@ -106,18 +96,28 @@ func ValidateSpans(spans []Span, n int) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("shard: empty span plan")
 	}
-	at := 0
+	owner := make([]int, n) // span index + 1; 0 = unowned
 	for i, sp := range spans {
-		if sp.Lo != at {
-			return fmt.Errorf("shard: span %d is %v, want Lo=%d (plan must be contiguous)", i, sp, at)
+		if sp.Lo < 0 || sp.Hi < sp.Lo || sp.Hi > n || sp.Deal < 0 {
+			return fmt.Errorf("shard: span %d is %v: want 0 ≤ Lo ≤ Hi ≤ %d and Deal ≥ 0", i, sp, n)
 		}
-		if sp.Hi < sp.Lo {
-			return fmt.Errorf("shard: span %d is %v: Hi < Lo", i, sp)
+		var err error
+		sp.runs(func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				if owner[r] != 0 && err == nil {
+					err = fmt.Errorf("shard: spans %d and %d both own rank %d", owner[r]-1, i, r)
+				}
+				owner[r] = i + 1
+			}
+		})
+		if err != nil {
+			return err
 		}
-		at = sp.Hi
 	}
-	if at != n {
-		return fmt.Errorf("shard: plan covers [0,%d) of %d records", at, n)
+	for r, o := range owner {
+		if o == 0 {
+			return fmt.Errorf("shard: no span owns rank %d of %d", r, n)
+		}
 	}
 	return nil
 }
@@ -128,44 +128,44 @@ func ValidateSpans(spans []Span, n int) error {
 // top-K heap breaks score ties by record index, and local index order
 // must agree with global index order for the merged tie-breaks to be
 // bit-identical to a single-node scan. The canonical scan permutation
-// is supplied explicitly: the span's slice of the global canonical
+// is supplied explicitly: the span's ranks of the global canonical
 // order, translated to local indices. (It is still canonical for the
-// sub-database: lengths stay non-increasing, and on equal lengths
-// global rank order is global index order, which is local index
-// order.)
+// sub-database: a subsequence of the global order keeps lengths
+// non-increasing, and on equal lengths global rank order is global
+// index order, which is local index order.)
 func subDB(db *search.DB, sp Span) (*search.DB, []int, error) {
 	order := db.Order()
 	recs := db.Records()
-	toGlobal := make([]int, 0, sp.Len())
-	for r := sp.Lo; r < sp.Hi; r++ {
-		toGlobal = append(toGlobal, order[r])
-	}
-	sort.Ints(toGlobal)
-	local := make(map[int]int, sp.Len())
-	sub := make([]bio.Record, sp.Len())
+	var canon, groups []int
+	whole := true // every run is a whole global lane group
+	sp.runs(func(lo, hi int) {
+		canon = append(canon, order[lo:hi]...)
+		groups = append(groups, lo/bio.PackedLanes8)
+		whole = whole && lo%bio.PackedLanes8 == 0 && (hi-lo == bio.PackedLanes8 || hi == len(order))
+	})
+	toGlobal := slices.Clone(canon)
+	slices.Sort(toGlobal)
+	local := make(map[int]int, len(canon))
+	sub := make([]bio.Record, len(canon))
 	for li, gi := range toGlobal {
 		sub[li] = recs[gi]
 		local[gi] = li
 	}
-	perm := make([]int, sp.Len())
-	for j := range perm {
-		perm[j] = local[order[sp.Lo+j]]
+	perm := make([]int, len(canon))
+	for j, gi := range canon {
+		perm[j] = local[gi]
 	}
 	d, err := search.PreparedDB(sub, perm)
 	if err != nil {
 		return nil, nil, err
 	}
-	if lay := db.Layout(); lay != nil && sp.Len() > 0 &&
-		sp.Lo%bio.PackedLanes8 == 0 && (sp.Hi%bio.PackedLanes8 == 0 || sp.Hi == len(order)) {
-		// A lane-aligned span's groups coincide with the global 8-lane
-		// groups (the sub-DB's canonical order is the span's slice of the
-		// global one, and groups cut every 8 ranks from rank 0), so the
-		// sub-DB can alias the parent's precomputed — possibly mmap'd —
-		// layout slice instead of re-interleaving. A trailing partial
-		// group only occurs at sp.Hi == n, where all its lanes are
-		// in-span, so the slice is exactly BuildLayout(sub-DB). Unaligned
-		// custom spans skip the attach and fall back to lazy rebuild.
-		if err := d.SetLayout(lay.Slice(sp.Lo/bio.PackedLanes8, (sp.Hi+bio.PackedLanes8-1)/bio.PackedLanes8)); err != nil {
+	if lay := db.Layout(); lay != nil && len(canon) > 0 && whole {
+		// When every run is a whole global group, the sub-DB's groups are
+		// exactly those groups (a partial group only occurs at rank n,
+		// last in either order), so the sub-DB picks the parent's
+		// precomputed — possibly mmap'd — words instead of
+		// re-interleaving. Other custom spans fall back to lazy rebuild.
+		if err := d.SetLayout(lay.Pick(groups)); err != nil {
 			return nil, nil, err
 		}
 	}

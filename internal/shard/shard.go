@@ -84,6 +84,7 @@ type Cluster struct {
 	workers []*worker
 	stop    chan struct{}
 	closed  atomic.Bool
+	beating sync.WaitGroup // the workers' heartbeat goroutines
 
 	qid atomic.Uint64 // query ids (floor gossip, cancels)
 	rid atomic.Uint64 // request ids (at-least-once dedup)
@@ -133,9 +134,8 @@ func New(db *search.DB, opt Options) (*Cluster, error) {
 		dead:     make([]atomic.Bool, opt.Shards),
 		lat:      make([]latAgg, opt.Shards),
 	}
-	c.net = newTransport(opt.Shards+1, opt.Faults, c.stop)
-	now := time.Now().UnixNano()
 	c.workers = make([]*worker, opt.Shards)
+	handlers := make([]func(msg), opt.Shards+1)
 	for i := range c.workers {
 		var killAfter int64
 		for _, k := range opt.Kills {
@@ -147,18 +147,25 @@ func New(db *search.DB, opt Options) (*Cluster, error) {
 			}
 		}
 		c.workers[i] = newWorker(c, i, killAfter)
+		handlers[i] = c.workers[i].handle
+	}
+	handlers[opt.Shards] = c.handle
+	// Every handler is installed before the first heartbeat can send.
+	c.net = newTransport(handlers, opt.Faults, c.stop)
+	now := time.Now().UnixNano()
+	for i, w := range c.workers {
 		// The lease clock starts now: a worker that never heartbeats is
 		// declared dead one lease from startup.
 		c.lastBeat[i].Store(now)
-		go c.workers[i].loop()
-		go c.workers[i].beats(opt.Heartbeat)
+		c.beating.Add(1)
+		go w.beats(opt.Heartbeat)
 	}
-	go c.loop()
 	return c, nil
 }
 
-// Close stops the cluster: in-flight scans abort, workers exit. Safe to
-// call twice.
+// Close stops the cluster: in-flight scans abort at their next group
+// boundary, and Close returns once the heartbeat goroutines have
+// exited. Safe to call twice.
 func (c *Cluster) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -167,6 +174,7 @@ func (c *Cluster) Close() {
 	for _, w := range c.workers {
 		w.cancel()
 	}
+	c.beating.Wait()
 }
 
 // Spans returns the partition (for tests and /statsz).
@@ -178,33 +186,27 @@ func (c *Cluster) send(from, to int, cl class, payload any) {
 	c.net.send(msg{from: from, to: to, class: cl, payload: payload})
 }
 
-// loop is the master's inbox: response routing, lease renewal, floor
-// gossip. It runs for the cluster's lifetime.
-func (c *Cluster) loop() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case m := <-c.net.inboxes[c.masterID()]:
-			switch m.class {
-			case cResponse:
-				r := m.payload.(response)
-				c.mu.Lock()
-				ch := c.waiters[r.ID]
-				c.mu.Unlock()
-				if ch != nil {
-					select {
-					case ch <- r:
-					default: // duplicate response; one is enough
-					}
-				}
-			case cBeat:
-				b := m.payload.(heartbeat)
-				c.lastBeat[b.Shard].Store(time.Now().UnixNano())
-			case cFloor:
-				c.onGossip(m.payload.(floorUpdate))
+// handle is the master's message handler: response routing, lease
+// renewal, floor gossip. It runs on the sender's goroutine and must not
+// block (see transport).
+func (c *Cluster) handle(m msg) {
+	switch m.class {
+	case cResponse:
+		r := m.payload.(response)
+		c.mu.Lock()
+		ch := c.waiters[r.ID]
+		c.mu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- r:
+			default: // duplicate response; one is enough
 			}
 		}
+	case cBeat:
+		b := m.payload.(heartbeat)
+		c.lastBeat[b.Shard].Store(time.Now().UnixNano())
+	case cFloor:
+		c.onGossip(m.payload.(floorUpdate))
 	}
 }
 
@@ -319,8 +321,6 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 	}
 	metas := make([]qmeta, nq)
 	wqs := make([]wireQuery, nq)
-	batchDone := make(chan struct{})
-	defer close(batchDone)
 	for i, bq := range queries {
 		qid := c.qid.Add(1)
 		qctx := bq.Ctx
@@ -345,9 +345,17 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 			c.floors[qid] = search.NewFloor(k)
 			c.mu.Unlock()
 		}
-		if qctx.Done() != nil {
-			go c.watchCancel(qid, qctx, batchDone)
-		}
+		// Until the batch returns, a query's cancellation fans out to
+		// the shards, so a client disconnect stops remote scan work,
+		// not just the merge.
+		stop := context.AfterFunc(qctx, func() {
+			for i := range c.workers {
+				if !c.dead[i].Load() {
+					c.send(c.masterID(), i, cCancel, cancelMsg{QID: qid})
+				}
+			}
+		})
+		defer stop()
 	}
 	defer func() {
 		c.mu.Lock()
@@ -456,21 +464,6 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 		}
 	}
 	return out, nil
-}
-
-// watchCancel fans one query's context cancellation out to the shards,
-// so a client disconnect stops remote scan work, not just the merge.
-func (c *Cluster) watchCancel(qid uint64, qctx context.Context, done chan struct{}) {
-	select {
-	case <-qctx.Done():
-		for i := range c.workers {
-			if !c.dead[i].Load() {
-				c.send(c.masterID(), i, cCancel, cancelMsg{QID: qid})
-			}
-		}
-	case <-done:
-	case <-c.stop:
-	}
 }
 
 // runSpan drives one span to completion: scatter with at-least-once

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,8 +65,24 @@ func mustRealignSameCells(t *testing.T, label string, got, want *search.Result) 
 	}
 }
 
+// contiguousSpans cuts the canonical order into shards runs of whole
+// lane groups: the partition shape the dealt plan replaced, still valid
+// as a custom Options.Spans.
+func contiguousSpans(n, shards int) []Span {
+	groups := (n + bio.PackedLanes8 - 1) / bio.PackedLanes8
+	spans := make([]Span, shards)
+	for i := range spans {
+		spans[i] = Span{
+			Lo: min(groups*i/shards*bio.PackedLanes8, n),
+			Hi: min(groups*(i+1)/shards*bio.PackedLanes8, n),
+		}
+	}
+	return spans
+}
+
 // TestShardedMatchesSingleNode pins bit-exactness of the sharded scan
-// against search.RunCtx over shard counts and option shapes.
+// against search.RunCtx over shard counts, option shapes and both plan
+// forms: the dealt default and contiguous custom spans.
 func TestShardedMatchesSingleNode(t *testing.T) {
 	q, recs := synthInputs(42, 240, 48, 320)
 	db := search.NewDB(recs)
@@ -85,17 +102,22 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 			t.Fatalf("single-node: %v", err)
 		}
 		for _, shards := range []int{1, 2, 3, 4, 9} {
-			c, err := New(db, quietOptions(shards))
-			if err != nil {
-				t.Fatalf("New(%d): %v", shards, err)
+			for _, spans := range [][]Span{nil, contiguousSpans(db.Size(), shards)} {
+				copt := quietOptions(shards)
+				copt.Spans = spans
+				c, err := New(db, copt)
+				if err != nil {
+					t.Fatalf("New(%d): %v", shards, err)
+				}
+				got, err := c.Search(context.Background(), q, opt)
+				c.Close()
+				label := fmt.Sprintf("shards=%d plan=%v opt=%+v", shards, c.Spans(), opt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				mustEqualResults(t, label, got, want)
+				mustRealignSameCells(t, label, got, want)
 			}
-			got, err := c.Search(context.Background(), q, opt)
-			c.Close()
-			if err != nil {
-				t.Fatalf("shards=%d opt=%+v: %v", shards, opt, err)
-			}
-			mustEqualResults(t, fmt.Sprintf("shards=%d opt=%+v", shards, opt), got, want)
-			mustRealignSameCells(t, fmt.Sprintf("shards=%d opt=%+v", shards, opt), got, want)
 		}
 	}
 }
@@ -200,9 +222,9 @@ func TestMergeTieBreakAcrossShardBoundaries(t *testing.T) {
 		{"3 shards", 3, nil},
 		{"5 shards", 5, nil},
 		{"24 shards", 24, nil},
-		{"cut inside tie run", 3, []Span{{0, 5}, {5, 11}, {11, 24}}},
-		{"one record spans", 4, []Span{{0, 1}, {1, 2}, {2, 3}, {3, 24}}},
-		{"empty first shard", 3, []Span{{0, 0}, {0, 13}, {13, 24}}},
+		{"cut inside tie run", 3, []Span{{Lo: 0, Hi: 5}, {Lo: 5, Hi: 11}, {Lo: 11, Hi: 24}}},
+		{"one record spans", 4, []Span{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}, {Lo: 3, Hi: 24}}},
+		{"empty first shard", 3, []Span{{Lo: 0, Hi: 0}, {Lo: 0, Hi: 13}, {Lo: 13, Hi: 24}}},
 	}
 	for _, tc := range cases {
 		copt := quietOptions(tc.shards)
@@ -429,8 +451,87 @@ func TestSearchBatchValidation(t *testing.T) {
 		t.Fatal("out-of-range kill accepted")
 	}
 	bad := quietOptions(2)
-	bad.Spans = []Span{{0, 3}, {4, 8}}
+	bad.Spans = []Span{{Lo: 0, Hi: 3}, {Lo: 4, Hi: 8}}
 	if _, err := New(db, bad); err == nil {
 		t.Fatal("gapped custom plan accepted")
 	}
+}
+
+// TestGossipIsSynchronous: without a FaultConfig, delivery is a direct
+// call, so when a worker's flush raises the global floor every live
+// worker's hint already holds the new value as flush returns — the
+// flushing worker's next group, and every other shard's, prunes
+// against it.
+func TestGossipIsSynchronous(t *testing.T) {
+	_, recs := synthInputs(23, 100, 24, 200)
+	c, err := New(search.NewDB(recs), quietOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const qid, k = 1 << 40, 3
+	c.mu.Lock()
+	c.floors[qid] = search.NewFloor(k)
+	c.mu.Unlock()
+	states := make([]*queryState, len(c.workers))
+	for i, w := range c.workers {
+		states[i] = w.acquireQuery(qid)
+	}
+	buf := &gossipBuf{w: c.workers[1], qid: qid}
+	for _, step := range []struct {
+		ev    []scoreEv
+		floor int64
+	}{
+		{[]scoreEv{{40, 0}, {55, 1}, {70, 2}}, 40}, // K records: the floor is the K-th score
+		{[]scoreEv{{90, 3}}, 55},
+		{[]scoreEv{{30, 4}}, 55}, // below the floor: nothing moves
+	} {
+		for _, ev := range step.ev {
+			buf.add(ev.Score, ev.Index)
+		}
+		buf.flush()
+		for i, st := range states {
+			if got := st.floor.Load(); got != step.floor {
+				t.Fatalf("after flushing %v: worker %d holds floor %d, want %d", step.ev, i, got, step.floor)
+			}
+		}
+	}
+	if st := c.Stats(); st.GossipUpdates != 3 || st.FloorBroadcasts != 2 {
+		t.Errorf("%d gossip updates / %d broadcasts, want 3 / 2", st.GossipUpdates, st.FloorBroadcasts)
+	}
+}
+
+// TestClusterGoroutines: the transport delivers by direct call, so an
+// idle cluster runs one goroutine per shard (its heartbeat) and no
+// message loop, and Close leaves none behind.
+func TestClusterGoroutines(t *testing.T) {
+	q, recs := synthInputs(29, 150, 40, 250)
+	db := search.NewDB(recs)
+	opt := search.Options{Prune: true}
+	// Warm whatever the single-node scan starts on first use.
+	if _, err := search.RunCtx(context.Background(), q, db, opt); err != nil {
+		t.Fatal(err)
+	}
+	settle := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want ≤ %d", what, runtime.NumGoroutine(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	before := runtime.NumGoroutine()
+	const shards = 3
+	c, err := New(db, Options{Shards: shards, Lease: time.Hour, Heartbeat: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Search(context.Background(), q, opt); err != nil {
+		t.Fatal(err)
+	}
+	settle(before+shards, "idle cluster")
+	c.Close()
+	settle(before, "after Close")
 }

@@ -16,9 +16,11 @@ type ShardHealth struct {
 	Alive bool `json:"alive"`
 	// Killed reports the worker actually crashed (fault injection).
 	Killed bool `json:"killed"`
-	// Span is the shard's home partition of the canonical scan order.
-	SpanLo int `json:"span_lo"`
-	SpanHi int `json:"span_hi"`
+	// Records and Bases measure the shard's home partition: the
+	// records it owns and their summed length, which a scan's cells
+	// follow.
+	Records int   `json:"records"`
+	Bases   int64 `json:"bases"`
 	// Answered counts span requests this shard completed.
 	Answered int64 `json:"answered"`
 	// ReassignedTo counts dead shards' spans replayed on this shard.
@@ -104,17 +106,22 @@ func (c *Cluster) Stats() Stats {
 		MsgsReordered:   c.net.reordered.Load(),
 	}
 	now := time.Now()
+	recs, order := c.db.Records(), c.db.Order()
 	for i, w := range c.workers {
 		h := ShardHealth{
 			Shard:        i,
 			Alive:        !c.dead[i].Load(),
 			Killed:       w.dead.Load(),
-			SpanLo:       c.spans[i].Lo,
-			SpanHi:       c.spans[i].Hi,
 			Answered:     c.lat[i].answered.Load(),
 			ReassignedTo: c.lat[i].reassigned.Load(),
 			LastBeatMS:   -1,
 		}
+		c.spans[i].runs(func(lo, hi int) {
+			for _, idx := range order[lo:hi] {
+				h.Records++
+				h.Bases += int64(len(recs[idx].Seq))
+			}
+		})
 		if beat := c.lastBeat[i].Load(); beat != 0 {
 			h.LastBeatMS = now.Sub(time.Unix(0, beat)).Milliseconds()
 		}

@@ -14,7 +14,11 @@ import (
 // drawn deterministically from a seed. The protocol above it (retries,
 // dedup, leases) must therefore be correct against every fault the
 // chaos oracle can draw — and in production (no FaultConfig) the same
-// code paths run with synchronous, reliable delivery.
+// code paths run with synchronous, reliable delivery: a send calls the
+// receiver's handler before it returns, so a floor a worker gossips is
+// on every shard before that worker scans its next group. Handlers
+// therefore must not block: they take short locks, CAS, send without
+// waiting, or start a goroutine, and no lock is held across a send.
 
 // class labels a message for fault draws and dispatch.
 type class int
@@ -52,10 +56,10 @@ type FaultConfig struct {
 // transport carries messages between the master and the workers.
 // Node ids 0..shards-1 are workers; node id shards is the master.
 type transport struct {
-	faults  *FaultConfig
-	inboxes []chan msg
-	stop    chan struct{}
-	cnt     []atomic.Uint64 // per-(link, class) draw counters
+	faults   *FaultConfig
+	handlers []func(msg) // per node; called inline by deliver
+	stop     chan struct{}
+	cnt      []atomic.Uint64 // per-(link, class) draw counters
 
 	mu   sync.Mutex
 	held map[int]msg // per-link message held back for reordering
@@ -66,19 +70,16 @@ type transport struct {
 	reordered atomic.Int64
 }
 
-func newTransport(nodes int, faults *FaultConfig, stop chan struct{}) *transport {
-	t := &transport{
-		faults:  faults,
-		inboxes: make([]chan msg, nodes),
-		stop:    stop,
-		cnt:     make([]atomic.Uint64, nodes*nodes*int(numClasses)),
-		held:    make(map[int]msg),
-		has:     make(map[int]bool),
+func newTransport(handlers []func(msg), faults *FaultConfig, stop chan struct{}) *transport {
+	nodes := len(handlers)
+	return &transport{
+		faults:   faults,
+		handlers: handlers,
+		stop:     stop,
+		cnt:      make([]atomic.Uint64, nodes*nodes*int(numClasses)),
+		held:     make(map[int]msg),
+		has:      make(map[int]bool),
 	}
-	for i := range t.inboxes {
-		t.inboxes[i] = make(chan msg, 1024)
-	}
-	return t
 }
 
 // draw returns the k-th deterministic uniform in [0,1) for the link.
@@ -94,7 +95,7 @@ func (t *transport) send(m msg) {
 		t.deliver(m)
 		return
 	}
-	link := (m.from*len(t.inboxes)+m.to)*int(numClasses) + int(m.class)
+	link := (m.from*len(t.handlers)+m.to)*int(numClasses) + int(m.class)
 	k := t.cnt[link].Add(1)
 	if f.Loss > 0 && t.draw(m, recovery.Mix64(k, 1)) < f.Loss {
 		t.lost.Add(1)
@@ -153,18 +154,13 @@ func (t *transport) release(link int) {
 	t.deliver(m)
 }
 
-// deliver enqueues m on the receiver's inbox. A stopped transport drops
-// everything; a full inbox drops the message — indistinguishable from
-// network loss, and recovered by the same retries.
+// deliver hands m to the receiver's handler on the caller's goroutine.
+// A stopped transport drops everything.
 func (t *transport) deliver(m msg) {
 	select {
 	case <-t.stop:
 		return
 	default:
 	}
-	select {
-	case t.inboxes[m.to] <- m:
-	default:
-		t.lost.Add(1)
-	}
+	t.handlers[m.to](m)
 }

@@ -119,7 +119,7 @@ type queryState struct {
 	cancels   []context.CancelFunc
 }
 
-// worker is one shard: a sub-database scanner behind an inbox. Workers
+// worker is one shard: a sub-database scanner behind a handler. Workers
 // model crash-stop nodes — a killed worker stops scanning, answering
 // and heartbeating, and everything sent to it is dropped.
 type worker struct {
@@ -160,32 +160,26 @@ func newWorker(c *Cluster, id int, killAfter int64) *worker {
 	}
 }
 
-// loop drains the worker's inbox for the cluster's lifetime. A dead
-// worker keeps draining but ignores everything — crash-stop, not
-// crash-block.
-func (w *worker) loop() {
-	for {
-		select {
-		case <-w.c.stop:
-			return
-		case m := <-w.c.net.inboxes[w.id]:
-			if w.dead.Load() {
-				continue
-			}
-			switch m.class {
-			case cRequest:
-				w.onRequest(m.payload.(request))
-			case cFloor:
-				w.onFloor(m.payload.(floorSet))
-			case cCancel:
-				w.onCancel(m.payload.(cancelMsg))
-			}
-		}
+// handle is the worker's message handler; it runs on the sender's
+// goroutine and must not block (see transport). A dead worker ignores
+// everything — crash-stop.
+func (w *worker) handle(m msg) {
+	if w.dead.Load() {
+		return
+	}
+	switch m.class {
+	case cRequest:
+		w.onRequest(m.payload.(request))
+	case cFloor:
+		w.onFloor(m.payload.(floorSet))
+	case cCancel:
+		w.onCancel(m.payload.(cancelMsg))
 	}
 }
 
 // beats renews the worker's lease until it dies or the cluster stops.
 func (w *worker) beats(every time.Duration) {
+	defer w.c.beating.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
 	var n uint64

@@ -47,6 +47,8 @@
 #      SearchDatabase,
 #      plus the begin-sweep gate: KernelReverseBegin must hold >= 2x the
 #      cells/s of KernelReverseRetrieve in the same run,
+#      plus the pruned sharding gate: SearchShardedPruned's 2-shard
+#      homolog batch must take <= 1.3x the time of search.RunBatch,
 #      plus the realign pool scaling gate: SearchRealign's 20 kb shape
 #      at -cpu 2 must reach >= 1.4x its -cpu 1 cells/s (skipped with a
 #      notice on a 1-core host),
@@ -291,6 +293,23 @@ awk -v tol="$maxregress" -v sh="$sharded" -v u="$uniform" 'BEGIN {
     floor = 1 - 2 * tol / 100
     if (sh < floor * u) { printf "scaling gate FAILED: 4-shard at %.2fx of single-node (floor %.2fx)\n", sh / u, floor; exit 1 }
     printf "scaling gate ok: 4-shard at %.2fx of single-node\n", sh / u
+}'
+
+echo "== pruned sharding gate (SearchShardedPruned: 2-shard batch <= 1.3x RunBatch)"
+# The gate above scans a uniform database with pruning off, so it
+# cannot see a shard that starts its scan far from the homologs and
+# prunes only as fast as the gossiped floor reaches it. This one runs a
+# pruned 4-query batch over long planted homologs and short noise, the
+# 2-shard cluster and the single-node RunBatch alternated in each
+# iteration, and reads their time ratio: the median over the -count
+# runs must stay <= 1.3.
+ratio=$(awk '$1 ~ /^BenchmarkSearchShardedPruned(-[0-9]+)?$/ {
+        for (i = 2; i < NF; i++) if ($(i+1) == "sharded/single") print $i
+    }' "$benchout" | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
+echo "pruned 2-shard batch at ${ratio}x of single-node (median)"
+awk -v r="$ratio" 'BEGIN {
+    if (r > 1.3) { printf "pruned sharding gate FAILED: %.2fx > 1.3x\n", r; exit 1 }
+    printf "pruned sharding gate ok: %.2fx\n", r
 }'
 
 echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -cpu 1)"
