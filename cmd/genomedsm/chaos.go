@@ -210,8 +210,8 @@ func chaosSearch(w io.Writer, a chaosSearchArgs) error {
 			}
 			fmt.Fprintf(w, "  query %d: %d hits over %d records\n", i, len(br.Result.Hits), br.Result.Searched)
 		}
-		fmt.Fprintf(w, "counters: %d retries, %d kills, %d dead detected, %d reassigns, %d lost, %d duped, %d reordered\n",
-			st.Retries, st.Kills, st.DeadDetected, st.Reassigns, st.MsgsLost, st.MsgsDuped, st.MsgsReordered)
+		fmt.Fprintf(w, "counters: %d retries (lost attempts), %d kills, %d dead detected, %d reassigns, %d duped, %d reordered\n",
+			st.Retries, st.Kills, st.DeadDetected, st.Reassigns, st.MsgsDuped, st.MsgsReordered)
 		return nil
 	}
 	start := time.Now()

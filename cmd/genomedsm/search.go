@@ -132,7 +132,7 @@ func writeShardText(w io.Writer, st shard.Stats) {
 	}
 	fmt.Fprintln(w)
 	if st.Retries+st.Kills+st.Reassigns > 0 {
-		fmt.Fprintf(w, "recovery: %d retries, %d kills, %d dead detected, %d spans reassigned\n",
+		fmt.Fprintf(w, "recovery: %d retries (lost attempts), %d kills, %d dead detected, %d spans reassigned\n",
 			st.Retries, st.Kills, st.DeadDetected, st.Reassigns)
 	}
 	if st.FloorBroadcasts > 0 {

@@ -95,10 +95,10 @@ type SearchDivergence struct {
 // Error renders the divergence as a replayable failure report.
 func (d *SearchDivergence) Error() string {
 	return fmt.Sprintf(
-		"sharded search divergence: schedule=%d faultSeed=%d\n  %s\n  stats: kills=%d dead=%d reassigns=%d retries=%d lost=%d duped=%d reordered=%d",
+		"sharded search divergence: schedule=%d faultSeed=%d\n  %s\n  stats: kills=%d dead=%d reassigns=%d retries=%d duped=%d reordered=%d",
 		d.Schedule, d.FaultSeed, d.Detail,
 		d.Stats.Kills, d.Stats.DeadDetected, d.Stats.Reassigns, d.Stats.Retries,
-		d.Stats.MsgsLost, d.Stats.MsgsDuped, d.Stats.MsgsReordered)
+		d.Stats.MsgsDuped, d.Stats.MsgsReordered)
 }
 
 // SearchReport is the outcome of a CheckShardedSearch sweep.
@@ -151,9 +151,8 @@ func searchInputs(opt SearchOptions) ([]search.BatchQuery, *search.DB) {
 // heartbeats, and a false-positive death is legal but noisy).
 func clusterOptions(opt SearchOptions, faultSeed int64) shard.Options {
 	co := shard.Options{
-		Shards:  opt.Shards,
-		Timeout: 40 * time.Millisecond,
-		Lease:   10 * time.Second,
+		Shards: opt.Shards,
+		Lease:  10 * time.Second,
 	}
 	if opt.Loss > 0 || opt.Dup > 0 || opt.Reorder > 0 {
 		co.Faults = &shard.FaultConfig{

@@ -36,7 +36,7 @@ func TestCheckShardedSearchFaults(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stats.MsgsLost+rep.Stats.MsgsDuped+rep.Stats.MsgsReordered == 0 {
+	if rep.Stats.Retries+rep.Stats.MsgsDuped+rep.Stats.MsgsReordered == 0 {
 		t.Error("fault schedule injected nothing")
 	}
 }
@@ -78,8 +78,8 @@ func TestRunShardedOnceReplays(t *testing.T) {
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatal("same fault seed produced different results")
 	}
-	if st1.MsgsLost == 0 || st2.MsgsLost == 0 {
-		t.Fatalf("a lossy replay drew no losses: %d / %d", st1.MsgsLost, st2.MsgsLost)
+	if st1.Retries == 0 || st2.Retries == 0 {
+		t.Fatalf("a lossy replay drew no losses: %d / %d", st1.Retries, st2.Retries)
 	}
 }
 

@@ -135,13 +135,8 @@ func (n *Node) lossRetries(class cluster.MsgClass, cat cluster.Category) {
 	if lost == 0 {
 		return
 	}
-	bo := n.sys.recParams.Retry
 	key := uint64(n.id)<<48 ^ uint64(class)<<40 ^ n.sendSeq[class]
-	total := 0.0
-	for a := 0; a < lost; a++ {
-		total += bo.Delay(key, a)
-	}
-	n.clock.Advance(total, cat)
+	n.clock.Advance(n.sys.recParams.Retry.Total(key, lost), cat)
 	inc(&n.stats.Retries, int64(lost))
 	inc(&n.stats.MsgsSent, int64(lost))
 	n.trace(TraceRetry, -1, -1, fmt.Sprintf("%s x%d", class, lost))

@@ -133,6 +133,17 @@ func (b Backoff) Delay(key uint64, attempt int) float64 {
 	return d
 }
 
+// Total returns the virtual seconds an at-least-once sender waits
+// before the message identified by key gets through after lost
+// attempts: one Delay per lost attempt, attempts 0 … lost-1.
+func (b Backoff) Total(key uint64, lost int) float64 {
+	total := 0.0
+	for a := 0; a < lost; a++ {
+		total += b.Delay(key, a)
+	}
+	return total
+}
+
 // Params bundles the failure-detector and recovery-manager parameters a
 // run uses. The zero value means "defaults" everywhere; WithDefaults
 // resolves them.

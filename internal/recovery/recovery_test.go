@@ -82,6 +82,22 @@ func TestBackoffJitterDeterminism(t *testing.T) {
 	}
 }
 
+// TestBackoffTotal: the wait behind lost attempts is the running sum of
+// their delays — zero when nothing was lost — so every at-least-once
+// sender charges one schedule.
+func TestBackoffTotal(t *testing.T) {
+	b := DefaultBackoff()
+	for key := uint64(0); key < 8; key++ {
+		sum := 0.0
+		for lost := 0; lost <= 4; lost++ {
+			if got := b.Total(key, lost); got != sum {
+				t.Fatalf("Total(key=%d, lost=%d) = %g, want %g", key, lost, got, sum)
+			}
+			sum += b.Delay(key, lost)
+		}
+	}
+}
+
 func TestParseKill(t *testing.T) {
 	cases := []struct {
 		spec    string

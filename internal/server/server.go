@@ -65,8 +65,8 @@ type Config struct {
 	// floor, and merged bit-identically to a single-node scan. 0 or 1
 	// keeps the direct RunBatch path.
 	Shards int
-	// ShardOptions overrides the cluster's robustness tuning (timeouts,
-	// lease, faults — the Shards field wins over ShardOptions.Shards).
+	// ShardOptions overrides the cluster's robustness tuning (lease,
+	// heartbeat, faults — the Shards field wins over ShardOptions.Shards).
 	// Nil uses production defaults; tests inject faults through it.
 	ShardOptions *shard.Options
 	// Pack, when non-nil, records how the served database was loaded

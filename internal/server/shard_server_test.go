@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"genomedsm/internal/search"
 	"genomedsm/internal/shard"
@@ -57,8 +56,7 @@ func TestShardedServerUnderFaults(t *testing.T) {
 	_, hs := newTestServer(t, recs, Config{
 		Shards: 4,
 		ShardOptions: &shard.Options{
-			Timeout: 20 * time.Millisecond,
-			Faults:  &shard.FaultConfig{Seed: 11, Loss: 0.3, Dup: 0.2},
+			Faults: &shard.FaultConfig{Seed: 11, Loss: 0.3, Dup: 0.2},
 		},
 	})
 	want, err := search.Run(q, recs, search.Options{})

@@ -7,12 +7,14 @@
 // Cells — to a single-node search.Run of the same query with the same
 // Options.
 //
-// Robustness is structural, not best-effort: scatter is at-least-once
-// (per-shard request timeouts with recovery.Backoff retransmission,
-// worker-side dedup by request id), lease heartbeats detect a dead
-// shard, and the master replays a dead shard's partition on a survivor
-// — a query in flight when a shard is killed mid-scan returns the same
-// bits as if nothing happened. The pruning floor is shared by gossip:
+// Robustness is structural, not best-effort: the transport delivers at
+// least once, as the DSM layer's does (a lost attempt costs one
+// recovery.Backoff timeout, then the message arrives), so the master
+// sends each request once and workers drop duplicates by request id;
+// lease heartbeats detect a dead shard, and the master replays a dead
+// shard's partition on a survivor under a fresh id — a query in flight
+// when a shard is killed mid-scan returns the same bits as if nothing
+// happened. The pruning floor is shared by gossip:
 // workers stream result-eligible scores to the master, which maintains
 // the global top-K floor and broadcasts rises back to every shard; a
 // lost or late floor update only loosens pruning, never the result

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/recovery"
 	"genomedsm/internal/search"
 )
 
@@ -27,22 +26,14 @@ type Kill struct {
 type Options struct {
 	// Shards is the worker count (required, ≥ 1).
 	Shards int
-	// Timeout is the per-attempt wait for a span response before the
-	// request is retransmitted (default 150ms). Retransmits to a live,
-	// busy shard are deduped by request id, so a Timeout shorter than a
-	// scan costs messages, never correctness.
-	Timeout time.Duration
-	// Retry spaces retransmissions: attempt n additionally waits
-	// Retry.Delay(requestID, n) seconds on top of Timeout. Default:
-	// 25ms base, ×2, 400ms cap, 25% jitter.
-	Retry recovery.Backoff
 	// Lease is the heartbeat lease; a shard whose lease expires is
 	// declared dead and its spans replay on survivors (default 3s). A
 	// false positive — a slow shard declared dead — costs duplicate
 	// work, never correctness: the master accepts one response per span
 	// and every response for a span is identical.
 	Lease time.Duration
-	// Heartbeat is the lease renewal period (default Lease/8).
+	// Heartbeat is the lease renewal period (default Lease/8); a span
+	// waiting on its response re-checks the target's lease this often.
 	Heartbeat time.Duration
 	// Faults injects seeded transport faults (nil = reliable transport).
 	Faults *FaultConfig
@@ -51,19 +42,9 @@ type Options struct {
 	// Spans overrides the computed partition (tests and fuzzing);
 	// must be a valid partition for Shards shards.
 	Spans []Span
-	// NoGossip disables the shared floor broadcast; shards then prune
-	// against their local floors only. Exactness is unaffected — the
-	// gossiped floor is a speed hint (tests pin exactly that).
-	NoGossip bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.Timeout <= 0 {
-		o.Timeout = 150 * time.Millisecond
-	}
-	if o.Retry.Base <= 0 {
-		o.Retry = recovery.Backoff{Base: 25e-3, Factor: 2, Cap: 400e-3, Jitter: 0.25, Seed: 1}
-	}
 	if o.Lease <= 0 {
 		o.Lease = 3 * time.Second
 	}
@@ -87,7 +68,7 @@ type Cluster struct {
 	beating sync.WaitGroup // the workers' heartbeat goroutines
 
 	qid atomic.Uint64 // query ids (floor gossip, cancels)
-	rid atomic.Uint64 // request ids (at-least-once dedup)
+	rid atomic.Uint64 // request ids: one per send, deduped by the worker
 
 	mu      sync.Mutex
 	waiters map[uint64]chan response
@@ -223,7 +204,7 @@ func (c *Cluster) onGossip(u floorUpdate) {
 	gf := c.floors[u.QID]
 	c.mu.Unlock()
 	if gf == nil {
-		return // query finished (or gossip disabled); stale evidence
+		return // query finished (or unpruned); stale evidence
 	}
 	rose := false
 	for _, ev := range u.Evidence {
@@ -340,7 +321,7 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 		}
 		metas[i] = qmeta{qid: qid, ctx: qctx, k: k}
 		wqs[i] = wireQuery{QID: qid, Seq: bq.Seq, TopK: k, MinScore: minScore}
-		if opt.Prune && !c.opt.NoGossip {
+		if opt.Prune {
 			c.mu.Lock()
 			c.floors[qid] = search.NewFloor(k)
 			c.mu.Unlock()
@@ -446,9 +427,9 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 			// The final floor comes from the merged hits, not the gossip
 			// heap: a full top K is K distinct records scoring ≥ the K-th
 			// score — the single-node tracker's exact final value — while
-			// the gossip heap only knows whichever fire-and-forget floor
-			// updates survived the transport, which would make the
-			// reported floor vary with message loss on replays. Gossip
+			// the gossip heap only knows whichever floor updates arrived
+			// before the spans answered, which would make the reported
+			// floor vary with transport delays on replays. Gossip
 			// evidence is always ≤ the true K-th best, so the hits
 			// dominate anything it could add.
 			pst.FloorFinal = hits[m.k-1].Score
@@ -466,70 +447,61 @@ func (c *Cluster) SearchBatch(ctx context.Context, queries []search.BatchQuery, 
 	return out, nil
 }
 
-// runSpan drives one span to completion: scatter with at-least-once
-// retransmission, lease-based death detection, and replay on a
-// survivor. Exactly one response is accepted, so a false-positive death
-// (or a duplicate delivery) can never double the span's records into
-// the merge.
+// runSpan drives one span to completion: send the request once (the
+// transport delivers at least once), wait for its response, and replay
+// the span on a survivor under a fresh request id once the target's
+// lease expires. Exactly one response is accepted, so a false-positive
+// death (or a duplicate delivery) can never double the span's records
+// into the merge.
 func (c *Cluster) runSpan(ctx context.Context, home int, wqs []wireQuery, opt search.Options) ([]wireResult, error) {
 	sp := c.spans[home]
-	target := home
-	register := func() (request, chan response) {
-		id := c.rid.Add(1)
-		ch := make(chan response, 1)
-		c.mu.Lock()
-		c.waiters[id] = ch
-		c.mu.Unlock()
-		return request{ID: id, Span: sp, Queries: wqs, Opt: opt}, ch
-	}
-	drop := func(id uint64) {
+	tick := time.NewTicker(c.opt.Heartbeat)
+	defer tick.Stop()
+	var id uint64
+	defer func() {
 		c.mu.Lock()
 		delete(c.waiters, id)
 		c.mu.Unlock()
-	}
-	req, ch := register()
-	defer func() { drop(req.ID) }()
-	attempt := 0
-	for {
+	}()
+	for target := home; ; {
 		if c.shardDead(target) {
 			nt, ok := c.survivor()
 			if !ok {
 				return nil, fmt.Errorf("shard: span %v lost: no live shard remains", sp)
 			}
-			// Replay on the survivor under a fresh request id: the dead
-			// shard's cached response (if it was only slow) answers the
-			// old id, which no longer has a waiter.
-			drop(req.ID)
-			req, ch = register()
 			target = nt
-			attempt = 0
 			c.ct.reassigns.Add(1)
 			c.lat[target].reassigned.Add(1)
 		}
+		ch := make(chan response, 1)
+		c.mu.Lock()
+		delete(c.waiters, id) // a dead target's late response finds no waiter
+		id = c.rid.Add(1)
+		c.waiters[id] = ch
+		c.mu.Unlock()
 		start := time.Now()
-		c.send(c.masterID(), target, cRequest, req)
-		wait := c.opt.Timeout + time.Duration(c.opt.Retry.Delay(req.ID, attempt)*float64(time.Second))
-		timer := time.NewTimer(wait)
-		select {
-		case r := <-ch:
-			timer.Stop()
-			c.lat[target].observe(time.Since(start))
-			if r.Err != "" {
-				return nil, fmt.Errorf("shard %d: %s", r.Shard, r.Err)
+		c.send(c.masterID(), target, cRequest, request{ID: id, Span: sp, Queries: wqs, Opt: opt})
+	wait:
+		for {
+			select {
+			case r := <-ch:
+				c.lat[target].observe(time.Since(start))
+				if r.Err != "" {
+					return nil, fmt.Errorf("shard %d: %s", r.Shard, r.Err)
+				}
+				if len(r.Results) != len(wqs) {
+					return nil, fmt.Errorf("shard %d: %d results for %d queries", r.Shard, len(r.Results), len(wqs))
+				}
+				return r.Results, nil
+			case <-tick.C:
+				if c.shardDead(target) {
+					break wait
+				}
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-c.stop:
+				return nil, errors.New("shard: cluster closed")
 			}
-			if len(r.Results) != len(wqs) {
-				return nil, fmt.Errorf("shard %d: %d results for %d queries", r.Shard, len(r.Results), len(wqs))
-			}
-			return r.Results, nil
-		case <-timer.C:
-			attempt++
-			c.ct.retries.Add(1)
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-c.stop:
-			timer.Stop()
-			return nil, errors.New("shard: cluster closed")
 		}
 	}
 }

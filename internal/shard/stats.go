@@ -39,7 +39,8 @@ type Stats struct {
 
 	Queries int64 `json:"queries"`
 	Batches int64 `json:"batches"`
-	// Retries counts request retransmissions after a timeout.
+	// Retries counts retransmissions: every attempt the transport lost
+	// before the message got through, as dsm.Stats.Retries counts them.
 	Retries int64 `json:"retries"`
 	// Kills counts workers that crashed (injected faults).
 	Kills int64 `json:"kills"`
@@ -52,7 +53,6 @@ type Stats struct {
 	FloorBroadcasts int64 `json:"floor_broadcasts"`
 	GossipUpdates   int64 `json:"gossip_updates"`
 	// Transport-level fault counters.
-	MsgsLost      int64 `json:"msgs_lost"`
 	MsgsDuped     int64 `json:"msgs_duped"`
 	MsgsReordered int64 `json:"msgs_reordered"`
 }
@@ -61,7 +61,6 @@ type Stats struct {
 type counters struct {
 	queries         atomic.Int64
 	batches         atomic.Int64
-	retries         atomic.Int64
 	kills           atomic.Int64
 	deadDetected    atomic.Int64
 	reassigns       atomic.Int64
@@ -95,13 +94,12 @@ func (c *Cluster) Stats() Stats {
 	s := Stats{
 		Queries:         c.ct.queries.Load(),
 		Batches:         c.ct.batches.Load(),
-		Retries:         c.ct.retries.Load(),
+		Retries:         c.net.retries.Load(),
 		Kills:           c.ct.kills.Load(),
 		DeadDetected:    c.ct.deadDetected.Load(),
 		Reassigns:       c.ct.reassigns.Load(),
 		FloorBroadcasts: c.ct.floorBroadcasts.Load(),
 		GossipUpdates:   c.ct.gossipUpdates.Load(),
-		MsgsLost:        c.net.lost.Load(),
 		MsgsDuped:       c.net.dupped.Load(),
 		MsgsReordered:   c.net.reordered.Load(),
 	}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -9,10 +8,13 @@ import (
 )
 
 // The shard layer's messages travel over an in-process transport that
-// models an unreliable datagram network: every send may independently
-// be lost, duplicated, delayed or reordered behind a later message,
-// drawn deterministically from a seed. The protocol above it (retries,
-// dedup, leases) must therefore be correct against every fault the
+// models the source paper's cluster network the way the DSM layer's
+// cluster.LossPlan does: delivery is at-least-once. A send may lose
+// attempts, be duplicated, delayed, or held back so later sends
+// overtake it, all drawn deterministically from a seed, but every send
+// arrives — a lost attempt costs one recovery.Backoff timeout of real
+// time, never the message. The protocol above it (seen-id dedup,
+// leases, replay) must therefore be correct against every fault the
 // chaos oracle can draw — and in production (no FaultConfig) the same
 // code paths run with synchronous, reliable delivery: a send calls the
 // receiver's handler before it returns, so a floor a worker gossips is
@@ -32,6 +34,14 @@ const (
 	numClasses
 )
 
+// maxLost caps the lost attempts of one send, as chaos.Plan.Lose's
+// default MaxLost does for DSM messages.
+const maxLost = 3
+
+// reorderHold is how long a reordered message is held back, so the
+// link's later sends overtake it.
+const reorderHold = 2 * time.Millisecond
+
 // msg is one datagram.
 type msg struct {
 	from, to int
@@ -40,46 +50,46 @@ type msg struct {
 }
 
 // FaultConfig seeds the transport's fault injection. Probabilities are
-// per send (loss, duplication, reorder) and delays are real time. The
-// draws are a pure function of (Seed, class, from, to, per-link
-// counter) — the same construction as chaos.Plan — so a run's fault
-// sequence replays from its seed regardless of wall-clock timing.
+// per attempt (loss) or per send (duplication, reorder), and delays are
+// real time. The draws are a pure function of (Seed, class, from, to,
+// per-link counter) — the same construction as chaos.Plan — so a run's
+// fault sequence replays from its seed regardless of wall-clock timing.
 type FaultConfig struct {
 	Seed        int64
-	Loss        float64       // probability a message is silently dropped
+	Loss        float64       // probability an attempt is lost (≤ 3 per send, each costs a backoff)
 	Dup         float64       // probability a message is delivered twice
 	DelayBase   time.Duration // fixed extra latency per delivery
 	DelayJitter time.Duration // uniform extra latency in [0, DelayJitter)
-	Reorder     float64       // probability a message is held behind the next same-link send
+	Reorder     float64       // probability a message is held back 2ms behind later sends
 }
 
 // transport carries messages between the master and the workers.
 // Node ids 0..shards-1 are workers; node id shards is the master.
 type transport struct {
 	faults   *FaultConfig
-	handlers []func(msg) // per node; called inline by deliver
+	backoff  recovery.Backoff // retransmission timeouts charged per lost attempt
+	handlers []func(msg)      // per node; called inline by deliver
 	stop     chan struct{}
 	cnt      []atomic.Uint64 // per-(link, class) draw counters
 
-	mu   sync.Mutex
-	held map[int]msg // per-link message held back for reordering
-	has  map[int]bool
-
-	lost      atomic.Int64
+	retries   atomic.Int64 // lost attempts, one retransmission each
 	dupped    atomic.Int64
 	reordered atomic.Int64
 }
 
 func newTransport(handlers []func(msg), faults *FaultConfig, stop chan struct{}) *transport {
 	nodes := len(handlers)
-	return &transport{
+	t := &transport{
 		faults:   faults,
+		backoff:  recovery.DefaultBackoff(),
 		handlers: handlers,
 		stop:     stop,
 		cnt:      make([]atomic.Uint64, nodes*nodes*int(numClasses)),
-		held:     make(map[int]msg),
-		has:      make(map[int]bool),
 	}
+	if faults != nil {
+		t.backoff.Seed = faults.Seed
+	}
+	return t
 }
 
 // draw returns the k-th deterministic uniform in [0,1) for the link.
@@ -87,6 +97,17 @@ func (t *transport) draw(m msg, salt uint64) float64 {
 	f := t.faults
 	h := recovery.Mix64(uint64(f.Seed), uint64(m.class), uint64(m.from), uint64(m.to), salt)
 	return float64(h>>11) / float64(1<<53)
+}
+
+// lost draws how many attempts of the link's k-th send vanish: a capped
+// geometric count, each attempt lost independently with probability
+// Loss.
+func (t *transport) lost(m msg, k uint64) int {
+	n := 0
+	for n < maxLost && t.draw(m, recovery.Mix64(k, 1, uint64(n))) < t.faults.Loss {
+		n++
+	}
+	return n
 }
 
 func (t *transport) send(m msg) {
@@ -97,61 +118,31 @@ func (t *transport) send(m msg) {
 	}
 	link := (m.from*len(t.handlers)+m.to)*int(numClasses) + int(m.class)
 	k := t.cnt[link].Add(1)
-	if f.Loss > 0 && t.draw(m, recovery.Mix64(k, 1)) < f.Loss {
-		t.lost.Add(1)
-		return
+	var wait time.Duration
+	if n := t.lost(m, k); n > 0 {
+		t.retries.Add(int64(n))
+		wait = time.Duration(t.backoff.Total(uint64(link)<<40^k, n) * float64(time.Second))
+	}
+	if f.Reorder > 0 && t.draw(m, recovery.Mix64(k, 3)) < f.Reorder {
+		t.reordered.Add(1)
+		wait += reorderHold
 	}
 	copies := 1
 	if f.Dup > 0 && t.draw(m, recovery.Mix64(k, 2)) < f.Dup {
 		copies = 2
 		t.dupped.Add(1)
 	}
-	// Reorder: hold this message back; it is released when the next
-	// same-link send overtakes it, or by a short flush timer so a quiet
-	// link cannot strand it forever.
-	if f.Reorder > 0 && t.draw(m, recovery.Mix64(k, 3)) < f.Reorder {
-		t.mu.Lock()
-		if !t.has[link] {
-			t.held[link], t.has[link] = m, true
-			t.mu.Unlock()
-			t.reordered.Add(1)
-			time.AfterFunc(2*time.Millisecond, func() { t.release(link) })
-			return
-		}
-		t.mu.Unlock()
-	}
 	for c := 0; c < copies; c++ {
-		if d := t.delay(m, k, uint64(c)); d > 0 {
-			mm := m
-			time.AfterFunc(d, func() { t.deliver(mm) })
+		d := wait + f.DelayBase
+		if f.DelayJitter > 0 {
+			d += time.Duration(t.draw(m, recovery.Mix64(k, 4+uint64(c))) * float64(f.DelayJitter))
+		}
+		if d > 0 {
+			time.AfterFunc(d, func() { t.deliver(m) })
 		} else {
 			t.deliver(m)
 		}
 	}
-	t.release(link)
-}
-
-func (t *transport) delay(m msg, k, c uint64) time.Duration {
-	f := t.faults
-	d := f.DelayBase
-	if f.DelayJitter > 0 {
-		d += time.Duration(t.draw(m, recovery.Mix64(k, 4+c)) * float64(f.DelayJitter))
-	}
-	return d
-}
-
-// release delivers the message held back on link, if any — the overtaken
-// half of a reordering.
-func (t *transport) release(link int) {
-	t.mu.Lock()
-	if !t.has[link] {
-		t.mu.Unlock()
-		return
-	}
-	m := t.held[link]
-	t.has[link] = false
-	t.mu.Unlock()
-	t.deliver(m)
 }
 
 // deliver hands m to the receiver's handler on the caller's goroutine.

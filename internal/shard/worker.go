@@ -32,9 +32,10 @@ type wireQuery struct {
 	MinScore int
 }
 
-// request asks one shard to scan one span for a query batch. Retries
-// resend the same ID (at-least-once); a replay on a survivor uses a
-// fresh ID, so worker-side dedup never conflates the two.
+// request asks one shard to scan one span for a query batch. The master
+// sends each ID once; the transport may deliver it twice, and a replay
+// on a survivor takes a fresh ID, so worker-side dedup never conflates
+// the two.
 type request struct {
 	ID      uint64
 	Span    Span
@@ -57,11 +58,10 @@ type wireResult struct {
 
 // response answers a request. Err carries a non-retryable scan failure
 // (invalid options, kernel error) — the master fails the batch rather
-// than retrying what cannot succeed.
+// than replaying what cannot succeed.
 type response struct {
 	ID      uint64
 	Shard   int
-	Span    Span
 	Results []wireResult
 	Err     string
 }
@@ -87,7 +87,6 @@ type floorSet struct {
 // heartbeat renews a worker's lease at the master.
 type heartbeat struct {
 	Shard int
-	N     uint64
 }
 
 // cancelMsg propagates one query's context cancellation to a shard.
@@ -95,16 +94,36 @@ type cancelMsg struct {
 	QID uint64
 }
 
-// doneCap bounds the worker's completed-response cache (at-least-once
-// dedup). Eviction only costs work: a retransmit of an evicted request
-// re-runs the scan and produces the identical response.
-const doneCap = 128
+// idSet is a bounded set of ids, oldest evicted first. The worker keeps
+// two: the request ids it has seen (a duplicated delivery is dropped)
+// and the cancelled query ids that had no live state when the cancel
+// arrived (a replay racing a cancel). Eviction only costs work: a
+// duplicate of an evicted request re-runs the scan and sends an
+// identical response nobody waits for, and a replay that missed its
+// cancel runs to completion for the master to discard.
+type idSet struct {
+	has   map[uint64]bool
+	order []uint64
+}
 
-// recentCancelCap bounds the tombstone set remembering cancelled query
-// ids that had no live state when the cancel arrived (a replay racing a
-// cancel). Eviction only costs work: the replayed scan runs to
-// completion and the master discards it anyway.
-const recentCancelCap = 1024
+const idSetCap = 1024
+
+// add inserts id and reports whether it was new.
+func (s *idSet) add(id uint64) bool {
+	if s.has[id] {
+		return false
+	}
+	if s.has == nil {
+		s.has = make(map[uint64]bool)
+	}
+	s.has[id] = true
+	s.order = append(s.order, id)
+	if len(s.order) > idSetCap {
+		delete(s.has, s.order[0])
+		s.order = s.order[1:]
+	}
+	return true
+}
 
 // queryState is a worker's per-query shared state: the gossiped floor
 // hint, the cancel fan-out, and the cancelled latch. Reference-counted
@@ -133,13 +152,10 @@ type worker struct {
 	progress  atomic.Int64
 
 	mu        sync.Mutex
-	running   map[uint64]bool
-	done      map[uint64]*response
-	doneOrder []uint64
+	seen      idSet // request ids
+	cancelled idSet // query ids cancelled before any of their requests arrived
 	subs      map[Span]*subPart
 	qs        map[uint64]*queryState
-	recentCan map[uint64]bool
-	canOrder  []uint64
 }
 
 // subPart is one cached materialized span.
@@ -152,11 +168,8 @@ func newWorker(c *Cluster, id int, killAfter int64) *worker {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &worker{
 		c: c, id: id, ctx: ctx, cancel: cancel, killAfter: killAfter,
-		running:   make(map[uint64]bool),
-		done:      make(map[uint64]*response),
-		subs:      make(map[Span]*subPart),
-		qs:        make(map[uint64]*queryState),
-		recentCan: make(map[uint64]bool),
+		subs: make(map[Span]*subPart),
+		qs:   make(map[uint64]*queryState),
 	}
 }
 
@@ -182,7 +195,6 @@ func (w *worker) beats(every time.Duration) {
 	defer w.c.beating.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
-	var n uint64
 	for {
 		select {
 		case <-w.c.stop:
@@ -191,8 +203,7 @@ func (w *worker) beats(every time.Duration) {
 			if w.dead.Load() {
 				return
 			}
-			n++
-			w.c.send(w.id, w.c.masterID(), cBeat, heartbeat{Shard: w.id, N: n})
+			w.c.send(w.id, w.c.masterID(), cBeat, heartbeat{Shard: w.id})
 		}
 	}
 }
@@ -215,23 +226,15 @@ func (w *worker) step() {
 	}
 }
 
-// onRequest dedups by request id: completed requests re-answer from
-// cache (a retransmitted request means the response was lost), running
-// ones are ignored (the retransmit raced the scan), new ones start.
+// onRequest starts a scan for each request id once; a duplicated
+// delivery is dropped, since the first one's response is on its way.
 func (w *worker) onRequest(req request) {
 	w.mu.Lock()
-	if resp, ok := w.done[req.ID]; ok {
-		w.mu.Unlock()
-		w.respond(resp)
-		return
-	}
-	if w.running[req.ID] {
-		w.mu.Unlock()
-		return
-	}
-	w.running[req.ID] = true
+	fresh := w.seen.add(req.ID)
 	w.mu.Unlock()
-	go w.run(req)
+	if fresh {
+		go w.run(req)
+	}
 }
 
 // onFloor applies a broadcast floor to the query's hint. Floors only
@@ -260,14 +263,7 @@ func (w *worker) onCancel(cm cancelMsg) {
 	w.mu.Lock()
 	st := w.qs[cm.QID]
 	if st == nil {
-		if !w.recentCan[cm.QID] {
-			w.recentCan[cm.QID] = true
-			w.canOrder = append(w.canOrder, cm.QID)
-			if len(w.canOrder) > recentCancelCap {
-				delete(w.recentCan, w.canOrder[0])
-				w.canOrder = w.canOrder[1:]
-			}
-		}
+		w.cancelled.add(cm.QID)
 		w.mu.Unlock()
 		return
 	}
@@ -287,10 +283,7 @@ func (w *worker) acquireQuery(qid uint64) *queryState {
 	w.mu.Lock()
 	st := w.qs[qid]
 	if st == nil {
-		st = &queryState{}
-		if w.recentCan[qid] {
-			st.cancelled = true
-		}
+		st = &queryState{cancelled: w.cancelled.has[qid]}
 		w.qs[qid] = st
 	}
 	st.mu.Lock()
@@ -338,11 +331,19 @@ func (w *worker) subFor(sp Span) (*subPart, error) {
 type gossipBuf struct {
 	w   *worker
 	qid uint64
+	st  *queryState
 	mu  sync.Mutex
 	ev  []scoreEv
 }
 
+// add buffers evidence that can raise the floor. A score at or below
+// the query's hint cannot: the hint is a floor the master published,
+// so its heap already holds K records scoring ≥ it — Floor.Push's fast
+// path, applied before the message is sent.
 func (g *gossipBuf) add(score, globalIdx int) {
+	if int64(score) <= g.st.floor.Load() {
+		return
+	}
 	g.mu.Lock()
 	g.ev = append(g.ev, scoreEv{Score: score, Index: globalIdx})
 	flush := len(g.ev) >= 64
@@ -367,27 +368,13 @@ func (g *gossipBuf) flush() {
 // mid-scan answers nothing — the master's lease machinery takes over.
 func (w *worker) run(req request) {
 	resp := w.scan(req)
-	if w.dead.Load() {
-		return
+	if !w.dead.Load() {
+		w.c.send(w.id, w.c.masterID(), cResponse, resp)
 	}
-	w.mu.Lock()
-	delete(w.running, req.ID)
-	w.done[req.ID] = resp
-	w.doneOrder = append(w.doneOrder, req.ID)
-	if len(w.doneOrder) > doneCap {
-		delete(w.done, w.doneOrder[0])
-		w.doneOrder = w.doneOrder[1:]
-	}
-	w.mu.Unlock()
-	w.respond(resp)
 }
 
-func (w *worker) respond(resp *response) {
-	w.c.send(w.id, w.c.masterID(), cResponse, *resp)
-}
-
-func (w *worker) scan(req request) *response {
-	resp := &response{ID: req.ID, Shard: w.id, Span: req.Span}
+func (w *worker) scan(req request) response {
+	resp := response{ID: req.ID, Shard: w.id}
 	part, err := w.subFor(req.Span)
 	if err != nil {
 		resp.Err = err.Error()
@@ -400,7 +387,6 @@ func (w *worker) scan(req request) *response {
 	if opt.Workers <= 0 {
 		opt.Workers = max(1, runtime.NumCPU()/len(w.c.workers))
 	}
-	gossip := opt.Prune && !w.c.opt.NoGossip
 
 	queries := make([]search.BatchQuery, len(req.Queries))
 	states := make([]*queryState, len(req.Queries))
@@ -420,8 +406,8 @@ func (w *worker) scan(req request) *response {
 			Seq: wq.Seq, Ctx: qctx, TopK: wq.TopK, MinScore: wq.MinScore,
 			OnGroup: w.step,
 		}
-		if gossip {
-			buf := &gossipBuf{w: w, qid: wq.QID}
+		if opt.Prune {
+			buf := &gossipBuf{w: w, qid: wq.QID, st: st}
 			bq.FloorHint = func() int { return int(st.floor.Load()) }
 			bq.OnScore = func(score, idx int) { buf.add(score, part.toGlobal[idx]) }
 			bq.OnGroup = func() {

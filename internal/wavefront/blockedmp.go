@@ -95,13 +95,8 @@ func RunBlockedMP(nprocs int, cfg cluster.Config, s, t bio.Sequence, sc bio.Scor
 				if lost == 0 {
 					return 0
 				}
-				key := uint64(id)<<48 ^ uint64(class)<<40 ^ sendNo
-				total := 0.0
-				for a := 0; a < lost; a++ {
-					total += recParams.Retry.Delay(key, a)
-				}
 				msgs += int64(lost)
-				return total
+				return recParams.Retry.Total(uint64(id)<<48^uint64(class)<<40^sendNo, lost)
 			}
 			defer func() {
 				statsMu.Lock()

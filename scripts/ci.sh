@@ -23,8 +23,8 @@
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
 #      message loss each) asserting bit-exact kill-and-recover runs,
 #      plus a sharded-search chaos matrix (8 seeds x {kill one shard
-#      mid-scan, 5% message loss, 5% duplication}, -race) asserting the
-#      distributed scan stays bit-identical to single-node with the
+#      mid-scan, 5% message loss, 5% duplication, 5% reordering}, -race)
+#      asserting the distributed scan stays bit-identical to single-node with the
 #      recovery counters proving each kill was detected and reassigned,
 #      plus a pruned-vs-unpruned search differential sweep (3 seeds x
 #      skewed/uniform databases x 2 shapes — 400 x 300 and 4 kb x 120,
@@ -130,15 +130,15 @@ while [ "$seed" -le 8 ]; do
 done
 echo "crash-recovery matrix ok"
 
-echo "== sharded-search chaos matrix (8 seeds x kill/loss/dup, -race)"
+echo "== sharded-search chaos matrix (8 seeds x kill/loss/dup/reorder, -race)"
 # The distributed-search robustness contract: across every seed, a
 # 4-shard scatter with one worker killed mid-scan (the oracle also
 # requires its counters to prove the kill, detection and reassignment
-# happened), 5% message loss, or 5% duplication must return hits
-# bit-identical to a fault-free single-node scan.
+# happened), 5% message loss, 5% duplication or 5% reordering must
+# return hits bit-identical to a fault-free single-node scan.
 seed=1
 while [ "$seed" -le 8 ]; do
-    for faults in "-kill-shard 1@1" "-loss 0.05" "-dup 0.05"; do
+    for faults in "-kill-shard 1@1" "-loss 0.05" "-dup 0.05" "-reorder 0.05"; do
         "$chaos_bin" chaos -search -shards 4 -schedules 1 -seed "$seed" $faults >/dev/null ||
             { echo "sharded-search matrix FAILED at seed $seed faults '$faults'"; exit 1; }
     done
