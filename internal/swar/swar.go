@@ -1,5 +1,5 @@
-// Package swar implements inter-sequence vectorized Smith–Waterman in
-// pure Go via SWAR ("SIMD within a register"): one uint64 word carries
+// Package swar implements inter-sequence vectorized Smith–Waterman via
+// SWAR ("SIMD within a register"): one uint64 word carries
 // the running scores of 8 int8 lanes (or 4 int16 lanes), each lane
 // scanning a different target sequence against the same query. The
 // style follows the inter-sequence vectorization of DSA (Xu et al.,
@@ -37,6 +37,25 @@
 // inside that lane (no operation carries or borrows across lane
 // boundaries for any input), so neighbours are unaffected. The chain
 // (Ladder, ladder.go) is bit-exact against align.Scan by construction.
+//
+// # SSE2 kernels
+//
+// On amd64 the two-row kernels the scan runs, rowPair8 and rowPair16,
+// are assembly (rowpair_amd64.s) over the same words: each word sits
+// in the low half of an XMM register, and each guard-bit op is one
+// saturating lane op — SubClamp is PSUBUSB/PSUBUSW, the diagonal's add
+// PADDUSB/PADDUSW, max8 PMAXUB and max16 PMAXSW (SSE2 has no unsigned
+// word max; the signed one agrees on clean lanes, ≤ 32767). SSE2 is
+// part of the amd64 baseline, so nothing is detected at run time. On a
+// clean lane every saturating op returns what its guard-bit twin does
+// and the diagonal sum stays below the lane's top, so every cell up to
+// the lane's first guard bit is bit-identical and the same diagonal
+// term flags the lane. A flagged lane may hold other garbage than the
+// portable kernel's (up to the lane's full range instead of ≤ cap),
+// still inside its lane; nothing reads a flagged lane's values, which
+// the wider retry computes afresh. The portable kernels rowPair8Go and
+// rowPair16Go are the specification: every other GOARCH runs them,
+// and FuzzRowPairVsPortable holds the assembly to them.
 package swar
 
 import (
@@ -89,18 +108,19 @@ func MaxClamped16(x, y uint64) uint64 {
 	return y ^ ((x ^ y) & m)
 }
 
-// max8 is the maximum the two-row kernels use: y + clamp(x − y), one
-// op shorter than MaxClamped8. For y lanes ≤ 127 it is the exact
-// per-byte maximum of every clean x lane; a dirty x lane (guard bit set)
-// yields x−128 or y — garbage, but ≤ 127 and confined to its lane (the
-// clamped subtract never borrows and the sum stays below 256), which is
-// all a lane already flagged saturated has to guarantee.
+// max8 is the maximum the portable two-row kernels use:
+// y + clamp(x − y), one op shorter than MaxClamped8. For y lanes ≤ 127
+// it is the exact per-byte maximum of every clean x lane; a dirty x
+// lane (guard bit set) yields x−128 or y — garbage, but ≤ 127 and
+// confined to its lane (the clamped subtract never borrows and the sum
+// stays below 256), which is all a lane already flagged saturated has
+// to guarantee.
 func max8(x, y uint64) uint64 { return y + SubClamp8(x, y) }
 
 // max16 is max8 for 4 uint16 lanes.
 func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 
-// rowPair8 advances two packed rows of the zero-clamped local
+// rowPair8Go advances two packed rows of the zero-clamped local
 // recurrence for all 8 lanes at once — the SWAR lift of align.swRow,
 //
 //	H[i][j] = max(clamp(H[i-1][j-1] − minus[j]) + plus[j],
@@ -124,7 +144,10 @@ func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 // lane) is ORed into sat before max8 mangles it. best folds both rows;
 // every max8 output is ≤ 127, so it needs no guard strip. Lanes whose
 // guard bit is set in sat are unreliable and must be retried wider.
-func rowPair8(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
+//
+// This is the portable kernel and the specification of rowPair8, which
+// on amd64 is its SSE2 form (rowpair_amd64.go).
+func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
 	n := len(row)
 	plusA, minusA = plusA[:n], minusA[:n] // bounds hints for the loop body
 	plusB, minusB = plusB[:n], minusB[:n]
@@ -153,10 +176,10 @@ func rowPair8(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64
 	return max8(b, best), sat
 }
 
-// rowPair16 is rowPair8 for 4 uint16 lanes. The two stay specialised
+// rowPair16Go is rowPair8Go for 4 uint16 lanes. The two stay specialised
 // copies: one kernel taking the guard mask and lane shift as arguments
 // measured 23 % slower (variable shifts, two more live registers).
-func rowPair16(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
+func rowPair16Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
 	n := len(row)
 	plusA, minusA = plusA[:n], minusA[:n]
 	plusB, minusB = plusB[:n], minusB[:n]

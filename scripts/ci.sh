@@ -8,16 +8,20 @@
 #      striped kernels, their pooled aligners, the shared router's
 #      counters and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
-#      which the root ./... patterns cannot see, then a kernel oracle
-#      fuzz: 10 s each of the six differential fuzzers that pin the
+#      which the root ./... patterns cannot see, then the portable
+#      two-row kernels vetted and compiled for arm64 (the SSE2 ones
+#      are amd64 only), then a kernel oracle
+#      fuzz: 10 s each of the seven differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
 #      located from them — and the striped rungs and align.Scan's
-#      striped → scalar ladder to the scalar kernel, pruned search
+#      striped → scalar ladder to the scalar kernel, the SSE2 two-row
+#      kernels to the portable ones, pruned search
 #      hits to unpruned ones, and the realign pool's arrow-free begin
 #      sweep to the §6 traceback (FuzzScoresVsScalar,
-#      FuzzStripedVsScalar, FuzzDispatchVsScalar, FuzzStripRealignVsFull,
-#      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve) — past their seed
-#      corpora, which is all `go test` runs
+#      FuzzStripedVsScalar, FuzzRowPairVsPortable, FuzzDispatchVsScalar,
+#      FuzzStripRealignVsFull, FuzzPrunedSearchVsFull,
+#      FuzzBeginVsRetrieve) — past their seed corpora, which is all
+#      `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
@@ -38,8 +42,11 @@
 #      the pack is mmap'd, answer an HTTP query with hits, then drain
 #      cleanly on SIGTERM
 #   5. a 1-iteration smoke run of every kernel, search, serve and pack
-#      benchmark, then (unless SKIP_BENCHDIFF=1) a -smoke run of the
-#      system benchmark BENCHMARK.json declares
+#      benchmark, the SSE2 kernel gate (on amd64: the median
+#      portable/sse2 time ratio of RowPair8VsPortable over five runs,
+#      both kernels alternated in one process, must stay >= 2), then
+#      (unless SKIP_BENCHDIFF=1) a -smoke run of the system benchmark
+#      BENCHMARK.json declares
 #   6. the kernel, search and serve benchmarks for real, gated by
 #      cmd/benchdiff against the committed BENCH_kernels.json baseline,
 #      plus the pruning speedup gate: SearchDatabasePruned must hold
@@ -92,11 +99,21 @@ echo "== bench module (nested: the root ./... cannot see it)"
 echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpack + server)"
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
 
-echo "== kernel oracle fuzz (10 s x 6 differential fuzzers)"
+echo "== portable kernels (GOARCH=arm64 vet + test build of internal/swar)"
+# Off amd64 the two-row kernels are the portable Go ones: keep them
+# compiling. vet's asmdecl check on amd64 (above) keeps the assembly's
+# frame offsets in step with its Go declarations.
+GOARCH=arm64 go vet ./internal/swar
+GOARCH=arm64 go test -c -o /dev/null ./internal/swar
+
+echo "== kernel oracle fuzz (10 s x 7 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 # The striped rungs and align.Scan's ladder, from a pair under the
 # router's scalar cutoff to a 513-row query.
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
+# The SSE2 two-row kernels against the portable ones: clean lanes
+# bit-identical, the same guard bits, beside dirty lanes.
+go test -run '^$' -fuzz '^FuzzRowPairVsPortable$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
 go test -run '^$' -fuzz '^FuzzStripRealignVsFull$' -fuzztime 10s ./internal/search
 # A resumed int16 retry under a live Bound replays the abandon tests
@@ -231,6 +248,26 @@ echo "index/serve e2e ok"
 
 echo "== benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'Kernel|Search|Serve|Pack' -benchtime 1x .
+
+echo "== SSE2 kernel gate (RowPair8VsPortable: portable/sse2 >= 2, median of 5)"
+# rowPair8 and the portable rowPair8Go alternated over one 8-lane
+# 1000 x 1000 group in each iteration: a same-run ratio, so the host's
+# speed that hour cancels. The SSE2 kernel must stay at least twice as
+# fast as the portable one it replaces. Off amd64 the two are one
+# kernel, and the gate is skipped.
+if [ "$(go env GOARCH)" != amd64 ]; then
+    echo "SSE2 kernel gate skipped: GOARCH $(go env GOARCH)"
+else
+    ratio=$(go test -run '^$' -bench '^BenchmarkRowPair8VsPortable$' -count 5 ./internal/swar |
+        awk '$1 ~ /^BenchmarkRowPair8VsPortable(-[0-9]+)?$/ {
+            for (i = 2; i < NF; i++) if ($(i+1) == "portable/sse2") print $i
+        }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
+    echo "portable rowPair8 at ${ratio}x the time of the SSE2 one (median)"
+    awk -v r="$ratio" 'BEGIN {
+        if (r < 2.0) { printf "SSE2 kernel gate FAILED: %.2fx < 2x\n", r; exit 1 }
+        printf "SSE2 kernel gate ok: %.2fx\n", r
+    }'
+fi
 
 if [ "${SKIP_BENCHDIFF:-0}" = "1" ]; then
     echo "== system benchmark smoke and benchdiff gate skipped (SKIP_BENCHDIFF=1)"
