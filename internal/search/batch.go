@@ -44,7 +44,12 @@ type BatchQuery struct {
 	// f > 0, at least K distinct result-eligible records of the full
 	// search score ≥ f — then pruning strictly below max(local floor,
 	// hint) stays exact. A stale (lower) hint is always safe, only
-	// slower. Called concurrently from scan workers.
+	// slower. Called concurrently from scan workers, and once more after
+	// the scan: the query's Hits then keep only the entries scoring ≥
+	// that reading, since by the same contract none below it is in the
+	// full search's top K, so none is located (entries at it stay: they
+	// can win on the index tie-break). The Hits are then a shard's share
+	// of the merge, no longer a solo Run's top K.
 	FloorHint func() int
 	// OnScore, when non-nil, observes every result-eligible exact score
 	// (score > 0 and ≥ the query's MinScore) as it is pushed into the
@@ -59,11 +64,12 @@ type BatchQuery struct {
 }
 
 // BatchResult is one query's outcome. When Err is nil, Result is the
-// full scan result, bit-identical to a solo Run. When Err reports the
-// query's context (cancelled or past its deadline), Result carries
-// partial diagnostics only — Searched/Cells/PaddedCells and prune
-// counters for the records actually processed before the cancellation
-// took effect, and no Hits: a partial top K is not a valid top K.
+// full scan result, bit-identical to a solo Run but for the Hits a
+// FloorHint trims. When Err reports the query's context (cancelled or
+// past its deadline), Result carries partial diagnostics only —
+// Searched/Cells/PaddedCells and prune counters for the records
+// actually processed before the cancellation took effect, and no Hits:
+// a partial top K is not a valid top K.
 type BatchResult struct {
 	Result *Result
 	Err    error
@@ -306,6 +312,16 @@ feed:
 		}
 		ends := merged.items
 		sort.Slice(ends, func(a, b int) bool { return ends[a].before(ends[b]) })
+		if st.hint != nil {
+			// The hint's contract: K records of the full search score ≥ h,
+			// so an entry strictly below it is in no merged top K. It is
+			// dropped before the finish pass locates it; one at h stays, as
+			// it can still win on the index tie-break.
+			h := st.hint()
+			for len(ends) > 0 && ends[len(ends)-1].score < h {
+				ends = ends[:len(ends)-1]
+			}
+		}
 		if len(ends) > 0 { // no hits stays a nil slice
 			res.Hits = make([]Hit, len(ends))
 		}

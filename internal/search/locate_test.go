@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -34,9 +35,10 @@ var locateScorings = []bio.Scoring{
 // end blocks far from the first — with everything that could move an end
 // cell: one motif repeated every 700–1000 query rows, so the maximum
 // against its target ties across blocks and only the first occurrence
-// may win; motifs ending exactly on rows 64, 65 and 128, the edges of
-// the first blocks; N runs in the query and in a target; a mutated
-// homolog; and plain noise.
+// may win; motifs ending exactly on rows swar.BlockRows,
+// swar.BlockRows+1 and 2·swar.BlockRows, the edges of the first blocks,
+// and on rows 64, 65 and 128; N runs in the query and in a target; a
+// mutated homolog; and plain noise.
 func locateCase(seed int64, qLen int) (bio.Sequence, []bio.Record) {
 	g := bio.NewGenerator(seed)
 	q := g.Random(qLen)
@@ -52,9 +54,15 @@ func locateCase(seed int64, qLen int) (bio.Sequence, []bio.Record) {
 		add(fmt.Sprintf("noise%d", i), g.Random(n))
 	}
 	// The edge motifs first, the repeated one over them where they collide.
-	for _, end := range []int{64, 65, 128} {
+	ends := []int{64, 65, 128}
+	for _, e := range []int{swar.BlockRows, swar.BlockRows + 1, 2 * swar.BlockRows} {
+		if !slices.Contains(ends, e) {
+			ends = append(ends, e)
+		}
+	}
+	for _, end := range ends {
 		if end <= qLen {
-			m := g.Random(22)
+			m := g.Random(min(22, end))
 			copy(q[end-len(m):end], m)
 			add(fmt.Sprintf("edge%d", end), g.Random(30), m, g.Random(48))
 		}
@@ -443,4 +451,86 @@ func FuzzStripRealignVsFull(f *testing.F) {
 			t.Fatalf("realigned %d cells, the end blocks hold %d", got.RealignCells, located)
 		}
 	})
+}
+
+// TestFloorHintTrim pins what a FloorHint does to the finish pass of a
+// shard's scan. The database holds every homolog twice, so scores tie
+// in pairs; f is the 6th best score of the full database, tied by the
+// 5th, and the scan covers it less one copy of the best homolog — as a
+// shard covers part of a search whose K = 6 records clear f. Under
+// the hint no hit scores below f, the hits at or above it are the
+// unhinted scan's byte for byte, both copies tying f included, and
+// fewer entries are located: under NoEndpoints the located end cell is
+// what a hit carries.
+func TestFloorHintTrim(t *testing.T) {
+	g := bio.NewGenerator(40)
+	q := g.Random(400)
+	var recs []bio.Record
+	for i := 0; i < 6; i++ {
+		hom := append(g.Random(30), g.MutatedCopy(q[40*i:40*i+60+20*i], bio.DefaultMutationModel())...)
+		for c := 0; c < 2; c++ {
+			recs = append(recs, bio.Record{ID: fmt.Sprintf("hom%d.%d", i, c), Seq: hom})
+		}
+	}
+	for i := 0; i < 40; i++ {
+		recs = append(recs, bio.Record{ID: fmt.Sprintf("noise%d", i), Seq: g.Random(60 + i*37%200)})
+	}
+	full, err := RunCtx(context.Background(), q, NewDB(recs), Options{TopK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := full.Hits
+	if len(h) < 8 || h[4].Score != h[5].Score || h[6].Score >= h[5].Score || h[0].Score == h[2].Score {
+		t.Fatalf("the database does not tie its homologs in pairs: %+v", h)
+	}
+	f := h[5].Score
+	var part []bio.Record
+	for i, r := range recs {
+		if i != h[0].Index {
+			part = append(part, r)
+		}
+	}
+	db := NewDB(part)
+	for _, opt := range []Options{
+		{TopK: 6, NoEndpoints: true, Workers: 1},
+		{TopK: 6, NoEndpoints: true, Workers: 3, Prune: true},
+		{TopK: 6, Workers: 2},
+		{TopK: 6, Workers: 2, Prune: true},
+	} {
+		label := fmt.Sprintf("%+v", opt)
+		run := func(hint func() int) *Result {
+			brs, err := RunBatch(context.Background(), []BatchQuery{{Seq: q, FloorHint: hint}}, db, opt)
+			if err != nil || brs[0].Err != nil {
+				t.Fatalf("%s: %v %v", label, err, brs[0].Err)
+			}
+			return brs[0].Result
+		}
+		want, got := run(nil), run(func() int { return f })
+		var keep []Hit
+		for _, hit := range want.Hits {
+			if hit.Score >= f {
+				keep = append(keep, hit)
+			}
+		}
+		if !slices.Equal(got.Hits, keep) {
+			t.Errorf("%s: hinted hits %+v, want the unhinted ones ≥ %d: %+v", label, got.Hits, f, keep)
+		}
+		if ties := len(keep) - slices.IndexFunc(keep, func(h Hit) bool { return h.Score == f }); ties != 2 {
+			t.Errorf("%s: %d hits tie the hint %d, want both copies", label, ties, f)
+		}
+		located := func(hits []Hit) (n int) {
+			for _, hit := range hits {
+				if hit.endJ > 0 || hit.TEnd > 0 {
+					n++
+				}
+			}
+			return n
+		}
+		if a, b := located(got.Hits), located(want.Hits); a != len(got.Hits) || a >= b {
+			t.Errorf("%s: %d of %d hinted hits located, unhinted %d", label, a, len(got.Hits), b)
+		}
+		if !opt.NoEndpoints && got.RealignCells >= want.RealignCells {
+			t.Errorf("%s: hinted realign cells %d, unhinted %d", label, got.RealignCells, want.RealignCells)
+		}
+	}
 }

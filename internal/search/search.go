@@ -15,9 +15,9 @@
 // heaps merge into the global top K, and only those final hits pay for
 // coordinates (realign.go). The scan itself says where each score ends:
 // the pairwise rungs report the end cell, and the packed rungs save the
-// H row entering the 64-row block a lane's score ends in — the border
-// row of the paper's pre-process strategy (§5) — from which
-// swar.LocateEnd replays that one block to the cell. All that is left
+// H row entering the block of swar.BlockRows rows a lane's score ends
+// in — the border row of the paper's pre-process strategy (§5) — from
+// which swar.LocateEnd replays that one block to the cell. All that is left
 // for a hit is the walk back from it to the start: align.Retriever.Begin,
 // the §6 reverse sweep without its traceback, since a hit keeps its four
 // coordinates and no alignment.
@@ -114,8 +114,9 @@ type Result struct {
 	Prune *PruneStats
 	// RealignCells counts the forward DP cells behind the end cells of
 	// the Hits whose spans were filled: per hit the rows of its end block
-	// down to the end row × |target| — what locating it replays at most —
-	// or |q|·|target| for a hit that arrived without an end cell (see
+	// down to the end row × |target| — what locating it replays at most,
+	// so ≤ swar.BlockRows rows, and it shrinks with that constant — or
+	// |q|·|target| for a hit that arrived without an end cell (see
 	// RealignBatch). A function of the hits alone: neither worker
 	// scheduling nor the rung that scored a record shows. Zero under
 	// NoEndpoints.

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -674,4 +675,143 @@ func TestClusterGoroutines(t *testing.T) {
 	settle(before+shards, "idle cluster")
 	c.Close()
 	settle(before, "after Close")
+}
+
+// homologBatch is the shape of the root BenchmarkSearchShardedPruned: a
+// dozen long planted homologs of a 500-base source, the longest
+// records, among short noise, and a 4-query batch against them — two
+// near copies of the source, unrelated noise and a half-length
+// fragment — over a database carrying its lane layout.
+func homologBatch() ([]search.BatchQuery, *search.DB) {
+	g := bio.NewGenerator(89)
+	src := g.Random(500)
+	var recs []bio.Record
+	for i := 0; i < 12; i++ {
+		core := g.MutatedCopy(src, bio.DefaultMutationModel())
+		pad := max(650-len(core), 0)
+		seq := append(g.Random(pad/2), core...)
+		recs = append(recs, bio.Record{ID: fmt.Sprintf("hom%d", i), Seq: append(seq, g.Random(pad-pad/2)...)})
+	}
+	for i := 0; i < 270; i++ {
+		recs = append(recs, bio.Record{ID: fmt.Sprintf("r%d", i), Seq: g.Random(60 + i*67%68)})
+	}
+	for i := range recs {
+		j := (i*97 + 13) % len(recs)
+		recs[i], recs[j] = recs[j], recs[i]
+	}
+	full := g.MutatedCopy(src, bio.DefaultMutationModel())
+	batch := []search.BatchQuery{
+		{Seq: full, TopK: 10},
+		{Seq: g.MutatedCopy(full, bio.MutationModel{SubstitutionRate: 0.01}), TopK: 10},
+		{Seq: g.Random(150), TopK: 10},
+		{Seq: g.MutatedCopy(src[:250], bio.DefaultMutationModel()), TopK: 10},
+	}
+	db := search.NewDB(recs)
+	db.EnsureLayout()
+	return batch, db
+}
+
+// TestShardsLocateOnlyMergeSurvivors counts the entries the shards of a
+// pruned 2-shard homolog batch locate. First on each shard's own part,
+// deterministically: one worker scans the span with the gossiped floor
+// arriving one group late — a FloorHint reading 0 until the span's
+// first group is done and the single node's K-th best score after — and
+// the entries that reach the finish pass are counted once as they are
+// and once with the hint reading 0 again after the last group, so that
+// nothing is trimmed. The trim must drop entries, keep none below the
+// K-th best score, and keep at least the single node's hits. Then live:
+// the Hits of the shards' responses over three batches — what they
+// located and shipped — at least the single node's count, with the
+// merged hits the single node's.
+func TestShardsLocateOnlyMergeSurvivors(t *testing.T) {
+	batch, db := homologBatch()
+	opt := search.Options{Prune: true}
+	want, err := search.RunBatch(context.Background(), batch, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := 0
+	kth := make([]int, len(want)) // the single node's K-th best score
+	for i, br := range want {
+		single += len(br.Result.Hits)
+		if hits := br.Result.Hits; len(hits) == batch[i].TopK {
+			kth[i] = hits[len(hits)-1].Score
+		}
+	}
+	c, err := New(db, quietOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	located := func(part *subPart, trim bool) int {
+		groups := (part.db.Size() + bio.PackedLanes8 - 1) / bio.PackedLanes8
+		qs := make([]search.BatchQuery, len(batch))
+		for i, bq := range batch {
+			scanned := 0
+			qs[i] = search.BatchQuery{
+				Seq: bq.Seq, TopK: bq.TopK,
+				OnGroup: func() { scanned++ },
+				FloorHint: func() int {
+					if scanned == 0 || scanned == groups && !trim {
+						return 0
+					}
+					return kth[i]
+				},
+			}
+		}
+		brs, err := search.RunBatch(context.Background(), qs, part.db, search.Options{Prune: true, NoEndpoints: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for i, br := range brs {
+			for _, h := range br.Result.Hits {
+				if trim && h.Score < kth[i] {
+					t.Errorf("query %d: a hit scoring %d below the K-th best %d survived the trim", i, h.Score, kth[i])
+				}
+			}
+			n += len(br.Result.Hits)
+		}
+		return n
+	}
+	trimmed, untrimmed := 0, 0
+	for si, sp := range c.Spans() {
+		part, err := c.workers[si].subFor(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trimmed += located(part, true)
+		untrimmed += located(part, false)
+	}
+	if trimmed >= untrimmed || trimmed < single {
+		t.Errorf("the spans locate %d entries per batch, %d untrimmed: want fewer, and at least the single node's %d", trimmed, untrimmed, single)
+	}
+
+	var shipped atomic.Int64
+	handle := c.net.handlers[c.masterID()]
+	c.net.handlers[c.masterID()] = func(m msg) {
+		if m.class == cResponse {
+			for _, wr := range m.payload.(response).Results {
+				shipped.Add(int64(len(wr.Hits)))
+			}
+		}
+		handle(m)
+	}
+	const batches = 3
+	for b := 0; b < batches; b++ {
+		got, err := c.SearchBatch(context.Background(), batch, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].Result.Hits, want[i].Result.Hits) {
+				t.Fatalf("batch %d query %d: hits %+v, single node %+v", b, i, got[i].Result.Hits, want[i].Result.Hits)
+			}
+		}
+	}
+	live := float64(shipped.Load()) / batches
+	t.Logf("located per batch: spans %d trimmed, %d untrimmed; live %.1f; single node %d", trimmed, untrimmed, live, single)
+	if live < float64(single) {
+		t.Errorf("the shards shipped %.1f entries per batch, fewer than the single node's %d hits", live, single)
+	}
 }

@@ -26,8 +26,19 @@ import "genomedsm/internal/bio"
 // the height of an end-row block: every rung of the ladder reports
 // which block of BlockRows query rows holds the end row of a target's
 // score (GroupResult.EndBlock), which the packed rungs find out at the
-// same stop.
-const BlockRows = 64
+// same stop, and LocateEnd replays at most that many rows per hit.
+//
+// The trade-off is locate work against per-block work. A shorter block
+// replays fewer rows per located hit, tests the abandon bound more
+// often and resumes the int16 retry closer to its first guard bit; it
+// pays one border-row copy, and an unpackLane of every moved lane, once
+// per block. On the benchmarks' 2-shard homolog batch LocateEnd and
+// unpackLane took 9.4 % and 3.0 % of the CPU at 32 rows, 4.9 % and
+// 4.9 % at 16; on a 2-vCPU host mixed_batch_sharded lat_p50_ms read
+// 9.13 ms at 16 against 9.58 ms at 32 (medians of ten alternated runs,
+// 16 ahead in all ten), and no other workload told the two apart
+// (EXPERIMENTS.md).
+const BlockRows = 16
 
 // BlockOf returns the end-row block of the 1-based end row i (0 for the
 // i = 0 of a zero score).

@@ -16,3 +16,7 @@ func (a *Aligner) ScanPackedRow(q bio.Sequence, prof *bio.PackedProfile, gap int
 	best, sat, blocks, _, _, _ = a.scanPacked(q, prof, gap, nil, pass{})
 	return best, sat, blocks, a.row
 }
+
+// ScalarRow and FirstCol are the leaf scalar row kernel and the column
+// scan its callers run on a row whose maximum they need placed.
+var ScalarRow, FirstCol = scalarRow, firstCol

@@ -12,30 +12,53 @@ import "genomedsm/internal/bio"
 
 // scalarRow advances one row of the zero-clamped local recurrence: prev
 // and cur are rows of len(sub)+1 cells whose cell 0 is the zero border
-// column, sub the profile row of this row's query residue. It returns
-// the row's maximum and the first column (1-based) attaining it, 0 for
-// an all-zero row.
-func scalarRow(prev, cur, sub []int32, gap int32) (rowBest int32, rowJ int) {
-	n := len(sub)
-	d := prev[0]
-	w := int32(0)
-	pr := prev[1:]
-	out := cur[1:]
-	_ = pr[n-1] // bounds hints for the loop body
-	_ = out[n-1]
-	for j := 0; j < n; j++ {
-		v := d + sub[j]
-		v = bio.Max32(v, w+gap)
-		d = pr[j]
-		v = bio.Max32(v, d+gap)
-		v = bio.Clamp0(v)
+// column, sub the profile row of this row's query residue, gap ≤ 0. It
+// returns the row's maximum, 0 for an all-zero row; a caller that needs
+// the column scans cur for it (firstCol), which only the rows that move
+// a running maximum pay.
+//
+// The leaf form of align's rowValues: x = max(diagonal, north, 0) of
+// each cell reads only prev, so it is off the west chain, which is left
+// one add and one max per cell — v = max(x, west+gap) is the clamped
+// recurrence because x ≥ 0. Four cells per pass.
+func scalarRow(prev, cur, sub []int32, gap int32) int32 {
+	north, out := prev[1:], cur[1:]
+	n := len(north)
+	sub, out = sub[:n], out[:n] // bounds hints for the loop body
+	d, w, top := prev[0], int32(0), int32(0)
+	j := 0
+	for ; j < n-3; j += 4 {
+		n0, n1, n2, n3 := north[j], north[j+1], north[j+2], north[j+3]
+		x0 := max(d+sub[j], n0+gap, 0)
+		x1 := max(n0+sub[j+1], n1+gap, 0)
+		x2 := max(n1+sub[j+2], n2+gap, 0)
+		x3 := max(n2+sub[j+3], n3+gap, 0)
+		v0 := max(x0, w+gap)
+		v1 := max(x1, v0+gap)
+		v2 := max(x2, v1+gap)
+		v3 := max(x3, v2+gap)
+		out[j], out[j+1], out[j+2], out[j+3] = v0, v1, v2, v3
+		top = max(top, v0, v1, v2, v3)
+		w, d = v3, n3
+	}
+	for ; j < n; j++ {
+		nv := north[j]
+		v := max(d+sub[j], nv+gap, 0, w+gap)
 		out[j] = v
-		w = v
-		if v > rowBest {
-			rowBest, rowJ = v, j+1
+		top = max(top, v)
+		w, d = v, nv
+	}
+	return top
+}
+
+// firstCol returns the first column (1-based) of row that holds v.
+func firstCol(row []int32, v int32) int {
+	for j, x := range row[1:] {
+		if x == v {
+			return j + 1
 		}
 	}
-	return rowBest, rowJ
+	return 0
 }
 
 // scalarRows returns the Aligner's two scalar rows of n+1 cells: prev
@@ -67,9 +90,10 @@ func (a *Aligner) ScalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pa
 	gap := int32(sc.Gap)
 	prev, cur := a.scalarRows(n)
 	for i := 1; i <= m; i++ {
-		rowBest, rowJ := scalarRow(prev, cur, a.iprof.Row(s[i-1]), gap)
-		if int(rowBest) > p.Score {
-			p = Pair{Score: int(rowBest), I: i, J: rowJ}
+		// Only a row that beats the running best looks for its column: the
+		// first one holding its maximum, align.Scan's tie-break.
+		if rowBest := scalarRow(prev, cur, a.iprof.Row(s[i-1]), gap); int(rowBest) > p.Score {
+			p = Pair{Score: int(rowBest), I: i, J: firstCol(cur, rowBest)}
 		}
 		prev, cur = cur, prev
 		if next != 0 && i == next {
@@ -107,12 +131,12 @@ func (a *Aligner) LocateEnd(q, t bio.Sequence, sc bio.Scoring, block int, seed [
 		prev[j+1] = int32(v)
 	}
 	for i := top + 1; i <= min(top+BlockRows, q.Len()); i++ {
-		rowBest, rowJ := scalarRow(prev, cur, a.iprof.Row(q[i-1]), gap)
-		if int(rowBest) > score {
+		rowBest := int(scalarRow(prev, cur, a.iprof.Row(q[i-1]), gap))
+		if rowBest > score {
 			break
 		}
-		if int(rowBest) == score {
-			return i, rowJ, true
+		if rowBest == score {
+			return i, firstCol(cur, int32(score)), true
 		}
 		prev, cur = cur, prev
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
@@ -670,13 +671,14 @@ func matrixRow(m *align.Matrix, i int) []uint16 {
 // TestLocateEnd replays one block from the scalar matrix's own row and
 // must land on align.Scan's (BestI, BestJ) — which each case pins to
 // the cell it was built to end on: the first and last rows of the first
-// blocks, a score reached in two columns of one row, in two rows of one
-// block and in two blocks (the first wins each time), wildcard runs, a
-// one-base target. The scoring steps by 2 along a diagonal, so a score
-// one too low is stepped over like one too high is never reached: both,
-// a seed of the wrong length, the block before the end block replayed
-// from its own true seed, and a block past the query must all come back
-// not ok.
+// blocks — BlockRows, BlockRows+1, 2·BlockRows, and rows 64, 65 and 128
+// whatever BlockRows is — a last row inside a block, a score reached in
+// two columns of one row, in two rows of one block and in two blocks
+// (the first wins each time), wildcard runs, a one-base target. The
+// scoring steps by 2 along a diagonal, so a score one too low is
+// stepped over like one too high is never reached: both, a seed of the
+// wrong length, the block before the end block replayed from its own
+// true seed, and a block past the query must all come back not ok.
 func TestLocateEnd(t *testing.T) {
 	sc := bio.Scoring{Match: 2, Mismatch: -3, Gap: -4}
 	g := bio.NewGenerator(23)
@@ -688,15 +690,20 @@ func TestLocateEnd(t *testing.T) {
 		}
 		return out
 	}
-	// query returns n random rows with the motif planted to end on each
-	// of the given rows.
-	query := func(n int, ends ...int) bio.Sequence {
+	// plant returns n random rows with motif planted to end on each of
+	// the given rows; query plants m.
+	plant := func(motif bio.Sequence, n int, ends ...int) bio.Sequence {
 		q := g.Random(n)
 		for _, e := range ends {
-			copy(q[e-len(m):e], m)
+			copy(q[e-len(motif):e], motif)
 		}
 		return q
 	}
+	query := func(n int, ends ...int) bio.Sequence { return plant(m, n, ends...) }
+	// upTo is the longest prefix of m that can end on row e.
+	upTo := func(e int) bio.Sequence { return m[:min(len(m), e)] }
+	b := swar.BlockRows
+	mid := (1+len(m)/b)*b + b/2 + 1 // a row inside a block, past the motif's length
 	ns := bio.MustSequence("NNNNNNN")
 	for _, c := range []struct {
 		name   string
@@ -714,6 +721,11 @@ func TestLocateEnd(t *testing.T) {
 		{"N runs", cat(g.Random(70), ns, m[:12], ns[:2], m[12:], ns), cat(ns, m, ns), 70 + 7 + 12 + 2 + 12, 7 + 24},
 		{"one base", cat(ns, ns, bio.MustSequence("NNNNG"), ns), bio.MustSequence("G"), 19, 1},
 		{"one base, second block", cat(ns, ns, ns, ns, ns, ns, ns, ns, ns, ns, bio.MustSequence("G")), bio.MustSequence("G"), 71, 1},
+		// The edges of the first blocks, at whatever height BlockRows is.
+		{"row BlockRows", plant(upTo(b), 4*b+20, b), upTo(b), b, len(upTo(b))},
+		{"row BlockRows+1", plant(upTo(b), 4*b+20, b+1), upTo(b), b + 1, len(upTo(b))},
+		{"row 2·BlockRows", plant(upTo(2*b), 4*b+20, 2*b), upTo(2 * b), 2 * b, len(upTo(2 * b))},
+		{"last row, mid-block", query(mid, mid), m, mid, 24},
 	} {
 		r, err := align.Scan(c.q, c.tgt, sc, align.ScanOptions{ForceScalar: true})
 		if err != nil {
@@ -928,4 +940,164 @@ func TestTwoRowMatchesOneRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ---- Leaf scalar row vs the retired per-cell-argmax row ----
+
+// refScalarRow is the scalar row kernel the leaf swar.ScalarRow
+// replaced, kept as its reference: one cell per pass, the zero clamp
+// last on the west chain, and the row's maximum with the first column
+// attaining it tracked cell by cell (0 for an all-zero row).
+func refScalarRow(prev, cur, sub []int32, gap int32) (rowBest int32, rowJ int) {
+	n := len(sub)
+	d := prev[0]
+	w := int32(0)
+	pr := prev[1:]
+	out := cur[1:]
+	_ = pr[n-1] // bounds hints for the loop body
+	_ = out[n-1]
+	for j := 0; j < n; j++ {
+		v := d + sub[j]
+		v = bio.Max32(v, w+gap)
+		d = pr[j]
+		v = bio.Max32(v, d+gap)
+		v = bio.Clamp0(v)
+		out[j] = v
+		w = v
+		if v > rowBest {
+			rowBest, rowJ = v, j+1
+		}
+	}
+	return rowBest, rowJ
+}
+
+// leafRow is what the leaf kernel's callers read off a row: its maximum
+// and, for a positive one, the first column holding it.
+func leafRow(prev, cur, sub []int32, gap int32) (int32, int) {
+	top := swar.ScalarRow(prev, cur, sub, gap)
+	if top == 0 {
+		return 0, 0
+	}
+	return top, swar.FirstCol(cur, top)
+}
+
+// FuzzLeafRowVsReference pins the leaf row kernel to the one it
+// replaced over up to four successive rows: rows of 1 to 12 cells, so
+// the four-wide body runs zero to three times and every tail length
+// occurs; gaps from 0 down; profile rows of a match reward and a
+// mismatch penalty; and a first prev row of zeros (the top border),
+// random values, values a step or two below a shared peak (a row whose
+// maximum ties in several columns), or zeros and peaks mixed. The
+// stored row, the row maximum and its first column must be identical.
+func FuzzLeafRowVsReference(f *testing.F) {
+	for seed := 0; seed < 36; seed++ {
+		f.Add(int64(seed), uint8(seed%9), uint8(seed%5), uint8(1+seed%3), uint8(seed%4), uint8(seed/9+4*(seed%4)))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, gap, match, mismatch, mode uint8) {
+		r := rand.New(rand.NewSource(seed))
+		cells := 1 + int(n)%12
+		g := -int32(gap % 16)
+		ma, mi := 1+int32(match%16), -1-int32(mismatch%16)
+		peak := int32(r.Intn(300))
+		prev := make([]int32, cells+1)
+		for j := 1; j <= cells; j++ {
+			switch mode % 4 {
+			case 1:
+				prev[j] = int32(r.Intn(int(peak) + 1))
+			case 2:
+				prev[j] = max(peak-int32(r.Intn(3)), 0)
+			case 3:
+				if r.Intn(2) == 0 {
+					prev[j] = peak
+				}
+			}
+		}
+		want := append([]int32(nil), prev...)
+		cur, wantCur := make([]int32, cells+1), make([]int32, cells+1)
+		sub := make([]int32, cells)
+		for row := 0; row < 1+int(mode/4)%4; row++ {
+			for j := range sub {
+				sub[j] = mi
+				if r.Intn(3) == 0 {
+					sub[j] = ma
+				}
+			}
+			top, col := leafRow(prev, cur, sub, g)
+			wantTop, wantCol := refScalarRow(want, wantCur, sub, g)
+			if top != wantTop || col != wantCol || !slices.Equal(cur, wantCur) {
+				t.Fatalf("row %d of %d cells, gap %d, sub %v, prev %v: leaf max %d at %d row %v; reference %d at %d row %v",
+					row, cells, g, sub, prev, top, col, cur, wantTop, wantCol, wantCur)
+			}
+			prev, cur = cur, prev
+			want, wantCur = wantCur, want
+		}
+	})
+}
+
+// BenchmarkScalarRowLeafVsReference replays one located hit's rows the
+// way LocateEnd does — row by row until a row's maximum equals the
+// score, then that row's first column holding it — on the leaf kernel
+// and on the per-cell-argmax kernel it replaced: a 64-row homolog
+// fragment against a 650-base target, scored by the reference first,
+// the two arms alternated in each iteration and the first of them
+// switched every iteration, as BenchmarkRowPair8VsPortable does. It
+// reports the time ratio ref/leaf, a same-run reading the host's speed
+// that hour cancels, and the leaf kernel's cells/s. ci.sh gates the
+// median ratio of five runs.
+func BenchmarkScalarRowLeafVsReference(b *testing.B) {
+	g := bio.NewGenerator(40)
+	sc := bio.DefaultScoring()
+	t := g.Random(650)
+	q := g.MutatedCopy(t[300:364], bio.DefaultMutationModel())
+	var prof bio.Profile
+	prof.Reset(t, sc.Match, sc.Mismatch)
+	gap := int32(sc.Gap)
+	prev, cur := make([]int32, len(t)+1), make([]int32, len(t)+1)
+	score := int32(0)
+	locate := func(leaf bool) swar.Pair {
+		clear(prev)
+		for i, c := range q {
+			var top int32
+			col := 0
+			if leaf {
+				if top = swar.ScalarRow(prev, cur, prof.Row(c), gap); top == score {
+					col = swar.FirstCol(cur, top)
+				}
+			} else {
+				top, col = refScalarRow(prev, cur, prof.Row(c), gap)
+			}
+			if top == score {
+				return swar.Pair{Score: int(top), I: i + 1, J: col}
+			}
+			prev, cur = cur, prev
+		}
+		return swar.Pair{}
+	}
+	for _, c := range q { // the score: the maximum over every row
+		top, _ := refScalarRow(prev, cur, prof.Row(c), gap)
+		score = max(score, top)
+		prev, cur = cur, prev
+	}
+	end := locate(false)
+	if got := locate(true); got != end || end.I == 0 {
+		b.Fatalf("leaf kernel ends at %+v, reference at %+v", got, end)
+	}
+	timed := func(leaf bool) time.Duration {
+		start := time.Now()
+		locate(leaf)
+		return time.Since(start)
+	}
+	var leaf, ref time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			leaf += timed(true)
+			ref += timed(false)
+		} else {
+			ref += timed(false)
+			leaf += timed(true)
+		}
+	}
+	b.ReportMetric(float64(ref)/float64(leaf), "ref/leaf")
+	b.ReportMetric(float64(b.N)*float64(end.I)*float64(len(t))/leaf.Seconds(), "cells/s")
 }

@@ -11,17 +11,18 @@
 #      which the root ./... patterns cannot see, then the portable
 #      two-row kernels vetted and compiled for arm64 (the SSE2 ones
 #      are amd64 only), then a kernel oracle
-#      fuzz: 10 s each of the seven differential fuzzers that pin the
+#      fuzz: 10 s each of the eight differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
 #      located from them — and the striped rungs and align.Scan's
 #      striped → scalar ladder to the scalar kernel, the SSE2 two-row
-#      kernels to the portable ones, pruned search
+#      kernels to the portable ones, the leaf scalar row kernel to the
+#      per-cell-argmax one it replaced, pruned search
 #      hits to unpruned ones, and the realign pool's arrow-free begin
 #      sweep to the §6 traceback (FuzzScoresVsScalar,
-#      FuzzStripedVsScalar, FuzzRowPairVsPortable, FuzzDispatchVsScalar,
-#      FuzzStripRealignVsFull, FuzzPrunedSearchVsFull,
-#      FuzzBeginVsRetrieve) — past their seed corpora, which is all
-#      `go test` runs
+#      FuzzStripedVsScalar, FuzzRowPairVsPortable, FuzzLeafRowVsReference,
+#      FuzzDispatchVsScalar, FuzzStripRealignVsFull,
+#      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve) — past their seed
+#      corpora, which is all `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
@@ -44,7 +45,10 @@
 #   5. a 1-iteration smoke run of every kernel, search, serve and pack
 #      benchmark, the SSE2 kernel gate (on amd64: the median
 #      portable/sse2 time ratio of RowPair8VsPortable over five runs,
-#      both kernels alternated in one process, must stay >= 2), then
+#      both kernels alternated in one process, must stay >= 2), the
+#      leaf scalar row gate (the median ref/leaf time ratio of
+#      ScalarRowLeafVsReference over five runs, the two row kernels
+#      alternated in one process, must stay >= 1.2), then
 #      (unless SKIP_BENCHDIFF=1) a -smoke run of the system benchmark
 #      BENCHMARK.json declares
 #   6. the kernel, search and serve benchmarks for real, gated by
@@ -106,7 +110,7 @@ echo "== portable kernels (GOARCH=arm64 vet + test build of internal/swar)"
 GOARCH=arm64 go vet ./internal/swar
 GOARCH=arm64 go test -c -o /dev/null ./internal/swar
 
-echo "== kernel oracle fuzz (10 s x 7 differential fuzzers)"
+echo "== kernel oracle fuzz (10 s x 8 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 # The striped rungs and align.Scan's ladder, from a pair under the
 # router's scalar cutoff to a 513-row query.
@@ -114,6 +118,9 @@ go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
 # The SSE2 two-row kernels against the portable ones: clean lanes
 # bit-identical, the same guard bits, beside dirty lanes.
 go test -run '^$' -fuzz '^FuzzRowPairVsPortable$' -fuzztime 10s ./internal/swar
+# The leaf scalar row kernel that locates end cells against the
+# per-cell-argmax one it replaced: the same row, maximum and column.
+go test -run '^$' -fuzz '^FuzzLeafRowVsReference$' -fuzztime 10s ./internal/swar
 go test -run '^$' -fuzz '^FuzzDispatchVsScalar$' -fuzztime 10s ./internal/search
 go test -run '^$' -fuzz '^FuzzStripRealignVsFull$' -fuzztime 10s ./internal/search
 # A resumed int16 retry under a live Bound replays the abandon tests
@@ -268,6 +275,22 @@ else
         printf "SSE2 kernel gate ok: %.2fx\n", r
     }'
 fi
+
+echo "== leaf scalar row gate (ScalarRowLeafVsReference: ref/leaf >= 1.2, median of 5)"
+# The leaf row kernel that locates end cells and the per-cell-argmax
+# one it replaced, alternated over one located hit's rows in each
+# iteration: a same-run ratio, so the host's speed that hour cancels.
+# The leaf kernel must stay faster by at least the margin below, which
+# sits under the lowest median read on a 2-vCPU host (EXPERIMENTS.md).
+ratio=$(go test -run '^$' -bench '^BenchmarkScalarRowLeafVsReference$' -count 5 ./internal/swar |
+    awk '$1 ~ /^BenchmarkScalarRowLeafVsReference(-[0-9]+)?$/ {
+        for (i = 2; i < NF; i++) if ($(i+1) == "ref/leaf") print $i
+    }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
+echo "per-cell-argmax scalar row at ${ratio}x the time of the leaf one (median)"
+awk -v r="$ratio" 'BEGIN {
+    if (r < 1.2) { printf "leaf scalar row gate FAILED: %.2fx < 1.2x\n", r; exit 1 }
+    printf "leaf scalar row gate ok: %.2fx\n", r
+}'
 
 if [ "${SKIP_BENCHDIFF:-0}" = "1" ]; then
     echo "== system benchmark smoke and benchdiff gate skipped (SKIP_BENCHDIFF=1)"
