@@ -173,7 +173,7 @@ func serveCmd(args []string, w io.Writer) error {
 		serveReady(bound)
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -195,4 +195,17 @@ func serveCmd(args []string, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "drained")
 	return nil
+}
+
+// The HTTP server's read-header and idle timeouts: a client that trickles
+// its request headers, or holds a kept-alive connection without sending,
+// is cut off rather than holding a connection open for ever.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server serve runs h on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: serveReadHeaderTimeout, IdleTimeout: serveIdleTimeout}
 }

@@ -276,3 +276,17 @@ func TestServeCmdGracefulShutdown(t *testing.T) {
 		}
 	}
 }
+
+// TestServeHTTPTimeouts pins the read-header and idle timeouts on the
+// http.Server serve runs its handler on: without them a client trickling
+// headers, or idling on a kept-alive connection, holds it for ever.
+func TestServeHTTPTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != serveReadHeaderTimeout || hs.IdleTimeout != serveIdleTimeout {
+		t.Fatalf("serve's http.Server has ReadHeaderTimeout %v, IdleTimeout %v; want %v, %v",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, serveReadHeaderTimeout, serveIdleTimeout)
+	}
+	if serveReadHeaderTimeout <= 0 || serveIdleTimeout <= 0 {
+		t.Fatalf("serve timeouts %v, %v: both must be set", serveReadHeaderTimeout, serveIdleTimeout)
+	}
+}

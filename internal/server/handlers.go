@@ -17,6 +17,11 @@ import (
 	"genomedsm/internal/shard"
 )
 
+// maxBodyBytes caps a POST /search body: room for a full batch of 16
+// queries of a megabase each. The server stops reading a longer body
+// there and answers 413.
+const maxBodyBytes = 16 << 20
+
 // QueryJSON is one query of a POST /search request.
 type QueryJSON struct {
 	Seq string `json:"seq"`
@@ -141,7 +146,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	started := time.Now()
 	var req RequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		var big *http.MaxBytesError
+		if errors.As(err, &big) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", big.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

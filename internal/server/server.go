@@ -15,7 +15,7 @@
 //	                min-score and deadline; optional scan-option
 //	                overrides (dispatch, prune, scores_only). Hits
 //	                are bit-identical to a direct search.Run with the
-//	                same options.
+//	                same options. A body over 16 MiB gets 413.
 //	GET  /healthz — liveness: 200 while serving, 503 while draining.
 //	GET  /statsz  — uptime, database shape, query/batch/reject totals,
 //	                queue and batch high-water marks, prune aggregates,

@@ -637,3 +637,45 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("GET /search got %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestOversizedBody sends a /search body one byte over the cap — a
+// well-formed query that never ends — and expects the typed 413 in the
+// JSON error shape, then a server still answering /healthz and queries.
+func TestOversizedBody(t *testing.T) {
+	_, recs := testDB(t, 8, 40, 4)
+	_, hs := newTestServer(t, recs, Config{})
+	prefix := `{"query":"`
+	body := io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(repeatByte('A'), maxBodyBytes+1-int64(len(prefix))))
+	resp, err := http.Post(hs.URL+"/search", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+		t.Fatalf("oversized body: status %d, error %q (decode %v), want 413 with an error", resp.StatusCode, e.Error, err)
+	}
+	hresp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after an oversized body got %d, want 200", hresp.StatusCode)
+	}
+	if resp, body := postSearch(t, hs.URL, RequestJSON{Query: "ACGTACGT"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after an oversized body got %d: %s", resp.StatusCode, body)
+	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}

@@ -31,13 +31,14 @@ import "genomedsm/internal/bio"
 // The trade-off is locate work against per-block work. A shorter block
 // replays fewer rows per located hit, tests the abandon bound more
 // often and resumes the int16 retry closer to its first guard bit; it
-// pays one border-row copy, and an unpackLane of every moved lane, once
-// per block. On the benchmarks' 2-shard homolog batch LocateEnd and
-// unpackLane took 9.4 % and 3.0 % of the CPU at 32 rows, 4.9 % and
-// 4.9 % at 16; on a 2-vCPU host mixed_batch_sharded lat_p50_ms read
+// pays one border-row copy once per block. On the benchmarks' 2-shard
+// homolog batch LocateEnd and unpackLane, then run at every move of a
+// lane, took 9.4 % and 3.0 % of the CPU at 32 rows, 4.9 % and 4.9 % at
+// 16; on a 2-vCPU host mixed_batch_sharded lat_p50_ms read
 // 9.13 ms at 16 against 9.58 ms at 32 (medians of ten alternated runs,
 // 16 ahead in all ten), and no other workload told the two apart
-// (EXPERIMENTS.md).
+// (EXPERIMENTS.md). It is a multiple of four: the scan's four-row pass
+// never straddles a block.
 const BlockRows = 16
 
 // BlockOf returns the end-row block of the 1-based end row i (0 for the

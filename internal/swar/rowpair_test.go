@@ -9,20 +9,25 @@ import (
 	"genomedsm/internal/bio"
 )
 
-// rowPairKernel is the signature both two-row kernels share.
+// rowQuadKernel is the signature both four-row kernels share.
+type rowQuadKernel func(row []uint64, p *quadProfile, gapV, best, sat uint64) (uint64, uint64)
+
+// rowPairKernel is the signature both portable two-row kernels share.
 type rowPairKernel func(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64)
 
-// rowPairWidth is one lane width: the kernel under test, the portable
-// kernel it must agree with, and the lane geometry.
+// rowPairWidth is one lane width: the four-row kernel under test, the
+// portable four-row pass it must agree with, the portable two-row kernel
+// that pass is made of, and the lane geometry.
 type rowPairWidth struct {
 	name             string
-	kernel, portable rowPairKernel
+	kernel, portable rowQuadKernel
+	pair             rowPairKernel
 	shift            uint // bits per lane
 }
 
 var rowPairWidths = []rowPairWidth{
-	{"int8", rowPair8, rowPair8Go, 8},
-	{"int16", rowPair16, rowPair16Go, 16},
+	{"int8", rowQuad8, rowQuad8Go, rowPair8Go, 8},
+	{"int16", rowQuad16, rowQuad16Go, rowPair16Go, 16},
 }
 
 // rowPairInputs draws the words of one differential case. Lanes named
@@ -72,6 +77,20 @@ func (in *rowPairInputs) word(dirty uint64) uint64 {
 	return w
 }
 
+// quad returns the profile of a four-row pass over n words whose last
+// phantom rows are all-mismatch 'N' rows: no match reward in any lane,
+// and a mismatch penalty drawn as any other profile word.
+func (in *rowPairInputs) quad(n, phantom int) *quadProfile {
+	p := new(quadProfile)
+	for k := range p.plus {
+		p.plus[k], p.minus[k] = in.profile(n)
+		if k >= len(p.plus)-phantom {
+			clear(p.plus[k])
+		}
+	}
+	return p
+}
+
 // profile returns a plus row and a minus row of n words.
 func (in *rowPairInputs) profile(n int) (plus, minus []uint64) {
 	plus, minus = make([]uint64, n), make([]uint64, n)
@@ -96,27 +115,42 @@ func (in *rowPairInputs) profile(n int) (plus, minus []uint64) {
 	return plus, minus
 }
 
-// checkRowPair runs the kernel and the portable kernel side by side for
-// calls successive row pairs over one row of n words and fails on the
-// first difference in what the ladder reads: every clean lane's guard
-// bit of sat, and in every clean lane that has not set it the whole
-// lane of the row, of best and of sat.
-func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode int) {
-	t.Helper()
-	in := &rowPairInputs{r: rand.New(rand.NewSource(seed)), w: w, mode: mode}
+// newRowPairInputs returns the generator of one differential case and
+// the guard bits of its lanes.
+func newRowPairInputs(w rowPairWidth, seed int64, dirty uint8, mode int) (in *rowPairInputs, guards uint64) {
+	in = &rowPairInputs{r: rand.New(rand.NewSource(seed)), w: w, mode: mode}
 	laneBits := uint64(1)<<w.shift - 1
-	guards := uint64(0)
 	for l := 0; l < in.lanes(); l++ {
 		guards |= (laneBits + 1) >> 1 << (uint(l) * w.shift)
 		if dirty>>uint(l)&1 != 0 {
 			in.dirty |= laneBits << (uint(l) * w.shift)
 		}
 	}
-	gap = min(gap, in.capVal())
-	var gapV uint64
+	return in, guards
+}
+
+// broadcast returns v in every lane, after capping it at the lane cap.
+func (in *rowPairInputs) broadcast(v uint64) uint64 {
+	v = min(v, in.capVal())
+	var word uint64
 	for l := 0; l < in.lanes(); l++ {
-		gapV |= gap << (uint(l) * w.shift)
+		word |= v << (uint(l) * in.w.shift)
 	}
+	return word
+}
+
+// checkRowQuad runs the four-row kernel and the portable pass — two
+// portable two-row passes — side by side for calls successive passes
+// over one row of n words, the last pass with phantom trailing 'N' rows
+// as the scan pads a query, and fails on the first difference in what
+// the ladder reads: every clean lane's guard bit of sat, and in every
+// clean lane that has not set it the whole lane of the row, of best and
+// of sat.
+func checkRowQuad(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode, phantom int) {
+	t.Helper()
+	in, guards := newRowPairInputs(w, seed, dirty, mode)
+	laneBits := uint64(1)<<w.shift - 1
+	gapV := in.broadcast(gap)
 	row := make([]uint64, n)
 	for j := range row {
 		row[j] = in.word(in.dirty)
@@ -127,10 +161,13 @@ func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 	sat := in.r.Uint64() &^ guards
 	wantSat := sat
 	for call := 0; call < calls; call++ {
-		plusA, minusA := in.profile(n)
-		plusB, minusB := in.profile(n)
-		best, sat = w.kernel(row, plusA, minusA, plusB, minusB, gapV, best, sat)
-		wantBest, wantSat = w.portable(want, plusA, minusA, plusB, minusB, gapV, wantBest, wantSat)
+		ph := 0
+		if call == calls-1 {
+			ph = phantom
+		}
+		p := in.quad(n, ph)
+		best, sat = w.kernel(row, p, gapV, best, sat)
+		wantBest, wantSat = w.portable(want, p, gapV, wantBest, wantSat)
 		var clean uint64 // all-ones in every clean lane not yet flagged
 		for l := 0; l < in.lanes(); l++ {
 			off := uint(l) * w.shift
@@ -160,15 +197,57 @@ func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 	}
 }
 
-// FuzzRowPairVsPortable pins the two-row kernels the scan runs — on
-// amd64 the SSE2 ones — to the portable guard-bit kernels, at both lane
-// widths: rows of 1 to 300 words, up to eight successive row pairs over
-// one row buffer, clean and dirty lanes side by side, random profile
-// words and gaps up to the lane cap. The seeds, which plain `go test`
-// runs, sweep every mode over one- and two-word rows up to 300 words.
+// FuzzRowQuadVsPortable pins the four-row kernels the scan runs — on
+// amd64 the SSE2 ones — to the portable pass, two portable two-row
+// passes, at both lane widths: rows of 1 to 300 words (under 4 the skew's
+// prologue and epilogue would overlap), one to eight successive passes
+// over one row buffer, zero to three phantom 'N' rows ending the last,
+// clean and dirty lanes side by side, random profile words and gaps up
+// to the lane cap. The seeds, which plain `go test` runs, sweep every
+// mode and phantom count over rows of one to eight words and up to 300.
+func FuzzRowQuadVsPortable(f *testing.F) {
+	for _, n := range []uint16{1, 4, 5} {
+		// Every lane saturating on every diagonal, gap 0.
+		f.Add(int64(n), n-1, uint8(2), uint16(0), uint8(0), uint8(2), uint8(0))
+	}
+	for seed := 0; seed < 64; seed++ {
+		n := []uint16{1, 2, 3, 4, 5, 6, 7, 8, 65, 300}[seed%10]
+		f.Add(int64(seed), n-1, uint8(seed), uint16(seed%12), uint8(seed*37), uint8(seed/4), uint8(seed/16))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, calls uint8, gap uint16, dirty, mode, phantom uint8) {
+		for _, w := range rowPairWidths {
+			checkRowQuad(t, w, seed, 1+int(n)%300, 1+int(calls)%8, uint64(gap), dirty, int(mode)%4, int(phantom)%4)
+		}
+	})
+}
+
+// pairLanes is the portable two-row pass worked lane by lane in int
+// arithmetic — the recurrence itself, with no packing — over clean lane
+// values: it advances row (row i-1 on entry) by the two rows the profile
+// rows plus[r], minus[r] score, and returns the new best and whether any
+// diagonal term exceeded cap, the one way a lane sets its guard bit.
+func pairLanes(row []int, plus, minus [2][]int, gap, best, cap int) (int, bool) {
+	flagged := false
+	for r := range plus {
+		d, west := 0, 0 // the zero border column
+		for j, north := range row {
+			v := max(d-minus[r][j], 0) + plus[r][j]
+			flagged = flagged || v > cap
+			v = max(v, north-gap, west-gap, 0)
+			d, row[j], west = north, v, v
+			best = max(best, v)
+		}
+	}
+	return best, flagged
+}
+
+// FuzzRowPairVsPortable pins the portable two-row kernels, of which the
+// four-row pass is made and which every GOARCH but amd64 runs, to the
+// recurrence worked lane by lane (pairLanes), over the same inputs as
+// FuzzRowQuadVsPortable: in every clean lane the guard bit of sat, and
+// until it is set the lane of the row and of best.
 func FuzzRowPairVsPortable(f *testing.F) {
 	for _, n := range []uint16{1, 2} {
-		// Every lane saturating on every diagonal, gap 0.
 		f.Add(int64(n), n-1, uint8(2), uint16(0), uint8(0), uint8(2))
 	}
 	for seed := 0; seed < 48; seed++ {
@@ -182,42 +261,107 @@ func FuzzRowPairVsPortable(f *testing.F) {
 	})
 }
 
-// TestRowPairShortProfilePanics checks that the kernels refuse a
-// profile row shorter than the row buffer, each of the four, as the
-// portable kernels' bounds checks do: the SSE2 loop checks nothing
-// itself, so its Go entry must.
+// checkRowPair is FuzzRowPairVsPortable's check of one width.
+func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode int) {
+	t.Helper()
+	in, guards := newRowPairInputs(w, seed, dirty, mode)
+	gapV := in.broadcast(gap)
+	gapL := int(gapV & (1<<w.shift - 1))
+	lane := func(word uint64, l int) int { return int(word >> (uint(l) * w.shift) & (1<<w.shift - 1)) }
+	lanes := func(words []uint64, l int) []int {
+		out := make([]int, len(words))
+		for j, word := range words {
+			out[j] = lane(word, l)
+		}
+		return out
+	}
+	row := make([]uint64, n)
+	for j := range row {
+		row[j] = in.word(in.dirty)
+	}
+	best := in.word(0)
+	sat := in.r.Uint64() &^ guards
+	type ref struct {
+		row     []int
+		best    int
+		flagged bool
+	}
+	refs := make([]ref, in.lanes())
+	for l := range refs {
+		refs[l] = ref{row: lanes(row, l), best: lane(best, l)}
+	}
+	for call := 0; call < calls; call++ {
+		plusA, minusA := in.profile(n)
+		plusB, minusB := in.profile(n)
+		best, sat = w.pair(row, plusA, minusA, plusB, minusB, gapV, best, sat)
+		for l := range refs {
+			r := &refs[l]
+			if in.dirty>>(uint(l)*w.shift)&1 != 0 || r.flagged {
+				continue
+			}
+			var f bool
+			r.best, f = pairLanes(r.row, [2][]int{lanes(plusA, l), lanes(plusB, l)},
+				[2][]int{lanes(minusA, l), lanes(minusB, l)}, gapL, r.best, int(in.capVal()))
+			r.flagged = f
+			if got := sat>>(uint(l+1)*w.shift-1)&1 != 0; got != f {
+				t.Fatalf("%s seed %d n %d call %d: lane %d guard bit %v, recurrence %v", w.name, seed, n, call, l, got, f)
+			}
+			if f {
+				continue
+			}
+			if got := lane(best, l); got != r.best {
+				t.Fatalf("%s seed %d n %d call %d: lane %d best %d, recurrence %d", w.name, seed, n, call, l, got, r.best)
+			}
+			for j, v := range r.row {
+				if got := lane(row[j], l); got != v {
+					t.Fatalf("%s seed %d n %d call %d: lane %d word %d = %d, recurrence %d", w.name, seed, n, call, l, j, got, v)
+				}
+			}
+		}
+	}
+}
+
+// TestRowPairShortProfilePanics checks that the four-row kernels refuse
+// a profile row shorter than the row buffer, each of the eight (argK is
+// plus[K/2] for even K, minus[K/2] for odd), as the portable kernels'
+// bounds checks do: the SSE2 loop checks nothing itself, so its Go entry
+// must.
 func TestRowPairShortProfilePanics(t *testing.T) {
 	for _, w := range rowPairWidths {
-		for name, k := range map[string]rowPairKernel{"kernel": w.kernel, "portable": w.portable} {
-			for short := 0; short < 4; short++ {
+		for name, k := range map[string]rowQuadKernel{"kernel": w.kernel, "portable": w.portable} {
+			for short := 0; short < 8; short++ {
 				t.Run(fmt.Sprintf("%s/%s/arg%d", w.name, name, short), func(t *testing.T) {
 					const n = 5
-					var args [4][]uint64
-					for i := range args {
-						args[i] = make([]uint64, n)
+					p := new(quadProfile)
+					for r := range p.plus {
+						p.plus[r], p.minus[r] = make([]uint64, n), make([]uint64, n)
 					}
-					args[short] = make([]uint64, n-1)
+					rows := &p.plus
+					if short%2 == 1 {
+						rows = &p.minus
+					}
+					rows[short/2] = make([]uint64, n-1)
 					defer func() {
 						if recover() == nil {
 							t.Fatalf("profile row %d of %d words for a %d-word row did not panic", short, n-1, n)
 						}
 					}()
-					k(make([]uint64, n), args[0], args[1], args[2], args[3], 0, 0, 0)
+					k(make([]uint64, n), p, 0, 0, 0)
 				})
 			}
 		}
 	}
 }
 
-// BenchmarkRowPair8VsPortable times rowPair8 and the portable
-// rowPair8Go over one 8-lane group, a 1000-base query against eight
-// 1000-base targets, the two arms alternated in each iteration and the
-// first of them switched every iteration, as the root
-// SearchShardedPruned does. It reports the time ratio portable/sse2 —
-// a same-run reading, so the host's speed that hour cancels — and the
-// kernel's cells/s. ci.sh gates the median ratio of five runs at ≥ 2
-// on amd64.
-func BenchmarkRowPair8VsPortable(b *testing.B) {
+// BenchmarkRowQuad8VsPortable times rowQuad8 and the portable
+// rowQuad8Go — two rowPair8Go passes — over one 8-lane group, a
+// 1000-base query against eight 1000-base targets, the two arms
+// alternated in each iteration and the first of them switched every
+// iteration, as the root SearchShardedPruned does. It reports the time
+// ratio portable/sse2 — a same-run reading, so the host's speed that
+// hour cancels — and the kernel's cells/s. ci.sh gates the median ratio
+// of five runs on amd64.
+func BenchmarkRowQuad8VsPortable(b *testing.B) {
 	g := bio.NewGenerator(39)
 	q := g.Random(1000)
 	targets := make([]bio.Sequence, bio.PackedLanes8)
@@ -227,18 +371,22 @@ func BenchmarkRowPair8VsPortable(b *testing.B) {
 	prof := bio.NewPackedProfile8(targets, bio.DefaultScoring())
 	gapV := prof.Broadcast(-bio.DefaultScoring().Gap)
 	row := make([]uint64, prof.Words())
-	scan := func(k rowPairKernel) uint64 {
+	scan := func(k rowQuadKernel) uint64 {
 		clear(row)
 		var best, sat uint64
-		for i := 0; i+1 < len(q); i += 2 {
-			best, sat = k(row, prof.PlusRow(q[i]), prof.MinusRow(q[i]), prof.PlusRow(q[i+1]), prof.MinusRow(q[i+1]), gapV, best, sat)
+		var p quadProfile
+		for i := 0; i+3 < len(q); i += 4 {
+			for r := range p.plus {
+				p.plus[r], p.minus[r] = prof.PlusRow(q[i+r]), prof.MinusRow(q[i+r])
+			}
+			best, sat = k(row, &p, gapV, best, sat)
 		}
 		return best | sat&hi8
 	}
-	if scan(rowPair8) != scan(rowPair8Go) {
-		b.Fatal("rowPair8 and rowPair8Go disagree on the benchmark group")
+	if scan(rowQuad8) != scan(rowQuad8Go) {
+		b.Fatal("rowQuad8 and rowQuad8Go disagree on the benchmark group")
 	}
-	timed := func(k rowPairKernel) time.Duration {
+	timed := func(k rowQuadKernel) time.Duration {
 		start := time.Now()
 		scan(k)
 		return time.Since(start)
@@ -247,11 +395,11 @@ func BenchmarkRowPair8VsPortable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			fast += timed(rowPair8)
-			portable += timed(rowPair8Go)
+			fast += timed(rowQuad8)
+			portable += timed(rowQuad8Go)
 		} else {
-			portable += timed(rowPair8Go)
-			fast += timed(rowPair8)
+			portable += timed(rowQuad8Go)
+			fast += timed(rowQuad8)
 		}
 	}
 	b.ReportMetric(float64(portable)/float64(fast), "portable/sse2")

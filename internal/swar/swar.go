@@ -28,7 +28,7 @@
 //
 // A lane whose value sets the guard bit may be about to overflow, so
 // the kernel ORs every diagonal term — the only term that adds, and so
-// the only place a clean lane can first exceed its cap (rowPair8) —
+// the only place a clean lane can first exceed its cap (rowPair8Go) —
 // into a saturation accumulator; the first excess value is still
 // computed exactly (sums stay within the lane), so a lane is either
 // never flagged — and bit-exact against the scalar kernel — or flagged
@@ -40,25 +40,30 @@
 //
 // # SSE2 kernels
 //
-// On amd64 the two-row kernels the scan runs, rowPair8 and rowPair16,
-// are assembly (rowpair_amd64.s) over the same words: each word sits
-// in the low half of an XMM register, and each guard-bit op is one
-// saturating lane op — SubClamp is PSUBUSB/PSUBUSW, the diagonal's add
-// PADDUSB/PADDUSW, max8 PMAXUB and max16 PMAXSW (SSE2 has no unsigned
-// word max; the signed one agrees on clean lanes, ≤ 32767). SSE2 is
-// part of the amd64 baseline, so nothing is detected at run time. On a
-// clean lane every saturating op returns what its guard-bit twin does
-// and the diagonal sum stays below the lane's top, so every cell up to
-// the lane's first guard bit is bit-identical and the same diagonal
-// term flags the lane. A flagged lane may hold other garbage than the
-// portable kernel's (up to the lane's full range instead of ≤ cap),
-// still inside its lane; nothing reads a flagged lane's values, which
-// the wider retry computes afresh. The portable kernels rowPair8Go and
-// rowPair16Go are the specification: every other GOARCH runs them,
-// and FuzzRowPairVsPortable holds the assembly to them.
+// On amd64 the pass the scan runs, rowQuad8 or rowQuad16, is assembly
+// (rowquad_amd64.s) over the same words, advancing four query rows at
+// once: both halves of an XMM register work, the low one on rows i and
+// i+1 as the portable two-row kernel does, the high one on rows i+2 and
+// i+3 two words behind, with row i+1 — kept in a register — as their
+// row above. Each guard-bit op is one saturating lane op — SubClamp is
+// PSUBUSB/PSUBUSW, the diagonal's add PADDUSB/PADDUSW, max8 PMAXUB and
+// max16 PMAXSW (SSE2 has no unsigned word max; the signed one agrees on
+// clean lanes, ≤ 32767). SSE2 is part of the amd64 baseline, so nothing
+// is detected at run time. On a clean lane every saturating op returns
+// what its guard-bit twin does and the diagonal sum stays below the
+// lane's top, so every cell up to the lane's first guard bit is
+// bit-identical and the same diagonal term flags the lane. A flagged
+// lane may hold other garbage than the portable kernel's (up to the
+// lane's full range instead of ≤ cap), still inside its lane; nothing
+// reads a flagged lane's values, which the wider retry computes afresh.
+// The portable pass, two rowPair8Go or rowPair16Go passes, is the
+// specification: every other GOARCH runs it, and FuzzRowQuadVsPortable
+// holds the assembly to it.
 package swar
 
 import (
+	"math/bits"
+
 	"genomedsm/internal/bio"
 )
 
@@ -145,8 +150,8 @@ func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 // every max8 output is ≤ 127, so it needs no guard strip. Lanes whose
 // guard bit is set in sat are unreliable and must be retried wider.
 //
-// This is the portable kernel and the specification of rowPair8, which
-// on amd64 is its SSE2 form (rowpair_amd64.go).
+// Two of these passes are the specification of the four-row rowQuad8
+// the scan runs (rowQuad8Go).
 func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
 	n := len(row)
 	plusA, minusA = plusA[:n], minusA[:n] // bounds hints for the loop body
@@ -157,6 +162,7 @@ func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint
 	a2 := uint64(0)                               // a[j-2]: the zero border
 	b := uint64(0)                                // b[j-2]: the zero border
 	best = max8(a1, best)
+	sat |= plusA[0]
 	for j := 1; j < n; j++ {
 		ag := SubClamp8(a1, gapV)
 		da := SubClamp8(row[j-1], minusA[j]) + plusA[j]
@@ -187,6 +193,7 @@ func rowPair16Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uin
 	a2 := uint64(0)
 	b := uint64(0)
 	best = max16(a1, best)
+	sat |= plusA[0]
 	for j := 1; j < n; j++ {
 		ag := SubClamp16(a1, gapV)
 		da := SubClamp16(row[j-1], minusA[j]) + plusA[j]
@@ -203,6 +210,26 @@ func rowPair16Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uin
 	b = max16(max16(db, SubClamp16(a1, gapV)), SubClamp16(b, gapV))
 	row[n-1] = b
 	return max16(b, best), sat
+}
+
+// quadProfile holds the profile rows of four successive query rows:
+// plus[k] and minus[k] score row i+k of a four-row pass.
+type quadProfile struct{ plus, minus [4][]uint64 }
+
+// rowQuad8Go advances four packed rows, i…i+3: two rowPair8Go passes,
+// rows i and i+1, then i+2 and i+3, with row holding row i-1 on entry
+// and row i+3 on return. It is the specification of rowQuad8, which on
+// amd64 computes the same words in one SSE2 pass (rowquad_amd64.go), and
+// what every other GOARCH runs.
+func rowQuad8Go(row []uint64, p *quadProfile, gapV, best, sat uint64) (uint64, uint64) {
+	best, sat = rowPair8Go(row, p.plus[0], p.minus[0], p.plus[1], p.minus[1], gapV, best, sat)
+	return rowPair8Go(row, p.plus[2], p.minus[2], p.plus[3], p.minus[3], gapV, best, sat)
+}
+
+// rowQuad16Go is rowQuad8Go for 4 uint16 lanes.
+func rowQuad16Go(row []uint64, p *quadProfile, gapV, best, sat uint64) (uint64, uint64) {
+	best, sat = rowPair16Go(row, p.plus[0], p.minus[0], p.plus[1], p.minus[1], gapV, best, sat)
+	return rowPair16Go(row, p.plus[2], p.minus[2], p.plus[3], p.minus[3], gapV, best, sat)
 }
 
 // LaneScores is the outcome of one packed scan.
@@ -247,8 +274,10 @@ type LaneScores struct {
 // value is ready to use; an Aligner must not be shared between
 // goroutines.
 type Aligner struct {
-	row    []uint64 // inter-sequence packed row (Scan8/Scan16)
-	border []uint64 // copy of row as it entered the current block
+	row []uint64 // inter-sequence packed row (Scan8/Scan16)
+	// borders are the copies of row as it entered a block (scanPacked):
+	// the current block's, and the ones lanes' seeds are still cut from.
+	borders [borderBufs][]uint64
 	// resume and marks are the resume point of the ladder's last int8
 	// pass (pass.lens): the row entering the block of its first guard bit
 	// and the folded maximum at each block end before it.
@@ -263,13 +292,16 @@ type Aligner struct {
 	laneSeed, seed [bio.PackedLanes8][]uint16
 }
 
+// borderBufs is the number of border-row buffers scanPacked needs: one
+// per lane whose seed a past block's copy holds, and the current block's.
+const borderBufs = bio.PackedLanes8 + 1
+
 // zeroRow returns the inter-sequence row buffer, one word per target
 // position, cleared: the zero top border. The kernels carry the zero
 // border column in registers, so the row has no border cell.
 func (a *Aligner) zeroRow(words int) []uint64 {
 	if cap(a.row) < words {
 		a.row = make([]uint64, words)
-		a.border = make([]uint64, words)
 	}
 	a.row = a.row[:words]
 	clear(a.row)
@@ -292,10 +324,15 @@ func (a *Aligner) zeroRow(words int) []uint64 {
 // The same stop saves what LocateEnd needs to turn the block into the
 // end cell — the paper's §5 border row. Every block past the first
 // starts by copying the row buffer, the H row entering the block, and a
-// lane that moved has its column of the copy unpacked into laneSeed[l];
-// a later move overwrites it, so what is left at the end is the row
-// entering the lane's end block (empty for block 0, whose border row is
-// zero). A lane is skipped while its maximum is below the Bound's
+// lane that moved points keep[l] at that copy, which then stays for as
+// long as a lane points at it: a later move repoints the lane, so what
+// it points at after the last block is the row entering its end block
+// (none for block 0, whose border row is zero), and only then is its
+// column unpacked into laneSeed[l]. A lane moves in nearly every block
+// of a homolog, so unpacking at every move would cut |q|/BlockRows
+// columns for the one the seed keeps. The lanes point at no more than
+// len(keep) copies, so borderBufs buffers always leave one free for the
+// next block. A lane is skipped while its maximum is below the Bound's
 // threshold — its final score, if it stays there, cannot enter a result
 // (the floor contract of the search layer's prune.go) — and once it is
 // flagged saturated, when the wider retry saves its own. For every
@@ -321,7 +358,12 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	if p.from == 0 {
 		row = a.zeroRow(words)
 	}
-	border := a.border[:words]
+	// kept[k] is buffer k's copy at the width of the block it entered;
+	// keep[l] is the buffer holding lane l's seed row, -1 for none.
+	var kept [borderBufs][]uint64
+	keep := [bio.PackedLanes8]int{-1, -1, -1, -1, -1, -1, -1, -1}
+	cur := 0 // the buffer the current block's border row is copied into
+	border := a.borderBuf(cur, words)
 	gapV := prof.Broadcast(gap)
 	wide := prof.Lanes() == bio.PackedLanes16
 	satMask := uint64(hi8)
@@ -338,24 +380,29 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 		if lo > 0 {
 			copy(border, row)
 		}
-		// Two rows per pass. BlockRows is even, so a pair never straddles a
-		// block boundary; only the query's last row can be left without a
-		// partner, and it pairs with the all-mismatch 'N' row: every cell
-		// of that phantom row is at most one of its neighbours (its
-		// diagonal term adds no match reward), so it can neither raise a
-		// lane's maximum nor set a guard bit.
-		for i := lo; i < hi; i += 2 {
-			c, c2 := q[i], byte('N')
-			if i+1 < hi {
-				c2 = q[i+1]
+		// Four rows per pass. BlockRows is a multiple of four, so a pass
+		// never straddles a block boundary; only the query's last one to
+		// three rows can be left short of a pass, which the all-mismatch
+		// 'N' row pads: every cell of such a phantom row is at most one of
+		// its neighbours (its diagonal term adds no match reward), so it
+		// can neither raise a lane's maximum nor set a guard bit.
+		var quad quadProfile
+		for i := lo; i < hi; i += 4 {
+			for k := range 4 {
+				c := byte('N')
+				if i+k < hi {
+					c = q[i+k]
+				}
+				quad.plus[k], quad.minus[k] = prof.PlusRow(c), prof.MinusRow(c)
 			}
 			if wide {
-				best, sat = rowPair16(row, prof.PlusRow(c), prof.MinusRow(c), prof.PlusRow(c2), prof.MinusRow(c2), gapV, best, sat)
+				best, sat = rowQuad16(row, &quad, gapV, best, sat)
 			} else {
-				best, sat = rowPair8(row, prof.PlusRow(c), prof.MinusRow(c), prof.PlusRow(c2), prof.MinusRow(c2), gapV, best, sat)
+				best, sat = rowQuad8(row, &quad, gapV, best, sat)
 			}
 		}
 		steps += int64(len(row)) * int64(hi-lo)
+		saved := false
 		if moved := best ^ snap; moved != 0 {
 			for l := 0; l < prof.Lanes(); l++ {
 				if prof.Lane(moved, l) == 0 {
@@ -363,10 +410,13 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 				}
 				blocks[l] = lo / BlockRows
 				if lo > 0 && prof.Lane(best, l) >= below && prof.Lane(sat, l)&guard == 0 {
-					a.laneSeed[l] = unpackLane(a.laneSeed[l], border, uint(l)*prof.Shift(), uint64(guard)<<1-1)
+					keep[l], saved = cur, true
 				}
 			}
 			snap = best
+		}
+		if saved {
+			kept[cur] = border
 		}
 		if p.lens != nil {
 			if sat&satMask == 0 {
@@ -385,10 +435,22 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 					}
 				}
 				if w == 0 {
+					a.unpackSeeds(&kept, &keep, prof)
 					return best, sat, blocks, hi, steps, false
 				}
 				row, border = row[:w], border[:w]
 			}
+		}
+		if saved {
+			// Copy the next block's border row into a buffer no lane keeps.
+			var used uint
+			for _, k := range keep {
+				if k >= 0 {
+					used |= 1 << uint(k)
+				}
+			}
+			cur = bits.TrailingZeros(^used)
+			border = a.borderBuf(cur, words)[:len(border)]
 		}
 		// Abandon only at full-block boundaries. A saturated lane's running
 		// maximum is untrustworthy, so it is never abandon evidence; the
@@ -403,7 +465,27 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 			}
 		}
 	}
+	a.unpackSeeds(&kept, &keep, prof)
 	return best, sat, blocks, len(q), steps, false
+}
+
+// borderBuf returns border buffer k with room for words words.
+func (a *Aligner) borderBuf(k, words int) []uint64 {
+	if cap(a.borders[k]) < words {
+		a.borders[k] = make([]uint64, words)
+	}
+	return a.borders[k][:words]
+}
+
+// unpackSeeds cuts each lane's seed, its column of the border copy
+// keep names, into laneSeed.
+func (a *Aligner) unpackSeeds(kept *[borderBufs][]uint64, keep *[bio.PackedLanes8]int, prof *bio.PackedProfile) {
+	mask := uint64(1)<<prof.Shift() - 1
+	for l, k := range keep {
+		if k >= 0 {
+			a.laneSeed[l] = unpackLane(a.laneSeed[l], kept[k], uint(l)*prof.Shift(), mask)
+		}
+	}
 }
 
 // pass is where a packed pass starts and whether it narrows. The zero

@@ -378,6 +378,12 @@ func TestScoresSaturation(t *testing.T) {
 		t.Errorf("score-100 lane wrongly saturated: mask %08b", ls.Saturated)
 	}
 	checkScores(t, "saturation", q, targets, sc)
+	// A flagged lane beside one-base lanes: once the ladder's int8 pass
+	// narrows to their one column, the last block runs on the portable
+	// pass, over the maximum the SSE2 pass left in the flagged lane.
+	ts := bio.MustSequence(strings.Repeat("T", 17))
+	checkScores(t, "saturated lane beside one-base lanes", ts, []bio.Sequence{ts, ts[:1], ts[:1]},
+		bio.Scoring{Match: 25, Mismatch: -2, Gap: -3})
 }
 
 // firstGuardBlock returns the block of query rows in which an int8 pass
@@ -805,10 +811,11 @@ func row16(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uin
 // oneRowScan is the packed scan as it ran on row8/row16: one row per
 // pass over two swapped row buffers, end-row blocks stamped every
 // BlockRows rows. It returns the folded maximum, the saturation word
-// and the blocks after the last row of q, and the stored row an even
-// number of rows in: q's last row, or for an odd q the all-mismatch 'N'
-// row after it, which the two-row kernel pairs it with — and which must
-// move neither the maximum nor a clean lane's guard bit.
+// and the blocks after the last row of q, and the stored row a multiple
+// of four rows in: q's last row, or the last of the one to three
+// all-mismatch 'N' rows after it that pad the four-row kernel's last
+// pass — and which must move neither the maximum nor a clean lane's
+// guard bit.
 func oneRowScan(t *testing.T, q bio.Sequence, prof *bio.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, last []uint64) {
 	t.Helper()
 	row, hi := row8, uint64(hi8)
@@ -831,12 +838,12 @@ func oneRowScan(t *testing.T, q bio.Sequence, prof *bio.PackedProfile, gap int) 
 		}
 		snap = best
 	}
-	if len(q)%2 == 1 {
+	for n := len(q); n%4 != 0; n++ {
 		b, s := row(prev, cur, prof.PlusRow('N'), prof.MinusRow('N'), gapV, best, sat)
 		if b != best || (s^sat)&hi != 0 {
 			t.Fatalf("phantom N row moved the one-row scan: best %#x → %#x, sat %#x → %#x", best, b, sat, s)
 		}
-		prev = cur
+		prev, cur = cur, prev
 	}
 	return best, sat, blocks, prev[1:]
 }
@@ -879,9 +886,10 @@ func twoRowInputs(g *bio.Generator, kind string, qLen, words, lanes int) (bio.Se
 	return q, targets
 }
 
-// TestTwoRowMatchesOneRow drives the two-row kernel and the one-row
-// kernel it replaced over the same profiles — query lengths around the
-// pair and block boundaries, one word to 600, both lane widths, scoring
+// TestTwoRowMatchesOneRow drives the four-row kernel and the one-row
+// kernel the two-row one replaced over the same profiles — query lengths
+// of every residue mod 4 around the pass and block boundaries, one word
+// to 600, both lane widths, scoring
 // schemes from the paper's to ones that saturate a lane within a few
 // matches — and asserts what the ladder relies on: the same set of
 // flagged lanes, and in every unflagged lane the same maximum, the same
@@ -897,7 +905,7 @@ func TestTwoRowMatchesOneRow(t *testing.T) {
 	g := bio.NewGenerator(19)
 	var al swar.Aligner
 	for _, kind := range []string{"random", "homolog", "two-letter", "n-run"} {
-		for _, qLen := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129} {
+		for _, qLen := range []int{1, 2, 3, 5, 6, 62, 63, 64, 65, 127, 128, 129, 130} {
 			for _, words := range []int{1, 2, 3, 7, 600} {
 				q8, t8 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes8)
 				q16, t16 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes16)

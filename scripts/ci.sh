@@ -9,17 +9,17 @@
 #      counters and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then the portable
-#      two-row kernels vetted and compiled for arm64 (the SSE2 ones
+#      row kernels vetted and compiled for arm64 (the SSE2 ones
 #      are amd64 only), then a kernel oracle
 #      fuzz: 10 s each of the eight differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
 #      located from them — and the striped rungs and align.Scan's
-#      striped → scalar ladder to the scalar kernel, the SSE2 two-row
-#      kernels to the portable ones, the leaf scalar row kernel to the
+#      striped → scalar ladder to the scalar kernel, the SSE2 four-row
+#      kernels to the portable pass, the leaf scalar row kernel to the
 #      per-cell-argmax one it replaced, pruned search
 #      hits to unpruned ones, and the realign pool's arrow-free begin
 #      sweep to the §6 traceback (FuzzScoresVsScalar,
-#      FuzzStripedVsScalar, FuzzRowPairVsPortable, FuzzLeafRowVsReference,
+#      FuzzStripedVsScalar, FuzzRowQuadVsPortable, FuzzLeafRowVsReference,
 #      FuzzDispatchVsScalar, FuzzStripRealignVsFull,
 #      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve) — past their seed
 #      corpora, which is all `go test` runs
@@ -44,8 +44,8 @@
 #      cleanly on SIGTERM
 #   5. a 1-iteration smoke run of every kernel, search, serve and pack
 #      benchmark, the SSE2 kernel gate (on amd64: the median
-#      portable/sse2 time ratio of RowPair8VsPortable over five runs,
-#      both kernels alternated in one process, must stay >= 2), the
+#      portable/sse2 time ratio of RowQuad8VsPortable over five runs,
+#      both kernels alternated in one process, must stay >= 6), the
 #      leaf scalar row gate (the median ref/leaf time ratio of
 #      ScalarRowLeafVsReference over five runs, the two row kernels
 #      alternated in one process, must stay >= 1.2), then
@@ -104,7 +104,7 @@ echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpa
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
 
 echo "== portable kernels (GOARCH=arm64 vet + test build of internal/swar)"
-# Off amd64 the two-row kernels are the portable Go ones: keep them
+# Off amd64 the row kernels are the portable Go ones: keep them
 # compiling. vet's asmdecl check on amd64 (above) keeps the assembly's
 # frame offsets in step with its Go declarations.
 GOARCH=arm64 go vet ./internal/swar
@@ -115,9 +115,9 @@ go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 # The striped rungs and align.Scan's ladder, from a pair under the
 # router's scalar cutoff to a 513-row query.
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
-# The SSE2 two-row kernels against the portable ones: clean lanes
-# bit-identical, the same guard bits, beside dirty lanes.
-go test -run '^$' -fuzz '^FuzzRowPairVsPortable$' -fuzztime 10s ./internal/swar
+# The SSE2 four-row kernels against the portable pass: clean lanes
+# bit-identical beside dirty lanes, phantom rows, short rows.
+go test -run '^$' -fuzz '^FuzzRowQuadVsPortable$' -fuzztime 10s ./internal/swar
 # The leaf scalar row kernel that locates end cells against the
 # per-cell-argmax one it replaced: the same row, maximum and column.
 go test -run '^$' -fuzz '^FuzzLeafRowVsReference$' -fuzztime 10s ./internal/swar
@@ -256,22 +256,24 @@ echo "index/serve e2e ok"
 echo "== benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'Kernel|Search|Serve|Pack' -benchtime 1x .
 
-echo "== SSE2 kernel gate (RowPair8VsPortable: portable/sse2 >= 2, median of 5)"
-# rowPair8 and the portable rowPair8Go alternated over one 8-lane
-# 1000 x 1000 group in each iteration: a same-run ratio, so the host's
-# speed that hour cancels. The SSE2 kernel must stay at least twice as
-# fast as the portable one it replaces. Off amd64 the two are one
-# kernel, and the gate is skipped.
+echo "== SSE2 kernel gate (RowQuad8VsPortable: portable/sse2 >= 6, median of 5)"
+# rowQuad8 and the portable pass (two rowPair8Go passes) alternated
+# over one 8-lane 1000 x 1000 group in each iteration: a same-run
+# ratio, so the host's speed that hour cancels. The floor sits under
+# the lowest median the four-row kernel read over three hours on a
+# 2-vCPU host and above what a kernel leaving each register's high
+# half empty reads (the two-row SSE2 kernel: 3.8-5.1; EXPERIMENTS.md).
+# Off amd64 the two are one kernel, and the gate is skipped.
 if [ "$(go env GOARCH)" != amd64 ]; then
     echo "SSE2 kernel gate skipped: GOARCH $(go env GOARCH)"
 else
-    ratio=$(go test -run '^$' -bench '^BenchmarkRowPair8VsPortable$' -count 5 ./internal/swar |
-        awk '$1 ~ /^BenchmarkRowPair8VsPortable(-[0-9]+)?$/ {
+    ratio=$(go test -run '^$' -bench '^BenchmarkRowQuad8VsPortable$' -count 5 ./internal/swar |
+        awk '$1 ~ /^BenchmarkRowQuad8VsPortable(-[0-9]+)?$/ {
             for (i = 2; i < NF; i++) if ($(i+1) == "portable/sse2") print $i
         }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-    echo "portable rowPair8 at ${ratio}x the time of the SSE2 one (median)"
+    echo "portable pass at ${ratio}x the time of the SSE2 four-row one (median)"
     awk -v r="$ratio" 'BEGIN {
-        if (r < 2.0) { printf "SSE2 kernel gate FAILED: %.2fx < 2x\n", r; exit 1 }
+        if (r < 6.0) { printf "SSE2 kernel gate FAILED: %.2fx < 6x\n", r; exit 1 }
         printf "SSE2 kernel gate ok: %.2fx\n", r
     }'
 fi
