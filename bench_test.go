@@ -563,9 +563,11 @@ func BenchmarkKernelReverseRetrieve(b *testing.B) {
 
 // BenchmarkKernelReverseBegin is the same sweep over the same pair in the
 // form the realign pool runs: the begin cell only, no arrows and no
-// traceback. The denominator is the same CellsComputed, so the two rows
-// read as one kernel with and without its traceback store; ci.sh gates
-// this one at ≥ 2× KernelReverseRetrieve's cells/s in the same run.
+// traceback, and a score-to-go floor that drops the cells which cannot
+// reach the score. The denominator is Begin's own CellsComputed, fewer
+// than ReverseRetrieve's, so this row is the per-cell rate of the smaller
+// area it sweeps; ci.sh gates it at ≥ 2× KernelReverseRetrieve's cells/s
+// in the same run.
 func BenchmarkKernelReverseBegin(b *testing.B) {
 	s, t := benchPair(1000)
 	sc := bio.DefaultScoring()

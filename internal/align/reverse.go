@@ -54,6 +54,7 @@ type Retriever struct {
 	rev       bio.Sequence // reversed-prefix scratch for the profile
 	prof      bio.Profile  // query profile over rev, rebuilt per call
 	arrows    arrowRows    // ReverseRetrieve's traceback store
+	values    valueRows    // Begin's score-to-go floor
 	// High-water trim bookkeeping: one huge retrieval must not pin its
 	// arena for the lifetime of a long-lived Retriever (a realign worker,
 	// RetrieveAll loops). Every trimWindow calls the buffers are shrunk
@@ -127,17 +128,21 @@ func checkEnd(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) error {
 	return nil
 }
 
-// A rowKernel is what sets the two forms of the reverse sweep apart: how
-// the interior of a row is evaluated and what a finished row leaves
-// behind. The windows, the west-chain tail and the stop rule belong to
-// sweep alone.
+// A rowKernel is what sets the two forms of the reverse sweep apart: the
+// least value a live cell may hold, how the interior of a row is
+// evaluated and what a finished row leaves behind. The windows, the
+// west-chain tail and the stop rule belong to sweep alone.
 type rowKernel interface {
+	// floor is the least value a cell of row p stays live with: 1 for
+	// Theorem 6.2's pruning alone.
+	floor(p int) int32
 	// interior evaluates the columns [lo, lo+len(out)) of a row reachable
 	// from the previous one: out[i] is column lo+i, sub[i] its
 	// substitution score, north[i] the previous row's value above it and
-	// d the previous row's value at column lo-1. A cell that is not
-	// positive is stored as deadCell. It returns the largest value stored.
-	interior(sub, north, out []int32, d, gap int32) int32
+	// d the previous row's value at column lo-1. A cell below fl, the
+	// row's floor, is stored as deadCell. It returns the largest value
+	// stored.
+	interior(sub, north, out []int32, d, gap, fl int32) int32
 	// done closes the row: columns [lo, end) were evaluated, those past
 	// mid as the west-chain tail, and [liveLo, liveHi] is the window of
 	// its live cells (empty when liveLo > liveHi).
@@ -155,10 +160,11 @@ type rowKernel interface {
 // A cell is active when its value is positive and it is reachable from
 // the (1,1) seed without crossing a zero — Theorem 6.2 says pruning the
 // rest cannot lose the minimal-length alignment, because that alignment
-// starts at the first character of each reversed sequence. Pruned cells
-// hold deadCell, so a candidate built on one can never be positive and
-// the recurrence needs no activity flag; the origin of row 0 is the one
-// active cell with value 0. Row p evaluates the columns its predecessor's
+// starts at the first character of each reversed sequence — and when it
+// is not below its row's rk.floor. Pruned cells hold deadCell, so a
+// candidate built on one can never be positive and the recurrence needs
+// no activity flag; the origin of row 0 is the one active cell with
+// value 0. Row p evaluates the columns its predecessor's
 // live window [lo, hi] reaches — [lo, hi+1] through rk.interior, then
 // the west chain beyond them until it dies — and hands its own live
 // window to the next row.
@@ -198,7 +204,8 @@ func (rt *Retriever) sweep(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int,
 		mid := min(hi+1, qmax)
 		out := cur[lo : mid+1]
 		cur[lo-1] = deadCell
-		if rk.interior(prof.Row(s[endI-p])[lo-1:mid], prev[lo:mid+1], out, prev[lo-1], gap) >= kk {
+		fl := rk.floor(p)
+		if rk.interior(prof.Row(s[endI-p])[lo-1:mid], prev[lo:mid+1], out, prev[lo-1], gap, fl) >= kk {
 			// The first column of the row to reach k has the row's smallest
 			// p+q; it wins if it beats the rows above.
 			for i, v := range out {
@@ -211,13 +218,14 @@ func (rt *Retriever) sweep(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int,
 			}
 		}
 		// Beyond mid only west chains (runs of gaps in s) can stay alive,
-		// and they die as soon as a value drops to zero. The cell that
-		// kills the chain was evaluated, so it counts, but is not stored.
+		// and they die as soon as a value drops below the floor. The cell
+		// that kills the chain was evaluated, so it counts, but is not
+		// stored.
 		w := out[len(out)-1]
 		q := mid + 1
 		for ; q <= qmax; q++ {
 			v := w + gap
-			if v <= 0 {
+			if v < fl {
 				st.CellsComputed++
 				break
 			}
@@ -249,25 +257,40 @@ func (rt *Retriever) sweep(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int,
 	return bestP, bestQ, st
 }
 
-// valueRows is Begin's row kernel: values only.
-type valueRows struct{}
+// valueRows is Begin's row kernel: values only, under a score-to-go
+// floor. Every step of a path gains at most match (a gap step loses), and
+// a cell of row p has pmax−p rows left, so a cell whose value v has
+// v + match·(pmax−p) < k lies on no path that reaches k: floor(p) =
+// max(1, k − match·(pmax−p)) kills it like a non-positive cell.
+//
+// The floor is exact: it changes no value that survives it. A live
+// cell's maximising predecessor under Theorem 6.2 is live too — a
+// diagonal one holds at least v − match ≥ floor(p−1), a north or west one
+// v − gap > v — so by induction every cell at or above its floor keeps
+// Theorem 6.2's value, every cell reaching k (k ≥ every floor) still
+// does, and the begin cell, its tie-break and ok are the floor-less
+// sweep's. Only RetrieveStats shrink. The zero valueRows has floor 1 in
+// every row: Theorem 6.2's pruning alone.
+type valueRows struct{ k, match, pmax int }
 
-func (valueRows) interior(sub, north, out []int32, d, gap int32) int32 {
-	return rowValues(sub, north, out, d, gap)
+func (vr *valueRows) floor(p int) int32 { return int32(max(1, vr.k-vr.match*(vr.pmax-p))) }
+
+func (*valueRows) interior(sub, north, out []int32, d, gap, fl int32) int32 {
+	return rowValues(sub, north, out, d, gap, fl)
 }
 
-func (valueRows) done(lo, mid, end, liveLo, liveHi int) {}
+func (*valueRows) done(lo, mid, end, liveLo, liveHi int) {}
 
 // rowValues is the score-only row of the reverse sweep: the diagonal and
 // west values ride in registers, and each cell is one profile load, one
-// load of the row above and one store.
+// load of the row above and one store. A cell below fl is stored dead.
 //
 // The west value is the one that carries from cell to cell, so it skips
-// the dead clamp: a west value that is not positive only ever yields a
-// candidate below zero, which loses to any live one and is stored as
-// deadCell like any other, so the stored row is the clamped recurrence's
-// and the chain from one cell to the next is an add and a select.
-func rowValues(sub, north, out []int32, d, gap int32) int32 {
+// the dead clamp: a west value below fl only ever yields a candidate
+// below fl, which loses to any live one and is stored as deadCell like
+// any other, so the stored row is the clamped recurrence's and the chain
+// from one cell to the next is an add and a select.
+func rowValues(sub, north, out []int32, d, gap, fl int32) int32 {
 	n := len(out)
 	sub, north = sub[:n], north[:n]
 	w, top := deadCell, deadCell
@@ -281,16 +304,16 @@ func rowValues(sub, north, out []int32, d, gap int32) int32 {
 		v2 := max(n1+sub[i+2], n2+gap, v1+gap)
 		v3 := max(n2+sub[i+3], n3+gap, v2+gap)
 		w, d = v3, n3
-		if v0 <= 0 {
+		if v0 < fl {
 			v0 = deadCell
 		}
-		if v1 <= 0 {
+		if v1 < fl {
 			v1 = deadCell
 		}
-		if v2 <= 0 {
+		if v2 < fl {
 			v2 = deadCell
 		}
-		if v3 <= 0 {
+		if v3 < fl {
 			v3 = deadCell
 		}
 		out[i], out[i+1], out[i+2], out[i+3] = v0, v1, v2, v3
@@ -300,7 +323,7 @@ func rowValues(sub, north, out []int32, d, gap int32) int32 {
 		nv := north[i]
 		v := max(d+sub[i], nv+gap, w+gap)
 		w, d = v, nv
-		if v <= 0 {
+		if v < fl {
 			v = deadCell
 		}
 		out[i] = v
@@ -327,7 +350,11 @@ func (a *arrowRows) reset() {
 	a.rows = append(a.rows[:0], rrow{lo: 0, hi: 0, off: 0})
 }
 
-func (a *arrowRows) interior(sub, north, out []int32, d, gap int32) int32 {
+// floor is 1: ReverseRetrieve keeps Theorem 6.2's useful area whole,
+// because the §6 experiment and the Eq. (3) bound read its counters.
+func (*arrowRows) floor(int) int32 { return 1 }
+
+func (a *arrowRows) interior(sub, north, out []int32, d, gap, _ int32) int32 {
 	n := len(out)
 	a.off = len(a.arrs)
 	a.arrs = slices.Grow(a.arrs, n)[:a.off+n]
@@ -446,19 +473,27 @@ func (rt *Retriever) ReverseRetrieve(s, t bio.Sequence, sc bio.Scoring, endI, en
 }
 
 // Begin is the begin-cell form of ReverseRetrieve: the same sweep, with
-// the same windows, stop rule, begin cell and RetrieveStats, but it keeps
-// cell values only in the two rolling rows — no arrows, no traceback, no
-// Ops — and has no dense fallback. When an alignment of score k ending
-// at (endI, endJ) passes Theorem 6.2's pruning, (sBegin, tBegin) is where
-// ReverseRetrieve's alignment begins and ok is true. Otherwise — no such
-// alignment ends exactly there, or the arguments are out of range — ok
-// is false. Begin leaves the arrow arena alone and allocates nothing once
-// the Retriever has held a sweep of the same size.
+// the same stop rule and begin cell, but it keeps cell values only in the
+// two rolling rows — no arrows, no traceback, no Ops — has no dense
+// fallback, and drops every cell from which the rows left cannot reach k
+// (valueRows), so its RetrieveStats count at most ReverseRetrieve's.
+// When an alignment of score k ending at (endI, endJ) passes Theorem
+// 6.2's pruning, (sBegin, tBegin) is where ReverseRetrieve's alignment
+// begins and ok is true. Otherwise — no such alignment ends exactly
+// there, or the arguments are out of range — ok is false. Begin leaves
+// the arrow arena alone and allocates nothing once the Retriever has
+// held a sweep of the same size.
 func (rt *Retriever) Begin(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int) (sBegin, tBegin int, st RetrieveStats, ok bool) {
+	return rt.begin(s, t, sc, endI, endJ, k, valueRows{k: k, match: sc.Match, pmax: endI})
+}
+
+// begin is Begin's sweep under the floor vr sets.
+func (rt *Retriever) begin(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int, vr valueRows) (sBegin, tBegin int, st RetrieveStats, ok bool) {
 	if checkEnd(s, t, sc, endI, endJ, k) != nil {
 		return 0, 0, st, false
 	}
-	p, q, st := rt.sweep(s, t, sc, endI, endJ, k, valueRows{})
+	rt.values = vr
+	p, q, st := rt.sweep(s, t, sc, endI, endJ, k, &rt.values)
 	if p < 0 {
 		return 0, 0, st, false
 	}

@@ -81,7 +81,7 @@ func checkAgainstAnchoredRef(s, t bio.Sequence, endI, endJ, k int) (RetrieveStat
 // anchored path reaches k, ok=false exactly where none does. The stats
 // it returns are Begin's plus, on ok=false, those of the dense pass that
 // ReverseRetrieve falls back to and Begin does not run — so summed over
-// endpoints they are ReverseRetrieve's to the cell.
+// endpoints they compare with ReverseRetrieve's.
 func checkBeginAgainstAnchoredRef(rt *Retriever, s, t bio.Sequence, endI, endJ, k int) (RetrieveStats, error) {
 	sBegin, tBegin, st, ok := rt.Begin(s, t, sc, endI, endJ, k)
 	p, q, refOK := refAnchoredBegin(s, t, sc, endI, endJ, k)
@@ -137,7 +137,9 @@ func refPair(shape string, seed int64) (s, t bio.Sequence) {
 // read these counters, so the tight sweep must count exactly as before.
 // Begin, the arrow-free form of the same sweep, is held to the same
 // reference and — with the dense pass it leaves out added back on its
-// ok=false endpoints — the same recorded sums.
+// ok=false endpoints — to sums of its own, recorded when its score-to-go
+// floor went in, which must not exceed ReverseRetrieve's: the floor
+// computes fewer cells by design.
 func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 	type sums struct {
 		cells, full int64
@@ -147,6 +149,11 @@ func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 		"random":    {cells: 715325, full: 946700, rows: 2344, n: 300},
 		"homolog":   {cells: 3092813, full: 3860283, rows: 4621, n: 300},
 		"twoletter": {cells: 626453, full: 1043658, rows: 7853, n: 300},
+	}
+	wantBegin := map[string]sums{ // recorded with Begin's score-to-go floor
+		"random":    {cells: 715025, full: 946110, rows: 2339, n: 300},
+		"homolog":   {cells: 2970009, full: 3846460, rows: 4568, n: 300},
+		"twoletter": {cells: 602974, full: 1033640, rows: 7677, n: 300},
 	}
 	var rt Retriever
 	for _, shape := range []string{"random", "homolog", "twoletter"} {
@@ -185,8 +192,11 @@ func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 		if w := want[shape]; got != w {
 			t.Errorf("%s: stats %+v, recorded %+v", shape, got, w)
 		}
-		if w := want[shape]; gotBegin != w {
+		if w := wantBegin[shape]; gotBegin != w {
 			t.Errorf("%s: Begin stats %+v, recorded %+v", shape, gotBegin, w)
+		}
+		if gotBegin.cells > got.cells || gotBegin.full > got.full || gotBegin.rows > got.rows {
+			t.Errorf("%s: Begin stats %+v above ReverseRetrieve's %+v", shape, gotBegin, got)
 		}
 	}
 }

@@ -111,6 +111,35 @@ func TestReverseRetrieveOnPlantedMotif(t *testing.T) {
 	}
 }
 
+// TestBeginFloorOnWholeQueryHomolog: a homolog that spans the whole
+// query ends its reversed sweep in the last row, where Begin's
+// score-to-go floor has risen to k, so Begin computes well under half of
+// ReverseRetrieve's Theorem 6.2 area, and still finds its begin cell.
+func TestBeginFloorOnWholeQueryHomolog(t *testing.T) {
+	g := bio.NewGenerator(61)
+	s := g.Random(500)
+	tt := concat(g.Random(80), g.MutatedCopy(s, bio.DefaultMutationModel()), g.Random(80))
+	r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	al, full, err := ReverseRetrieve(s, tt, sc, r.BestI, r.BestJ, r.BestScore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt Retriever
+	sBegin, tBegin, st, ok := rt.Begin(s, tt, sc, r.BestI, r.BestJ, r.BestScore)
+	if !ok || sBegin != al.SBegin || tBegin != al.TBegin {
+		t.Fatalf("Begin (%d,%d) ok=%v, ReverseRetrieve (%d,%d)", sBegin, tBegin, ok, al.SBegin, al.TBegin)
+	}
+	if al.SBegin > 10 {
+		t.Fatalf("alignment begins at s[%d]: the homolog does not span the query", al.SBegin)
+	}
+	if 2*st.CellsComputed >= full.CellsComputed {
+		t.Errorf("Begin computed %d cells, ReverseRetrieve %d: want under half", st.CellsComputed, full.CellsComputed)
+	}
+}
+
 func TestReverseRetrieveMinimalLength(t *testing.T) {
 	// s contains the motif twice back to back; the alignment of score
 	// |motif| ending at the second copy must span only that copy

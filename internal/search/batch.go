@@ -354,14 +354,22 @@ feed:
 	return out, nil
 }
 
-// groupProf lazily builds — at most once per work item — the
-// query-independent int8 packed profile of one full lane group, shared
-// by every query of the batch. With a DB layout attached the build
-// reads the precomputed interleaved words (the pack-v2 zero-copy path);
-// otherwise it interleaves the record bytes once instead of once per
-// query. Either build is bit-identical to the profile the kernels would
-// construct per scan (TestPackedProfileFromWords pins the equivalence),
-// so sharing changes cost only, never results.
+// groupProf is one work item's swar.Profiles, shared by every query of
+// the batch: it lazily builds — at most once per work item — the
+// query-independent int8 packed profile of the full lane group, and each
+// int16 subgroup profile the ladder's retries ask for. With a DB layout
+// attached the int8 build reads the precomputed interleaved words (the
+// pack-v2 zero-copy path); otherwise it interleaves the record bytes
+// once instead of once per query. Either build is bit-identical to the
+// profile the kernels would construct per scan
+// (TestPackedProfileFromWords pins the equivalence), so sharing changes
+// cost only, never results.
+//
+// A query's stage-1 skips compact the lanes it scans, so each call says
+// which records it holds (use): the full-group int8 profile serves only
+// a call that kept the whole group, and an int16 subgroup is memoised
+// under its record indices, which stage-1 skips cannot change. reset
+// drops every profile, so none outlives its work item.
 type groupProf struct {
 	words   []uint64       // the group's layout words; nil without a layout
 	targets []bio.Sequence // full group targets in rank order
@@ -369,11 +377,23 @@ type groupProf struct {
 	sc      bio.Scoring
 	prof    *bio.PackedProfile
 	tried   bool
+	kept    []int          // the current call's records, lane order
+	keptSeq []bio.Sequence // and their sequences
+	memo16  []prof16
 }
 
-// reset points the holder at a new group and drops any cached profile.
+// prof16 is one memoised int16 subgroup profile: the records of its
+// lanes (n of them) and what bio.NewPackedProfile16 built for them.
+type prof16 struct {
+	recs [bio.PackedLanes16]int
+	n    int
+	prof *bio.PackedProfile
+}
+
+// reset points the holder at a new group and drops every cached profile.
 func (g *groupProf) reset(db *DB, group []int) {
 	g.words, g.prof, g.tried = nil, nil, false
+	g.memo16 = g.memo16[:0]
 	g.targets = g.targets[:0]
 	g.lens = g.lens[:0]
 	for _, idx := range group {
@@ -383,10 +403,20 @@ func (g *groupProf) reset(db *DB, group []int) {
 	}
 }
 
-// profile returns the group's int8 packed profile, building it on first
-// use; nil under exactly the conditions bio.NewPackedProfile8 returns
-// nil, so callers fall back identically.
-func (g *groupProf) profile() *bio.PackedProfile {
+// use names the records of the next Ladder call, in lane order, and
+// their sequences.
+func (g *groupProf) use(kept []int, targets []bio.Sequence) {
+	g.kept, g.keptSeq = kept, targets
+}
+
+// Int8 returns the group's int8 packed profile, built on first use, when
+// the call kept the whole group, and a fresh one for its compacted lanes
+// otherwise; nil under exactly the conditions bio.NewPackedProfile8
+// returns nil.
+func (g *groupProf) Int8() *bio.PackedProfile {
+	if len(g.kept) != len(g.targets) {
+		return bio.NewPackedProfile8(g.keptSeq, g.sc)
+	}
 	if !g.tried {
 		g.tried = true
 		if g.words != nil {
@@ -396,6 +426,27 @@ func (g *groupProf) profile() *bio.PackedProfile {
 		}
 	}
 	return g.prof
+}
+
+// Int16 returns the int16 profile of the call's lanes set in lanes,
+// built once per work item for each set of records.
+func (g *groupProf) Int16(lanes uint8) *bio.PackedProfile {
+	var key prof16
+	var seqs [bio.PackedLanes16]bio.Sequence
+	for l := range g.kept {
+		if lanes&(1<<uint(l)) != 0 {
+			key.recs[key.n], seqs[key.n] = g.kept[l], g.keptSeq[l]
+			key.n++
+		}
+	}
+	for _, m := range g.memo16 {
+		if m.recs == key.recs && m.n == key.n {
+			return m.prof
+		}
+	}
+	key.prof = bio.NewPackedProfile16(seqs[:key.n], g.sc)
+	g.memo16 = append(g.memo16, key)
+	return key.prof
 }
 
 // groupScratch is one worker's reusable per-group buffers: the records
@@ -448,12 +499,6 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 	if len(kept) == 0 {
 		return nil
 	}
-	if gp != nil && len(kept) != len(group) {
-		// Stage-1 skips compacted the surviving lanes, so the full-group
-		// profile no longer lines up lane for lane — the ladder rebuilds
-		// from the compacted targets.
-		gp = nil
-	}
 	targets, lens := buf.targets[:0], buf.lens[:0]
 	for _, idx := range kept {
 		t := db.recs[idx].Seq
@@ -463,6 +508,9 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 	buf.targets, buf.lens = targets, lens
 	var res swar.GroupResult
 	if st.scan != nil {
+		if gp != nil {
+			gp.use(kept, targets)
+		}
 		res = scoreGroup(al, q, targets, lens, sc, st.scan, ab, gp)
 	} else {
 		var err error

@@ -38,13 +38,11 @@ var startRung = [...]swar.Rung{
 // route r picks, under an optional pruning bound (nil ab = unpruned).
 // Results are bit-exact for every route, including forced mis-routes.
 // lens holds the targets' lengths; a non-nil gp supplies the group's
-// shared prebuilt int8 profile, built only when the route starts at the
-// int8 rung.
+// shared packed profiles (groupProf.use must have named the targets).
 func scoreGroup(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, lens []int, sc bio.Scoring, r *dispatch.Router, ab *swar.Bound, gp *groupProf) swar.GroupResult {
-	route := r.Group(len(q), lens)
-	var prof *bio.PackedProfile
-	if route == dispatch.GroupInter8 && gp != nil {
-		prof = gp.profile()
+	var pr swar.Profiles
+	if gp != nil {
+		pr = gp
 	}
-	return al.Ladder(q, targets, sc, startRung[route], ab, prof)
+	return al.Ladder(q, targets, sc, startRung[r.Group(len(q), lens)], ab, pr)
 }

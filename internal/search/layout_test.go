@@ -144,3 +144,68 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupProfInt16Memo: a work item's int16 subgroup profile is
+// memoised under its records, not its lane positions. Two calls whose
+// kept sets put different records in the same lanes get each its own
+// records' profile; a call holding the same records in other lanes gets
+// the first one's; and reset forgets them all.
+func TestGroupProfInt16Memo(t *testing.T) {
+	g := bio.NewGenerator(17)
+	var recs []bio.Record
+	for i := 0; i < 8; i++ {
+		recs = append(recs, bio.Record{ID: fmt.Sprint(i), Seq: g.Random(40 + 7*i)})
+	}
+	db := NewDB(recs)
+	group := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	sc := bio.DefaultScoring()
+	gp := &groupProf{sc: sc}
+	gp.reset(db, group)
+	call := func(kept ...int) {
+		var seqs []bio.Sequence
+		for _, idx := range kept {
+			seqs = append(seqs, db.recs[idx].Seq)
+		}
+		gp.use(kept, seqs)
+	}
+	same := func(a, b *bio.PackedProfile) bool {
+		if a.Words() != b.Words() || a.Lanes() != b.Lanes() {
+			return false
+		}
+		for _, c := range []byte("ACGTN") {
+			if !reflect.DeepEqual(a.PlusRow(c), b.PlusRow(c)) || !reflect.DeepEqual(a.MinusRow(c), b.MinusRow(c)) {
+				return false
+			}
+		}
+		return true
+	}
+	seqsOf := func(idx ...int) []bio.Sequence {
+		var out []bio.Sequence
+		for _, i := range idx {
+			out = append(out, db.recs[i].Seq)
+		}
+		return out
+	}
+	call(0, 1, 2, 3, 4, 5, 6, 7)
+	a := gp.Int16(0b101) // records 0 and 2
+	if !same(a, bio.NewPackedProfile16(seqsOf(0, 2), sc)) {
+		t.Fatal("records 0, 2: provided profile differs from a fresh build")
+	}
+	call(1, 3, 5, 7)
+	b := gp.Int16(0b101) // lanes 0 and 2 now hold records 1 and 5
+	if b == a || !same(b, bio.NewPackedProfile16(seqsOf(1, 5), sc)) {
+		t.Fatal("records 1, 5: got the profile of the records once in the same lanes")
+	}
+	call(0, 2, 6)
+	if gp.Int16(0b011) != a {
+		t.Error("records 0, 2 in lanes 0, 1: their profile was built again")
+	}
+	if !same(gp.Int8(), bio.NewPackedProfile8(seqsOf(0, 2, 6), sc)) {
+		t.Error("compacted call: int8 profile differs from a fresh build of its lanes")
+	}
+	gp.reset(db, group)
+	call(0, 1, 2, 3, 4, 5, 6, 7)
+	if c := gp.Int16(0b101); c == a {
+		t.Error("reset kept the previous work item's profile")
+	}
+}

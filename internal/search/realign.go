@@ -73,6 +73,11 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 // or exceeds it first, is a kernel bug and fails the batch. spans then runs the reverse sweep of
 // RealignBatch on every hit; without it (a NoEndpoints scan) the pass
 // stops at the end cells.
+//
+// A panic in an item's locate or reverse sweep, a kernel bug, becomes
+// that item's error: it fails the batch like any other, and the process
+// lives on. The worker then drops the Retriever and Aligner it held
+// mid-item instead of pooling them.
 func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db []bio.Record, sc bio.Scoring, workers int, from [][]scored, spans bool) error {
 	if sc == (bio.Scoring{}) {
 		sc = bio.DefaultScoring()
@@ -134,12 +139,38 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 		var rt *align.Retriever
 		if spans {
 			rt = retrievers.Get().(*align.Retriever)
-			defer retrievers.Put(rt)
+			defer func() { retrievers.Put(rt) }()
 		}
 		var al *swar.Aligner
 		if from != nil {
 			al = aligners.Get().(*swar.Aligner)
-			defer aligners.Put(al)
+			defer func() { aligners.Put(al) }()
+		}
+		finish := func(it *item) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("search: finishing hit %q of query %d panicked: %v", it.hit.ID, it.qi, r)
+					if rt != nil {
+						rt = new(align.Retriever)
+					}
+					if al != nil {
+						al = new(swar.Aligner)
+					}
+				}
+			}()
+			if TestHookFinish != nil {
+				TestHookFinish(it.n)
+			}
+			q, t := queries[it.qi].Seq, db[it.hit.Index].Seq
+			if it.from != nil {
+				if err := locateHit(al, q, t, sc, it.hit, it.from); err != nil {
+					return err
+				}
+			}
+			if spans {
+				it.cells, err = realignHit(rt, q, t, sc, it.hit)
+			}
+			return err
 		}
 		for {
 			i := int(next.Add(1)) - 1
@@ -150,15 +181,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 			if ctxOf(it.qi).Err() != nil {
 				continue // skipped: nothing computed
 			}
-			q, t := queries[it.qi].Seq, db[it.hit.Index].Seq
-			if it.from != nil {
-				if errs[it.n] = locateHit(al, q, t, sc, it.hit, it.from); errs[it.n] != nil {
-					continue
-				}
-			}
-			if spans {
-				it.cells, errs[it.n] = realignHit(rt, q, t, sc, it.hit)
-			}
+			errs[it.n] = finish(it)
 		}
 	}
 	if workers = min(workers, len(items)); workers <= 1 {
@@ -190,6 +213,11 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	}
 	return nil
 }
+
+// TestHookFinish, when non-nil, runs at the start of every item of the
+// finish pass with the item's position in (query, hit) order. It is for
+// tests, which plant a panic in one item with it; nothing else sets it.
+var TestHookFinish func(item int)
 
 // retrievers keeps the workers' align.Retrievers — their rolling rows
 // and profile — alive between calls, like align's own pool of striped

@@ -202,3 +202,38 @@ func TestRealignLocatedAllocs(t *testing.T) {
 		t.Errorf("Realign: %.2f allocs per located hit, want ≤ 2", perHit)
 	}
 }
+
+// TestFinishPanicFailsBatch: a panic planted in one item of the finish
+// pass fails its batch with that item's error, on one worker and on
+// four, and the next batch — on the same pools — is bit-identical to
+// per-query Runs.
+func TestFinishPanicFailsBatch(t *testing.T) {
+	queries, recs := realignBatch(t, 5)
+	db := NewDB(recs)
+	for _, workers := range []int{1, 4} {
+		opt := Options{Workers: workers, Prune: true}
+		TestHookFinish = func(item int) {
+			if item == 2 {
+				panic("planted")
+			}
+		}
+		_, err := RunBatch(context.Background(), queries, db, opt)
+		TestHookFinish = nil
+		if err == nil || !strings.Contains(err.Error(), "panicked: planted") {
+			t.Fatalf("workers %d: err = %v, want the planted panic", workers, err)
+		}
+		got, err := RunBatch(context.Background(), queries, db, opt)
+		if err != nil {
+			t.Fatalf("workers %d: batch after the panic: %v", workers, err)
+		}
+		for qi, bq := range queries {
+			want, err := Run(bq.Seq, recs, Options{TopK: bq.TopK, Workers: workers, Prune: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got[qi].Result.Hits) != fmt.Sprint(want.Hits) {
+				t.Errorf("workers %d query %d: hits after the panic %v, Run %v", workers, qi, got[qi].Result.Hits, want.Hits)
+			}
+		}
+	}
+}

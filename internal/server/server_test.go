@@ -679,3 +679,51 @@ func (b repeatByte) Read(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// TestFinishPanicContained plants a panic in one item of the finish
+// pass (locate + reverse sweep): the request gets the batch's typed 500
+// in the JSON error shape, /healthz stays green, and the next query is
+// answered bit-identically to search.Run.
+func TestFinishPanicContained(t *testing.T) {
+	q, recs := testDB(t, 24, 60, 20)
+	_, hs := newTestServer(t, recs, Config{})
+	search.TestHookFinish = func(item int) {
+		if item == 1 {
+			panic("planted")
+		}
+	}
+	resp, body := postSearch(t, hs.URL, RequestJSON{Query: q.String(), TopK: 5})
+	search.TestHookFinish = nil
+	var e struct{ Error string }
+	if err := json.Unmarshal(body, &e); resp.StatusCode != http.StatusInternalServerError || err != nil ||
+		!strings.Contains(e.Error, "panicked: planted") {
+		t.Fatalf("planted panic: status %d, body %s, want 500 with the panic's error", resp.StatusCode, body)
+	}
+	hresp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a finish panic got %d, want 200", hresp.StatusCode)
+	}
+	want, err := search.Run(q, recs, search.Options{TopK: 5, Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postSearch(t, hs.URL, RequestJSON{Query: q.String(), TopK: 5})
+	var got ResultJSON
+	if err := json.Unmarshal(body, &got); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("query after the panic: status %d, body %s", resp.StatusCode, body)
+	}
+	if len(got.Hits) != len(want.Hits) || len(want.Hits) < 2 {
+		t.Fatalf("%d hits after the panic, search.Run %d (want at least 2)", len(got.Hits), len(want.Hits))
+	}
+	for i, h := range want.Hits {
+		g := got.Hits[i]
+		if g.Index != h.Index || g.ID != h.ID || g.Score != h.Score ||
+			g.QBegin != h.QBegin || g.QEnd != h.QEnd || g.TBegin != h.TBegin || g.TEnd != h.TEnd {
+			t.Errorf("hit %d after the panic: %+v, search.Run %+v", i, g, h)
+		}
+	}
+}

@@ -54,6 +54,18 @@ type GroupResult struct {
 	Padded int64
 }
 
+// Profiles hands a Ladder call packed profiles its caller keeps across
+// calls. Each method returns exactly what the bio constructor builds for
+// the targets it names, nil included, so a provided profile changes the
+// cost of a call, never its result.
+type Profiles interface {
+	// Int8 is bio.NewPackedProfile8 over all the call's targets.
+	Int8() *bio.PackedProfile
+	// Int16 is bio.NewPackedProfile16 over the call's targets whose bits
+	// are set in lanes, in position order: at most PackedLanes16 of them.
+	Int16(lanes uint8) *bio.PackedProfile
+}
+
 // Ladder scores q against one lane group of at most PackedLanes8
 // targets down the int8 → int16 → scalar fallback ladder, entered at
 // start: flagged int8 lanes retry in int16 subgroups of 4, resumed from
@@ -63,10 +75,10 @@ type GroupResult struct {
 // rung that refuses the scoring scheme falls through to the next. Under
 // a non-nil Bound every rung may abandon: an abandoned pass marks all
 // its lanes pruned and stops.
-// prof, when non-nil, is the group's prebuilt int8 profile (see scan);
-// nil builds it per call. Every unpruned score is exact whatever the
-// starting rung, so start only ever changes the cost.
-func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start Rung, ab *Bound, prof *bio.PackedProfile) GroupResult {
+// pr, when non-nil, supplies the profiles; nil builds them per call.
+// Every unpruned score is exact whatever the starting rung, so start
+// only ever changes the cost.
+func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start Rung, ab *Bound, pr Profiles) GroupResult {
 	var res GroupResult
 	for i := range targets {
 		res.Rows[i] = len(q)
@@ -74,7 +86,10 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 	all := uint8(1)<<uint(len(targets)) - 1
 	switch start {
 	case RungInter8:
-		if prof == nil {
+		var prof *bio.PackedProfile
+		if pr != nil {
+			prof = pr.Int8()
+		} else {
 			prof = bio.NewPackedProfile8(targets, sc)
 		}
 		var lens [bio.PackedLanes8]int
@@ -84,7 +99,7 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 		ls, ok := a.scan(q, prof, sc, len(targets), ab, pass{lens: lens[:len(targets)]})
 		if !ok {
 			// Scoring magnitudes do not fit int8 lanes at all.
-			a.inter16(&res, q, targets, sc, ab, all, 0)
+			a.inter16(&res, q, targets, sc, ab, pr, all, 0)
 			break
 		}
 		res.Padded += ls.Padded
@@ -98,10 +113,10 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 			a.packed(&res, &ls, l, l, len(t))
 		}
 		if ls.Saturated != 0 {
-			a.inter16(&res, q, targets, sc, ab, ls.Saturated, len(a.marks)*BlockRows)
+			a.inter16(&res, q, targets, sc, ab, pr, ls.Saturated, len(a.marks)*BlockRows)
 		}
 	case RungInter16:
-		a.inter16(&res, q, targets, sc, ab, all, 0)
+		a.inter16(&res, q, targets, sc, ab, pr, all, 0)
 	default:
 		for i, t := range targets {
 			a.scalar(&res, q, t, sc, ab, i)
@@ -141,7 +156,8 @@ func (a *Aligner) packed(res *GroupResult, ls *LaneScores, i, l, n int) {
 
 // inter16 is the ladder's int16 rung: the targets named by mask, in
 // subgroups of 4, with still-saturated lanes (or a refused scoring
-// scheme) dropping to the scalar rung from row 0.
+// scheme) dropping to the scalar rung from row 0. Each subgroup's
+// profile comes from pr when it is non-nil.
 //
 // from > 0 resumes the flagged lanes of the int8 pass just run at its
 // resume point, query row from (see pass): each subgroup first replays
@@ -152,7 +168,7 @@ func (a *Aligner) packed(res *GroupResult, ls *LaneScores, i, l, n int) {
 // diagonal term above 127 — a cell above its every earlier maximum — so
 // the lane's maximum moves in that block or later, and its final end
 // block and seed are both set by the resumed pass.
-func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, mask uint8, from int) {
+func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, pr Profiles, mask uint8, from int) {
 	var idxs [bio.PackedLanes8]int
 	n := 0
 	for i := range targets {
@@ -164,11 +180,6 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 	var group [bio.PackedLanes16]bio.Sequence
 	for lo := 0; lo < n; lo += bio.PackedLanes16 {
 		sub := idxs[lo:min(lo+bio.PackedLanes16, n)]
-		for l, i := range sub {
-			group[l] = targets[i]
-		}
-		prof := bio.NewPackedProfile16(group[:len(sub)], sc)
-		var p pass
 		if from > 0 {
 			if rows := a.abandoned(sub, ab); rows > 0 {
 				for _, i := range sub {
@@ -176,6 +187,22 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 				}
 				continue
 			}
+		}
+		var prof *bio.PackedProfile
+		if pr != nil {
+			var lanes uint8
+			for _, i := range sub {
+				lanes |= 1 << uint(i)
+			}
+			prof = pr.Int16(lanes)
+		} else {
+			for l, i := range sub {
+				group[l] = targets[i]
+			}
+			prof = bio.NewPackedProfile16(group[:len(sub)], sc)
+		}
+		var p pass
+		if from > 0 {
 			p = pass{from: from, best: a.widen(sub, prof.Words())}
 		}
 		ls, ok := a.scan(q, prof, sc, len(sub), ab, p)

@@ -173,9 +173,54 @@ func scalarScores(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.S
 
 var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungScalar}
 
+// ladderProfiles is the tests' swar.Profiles: the int8 profile from the
+// call's interleaved words, as a pack layout holds them, and each int16
+// subgroup memoised under its targets' positions in the whole test set
+// (ids), so a profile built for one call serves every later call that
+// holds the same targets, whatever else it holds — as search's groupProf
+// serves the queries of a batch, whose stage-1 skips each keep a
+// different subset of a group.
+type ladderProfiles struct {
+	sc      bio.Scoring
+	targets []bio.Sequence // the call's
+	ids     []int          // their positions in the test set
+	memo    map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile
+	reused  int // Int16 calls the memo answered
+}
+
+func (p *ladderProfiles) use(targets []bio.Sequence, ids []int) { p.targets, p.ids = targets, ids }
+
+func (p *ladderProfiles) Int8() *bio.PackedProfile {
+	lens := make([]int, len(p.targets))
+	for i, tgt := range p.targets {
+		lens[i] = len(tgt)
+	}
+	return bio.NewPackedProfile8FromWords(bio.InterleaveWords8(nil, p.targets), lens, p.sc)
+}
+
+func (p *ladderProfiles) Int16(lanes uint8) *bio.PackedProfile {
+	var key [bio.PackedLanes16 + 1]int
+	var group []bio.Sequence
+	for l, tgt := range p.targets {
+		if lanes&(1<<uint(l)) != 0 {
+			group = append(group, tgt)
+			key[len(group)] = p.ids[l] + 1
+		}
+	}
+	key[0] = len(group)
+	if prof, ok := p.memo[key]; ok {
+		p.reused++
+		return prof
+	}
+	prof := bio.NewPackedProfile16(group, p.sc)
+	p.memo[key] = prof
+	return prof
+}
+
 // checkLadder runs the one ladder over targets, cut into lane groups of
 // 8, from every starting rung × {nil bound, live bound} × {per-call
-// profile, prebuilt layout-words profile}. Every unpruned score must
+// profiles, provided profiles (ladderProfiles: the int8 one from layout
+// words, the int16 ones shared by every call)}. Every unpruned score must
 // equal want with the full query consumed and report the end-row block
 // of the forced-scalar align.Scan's BestI; a lane may only be pruned
 // under the live bound, and only when its true score is below it. And
@@ -185,7 +230,10 @@ var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungScalar}
 // the full scalar matrix, and from which LocateEnd finds that same
 // cell. The one exception is a packed target scoring below the live
 // bound, which must carry neither — and nothing pruned or scoreless is
-// ever Seeded. fail reports a mismatch.
+// ever Seeded. A call with provided profiles must also return the
+// GroupResult and seeds of the same call without them, bit for bit, and
+// so must calls on the subsets of a group that stage-1 skips leave
+// (checkLadderSubsets). fail reports a mismatch.
 func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, fail func(format string, args ...any)) {
 	wantEnd := make([]swar.Pair, len(targets))
 	matrix := make([]*align.Matrix, len(targets))
@@ -207,21 +255,26 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 		below = max(below, w/2+1)
 	}
 	bounds := []*swar.Bound{nil, {Below: below, Query: bio.NewQueryBound(q, sc)}}
-	var al, loc swar.Aligner
+	var al, loc, fresh, subAl swar.Aligner
+	pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
+	ids := make([]int, len(targets))
+	for i := range ids {
+		ids[i] = i
+	}
 	for _, start := range allRungs {
 		for _, ab := range bounds {
 			for _, prebuilt := range []bool{false, true} {
 				for lo := 0; lo < len(targets); lo += bio.PackedLanes8 {
 					group := targets[lo:min(lo+bio.PackedLanes8, len(targets))]
-					var prof *bio.PackedProfile
+					var res swar.GroupResult
 					if prebuilt {
-						lens := make([]int, len(group))
-						for i, tgt := range group {
-							lens[i] = len(tgt)
-						}
-						prof = bio.NewPackedProfile8FromWords(bio.InterleaveWords8(nil, group), lens, sc)
+						pr.use(group, ids[lo:lo+len(group)])
+						res = al.Ladder(q, group, sc, start, ab, pr)
+						sameLadder(&al, &fresh, q, group, sc, start, ab, res, fail)
+						checkLadderSubsets(&subAl, &fresh, pr, q, group, ids[lo:lo+len(group)], sc, start, ab, fail)
+					} else {
+						res = al.Ladder(q, group, sc, start, ab, nil)
 					}
-					res := al.Ladder(q, group, sc, start, ab, prof)
 					for i, tgt := range group {
 						w, end := want[lo+i], wantEnd[lo+i]
 						seeded := res.Seeded&(1<<uint(i)) != 0
@@ -270,6 +323,46 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 				}
 			}
 		}
+	}
+}
+
+// sameLadder fails unless res, from al, is the GroupResult — seeds
+// included — that fresh computes for the same call building its own
+// profiles.
+func sameLadder(al, fresh *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start swar.Rung, ab *swar.Bound, res swar.GroupResult, fail func(format string, args ...any)) {
+	want := fresh.Ladder(q, targets, sc, start, ab, nil)
+	if res != want {
+		fail("rung %d bound %v, %d targets: with provided profiles %+v, building its own %+v", start, ab != nil, len(targets), res, want)
+		return
+	}
+	for i := range targets {
+		if res.Seeded&(1<<uint(i)) != 0 && !slices.Equal(al.Seed(i), fresh.Seed(i)) {
+			fail("rung %d bound %v, target %d: seeds differ with provided profiles", start, ab != nil, i)
+		}
+	}
+}
+
+// checkLadderSubsets runs the ladder with the shared provided profiles
+// on subsets of group — the lanes stage-1 skips of different queries
+// would keep — and holds each call to sameLadder.
+func checkLadderSubsets(al, fresh *swar.Aligner, pr *ladderProfiles, q bio.Sequence, group []bio.Sequence, ids []int, sc bio.Scoring, start swar.Rung, ab *swar.Bound, fail func(format string, args ...any)) {
+	for _, drop := range []func(i int) bool{
+		func(i int) bool { return i%2 == 1 },
+		func(i int) bool { return i == 0 },
+		func(i int) bool { return i%3 == 2 },
+	} {
+		var sub []bio.Sequence
+		var subIDs []int
+		for i, tgt := range group {
+			if !drop(i) {
+				sub, subIDs = append(sub, tgt), append(subIDs, ids[i])
+			}
+		}
+		if len(sub) == 0 {
+			continue
+		}
+		pr.use(sub, subIDs)
+		sameLadder(al, fresh, q, sub, sc, start, ab, al.Ladder(q, sub, sc, start, ab, pr), fail)
 	}
 }
 
@@ -378,6 +471,22 @@ func TestScoresSaturation(t *testing.T) {
 		t.Errorf("score-100 lane wrongly saturated: mask %08b", ls.Saturated)
 	}
 	checkScores(t, "saturation", q, targets, sc)
+	// The int16 retry asks provided profiles for one subgroup of records,
+	// {0, 2}, whatever else a call keeps: calls keeping fewer of the others
+	// get the first call's profile, and the first call's results.
+	pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
+	var fresh swar.Aligner
+	for _, keep := range [][]int{{0, 1, 2, 3}, {0, 2, 3}, {0, 2}} {
+		var sub []bio.Sequence
+		for _, i := range keep {
+			sub = append(sub, targets[i])
+		}
+		pr.use(sub, keep)
+		sameLadder(&al, &fresh, q, sub, sc, swar.RungInter8, nil, al.Ladder(q, sub, sc, swar.RungInter8, nil, pr), t.Errorf)
+	}
+	if pr.reused != 2 {
+		t.Errorf("provided int16 profile reused %d times over three calls, want 2", pr.reused)
+	}
 	// A flagged lane beside one-base lanes: once the ladder's int8 pass
 	// narrows to their one column, the last block runs on the portable
 	// pass, over the maximum the SSE2 pass left in the flagged lane.

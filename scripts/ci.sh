@@ -11,18 +11,20 @@
 #      which the root ./... patterns cannot see, then the portable
 #      row kernels vetted and compiled for arm64 (the SSE2 ones
 #      are amd64 only), then a kernel oracle
-#      fuzz: 10 s each of the eight differential fuzzers that pin the
+#      fuzz: 10 s each of the nine differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
 #      located from them — and the striped rungs and align.Scan's
 #      striped → scalar ladder to the scalar kernel, the SSE2 four-row
 #      kernels to the portable pass, the leaf scalar row kernel to the
 #      per-cell-argmax one it replaced, pruned search
-#      hits to unpruned ones, and the realign pool's arrow-free begin
-#      sweep to the §6 traceback (FuzzScoresVsScalar,
+#      hits to unpruned ones, the realign pool's arrow-free begin
+#      sweep to the §6 traceback, and that sweep's score-to-go floor to
+#      the same sweep without it (FuzzScoresVsScalar,
 #      FuzzStripedVsScalar, FuzzRowQuadVsPortable, FuzzLeafRowVsReference,
 #      FuzzDispatchVsScalar, FuzzStripRealignVsFull,
-#      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve) — past their seed
-#      corpora, which is all `go test` runs
+#      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve,
+#      FuzzBeginReachVsAnchored) — past their seed corpora, which is all
+#      `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
 #      crash-recovery matrix (8 seeds x 3 strategies, one kill + 5%
@@ -48,7 +50,11 @@
 #      both kernels alternated in one process, must stay >= 6), the
 #      leaf scalar row gate (the median ref/leaf time ratio of
 #      ScalarRowLeafVsReference over five runs, the two row kernels
-#      alternated in one process, must stay >= 1.2), then
+#      alternated in one process, must stay >= 1.2), the begin floor
+#      gate (the median anchored/reach time ratio of
+#      BeginReachVsAnchored over five runs, Begin with and without its
+#      score-to-go floor alternated over the homolog batch's final hits
+#      in one process, must stay >= 1.6), then
 #      (unless SKIP_BENCHDIFF=1) a -smoke run of the system benchmark
 #      BENCHMARK.json declares
 #   6. the kernel, search and serve benchmarks for real, gated by
@@ -110,7 +116,7 @@ echo "== portable kernels (GOARCH=arm64 vet + test build of internal/swar)"
 GOARCH=arm64 go vet ./internal/swar
 GOARCH=arm64 go test -c -o /dev/null ./internal/swar
 
-echo "== kernel oracle fuzz (10 s x 8 differential fuzzers)"
+echo "== kernel oracle fuzz (10 s x 9 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 # The striped rungs and align.Scan's ladder, from a pair under the
 # router's scalar cutoff to a 513-row query.
@@ -129,6 +135,9 @@ go test -run '^$' -fuzz '^FuzzPrunedSearchVsFull$' -fuzztime 10s ./internal/sear
 # The realign pool finds begin cells with the arrow-free sweep: it must
 # agree with the traceback sweep on every endpoint, fallbacks included.
 go test -run '^$' -fuzz '^FuzzBeginVsRetrieve$' -fuzztime 10s ./internal/align
+# Begin's score-to-go floor must leave its begin cell and ok exactly as
+# the floor-less sweep finds them, with no more cells computed.
+go test -run '^$' -fuzz '^FuzzBeginReachVsAnchored$' -fuzztime 10s ./internal/align
 
 echo "== chaos sweep (16 seeds x 3 strategies, -race)"
 chaos_bin=$(mktemp -d)/genomedsm
@@ -294,6 +303,23 @@ awk -v r="$ratio" 'BEGIN {
     printf "leaf scalar row gate ok: %.2fx\n", r
 }'
 
+echo "== begin floor gate (BeginReachVsAnchored: anchored/reach >= 1.6, median of 5)"
+# Begin with its score-to-go floor and the same sweep without it,
+# alternated over the homolog batch's 40 final hits in each iteration:
+# a same-run ratio, so the host's speed that hour cancels. The floor
+# sits under the lowest median read (2.04-2.05 over ~3 hours on a 2-vCPU
+# host) and far above a build whose floor never rises above 1 (1.0;
+# EXPERIMENTS.md).
+ratio=$(go test -run '^$' -bench '^BenchmarkBeginReachVsAnchored$' -count 5 ./internal/align |
+    awk '$1 ~ /^BenchmarkBeginReachVsAnchored(-[0-9]+)?$/ {
+        for (i = 2; i < NF; i++) if ($(i+1) == "anchored/reach") print $i
+    }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
+echo "floor-less begin sweep at ${ratio}x the time of the floored one (median)"
+awk -v r="$ratio" 'BEGIN {
+    if (r < 1.6) { printf "begin floor gate FAILED: %.2fx < 1.6x\n", r; exit 1 }
+    printf "begin floor gate ok: %.2fx\n", r
+}'
+
 if [ "${SKIP_BENCHDIFF:-0}" = "1" ]; then
     echo "== system benchmark smoke and benchdiff gate skipped (SKIP_BENCHDIFF=1)"
     exit 0
@@ -332,9 +358,10 @@ awk -v p="$pruned" -v s="$skewed" -v u="$uniform" 'BEGIN {
 
 echo "== begin-sweep gate (KernelReverseBegin >= 2x KernelReverseRetrieve)"
 # The realign pool's begin-cell sweep is the §6 sweep without its
-# traceback store: same pair, same useful cells, so a same-run ratio
-# reads what dropping the arrows buys, whatever the host's speed that
-# hour. It must stay at least twice the traceback form's cells/s.
+# traceback store, on the same pair; each row's cells/s counts its own
+# CellsComputed, and Begin's score-to-go floor computes fewer of them,
+# so Begin's row is the per-cell rate of a smaller area. It must stay at
+# least twice the traceback form's cells/s.
 begin=$(best KernelReverseBegin)
 retrieve=$(best KernelReverseRetrieve)
 echo "begin sweep $begin cells/s vs traceback sweep $retrieve"
