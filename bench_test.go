@@ -183,13 +183,15 @@ func benchBatch(n, count int) (bio.Sequence, []bio.Sequence) {
 
 // BenchmarkKernelSWARScan times the 8-lane int8 inter-sequence kernel on
 // a full lane group: 8 pairwise comparisons per pass, 8 DP cells per
-// packed word, four query rows per pass on amd64 (two on the portable
-// kernel). The acceptance bar for this kernel is ≥ 2× the scalar
-// KernelExactScan cells/s; on amd64, where the pass runs on SSE2's
-// saturating byte ops over both halves of each register, it measured
-// 10.9–39.9× (median 19.6×, same-run ratio over four -cpu 1 runs on a
-// noisy host; 12.7–14.7× with two rows per SSE2 pass, 4.2–5.2× on the
-// portable guard-bit kernel, 2.7–3.2× with one row per pass).
+// packed word, eight query rows per pass on an AVX2 host (two on the
+// portable kernel). The acceptance bar for this kernel is ≥ 2× the
+// scalar KernelExactScan cells/s; on amd64 with AVX2, where the pass
+// runs on saturating byte ops over all four qwords of each YMM register,
+// it measured 25–29× (same-run ratio over three -cpu 1 runs on a noisy
+// host, alternated with the four-row SSE2 kernel's build, which read
+// 19–22× beside it; 10.9–39.9× over four earlier runs of that kernel,
+// 12.7–14.7× with two rows per SSE2 pass, 4.2–5.2× on the portable
+// guard-bit kernel, 2.7–3.2× with one row per pass).
 func BenchmarkKernelSWARScan(b *testing.B) {
 	q, targets := benchBatch(1000, 8)
 	var al swar.Aligner
@@ -204,8 +206,9 @@ func BenchmarkKernelSWARScan(b *testing.B) {
 }
 
 // BenchmarkKernelSWARScan16 times the 4-lane int16 fallback kernel:
-// 6.8–16.8× KernelExactScan (median 9.0×) on the four-row SSE2 kernel
-// in the same four -cpu 1 runs; 6.7–7.5× with two rows per pass.
+// 15–20× KernelExactScan on the eight-row AVX2 kernel in the same three
+// -cpu 1 runs (10–14× on the four-row SSE2 kernel beside it, 6.8–16.8×
+// over its four earlier runs; 6.7–7.5× with two rows per pass).
 func BenchmarkKernelSWARScan16(b *testing.B) {
 	q, targets := benchBatch(1000, 4)
 	var al swar.Aligner

@@ -47,7 +47,8 @@ const (
 // PlusRow(a)[j] / MinusRow(a)[j] hold, for every lane l, the split
 // substitution magnitudes of query residue a against target l's residue
 // at position j. Build it once per lane group; it is read-only
-// afterwards and safe for concurrent use.
+// afterwards and safe for concurrent use until a Build method rebuilds
+// it in place.
 type PackedProfile struct {
 	lanes int  // PackedLanes8 or PackedLanes16
 	shift uint // bits per lane (8 or 16)
@@ -55,6 +56,10 @@ type PackedProfile struct {
 	words int  // padded target length (words per row)
 	plus  [AlphabetSize][]uint64
 	minus [AlphabetSize][]uint64
+	// backing holds every row, residue c's plus row then its minus row:
+	// minus[c] starts words words after plus[c]. The Build methods reuse
+	// it.
+	backing []uint64
 }
 
 // NewPackedProfile8 builds the 8-lane int8 packed profile of up to 8
@@ -62,16 +67,45 @@ type PackedProfile struct {
 // fit the clean 7-bit lane range or when more than 8 targets are given;
 // callers then fall back to a wider layout.
 func NewPackedProfile8(targets []Sequence, sc Scoring) *PackedProfile {
-	return newPackedProfile(targets, sc, PackedLanes8, 8, PackedCap8)
+	return new(PackedProfile).Build8(targets, sc)
 }
 
 // NewPackedProfile16 builds the 4-lane int16 packed profile of up to 4
 // targets under sc, for lanes whose scores overflow the int8 cap.
 func NewPackedProfile16(targets []Sequence, sc Scoring) *PackedProfile {
-	return newPackedProfile(targets, sc, PackedLanes16, 16, PackedCap16)
+	return new(PackedProfile).Build16(targets, sc)
 }
 
-func newPackedProfile(targets []Sequence, sc Scoring, lanes int, shift uint, capVal int) *PackedProfile {
+// Build8 rebuilds p in place as the profile NewPackedProfile8 builds,
+// row for row, reusing p's backing array when it is large enough, and
+// returns p — or nil, under exactly the conditions NewPackedProfile8
+// returns nil, leaving p to be rebuilt before its next use. p must not
+// be in use by anyone else.
+func (p *PackedProfile) Build8(targets []Sequence, sc Scoring) *PackedProfile {
+	return p.build(targets, sc, PackedLanes8, 8, PackedCap8)
+}
+
+// Build16 is Build8 for NewPackedProfile16's profile.
+func (p *PackedProfile) Build16(targets []Sequence, sc Scoring) *PackedProfile {
+	return p.build(targets, sc, PackedLanes16, 16, PackedCap16)
+}
+
+// shape sets p's geometry and points its rows into its backing array,
+// grown if it holds fewer than 2·AlphabetSize·words words. The rows keep
+// whatever the array held: the builders overwrite every word.
+func (p *PackedProfile) shape(lanes int, shift uint, capVal, words int) {
+	if cap(p.backing) < 2*AlphabetSize*words {
+		p.backing = make([]uint64, 2*AlphabetSize*words)
+	}
+	p.lanes, p.shift, p.cap, p.words = lanes, shift, capVal, words
+	backing := p.backing
+	for c := 0; c < AlphabetSize; c++ {
+		p.plus[c] = backing[2*c*words : (2*c+1)*words : (2*c+1)*words]
+		p.minus[c] = backing[(2*c+1)*words : (2*c+2)*words : (2*c+2)*words]
+	}
+}
+
+func (p *PackedProfile) build(targets []Sequence, sc Scoring, lanes int, shift uint, capVal int) *PackedProfile {
 	if len(targets) > lanes {
 		return nil
 	}
@@ -85,12 +119,7 @@ func newPackedProfile(targets []Sequence, sc Scoring, lanes int, shift uint, cap
 			words = len(t)
 		}
 	}
-	p := &PackedProfile{lanes: lanes, shift: shift, cap: capVal, words: words}
-	backing := make([]uint64, 2*AlphabetSize*words)
-	for c := 0; c < AlphabetSize; c++ {
-		p.plus[c] = backing[2*c*words : (2*c+1)*words : (2*c+1)*words]
-		p.minus[c] = backing[(2*c+1)*words : (2*c+2)*words : (2*c+2)*words]
-	}
+	p.shape(lanes, shift, capVal, words)
 	mm := uint64(mismatch)
 	mv := uint64(match)
 	// allMiss is the column of a padded (or mismatching-everywhere) word:

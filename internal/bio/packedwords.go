@@ -76,6 +76,13 @@ const hiBits8 = 0x8080808080808080
 // under exactly the same conditions: more than 8 lanes, or scoring
 // magnitudes outside the clean 7-bit lane range.
 func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedProfile {
+	return new(PackedProfile).Build8FromWords(words, lens, sc)
+}
+
+// Build8FromWords rebuilds p in place as the profile
+// NewPackedProfile8FromWords builds, as Build8 does for
+// NewPackedProfile8.
+func (p *PackedProfile) Build8FromWords(words []uint64, lens []int, sc Scoring) *PackedProfile {
 	if len(lens) > PackedLanes8 {
 		return nil
 	}
@@ -94,12 +101,7 @@ func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedP
 		// corrupt layout must never produce a silently wrong profile.
 		return nil
 	}
-	p := &PackedProfile{lanes: PackedLanes8, shift: 8, cap: PackedCap8, words: n}
-	backing := make([]uint64, 2*AlphabetSize*n)
-	for c := 0; c < AlphabetSize; c++ {
-		p.plus[c] = backing[2*c*n : (2*c+1)*n : (2*c+1)*n]
-		p.minus[c] = backing[(2*c+1)*n : (2*c+2)*n : (2*c+2)*n]
-	}
+	p.shape(PackedLanes8, 8, PackedCap8, n)
 	mv := uint64(match) * 0x0101010101010101
 	allMiss := uint64(mismatch) * 0x0101010101010101
 	for c := 0; c < AlphabetSize; c++ {
@@ -108,6 +110,7 @@ func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedP
 			// The unknown query row matches nothing — including a target
 			// 'N' whose code equals codeUnknown — so equality must not
 			// apply; the whole row is the all-mismatch column.
+			clear(plus)
 			for j := range minus {
 				minus[j] = allMiss
 			}

@@ -3,6 +3,7 @@ package bio
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -129,4 +130,56 @@ func FuzzPackedProfileFromWords(f *testing.F) {
 			t.Fatalf("profiles differ for %q %q %+v", a, b, sc)
 		}
 	})
+}
+
+// TestPackedProfileRebuild pins the in-place builders: one profile
+// rebuilt over and over — int8 from bytes, int16, int8 from layout
+// words, groups wider and narrower than the last, after builds that
+// returned nil — holds, row for row, what the fresh constructor builds,
+// whatever its backing array held before.
+func TestPackedProfileRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	scorings := []Scoring{DefaultScoring(), {Match: 5, Mismatch: -4, Gap: -8}, {Match: 200, Mismatch: -1, Gap: -1}}
+	var p PackedProfile
+	for trial := 0; trial < 300; trial++ {
+		lanes := PackedLanes8
+		kind := trial % 3
+		if kind == 1 {
+			lanes = PackedLanes16
+		}
+		targets := make([]Sequence, 1+rng.Intn(lanes))
+		maxLen := rng.Intn(60)
+		for l := range targets {
+			targets[l] = randSeq(rng, rng.Intn(maxLen+1))
+		}
+		sc := scorings[rng.Intn(len(scorings))]
+		var want, got *PackedProfile
+		switch kind {
+		case 0:
+			want, got = NewPackedProfile8(targets, sc), p.Build8(targets, sc)
+		case 1:
+			want, got = NewPackedProfile16(targets, sc), p.Build16(targets, sc)
+		default:
+			words := InterleaveWords8(nil, targets)
+			want, got = NewPackedProfile8FromWords(words, lensOf(targets), sc), p.Build8FromWords(words, lensOf(targets), sc)
+		}
+		if (want == nil) != (got == nil) {
+			t.Fatalf("trial %d: fresh profile nil %v, rebuilt nil %v", trial, want == nil, got == nil)
+		}
+		if want == nil {
+			continue
+		}
+		if got != &p {
+			t.Fatalf("trial %d: the rebuild returned another profile", trial)
+		}
+		if got.Lanes() != want.Lanes() || got.Words() != want.Words() || got.Cap() != want.Cap() || got.Shift() != want.Shift() {
+			t.Fatalf("trial %d: rebuilt geometry %d/%d/%d/%d, fresh %d/%d/%d/%d", trial,
+				got.Lanes(), got.Words(), got.Cap(), got.Shift(), want.Lanes(), want.Words(), want.Cap(), want.Shift())
+		}
+		for _, c := range []byte("ACGTN") {
+			if !slices.Equal(got.PlusRow(c), want.PlusRow(c)) || !slices.Equal(got.MinusRow(c), want.MinusRow(c)) {
+				t.Fatalf("trial %d: rebuilt rows of %c differ from the fresh profile's", trial, c)
+			}
+		}
+	}
 }

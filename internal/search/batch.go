@@ -206,7 +206,12 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 			procRecs[w] = make([]int, nq)
 			procCells[w] = make([]int64, nq)
 			var scratch groupScratch
-			gp := &groupProf{sc: sc}
+			gp := groupProfs.Get().(*groupProf)
+			gp.sc = sc
+			defer func() {
+				gp.drop()
+				groupProfs.Put(gp)
+			}()
 			for gi := range work {
 				group := groups[gi]
 				if err := ctx.Err(); err != nil {
@@ -369,17 +374,24 @@ feed:
 // which records it holds (use): the full-group int8 profile serves only
 // a call that kept the whole group, and an int16 subgroup is memoised
 // under its record indices, which stage-1 skips cannot change. reset
-// drops every profile, so none outlives its work item.
+// drops every profile, so none outlives its work item, but not their
+// buffers: each profile is rebuilt in place in one the holder keeps, so
+// a worker allocates profile rows only while its work items outgrow
+// them (TestGroupProfReusesBuffers).
 type groupProf struct {
 	words   []uint64       // the group's layout words; nil without a layout
 	targets []bio.Sequence // full group targets in rank order
 	lens    []int          // their lengths
 	sc      bio.Scoring
-	prof    *bio.PackedProfile
+	prof    *bio.PackedProfile // the full group's int8 profile, in own8
 	tried   bool
 	kept    []int          // the current call's records, lane order
 	keptSeq []bio.Sequence // and their sequences
-	memo16  []prof16
+	memo16  []prof16       // memo16[k].prof is built in own16[k]
+	// own8 holds the full group's int8 profile, part8 that of the
+	// current call's compacted lanes, valid until the next Int8 call.
+	own8, part8 bio.PackedProfile
+	own16       []*bio.PackedProfile
 }
 
 // prof16 is one memoised int16 subgroup profile: the records of its
@@ -403,6 +415,19 @@ func (g *groupProf) reset(db *DB, group []int) {
 	}
 }
 
+// groupProfs pools the scan workers' profile holders, so the buffers
+// their profiles are rebuilt in outlive a batch, as the aligners' rows
+// do.
+var groupProfs = sync.Pool{New: func() any { return new(groupProf) }}
+
+// drop clears the holder's references into the database before it goes
+// back to the pool: only its profile buffers stay.
+func (g *groupProf) drop() {
+	clear(g.targets[:cap(g.targets)])
+	g.words, g.prof, g.kept, g.keptSeq = nil, nil, nil, nil
+	g.memo16 = g.memo16[:0]
+}
+
 // use names the records of the next Ladder call, in lane order, and
 // their sequences.
 func (g *groupProf) use(kept []int, targets []bio.Sequence) {
@@ -415,14 +440,14 @@ func (g *groupProf) use(kept []int, targets []bio.Sequence) {
 // returns nil.
 func (g *groupProf) Int8() *bio.PackedProfile {
 	if len(g.kept) != len(g.targets) {
-		return bio.NewPackedProfile8(g.keptSeq, g.sc)
+		return g.part8.Build8(g.keptSeq, g.sc)
 	}
 	if !g.tried {
 		g.tried = true
 		if g.words != nil {
-			g.prof = bio.NewPackedProfile8FromWords(g.words, g.lens, g.sc)
+			g.prof = g.own8.Build8FromWords(g.words, g.lens, g.sc)
 		} else {
-			g.prof = bio.NewPackedProfile8(g.targets, g.sc)
+			g.prof = g.own8.Build8(g.targets, g.sc)
 		}
 	}
 	return g.prof
@@ -444,7 +469,11 @@ func (g *groupProf) Int16(lanes uint8) *bio.PackedProfile {
 			return m.prof
 		}
 	}
-	key.prof = bio.NewPackedProfile16(seqs[:key.n], g.sc)
+	k := len(g.memo16)
+	if k == len(g.own16) {
+		g.own16 = append(g.own16, new(bio.PackedProfile))
+	}
+	key.prof = g.own16[k].Build16(seqs[:key.n], g.sc)
 	g.memo16 = append(g.memo16, key)
 	return key.prof
 }

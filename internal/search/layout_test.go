@@ -149,7 +149,8 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 // memoised under its records, not its lane positions. Two calls whose
 // kept sets put different records in the same lanes get each its own
 // records' profile; a call holding the same records in other lanes gets
-// the first one's; and reset forgets them all.
+// the first one's; and reset forgets them all: the next work item's
+// records 0 and 2 — of another database — get their own profile.
 func TestGroupProfInt16Memo(t *testing.T) {
 	g := bio.NewGenerator(17)
 	var recs []bio.Record
@@ -203,9 +204,59 @@ func TestGroupProfInt16Memo(t *testing.T) {
 	if !same(gp.Int8(), bio.NewPackedProfile8(seqsOf(0, 2, 6), sc)) {
 		t.Error("compacted call: int8 profile differs from a fresh build of its lanes")
 	}
+	other := make([]bio.Record, len(recs))
+	for i := range other {
+		other[i] = bio.Record{ID: fmt.Sprint(i), Seq: g.Random(40 + 7*i)}
+	}
+	db = NewDB(other)
 	gp.reset(db, group)
 	call(0, 1, 2, 3, 4, 5, 6, 7)
-	if c := gp.Int16(0b101); c == a {
+	if !same(gp.Int16(0b101), bio.NewPackedProfile16(seqsOf(0, 2), sc)) {
 		t.Error("reset kept the previous work item's profile")
+	}
+}
+
+// TestGroupProfReusesBuffers pins that a scan worker's profile holder
+// rebuilds every profile in place: once a first work item has grown its
+// buffers, later items — the full group's int8 profile from layout
+// words, a compacted call's int8 profile and two int16 subgroups — run
+// without allocating.
+func TestGroupProfReusesBuffers(t *testing.T) {
+	g := bio.NewGenerator(23)
+	var recs []bio.Record
+	for i := 0; i < 16; i++ {
+		recs = append(recs, bio.Record{ID: fmt.Sprint(i), Seq: g.Random(30 + 5*i)})
+	}
+	db := NewDB(recs)
+	db.EnsureLayout()
+	groups := db.groups()
+	seqs := make([][]bio.Sequence, len(groups))
+	for gi, group := range groups {
+		for _, idx := range group {
+			seqs[gi] = append(seqs[gi], db.recs[idx].Seq)
+		}
+	}
+	gp := &groupProf{sc: bio.DefaultScoring()}
+	item := func(gi int) {
+		gp.reset(db, groups[gi])
+		gp.words = db.layout.GroupWords(gi)
+		gp.use(groups[gi], seqs[gi])
+		if gp.Int8() == nil || gp.Int16(0x0F) == nil || gp.Int16(0xF0) == nil {
+			t.Fatal("nil profile under the default scoring")
+		}
+		gp.use(groups[gi][:5], seqs[gi][:5])
+		if gp.Int8() == nil {
+			t.Fatal("nil compacted profile")
+		}
+	}
+	for gi := range groups {
+		item(gi) // the first pass grows the buffers to the widest group
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for gi := range groups {
+			item(gi)
+		}
+	}); n != 0 {
+		t.Errorf("work items after the first allocated %v times", n)
 	}
 }

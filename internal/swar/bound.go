@@ -37,7 +37,7 @@ import "genomedsm/internal/bio"
 // 16; on a 2-vCPU host mixed_batch_sharded lat_p50_ms read
 // 9.13 ms at 16 against 9.58 ms at 32 (medians of ten alternated runs,
 // 16 ahead in all ten), and no other workload told the two apart
-// (EXPERIMENTS.md). It is a multiple of four: the scan's four-row pass
+// (EXPERIMENTS.md). It is a multiple of eight: the scan's eight-row pass
 // never straddles a block.
 const BlockRows = 16
 

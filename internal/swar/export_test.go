@@ -20,3 +20,24 @@ func (a *Aligner) ScanPackedRow(q bio.Sequence, prof *bio.PackedProfile, gap int
 // ScalarRow and FirstCol are the leaf scalar row kernel and the column
 // scan its callers run on a row whose maximum they need placed.
 var ScalarRow, FirstCol = scalarRow, firstCol
+
+// detectedAVX2 is the route the packed passes take on this host.
+var detectedAVX2 = hasAVX2
+
+// Routes names the packed-kernel routes this host can take: "avx2" where
+// it runs the AVX2 kernels, and "portable", the passes a host without
+// AVX2 runs — which no test would reach on an AVX2 host without UseRoute.
+func Routes() []string {
+	if detectedAVX2 {
+		return []string{"avx2", "portable"}
+	}
+	return []string{"portable"}
+}
+
+// UseRoute sends the packed passes down route, one of Routes, until
+// the returned func restores this host's own. Tests that call it must
+// not run in parallel with other tests of the package.
+func UseRoute(route string) (restore func()) {
+	hasAVX2 = route == "avx2" && detectedAVX2
+	return func() { hasAVX2 = detectedAVX2 }
+}

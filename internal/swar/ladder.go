@@ -57,7 +57,9 @@ type GroupResult struct {
 // Profiles hands a Ladder call packed profiles its caller keeps across
 // calls. Each method returns exactly what the bio constructor builds for
 // the targets it names, nil included, so a provided profile changes the
-// cost of a call, never its result.
+// cost of a call, never its result. A returned profile need stay
+// unchanged only until the call that asked for it returns: the caller
+// may rebuild it in place afterwards (bio.PackedProfile.Build8).
 type Profiles interface {
 	// Int8 is bio.NewPackedProfile8 over all the call's targets.
 	Int8() *bio.PackedProfile

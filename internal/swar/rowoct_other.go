@@ -1,0 +1,15 @@
+//go:build !amd64
+
+package swar
+
+// Off amd64 the eight-row passes are the portable ones; hasAVX2 exists
+// for the tests' route switch (export_test.go) and stays false.
+var hasAVX2 = false
+
+func rowOct8(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
+	return rowOct8Go(row, p, gapV, best, sat)
+}
+
+func rowOct16(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
+	return rowOct16Go(row, p, gapV, best, sat)
+}

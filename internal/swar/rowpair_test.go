@@ -3,31 +3,35 @@ package swar
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"genomedsm/internal/bio"
 )
 
-// rowQuadKernel is the signature both four-row kernels share.
-type rowQuadKernel func(row []uint64, p *quadProfile, gapV, best, sat uint64) (uint64, uint64)
+// rowOctKernel is the signature both eight-row kernels share.
+type rowOctKernel func(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64)
 
 // rowPairKernel is the signature both portable two-row kernels share.
 type rowPairKernel func(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64)
 
-// rowPairWidth is one lane width: the four-row kernel under test, the
-// portable four-row pass it must agree with, the portable two-row kernel
-// that pass is made of, and the lane geometry.
+// rowPairWidth is one lane width: the eight-row kernel under test, the
+// portable eight-row pass it must agree with, the portable two-row
+// kernel that pass is made of, and the lane geometry.
 type rowPairWidth struct {
 	name             string
-	kernel, portable rowQuadKernel
+	kernel, portable rowOctKernel
 	pair             rowPairKernel
 	shift            uint // bits per lane
 }
 
 var rowPairWidths = []rowPairWidth{
-	{"int8", rowQuad8, rowQuad8Go, rowPair8Go, 8},
-	{"int16", rowQuad16, rowQuad16Go, rowPair16Go, 16},
+	{"int8", rowOct8, rowOct8Go, rowPair8Go, 8},
+	{"int16", rowOct16, rowOct16Go, rowPair16Go, 16},
 }
 
 // rowPairInputs draws the words of one differential case. Lanes named
@@ -77,13 +81,19 @@ func (in *rowPairInputs) word(dirty uint64) uint64 {
 	return w
 }
 
-// quad returns the profile of a four-row pass over n words whose last
+// oct returns the profile of an eight-row pass over n words whose last
 // phantom rows are all-mismatch 'N' rows: no match reward in any lane,
-// and a mismatch penalty drawn as any other profile word.
-func (in *rowPairInputs) quad(n, phantom int) *quadProfile {
-	p := new(quadProfile)
+// and a mismatch penalty drawn as any other profile word. Each minus row
+// sits stride ≥ n words after its plus row, as in a bio profile whose
+// rows a narrowed pass (pass.lens) reads only n words of.
+func (in *rowPairInputs) oct(n, stride, phantom int) *octProfile {
+	p := new(octProfile)
 	for k := range p.plus {
-		p.plus[k], p.minus[k] = in.profile(n)
+		plus, minus := in.profile(n)
+		rows := make([]uint64, stride+n)
+		p.plus[k], p.minus[k] = rows[:n:n], rows[stride:]
+		copy(p.plus[k], plus)
+		copy(p.minus[k], minus)
 		if k >= len(p.plus)-phantom {
 			clear(p.plus[k])
 		}
@@ -139,14 +149,14 @@ func (in *rowPairInputs) broadcast(v uint64) uint64 {
 	return word
 }
 
-// checkRowQuad runs the four-row kernel and the portable pass — two
+// checkRowOct runs the eight-row kernel and the portable pass — four
 // portable two-row passes — side by side for calls successive passes
 // over one row of n words, the last pass with phantom trailing 'N' rows
 // as the scan pads a query, and fails on the first difference in what
 // the ladder reads: every clean lane's guard bit of sat, and in every
 // clean lane that has not set it the whole lane of the row, of best and
-// of sat.
-func checkRowQuad(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode, phantom int) {
+// of sat. Profile rows sit n or n+1 words apart, by the seed's parity.
+func checkRowOct(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode, phantom int) {
 	t.Helper()
 	in, guards := newRowPairInputs(w, seed, dirty, mode)
 	laneBits := uint64(1)<<w.shift - 1
@@ -165,7 +175,7 @@ func checkRowQuad(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 		if call == calls-1 {
 			ph = phantom
 		}
-		p := in.quad(n, ph)
+		p := in.oct(n, n+int(seed&1), ph)
 		best, sat = w.kernel(row, p, gapV, best, sat)
 		wantBest, wantSat = w.portable(want, p, gapV, wantBest, wantSat)
 		var clean uint64 // all-ones in every clean lane not yet flagged
@@ -197,14 +207,16 @@ func checkRowQuad(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 	}
 }
 
-// FuzzRowQuadVsPortable pins the four-row kernels the scan runs — on
-// amd64 the SSE2 ones — to the portable pass, two portable two-row
-// passes, at both lane widths: rows of 1 to 300 words (under 4 the skew's
-// prologue and epilogue would overlap), one to eight successive passes
-// over one row buffer, zero to three phantom 'N' rows ending the last,
-// clean and dirty lanes side by side, random profile words and gaps up
-// to the lane cap. The seeds, which plain `go test` runs, sweep every
-// mode and phantom count over rows of one to eight words and up to 300.
+// FuzzRowQuadVsPortable pins the eight-row kernels the scan runs — on an
+// AVX2 host the assembly ones — to the portable pass, four portable
+// two-row passes, at both lane widths: rows of 1 to 300 words (under 8
+// the skew's prologue and epilogue would overlap, and the kernels fall
+// through to the portable pass), one to eight successive passes over one
+// row buffer, zero to seven phantom 'N' rows ending the last, clean and
+// dirty lanes side by side, random profile words and gaps up to the lane
+// cap. The seeds, which plain `go test` runs, sweep every mode and
+// phantom count over rows of one to 23 words and up to 300. (The name
+// dates from the four-row kernel; its corpus entries still apply.)
 func FuzzRowQuadVsPortable(f *testing.F) {
 	for _, n := range []uint16{1, 4, 5} {
 		// Every lane saturating on every diagonal, gap 0.
@@ -214,9 +226,15 @@ func FuzzRowQuadVsPortable(f *testing.F) {
 		n := []uint16{1, 2, 3, 4, 5, 6, 7, 8, 65, 300}[seed%10]
 		f.Add(int64(seed), n-1, uint8(seed), uint16(seed%12), uint8(seed*37), uint8(seed/4), uint8(seed/16))
 	}
+	// The prologue and epilogue of short rows and the kernel's four-step
+	// body with every remainder, under four to seven phantom rows.
+	for seed := 64; seed < 128; seed++ {
+		n := []uint16{8, 9, 10, 11, 12, 13, 14, 15, 16, 23}[seed%10]
+		f.Add(int64(seed), n-1, uint8(seed), uint16(seed%12), uint8(seed*37), uint8(seed%4), uint8(4+seed%4))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, calls uint8, gap uint16, dirty, mode, phantom uint8) {
 		for _, w := range rowPairWidths {
-			checkRowQuad(t, w, seed, 1+int(n)%300, 1+int(calls)%8, uint64(gap), dirty, int(mode)%4, int(phantom)%4)
+			checkRowOct(t, w, seed, 1+int(n)%300, 1+int(calls)%8, uint64(gap), dirty, int(mode)%4, int(phantom)%8)
 		}
 	})
 }
@@ -242,7 +260,7 @@ func pairLanes(row []int, plus, minus [2][]int, gap, best, cap int) (int, bool) 
 }
 
 // FuzzRowPairVsPortable pins the portable two-row kernels, of which the
-// four-row pass is made and which every GOARCH but amd64 runs, to the
+// eight-row pass is made and which every host without AVX2 runs, to the
 // recurrence worked lane by lane (pairLanes), over the same inputs as
 // FuzzRowQuadVsPortable: in every clean lane the guard bit of sat, and
 // until it is set the lane of the row and of best.
@@ -321,26 +339,30 @@ func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 	}
 }
 
-// TestRowPairShortProfilePanics checks that the four-row kernels refuse
-// a profile row shorter than the row buffer, each of the eight (argK is
-// plus[K/2] for even K, minus[K/2] for odd), as the portable kernels'
-// bounds checks do: the SSE2 loop checks nothing itself, so its Go entry
-// must.
+// TestRowPairShortProfilePanics checks that the eight-row kernels refuse
+// a profile row shorter than the row buffer, each of the sixteen (argK
+// is plus[K/2] for even K, minus[K/2] for odd), as the portable kernels'
+// bounds checks do: the AVX2 loop checks nothing itself, so its Go entry
+// must. The rows are 9 words, long enough for the assembly, and each
+// minus row sits where the assembly reads it, 9 words after its plus
+// row. The entry must also refuse minus rows at different offsets
+// ("stride"), which the portable pass does not read by offset.
 func TestRowPairShortProfilePanics(t *testing.T) {
+	const n = 9
 	for _, w := range rowPairWidths {
-		for name, k := range map[string]rowQuadKernel{"kernel": w.kernel, "portable": w.portable} {
-			for short := 0; short < 8; short++ {
+		for name, k := range map[string]rowOctKernel{"kernel": w.kernel, "portable": w.portable} {
+			for short := 0; short < 16; short++ {
 				t.Run(fmt.Sprintf("%s/%s/arg%d", w.name, name, short), func(t *testing.T) {
-					const n = 5
-					p := new(quadProfile)
+					p := new(octProfile)
 					for r := range p.plus {
-						p.plus[r], p.minus[r] = make([]uint64, n), make([]uint64, n)
+						rows := make([]uint64, 2*n)
+						p.plus[r], p.minus[r] = rows[:n], rows[n:]
 					}
-					rows := &p.plus
-					if short%2 == 1 {
-						rows = &p.minus
+					if short%2 == 0 {
+						p.plus[short/2] = p.plus[short/2][: n-1 : n-1]
+					} else {
+						p.minus[short/2] = p.minus[short/2][: n-1 : n-1]
 					}
-					rows[short/2] = make([]uint64, n-1)
 					defer func() {
 						if recover() == nil {
 							t.Fatalf("profile row %d of %d words for a %d-word row did not panic", short, n-1, n)
@@ -350,18 +372,69 @@ func TestRowPairShortProfilePanics(t *testing.T) {
 				})
 			}
 		}
+		if !hasAVX2 {
+			continue
+		}
+		t.Run(w.name+"/kernel/stride", func(t *testing.T) {
+			p := new(octProfile)
+			for r := range p.plus {
+				rows := make([]uint64, 2*n+1)
+				p.plus[r], p.minus[r] = rows[:n], rows[n:2*n]
+			}
+			rows := make([]uint64, 2*n+1)
+			p.plus[5], p.minus[5] = rows[:n], rows[n+1:]
+			defer func() {
+				if recover() == nil {
+					t.Fatal("minus rows at offsets 9 and 10 from their plus rows did not panic")
+				}
+			}()
+			w.kernel(make([]uint64, n), p, 0, 0, 0)
+		})
 	}
 }
 
-// BenchmarkRowQuad8VsPortable times rowQuad8 and the portable
-// rowQuad8Go — two rowPair8Go passes — over one 8-lane group, a
-// 1000-base query against eight 1000-base targets, the two arms
-// alternated in each iteration and the first of them switched every
-// iteration, as the root SearchShardedPruned does. It reports the time
-// ratio portable/sse2 — a same-run reading, so the host's speed that
-// hour cancels — and the kernel's cells/s. ci.sh gates the median ratio
-// of five runs on amd64.
-func BenchmarkRowQuad8VsPortable(b *testing.B) {
+// TestHasAVX2MatchesCPUInfo holds the start-up CPUID detection that
+// routes the eight-row passes to the operating system's own report: on
+// linux/amd64, the avx2 flag of /proc/cpuinfo, which Linux shows only
+// when the CPU has AVX2 and the kernel saves the YMM registers. It logs
+// the route, so a CI log says which kernel the build host ran.
+// Elsewhere it is skipped.
+func TestHasAVX2MatchesCPUInfo(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("no /proc/cpuinfo flags to compare on %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(list)
+			break
+		}
+	}
+	if flags == nil {
+		t.Fatal("/proc/cpuinfo has no flags line")
+	}
+	if want := slices.Contains(flags, "avx2"); detectedAVX2 != want {
+		t.Fatalf("CPUID says AVX2 %v, /proc/cpuinfo flags say %v", detectedAVX2, want)
+	}
+	t.Logf("hasAVX2 = %v", detectedAVX2)
+}
+
+// BenchmarkRowOct8VsPortable times rowOct8 and the portable rowOct8Go —
+// four rowPair8Go passes — over one 8-lane group, a 1000-base query
+// against eight 1000-base targets, the two arms alternated in each
+// iteration and the first of them switched every iteration, as the root
+// SearchShardedPruned does. It reports the time ratio portable/avx2 — a
+// same-run reading, so the host's speed that hour cancels — and the
+// kernel's cells/s. ci.sh gates the median ratio of five runs; on a host
+// without AVX2 the two arms are one kernel and the benchmark skips.
+func BenchmarkRowOct8VsPortable(b *testing.B) {
+	if !hasAVX2 {
+		b.Skip("no AVX2: rowOct8 is the portable pass")
+	}
 	g := bio.NewGenerator(39)
 	q := g.Random(1000)
 	targets := make([]bio.Sequence, bio.PackedLanes8)
@@ -371,11 +444,11 @@ func BenchmarkRowQuad8VsPortable(b *testing.B) {
 	prof := bio.NewPackedProfile8(targets, bio.DefaultScoring())
 	gapV := prof.Broadcast(-bio.DefaultScoring().Gap)
 	row := make([]uint64, prof.Words())
-	scan := func(k rowQuadKernel) uint64 {
+	scan := func(k rowOctKernel) uint64 {
 		clear(row)
 		var best, sat uint64
-		var p quadProfile
-		for i := 0; i+3 < len(q); i += 4 {
+		var p octProfile
+		for i := 0; i+7 < len(q); i += 8 {
 			for r := range p.plus {
 				p.plus[r], p.minus[r] = prof.PlusRow(q[i+r]), prof.MinusRow(q[i+r])
 			}
@@ -383,10 +456,10 @@ func BenchmarkRowQuad8VsPortable(b *testing.B) {
 		}
 		return best | sat&hi8
 	}
-	if scan(rowQuad8) != scan(rowQuad8Go) {
-		b.Fatal("rowQuad8 and rowQuad8Go disagree on the benchmark group")
+	if scan(rowOct8) != scan(rowOct8Go) {
+		b.Fatal("rowOct8 and rowOct8Go disagree on the benchmark group")
 	}
-	timed := func(k rowQuadKernel) time.Duration {
+	timed := func(k rowOctKernel) time.Duration {
 		start := time.Now()
 		scan(k)
 		return time.Since(start)
@@ -395,13 +468,13 @@ func BenchmarkRowQuad8VsPortable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			fast += timed(rowQuad8)
-			portable += timed(rowQuad8Go)
+			fast += timed(rowOct8)
+			portable += timed(rowOct8Go)
 		} else {
-			portable += timed(rowQuad8Go)
-			fast += timed(rowQuad8)
+			portable += timed(rowOct8Go)
+			fast += timed(rowOct8)
 		}
 	}
-	b.ReportMetric(float64(portable)/float64(fast), "portable/sse2")
+	b.ReportMetric(float64(portable)/float64(fast), "portable/avx2")
 	b.ReportMetric(float64(b.N)*float64(len(q))*float64(len(row)*bio.PackedLanes8)/fast.Seconds(), "cells/s")
 }

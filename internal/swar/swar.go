@@ -38,26 +38,26 @@
 // boundaries for any input), so neighbours are unaffected. The chain
 // (Ladder, ladder.go) is bit-exact against align.Scan by construction.
 //
-// # SSE2 kernels
+// # AVX2 kernels
 //
-// On amd64 the pass the scan runs, rowQuad8 or rowQuad16, is assembly
-// (rowquad_amd64.s) over the same words, advancing four query rows at
-// once: both halves of an XMM register work, the low one on rows i and
-// i+1 as the portable two-row kernel does, the high one on rows i+2 and
-// i+3 two words behind, with row i+1 — kept in a register — as their
-// row above. Each guard-bit op is one saturating lane op — SubClamp is
-// PSUBUSB/PSUBUSW, the diagonal's add PADDUSB/PADDUSW, max8 PMAXUB and
-// max16 PMAXSW (SSE2 has no unsigned word max; the signed one agrees on
-// clean lanes, ≤ 32767). SSE2 is part of the amd64 baseline, so nothing
-// is detected at run time. On a clean lane every saturating op returns
-// what its guard-bit twin does and the diagonal sum stays below the
-// lane's top, so every cell up to the lane's first guard bit is
-// bit-identical and the same diagonal term flags the lane. A flagged
-// lane may hold other garbage than the portable kernel's (up to the
-// lane's full range instead of ≤ cap), still inside its lane; nothing
-// reads a flagged lane's values, which the wider retry computes afresh.
-// The portable pass, two rowPair8Go or rowPair16Go passes, is the
-// specification: every other GOARCH runs it, and FuzzRowQuadVsPortable
+// The pass the scan runs, rowOct8 or rowOct16, advances eight query
+// rows at once. On an amd64 host with AVX2 it is assembly
+// (rowoct_amd64.s) over the same words: each of a YMM register's four
+// qwords runs the portable two-row kernel's schedule on its own pair of
+// rows, rows i+2k and i+2k+1 in qword k, two words behind qword k-1,
+// whose odd row — kept in a register — is its row above. Each guard-bit
+// op is one saturating lane op — SubClamp is VPSUBUSB/VPSUBUSW, the
+// diagonal's add VPADDUSB/VPADDUSW, max8 and max16 VPMAXUB/VPMAXUW. On a
+// clean lane every saturating op returns what its guard-bit twin does
+// and the diagonal sum stays below the lane's top, so every cell up to
+// the lane's first guard bit is bit-identical and the same diagonal term
+// flags the lane. A flagged lane may hold other garbage than the
+// portable kernel's (up to the lane's full range instead of ≤ cap),
+// still inside its lane; nothing reads a flagged lane's values, which
+// the wider retry computes afresh. AVX2 is detected once, from CPUID and
+// the OS's saved register state. The portable pass, four rowPair8Go or
+// rowPair16Go passes, is the specification: hosts without AVX2, every
+// other GOARCH and rows under 8 words run it, and FuzzRowQuadVsPortable
 // holds the assembly to it.
 package swar
 
@@ -150,8 +150,8 @@ func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 // every max8 output is ≤ 127, so it needs no guard strip. Lanes whose
 // guard bit is set in sat are unreliable and must be retried wider.
 //
-// Two of these passes are the specification of the four-row rowQuad8
-// the scan runs (rowQuad8Go).
+// Four of these passes are the specification of the eight-row rowOct8
+// the scan runs (rowOct8Go).
 func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
 	n := len(row)
 	plusA, minusA = plusA[:n], minusA[:n] // bounds hints for the loop body
@@ -212,24 +212,27 @@ func rowPair16Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uin
 	return max16(b, best), sat
 }
 
-// quadProfile holds the profile rows of four successive query rows:
-// plus[k] and minus[k] score row i+k of a four-row pass.
-type quadProfile struct{ plus, minus [4][]uint64 }
+// octProfile holds the profile rows of eight successive query rows:
+// plus[k] and minus[k] score row i+k of an eight-row pass.
+type octProfile struct{ plus, minus [8][]uint64 }
 
-// rowQuad8Go advances four packed rows, i…i+3: two rowPair8Go passes,
-// rows i and i+1, then i+2 and i+3, with row holding row i-1 on entry
-// and row i+3 on return. It is the specification of rowQuad8, which on
-// amd64 computes the same words in one SSE2 pass (rowquad_amd64.go), and
-// what every other GOARCH runs.
-func rowQuad8Go(row []uint64, p *quadProfile, gapV, best, sat uint64) (uint64, uint64) {
-	best, sat = rowPair8Go(row, p.plus[0], p.minus[0], p.plus[1], p.minus[1], gapV, best, sat)
-	return rowPair8Go(row, p.plus[2], p.minus[2], p.plus[3], p.minus[3], gapV, best, sat)
+// rowOct8Go advances eight packed rows, i…i+7: four rowPair8Go passes,
+// with row holding row i-1 on entry and row i+7 on return. It is the
+// specification of rowOct8, which on an AVX2 host computes the same
+// words in one pass (rowoct_amd64.go), and what every other host runs.
+func rowOct8Go(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
+	for k := 0; k < len(p.plus); k += 2 {
+		best, sat = rowPair8Go(row, p.plus[k], p.minus[k], p.plus[k+1], p.minus[k+1], gapV, best, sat)
+	}
+	return best, sat
 }
 
-// rowQuad16Go is rowQuad8Go for 4 uint16 lanes.
-func rowQuad16Go(row []uint64, p *quadProfile, gapV, best, sat uint64) (uint64, uint64) {
-	best, sat = rowPair16Go(row, p.plus[0], p.minus[0], p.plus[1], p.minus[1], gapV, best, sat)
-	return rowPair16Go(row, p.plus[2], p.minus[2], p.plus[3], p.minus[3], gapV, best, sat)
+// rowOct16Go is rowOct8Go for 4 uint16 lanes.
+func rowOct16Go(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
+	for k := 0; k < len(p.plus); k += 2 {
+		best, sat = rowPair16Go(row, p.plus[k], p.minus[k], p.plus[k+1], p.minus[k+1], gapV, best, sat)
+	}
+	return best, sat
 }
 
 // LaneScores is the outcome of one packed scan.
@@ -380,25 +383,25 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 		if lo > 0 {
 			copy(border, row)
 		}
-		// Four rows per pass. BlockRows is a multiple of four, so a pass
+		// Eight rows per pass. BlockRows is a multiple of eight, so a pass
 		// never straddles a block boundary; only the query's last one to
-		// three rows can be left short of a pass, which the all-mismatch
+		// seven rows can be left short of a pass, which the all-mismatch
 		// 'N' row pads: every cell of such a phantom row is at most one of
 		// its neighbours (its diagonal term adds no match reward), so it
 		// can neither raise a lane's maximum nor set a guard bit.
-		var quad quadProfile
-		for i := lo; i < hi; i += 4 {
-			for k := range 4 {
+		var oct octProfile
+		for i := lo; i < hi; i += 8 {
+			for k := range 8 {
 				c := byte('N')
 				if i+k < hi {
 					c = q[i+k]
 				}
-				quad.plus[k], quad.minus[k] = prof.PlusRow(c), prof.MinusRow(c)
+				oct.plus[k], oct.minus[k] = prof.PlusRow(c), prof.MinusRow(c)
 			}
 			if wide {
-				best, sat = rowQuad16(row, &quad, gapV, best, sat)
+				best, sat = rowOct16(row, &oct, gapV, best, sat)
 			} else {
-				best, sat = rowQuad8(row, &quad, gapV, best, sat)
+				best, sat = rowOct8(row, &oct, gapV, best, sat)
 			}
 		}
 		steps += int64(len(row)) * int64(hi-lo)

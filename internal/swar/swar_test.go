@@ -233,7 +233,9 @@ func (p *ladderProfiles) Int16(lanes uint8) *bio.PackedProfile {
 // ever Seeded. A call with provided profiles must also return the
 // GroupResult and seeds of the same call without them, bit for bit, and
 // so must calls on the subsets of a group that stage-1 skips leave
-// (checkLadderSubsets). fail reports a mismatch.
+// (checkLadderSubsets). Every sweep runs on each of the host's kernel
+// routes (swar.Routes): the AVX2 one where it runs, and the portable one
+// a host without AVX2 takes. fail reports a mismatch.
 func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, fail func(format string, args ...any)) {
 	wantEnd := make([]swar.Pair, len(targets))
 	matrix := make([]*align.Matrix, len(targets))
@@ -255,6 +257,16 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 		below = max(below, w/2+1)
 	}
 	bounds := []*swar.Bound{nil, {Below: below, Query: bio.NewQueryBound(q, sc)}}
+	for _, route := range swar.Routes() {
+		func() {
+			defer swar.UseRoute(route)()
+			checkLadderRoute(q, targets, sc, want, wantEnd, matrix, bounds, route, fail)
+		}()
+	}
+}
+
+// checkLadderRoute is checkLadder's sweep on one kernel route.
+func checkLadderRoute(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, wantEnd []swar.Pair, matrix []*align.Matrix, bounds []*swar.Bound, route string, fail func(format string, args ...any)) {
 	var al, loc, fresh, subAl swar.Aligner
 	pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
 	ids := make([]int, len(targets))
@@ -278,7 +290,7 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 					for i, tgt := range group {
 						w, end := want[lo+i], wantEnd[lo+i]
 						seeded := res.Seeded&(1<<uint(i)) != 0
-						where := fmt.Sprintf("rung %d bound %v prebuilt %v target %d (|t|=%d)", start, ab != nil, prebuilt, lo+i, len(tgt))
+						where := fmt.Sprintf("%s route: rung %d bound %v prebuilt %v target %d (|t|=%d)", route, start, ab != nil, prebuilt, lo+i, len(tgt))
 						switch {
 						case res.Pruned&(1<<uint(i)) != 0:
 							if ab == nil || w >= ab.Below || res.Rows[i] > len(q) {
@@ -459,37 +471,43 @@ func TestScoresSaturation(t *testing.T) {
 		q[:300].Clone(), // score 300: saturates int8, fits int16
 		q[:100].Clone(), // score 100: stays in int8
 	}
-	var al swar.Aligner
-	ls, ok := al.Scan8(q, targets, sc)
-	if !ok {
-		t.Fatal("Scan8 rejected default scoring")
-	}
-	if ls.Saturated&1 == 0 || ls.Saturated&(1<<2) == 0 {
-		t.Errorf("identity lanes not flagged saturated: mask %08b scores %v", ls.Saturated, ls.Scores[:4])
-	}
-	if ls.Saturated&(1<<3) != 0 {
-		t.Errorf("score-100 lane wrongly saturated: mask %08b", ls.Saturated)
-	}
-	checkScores(t, "saturation", q, targets, sc)
-	// The int16 retry asks provided profiles for one subgroup of records,
-	// {0, 2}, whatever else a call keeps: calls keeping fewer of the others
-	// get the first call's profile, and the first call's results.
-	pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
-	var fresh swar.Aligner
-	for _, keep := range [][]int{{0, 1, 2, 3}, {0, 2, 3}, {0, 2}} {
-		var sub []bio.Sequence
-		for _, i := range keep {
-			sub = append(sub, targets[i])
-		}
-		pr.use(sub, keep)
-		sameLadder(&al, &fresh, q, sub, sc, swar.RungInter8, nil, al.Ladder(q, sub, sc, swar.RungInter8, nil, pr), t.Errorf)
-	}
-	if pr.reused != 2 {
-		t.Errorf("provided int16 profile reused %d times over three calls, want 2", pr.reused)
+	checkScores(t, "saturation", q, targets, sc) // on every route
+	for _, route := range swar.Routes() {
+		func() {
+			defer swar.UseRoute(route)()
+			var al swar.Aligner
+			ls, ok := al.Scan8(q, targets, sc)
+			if !ok {
+				t.Fatal("Scan8 rejected default scoring")
+			}
+			if ls.Saturated&1 == 0 || ls.Saturated&(1<<2) == 0 {
+				t.Errorf("%s route: identity lanes not flagged saturated: mask %08b scores %v", route, ls.Saturated, ls.Scores[:4])
+			}
+			if ls.Saturated&(1<<3) != 0 {
+				t.Errorf("%s route: score-100 lane wrongly saturated: mask %08b", route, ls.Saturated)
+			}
+			// The int16 retry asks provided profiles for one subgroup of
+			// records, {0, 2}, whatever else a call keeps: calls keeping fewer
+			// of the others get the first call's profile, and the first call's
+			// results.
+			pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
+			var fresh swar.Aligner
+			for _, keep := range [][]int{{0, 1, 2, 3}, {0, 2, 3}, {0, 2}} {
+				var sub []bio.Sequence
+				for _, i := range keep {
+					sub = append(sub, targets[i])
+				}
+				pr.use(sub, keep)
+				sameLadder(&al, &fresh, q, sub, sc, swar.RungInter8, nil, al.Ladder(q, sub, sc, swar.RungInter8, nil, pr), t.Errorf)
+			}
+			if pr.reused != 2 {
+				t.Errorf("%s route: provided int16 profile reused %d times over three calls, want 2", route, pr.reused)
+			}
+		}()
 	}
 	// A flagged lane beside one-base lanes: once the ladder's int8 pass
 	// narrows to their one column, the last block runs on the portable
-	// pass, over the maximum the SSE2 pass left in the flagged lane.
+	// pass, over the maximum the AVX2 pass left in the flagged lane.
 	ts := bio.MustSequence(strings.Repeat("T", 17))
 	checkScores(t, "saturated lane beside one-base lanes", ts, []bio.Sequence{ts, ts[:1], ts[:1]},
 		bio.Scoring{Match: 25, Mismatch: -2, Gap: -3})
@@ -921,8 +939,8 @@ func row16(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uin
 // pass over two swapped row buffers, end-row blocks stamped every
 // BlockRows rows. It returns the folded maximum, the saturation word
 // and the blocks after the last row of q, and the stored row a multiple
-// of four rows in: q's last row, or the last of the one to three
-// all-mismatch 'N' rows after it that pad the four-row kernel's last
+// of eight rows in: q's last row, or the last of the one to seven
+// all-mismatch 'N' rows after it that pad the eight-row kernel's last
 // pass — and which must move neither the maximum nor a clean lane's
 // guard bit.
 func oneRowScan(t *testing.T, q bio.Sequence, prof *bio.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, last []uint64) {
@@ -947,7 +965,7 @@ func oneRowScan(t *testing.T, q bio.Sequence, prof *bio.PackedProfile, gap int) 
 		}
 		snap = best
 	}
-	for n := len(q); n%4 != 0; n++ {
+	for n := len(q); n%8 != 0; n++ {
 		b, s := row(prev, cur, prof.PlusRow('N'), prof.MinusRow('N'), gapV, best, sat)
 		if b != best || (s^sat)&hi != 0 {
 			t.Fatalf("phantom N row moved the one-row scan: best %#x → %#x, sat %#x → %#x", best, b, sat, s)
@@ -995,10 +1013,12 @@ func twoRowInputs(g *bio.Generator, kind string, qLen, words, lanes int) (bio.Se
 	return q, targets
 }
 
-// TestTwoRowMatchesOneRow drives the four-row kernel and the one-row
-// kernel the two-row one replaced over the same profiles — query lengths
-// of every residue mod 4 around the pass and block boundaries, one word
-// to 600, both lane widths, scoring
+// TestTwoRowMatchesOneRow drives the eight-row kernel, on each of the
+// host's routes, and the one-row kernel the two-row one replaced over the
+// same profiles — query lengths of every residue mod 8 around the pass
+// and block boundaries, rows of one word to 600 (8, 9 and 13 words: the
+// shortest rows the AVX2 kernel runs, with no body step, one lone step,
+// and a four-step pass and a lone one), both lane widths, scoring
 // schemes from the paper's to ones that saturate a lane within a few
 // matches — and asserts what the ladder relies on: the same set of
 // flagged lanes, and in every unflagged lane the same maximum, the same
@@ -1014,8 +1034,8 @@ func TestTwoRowMatchesOneRow(t *testing.T) {
 	g := bio.NewGenerator(19)
 	var al swar.Aligner
 	for _, kind := range []string{"random", "homolog", "two-letter", "n-run"} {
-		for _, qLen := range []int{1, 2, 3, 5, 6, 62, 63, 64, 65, 127, 128, 129, 130} {
-			for _, words := range []int{1, 2, 3, 7, 600} {
+		for _, qLen := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 62, 63, 64, 65, 127, 128, 129, 130} {
+			for _, words := range []int{1, 2, 3, 7, 8, 9, 13, 600} {
 				q8, t8 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes8)
 				q16, t16 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes16)
 				for _, sc := range scorings {
@@ -1028,28 +1048,33 @@ func TestTwoRowMatchesOneRow(t *testing.T) {
 						}
 						name := fmt.Sprintf("%s |q|=%d words=%d %+v lanes=%d", kind, qLen, words, sc, c.prof.Lanes())
 						wantBest, wantSat, wantBlocks, wantRow := oneRowScan(t, c.q, c.prof, -sc.Gap)
-						best, sat, blocks, row := al.ScanPackedRow(c.q, c.prof, -sc.Gap)
-						guard := uint64(1) << (c.prof.Shift() - 1)
-						var clean uint64 // all-ones in every unflagged lane
-						for l := 0; l < c.prof.Lanes(); l++ {
-							flagged := c.prof.Lane(sat, l)&int(guard) != 0
-							if want := c.prof.Lane(wantSat, l)&int(guard) != 0; flagged != want {
-								t.Fatalf("%s: lane %d flagged %v, one-row kernel %v", name, l, flagged, want)
+						for _, route := range swar.Routes() {
+							restore := swar.UseRoute(route)
+							best, sat, blocks, row := al.ScanPackedRow(c.q, c.prof, -sc.Gap)
+							restore()
+							where := name + " " + route
+							guard := uint64(1) << (c.prof.Shift() - 1)
+							var clean uint64 // all-ones in every unflagged lane
+							for l := 0; l < c.prof.Lanes(); l++ {
+								flagged := c.prof.Lane(sat, l)&int(guard) != 0
+								if want := c.prof.Lane(wantSat, l)&int(guard) != 0; flagged != want {
+									t.Fatalf("%s: lane %d flagged %v, one-row kernel %v", where, l, flagged, want)
+								}
+								if flagged {
+									continue
+								}
+								clean |= (guard<<1 - 1) << (uint(l) * c.prof.Shift())
+								if blocks[l] != wantBlocks[l] {
+									t.Fatalf("%s: lane %d end block %d, one-row kernel %d", where, l, blocks[l], wantBlocks[l])
+								}
 							}
-							if flagged {
-								continue
+							if (best^wantBest)&clean != 0 {
+								t.Fatalf("%s: best %#x, one-row kernel %#x (clean lanes %#x)", where, best, wantBest, clean)
 							}
-							clean |= (guard<<1 - 1) << (uint(l) * c.prof.Shift())
-							if blocks[l] != wantBlocks[l] {
-								t.Fatalf("%s: lane %d end block %d, one-row kernel %d", name, l, blocks[l], wantBlocks[l])
-							}
-						}
-						if (best^wantBest)&clean != 0 {
-							t.Fatalf("%s: best %#x, one-row kernel %#x (clean lanes %#x)", name, best, wantBest, clean)
-						}
-						for j := range wantRow {
-							if (row[j]^wantRow[j])&clean != 0 {
-								t.Fatalf("%s: stored word %d = %#x, one-row kernel %#x (clean lanes %#x)", name, j, row[j], wantRow[j], clean)
+							for j := range wantRow {
+								if (row[j]^wantRow[j])&clean != 0 {
+									t.Fatalf("%s: stored word %d = %#x, one-row kernel %#x (clean lanes %#x)", where, j, row[j], wantRow[j], clean)
+								}
 							}
 						}
 					}
