@@ -541,53 +541,60 @@ func BenchmarkKernelFullMatrix(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelReverseRetrieve(b *testing.B) {
+// BenchmarkKernelReverseBeginVsRetrieve times the §6 reverse sweep over
+// one 1000 × 1000 pair in its two forms, alternated in every iteration
+// with the first arm switched every iteration: ReverseRetrieve, the
+// traceback form (arrows, Ops, the dense fallback), and Begin, the form
+// the realign pool runs (the begin cell only, no arrows, and a
+// score-to-go floor that drops the cells which cannot reach the score).
+// Each arm's rate counts the cells it computed (Theorem 6.2's useful
+// area; Begin's floor leaves fewer), so begin/retrieve is the ratio of
+// per-cell rates — a same-run reading, so the host's speed that hour
+// cancels. ci.sh gates its median over five runs at ≥ 2.
+func BenchmarkKernelReverseBeginVsRetrieve(b *testing.B) {
 	s, t := benchPair(1000)
 	sc := bio.DefaultScoring()
 	r, err := align.Scan(s, t, sc, align.ScanOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rt align.Retriever // reused arrow arena: steady-state allocs only
-	// The sweep evaluates only the useful area of Theorem 6.2, so the
-	// honest numerator is the cells it computed, not |s|·|t|.
-	_, st, err := rt.ReverseRetrieve(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+	var rt align.Retriever // reused arenas: steady-state allocs only
+	_, rst, err := rt.ReverseRetrieve(s, t, sc, r.BestI, r.BestJ, r.BestScore)
 	if err != nil {
 		b.Fatal(err)
 	}
-	reportCells(b, st.CellsComputed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := rt.ReverseRetrieve(s, t, sc, r.BestI, r.BestJ, r.BestScore); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelReverseBegin is the same sweep over the same pair in the
-// form the realign pool runs: the begin cell only, no arrows and no
-// traceback, and a score-to-go floor that drops the cells which cannot
-// reach the score. The denominator is Begin's own CellsComputed, fewer
-// than ReverseRetrieve's, so this row is the per-cell rate of the smaller
-// area it sweeps; ci.sh gates it at ≥ 2× KernelReverseRetrieve's cells/s
-// in the same run.
-func BenchmarkKernelReverseBegin(b *testing.B) {
-	s, t := benchPair(1000)
-	sc := bio.DefaultScoring()
-	r, err := align.Scan(s, t, sc, align.ScanOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rt align.Retriever
-	_, _, st, ok := rt.Begin(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+	_, _, bst, ok := rt.Begin(s, t, sc, r.BestI, r.BestJ, r.BestScore)
 	if !ok {
 		b.Fatal("no alignment ends at the scan's best cell")
 	}
-	reportCells(b, st.CellsComputed)
+	retrieve := func() time.Duration {
+		start := time.Now()
+		if _, _, err := rt.ReverseRetrieve(s, t, sc, r.BestI, r.BestJ, r.BestScore); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	begin := func() time.Duration {
+		start := time.Now()
+		rt.Begin(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+		return time.Since(start)
+	}
+	var tb, tr time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Begin(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+		if i%2 == 0 {
+			tb += begin()
+			tr += retrieve()
+		} else {
+			tr += retrieve()
+			tb += begin()
+		}
 	}
+	beginRate := float64(b.N) * float64(bst.CellsComputed) / tb.Seconds()
+	retrieveRate := float64(b.N) * float64(rst.CellsComputed) / tr.Seconds()
+	b.ReportMetric(beginRate/retrieveRate, "begin/retrieve")
+	b.ReportMetric(beginRate, "begin-cells/s")
+	b.ReportMetric(retrieveRate, "retrieve-cells/s")
 }
 
 // BenchmarkSearchRealign measures the realign stage alone — finding the

@@ -1,7 +1,7 @@
 package bio
 
-// This file adds the *striped* (intra-sequence) counterpart of
-// packed.go's inter-sequence PackedProfile: instead of eight different
+// This file adds the *striped* (intra-sequence) counterpart of the
+// inter-sequence lanes of packed.go: instead of eight different
 // target sequences sharing a word, the lanes of a StripedProfile word
 // hold eight positions of ONE sequence, interleaved Farrar-style
 // (Farrar 2007; SWAPHI, Liu & Schmidt, arXiv:1404.4152 apply the same
@@ -13,9 +13,9 @@ package bio
 // the column pass, and only chains that cross a segment boundary need
 // the lazy wrap-around correction loop.
 //
-// Scores use the same guard-bit split as PackedProfile — non-negative
-// plus/minus magnitudes per lane, top bit kept free — so the striped
-// kernels reuse SubClamp8/16 and MaxClamped8/16 unchanged. Positions
+// Scores use the same guard-bit split as the inter-sequence lanes —
+// non-negative plus/minus magnitudes per lane, top bit kept free — so
+// the striped kernels reuse SubClamp8/16 and MaxClamped8/16 unchanged. Positions
 // past the true length n (the tail of the last lane) are padded with
 // all-mismatch columns; padded values only ever decay from real ones,
 // and ValueMask additionally zeroes padded lanes so they can never
@@ -83,7 +83,7 @@ func newStripedProfile(t Sequence, sc Scoring, lanes int, shift uint, capVal int
 			// Padded lanes (pos >= n) keep the all-mismatch column so
 			// their values only ever decay from real ones; the unknown
 			// row (c == 4: 'N' and invalid bytes) matches nothing —
-			// the Substitution wildcard rule, as in PackedProfile.
+			// the Substitution wildcard rule.
 			for c := 0; c < AlphabetSize; c++ {
 				if pos < n && c != codeUnknown && baseCode[t[pos]] == byte(c) {
 					p.plus[c][v] |= mv << off

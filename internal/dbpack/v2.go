@@ -19,8 +19,8 @@ import (
 // mmap the file and hand internal/search direct views: record
 // sequences are subslices of the mapped seq section, and the
 // precomputed lane-group layout (group word offsets +
-// lane-interleaved code words, exactly the shape bio.PackedProfile is
-// built from) is reinterpreted in place as []uint64. Load time becomes
+// lane-interleaved code words, exactly the operand the lane kernels
+// read) is reinterpreted in place as []uint64. Load time becomes
 // validate-header-and-map instead of decode-and-rebuild.
 //
 //	offset 0   magic "GDMPACK\x02"

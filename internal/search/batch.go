@@ -207,7 +207,6 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 			procCells[w] = make([]int64, nq)
 			var scratch groupScratch
 			gp := groupProfs.Get().(*groupProf)
-			gp.sc = sc
 			defer func() {
 				gp.drop()
 				groupProfs.Put(gp)
@@ -222,10 +221,10 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 				for _, idx := range group {
 					groupBases += int64(len(db.recs[idx].Seq))
 				}
-				// Every query of the batch scans this group with the same
-				// query-independent packed profile: reset the lazy holder
-				// once per work item, point it at the group's precomputed
-				// layout words when the DB carries them.
+				// Every query of the batch scans this group's same
+				// query-independent code words: reset the lazy holder once
+				// per work item, point it at the group's precomputed layout
+				// words when the DB carries them.
 				gp.reset(db, group)
 				if db.layout != nil {
 					gp.words = db.layout.GroupWords(gi)
@@ -359,72 +358,67 @@ feed:
 	return out, nil
 }
 
-// groupProf is one work item's swar.Profiles, shared by every query of
-// the batch: it lazily builds — at most once per work item — the
-// query-independent int8 packed profile of the full lane group, and each
-// int16 subgroup profile the ladder's retries ask for. With a DB layout
-// attached the int8 build reads the precomputed interleaved words (the
-// pack-v2 zero-copy path); otherwise it interleaves the record bytes
-// once instead of once per query. Either build is bit-identical to the
-// profile the kernels would construct per scan
-// (TestPackedProfileFromWords pins the equivalence), so sharing changes
-// cost only, never results.
+// groupProf is one work item's swar.Codes, shared by every query of the
+// batch: the code words of the full lane group — the DB layout's words
+// when one is attached (the pack-v2 zero-copy path), otherwise the
+// record bytes interleaved once per work item instead of once per query
+// — and, memoised, the int16 words of each subgroup the ladder's retries
+// ask for. Either source holds exactly the words the ladder would
+// interleave per scan (TestSearchWithLayoutDifferential pins the
+// equivalence), so sharing changes cost only, never results.
 //
 // A query's stage-1 skips compact the lanes it scans, so each call says
-// which records it holds (use): the full-group int8 profile serves only
-// a call that kept the whole group, and an int16 subgroup is memoised
-// under its record indices, which stage-1 skips cannot change. reset
-// drops every profile, so none outlives its work item, but not their
-// buffers: each profile is rebuilt in place in one the holder keeps, so
-// a worker allocates profile rows only while its work items outgrow
-// them (TestGroupProfReusesBuffers).
+// which records it holds (use): the full group's words serve only a call
+// that kept the whole group, a compacted call gets its lanes' words in a
+// buffer of its own, and an int16 subgroup is memoised under its record
+// indices, which stage-1 skips cannot change. reset drops every set of
+// words, so none outlives its work item, but not their buffers: each is
+// refilled in place in one the holder keeps, so a worker allocates only
+// while its work items outgrow them (TestGroupProfReusesBuffers). The
+// layout's words are never written: they may be an mmap'd pack's
+// read-only pages, so no buffer here ever aliases them.
 type groupProf struct {
 	words   []uint64       // the group's layout words; nil without a layout
 	targets []bio.Sequence // full group targets in rank order
-	lens    []int          // their lengths
-	sc      bio.Scoring
-	prof    *bio.PackedProfile // the full group's int8 profile, in own8
-	tried   bool
+	codes   []uint64       // the full group's words: words, or own8
 	kept    []int          // the current call's records, lane order
 	keptSeq []bio.Sequence // and their sequences
-	memo16  []prof16       // memo16[k].prof is built in own16[k]
-	// own8 holds the full group's int8 profile, part8 that of the
-	// current call's compacted lanes, valid until the next Int8 call.
-	own8, part8 bio.PackedProfile
-	own16       []*bio.PackedProfile
+	memo16  []codes16      // memo16[k].codes is built in own16[k]
+	// own8 holds the full group's interleave without a layout, part8 that
+	// of the current call's compacted lanes, valid until the next Int8
+	// call.
+	own8, part8 []uint64
+	own16       [][]uint64
 }
 
-// prof16 is one memoised int16 subgroup profile: the records of its
-// lanes (n of them) and what bio.NewPackedProfile16 built for them.
-type prof16 struct {
-	recs [bio.PackedLanes16]int
-	n    int
-	prof *bio.PackedProfile
+// codes16 is one memoised int16 subgroup: the records of its lanes (n
+// of them) and their words.
+type codes16 struct {
+	recs  [bio.PackedLanes16]int
+	n     int
+	codes []uint64
 }
 
-// reset points the holder at a new group and drops every cached profile.
+// reset points the holder at a new group and drops every cached set of
+// words.
 func (g *groupProf) reset(db *DB, group []int) {
-	g.words, g.prof, g.tried = nil, nil, false
+	g.words, g.codes = nil, nil
 	g.memo16 = g.memo16[:0]
 	g.targets = g.targets[:0]
-	g.lens = g.lens[:0]
 	for _, idx := range group {
-		t := db.recs[idx].Seq
-		g.targets = append(g.targets, t)
-		g.lens = append(g.lens, len(t))
+		g.targets = append(g.targets, db.recs[idx].Seq)
 	}
 }
 
-// groupProfs pools the scan workers' profile holders, so the buffers
-// their profiles are rebuilt in outlive a batch, as the aligners' rows
-// do.
+// groupProfs pools the scan workers' code-word holders, so the buffers
+// their words are refilled in outlive a batch, as the aligners' rows do.
 var groupProfs = sync.Pool{New: func() any { return new(groupProf) }}
 
 // drop clears the holder's references into the database before it goes
-// back to the pool: only its profile buffers stay.
+// back to the pool: only its own buffers stay.
 func (g *groupProf) drop() {
 	clear(g.targets[:cap(g.targets)])
-	g.words, g.prof, g.kept, g.keptSeq = nil, nil, nil, nil
+	g.words, g.codes, g.kept, g.keptSeq = nil, nil, nil, nil
 	g.memo16 = g.memo16[:0]
 }
 
@@ -434,29 +428,28 @@ func (g *groupProf) use(kept []int, targets []bio.Sequence) {
 	g.kept, g.keptSeq = kept, targets
 }
 
-// Int8 returns the group's int8 packed profile, built on first use, when
-// the call kept the whole group, and a fresh one for its compacted lanes
-// otherwise; nil under exactly the conditions bio.NewPackedProfile8
-// returns nil.
-func (g *groupProf) Int8() *bio.PackedProfile {
+// Int8 returns the group's int8 code words when the call kept the whole
+// group — the layout's, or an interleave built on first use — and a
+// fresh interleave of its compacted lanes otherwise.
+func (g *groupProf) Int8() []uint64 {
 	if len(g.kept) != len(g.targets) {
-		return g.part8.Build8(g.keptSeq, g.sc)
+		g.part8 = bio.InterleaveWords8(g.part8[:0], g.keptSeq)
+		return g.part8
 	}
-	if !g.tried {
-		g.tried = true
-		if g.words != nil {
-			g.prof = g.own8.Build8FromWords(g.words, g.lens, g.sc)
-		} else {
-			g.prof = g.own8.Build8(g.targets, g.sc)
+	if g.codes == nil {
+		g.codes = g.words
+		if g.codes == nil {
+			g.own8 = bio.InterleaveWords8(g.own8[:0], g.targets)
+			g.codes = g.own8
 		}
 	}
-	return g.prof
+	return g.codes
 }
 
-// Int16 returns the int16 profile of the call's lanes set in lanes,
+// Int16 returns the int16 code words of the call's lanes set in lanes,
 // built once per work item for each set of records.
-func (g *groupProf) Int16(lanes uint8) *bio.PackedProfile {
-	var key prof16
+func (g *groupProf) Int16(lanes uint8) []uint64 {
+	var key codes16
 	var seqs [bio.PackedLanes16]bio.Sequence
 	for l := range g.kept {
 		if lanes&(1<<uint(l)) != 0 {
@@ -466,16 +459,17 @@ func (g *groupProf) Int16(lanes uint8) *bio.PackedProfile {
 	}
 	for _, m := range g.memo16 {
 		if m.recs == key.recs && m.n == key.n {
-			return m.prof
+			return m.codes
 		}
 	}
 	k := len(g.memo16)
 	if k == len(g.own16) {
-		g.own16 = append(g.own16, new(bio.PackedProfile))
+		g.own16 = append(g.own16, nil)
 	}
-	key.prof = g.own16[k].Build16(seqs[:key.n], g.sc)
+	g.own16[k] = bio.InterleaveWords16(g.own16[k][:0], seqs[:key.n])
+	key.codes = g.own16[k]
 	g.memo16 = append(g.memo16, key)
-	return key.prof
+	return key.codes
 }
 
 // groupScratch is one worker's reusable per-group buffers: the records

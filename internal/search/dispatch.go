@@ -38,11 +38,11 @@ var startRung = [...]swar.Rung{
 // route r picks, under an optional pruning bound (nil ab = unpruned).
 // Results are bit-exact for every route, including forced mis-routes.
 // lens holds the targets' lengths; a non-nil gp supplies the group's
-// shared packed profiles (groupProf.use must have named the targets).
+// shared code words (groupProf.use must have named the targets).
 func scoreGroup(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, lens []int, sc bio.Scoring, r *dispatch.Router, ab *swar.Bound, gp *groupProf) swar.GroupResult {
-	var pr swar.Profiles
+	var cw swar.Codes
 	if gp != nil {
-		pr = gp
+		cw = gp
 	}
-	return al.Ladder(q, targets, sc, startRung[r.Group(len(q), lens)], ab, pr)
+	return al.Ladder(q, targets, sc, startRung[r.Group(len(q), lens)], ab, cw)
 }

@@ -9,12 +9,12 @@ import (
 // Layout is the precomputed 8-lane group layout of a DB: the canonical
 // scan order cut into groups of bio.PackedLanes8 records, each group
 // stored as its lane-interleaved code words (bio.InterleaveWords8) —
-// exactly the representation the packed profile builder consumes. The
-// layout is query- and scoring-independent, so `genomedsm index`
-// computes it once at index time and a pack-v2 load maps the words
-// straight from the file: the scan's profile build becomes five
-// word-wide compares per position over memory it never copied, and the
-// shard layer hands each worker a Pick of the same words without
+// exactly the operand the int8 lane kernels read, comparing them with
+// each query row's code in register. The layout is query- and
+// scoring-independent, so `genomedsm index` computes it once at index
+// time and a pack-v2 load maps the words straight from the file: the
+// scan reads memory it never copied and builds nothing per group, and
+// the shard layer hands each worker a Pick of the same words without
 // materializing a sub-database. A Layout is read-only after
 // construction and safe for concurrent scans.
 type Layout struct {
@@ -127,8 +127,8 @@ func (l *Layout) Validate(d *DB) error {
 	return nil
 }
 
-// SetLayout attaches a precomputed lane-group layout; scans then build
-// packed profiles from its words instead of gathering record bytes.
+// SetLayout attaches a precomputed lane-group layout; scans then read
+// its words instead of interleaving the record bytes.
 // Only the cheap structural shape is checked here — callers loading
 // untrusted bytes must Validate first. Call before the first scan.
 func (d *DB) SetLayout(l *Layout) error {

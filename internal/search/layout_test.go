@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"genomedsm/internal/bio"
@@ -145,12 +146,12 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 	}
 }
 
-// TestGroupProfInt16Memo: a work item's int16 subgroup profile is
+// TestGroupProfInt16Memo: a work item's int16 subgroup words are
 // memoised under its records, not its lane positions. Two calls whose
 // kept sets put different records in the same lanes get each its own
-// records' profile; a call holding the same records in other lanes gets
+// records' words; a call holding the same records in other lanes gets
 // the first one's; and reset forgets them all: the next work item's
-// records 0 and 2 — of another database — get their own profile.
+// records 0 and 2 — of another database — get their own words.
 func TestGroupProfInt16Memo(t *testing.T) {
 	g := bio.NewGenerator(17)
 	var recs []bio.Record
@@ -159,8 +160,7 @@ func TestGroupProfInt16Memo(t *testing.T) {
 	}
 	db := NewDB(recs)
 	group := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	sc := bio.DefaultScoring()
-	gp := &groupProf{sc: sc}
+	gp := &groupProf{}
 	gp.reset(db, group)
 	call := func(kept ...int) {
 		var seqs []bio.Sequence
@@ -168,17 +168,6 @@ func TestGroupProfInt16Memo(t *testing.T) {
 			seqs = append(seqs, db.recs[idx].Seq)
 		}
 		gp.use(kept, seqs)
-	}
-	same := func(a, b *bio.PackedProfile) bool {
-		if a.Words() != b.Words() || a.Lanes() != b.Lanes() {
-			return false
-		}
-		for _, c := range []byte("ACGTN") {
-			if !reflect.DeepEqual(a.PlusRow(c), b.PlusRow(c)) || !reflect.DeepEqual(a.MinusRow(c), b.MinusRow(c)) {
-				return false
-			}
-		}
-		return true
 	}
 	seqsOf := func(idx ...int) []bio.Sequence {
 		var out []bio.Sequence
@@ -189,20 +178,20 @@ func TestGroupProfInt16Memo(t *testing.T) {
 	}
 	call(0, 1, 2, 3, 4, 5, 6, 7)
 	a := gp.Int16(0b101) // records 0 and 2
-	if !same(a, bio.NewPackedProfile16(seqsOf(0, 2), sc)) {
-		t.Fatal("records 0, 2: provided profile differs from a fresh build")
+	if !slices.Equal(a, bio.InterleaveWords16(nil, seqsOf(0, 2))) {
+		t.Fatal("records 0, 2: provided words differ from a fresh interleave")
 	}
 	call(1, 3, 5, 7)
 	b := gp.Int16(0b101) // lanes 0 and 2 now hold records 1 and 5
-	if b == a || !same(b, bio.NewPackedProfile16(seqsOf(1, 5), sc)) {
-		t.Fatal("records 1, 5: got the profile of the records once in the same lanes")
+	if &b[0] == &a[0] || !slices.Equal(b, bio.InterleaveWords16(nil, seqsOf(1, 5))) {
+		t.Fatal("records 1, 5: got the words of the records once in the same lanes")
 	}
 	call(0, 2, 6)
-	if gp.Int16(0b011) != a {
-		t.Error("records 0, 2 in lanes 0, 1: their profile was built again")
+	if c := gp.Int16(0b011); &c[0] != &a[0] {
+		t.Error("records 0, 2 in lanes 0, 1: their words were built again")
 	}
-	if !same(gp.Int8(), bio.NewPackedProfile8(seqsOf(0, 2, 6), sc)) {
-		t.Error("compacted call: int8 profile differs from a fresh build of its lanes")
+	if !slices.Equal(gp.Int8(), bio.InterleaveWords8(nil, seqsOf(0, 2, 6))) {
+		t.Error("compacted call: int8 words differ from a fresh interleave of its lanes")
 	}
 	other := make([]bio.Record, len(recs))
 	for i := range other {
@@ -211,16 +200,16 @@ func TestGroupProfInt16Memo(t *testing.T) {
 	db = NewDB(other)
 	gp.reset(db, group)
 	call(0, 1, 2, 3, 4, 5, 6, 7)
-	if !same(gp.Int16(0b101), bio.NewPackedProfile16(seqsOf(0, 2), sc)) {
-		t.Error("reset kept the previous work item's profile")
+	if !slices.Equal(gp.Int16(0b101), bio.InterleaveWords16(nil, seqsOf(0, 2))) {
+		t.Error("reset kept the previous work item's words")
 	}
 }
 
-// TestGroupProfReusesBuffers pins that a scan worker's profile holder
-// rebuilds every profile in place: once a first work item has grown its
-// buffers, later items — the full group's int8 profile from layout
-// words, a compacted call's int8 profile and two int16 subgroups — run
-// without allocating.
+// TestGroupProfReusesBuffers pins that a scan worker's code-word holder
+// refills its buffers in place: once a first work item has grown them,
+// later items — the full group's words from the layout, a compacted
+// call's words and two int16 subgroups — run without allocating, and the
+// full group's words are the layout's own, never a copy.
 func TestGroupProfReusesBuffers(t *testing.T) {
 	g := bio.NewGenerator(23)
 	var recs []bio.Record
@@ -236,17 +225,20 @@ func TestGroupProfReusesBuffers(t *testing.T) {
 			seqs[gi] = append(seqs[gi], db.recs[idx].Seq)
 		}
 	}
-	gp := &groupProf{sc: bio.DefaultScoring()}
+	gp := &groupProf{}
 	item := func(gi int) {
 		gp.reset(db, groups[gi])
 		gp.words = db.layout.GroupWords(gi)
 		gp.use(groups[gi], seqs[gi])
-		if gp.Int8() == nil || gp.Int16(0x0F) == nil || gp.Int16(0xF0) == nil {
-			t.Fatal("nil profile under the default scoring")
+		if w := gp.Int8(); &w[0] != &gp.words[0] {
+			t.Fatal("the full group's int8 words are not the layout's")
+		}
+		if len(gp.Int16(0x0F)) == 0 || len(gp.Int16(0xF0)) == 0 {
+			t.Fatal("no int16 words")
 		}
 		gp.use(groups[gi][:5], seqs[gi][:5])
-		if gp.Int8() == nil {
-			t.Fatal("nil compacted profile")
+		if len(gp.Int8()) == 0 {
+			t.Fatal("no compacted words")
 		}
 	}
 	for gi := range groups {
@@ -258,5 +250,45 @@ func TestGroupProfReusesBuffers(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("work items after the first allocated %v times", n)
+	}
+}
+
+// TestLayoutMiscountedGroupRefused pins the refusal of code words that do
+// not cover their group: a layout whose group 1 is cut one word short —
+// its last word is the next group's first, as in a corrupt view — passes
+// the structural checks, and the scan must refuse those words, never
+// score with them, and return the hits of the DB without a layout.
+func TestLayoutMiscountedGroupRefused(t *testing.T) {
+	g := bio.NewGenerator(31)
+	q := g.Random(200)
+	recs := testDB(t, 24, q, 30, 6)
+	plain := NewDB(recs)
+	lay := BuildLayout(plain)
+	if lay.Groups() < 3 {
+		t.Fatalf("need at least 3 groups, got %d", lay.Groups())
+	}
+	offs := append(slices.Clone(lay.lo), lay.hi[len(lay.hi)-1])
+	offs[2]--
+	view, err := NewLayoutView(offs, lay.words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := NewDB(recs)
+	if err := bad.SetLayout(view); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, opt := range []Options{{Dispatch: "auto"}, {Dispatch: "auto", Prune: true, TopK: 4}} {
+		want, err := RunBatch(ctx, []BatchQuery{{Seq: q}}, plain, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunBatch(ctx, []BatchQuery{{Seq: q}}, bad, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want[0].Result.Hits, got[0].Result.Hits) {
+			t.Fatalf("%+v: hits differ with a miscounted group\nwant %+v\ngot  %+v", opt, want[0].Result.Hits, got[0].Result.Hits)
+		}
 	}
 }

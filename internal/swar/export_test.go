@@ -9,11 +9,17 @@ import "genomedsm/internal/bio"
 // Max8 and Max16 are the in-kernel maxima.
 var Max8, Max16 = max8, max16
 
-// ScanPackedRow is scanPacked without a Bound, returning the row buffer
-// it left behind next to the folded maximum, the saturation word and the
-// end-row blocks. For an odd query that row is the phantom 'N' row's.
-func (a *Aligner) ScanPackedRow(q bio.Sequence, prof *bio.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, row []uint64) {
-	best, sat, blocks, _, _, _ = a.scanPacked(q, prof, gap, nil, pass{})
+// ScanPackedRow is scanPacked without a Bound over the code words of
+// targets — int16 lanes when wide — returning the row buffer it left
+// behind next to the folded maximum, the saturation word and the end-row
+// blocks. For a query of a length not a multiple of eight that row is
+// the last phantom 'N' row's.
+func (a *Aligner) ScanPackedRow(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, wide bool) (best, sat uint64, blocks [bio.PackedLanes8]int, row []uint64) {
+	w, codes := int8Lanes, bio.InterleaveWords8(nil, targets)
+	if wide {
+		w, codes = int16Lanes, bio.InterleaveWords16(nil, targets)
+	}
+	best, sat, blocks, _, _, _ = a.scanPacked(q, codes, w, sc, nil, pass{})
 	return best, sat, blocks, a.row
 }
 

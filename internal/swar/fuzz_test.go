@@ -35,8 +35,8 @@ func fuzzBases(n int, seed int64) []byte {
 }
 
 // FuzzScoresVsScalar drives the full int8→int16→scalar chain — every
-// starting rung, bounded and unbounded, with and without a prebuilt
-// profile (checkLadder) — against the scalar align.Scan on arbitrary
+// starting rung, bounded and unbounded, with and without provided code
+// words (checkLadder) — against the scalar align.Scan on arbitrary
 // query/target bytes, splitting the
 // target material into lanes of fuzzer-chosen uneven lengths. cut1/cut2
 // and the repeat count shape the lane group so the fuzzer can construct

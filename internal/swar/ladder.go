@@ -54,18 +54,20 @@ type GroupResult struct {
 	Padded int64
 }
 
-// Profiles hands a Ladder call packed profiles its caller keeps across
-// calls. Each method returns exactly what the bio constructor builds for
-// the targets it names, nil included, so a provided profile changes the
-// cost of a call, never its result. A returned profile need stay
-// unchanged only until the call that asked for it returns: the caller
-// may rebuild it in place afterwards (bio.PackedProfile.Build8).
-type Profiles interface {
-	// Int8 is bio.NewPackedProfile8 over all the call's targets.
-	Int8() *bio.PackedProfile
-	// Int16 is bio.NewPackedProfile16 over the call's targets whose bits
+// Codes hands a Ladder call the code words its caller keeps across
+// calls — a pack's layout words, or an interleave shared by the queries
+// of a batch. Each method returns what the bio interleave returns for
+// the targets it names, so provided words change the cost of a call,
+// never its result; words whose count is not the longest target's are
+// refused (the int8 rung then falls through to int16). The ladder only
+// reads them, and they need stay unchanged only until the call that
+// asked for them returns.
+type Codes interface {
+	// Int8 is bio.InterleaveWords8 over all the call's targets.
+	Int8() []uint64
+	// Int16 is bio.InterleaveWords16 over the call's targets whose bits
 	// are set in lanes, in position order: at most PackedLanes16 of them.
-	Int16(lanes uint8) *bio.PackedProfile
+	Int16(lanes uint8) []uint64
 }
 
 // Ladder scores q against one lane group of at most PackedLanes8
@@ -77,10 +79,10 @@ type Profiles interface {
 // rung that refuses the scoring scheme falls through to the next. Under
 // a non-nil Bound every rung may abandon: an abandoned pass marks all
 // its lanes pruned and stops.
-// pr, when non-nil, supplies the profiles; nil builds them per call.
-// Every unpruned score is exact whatever the starting rung, so start
-// only ever changes the cost.
-func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start Rung, ab *Bound, pr Profiles) GroupResult {
+// cw, when non-nil, supplies the code words; nil interleaves them per
+// call. Every unpruned score is exact whatever the starting rung, so
+// start only ever changes the cost.
+func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start Rung, ab *Bound, cw Codes) GroupResult {
 	var res GroupResult
 	for i := range targets {
 		res.Rows[i] = len(q)
@@ -88,20 +90,29 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 	all := uint8(1)<<uint(len(targets)) - 1
 	switch start {
 	case RungInter8:
-		var prof *bio.PackedProfile
-		if pr != nil {
-			prof = pr.Int8()
+		var codes []uint64
+		if cw != nil {
+			codes = cw.Int8()
 		} else {
-			prof = bio.NewPackedProfile8(targets, sc)
+			a.codes = bio.InterleaveWords8(a.codes[:0], targets)
+			codes = a.codes
 		}
 		var lens [bio.PackedLanes8]int
+		longest := 0
 		for i, t := range targets {
 			lens[i] = len(t)
+			longest = max(longest, len(t))
 		}
-		ls, ok := a.scan(q, prof, sc, len(targets), ab, pass{lens: lens[:len(targets)]})
+		ls, ok := LaneScores{}, false
+		if len(codes) == longest {
+			// Words that do not cover the group they claim to describe — a
+			// corrupt layout — must never score it.
+			ls, ok = a.scan(q, codes, int8Lanes, sc, len(targets), ab, pass{lens: lens[:len(targets)]})
+		}
 		if !ok {
-			// Scoring magnitudes do not fit int8 lanes at all.
-			a.inter16(&res, q, targets, sc, ab, pr, all, 0)
+			// Scoring magnitudes do not fit int8 lanes, or the words were
+			// refused.
+			a.inter16(&res, q, targets, sc, ab, cw, all, 0)
 			break
 		}
 		res.Padded += ls.Padded
@@ -115,10 +126,10 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 			a.packed(&res, &ls, l, l, len(t))
 		}
 		if ls.Saturated != 0 {
-			a.inter16(&res, q, targets, sc, ab, pr, ls.Saturated, len(a.marks)*BlockRows)
+			a.inter16(&res, q, targets, sc, ab, cw, ls.Saturated, len(a.marks)*BlockRows)
 		}
 	case RungInter16:
-		a.inter16(&res, q, targets, sc, ab, pr, all, 0)
+		a.inter16(&res, q, targets, sc, ab, cw, all, 0)
 	default:
 		for i, t := range targets {
 			a.scalar(&res, q, t, sc, ab, i)
@@ -158,8 +169,8 @@ func (a *Aligner) packed(res *GroupResult, ls *LaneScores, i, l, n int) {
 
 // inter16 is the ladder's int16 rung: the targets named by mask, in
 // subgroups of 4, with still-saturated lanes (or a refused scoring
-// scheme) dropping to the scalar rung from row 0. Each subgroup's
-// profile comes from pr when it is non-nil.
+// scheme, or refused words) dropping to the scalar rung from row 0.
+// Each subgroup's code words come from cw when it is non-nil.
 //
 // from > 0 resumes the flagged lanes of the int8 pass just run at its
 // resume point, query row from (see pass): each subgroup first replays
@@ -170,7 +181,7 @@ func (a *Aligner) packed(res *GroupResult, ls *LaneScores, i, l, n int) {
 // diagonal term above 127 — a cell above its every earlier maximum — so
 // the lane's maximum moves in that block or later, and its final end
 // block and seed are both set by the resumed pass.
-func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, pr Profiles, mask uint8, from int) {
+func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound, cw Codes, mask uint8, from int) {
 	var idxs [bio.PackedLanes8]int
 	n := 0
 	for i := range targets {
@@ -190,24 +201,32 @@ func (a *Aligner) inter16(res *GroupResult, q bio.Sequence, targets []bio.Sequen
 				continue
 			}
 		}
-		var prof *bio.PackedProfile
-		if pr != nil {
+		var codes []uint64
+		longest := 0
+		for _, i := range sub {
+			longest = max(longest, len(targets[i]))
+		}
+		if cw != nil {
 			var lanes uint8
 			for _, i := range sub {
 				lanes |= 1 << uint(i)
 			}
-			prof = pr.Int16(lanes)
+			codes = cw.Int16(lanes)
 		} else {
 			for l, i := range sub {
 				group[l] = targets[i]
 			}
-			prof = bio.NewPackedProfile16(group[:len(sub)], sc)
+			a.codes = bio.InterleaveWords16(a.codes[:0], group[:len(sub)])
+			codes = a.codes
 		}
-		var p pass
-		if from > 0 {
-			p = pass{from: from, best: a.widen(sub, prof.Words())}
+		ls, ok := LaneScores{}, false
+		if len(codes) == longest {
+			var p pass
+			if from > 0 {
+				p = pass{from: from, best: a.widen(sub, len(codes))}
+			}
+			ls, ok = a.scan(q, codes, int16Lanes, sc, len(sub), ab, p)
 		}
-		ls, ok := a.scan(q, prof, sc, len(sub), ab, p)
 		res.Padded += ls.Padded
 		for l, i := range sub {
 			switch {

@@ -6,10 +6,10 @@ package swar
 // for the tests' route switch (export_test.go) and stays false.
 var hasAVX2 = false
 
-func rowOct8(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
-	return rowOct8Go(row, p, gapV, best, sat)
+func rowOct8(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, uint64) {
+	return rowOct8Go(row, codes, c, gapV, best, sat)
 }
 
-func rowOct16(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
-	return rowOct16Go(row, p, gapV, best, sat)
+func rowOct16(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, uint64) {
+	return rowOct16Go(row, codes, c, gapV, best, sat)
 }

@@ -14,36 +14,34 @@ import (
 )
 
 // rowOctKernel is the signature both eight-row kernels share.
-type rowOctKernel func(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64)
-
-// rowPairKernel is the signature both portable two-row kernels share.
-type rowPairKernel func(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64)
+type rowOctKernel func(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, uint64)
 
 // rowPairWidth is one lane width: the eight-row kernel under test, the
-// portable eight-row pass it must agree with, the portable two-row
-// kernel that pass is made of, and the lane geometry.
+// portable eight-row pass it must agree with, the lane geometry, the
+// interleave of its code words and the oracle's profile builder.
 type rowPairWidth struct {
 	name             string
 	kernel, portable rowOctKernel
-	pair             rowPairKernel
-	shift            uint // bits per lane
+	w                width
+	interleave       func(dst []uint64, targets []bio.Sequence) []uint64
+	profile          func(targets []bio.Sequence, sc bio.Scoring) *PackedProfile
 }
 
 var rowPairWidths = []rowPairWidth{
-	{"int8", rowOct8, rowOct8Go, rowPair8Go, 8},
-	{"int16", rowOct16, rowOct16Go, rowPair16Go, 16},
+	{"int8", rowOct8, rowOct8Go, int8Lanes, bio.InterleaveWords8, NewPackedProfile8},
+	{"int16", rowOct16, rowOct16Go, int16Lanes, bio.InterleaveWords16, NewPackedProfile16},
 }
 
-// rowPairInputs draws the words of one differential case. Lanes named
+// rowPairInputs draws the operands of one differential case. Lanes named
 // in dirty hold arbitrary values in the row words — anything a flagged
 // lane may carry, and more — and every other lane clean values (≤ cap).
 // best is ≤ cap in every lane: it is the second operand of the portable
 // max, which stays inside its lane only for such values, and the
-// portable kernel never returns a larger one. Profile lanes and the gap
-// are ≤ cap, as bio.PackedProfile and scan guarantee. mode shapes the values: 0 uniform, 1 small (long
-// runs of cells that neither clamp nor saturate), 2 every lane at the
-// cap (each diagonal saturates), 3 DNA-like (per lane either a match
-// reward or a mismatch penalty).
+// portable kernel never returns a larger one. mode shapes the values
+// and the scoring: 0 uniform (Match, |Mismatch| anywhere in 0…cap), 1
+// small (long runs of cells that neither clamp nor saturate), 2 every
+// magnitude and clean row value at the cap (each match saturates), 3
+// DNA-like (Match 1, Mismatch −3).
 type rowPairInputs struct {
 	r     *rand.Rand
 	w     rowPairWidth
@@ -51,8 +49,7 @@ type rowPairInputs struct {
 	mode  int
 }
 
-func (in *rowPairInputs) lanes() int     { return 64 / int(in.w.shift) }
-func (in *rowPairInputs) capVal() uint64 { return 1<<(in.w.shift-1) - 1 }
+func (in *rowPairInputs) capVal() uint64 { return uint64(in.w.w.cap) }
 
 // value returns one clean lane value under the mode.
 func (in *rowPairInputs) value() uint64 {
@@ -71,82 +68,153 @@ func (in *rowPairInputs) value() uint64 {
 // best word.
 func (in *rowPairInputs) word(dirty uint64) uint64 {
 	var w uint64
-	for l := 0; l < in.lanes(); l++ {
+	for l := 0; l < in.w.w.lanes; l++ {
 		v := in.value()
-		if dirty>>(uint(l)*in.w.shift)&1 != 0 {
+		if dirty>>(uint(l)*in.w.w.shift)&1 != 0 {
 			v = uint64(in.r.Int63n(int64(in.capVal())*2 + 2))
 		}
-		w |= v << (uint(l) * in.w.shift)
+		w |= v << (uint(l) * in.w.w.shift)
 	}
 	return w
 }
 
-// oct returns the profile of an eight-row pass over n words whose last
-// phantom rows are all-mismatch 'N' rows: no match reward in any lane,
-// and a mismatch penalty drawn as any other profile word. Each minus row
-// sits stride ≥ n words after its plus row, as in a bio profile whose
-// rows a narrowed pass (pass.lens) reads only n words of.
-func (in *rowPairInputs) oct(n, stride, phantom int) *octProfile {
-	p := new(octProfile)
-	for k := range p.plus {
-		plus, minus := in.profile(n)
-		rows := make([]uint64, stride+n)
-		p.plus[k], p.minus[k] = rows[:n:n], rows[stride:]
-		copy(p.plus[k], plus)
-		copy(p.minus[k], minus)
-		if k >= len(p.plus)-phantom {
-			clear(p.plus[k])
-		}
+// scoring returns the case's scoring: Match and |Mismatch| under the
+// mode, gap capped at the lane cap.
+func (in *rowPairInputs) scoring(gap uint64) bio.Scoring {
+	sc := bio.Scoring{Match: 1, Mismatch: -3, Gap: -int(min(gap, in.capVal()))}
+	switch in.mode {
+	case 0, 1:
+		sc.Match, sc.Mismatch = int(in.value()), -int(in.value())
+	case 2:
+		sc.Match, sc.Mismatch = in.w.w.cap, -in.w.w.cap
 	}
-	return p
+	return sc
 }
 
-// profile returns a plus row and a minus row of n words.
-func (in *rowPairInputs) profile(n int) (plus, minus []uint64) {
-	plus, minus = make([]uint64, n), make([]uint64, n)
-	for j := range plus {
-		for l := 0; l < in.lanes(); l++ {
-			off := uint(l) * in.w.shift
-			switch in.mode {
-			case 2:
-				plus[j] |= in.capVal() << off
-			case 3:
-				if in.r.Intn(4) == 0 {
-					plus[j] |= 1 << off
-				} else {
-					minus[j] |= 3 << off
-				}
-			default:
-				plus[j] |= in.value() << off
-				minus[j] |= in.value() << off
-			}
+// targets returns a lane group whose longest target is words bases: the
+// others uneven, some empty, a few lanes absent (PadCode), and 'N'
+// residues among the bases — a target 'N' matches no query residue.
+func (in *rowPairInputs) targets(words int) []bio.Sequence {
+	t := make([]bio.Sequence, 1+in.r.Intn(in.w.w.lanes))
+	for l := range t {
+		n := words
+		if l > 0 {
+			n = in.r.Intn(words + 1)
+		}
+		t[l] = in.bases(n, "ACGTN")
+	}
+	return t
+}
+
+// bases draws n residues from letters, 'A' and 'C' more often under mode
+// 1 and 3 (longer matching runs).
+func (in *rowPairInputs) bases(n int, letters string) bio.Sequence {
+	s := make(bio.Sequence, n)
+	for i := range s {
+		s[i] = letters[in.r.Intn(len(letters))]
+		if in.mode%2 == 1 && in.r.Intn(2) == 0 {
+			s[i] = "AC"[in.r.Intn(2)]
 		}
 	}
-	return plus, minus
+	return s
+}
+
+// query returns the eight query rows of a pass, the last phantom of them
+// 'N' rows, as the scan pads a query's last pass.
+func (in *rowPairInputs) query(phantom int) *[8]byte {
+	var q [8]byte
+	copy(q[:], in.bases(8, "ACGTN"))
+	for k := 8 - phantom; k < 8; k++ {
+		q[k] = 'N'
+	}
+	return &q
+}
+
+// octOf returns the octCodes of the eight query rows q at width w under
+// sc, as scanPacked fills them.
+func octOf(q *[8]byte, w width, sc bio.Scoring) *octCodes {
+	o := newOctCodes(w, sc)
+	o.setRows(q[:], 0, len(q), w)
+	return &o
 }
 
 // newRowPairInputs returns the generator of one differential case and
 // the guard bits of its lanes.
 func newRowPairInputs(w rowPairWidth, seed int64, dirty uint8, mode int) (in *rowPairInputs, guards uint64) {
 	in = &rowPairInputs{r: rand.New(rand.NewSource(seed)), w: w, mode: mode}
-	laneBits := uint64(1)<<w.shift - 1
-	for l := 0; l < in.lanes(); l++ {
-		guards |= (laneBits + 1) >> 1 << (uint(l) * w.shift)
+	laneBits := uint64(1)<<w.w.shift - 1
+	for l := 0; l < w.w.lanes; l++ {
+		guards |= (laneBits + 1) >> 1 << (uint(l) * w.w.shift)
 		if dirty>>uint(l)&1 != 0 {
-			in.dirty |= laneBits << (uint(l) * w.shift)
+			in.dirty |= laneBits << (uint(l) * w.w.shift)
 		}
 	}
 	return in, guards
 }
 
-// broadcast returns v in every lane, after capping it at the lane cap.
-func (in *rowPairInputs) broadcast(v uint64) uint64 {
-	v = min(v, in.capVal())
-	var word uint64
-	for l := 0; l < in.lanes(); l++ {
-		word |= v << (uint(l) * in.w.shift)
+// rowCase is the state of one differential case over successive passes:
+// the row and its words of code, best and sat.
+type rowCase struct {
+	row, codes []uint64
+	targets    []bio.Sequence
+	best, sat  uint64
+}
+
+// newRowCase draws a row of n words, clean and dirty lanes side by side,
+// and the code words of a group whose longest target is n+extra bases:
+// a pass reads only the row's n of them, as a narrowed pass (pass.lens)
+// does.
+func (in *rowPairInputs) newRowCase(n, extra int, guards uint64) *rowCase {
+	c := &rowCase{row: make([]uint64, n), targets: in.targets(n + extra)}
+	c.codes = in.w.interleave(nil, c.targets)
+	for j := range c.row {
+		c.row[j] = in.word(in.dirty)
 	}
-	return word
+	c.best = in.word(0)
+	c.sat = in.r.Uint64() &^ guards
+	return c
+}
+
+func (c *rowCase) clone() *rowCase {
+	d := *c
+	d.row = slices.Clone(c.row)
+	return &d
+}
+
+// cleanLanes returns all-ones in every lane that is neither dirty nor
+// flagged in sat, after failing unless got and want flag the same lanes.
+func cleanLanes(t *testing.T, w width, dirty, guards, gotSat, wantSat uint64, where string) uint64 {
+	t.Helper()
+	laneBits := uint64(1)<<w.shift - 1
+	var clean uint64
+	for l := 0; l < w.lanes; l++ {
+		lane := laneBits << (uint(l) * w.shift)
+		if lane&dirty != 0 {
+			continue
+		}
+		guard := lane & guards
+		if gotSat&guard != wantSat&guard {
+			t.Fatalf("%s: lane %d guard bit %v, want %v", where, l, gotSat&guard != 0, wantSat&guard != 0)
+		}
+		if wantSat&guard == 0 {
+			clean |= lane
+		}
+	}
+	return clean
+}
+
+// sameLanes fails unless got and want agree in every lane of mask: the
+// row, best and sat.
+func sameLanes(t *testing.T, got, want *rowCase, mask uint64, where string) {
+	t.Helper()
+	if (got.best^want.best)&mask != 0 || (got.sat^want.sat)&mask != 0 {
+		t.Fatalf("%s: best %#x sat %#x, want %#x %#x (lanes %#x)", where, got.best, got.sat, want.best, want.sat, mask)
+	}
+	for j := range want.row {
+		if (got.row[j]^want.row[j])&mask != 0 {
+			t.Fatalf("%s: word %d = %#x, want %#x (lanes %#x)", where, j, got.row[j], want.row[j], mask)
+		}
+	}
 }
 
 // checkRowOct runs the eight-row kernel and the portable pass — four
@@ -155,55 +223,24 @@ func (in *rowPairInputs) broadcast(v uint64) uint64 {
 // as the scan pads a query, and fails on the first difference in what
 // the ladder reads: every clean lane's guard bit of sat, and in every
 // clean lane that has not set it the whole lane of the row, of best and
-// of sat. Profile rows sit n or n+1 words apart, by the seed's parity.
+// of sat. The code words run one word past the row for odd seeds.
 func checkRowOct(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode, phantom int) {
 	t.Helper()
 	in, guards := newRowPairInputs(w, seed, dirty, mode)
-	laneBits := uint64(1)<<w.shift - 1
-	gapV := in.broadcast(gap)
-	row := make([]uint64, n)
-	for j := range row {
-		row[j] = in.word(in.dirty)
-	}
-	want := append([]uint64(nil), row...)
-	best := in.word(0)
-	wantBest := best
-	sat := in.r.Uint64() &^ guards
-	wantSat := sat
+	sc := in.scoring(gap)
+	gapV := w.w.broadcast(-sc.Gap)
+	got := in.newRowCase(n, int(seed&1), guards)
+	want := got.clone()
 	for call := 0; call < calls; call++ {
 		ph := 0
 		if call == calls-1 {
 			ph = phantom
 		}
-		p := in.oct(n, n+int(seed&1), ph)
-		best, sat = w.kernel(row, p, gapV, best, sat)
-		wantBest, wantSat = w.portable(want, p, gapV, wantBest, wantSat)
-		var clean uint64 // all-ones in every clean lane not yet flagged
-		for l := 0; l < in.lanes(); l++ {
-			off := uint(l) * w.shift
-			lane := laneBits << off
-			if lane&in.dirty != 0 {
-				continue
-			}
-			guard := lane & guards
-			if sat&guard != wantSat&guard {
-				t.Fatalf("%s seed %d n %d call %d: lane %d guard bit %v, portable %v",
-					w.name, seed, n, call, l, sat&guard != 0, wantSat&guard != 0)
-			}
-			if wantSat&guard == 0 {
-				clean |= lane
-			}
-		}
-		if (best^wantBest)&clean != 0 || (sat^wantSat)&clean != 0 {
-			t.Fatalf("%s seed %d n %d call %d: best %#x sat %#x, portable %#x %#x (clean lanes %#x)",
-				w.name, seed, n, call, best, sat, wantBest, wantSat, clean)
-		}
-		for j := range row {
-			if (row[j]^want[j])&clean != 0 {
-				t.Fatalf("%s seed %d n %d call %d: word %d = %#x, portable %#x (clean lanes %#x)",
-					w.name, seed, n, call, j, row[j], want[j], clean)
-			}
-		}
+		oct := octOf(in.query(ph), w.w, sc)
+		got.best, got.sat = w.kernel(got.row, got.codes, oct, gapV, got.best, got.sat)
+		want.best, want.sat = w.portable(want.row, want.codes, oct, gapV, want.best, want.sat)
+		where := fmt.Sprintf("%s seed %d n %d call %d", w.name, seed, n, call)
+		sameLanes(t, got, want, cleanLanes(t, w.w, in.dirty, guards, got.sat, want.sat, where), where)
 	}
 }
 
@@ -213,13 +250,14 @@ func checkRowOct(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uin
 // the skew's prologue and epilogue would overlap, and the kernels fall
 // through to the portable pass), one to eight successive passes over one
 // row buffer, zero to seven phantom 'N' rows ending the last, clean and
-// dirty lanes side by side, random profile words and gaps up to the lane
-// cap. The seeds, which plain `go test` runs, sweep every mode and
-// phantom count over rows of one to 23 words and up to 300. (The name
-// dates from the four-row kernel; its corpus entries still apply.)
+// dirty lanes side by side, code words of uneven lanes with 'N' and pad,
+// and scorings and gaps up to the lane cap. The seeds, which plain `go
+// test` runs, sweep every mode and phantom count over rows of one to 23
+// words and up to 300. (The name dates from the four-row kernel; its
+// corpus entries still apply.)
 func FuzzRowQuadVsPortable(f *testing.F) {
 	for _, n := range []uint16{1, 4, 5} {
-		// Every lane saturating on every diagonal, gap 0.
+		// Every magnitude at the lane cap, gap 0.
 		f.Add(int64(n), n-1, uint8(2), uint16(0), uint8(0), uint8(2), uint8(0))
 	}
 	for seed := 0; seed < 64; seed++ {
@@ -259,11 +297,18 @@ func pairLanes(row []int, plus, minus [2][]int, gap, best, cap int) (int, bool) 
 	return best, flagged
 }
 
-// FuzzRowPairVsPortable pins the portable two-row kernels, of which the
-// eight-row pass is made and which every host without AVX2 runs, to the
-// recurrence worked lane by lane (pairLanes), over the same inputs as
-// FuzzRowQuadVsPortable: in every clean lane the guard bit of sat, and
-// until it is set the lane of the row and of best.
+// FuzzRowPairVsPortable pins the code-word passes — the portable
+// rowPair8Go/rowPair16Go and, on an AVX2 host, the assembly — to the
+// profile-word passes they replaced, over the packed profile built from
+// the target bytes (profile_test.go), at both lane widths: rows of 1 to
+// 300 words, one to eight successive passes, query 'N' rows and zero to
+// seven phantom rows, target 'N' residues and PadCode lanes, dirty
+// lanes, and scorings with Match and |Mismatch| at the cap and gaps of 0.
+// The portable passes must return the oracle's words in every lane —
+// the whole row, best and sat — and the assembly the same in every
+// clean lane and the same guard bits. And every clean lane must follow
+// the recurrence worked lane by lane (pairLanes). The seeds at 8…15
+// words run every epilogue step of the assembly's last qwords.
 func FuzzRowPairVsPortable(f *testing.F) {
 	for _, n := range []uint16{1, 2} {
 		f.Add(int64(n), n-1, uint8(2), uint16(0), uint8(0), uint8(2))
@@ -272,6 +317,10 @@ func FuzzRowPairVsPortable(f *testing.F) {
 		n := []uint16{1, 2, 3, 8, 65, 300}[seed%6]
 		f.Add(int64(seed), n-1, uint8(seed), uint16(seed%12), uint8(seed*37), uint8(seed/6))
 	}
+	for seed := 48; seed < 80; seed++ {
+		n := uint16(8 + seed%8)
+		f.Add(int64(seed), n-1, uint8(seed/8), uint16(seed%3), uint8(seed*37), uint8(seed/2))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, calls uint8, gap uint16, dirty, mode uint8) {
 		for _, w := range rowPairWidths {
 			checkRowPair(t, w, seed, 1+int(n)%300, 1+int(calls)%8, uint64(gap), dirty, int(mode)%4)
@@ -279,60 +328,87 @@ func FuzzRowPairVsPortable(f *testing.F) {
 	})
 }
 
-// checkRowPair is FuzzRowPairVsPortable's check of one width.
+// checkRowPair is FuzzRowPairVsPortable's check of one width, on each of
+// the host's routes.
 func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode int) {
 	t.Helper()
+	routes := []bool{false}
+	if detectedAVX2 {
+		routes = append(routes, true)
+	}
+	for _, avx2 := range routes {
+		func() {
+			defer func(saved bool) { hasAVX2 = saved }(hasAVX2)
+			hasAVX2 = avx2
+			checkRowPairRoute(t, w, seed, n, calls, gap, dirty, mode, avx2)
+		}()
+	}
+}
+
+// checkRowPairRoute is checkRowPair on one route.
+func checkRowPairRoute(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode int, avx2 bool) {
+	t.Helper()
 	in, guards := newRowPairInputs(w, seed, dirty, mode)
-	gapV := in.broadcast(gap)
-	gapL := int(gapV & (1<<w.shift - 1))
-	lane := func(word uint64, l int) int { return int(word >> (uint(l) * w.shift) & (1<<w.shift - 1)) }
+	sc := in.scoring(gap)
+	gapV := w.w.broadcast(-sc.Gap)
+	got := in.newRowCase(n, int(seed&1), guards)
+	want := got.clone()
+	prof := w.profile(got.targets, sc)
+	lane := func(word uint64, l int) int { return w.w.lane(word, l) }
 	lanes := func(words []uint64, l int) []int {
-		out := make([]int, len(words))
-		for j, word := range words {
-			out[j] = lane(word, l)
+		out := make([]int, n)
+		for j := range out {
+			out[j] = lane(words[j], l)
 		}
 		return out
 	}
-	row := make([]uint64, n)
-	for j := range row {
-		row[j] = in.word(in.dirty)
-	}
-	best := in.word(0)
-	sat := in.r.Uint64() &^ guards
 	type ref struct {
 		row     []int
 		best    int
 		flagged bool
 	}
-	refs := make([]ref, in.lanes())
+	refs := make([]ref, w.w.lanes)
 	for l := range refs {
-		refs[l] = ref{row: lanes(row, l), best: lane(best, l)}
+		refs[l] = ref{row: lanes(got.row, l), best: lane(got.best, l)}
 	}
+	phantom := int(uint64(seed)>>1) % 8
 	for call := 0; call < calls; call++ {
-		plusA, minusA := in.profile(n)
-		plusB, minusB := in.profile(n)
-		best, sat = w.pair(row, plusA, minusA, plusB, minusB, gapV, best, sat)
+		ph := 0
+		if call == calls-1 {
+			ph = phantom
+		}
+		q := in.query(ph)
+		got.best, got.sat = w.kernel(got.row, got.codes, octOf(q, w.w, sc), gapV, got.best, got.sat)
+		want.best, want.sat = refRowOct(want.row, prof, q, gapV, want.best, want.sat)
+		where := fmt.Sprintf("%s seed %d n %d call %d avx2 %v", w.name, seed, n, call, avx2)
+		mask := ^uint64(0)
+		if avx2 {
+			mask = cleanLanes(t, w.w, in.dirty, guards, got.sat, want.sat, where)
+		}
+		sameLanes(t, got, want, mask, where)
 		for l := range refs {
 			r := &refs[l]
-			if in.dirty>>(uint(l)*w.shift)&1 != 0 || r.flagged {
+			if in.dirty>>(uint(l)*w.w.shift)&1 != 0 || r.flagged {
 				continue
 			}
-			var f bool
-			r.best, f = pairLanes(r.row, [2][]int{lanes(plusA, l), lanes(plusB, l)},
-				[2][]int{lanes(minusA, l), lanes(minusB, l)}, gapL, r.best, int(in.capVal()))
-			r.flagged = f
-			if got := sat>>(uint(l+1)*w.shift-1)&1 != 0; got != f {
-				t.Fatalf("%s seed %d n %d call %d: lane %d guard bit %v, recurrence %v", w.name, seed, n, call, l, got, f)
+			for k := 0; k < 8 && !r.flagged; k += 2 {
+				r.best, r.flagged = pairLanes(r.row,
+					[2][]int{lanes(prof.PlusRow(q[k]), l), lanes(prof.PlusRow(q[k+1]), l)},
+					[2][]int{lanes(prof.MinusRow(q[k]), l), lanes(prof.MinusRow(q[k+1]), l)},
+					-sc.Gap, r.best, w.w.cap)
 			}
-			if f {
+			if g := got.sat>>(uint(l+1)*w.w.shift-1)&1 != 0; g != r.flagged {
+				t.Fatalf("%s: lane %d guard bit %v, recurrence %v", where, l, g, r.flagged)
+			}
+			if r.flagged {
 				continue
 			}
-			if got := lane(best, l); got != r.best {
-				t.Fatalf("%s seed %d n %d call %d: lane %d best %d, recurrence %d", w.name, seed, n, call, l, got, r.best)
+			if g := lane(got.best, l); g != r.best {
+				t.Fatalf("%s: lane %d best %d, recurrence %d", where, l, g, r.best)
 			}
 			for j, v := range r.row {
-				if got := lane(row[j], l); got != v {
-					t.Fatalf("%s seed %d n %d call %d: lane %d word %d = %d, recurrence %d", w.name, seed, n, call, l, j, got, v)
+				if g := lane(got.row[j], l); g != v {
+					t.Fatalf("%s: lane %d word %d = %d, recurrence %d", where, l, j, g, v)
 				}
 			}
 		}
@@ -340,35 +416,32 @@ func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 }
 
 // TestRowPairShortProfilePanics checks that the eight-row kernels refuse
-// a profile row shorter than the row buffer, each of the sixteen (argK
-// is plus[K/2] for even K, minus[K/2] for odd), as the portable kernels'
+// code words shorter than the row buffer, as the portable kernels'
 // bounds checks do: the AVX2 loop checks nothing itself, so its Go entry
-// must. The rows are 9 words, long enough for the assembly, and each
-// minus row sits where the assembly reads it, 9 words after its plus
-// row. The entry must also refuse minus rows at different offsets
-// ("stride"), which the portable pass does not read by offset.
+// must. argK runs a row of 8+K words — from the prologue alone to every
+// remainder of the four-step body — whose code words are one word short
+// but sit in a longer array, as a pack layout's group sits before the
+// next group's words: a check of the capacity rather than the length
+// would let the kernel read the next group's codes. stride checks the
+// converse on the AVX2 route: words past the row, which a narrowed pass
+// (pass.lens) leaves unread, change nothing. (The name dates from the
+// packed profile, whose sixteen rows per pass were the arguments and
+// whose minus rows sat a stride after the plus rows.)
 func TestRowPairShortProfilePanics(t *testing.T) {
-	const n = 9
+	sc := bio.DefaultScoring()
 	for _, w := range rowPairWidths {
 		for name, k := range map[string]rowOctKernel{"kernel": w.kernel, "portable": w.portable} {
 			for short := 0; short < 16; short++ {
 				t.Run(fmt.Sprintf("%s/%s/arg%d", w.name, name, short), func(t *testing.T) {
-					p := new(octProfile)
-					for r := range p.plus {
-						rows := make([]uint64, 2*n)
-						p.plus[r], p.minus[r] = rows[:n], rows[n:]
-					}
-					if short%2 == 0 {
-						p.plus[short/2] = p.plus[short/2][: n-1 : n-1]
-					} else {
-						p.minus[short/2] = p.minus[short/2][: n-1 : n-1]
-					}
+					n := 8 + short
+					backing := make([]uint64, 2*n)
+					codes := backing[: n-1 : 2*n]
 					defer func() {
 						if recover() == nil {
-							t.Fatalf("profile row %d of %d words for a %d-word row did not panic", short, n-1, n)
+							t.Fatalf("%d code words for a %d-word row did not panic", n-1, n)
 						}
 					}()
-					k(make([]uint64, n), p, 0, 0, 0)
+					k(make([]uint64, n), codes, octOf(&[8]byte{'A', 'C', 'G', 'T', 'A', 'C', 'G', 'T'}, w.w, sc), 0, 0, 0)
 				})
 			}
 		}
@@ -376,19 +449,16 @@ func TestRowPairShortProfilePanics(t *testing.T) {
 			continue
 		}
 		t.Run(w.name+"/kernel/stride", func(t *testing.T) {
-			p := new(octProfile)
-			for r := range p.plus {
-				rows := make([]uint64, 2*n+1)
-				p.plus[r], p.minus[r] = rows[:n], rows[n:2*n]
-			}
-			rows := make([]uint64, 2*n+1)
-			p.plus[5], p.minus[5] = rows[:n], rows[n+1:]
-			defer func() {
-				if recover() == nil {
-					t.Fatal("minus rows at offsets 9 and 10 from their plus rows did not panic")
-				}
-			}()
-			w.kernel(make([]uint64, n), p, 0, 0, 0)
+			const n = 13
+			in, _ := newRowPairInputs(w, 5, 0, 3)
+			c := in.newRowCase(n, 0, 0)
+			// Eight more words, code 0 ('A') in every lane: matches, if read.
+			long := append(slices.Clone(c.codes), make([]uint64, 8)...)
+			oct := octOf(&[8]byte{'A', 'A', 'A', 'A', 'A', 'A', 'A', 'A'}, w.w, sc)
+			want := c.clone()
+			want.best, want.sat = w.portable(want.row, want.codes, oct, w.w.broadcast(2), want.best, want.sat)
+			c.best, c.sat = w.kernel(c.row, long, oct, w.w.broadcast(2), c.best, c.sat)
+			sameLanes(t, c, want, ^uint64(0), "words past the row")
 		})
 	}
 }
@@ -441,18 +511,19 @@ func BenchmarkRowOct8VsPortable(b *testing.B) {
 	for i := range targets {
 		targets[i] = g.Random(1000)
 	}
-	prof := bio.NewPackedProfile8(targets, bio.DefaultScoring())
-	gapV := prof.Broadcast(-bio.DefaultScoring().Gap)
-	row := make([]uint64, prof.Words())
+	sc := bio.DefaultScoring()
+	codes := bio.InterleaveWords8(nil, targets)
+	gapV := int8Lanes.broadcast(-sc.Gap)
+	row := make([]uint64, len(codes))
+	octs := make([]*octCodes, 0, len(q)/8)
+	for i := 0; i+7 < len(q); i += 8 {
+		octs = append(octs, octOf((*[8]byte)(q[i:i+8]), int8Lanes, sc))
+	}
 	scan := func(k rowOctKernel) uint64 {
 		clear(row)
 		var best, sat uint64
-		var p octProfile
-		for i := 0; i+7 < len(q); i += 8 {
-			for r := range p.plus {
-				p.plus[r], p.minus[r] = prof.PlusRow(q[i+r]), prof.MinusRow(q[i+r])
-			}
-			best, sat = k(row, &p, gapV, best, sat)
+		for _, oct := range octs {
+			best, sat = k(row, codes, oct, gapV, best, sat)
 		}
 		return best | sat&hi8
 	}

@@ -16,8 +16,9 @@
 // guard* (clean scores ≤ 127 per int8 lane, ≤ 32767 per int16 lane)
 // buys two things:
 //
-//   - The diagonal term needs no saturating add: with the profile split
-//     into non-negative match/mismatch magnitudes (bio.PackedProfile),
+//   - The diagonal term needs no saturating add: with the substitution
+//     split into non-negative match/mismatch magnitudes (rowPair8Go
+//     derives them from the group's code words),
 //     v = clamp(d − minus) + plus is exact and a *plain* word add — per
 //     lane, exactly one of plus/minus is nonzero, lane sums stay below
 //     256, and carries never cross a lane boundary.
@@ -42,10 +43,13 @@
 //
 // The pass the scan runs, rowOct8 or rowOct16, advances eight query
 // rows at once. On an amd64 host with AVX2 it is assembly
-// (rowoct_amd64.s) over the same words: each of a YMM register's four
-// qwords runs the portable two-row kernel's schedule on its own pair of
-// rows, rows i+2k and i+2k+1 in qword k, two words behind qword k-1,
-// whose odd row — kept in a register — is its row above. Each guard-bit
+// (rowoct_amd64.s) over the same words: the row and the group's code
+// words, which a VPCMPEQB/VPCMPEQW against the pass's eight query codes
+// turns into the substitution terms in register. Each of a YMM
+// register's four qwords runs the portable two-row kernel's schedule on
+// its own pair of rows, rows i+2k and i+2k+1 in qword k, two words
+// behind qword k-1, whose odd row — kept in a register — is its row
+// above. Each guard-bit
 // op is one saturating lane op — SubClamp is VPSUBUSB/VPSUBUSW, the
 // diagonal's add VPADDUSB/VPADDUSW, max8 and max16 VPMAXUB/VPMAXUW. On a
 // clean lane every saturating op returns what its guard-bit twin does
@@ -125,6 +129,27 @@ func max8(x, y uint64) uint64 { return y + SubClamp8(x, y) }
 // max16 is max8 for 4 uint16 lanes.
 func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 
+// eqMask8 returns, per byte, 0xFF where the byte of w equals the byte
+// of pattern and 0x00 elsewhere. Exact for byte values ≤ 0x7F — codes
+// are ≤ bio.PadCode and query patterns ≤ noMatch, so x = w^pattern stays
+// ≤ 0x7F per byte. Adding 0x7F to such a byte sets its top bit iff the
+// byte is nonzero and can never carry into the next byte (unlike the
+// classic subtract-borrow zero test, whose borrows cross byte
+// boundaries); m<<1 − m>>7 spreads each isolated 0x80 marker over its
+// byte, as in MaxClamped8.
+func eqMask8(w, pattern uint64) uint64 {
+	x := w ^ pattern
+	m := ^((x + 0x7f7f7f7f7f7f7f7f) | x) & hi8
+	return m<<1 - m>>7
+}
+
+// eqMask16 is eqMask8 for 4 uint16 lanes, exact for lane values ≤ 0x7FFF.
+func eqMask16(w, pattern uint64) uint64 {
+	x := w ^ pattern
+	m := ^((x + 0x7fff7fff7fff7fff) | x) & hi16
+	return m<<1 - m>>15
+}
+
 // rowPair8Go advances two packed rows of the zero-clamped local
 // recurrence for all 8 lanes at once — the SWAR lift of align.swRow,
 //
@@ -141,6 +166,13 @@ func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 // rows are two independent carried chains, which is what the pass buys
 // over two one-row passes (DESIGN §5.6).
 //
+// The substitution term comes from the group's code words: qa and qb
+// hold the query codes of rows i and i+1 in every lane, and where a
+// lane's code at j equals the row's (eqMask8), plus[j] is match and
+// minus[j] 0, else plus[j] is 0 and minus[j] miss — the lane's Match
+// and |Mismatch|. Per lane exactly one of them is nonzero, so
+// clamp(d − minus) + plus is max(0, d + Substitution) exactly.
+//
 // sat ORs the diagonal terms only. That is the one place a clean lane
 // can first exceed its cap: the up and left terms are clamped subtracts
 // and so ≤ 127 whatever their input, and max8 of a clean diagonal term
@@ -152,21 +184,23 @@ func max16(x, y uint64) uint64 { return y + SubClamp16(x, y) }
 //
 // Four of these passes are the specification of the eight-row rowOct8
 // the scan runs (rowOct8Go).
-func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
+func rowPair8Go(row, codes []uint64, qa, qb, match, miss, gapV, best, sat uint64) (uint64, uint64) {
 	n := len(row)
-	plusA, minusA = plusA[:n], minusA[:n] // bounds hints for the loop body
-	plusB, minusB = plusB[:n], minusB[:n]
+	_ = codes[n-1]    // len, not cap: the words past a group's are another's
+	codes = codes[:n] // bounds hint for the loop body
 	// Word 0 of row i: the borders are zero, so the diagonal term is
 	// plus alone (≤ 127) and the left term vanishes.
-	a1 := max8(plusA[0], SubClamp8(row[0], gapV)) // a[j-1]
-	a2 := uint64(0)                               // a[j-2]: the zero border
-	b := uint64(0)                                // b[j-2]: the zero border
+	plus := match & eqMask8(codes[0], qa)
+	a1 := max8(plus, SubClamp8(row[0], gapV)) // a[j-1]
+	a2 := uint64(0)                           // a[j-2]: the zero border
+	b := uint64(0)                            // b[j-2]: the zero border
 	best = max8(a1, best)
-	sat |= plusA[0]
+	sat |= plus
 	for j := 1; j < n; j++ {
+		ea, eb := eqMask8(codes[j], qa), eqMask8(codes[j-1], qb)
 		ag := SubClamp8(a1, gapV)
-		da := SubClamp8(row[j-1], minusA[j]) + plusA[j]
-		db := SubClamp8(a2, minusB[j-1]) + plusB[j-1]
+		da := SubClamp8(row[j-1], miss&^ea) + match&ea
+		db := SubClamp8(a2, miss&^eb) + match&eb
 		sat |= da | db
 		a := max8(max8(da, SubClamp8(row[j], gapV)), ag)
 		b = max8(max8(db, ag), SubClamp8(b, gapV))
@@ -175,7 +209,8 @@ func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint
 		a2, a1 = a1, a
 	}
 	// Last word of row i+1.
-	db := SubClamp8(a2, minusB[n-1]) + plusB[n-1]
+	eb := eqMask8(codes[n-1], qb)
+	db := SubClamp8(a2, miss&^eb) + match&eb
 	sat |= db
 	b = max8(max8(db, SubClamp8(a1, gapV)), SubClamp8(b, gapV))
 	row[n-1] = b
@@ -185,19 +220,21 @@ func rowPair8Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint
 // rowPair16Go is rowPair8Go for 4 uint16 lanes. The two stay specialised
 // copies: one kernel taking the guard mask and lane shift as arguments
 // measured 23 % slower (variable shifts, two more live registers).
-func rowPair16Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uint64) (uint64, uint64) {
+func rowPair16Go(row, codes []uint64, qa, qb, match, miss, gapV, best, sat uint64) (uint64, uint64) {
 	n := len(row)
-	plusA, minusA = plusA[:n], minusA[:n]
-	plusB, minusB = plusB[:n], minusB[:n]
-	a1 := max16(plusA[0], SubClamp16(row[0], gapV))
+	_ = codes[n-1]
+	codes = codes[:n]
+	plus := match & eqMask16(codes[0], qa)
+	a1 := max16(plus, SubClamp16(row[0], gapV))
 	a2 := uint64(0)
 	b := uint64(0)
 	best = max16(a1, best)
-	sat |= plusA[0]
+	sat |= plus
 	for j := 1; j < n; j++ {
+		ea, eb := eqMask16(codes[j], qa), eqMask16(codes[j-1], qb)
 		ag := SubClamp16(a1, gapV)
-		da := SubClamp16(row[j-1], minusA[j]) + plusA[j]
-		db := SubClamp16(a2, minusB[j-1]) + plusB[j-1]
+		da := SubClamp16(row[j-1], miss&^ea) + match&ea
+		db := SubClamp16(a2, miss&^eb) + match&eb
 		sat |= da | db
 		a := max16(max16(da, SubClamp16(row[j], gapV)), ag)
 		b = max16(max16(db, ag), SubClamp16(b, gapV))
@@ -205,34 +242,122 @@ func rowPair16Go(row, plusA, minusA, plusB, minusB []uint64, gapV, best, sat uin
 		best = max16(max16(a, b), best)
 		a2, a1 = a1, a
 	}
-	db := SubClamp16(a2, minusB[n-1]) + plusB[n-1]
+	eb := eqMask16(codes[n-1], qb)
+	db := SubClamp16(a2, miss&^eb) + match&eb
 	sat |= db
 	b = max16(max16(db, SubClamp16(a1, gapV)), SubClamp16(b, gapV))
 	row[n-1] = b
 	return max16(b, best), sat
 }
 
-// octProfile holds the profile rows of eight successive query rows:
-// plus[k] and minus[k] score row i+k of an eight-row pass.
-type octProfile struct{ plus, minus [8][]uint64 }
+// octCodes is what an eight-row pass reads besides the row and the
+// group's code words: the query codes of its rows, each in every lane of
+// a word — rows i, i+2, i+4, i+6 in x and i+1, i+3, i+5, i+7 in y, the
+// qword order of the AVX2 kernels' X and Y registers — and the scoring's
+// Match and |Mismatch| in every lane, four copies each for one YMM load.
+// The assembly reads it at fixed offsets: keep the field order.
+type octCodes struct {
+	x, y        [4]uint64
+	match, miss [4]uint64
+}
+
+// noMatch is the query code of a row that matches nothing: an 'N' (or
+// any byte outside ACGT) and the phantom rows that pad a query's last
+// pass. No code word holds it — they hold codes ≤ bio.PadCode, and the
+// AVX2 kernels' pad qwords all-ones — so the 'N' wildcard rule needs no
+// case of its own, and a target 'N', whose code is bio.PadCode, matches
+// no query row either.
+const noMatch = 0x7F
+
+// queryCodes returns each query byte's code — its bio.BaseCode, or
+// noMatch — times ones, which puts it in every lane of a word whose
+// lanes' low bits ones sets.
+func queryCodes(ones uint64) *[256]uint64 {
+	var t [256]uint64
+	for c := range t {
+		code := uint64(bio.BaseCode(byte(c)))
+		if code == bio.PadCode {
+			code = noMatch
+		}
+		t[c] = code * ones
+	}
+	return &t
+}
+
+// newOctCodes returns the octCodes of a pass at width w under sc, its
+// query codes unset.
+func newOctCodes(w width, sc bio.Scoring) octCodes {
+	var o octCodes
+	for k := range o.match {
+		o.match[k], o.miss[k] = w.broadcast(sc.Match), w.broadcast(-sc.Mismatch)
+	}
+	return o
+}
+
+// setRows sets o's query codes to those of rows i…i+7 of q at width w;
+// rows at hi or past it are phantom rows, of code noMatch.
+func (o *octCodes) setRows(q bio.Sequence, i, hi int, w width) {
+	for k := range o.x {
+		o.x[k], o.y[k] = w.query['N'], w.query['N']
+		if i+2*k < hi {
+			o.x[k] = w.query[q[i+2*k]]
+		}
+		if i+2*k+1 < hi {
+			o.y[k] = w.query[q[i+2*k+1]]
+		}
+	}
+}
 
 // rowOct8Go advances eight packed rows, i…i+7: four rowPair8Go passes,
 // with row holding row i-1 on entry and row i+7 on return. It is the
 // specification of rowOct8, which on an AVX2 host computes the same
 // words in one pass (rowoct_amd64.go), and what every other host runs.
-func rowOct8Go(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
-	for k := 0; k < len(p.plus); k += 2 {
-		best, sat = rowPair8Go(row, p.plus[k], p.minus[k], p.plus[k+1], p.minus[k+1], gapV, best, sat)
+func rowOct8Go(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, uint64) {
+	for k := range c.x {
+		best, sat = rowPair8Go(row, codes, c.x[k], c.y[k], c.match[0], c.miss[0], gapV, best, sat)
 	}
 	return best, sat
 }
 
 // rowOct16Go is rowOct8Go for 4 uint16 lanes.
-func rowOct16Go(row []uint64, p *octProfile, gapV, best, sat uint64) (uint64, uint64) {
-	for k := 0; k < len(p.plus); k += 2 {
-		best, sat = rowPair16Go(row, p.plus[k], p.minus[k], p.plus[k+1], p.minus[k+1], gapV, best, sat)
+func rowOct16Go(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, uint64) {
+	for k := range c.x {
+		best, sat = rowPair16Go(row, codes, c.x[k], c.y[k], c.match[0], c.miss[0], gapV, best, sat)
 	}
 	return best, sat
+}
+
+// width is the lane geometry of one packed width.
+type width struct {
+	lanes int          // lanes per word
+	shift uint         // bits per lane
+	cap   int          // the clean cap: a lane's top bit is its guard bit
+	query *[256]uint64 // each query byte's code in every lane
+}
+
+var (
+	int8Lanes  = width{bio.PackedLanes8, 8, bio.PackedCap8, queryCodes(0x0101010101010101)}
+	int16Lanes = width{bio.PackedLanes16, 16, bio.PackedCap16, queryCodes(0x0001000100010001)}
+)
+
+// lane extracts lane l of a packed word.
+func (w width) lane(word uint64, l int) int {
+	return int(word >> (uint(l) * w.shift) & (1<<w.shift - 1))
+}
+
+// broadcast replicates the magnitude v into every lane of a word.
+func (w width) broadcast(v int) uint64 {
+	word := uint64(0)
+	for l := 0; l < w.lanes; l++ {
+		word |= uint64(v) << (uint(l) * w.shift)
+	}
+	return word
+}
+
+// fits reports whether sc's Match, |Mismatch| and |Gap| fit the clean
+// lane range; a width that does not fit refuses the scan.
+func (w width) fits(sc bio.Scoring) bool {
+	return sc.Match >= 0 && sc.Match <= w.cap && sc.Mismatch <= 0 && -sc.Mismatch <= w.cap && -sc.Gap <= w.cap
 }
 
 // LaneScores is the outcome of one packed scan.
@@ -254,8 +379,8 @@ type LaneScores struct {
 	// scoring ≥ Below only.
 	Seeded uint8
 	// Padded counts the cells the scan computed: lane width × the words
-	// of each block it ran × that block's rows. That is the profile's
-	// words × Rows, except for the ladder's int8 pass, which narrows once
+	// of each block it ran × that block's rows. That is the group's
+	// code words × Rows, except for the ladder's int8 pass, which narrows once
 	// lanes are flagged, and a resumed retry, whose rows start at the
 	// resume row (see pass).
 	Padded int64
@@ -278,6 +403,9 @@ type LaneScores struct {
 // goroutines.
 type Aligner struct {
 	row []uint64 // inter-sequence packed row (Scan8/Scan16)
+	// codes holds the code words a scan interleaves itself: Scan8's and
+	// Scan16's, and a Ladder call's when no Codes source provides them.
+	codes []uint64
 	// borders are the copies of row as it entered a block (scanPacked):
 	// the current block's, and the ones lanes' seeds are still cut from.
 	borders [borderBufs][]uint64
@@ -311,8 +439,9 @@ func (a *Aligner) zeroRow(words int) []uint64 {
 	return a.row
 }
 
-// scanPacked runs the packed recurrence of q against prof and returns
-// the folded guard-stripped per-lane maximum, the saturation word and
+// scanPacked runs the packed recurrence of q under sc against the lane
+// group whose code words at width w are codes, and returns the folded
+// guard-stripped per-lane maximum, the saturation word and
 // each lane's end-row block. Under a non-nil Bound it additionally
 // abandons the scan (see Bound) once no lane can still reach the
 // threshold, reporting how many rows it consumed and whether it pruned.
@@ -346,14 +475,14 @@ func (a *Aligner) zeroRow(words int) []uint64 {
 // p says where the pass starts and whether it narrows (see pass); rows
 // counts from the origin whatever p.from is, and steps counts the
 // word-rows the pass ran: Σ words × rows over its blocks.
-func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, ab *Bound, p pass) (best, sat uint64, blocks [bio.PackedLanes8]int, rows int, steps int64, pruned bool) {
+func (a *Aligner) scanPacked(q bio.Sequence, codes []uint64, w width, sc bio.Scoring, ab *Bound, p pass) (best, sat uint64, blocks [bio.PackedLanes8]int, rows int, steps int64, pruned bool) {
 	for l := range a.laneSeed {
 		a.laneSeed[l] = a.laneSeed[l][:0]
 	}
 	if p.lens != nil {
 		a.marks = a.marks[:0]
 	}
-	words := prof.Words()
+	words := len(codes)
 	if words == 0 || len(q) == 0 {
 		return 0, 0, blocks, len(q), 0, false
 	}
@@ -367,13 +496,14 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	keep := [bio.PackedLanes8]int{-1, -1, -1, -1, -1, -1, -1, -1}
 	cur := 0 // the buffer the current block's border row is copied into
 	border := a.borderBuf(cur, words)
-	gapV := prof.Broadcast(gap)
-	wide := prof.Lanes() == bio.PackedLanes16
+	gapV := w.broadcast(-sc.Gap)
+	wide := w == int16Lanes
+	oct := newOctCodes(w, sc)
 	satMask := uint64(hi8)
 	if wide {
 		satMask = hi16
 	}
-	guard := 1 << (prof.Shift() - 1)
+	guard := 1 << (w.shift - 1)
 	bounded := ab.cadence() != 0
 	below := ab.floor()
 	best = p.best
@@ -385,34 +515,27 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 		}
 		// Eight rows per pass. BlockRows is a multiple of eight, so a pass
 		// never straddles a block boundary; only the query's last one to
-		// seven rows can be left short of a pass, which the all-mismatch
-		// 'N' row pads: every cell of such a phantom row is at most one of
+		// seven rows can be left short of a pass, which phantom rows of
+		// the noMatch code pad: every cell of such a row is at most one of
 		// its neighbours (its diagonal term adds no match reward), so it
 		// can neither raise a lane's maximum nor set a guard bit.
-		var oct octProfile
 		for i := lo; i < hi; i += 8 {
-			for k := range 8 {
-				c := byte('N')
-				if i+k < hi {
-					c = q[i+k]
-				}
-				oct.plus[k], oct.minus[k] = prof.PlusRow(c), prof.MinusRow(c)
-			}
+			oct.setRows(q, i, hi, w)
 			if wide {
-				best, sat = rowOct16(row, &oct, gapV, best, sat)
+				best, sat = rowOct16(row, codes, &oct, gapV, best, sat)
 			} else {
-				best, sat = rowOct8(row, &oct, gapV, best, sat)
+				best, sat = rowOct8(row, codes, &oct, gapV, best, sat)
 			}
 		}
 		steps += int64(len(row)) * int64(hi-lo)
 		saved := false
 		if moved := best ^ snap; moved != 0 {
-			for l := 0; l < prof.Lanes(); l++ {
-				if prof.Lane(moved, l) == 0 {
+			for l := 0; l < w.lanes; l++ {
+				if w.lane(moved, l) == 0 {
 					continue
 				}
 				blocks[l] = lo / BlockRows
-				if lo > 0 && prof.Lane(best, l) >= below && prof.Lane(sat, l)&guard == 0 {
+				if lo > 0 && w.lane(best, l) >= below && w.lane(sat, l)&guard == 0 {
 					keep[l], saved = cur, true
 				}
 			}
@@ -431,17 +554,17 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 					a.resume = append(a.resume[:0], border...)
 				}
 				// Only the clean lanes' columns are still needed.
-				w := 0
+				cols := 0
 				for l, n := range p.lens {
-					if prof.Lane(sat, l)&guard == 0 {
-						w = max(w, n)
+					if w.lane(sat, l)&guard == 0 {
+						cols = max(cols, n)
 					}
 				}
-				if w == 0 {
-					a.unpackSeeds(&kept, &keep, prof)
+				if cols == 0 {
+					a.unpackSeeds(&kept, &keep, w)
 					return best, sat, blocks, hi, steps, false
 				}
-				row, border = row[:w], border[:w]
+				row, border = row[:cols], border[:cols]
 			}
 		}
 		if saved {
@@ -468,7 +591,7 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 			}
 		}
 	}
-	a.unpackSeeds(&kept, &keep, prof)
+	a.unpackSeeds(&kept, &keep, w)
 	return best, sat, blocks, len(q), steps, false
 }
 
@@ -482,11 +605,11 @@ func (a *Aligner) borderBuf(k, words int) []uint64 {
 
 // unpackSeeds cuts each lane's seed, its column of the border copy
 // keep names, into laneSeed.
-func (a *Aligner) unpackSeeds(kept *[borderBufs][]uint64, keep *[bio.PackedLanes8]int, prof *bio.PackedProfile) {
-	mask := uint64(1)<<prof.Shift() - 1
+func (a *Aligner) unpackSeeds(kept *[borderBufs][]uint64, keep *[bio.PackedLanes8]int, w width) {
+	mask := uint64(1)<<w.shift - 1
 	for l, k := range keep {
 		if k >= 0 {
-			a.laneSeed[l] = unpackLane(a.laneSeed[l], kept[k], uint(l)*prof.Shift(), mask)
+			a.laneSeed[l] = unpackLane(a.laneSeed[l], kept[k], uint(l)*w.shift, mask)
 		}
 	}
 }
@@ -517,7 +640,7 @@ type pass struct {
 // of the ladder's last int8 pass, resumed at that pass's resume point:
 // each lane's column of the resume row and its maximum there move, value
 // for value, to the lane's int16 position. It returns the widened maxima.
-// The int8 columns past the int16 profile's words are padding only that
+// The int8 columns past the int16 group's code words are padding only that
 // wider group saw; the ones before them equal a from-scratch int16 pass's
 // row, because a column depends only on the target bases left of it.
 func (a *Aligner) widen(sub []int, words int) uint64 {
@@ -570,42 +693,49 @@ func unpackLane(dst []uint16, row []uint64, off uint, mask uint64) []uint16 {
 
 // Scan8 scores q against up to 8 targets in int8 lanes. ok is false
 // when the scoring magnitudes do not fit the 7-bit clean lane range
-// (callers then use Scan16 or the scalar path); lanes that overflow it
-// are flagged Saturated in the result.
+// (callers then use Scan16 or the scalar path) or more than 8 targets
+// are given; lanes that overflow it are flagged Saturated in the result.
 func (a *Aligner) Scan8(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	return a.scan(q, bio.NewPackedProfile8(targets, sc), sc, len(targets), nil, pass{})
+	if len(targets) > bio.PackedLanes8 {
+		return LaneScores{}, false
+	}
+	a.codes = bio.InterleaveWords8(a.codes[:0], targets)
+	return a.scan(q, a.codes, int8Lanes, sc, len(targets), nil, pass{})
 }
 
 // Scan16 scores q against up to 4 targets in int16 lanes.
 func (a *Aligner) Scan16(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	return a.scan(q, bio.NewPackedProfile16(targets, sc), sc, len(targets), nil, pass{})
+	if len(targets) > bio.PackedLanes16 {
+		return LaneScores{}, false
+	}
+	a.codes = bio.InterleaveWords16(a.codes[:0], targets)
+	return a.scan(q, a.codes, int16Lanes, sc, len(targets), nil, pass{})
 }
 
 // scan is the one packed rung: it scores q against the lanes live
-// targets prof describes — at the profile's own width, int8 or int16 —
-// under an optional Bound (nil = scan the full matrix). prof may be
-// built per call or prebuilt from the pack-v2 lane layout and shared by
-// the queries of a batch; either way it must describe exactly the
-// group being scanned under sc. ok is false when prof is nil (the
-// match/mismatch magnitudes do not fit the lane) or the gap penalty
-// does not fit it; callers then fall to the next rung. An abandoned
-// scan returns Pruned with Rows set to the rows consumed. p is the
-// pass's start and narrowing (see pass).
-func (a *Aligner) scan(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound, p pass) (LaneScores, bool) {
-	if prof == nil || -sc.Gap > prof.Cap() {
+// targets of a group whose code words at width w are codes, under an
+// optional Bound (nil = scan the full matrix). The words may be
+// interleaved per call or the pack-v2 lane layout's, shared by the
+// queries of a batch; either way they must describe exactly the group
+// being scanned, and scan only reads them. ok is false when sc's
+// magnitudes do not fit the lane (width.fits); callers then fall to the
+// next rung. An abandoned scan returns Pruned with Rows set to the rows
+// consumed. p is the pass's start and narrowing (see pass).
+func (a *Aligner) scan(q bio.Sequence, codes []uint64, w width, sc bio.Scoring, lanes int, ab *Bound, p pass) (LaneScores, bool) {
+	if !w.fits(sc) {
 		return LaneScores{}, false
 	}
-	best, sat, blocks, rows, steps, pruned := a.scanPacked(q, prof, -sc.Gap, ab, p)
-	res := LaneScores{Lanes: lanes, Rows: rows, Pruned: pruned, Padded: int64(prof.Lanes()) * steps}
+	best, sat, blocks, rows, steps, pruned := a.scanPacked(q, codes, w, sc, ab, p)
+	res := LaneScores{Lanes: lanes, Rows: rows, Pruned: pruned, Padded: int64(w.lanes) * steps}
 	if pruned {
 		return res, true
 	}
 	res.EndBlock = blocks // lanes past the live ones never left zero
-	guard := 1 << (prof.Shift() - 1)
+	guard := 1 << (w.shift - 1)
 	below := ab.floor()
 	for l := 0; l < lanes; l++ {
-		res.Scores[l] = prof.Lane(best, l)
-		if prof.Lane(sat, l)&guard != 0 {
+		res.Scores[l] = w.lane(best, l)
+		if w.lane(sat, l)&guard != 0 {
 			res.Saturated |= 1 << uint(l)
 		} else if res.Scores[l] >= below {
 			res.Seeded |= 1 << uint(l)

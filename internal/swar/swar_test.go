@@ -173,32 +173,29 @@ func scalarScores(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.S
 
 var allRungs = []swar.Rung{swar.RungInter8, swar.RungInter16, swar.RungScalar}
 
-// ladderProfiles is the tests' swar.Profiles: the int8 profile from the
-// call's interleaved words, as a pack layout holds them, and each int16
-// subgroup memoised under its targets' positions in the whole test set
-// (ids), so a profile built for one call serves every later call that
-// holds the same targets, whatever else it holds — as search's groupProf
-// serves the queries of a batch, whose stage-1 skips each keep a
-// different subset of a group.
-type ladderProfiles struct {
-	sc      bio.Scoring
+// ladderCodes is the tests' swar.Codes: the int8 words of the call's
+// targets, as a pack layout holds them, and each int16 subgroup's words
+// memoised under its targets' positions in the whole test set (ids), so
+// words built for one call serve every later call that holds the same
+// targets, whatever else it holds — as search's groupProf serves the
+// queries of a batch, whose stage-1 skips each keep a different subset
+// of a group.
+type ladderCodes struct {
 	targets []bio.Sequence // the call's
 	ids     []int          // their positions in the test set
-	memo    map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile
+	memo    map[[bio.PackedLanes16 + 1]int][]uint64
 	reused  int // Int16 calls the memo answered
 }
 
-func (p *ladderProfiles) use(targets []bio.Sequence, ids []int) { p.targets, p.ids = targets, ids }
-
-func (p *ladderProfiles) Int8() *bio.PackedProfile {
-	lens := make([]int, len(p.targets))
-	for i, tgt := range p.targets {
-		lens[i] = len(tgt)
-	}
-	return bio.NewPackedProfile8FromWords(bio.InterleaveWords8(nil, p.targets), lens, p.sc)
+func newLadderCodes() *ladderCodes {
+	return &ladderCodes{memo: map[[bio.PackedLanes16 + 1]int][]uint64{}}
 }
 
-func (p *ladderProfiles) Int16(lanes uint8) *bio.PackedProfile {
+func (p *ladderCodes) use(targets []bio.Sequence, ids []int) { p.targets, p.ids = targets, ids }
+
+func (p *ladderCodes) Int8() []uint64 { return bio.InterleaveWords8(nil, p.targets) }
+
+func (p *ladderCodes) Int16(lanes uint8) []uint64 {
 	var key [bio.PackedLanes16 + 1]int
 	var group []bio.Sequence
 	for l, tgt := range p.targets {
@@ -212,15 +209,15 @@ func (p *ladderProfiles) Int16(lanes uint8) *bio.PackedProfile {
 		p.reused++
 		return prof
 	}
-	prof := bio.NewPackedProfile16(group, p.sc)
-	p.memo[key] = prof
-	return prof
+	codes := bio.InterleaveWords16(nil, group)
+	p.memo[key] = codes
+	return codes
 }
 
 // checkLadder runs the one ladder over targets, cut into lane groups of
 // 8, from every starting rung × {nil bound, live bound} × {per-call
-// profiles, provided profiles (ladderProfiles: the int8 one from layout
-// words, the int16 ones shared by every call)}. Every unpruned score must
+// code words, provided ones (ladderCodes: the int8 words as a layout
+// holds them, the int16 ones shared by every call)}. Every unpruned score must
 // equal want with the full query consumed and report the end-row block
 // of the forced-scalar align.Scan's BestI; a lane may only be pruned
 // under the live bound, and only when its true score is below it. And
@@ -230,7 +227,7 @@ func (p *ladderProfiles) Int16(lanes uint8) *bio.PackedProfile {
 // the full scalar matrix, and from which LocateEnd finds that same
 // cell. The one exception is a packed target scoring below the live
 // bound, which must carry neither — and nothing pruned or scoreless is
-// ever Seeded. A call with provided profiles must also return the
+// ever Seeded. A call with provided code words must also return the
 // GroupResult and seeds of the same call without them, bit for bit, and
 // so must calls on the subsets of a group that stage-1 skips leave
 // (checkLadderSubsets). Every sweep runs on each of the host's kernel
@@ -268,7 +265,7 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 // checkLadderRoute is checkLadder's sweep on one kernel route.
 func checkLadderRoute(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []int, wantEnd []swar.Pair, matrix []*align.Matrix, bounds []*swar.Bound, route string, fail func(format string, args ...any)) {
 	var al, loc, fresh, subAl swar.Aligner
-	pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
+	pr := newLadderCodes()
 	ids := make([]int, len(targets))
 	for i := range ids {
 		ids[i] = i
@@ -339,25 +336,25 @@ func checkLadderRoute(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, wa
 }
 
 // sameLadder fails unless res, from al, is the GroupResult — seeds
-// included — that fresh computes for the same call building its own
-// profiles.
+// included — that fresh computes for the same call interleaving its own
+// code words.
 func sameLadder(al, fresh *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start swar.Rung, ab *swar.Bound, res swar.GroupResult, fail func(format string, args ...any)) {
 	want := fresh.Ladder(q, targets, sc, start, ab, nil)
 	if res != want {
-		fail("rung %d bound %v, %d targets: with provided profiles %+v, building its own %+v", start, ab != nil, len(targets), res, want)
+		fail("rung %d bound %v, %d targets: with provided code words %+v, interleaving its own %+v", start, ab != nil, len(targets), res, want)
 		return
 	}
 	for i := range targets {
 		if res.Seeded&(1<<uint(i)) != 0 && !slices.Equal(al.Seed(i), fresh.Seed(i)) {
-			fail("rung %d bound %v, target %d: seeds differ with provided profiles", start, ab != nil, i)
+			fail("rung %d bound %v, target %d: seeds differ with provided code words", start, ab != nil, i)
 		}
 	}
 }
 
-// checkLadderSubsets runs the ladder with the shared provided profiles
+// checkLadderSubsets runs the ladder with the shared provided code words
 // on subsets of group — the lanes stage-1 skips of different queries
 // would keep — and holds each call to sameLadder.
-func checkLadderSubsets(al, fresh *swar.Aligner, pr *ladderProfiles, q bio.Sequence, group []bio.Sequence, ids []int, sc bio.Scoring, start swar.Rung, ab *swar.Bound, fail func(format string, args ...any)) {
+func checkLadderSubsets(al, fresh *swar.Aligner, pr *ladderCodes, q bio.Sequence, group []bio.Sequence, ids []int, sc bio.Scoring, start swar.Rung, ab *swar.Bound, fail func(format string, args ...any)) {
 	for _, drop := range []func(i int) bool{
 		func(i int) bool { return i%2 == 1 },
 		func(i int) bool { return i == 0 },
@@ -486,11 +483,11 @@ func TestScoresSaturation(t *testing.T) {
 			if ls.Saturated&(1<<3) != 0 {
 				t.Errorf("%s route: score-100 lane wrongly saturated: mask %08b", route, ls.Saturated)
 			}
-			// The int16 retry asks provided profiles for one subgroup of
-			// records, {0, 2}, whatever else a call keeps: calls keeping fewer
-			// of the others get the first call's profile, and the first call's
-			// results.
-			pr := &ladderProfiles{sc: sc, memo: map[[bio.PackedLanes16 + 1]int]*bio.PackedProfile{}}
+			// The int16 retry asks the provided code words for one subgroup
+			// of records, {0, 2}, whatever else a call keeps: calls keeping
+			// fewer of the others get the first call's words, and the first
+			// call's results.
+			pr := newLadderCodes()
 			var fresh swar.Aligner
 			for _, keep := range [][]int{{0, 1, 2, 3}, {0, 2, 3}, {0, 2}} {
 				var sub []bio.Sequence
@@ -501,7 +498,7 @@ func TestScoresSaturation(t *testing.T) {
 				sameLadder(&al, &fresh, q, sub, sc, swar.RungInter8, nil, al.Ladder(q, sub, sc, swar.RungInter8, nil, pr), t.Errorf)
 			}
 			if pr.reused != 2 {
-				t.Errorf("%s route: provided int16 profile reused %d times over three calls, want 2", route, pr.reused)
+				t.Errorf("%s route: provided int16 words reused %d times over three calls, want 2", route, pr.reused)
 			}
 		}()
 	}
@@ -723,55 +720,6 @@ func TestAlignerReuse(t *testing.T) {
 	}
 }
 
-// TestPackedProfile checks the packed rows against the scalar profile
-// semantics lane by lane.
-func TestPackedProfile(t *testing.T) {
-	sc := bio.DefaultScoring()
-	targets := []bio.Sequence{
-		bio.MustSequence("ACGTN"),
-		bio.MustSequence("AAA"),
-		{},
-		bio.MustSequence("NNNNNNN"),
-	}
-	p := bio.NewPackedProfile8(targets, sc)
-	if p == nil {
-		t.Fatal("profile rejected default scoring")
-	}
-	if p.Words() != 7 || p.Lanes() != 8 || p.Cap() != bio.PackedCap8 {
-		t.Fatalf("geometry: words=%d lanes=%d cap=%d", p.Words(), p.Lanes(), p.Cap())
-	}
-	for _, a := range []byte{'A', 'C', 'G', 'T', 'N'} {
-		plus, minus := p.PlusRow(a), p.MinusRow(a)
-		for j := 0; j < p.Words(); j++ {
-			for l, tgt := range targets {
-				wantPlus, wantMinus := 0, -sc.Mismatch
-				if j < len(tgt) && bio.Matches(a, tgt[j]) {
-					wantPlus, wantMinus = sc.Match, 0
-				}
-				if got := p.Lane(plus[j], l); got != wantPlus {
-					t.Errorf("plus[%q][%d] lane %d = %d, want %d", a, j, l, got, wantPlus)
-				}
-				if got := p.Lane(minus[j], l); got != wantMinus {
-					t.Errorf("minus[%q][%d] lane %d = %d, want %d", a, j, l, got, wantMinus)
-				}
-			}
-		}
-	}
-	if bio.NewPackedProfile8(make([]bio.Sequence, 9), sc) != nil {
-		t.Error("9 targets accepted by the 8-lane profile")
-	}
-	if bio.NewPackedProfile8(targets, bio.Scoring{Match: 300, Mismatch: -1, Gap: -2}) != nil {
-		t.Error("match magnitude 300 accepted by the int8 profile")
-	}
-	// 200 fits a raw byte but not the clean 7-bit range behind the guard bit.
-	if bio.NewPackedProfile8(targets, bio.Scoring{Match: 200, Mismatch: -1, Gap: -2}) != nil {
-		t.Error("match magnitude 200 accepted by the guard-bit int8 profile")
-	}
-	if bio.NewPackedProfile16(targets[:3], bio.Scoring{Match: 300, Mismatch: -299, Gap: -600}) == nil {
-		t.Error("match magnitude 300 rejected by the int16 profile")
-	}
-}
-
 // TestScoresManyLengths sweeps very uneven lane lengths (padding paths).
 func TestScoresManyLengths(t *testing.T) {
 	g := bio.NewGenerator(9)
@@ -943,7 +891,7 @@ func row16(prev, cur, plus, minus []uint64, gapV, best, sat uint64) (uint64, uin
 // all-mismatch 'N' rows after it that pad the eight-row kernel's last
 // pass — and which must move neither the maximum nor a clean lane's
 // guard bit.
-func oneRowScan(t *testing.T, q bio.Sequence, prof *bio.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, last []uint64) {
+func oneRowScan(t *testing.T, q bio.Sequence, prof *swar.PackedProfile, gap int) (best, sat uint64, blocks [bio.PackedLanes8]int, last []uint64) {
 	t.Helper()
 	row, hi := row8, uint64(hi8)
 	if prof.Lanes() == bio.PackedLanes16 {
@@ -1014,8 +962,9 @@ func twoRowInputs(g *bio.Generator, kind string, qLen, words, lanes int) (bio.Se
 }
 
 // TestTwoRowMatchesOneRow drives the eight-row kernel, on each of the
-// host's routes, and the one-row kernel the two-row one replaced over the
-// same profiles — query lengths of every residue mod 8 around the pass
+// host's routes, over the targets' code words, and the one-row kernel
+// the two-row one replaced over the packed profile of the same targets
+// (profile_test.go) — query lengths of every residue mod 8 around the pass
 // and block boundaries, rows of one word to 600 (8, 9 and 13 words: the
 // shortest rows the AVX2 kernel runs, with no body step, one lone step,
 // and a four-step pass and a lone one), both lane widths, scoring
@@ -1040,9 +989,10 @@ func TestTwoRowMatchesOneRow(t *testing.T) {
 				q16, t16 := twoRowInputs(g, kind, qLen, words, bio.PackedLanes16)
 				for _, sc := range scorings {
 					for _, c := range []struct {
-						q    bio.Sequence
-						prof *bio.PackedProfile
-					}{{q8, bio.NewPackedProfile8(t8, sc)}, {q16, bio.NewPackedProfile16(t16, sc)}} {
+						q       bio.Sequence
+						targets []bio.Sequence
+						prof    *swar.PackedProfile
+					}{{q8, t8, swar.NewPackedProfile8(t8, sc)}, {q16, t16, swar.NewPackedProfile16(t16, sc)}} {
 						if c.prof == nil || -sc.Gap > c.prof.Cap() {
 							continue // the scheme does not fit this lane width
 						}
@@ -1050,7 +1000,7 @@ func TestTwoRowMatchesOneRow(t *testing.T) {
 						wantBest, wantSat, wantBlocks, wantRow := oneRowScan(t, c.q, c.prof, -sc.Gap)
 						for _, route := range swar.Routes() {
 							restore := swar.UseRoute(route)
-							best, sat, blocks, row := al.ScanPackedRow(c.q, c.prof, -sc.Gap)
+							best, sat, blocks, row := al.ScanPackedRow(c.q, c.targets, sc, c.prof.Lanes() == bio.PackedLanes16)
 							restore()
 							where := name + " " + route
 							guard := uint64(1) << (c.prof.Shift() - 1)
