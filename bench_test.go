@@ -2,6 +2,7 @@ package genomedsm
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -595,6 +597,78 @@ func BenchmarkKernelReverseBeginVsRetrieve(b *testing.B) {
 	b.ReportMetric(beginRate/retrieveRate, "begin/retrieve")
 	b.ReportMetric(beginRate, "begin-cells/s")
 	b.ReportMetric(retrieveRate, "retrieve-cells/s")
+}
+
+// homologBeginItems returns the Begin calls of the homolog batch's final
+// hits: each hit's query and record, its end cell and its score.
+func homologBeginItems(b *testing.B) []align.BeginItem {
+	batch, db := benchHomologBatch()
+	out, err := search.RunBatch(context.Background(), batch, db, search.Options{Prune: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var items []align.BeginItem
+	for qi, br := range out {
+		for _, h := range br.Result.Hits {
+			items = append(items, align.BeginItem{
+				S: batch[qi].Seq, T: db.Records()[h.Index].Seq,
+				EndI: h.QEnd, EndJ: h.TEnd, K: h.Score,
+			})
+		}
+	}
+	return items
+}
+
+// BenchmarkBeginLanesVsScalar times the begin sweeps of the homolog
+// batch's 40 final hits in its two forms, alternated in every iteration
+// with the first arm switched every iteration: BeginLanes in passes of
+// ten hits sorted by box, end row × end column — the deal the finish
+// pass makes on two workers — and Begin one hit at a time. scalar/lanes
+// is their time ratio, a same-run reading, so the host's speed that hour
+// cancels. ci.sh gates its median over five runs.
+func BenchmarkBeginLanesVsScalar(b *testing.B) {
+	if !swar.HasBeginRow() {
+		b.Skip("no begin-row lane kernel on this host")
+	}
+	items := homologBeginItems(b)
+	slices.SortStableFunc(items, func(x, y align.BeginItem) int {
+		return cmp.Compare(y.EndI*y.EndJ, x.EndI*x.EndJ)
+	})
+	sc := bio.DefaultScoring()
+	var rt align.Retriever // reused scratch: steady-state allocs only
+	lanes := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < len(items); i += 10 {
+			if n := rt.BeginLanes(sc, items[i:min(i+10, len(items))]); n != min(10, len(items)-i) {
+				b.Fatalf("%d items of a pass ran in lanes", n)
+			}
+		}
+		return time.Since(start)
+	}
+	scalar := func() time.Duration {
+		start := time.Now()
+		for _, it := range items {
+			if _, _, _, ok := rt.Begin(it.S, it.T, sc, it.EndI, it.EndJ, it.K); !ok {
+				b.Fatal("no alignment ends at a final hit's end cell")
+			}
+		}
+		return time.Since(start)
+	}
+	lanes()
+	scalar()
+	var tl, ts time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			tl += lanes()
+			ts += scalar()
+		} else {
+			ts += scalar()
+			tl += lanes()
+		}
+	}
+	b.ReportMetric(ts.Seconds()/tl.Seconds(), "scalar/lanes")
+	b.ReportMetric(float64(len(items)), "hits")
 }
 
 // BenchmarkSearchRealign measures the realign stage alone — finding the

@@ -55,6 +55,7 @@ type Retriever struct {
 	prof      bio.Profile  // query profile over rev, rebuilt per call
 	arrows    arrowRows    // ReverseRetrieve's traceback store
 	values    valueRows    // Begin's score-to-go floor
+	lanes     laneScratch  // BeginLanes's passes
 	// High-water trim bookkeeping: one huge retrieval must not pin its
 	// arena for the lifetime of a long-lived Retriever (a realign worker,
 	// RetrieveAll loops). Every trimWindow calls the buffers are shrunk

@@ -195,8 +195,26 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// A worker that fails keeps taking work items, unscanned, so
+			// the feed never blocks on it.
+			defer func() {
+				for range work {
+				}
+			}()
 			al := aligners.Get().(*swar.Aligner)
-			defer aligners.Put(al)
+			gp := groupProfs.Get().(*groupProf)
+			// A panic in a scan, a kernel bug, fails the batch like a kernel
+			// error, and the process lives on; the Aligner and code words the
+			// worker held mid-scan are dropped instead of pooled.
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = fmt.Errorf("search: scan worker panicked: %v", r)
+					return
+				}
+				aligners.Put(al)
+				gp.drop()
+				groupProfs.Put(gp)
+			}()
 			heaps[w] = make([]*topK, nq)
 			for qi, st := range states {
 				heaps[w][qi] = &topK{k: st.k}
@@ -206,16 +224,14 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 			procRecs[w] = make([]int, nq)
 			procCells[w] = make([]int64, nq)
 			var scratch groupScratch
-			gp := groupProfs.Get().(*groupProf)
-			defer func() {
-				gp.drop()
-				groupProfs.Put(gp)
-			}()
 			for gi := range work {
 				group := groups[gi]
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
 					return
+				}
+				if TestHookScan != nil {
+					TestHookScan(gi)
 				}
 				var groupBases int64
 				for _, idx := range group {
@@ -357,6 +373,11 @@ feed:
 	}
 	return out, nil
 }
+
+// TestHookScan, when non-nil, runs at the start of every work item of
+// RunBatch's scan with the index of its lane group. It is for tests,
+// which plant a panic with it; nothing else sets it.
+var TestHookScan func(group int)
 
 // groupProf is one work item's swar.Codes, shared by every query of the
 // batch: the code words of the full lane group — the DB layout's words

@@ -25,12 +25,11 @@ func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error 
 }
 
 // RealignBatch fills the alignment spans of every final hit of a batch:
-// align.Retriever.Begin runs the §6 reverse sweep from the hit's end
-// cell to the start of the alignment, and on the way proves that an
-// alignment of the hit's score ends there. A hit keeps four coordinates
-// and no alignment, so the sweep records no traceback: cell values live
-// in its two rolling rows only. Only the K winners of each query pay
-// this cost.
+// the §6 reverse sweep runs from the hit's end cell to the start of the
+// alignment, and on the way proves that an alignment of the hit's score
+// ends there. A hit keeps four coordinates and no alignment, so the
+// sweep records no traceback: cell values live in its two rolling rows
+// only. Only the K winners of each query pay this cost.
 //
 // A hit straight from a scan carries its end cell, which the scan
 // located with the score check built in (finishHits). A hit without one
@@ -41,15 +40,12 @@ func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error 
 // a hit's span clears its end cell, so a realigned hit compares equal
 // whichever way it came.
 //
-// Every (query, hit) pair of the batch is one independent work item.
-// The items run on min(workers, items) goroutines (workers ≤ 0 means
-// runtime.NumCPU(); one worker or one item runs on the caller), handed
-// out dynamically in decreasing order of the box the item sweeps, end
-// row × end column (the whole matrix where the cell is unknown) — the
-// longest-first rule, so the largest realignment is never the last item
-// started. Each worker holds one pooled align.Retriever and one pooled
-// swar.Aligner for the whole call. Result.RealignCells says what the
-// items of a query add up to.
+// The work runs in the two phases of finishHits on min(workers, work)
+// goroutines (workers ≤ 0 means runtime.NumCPU(); one worker runs on
+// the caller): the end cells, one (query, hit) pair per item handed out
+// in decreasing order of the box the item scans, then the sweeps, in
+// lane passes of hits of similar box (align.Retriever.BeginLanes).
+// Result.RealignCells says what the items of a query add up to.
 //
 // out[i] belongs to queries[i]; entries that already carry an Err are
 // left alone. A query whose context (BatchQuery.Ctx, or ctx when nil)
@@ -63,21 +59,36 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 	return finishHits(ctx, queries, out, db, sc, workers, nil, true)
 }
 
-// finishHits is the one pool pass over the final hits of a batch, and
-// each item is locate, then reverse. from, when non-nil, holds per query
-// the scan's merged heap entries, from[qi][i] behind out[qi].Result.Hits[i]:
-// a hit the packed rungs scored has no end cell yet, only the entry's
-// end block and saved border row, and swar.LocateEnd replays that block
-// to the cell. The replay is also where such a score is checked, over
-// the block it was claimed for: a block that never reaches the score,
-// or exceeds it first, is a kernel bug and fails the batch. spans then runs the reverse sweep of
-// RealignBatch on every hit; without it (a NoEndpoints scan) the pass
-// stops at the end cells.
+// finishHits is the pass over the final hits of a batch, in two phases.
 //
-// A panic in an item's locate or reverse sweep, a kernel bug, becomes
-// that item's error: it fails the batch like any other, and the process
-// lives on. The worker then drops the Retriever and Aligner it held
-// mid-item instead of pooling them.
+// The first gives every hit its end cell, one (query, hit) pair per
+// item, handed out dynamically in decreasing order of the box the item
+// scans — the longest-first rule, so the largest is never the last item
+// started. from, when non-nil, holds per query the scan's merged heap
+// entries, from[qi][i] behind out[qi].Result.Hits[i]: a hit the packed
+// rungs scored has no end cell yet, only the entry's end block and
+// saved border row, and swar.LocateEnd replays that block to the cell.
+// The replay is also where such a score is checked, over the block it
+// was claimed for: a block that never reaches the score, or exceeds it
+// first, is a kernel bug and fails the batch. A hit with neither scans
+// its whole matrix (locate).
+//
+// The second, when spans is set (not for a NoEndpoints scan), runs the
+// reverse sweep of RealignBatch from every end cell. The located hits,
+// sorted by their box, end row × end column, are dealt in order into
+// lane passes of up to swar.BeginLanes hits (one hit per pass on a host
+// without the lane kernel), as many as make every worker's share equal
+// — 40 hits on two workers make four passes of ten — and a pass runs
+// on one worker as one align.Retriever.BeginLanes call. Hits of
+// similar box share a pass, so few lanes idle while the longest sweep
+// of the pass runs on.
+//
+// Each worker holds a pooled swar.Aligner for the first phase and a
+// pooled align.Retriever for the second. A panic in an item, or in a
+// pass, a kernel bug, becomes the error of that item, or of the pass's
+// first item in (query, hit) order: it fails the batch like any other,
+// and the process lives on. The worker then drops the Aligner or
+// Retriever it held mid-work instead of pooling it.
 func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db []bio.Record, sc bio.Scoring, workers int, from [][]scored, spans bool) error {
 	if sc == (bio.Scoring{}) {
 		sc = bio.DefaultScoring()
@@ -94,25 +105,18 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 		}
 		return ctx
 	}
-	type item struct {
-		n, qi int // n: position in (query, hit) order
-		hit   *Hit
-		from  *scored // block and seed of a hit still to be located
-		box   int64   // the schedule key
-		cells int64   // what the item adds to RealignCells
-	}
 	total := 0
 	for qi := range out {
 		total += len(out[qi].Result.Hits)
 	}
-	items := make([]item, 0, total)
+	items := make([]finishItem, 0, total)
 	for qi := range out {
 		if out[qi].Err != nil {
 			continue
 		}
 		hits := out[qi].Result.Hits
 		for i := range hits {
-			it := item{n: len(items), qi: qi, hit: &hits[i]}
+			it := finishItem{n: len(items), qi: qi, hit: &hits[i]}
 			m, n := int64(len(queries[qi].Seq)), int64(len(db[it.hit.Index].Seq))
 			switch {
 			case it.hit.endI > 0:
@@ -128,75 +132,81 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 			}
 		}
 	}
-	// errs stays in (query, hit) order while the schedule is sorted.
+	// errs stays in (query, hit) order while the schedules are sorted.
 	errs := make([]error, len(items))
-	slices.SortStableFunc(items, func(a, b item) int { return cmp.Compare(b.box, a.box) })
+	byBox := func(a, b finishItem) int { return cmp.Compare(b.box, a.box) }
+	slices.SortStableFunc(items, byBox)
 
-	var next atomic.Int64
-	work := func() {
-		// A pass holds only what its items use: no Retriever without spans,
-		// no Aligner without a hit to locate (the shard master has none).
-		var rt *align.Retriever
-		if spans {
-			rt = retrievers.Get().(*align.Retriever)
-			defer func() { retrievers.Put(rt) }()
-		}
+	fanOut(len(items), workers, func(f *fan) {
+		// No Aligner without a hit to locate (the shard master has none).
 		var al *swar.Aligner
 		if from != nil {
 			al = aligners.Get().(*swar.Aligner)
 			defer func() { aligners.Put(al) }()
 		}
-		finish := func(it *item) (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("search: finishing hit %q of query %d panicked: %v", it.hit.ID, it.qi, r)
-					if rt != nil {
-						rt = new(align.Retriever)
-					}
-					if al != nil {
-						al = new(swar.Aligner)
-					}
-				}
-			}()
-			if TestHookFinish != nil {
-				TestHookFinish(it.n)
-			}
-			q, t := queries[it.qi].Seq, db[it.hit.Index].Seq
-			if it.from != nil {
-				if err := locateHit(al, q, t, sc, it.hit, it.from); err != nil {
-					return err
-				}
-			}
-			if spans {
-				it.cells, err = realignHit(rt, q, t, sc, it.hit)
-			}
-			return err
-		}
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(items) {
-				return
-			}
+		for i, ok := f.claim(); ok; i, ok = f.claim() {
 			it := &items[i]
 			if ctxOf(it.qi).Err() != nil {
 				continue // skipped: nothing computed
 			}
-			errs[it.n] = finish(it)
+			errs[it.n] = contain(it, func() error {
+				if TestHookFinish != nil {
+					TestHookFinish(it.n)
+				}
+				cells, err := locate(al, queries[it.qi].Seq, db[it.hit.Index].Seq, sc, it)
+				if spans {
+					it.cells = cells
+				}
+				return err
+			}, func() {
+				if al != nil {
+					al = new(swar.Aligner)
+				}
+			})
 		}
-	}
-	if workers = min(workers, len(items)); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
+	})
+
+	if spans {
+		// The located hits first, by box, dealt into passes.
+		located := 0
+		for i := range items {
+			if it := &items[i]; errs[it.n] == nil && it.hit.endI > 0 {
+				it.box = int64(it.hit.endI) * int64(it.hit.endJ)
+				located++
+			} else {
+				it.box = -1
+			}
 		}
-		wg.Wait()
+		slices.SortStableFunc(items, byBox)
+		lanes := 1
+		if swar.HasBeginRow() {
+			lanes = swar.BeginLanes
+		}
+		d := deal(located, workers, lanes)
+		begins := make([]align.BeginItem, located)
+		fanOut(d.passes, workers, func(f *fan) {
+			rt := retrievers.Get().(*align.Retriever)
+			defer func() { retrievers.Put(rt) }()
+			for k, ok := f.claim(); ok; k, ok = f.claim() {
+				lo, hi := d.bounds(k)
+				pass := items[lo:hi]
+				first := &pass[0]
+				for i := range pass {
+					if pass[i].n < first.n {
+						first = &pass[i]
+					}
+				}
+				// A pass's hits get their own errors; a panic is its first's.
+				if err := contain(first, func() error {
+					beginPass(rt, queries, db, sc, pass, begins[lo:hi], errs, ctxOf)
+					return nil
+				}, func() { rt = new(align.Retriever) }); err != nil {
+					errs[first.n] = err
+				}
+			}
+		})
 	}
+
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -214,16 +224,132 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	return nil
 }
 
-// TestHookFinish, when non-nil, runs at the start of every item of the
-// finish pass with the item's position in (query, hit) order. It is for
-// tests, which plant a panic in one item with it; nothing else sets it.
-var TestHookFinish func(item int)
+// finishItem is one (query, hit) pair of finishHits.
+type finishItem struct {
+	n, qi int // n: position in (query, hit) order
+	hit   *Hit
+	from  *scored // block and seed of a hit still to be located
+	box   int64   // the schedule key
+	cells int64   // what the item adds to RealignCells
+}
 
-// retrievers keeps the workers' align.Retrievers — their rolling rows
-// and profile — alive between calls, like align's own pool of striped
-// row buffers. Begin never touches a Retriever's arrow arena, so a
-// pooled one holds two rows and a profile sized by the longest record
-// realigned.
+// A fan hands out 0…n−1, each once, in order, to the workers of a
+// fanOut.
+type fan struct {
+	next atomic.Int64
+	n    int
+	wg   sync.WaitGroup
+}
+
+// claim returns the next index, or false when none is left.
+func (f *fan) claim() (int, bool) {
+	i := int(f.next.Add(1)) - 1
+	return i, i < f.n
+}
+
+// fanOut runs work on min(workers, n) goroutines, or on the caller when
+// that is one, each claiming from one fan of n, and waits for them.
+func fanOut(n, workers int, work func(*fan)) {
+	f := &fan{n: n}
+	if workers = min(workers, n); workers <= 1 {
+		work(f)
+		return
+	}
+	f.wg.Add(workers)
+	for range workers {
+		go fanWorker(f, work)
+	}
+	f.wg.Wait()
+}
+
+func fanWorker(f *fan, work func(*fan)) {
+	defer f.wg.Done()
+	work(f)
+}
+
+// contain runs f and returns its error; a panic in f becomes an error
+// naming the item's hit instead, after drop has let go of the scratch f held.
+func contain(it *finishItem, f func() error, drop func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("search: finishing hit %q of query %d panicked: %v", it.hit.ID, it.qi, r)
+			drop()
+		}
+	}()
+	return f()
+}
+
+// A passDeal splits n hits sorted by box into lane passes of
+// consecutive hits.
+type passDeal struct{ n, passes int }
+
+// deal returns how n hits sorted by box are dealt into lane passes of at
+// most lanes hits: ⌈n/lanes⌉ passes, rounded up to a multiple of workers
+// so that every worker runs as many, but no more passes than hits.
+func deal(n, workers, lanes int) passDeal {
+	p := (n + lanes - 1) / lanes
+	return passDeal{n: n, passes: min(n, (p+workers-1)/workers*workers)}
+}
+
+// bounds returns pass k's hits, [lo, hi): the first n mod passes passes
+// hold one hit more than the rest.
+func (d passDeal) bounds(k int) (lo, hi int) {
+	size, extra := d.n/d.passes, d.n%d.passes
+	lo = k*size + min(k, extra)
+	hi = lo + size
+	if k < extra {
+		hi++
+	}
+	return lo, hi
+}
+
+// beginPass runs the reverse sweeps of one lane pass of at most
+// swar.BeginLanes hits, skipping those of a query whose context has fired, and fills
+// the spans of the rest, or their errors in errs. begins is the pass's
+// scratch.
+func beginPass(rt *align.Retriever, queries []BatchQuery, db []bio.Record, sc bio.Scoring, pass []finishItem, begins []align.BeginItem, errs []error, ctxOf func(int) context.Context) {
+	var skip uint32
+	run := begins[:0]
+	for i, it := range pass {
+		if ctxOf(it.qi).Err() != nil {
+			skip |= 1 << i
+			continue
+		}
+		h := it.hit
+		run = append(run, align.BeginItem{S: queries[it.qi].Seq, T: db[h.Index].Seq, EndI: h.endI, EndJ: h.endJ, K: h.Score})
+	}
+	if TestHookLanePass != nil {
+		ns := make([]int, len(pass))
+		for i, it := range pass {
+			ns[i] = it.n
+		}
+		TestHookLanePass(ns)
+	}
+	rt.BeginLanes(sc, run)
+	for i, it := range pass {
+		if skip>>i&1 == 0 {
+			errs[it.n] = span(it.hit, &run[0])
+			run = run[1:]
+		}
+	}
+}
+
+// TestHookFinish, when non-nil, runs at the start of every item of the
+// finish pass's first phase with the item's position in (query, hit)
+// order. TestHookLanePass, when non-nil, runs at the start of every
+// lane pass of its second phase with the positions of the pass's hits.
+// They are for tests, which plant a panic with them; nothing else sets
+// them.
+var (
+	TestHookFinish   func(item int)
+	TestHookLanePass func(items []int)
+)
+
+// retrievers keeps the workers' align.Retrievers — their rolling rows,
+// profile and lane-pass rows — alive between calls, like align's own
+// pool of striped row buffers. Begin never touches a Retriever's arrow
+// arena, so a pooled one holds rows and a profile sized by the longest
+// record realigned.
 var retrievers = sync.Pool{New: func() any { return new(align.Retriever) }}
 
 // aligners does the same for the swar.Aligners of the scan workers and
@@ -243,16 +369,19 @@ func locateHit(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, h *Hit, from
 	return nil
 }
 
-// realignHit fills one hit's spans by the reverse sweep from its end
-// cell, which an exact scan of the whole matrix finds first when the hit
-// does not carry it. The sweep is Begin, which has no dense fallback: a
-// cell from which no alignment of the hit's score passes Theorem 6.2's
-// pruning — only a cell that is not the first to hold the score can be
-// one — is a hard error, so an alignment of exactly the hit's score ends
-// at exactly its cell (DESIGN §5.6). cells is the hit's share of
-// Result.RealignCells.
-func realignHit(rt *align.Retriever, q, t bio.Sequence, sc bio.Scoring, h *Hit) (cells int64, err error) {
-	if h.endI == 0 {
+// locate gives the item's hit its end cell: replayed from the end block and
+// border row a packed rung left, or, for a hit that came with neither,
+// found by an exact scan of the whole matrix. cells is the hit's share
+// of Result.RealignCells: the rows of its end block, or the whole
+// matrix.
+func locate(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, it *finishItem) (cells int64, err error) {
+	h := it.hit
+	switch {
+	case it.from != nil:
+		if err := locateHit(al, q, t, sc, h, it.from); err != nil {
+			return 0, err
+		}
+	case h.endI == 0:
 		// The hit's score is already known: passing it as ExpectScore lets
 		// the scan skip packed rungs it proves will saturate.
 		r, err := align.Scan(q, t, sc, align.ScanOptions{ExpectScore: h.Score})
@@ -264,16 +393,23 @@ func realignHit(rt *align.Retriever, q, t bio.Sequence, sc bio.Scoring, h *Hit) 
 				h.Score, h.ID, len(q), r.BestScore)
 		}
 		h.endI, h.endJ = r.BestI, r.BestJ
-		cells = int64(len(q)) * int64(len(t))
-	} else {
-		cells = int64((h.endI-1)%swar.BlockRows+1) * int64(len(t))
+		return int64(len(q)) * int64(len(t)), nil
 	}
-	qBegin, tBegin, _, ok := rt.Begin(q, t, sc, h.endI, h.endJ, h.Score)
-	if !ok {
-		return 0, fmt.Errorf("search: no alignment of %q with score %d ends at the located cell (%d,%d)", h.ID, h.Score, h.endI, h.endJ)
+	return int64((h.endI-1)%swar.BlockRows+1) * int64(len(t)), nil
+}
+
+// span fills h's spans from the reverse sweep b ran from its end cell.
+// The sweep is Begin's, which has no dense fallback: a cell from which
+// no alignment of the hit's score passes Theorem 6.2's pruning — only a
+// cell that is not the first to hold the score can be one — is a hard
+// error, so an alignment of exactly the hit's score ends at exactly its
+// cell (DESIGN §5.6).
+func span(h *Hit, b *align.BeginItem) error {
+	if !b.OK {
+		return fmt.Errorf("search: no alignment of %q with score %d ends at the located cell (%d,%d)", h.ID, h.Score, h.endI, h.endJ)
 	}
-	h.QBegin, h.QEnd = qBegin, h.endI
-	h.TBegin, h.TEnd = tBegin, h.endJ
+	h.QBegin, h.QEnd = b.SBegin, h.endI
+	h.TBegin, h.TEnd = b.TBegin, h.endJ
 	h.endI, h.endJ = 0, 0
-	return cells, nil
+	return nil
 }

@@ -3,10 +3,13 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"genomedsm/internal/bio"
+	"genomedsm/internal/swar"
 )
 
 // realignBatch builds a multi-query batch over one database with hits
@@ -233,6 +236,99 @@ func TestFinishPanicFailsBatch(t *testing.T) {
 			}
 			if fmt.Sprint(got[qi].Result.Hits) != fmt.Sprint(want.Hits) {
 				t.Errorf("workers %d query %d: hits after the panic %v, Run %v", workers, qi, got[qi].Result.Hits, want.Hits)
+			}
+		}
+	}
+}
+
+// TestLanePassPanicFailsBatch: a panic planted in one lane pass of the
+// finish pass's sweeps fails its batch with the error of the pass's
+// first hit in (query, hit) order, on one worker and on four, and the
+// next batch — on the same pools — is bit-identical to the first clean
+// one.
+func TestLanePassPanicFailsBatch(t *testing.T) {
+	queries, recs := realignBatch(t, 5)
+	db := NewDB(recs)
+	for _, workers := range []int{1, 4} {
+		opt := Options{Workers: workers, Prune: true}
+		clean, err := RunBatch(context.Background(), queries, db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []string // each hit's name in (query, hit) order
+		for qi, br := range clean {
+			for _, h := range br.Result.Hits {
+				order = append(order, fmt.Sprintf("hit %q of query %d", h.ID, qi))
+			}
+		}
+		// The pass holding the last hit: on a host with the lane kernel
+		// it holds others, so its first hit is not the planted one.
+		var mu sync.Mutex
+		var planted []int
+		TestHookLanePass = func(items []int) {
+			if slices.Contains(items, len(order)-1) {
+				mu.Lock()
+				planted = slices.Clone(items)
+				mu.Unlock()
+				panic("planted")
+			}
+		}
+		_, err = RunBatch(context.Background(), queries, db, opt)
+		TestHookLanePass = nil
+		want := order[slices.Min(planted)] + " panicked: planted"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers %d: err = %v, want %q", workers, err, want)
+		}
+		if swar.HasBeginRow() && len(planted) < 2 {
+			t.Errorf("workers %d: the planted pass holds %d hits, want a lane pass of several", workers, len(planted))
+		}
+		got, err := RunBatch(context.Background(), queries, db, opt)
+		if err != nil {
+			t.Fatalf("workers %d: batch after the panic: %v", workers, err)
+		}
+		for qi := range queries {
+			if fmt.Sprint(got[qi].Result.Hits) != fmt.Sprint(clean[qi].Result.Hits) {
+				t.Errorf("workers %d query %d: hits after the panic %v, before %v", workers, qi, got[qi].Result.Hits, clean[qi].Result.Hits)
+			}
+		}
+	}
+}
+
+// TestScanPanicFailsBatch: a panic planted in a scan worker's work item
+// fails the batch with an error instead of killing the process — in one
+// group, and in every group, where every worker fails and the feed must
+// still finish — and the next batch matches per-query Runs.
+func TestScanPanicFailsBatch(t *testing.T) {
+	queries, recs := realignBatch(t, 7)
+	db := NewDB(recs)
+	if len(db.groups()) < 2 {
+		t.Fatalf("%d lane groups, want several", len(db.groups()))
+	}
+	for _, workers := range []int{1, 4} {
+		for _, every := range []bool{false, true} {
+			opt := Options{Workers: workers, Prune: true}
+			TestHookScan = func(group int) {
+				if every || group == 1 {
+					panic("planted")
+				}
+			}
+			_, err := RunBatch(context.Background(), queries, db, opt)
+			TestHookScan = nil
+			if err == nil || !strings.Contains(err.Error(), "scan worker panicked: planted") {
+				t.Fatalf("workers %d every %v: err = %v, want the planted panic", workers, every, err)
+			}
+			got, err := RunBatch(context.Background(), queries, db, opt)
+			if err != nil {
+				t.Fatalf("workers %d: batch after the panic: %v", workers, err)
+			}
+			for qi, bq := range queries {
+				want, err := Run(bq.Seq, recs, Options{TopK: bq.TopK, Workers: workers, Prune: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got[qi].Result.Hits) != fmt.Sprint(want.Hits) {
+					t.Errorf("workers %d query %d: hits after the panic %v, Run %v", workers, qi, got[qi].Result.Hits, want.Hits)
+				}
 			}
 		}
 	}

@@ -815,3 +815,40 @@ func TestShardsLocateOnlyMergeSurvivors(t *testing.T) {
 		t.Errorf("the shards shipped %.1f entries per batch, fewer than the single node's %d hits", live, single)
 	}
 }
+
+// TestWorkerPanicFailsBatch plants a panic in one shard worker's scan:
+// the batch fails with that shard's error — not retried, not
+// reassigned — the process lives on, and the next batch on the same
+// cluster matches a single node.
+func TestWorkerPanicFailsBatch(t *testing.T) {
+	q, recs := synthInputs(7, 200, 40, 300)
+	db := search.NewDB(recs)
+	c, err := New(db, quietOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	opt := search.Options{Prune: true, TopK: 5}
+	TestHookScan = func(shard int) {
+		if shard == 1 {
+			panic("planted")
+		}
+	}
+	_, err = c.Search(context.Background(), q, opt)
+	TestHookScan = nil
+	if err == nil || err.Error() != "shard 1: scan panicked: planted" {
+		t.Fatalf("err = %v, want shard 1's planted panic", err)
+	}
+	if st := c.Stats(); st.Reassigns != 0 || st.DeadDetected != 0 {
+		t.Errorf("a panicked scan was replayed: %+v", st)
+	}
+	want, err := search.RunCtx(context.Background(), q, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Search(context.Background(), q, opt)
+	if err != nil {
+		t.Fatalf("batch after the panic: %v", err)
+	}
+	mustEqualResults(t, "after the panic", got, want)
+}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -365,13 +366,33 @@ func (g *gossipBuf) flush() {
 }
 
 // run scans the requested span and responds. A worker that crashed
-// mid-scan answers nothing — the master's lease machinery takes over.
+// mid-scan answers nothing — the master's lease machinery takes over. A
+// panic in the scan, a bug, becomes the response's Err, which the
+// master does not retry: it fails the batch, and the process lives on.
 func (w *worker) run(req request) {
-	resp := w.scan(req)
+	resp := w.contained(req)
 	if !w.dead.Load() {
 		w.c.send(w.id, w.c.masterID(), cResponse, resp)
 	}
 }
+
+// contained is scan with a panic turned into the response's Err.
+func (w *worker) contained(req request) (resp response) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp = response{ID: req.ID, Shard: w.id, Err: fmt.Sprintf("scan panicked: %v", r)}
+		}
+	}()
+	if TestHookScan != nil {
+		TestHookScan(w.id)
+	}
+	return w.scan(req)
+}
+
+// TestHookScan, when non-nil, runs at the start of every request a
+// shard worker scans, with the shard's id. It is for tests, which plant
+// a panic with it; nothing else sets it.
+var TestHookScan func(shard int)
 
 func (w *worker) scan(req request) response {
 	resp := response{ID: req.ID, Shard: w.id}

@@ -61,3 +61,10 @@ func rowOct16AVX2(row, codes *uint64, c *octCodes, n int, gapV, best, sat uint64
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv0() uint32
+
+func beginRow(prev, cur, codes []uint64, r *LaneRow, lo, mid, qmax int) (int, uint32) {
+	return beginRow16AVX2(&prev[0], &cur[0], &codes[0], r, lo, mid, qmax)
+}
+
+//go:noescape
+func beginRow16AVX2(prev, cur, codes *uint64, r *LaneRow, lo, mid, qmax int) (end int, reach uint32)

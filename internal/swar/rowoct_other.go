@@ -13,3 +13,8 @@ func rowOct8(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, 
 func rowOct16(row, codes []uint64, c *octCodes, gapV, best, sat uint64) (uint64, uint64) {
 	return rowOct16Go(row, codes, c, gapV, best, sat)
 }
+
+// beginRow is never reached: BeginRow refuses a host without AVX2.
+func beginRow(prev, cur, codes []uint64, r *LaneRow, lo, mid, qmax int) (int, uint32) {
+	panic("swar: BeginRow needs AVX2")
+}
