@@ -95,10 +95,9 @@ func BenchmarkKernelExactScan(b *testing.B) {
 	reportCells(b, int64(s.Len())*int64(t.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// ForceScalar keeps this benchmark the scalar denominator the
-		// striped kernels are measured against (and the oracle they are
-		// tested against); KernelStripedScan times the fast path.
-		if _, err := align.Scan(s, t, bio.DefaultScoring(), align.ScanOptions{ForceScalar: true}); err != nil {
+		// align.Scan is scalar: the denominator the packed kernels are
+		// measured against (and the oracle they are tested against).
+		if _, err := align.Scan(s, t, bio.DefaultScoring(), align.ScanOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,8 +258,8 @@ func benchRandomPair(n int) (bio.Sequence, bio.Sequence) {
 
 // BenchmarkKernelStripedScan times the striped intra-sequence int8
 // kernel on a single pair — the Farrar-layout counterpart of the
-// inter-sequence SWARScan, and the fast path behind align.Scan. The
-// acceptance bar is ≥ 2× the scalar KernelExactScan cells/s.
+// inter-sequence SWARScan; only the band kernel uses the layout in
+// production. The acceptance bar is ≥ 2× the scalar KernelExactScan cells/s.
 func BenchmarkKernelStripedScan(b *testing.B) {
 	s, t := benchRandomPair(1000)
 	var al swar.Aligner
@@ -677,7 +676,8 @@ func BenchmarkBeginLanesVsScalar(b *testing.B) {
 // it on: homolog hits, where the reverse sweep's useful area is large,
 // and short hits of a 20 kb query, where it is small. The plain rows
 // realign hand-built hits, which know no end cell and scan whole
-// matrices forward first; the /scanned rows take their hits from a
+// matrices forward first, one target down the lane ladder
+// (swar.(*Aligner).ScanPair); the /scanned rows take their hits from a
 // NoEndpoints scan, end cells included, so only the reverse sweep is
 // left — what serve pays. cells/s counts the forward matrices, Σ|q|·|t|,
 // in every row, so a scanned row's rate is the whole-matrix equivalent.

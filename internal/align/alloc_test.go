@@ -27,7 +27,7 @@ func allocPair() (s, t bio.Sequence, sc bio.Scoring) {
 
 func TestRetrieverSteadyStateAllocs(t *testing.T) {
 	s, tt, sc := allocPair()
-	res, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true})
+	res, err := Scan(s, tt, sc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRetrieverSteadyStateAllocs(t *testing.T) {
 // the profile, both reused, so a warm call allocates nothing at all.
 func TestRetrieverBeginAllocs(t *testing.T) {
 	s, tt, sc := allocPair()
-	res, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true})
+	res, err := Scan(s, tt, sc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

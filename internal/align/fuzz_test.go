@@ -88,7 +88,7 @@ func FuzzBeginVsRetrieve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rawS, rawT []byte, scheme, minScore uint8) {
 		s, tt := fuzzSeq(rawS, 128), fuzzSeq(rawT, 128)
 		sc := schemes[int(scheme)%len(schemes)]
-		r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true, EndpointMinScore: 1 + int(minScore%8)})
+		r, err := Scan(s, tt, sc, ScanOptions{EndpointMinScore: 1 + int(minScore%8)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func FuzzBeginReachVsAnchored(f *testing.F) {
 			tt = append(append(tt[:len(tt)/2:len(tt)/2], s...), tt[len(tt)/2:]...)
 		}
 		sc := schemes[int(scheme)%len(schemes)]
-		r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true, EndpointMinScore: 1 + int(minScore%8)})
+		r, err := Scan(s, tt, sc, ScanOptions{EndpointMinScore: 1 + int(minScore%8)})
 		if err != nil {
 			t.Fatal(err)
 		}

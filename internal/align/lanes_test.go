@@ -17,7 +17,7 @@ func laneItems(t testing.TB, pairs [][2]bio.Sequence, sc bio.Scoring, minScore i
 	t.Helper()
 	var items []BeginItem
 	for _, pr := range pairs {
-		r, err := Scan(pr[0], pr[1], sc, ScanOptions{ForceScalar: true, EndpointMinScore: minScore})
+		r, err := Scan(pr[0], pr[1], sc, ScanOptions{EndpointMinScore: minScore})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"genomedsm/internal/bio"
+	"genomedsm/internal/swar"
 )
 
 // RetrieveStats instruments the Section 6 retrieval so the Eq. (3) claim
@@ -580,18 +581,21 @@ func reverseRetrieveDense(s, t bio.Sequence, sc bio.Scoring, endI, endJ, k int, 
 }
 
 // BestLocalLinear runs the complete Section 6 pipeline: a linear-space
-// scan finds the best score and its end coordinates, and ReverseRetrieve
-// rebuilds the alignment in O(min(n,m) + n'²) space. This is the exact
-// replacement for the full-matrix BestLocal on long sequences.
+// scan on the lane ladder (swar.(*Aligner).ScanPair, Scan's score and
+// end cell) finds the best score and its end coordinates, and
+// ReverseRetrieve rebuilds the alignment in O(min(n,m) + n'²) space.
+// This is the exact replacement for the full-matrix BestLocal on long
+// sequences.
 func BestLocalLinear(s, t bio.Sequence, sc bio.Scoring) (*Alignment, RetrieveStats, error) {
-	r, err := Scan(s, t, sc, ScanOptions{})
+	var al swar.Aligner
+	p, err := al.ScanPair(s, t, sc)
 	if err != nil {
 		return nil, RetrieveStats{}, err
 	}
-	if r.BestScore <= 0 {
+	if p.Score <= 0 {
 		return nil, RetrieveStats{}, fmt.Errorf("align: no positive-score local alignment exists")
 	}
-	return ReverseRetrieve(s, t, sc, r.BestI, r.BestJ, r.BestScore)
+	return ReverseRetrieve(s, t, sc, p.I, p.J, p.Score)
 }
 
 // RetrieveAll retrieves one alignment per endpoint (as produced by Scan

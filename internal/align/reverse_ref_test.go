@@ -166,7 +166,7 @@ func TestReverseRetrieveMatchesAnchoredReference(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 12; seed++ {
 			s, tt := refPair(shape, seed)
-			r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true, EndpointMinScore: 4})
+			r, err := Scan(s, tt, sc, ScanOptions{EndpointMinScore: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

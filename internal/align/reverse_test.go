@@ -119,7 +119,7 @@ func TestBeginFloorOnWholeQueryHomolog(t *testing.T) {
 	g := bio.NewGenerator(61)
 	s := g.Random(500)
 	tt := concat(g.Random(80), g.MutatedCopy(s, bio.DefaultMutationModel()), g.Random(80))
-	r, err := Scan(s, tt, sc, ScanOptions{ForceScalar: true})
+	r, err := Scan(s, tt, sc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"genomedsm/internal/bio"
-	"genomedsm/internal/dispatch"
 )
 
 // Endpoint is a candidate local-alignment end position found by a linear
@@ -24,18 +23,11 @@ type ScanOptions struct {
 	// threshold — the "scoreboard of points of interest" kept by the
 	// paper's pre-process strategy (§5).
 	HitThreshold int
-	// ForceScalar disables the striped SWAR fast path and runs the
-	// scalar int32 kernel unconditionally. The scalar path is the
-	// differential oracle the striped kernels are tested against, and
-	// benchmarks use it to keep the KernelExactScan denominator stable.
+	// ForceScalar is ignored: Scan always runs the scalar kernel.
+	//
+	// Deprecated: only the bench module's layer pass still sets it; the
+	// fast pairwise scan is swar.(*Aligner).ScanPair.
 	ForceScalar bool
-	// ExpectScore, when positive, is a known lower bound on the final
-	// best score (re-alignment of a database hit knows the score it is
-	// looking for). A bound above a packed rung's clean cap proves that
-	// rung will saturate, so the fast path starts the fallback ladder
-	// past it instead of paying a doomed scan. The result is unchanged —
-	// the ladder is exact from any starting rung.
-	ExpectScore int
 }
 
 // ScanResult is the outcome of a linear-space Smith–Waterman scan.
@@ -85,7 +77,11 @@ func swRow(prev, cur, sub []int32, gap int32) (best int32, bestJ int) {
 // live in the heuristics package). It is the first step of Section 6's
 // Algorithm 1: detect where alignments of interest end, in O(min-row)
 // space. The inner loop reads precomputed profile rows (bio.Profile), so
-// the per-cell cost is pure int32 arithmetic.
+// the per-cell cost is pure int32 arithmetic. Scan is always scalar: it
+// is the oracle the packed kernels are tested against, and the only scan
+// that collects endpoints or counts hits. A plain best-score scan that
+// needs speed runs swar.(*Aligner).ScanPair, which returns the same
+// score and end cell.
 func Scan(s, t bio.Sequence, sc bio.Scoring, opt ScanOptions) (*ScanResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -94,21 +90,6 @@ func Scan(s, t bio.Sequence, sc bio.Scoring, opt ScanOptions) (*ScanResult, erro
 	res := &ScanResult{}
 	if m == 0 || n == 0 {
 		return res, nil
-	}
-	// Plain best-score scans take the striped SWAR fast path; the
-	// optional per-cell features (endpoint collection, hit counting)
-	// need the full score rows and keep the scalar kernel, which also
-	// remains the differential oracle for the striped one. The rung the
-	// ladder starts at — and whether the packed path is worth entering
-	// at all for this matrix shape — is the process router's call.
-	if !opt.ForceScalar && opt.EndpointMinScore <= 0 && opt.HitThreshold <= 0 {
-		if route := dispatch.Active().Pair(m, n, opt.ExpectScore); route != dispatch.PairScalar {
-			if p, ok := stripedScan(s, t, sc, route); ok {
-				res.BestScore, res.BestI, res.BestJ = p.Score, p.I, p.J
-				res.Cells = int64(m) * int64(n)
-				return res, nil
-			}
-		}
 	}
 	prof := bio.NewProfile(t, sc)
 	gap := int32(sc.Gap)

@@ -1,20 +1,18 @@
-// Package dispatch routes every exact-alignment workload in the repo to
-// an exact kernel by a fixed rule. The repo has four exact kernel
-// families — the scalar int32 row kernel, the inter-sequence SWAR lanes
-// (8× int8 / 4× int16 per word), the striped intra-sequence Farrar
-// kernels, and the band kernel of the pre-process strategy — and the
-// rule is a pure function of its inputs, computed before the scan
-// starts, as the source paper computes each processor's share:
+// Package dispatch routes the two routed exact-alignment workloads of
+// the repo to an exact kernel by a fixed rule: the lane groups of a
+// database scan, and the bands of the pre-process strategy. The rule is
+// a pure function of its inputs, computed before the scan starts, as
+// the source paper computes each processor's share:
 //
 //   - every lane group of a database scan starts on the inter-sequence
 //     int8 ladder (ModeScalar aside); the §5.6 ladder retries flagged
 //     lanes at int16 and then scalar, so saturation costs one cheap
 //     narrow pass, never a prediction (router.go);
-//   - a pairwise scan starts past any rung its known score proves will
-//     saturate, and a pair under a constant cell cutoff, whose striped
-//     profile build would dominate, runs the scalar kernel; a
-//     pre-process band narrower than a word runs the scalar column loop.
+//   - a pre-process band narrower than a word runs the scalar column
+//     loop, a wider one the striped band kernel.
 //
+// A pairwise scan takes no route: swar.(*Aligner).ScanPair runs one
+// target down the same lane ladder, and align.Scan is the scalar oracle.
 // No rule reads a kernel table or a measurement of this host.
 //
 // Routing never changes results: every route ends in the same
@@ -87,34 +85,8 @@ func (r GroupRoute) String() string {
 	return "scalar"
 }
 
-// PairRoute is the router's verdict for one pairwise scan: the rung of
-// the striped ladder to start at. Whatever the start, the ladder still
-// falls back rung by rung on saturation, so the scan stays exact.
-type PairRoute int
-
-const (
-	// PairStriped8 starts at the 8-lane striped int8 kernel.
-	PairStriped8 PairRoute = iota
-	// PairStriped16 starts at the 4-lane striped int16 kernel.
-	PairStriped16
-	// PairScalar runs the scalar kernel directly.
-	PairScalar
-)
-
-// String returns a short label for logging and tests.
-func (r PairRoute) String() string {
-	switch r {
-	case PairStriped8:
-		return "striped8"
-	case PairStriped16:
-		return "striped16"
-	}
-	return "scalar"
-}
-
 // active is the process-wide router consulted by call sites that have
-// no per-scan router of their own (align.Scan's fast path, the
-// pre-process band loop). It defaults to ModeAuto until something (the
+// no per-scan router of their own (the pre-process band loop). It defaults to ModeAuto until something (the
 // CLI -dispatch flag, a test) installs another.
 var active atomic.Pointer[Router]
 

@@ -1,10 +1,6 @@
 package dispatch
 
-import (
-	"testing"
-
-	"genomedsm/internal/bio"
-)
+import "testing"
 
 func TestParseMode(t *testing.T) {
 	cases := []struct {
@@ -53,36 +49,15 @@ func TestRouterFixedAndScalarModes(t *testing.T) {
 	if r := scalar.Group(100, []int{50, 60}); r != GroupScalar {
 		t.Fatalf("scalar group → %v, want scalar", r)
 	}
-	if r := fixed.Pair(100, 100, 0); r != PairStriped8 {
-		t.Fatalf("fixed pair → %v, want striped8", r)
-	}
-	if r := scalar.Pair(100, 100, 0); r != PairScalar {
-		t.Fatalf("scalar pair → %v, want scalar", r)
-	}
 	if !fixed.Band(64) || scalar.Band(100) {
 		t.Fatal("band gating: auto must allow, scalar must refuse")
 	}
 }
 
-// TestPairExpectScoreProof pins the proof-based rung skip: a known
-// score above a rung's clean cap must skip that rung (scalar mode starts
-// past every packed rung anyway).
-func TestPairExpectScoreProof(t *testing.T) {
-	r := New(ModeAuto, nil)
-	if got := r.Pair(5000, 5000, bio.PackedCap8+1); got != PairStriped16 {
-		t.Fatalf("expect>cap8 → %v, want striped16", got)
-	}
-	if got := r.Pair(90000, 90000, bio.PackedCap16+1); got != PairScalar {
-		t.Fatalf("expect>cap16 → %v, want scalar", got)
-	}
-}
-
 // TestRoutingIsAFunctionOfInputs pins the rule: every lane group of
 // every shape starts on the int8 ladder in auto mode and on the scalar
-// kernel in scalar mode, whatever history of calls the router has seen;
-// Pair starts at the widest rung the known score leaves open once the
-// matrix reaches the constant cell cutoff, and Band takes the packed
-// kernel from a word of rows on.
+// kernel in scalar mode, whatever history of calls the router has seen,
+// and Band takes the packed kernel from a word of rows on.
 func TestRoutingIsAFunctionOfInputs(t *testing.T) {
 	shapes := []struct {
 		q    int
@@ -111,37 +86,6 @@ func TestRoutingIsAFunctionOfInputs(t *testing.T) {
 		if got := r.GroupCounts(); len(got) != 1 || got[want.String()] != int64(3*len(shapes)) {
 			t.Fatalf("mode %v: route counts %v, want all %d on %v", mode, got, 3*len(shapes), want)
 		}
-	}
-
-	pairs := []struct {
-		m, n, expect int
-		auto         PairRoute
-	}{
-		{4, 4, 0, PairScalar},     // tiny: the profile build dominates
-		{5, 257, 0, PairScalar},   // 1285 cells, just under the cutoff
-		{2, 643, 0, PairStriped8}, // 1286 cells, the cutoff
-		{512, 2, 0, PairScalar},   // m = 512, the widest query on which the
-		{512, 3, 0, PairStriped8}, // retired table's verdict is the cutoff
-		{513, 2, 0, PairScalar},   // past it, the same cutoff holds
-		{513, 3, 0, PairStriped8},
-		{2000, 2000, 0, PairStriped8},
-		{2000, 2000, 127, PairStriped8}, // a score int8 lanes still hold
-		{2000, 2000, 128, PairStriped16},
-		{2000, 2000, 32767, PairStriped16},
-		{2000, 2000, 32768, PairScalar},
-		{5, 257, 128, PairScalar}, // the cutoff binds at every start rung
-	}
-	for _, mode := range []Mode{ModeAuto, ModeScalar} {
-		r := New(mode, nil)
-		for _, p := range pairs {
-			want := p.auto
-			if mode == ModeScalar {
-				want = PairScalar
-			}
-			if got := r.Pair(p.m, p.n, p.expect); got != want {
-				t.Errorf("mode %v: Pair(%d, %d, %d) = %v, want %v", mode, p.m, p.n, p.expect, got, want)
-			}
-		}
 		for rows, want := range map[int]bool{4: false, 7: false, 8: true, 64: true} {
 			want = want && mode == ModeAuto
 			if got := r.Band(rows); got != want {
@@ -155,12 +99,8 @@ func TestRoutingIsAFunctionOfInputs(t *testing.T) {
 func TestForceHooks(t *testing.T) {
 	r := New(ModeAuto, nil)
 	r.ForceGroup = func(qLen int, lens []int) (GroupRoute, bool) { return GroupScalar, true }
-	r.ForcePair = func(m, n int) (PairRoute, bool) { return PairStriped16, true }
 	if got := r.Group(1000, []int{1000, 1000}); got != GroupScalar {
 		t.Fatalf("ForceGroup ignored: %v", got)
-	}
-	if got := r.Pair(1000, 1000, 0); got != PairStriped16 {
-		t.Fatalf("ForcePair ignored: %v", got)
 	}
 }
 

@@ -19,18 +19,16 @@ type Router struct {
 	// endpoint. Counts observe scheduling, never influence routing.
 	counts *routeCounts
 
-	// ForceGroup and ForcePair are test hooks: when non-nil they
-	// override the rule entirely, letting the differential and fuzz
-	// suites steer the scan down every ladder start rung to prove
-	// results are routing-independent. Never set outside tests.
+	// ForceGroup is a test hook: when non-nil it overrides the rule
+	// entirely, letting the differential and fuzz suites steer the scan
+	// down every ladder start rung to prove results are
+	// routing-independent. Never set outside tests.
 	ForceGroup func(qLen int, lens []int) (GroupRoute, bool)
-	ForcePair  func(m, n int) (PairRoute, bool)
 }
 
 // routeCounts holds per-route decision tallies, indexed by route value.
 type routeCounts struct {
 	group [GroupScalar + 1]atomic.Int64
-	pair  [PairScalar + 1]atomic.Int64
 }
 
 // GroupCounts returns the lane-group routing decisions taken so far,
@@ -46,18 +44,12 @@ func (r *Router) GroupCounts() map[string]int64 {
 	return out
 }
 
-// PairCounts returns the pairwise routing decisions taken so far, keyed
-// by route label ("striped8", "striped16", "scalar"). Routes never
-// taken are omitted.
-func (r *Router) PairCounts() map[string]int64 {
-	out := make(map[string]int64)
-	for route := PairStriped8; route <= PairScalar; route++ {
-		if n := r.counts.pair[route].Load(); n > 0 {
-			out[route.String()] = n
-		}
-	}
-	return out
-}
+// PairCounts returns an empty map: no pairwise scan is routed.
+//
+// Deprecated: only the bench module's layer pass still reads it, for
+// its dispatch.pair_share rows; the pairwise scan is
+// swar.(*Aligner).ScanPair, which takes no route.
+func (r *Router) PairCounts() map[string]int64 { return map[string]int64{} }
 
 // New builds a router in the given mode. The second argument is
 // ignored: routing reads no kernel table.
@@ -88,41 +80,6 @@ func (r *Router) group(qLen int, lens []int) GroupRoute {
 		return GroupScalar
 	}
 	return GroupInter8
-}
-
-// stripedMinCells is the matrix size, in cells, from which a pairwise
-// scan enters the striped ladder; a smaller pair runs the scalar kernel,
-// whose whole cost there is below the striped profile build. It is the
-// crossover of the retired kernel table (scalar 360 Mcells/s + 2.5 µs a
-// call, striped8 1200 Mcells/s + 5 µs), fixed as one constant.
-const stripedMinCells = 1286
-
-// Pair picks the opening rung of a striped pairwise scan of an m-row
-// query against an n-base target. expectScore, when positive, is a
-// known lower bound on the final score (the search layer re-aligns hits
-// whose score it already knows): a bound above a rung's clean cap
-// proves that rung will saturate, so the ladder starts past it in every
-// mode — that is a proof, not a tuned threshold. A pair of fewer than
-// stripedMinCells cells runs the scalar kernel.
-func (r *Router) Pair(m, n, expectScore int) PairRoute {
-	route := r.pair(m, n, expectScore)
-	r.counts.pair[route].Add(1)
-	return route
-}
-
-func (r *Router) pair(m, n, expectScore int) PairRoute {
-	if r.ForcePair != nil {
-		if route, ok := r.ForcePair(m, n); ok {
-			return route
-		}
-	}
-	switch {
-	case r.mode == ModeScalar, expectScore > bio.PackedCap16, m*n < stripedMinCells:
-		return PairScalar
-	case expectScore > bio.PackedCap8:
-		return PairStriped16
-	}
-	return PairStriped8
 }
 
 // Band reports whether a pre-process band of the given height should

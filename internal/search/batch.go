@@ -354,17 +354,6 @@ feed:
 		from[qi] = ends
 		out[qi] = BatchResult{Result: res}
 	}
-	if router == nil && !opt.NoEndpoints {
-		// The reference scorer is the oracle the located re-alignment is
-		// tested against, so its own coordinates must not lean on the end
-		// cells of its scan: without them every hit scans its whole matrix.
-		from = nil
-		for _, br := range out {
-			for i := range br.Result.Hits {
-				br.Result.Hits[i].endI, br.Result.Hits[i].endJ = 0, 0
-			}
-		}
-	}
 	// One pool call over the whole batch: every (query, hit) pair is an
 	// independent item, so a 4-query batch keeps all workers busy where a
 	// per-query loop would leave them idle between queries.

@@ -8,14 +8,12 @@ import (
 	"genomedsm/internal/dispatch"
 )
 
-// forceRouter builds a router whose test hooks pin every lane group to
-// groupRoute and every pairwise realign to pairRoute, regardless of
-// workload — the adversarial mis-route the dispatch layer must survive
-// bit-exactly.
-func forceRouter(groupRoute dispatch.GroupRoute, pairRoute dispatch.PairRoute) *dispatch.Router {
+// forceRouter builds a router whose test hook pins every lane group to
+// groupRoute, regardless of workload — the adversarial mis-route the
+// dispatch layer must survive bit-exactly.
+func forceRouter(groupRoute dispatch.GroupRoute) *dispatch.Router {
 	r := dispatch.New(dispatch.ModeAuto, nil)
 	r.ForceGroup = func(qLen int, lens []int) (dispatch.GroupRoute, bool) { return groupRoute, true }
-	r.ForcePair = func(m, n int) (dispatch.PairRoute, bool) { return pairRoute, true }
 	return r
 }
 
@@ -40,14 +38,9 @@ var kernelAxis = []struct {
 	{"reference", Options{Lanes: 1}},
 }
 
-// runForced runs one scan with its lane groups (Options.Router) and its
-// realign align.Scan calls (the process-wide active router) down r's
-// forced routes, restoring the active router afterwards. Tests in this
-// package do not run in parallel, so mutating that global is safe.
+// runForced runs one scan with its lane groups down r's forced routes.
 func runForced(q bio.Sequence, db []bio.Record, opt Options, r *dispatch.Router) (*Result, error) {
 	opt.Router = r
-	dispatch.SetActive(r)
-	defer dispatch.SetActive(nil)
 	return Run(q, db, opt)
 }
 
@@ -55,12 +48,8 @@ var allGroupRoutes = []dispatch.GroupRoute{
 	dispatch.GroupInter8, dispatch.GroupInter16, dispatch.GroupScalar,
 }
 
-var allPairRoutes = []dispatch.PairRoute{
-	dispatch.PairStriped8, dispatch.PairStriped16, dispatch.PairScalar,
-}
-
 // TestDispatchForcedRoutesBitExact is the deterministic mis-route
-// differential: every GroupRoute × PairRoute combination — including
+// differential: every GroupRoute — including
 // provably wrong ones like forcing an int8 word-pass on an int16-only
 // scoring — must return the scalar reference's hits bit-for-bit
 // (records, scores, coordinates, tie-break order).
@@ -80,27 +69,25 @@ func TestDispatchForcedRoutesBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, gr := range allGroupRoutes {
-			for _, pr := range allPairRoutes {
-				name := fmt.Sprintf("scoring%d/%v/%v", si, gr, pr)
-				got, err := runForced(q, db, Options{Scoring: sc, TopK: 8}, forceRouter(gr, pr))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			name := fmt.Sprintf("scoring%d/%v", si, gr)
+			got, err := runForced(q, db, Options{Scoring: sc, TopK: 8}, forceRouter(gr))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got.Hits) != len(want.Hits) {
+				t.Fatalf("%s: %d hits, want %d\ngot:  %+v\nwant: %+v",
+					name, len(got.Hits), len(want.Hits), got.Hits, want.Hits)
+			}
+			for i := range want.Hits {
+				if got.Hits[i] != want.Hits[i] {
+					t.Fatalf("%s: hit %d = %+v, want %+v", name, i, got.Hits[i], want.Hits[i])
 				}
-				if len(got.Hits) != len(want.Hits) {
-					t.Fatalf("%s: %d hits, want %d\ngot:  %+v\nwant: %+v",
-						name, len(got.Hits), len(want.Hits), got.Hits, want.Hits)
-				}
-				for i := range want.Hits {
-					if got.Hits[i] != want.Hits[i] {
-						t.Fatalf("%s: hit %d = %+v, want %+v", name, i, got.Hits[i], want.Hits[i])
-					}
-				}
-				if got.Cells != want.Cells {
-					t.Fatalf("%s: cells %d, want %d", name, got.Cells, want.Cells)
-				}
-				if got.PaddedCells < got.Cells {
-					t.Fatalf("%s: padded %d < cells %d", name, got.PaddedCells, got.Cells)
-				}
+			}
+			if got.Cells != want.Cells {
+				t.Fatalf("%s: cells %d, want %d", name, got.Cells, want.Cells)
+			}
+			if got.PaddedCells < got.Cells {
+				t.Fatalf("%s: padded %d < cells %d", name, got.PaddedCells, got.Cells)
 			}
 		}
 	}
@@ -203,7 +190,7 @@ func TestDispatchPrunedForcedRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gr := range allGroupRoutes {
-		got, err := runForced(q, db, Options{Scoring: sc, TopK: 5, Prune: true, NoEndpoints: true}, forceRouter(gr, dispatch.PairScalar))
+		got, err := runForced(q, db, Options{Scoring: sc, TopK: 5, Prune: true, NoEndpoints: true}, forceRouter(gr))
 		if err != nil {
 			t.Fatalf("%v: %v", gr, err)
 		}
@@ -287,19 +274,18 @@ func FuzzDispatchVsScalar(f *testing.F) {
 		}
 
 		gr := allGroupRoutes[int(routeByte)%len(allGroupRoutes)]
-		pr := allPairRoutes[int(routeByte/4)%len(allPairRoutes)]
-		got, err := runForced(q, db, opt, forceRouter(gr, pr))
+		got, err := runForced(q, db, opt, forceRouter(gr))
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		if len(got.Hits) != len(want.Hits) {
-			t.Fatalf("route %v/%v: %d hits, scalar %d\nrouted: %+v\nscalar: %+v",
-				gr, pr, len(got.Hits), len(want.Hits), got.Hits, want.Hits)
+			t.Fatalf("route %v: %d hits, scalar %d\nrouted: %+v\nscalar: %+v",
+				gr, len(got.Hits), len(want.Hits), got.Hits, want.Hits)
 		}
 		for i := range want.Hits {
 			if got.Hits[i] != want.Hits[i] {
-				t.Fatalf("route %v/%v hit %d: routed %+v, scalar %+v", gr, pr, i, got.Hits[i], want.Hits[i])
+				t.Fatalf("route %v hit %d: routed %+v, scalar %+v", gr, i, got.Hits[i], want.Hits[i])
 			}
 		}
 		// A scan computes every true cell it does not report as saved by
@@ -309,7 +295,7 @@ func FuzzDispatchVsScalar(f *testing.F) {
 			computed -= got.Prune.CellsSaved
 		}
 		if got.PaddedCells < computed {
-			t.Fatalf("route %v/%v: padded %d < cells %d", gr, pr, got.PaddedCells, computed)
+			t.Fatalf("route %v: padded %d < cells %d", gr, got.PaddedCells, computed)
 		}
 	})
 }

@@ -86,13 +86,13 @@ func locateCase(seed int64, qLen int) (bio.Sequence, []bio.Record) {
 }
 
 // requireFullMatrixCoords checks every hit against the oracle the
-// located re-alignment must reproduce: a forced-scalar align.Scan of the whole matrix for
-// the end cell, ReverseRetrieve from it for the start.
+// located re-alignment must reproduce: the scalar align.Scan of the
+// whole matrix for the end cell, ReverseRetrieve from it for the start.
 func requireFullMatrixCoords(t *testing.T, label string, q bio.Sequence, recs []bio.Record, sc bio.Scoring, hits []Hit) {
 	t.Helper()
 	for _, h := range hits {
 		tgt := recs[h.Index].Seq
-		r, err := align.Scan(q, tgt, sc, align.ScanOptions{ForceScalar: true})
+		r, err := align.Scan(q, tgt, sc, align.ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +125,10 @@ func realignCells(qLen int, recs []bio.Record, hits []Hit) (located, whole int64
 // lengths on both sides of a block edge and far past any target, every
 // scoring of locateScorings, one worker and several, pruned and not, the
 // routed scan's coordinates are the whole matrix's, the reference scan
-// agrees while still paying for whole matrices, and the routed one
-// replays at most one block per hit.
+// agrees from the end cells its scalar scan found (one block per hit,
+// as the routed scan replays), and hand-built hits — the routed hits
+// with their spans cleared — realign to the same coordinates over the
+// whole matrices, on ScanPair.
 func TestLocatedRealignMatchesFullMatrix(t *testing.T) {
 	for _, qLen := range []int{64, 65, 4000, 20000} {
 		q, recs := locateCase(int64(qLen), qLen)
@@ -142,8 +144,8 @@ func TestLocatedRealignMatchesFullMatrix(t *testing.T) {
 			label := fmt.Sprintf("|q|=%d scoring %+v", qLen, sc)
 			requireFullMatrixCoords(t, label+" reference", q, recs, sc, ref.Hits)
 			located, whole := realignCells(qLen, recs, ref.Hits)
-			if ref.RealignCells != whole {
-				t.Errorf("%s: the reference realigned %d cells, want the whole matrices' %d", label, ref.RealignCells, whole)
+			if ref.RealignCells != located {
+				t.Errorf("%s: the reference realigned %d cells, the end blocks hold %d", label, ref.RealignCells, located)
 			}
 			for _, opt := range []Options{{Workers: 1}, {Workers: 4, Prune: true}} {
 				opt.Scoring, opt.TopK = sc, len(recs)
@@ -151,9 +153,22 @@ func TestLocatedRealignMatchesFullMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %+v: %v", label, opt, err)
 				}
-				requireSameHits(t, fmt.Sprintf("%s workers %d prune %v", label, opt.Workers, opt.Prune), got.Hits, ref.Hits)
+				name := fmt.Sprintf("%s workers %d prune %v", label, opt.Workers, opt.Prune)
+				requireSameHits(t, name, got.Hits, ref.Hits)
 				if got.RealignCells != located {
-					t.Errorf("%s: realigned %d cells, the end blocks hold %d", label, got.RealignCells, located)
+					t.Errorf("%s: realigned %d cells, the end blocks hold %d", name, got.RealignCells, located)
+				}
+				built := make([]Hit, len(got.Hits))
+				for i, h := range got.Hits {
+					built[i] = Hit{Index: h.Index, ID: h.ID, Score: h.Score}
+				}
+				out := []BatchResult{{Result: &Result{Hits: built}}}
+				if err := RealignBatch(context.Background(), []BatchQuery{{Seq: q}}, out, recs, sc, opt.Workers); err != nil {
+					t.Fatalf("%s hand-built: %v", name, err)
+				}
+				requireSameHits(t, name+" hand-built", built, ref.Hits)
+				if out[0].Result.RealignCells != whole {
+					t.Errorf("%s: hand-built hits realigned %d cells, want the whole matrices' %d", name, out[0].Result.RealignCells, whole)
 				}
 			}
 			// The same hits whichever rung every group is forced down: the
@@ -164,7 +179,7 @@ func TestLocatedRealignMatchesFullMatrix(t *testing.T) {
 				if qLen == 20000 {
 					break
 				}
-				got, err := runForced(q, recs, Options{Scoring: sc, TopK: len(recs)}, forceRouter(gr, dispatch.PairScalar))
+				got, err := runForced(q, recs, Options{Scoring: sc, TopK: len(recs)}, forceRouter(gr))
 				if err != nil {
 					t.Fatalf("%s %v: %v", label, gr, err)
 				}
@@ -181,7 +196,7 @@ func TestLocatedRealignMatchesFullMatrix(t *testing.T) {
 }
 
 // TestEndCellCanonical: the end cell a NoEndpoints scan leaves on a hit
-// is (BestI, BestJ) of the forced-scalar whole-matrix scan, whichever
+// is (BestI, BestJ) of the scalar whole-matrix scan, whichever
 // rung scored the record — every forced lane-group route, on the inputs
 // and scorings of TestDispatchForcedRoutesBitExact and on a longer
 // query whose maxima tie across blocks — on 1 and 4 workers, pruned or
@@ -214,7 +229,7 @@ func TestEndCellCanonical(t *testing.T) {
 					{withLay, Options{Workers: 1, Prune: true}},
 				} {
 					opt := variant.opt
-					opt.Scoring, opt.TopK, opt.NoEndpoints, opt.Router = sc, 8, true, forceRouter(gr, dispatch.PairScalar)
+					opt.Scoring, opt.TopK, opt.NoEndpoints, opt.Router = sc, 8, true, forceRouter(gr)
 					got, err := RunCtx(context.Background(), in.q, variant.db, opt)
 					if err != nil {
 						t.Fatal(err)
@@ -224,7 +239,7 @@ func TestEndCellCanonical(t *testing.T) {
 					}
 					for _, h := range got.Hits {
 						if _, ok := want[h.Index]; !ok {
-							sr, err := align.Scan(in.q, in.recs[h.Index].Seq, sc, align.ScanOptions{ForceScalar: true})
+							sr, err := align.Scan(in.q, in.recs[h.Index].Seq, sc, align.ScanOptions{})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -242,9 +257,8 @@ func TestEndCellCanonical(t *testing.T) {
 }
 
 // TestRealignHandBuiltHits: a Hit that never saw a scan carries no end
-// cell and still realigns, over the whole matrix — down every pairwise
-// route align.Scan can be forced onto — to the coordinates of the
-// scanned one.
+// cell and still realigns, over the whole matrix on ScanPair, to the
+// coordinates of the scanned one.
 func TestRealignHandBuiltHits(t *testing.T) {
 	q, recs := locateCase(11, 6000)
 	sc := bio.DefaultScoring()
@@ -256,21 +270,17 @@ func TestRealignHandBuiltHits(t *testing.T) {
 	if scanned.RealignCells != located || located >= whole {
 		t.Errorf("scanned hits realigned %d cells: their end blocks hold %d, whole matrices are %d", scanned.RealignCells, located, whole)
 	}
-	defer dispatch.SetActive(nil)
-	for _, pr := range allPairRoutes {
-		dispatch.SetActive(forceRouter(dispatch.GroupInter8, pr))
-		built := make([]Hit, len(scanned.Hits))
-		for i, h := range scanned.Hits {
-			built[i] = Hit{Index: h.Index, ID: h.ID, Score: h.Score}
-		}
-		out := []BatchResult{{Result: &Result{Hits: built}}}
-		if err := RealignBatch(context.Background(), []BatchQuery{{Seq: q}}, out, recs, sc, 2); err != nil {
-			t.Fatal(err)
-		}
-		requireSameHits(t, fmt.Sprintf("hand-built, pairs on %v", pr), built, scanned.Hits)
-		if out[0].Result.RealignCells != whole {
-			t.Errorf("hand-built hits realigned %d cells, want the whole matrices' %d", out[0].Result.RealignCells, whole)
-		}
+	built := make([]Hit, len(scanned.Hits))
+	for i, h := range scanned.Hits {
+		built[i] = Hit{Index: h.Index, ID: h.ID, Score: h.Score}
+	}
+	out := []BatchResult{{Result: &Result{Hits: built}}}
+	if err := RealignBatch(context.Background(), []BatchQuery{{Seq: q}}, out, recs, sc, 2); err != nil {
+		t.Fatal(err)
+	}
+	requireSameHits(t, "hand-built", built, scanned.Hits)
+	if out[0].Result.RealignCells != whole {
+		t.Errorf("hand-built hits realigned %d cells, want the whole matrices' %d", out[0].Result.RealignCells, whole)
 	}
 }
 
@@ -349,7 +359,7 @@ func TestLocateCatchesWrongScore(t *testing.T) {
 	// rungs and every entry in one heap.
 	scan := func() []scored {
 		t.Helper()
-		st := &qstate{q: q, ctx: context.Background(), k: len(recs), scan: forceRouter(dispatch.GroupInter8, dispatch.PairScalar)}
+		st := &qstate{q: q, ctx: context.Background(), k: len(recs), scan: forceRouter(dispatch.GroupInter8)}
 		heap := &topK{k: st.k}
 		var al swar.Aligner
 		var ps PruneStats

@@ -33,12 +33,11 @@ func Realign(q bio.Sequence, db []bio.Record, sc bio.Scoring, hits []Hit) error 
 //
 // A hit straight from a scan carries its end cell, which the scan
 // located with the score check built in (finishHits). A hit without one
-// — built by hand, or already realigned — gets it from an exact
-// align.Scan of the whole matrix (striped when the scheme fits, scalar
-// otherwise), which doubles as the safety net for such hits: a score
-// disagreeing with the rescan is reported, never papered over. Filling
-// a hit's span clears its end cell, so a realigned hit compares equal
-// whichever way it came.
+// — built by hand, or already realigned — gets it from an exact scan of
+// the whole matrix on the lane ladder (swar.(*Aligner).ScanPair), which
+// doubles as the safety net for such hits: a score disagreeing with the
+// rescan is reported, never papered over. Filling a hit's span clears
+// its end cell, so a realigned hit compares equal whichever way it came.
 //
 // The work runs in the two phases of finishHits on min(workers, work)
 // goroutines (workers ≤ 0 means runtime.NumCPU(); one worker runs on
@@ -71,7 +70,7 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 // The replay is also where such a score is checked, over the block it
 // was claimed for: a block that never reaches the score, or exceeds it
 // first, is a kernel bug and fails the batch. A hit with neither scans
-// its whole matrix (locate).
+// its whole matrix on ScanPair (locate).
 //
 // The second, when spans is set (not for a NoEndpoints scan), runs the
 // reverse sweep of RealignBatch from every end cell. The located hits,
@@ -138,12 +137,8 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	slices.SortStableFunc(items, byBox)
 
 	fanOut(len(items), workers, func(f *fan) {
-		// No Aligner without a hit to locate (the shard master has none).
-		var al *swar.Aligner
-		if from != nil {
-			al = aligners.Get().(*swar.Aligner)
-			defer func() { aligners.Put(al) }()
-		}
+		al := aligners.Get().(*swar.Aligner)
+		defer func() { aligners.Put(al) }()
 		for i, ok := f.claim(); ok; i, ok = f.claim() {
 			it := &items[i]
 			if ctxOf(it.qi).Err() != nil {
@@ -158,11 +153,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 					it.cells = cells
 				}
 				return err
-			}, func() {
-				if al != nil {
-					al = new(swar.Aligner)
-				}
-			})
+			}, func() { al = new(swar.Aligner) })
 		}
 	})
 
@@ -346,10 +337,9 @@ var (
 )
 
 // retrievers keeps the workers' align.Retrievers — their rolling rows,
-// profile and lane-pass rows — alive between calls, like align's own
-// pool of striped row buffers. Begin never touches a Retriever's arrow
-// arena, so a pooled one holds rows and a profile sized by the longest
-// record realigned.
+// profile and lane-pass rows — alive between calls. Begin never touches
+// a Retriever's arrow arena, so a pooled one holds rows and a profile
+// sized by the longest record realigned.
 var retrievers = sync.Pool{New: func() any { return new(align.Retriever) }}
 
 // aligners does the same for the swar.Aligners of the scan workers and
@@ -371,7 +361,7 @@ func locateHit(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, h *Hit, from
 
 // locate gives the item's hit its end cell: replayed from the end block and
 // border row a packed rung left, or, for a hit that came with neither,
-// found by an exact scan of the whole matrix. cells is the hit's share
+// found by ScanPair over the whole matrix. cells is the hit's share
 // of Result.RealignCells: the rows of its end block, or the whole
 // matrix.
 func locate(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, it *finishItem) (cells int64, err error) {
@@ -382,17 +372,15 @@ func locate(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, it *finishItem)
 			return 0, err
 		}
 	case h.endI == 0:
-		// The hit's score is already known: passing it as ExpectScore lets
-		// the scan skip packed rungs it proves will saturate.
-		r, err := align.Scan(q, t, sc, align.ScanOptions{ExpectScore: h.Score})
+		p, err := al.ScanPair(q, t, sc)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("search: rescanning %q: %w", h.ID, err)
 		}
-		if r.BestScore != h.Score {
+		if p.Score != h.Score {
 			return 0, fmt.Errorf("search: scan score %d for %q disagrees with the exact rescan of query rows 1..%d: %d",
-				h.Score, h.ID, len(q), r.BestScore)
+				h.Score, h.ID, len(q), p.Score)
 		}
-		h.endI, h.endJ = r.BestI, r.BestJ
+		h.endI, h.endJ = p.I, p.J
 		return int64(len(q)) * int64(len(t)), nil
 	}
 	return int64((h.endI-1)%swar.BlockRows+1) * int64(len(t)), nil

@@ -246,14 +246,13 @@ func Run(q bio.Sequence, db []bio.Record, opt Options) (*Result, error) {
 }
 
 // referenceScores is the scalar reference scorer behind Options.Lanes
-// == 1: every record of the group through the forced-scalar align.Scan
-// (striped fast path disabled), or through al's scalar kernel
-// (swar.Aligner.ScalarPair) under a pruning bound. It consults no
-// router and runs no packed rung, so the differential tests and the
-// benchmark's oracle compare the ladder — scores and end cells —
-// against an independent kernel. (RunBatch drops the end cells before
-// the reference's own re-alignment, which therefore still scans whole
-// matrices.)
+// == 1: every record of the group through the scalar align.Scan, or
+// through al's scalar kernel (swar.Aligner.ScalarPair) under a pruning
+// bound. It consults no router and runs no packed rung, so the
+// differential tests and the benchmark's oracle compare the ladder —
+// scores and end cells — against an independent kernel. The
+// reference's own re-alignment walks back from the end cells its
+// scalar scan found, so its coordinates pass through no packed kernel.
 func referenceScores(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *swar.Bound) (swar.GroupResult, error) {
 	var res swar.GroupResult
 	for i, t := range targets {
@@ -265,7 +264,7 @@ func referenceScores(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, s
 				res.Pruned |= 1 << uint(i)
 			}
 		} else {
-			r, err := align.Scan(q, t, sc, align.ScanOptions{ForceScalar: true})
+			r, err := align.Scan(q, t, sc, align.ScanOptions{})
 			if err != nil {
 				return res, err
 			}

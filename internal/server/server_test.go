@@ -517,8 +517,8 @@ func TestStatsz(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	// The server's router routes lane groups only; pairwise scans go
-	// through the process-wide one, so /statsz reports no pair routes.
+	// The server's router routes lane groups only; pairwise scans take
+	// no route, so /statsz reports no pair routes.
 	var keys struct{ Routes map[string]json.RawMessage }
 	if err := json.Unmarshal(raw, &keys); err != nil {
 		t.Fatal(err)

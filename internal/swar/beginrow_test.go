@@ -89,7 +89,7 @@ func FuzzBeginLanesVsBegin(f *testing.F) {
 		sc := laneSchemes[int(scheme)%len(laneSchemes)]
 		var items []align.BeginItem
 		for _, pr := range [][2]bio.Sequence{{s, tt}, {tt, s}, {s[:(len(s)+1)/2], tt}} {
-			r, err := align.Scan(pr[0], pr[1], sc, align.ScanOptions{ForceScalar: true, EndpointMinScore: 1 + int(minScore%8)})
+			r, err := align.Scan(pr[0], pr[1], sc, align.ScanOptions{EndpointMinScore: 1 + int(minScore%8)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ func FuzzScoresVsScalar(f *testing.F) {
 		}
 		want := make([]int, len(targets))
 		for i, tgt := range targets {
-			r, err := align.Scan(q, tgt, bio.DefaultScoring(), align.ScanOptions{ForceScalar: true})
+			r, err := align.Scan(q, tgt, bio.DefaultScoring(), align.ScanOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,20 +96,30 @@ func FuzzScoresVsScalar(f *testing.F) {
 	})
 }
 
-// FuzzStripedVsScalar drives the striped rungs and align.Scan's ladder
-// (striped int8 → int16 → scalar, opened by the process router) against
-// the forced-scalar align.Scan on arbitrary sequence pairs and three
-// scoring schemes, checking score AND end-coordinate bit-exactness.
-// The high-reward scheme saturates int8 within 6 matches and int16
-// within ~5, exercising every rung of the fallback ladder. The seeds
-// include a pair under the router's scalar cell cutoff and a 513-row
-// query.
+// FuzzStripedVsScalar drives the striped rungs and ScanPair (one
+// target down the lane ladder, then LocateEnd's replay of its end
+// block) on every packed-kernel route against the scalar align.Scan on
+// arbitrary sequence pairs and three scoring schemes, checking score
+// AND end-coordinate bit-exactness. The high-reward scheme saturates
+// int8 within 6 matches and the 7000 one has no int8 layout and
+// saturates int16 within ~5, exercising every rung of both fallback
+// ladders. The seeds include a 513-row query, identities that
+// saturate int8 and int16, and pairs with N runs.
 func FuzzStripedVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgt"), []byte("tacgtacg"), uint8(0))
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(1))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4}, uint8(2))
 	f.Add([]byte("acgt"), []byte("acg"), uint8(0))
 	f.Add(fuzzBases(513, 5), fuzzBases(40, 6), uint8(1))
+	// Identities: 200 default-scheme matches saturate int8, ending in the
+	// last block; under the 7000 scheme 20 matches saturate int16.
+	q200 := fuzzBases(200, 7)
+	f.Add(q200, q200[30:], uint8(0))
+	f.Add(q200[:20], q200[:20], uint8(2))
+	// N runs in both sequences, inside an otherwise matching stretch.
+	withN := append(append(fuzzBases(60, 8), 4, 4, 4, 4), fuzzBases(60, 9)...)
+	f.Add(withN, append([]byte{4, 4}, withN[20:100]...), uint8(0))
+	f.Add(withN, withN, uint8(2))
 	f.Fuzz(func(t *testing.T, rawS, rawT []byte, scheme uint8) {
 		s := fuzzSeq(rawS, 600)
 		tt := fuzzSeq(rawT, 128)
@@ -119,7 +129,7 @@ func FuzzStripedVsScalar(f *testing.F) {
 			{Match: 7000, Mismatch: -7000, Gap: -9000}, // no int8 layout, saturates int16 in 5
 		}
 		sc := scorings[int(scheme)%len(scorings)]
-		r, err := align.Scan(s, tt, sc, align.ScanOptions{ForceScalar: true})
+		r, err := align.Scan(s, tt, sc, align.ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +141,13 @@ func FuzzStripedVsScalar(f *testing.F) {
 		if got, ok := al.StripedScan16(s, tt, sc); ok && got != want {
 			t.Fatalf("StripedScan16 (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
 		}
-		if r, err = align.Scan(s, tt, sc, align.ScanOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if got := (swar.Pair{Score: r.BestScore, I: r.BestI, J: r.BestJ}); got != want {
-			t.Fatalf("align.Scan (|s|=%d |t|=%d %+v): %+v, want %+v", len(s), len(tt), sc, got, want)
+		for _, route := range swar.Routes() {
+			restore := swar.UseRoute(route)
+			got, err := al.ScanPair(s, tt, sc)
+			restore()
+			if err != nil || got != want {
+				t.Fatalf("ScanPair on %s (|s|=%d |t|=%d %+v): %+v, %v; want %+v", route, len(s), len(tt), sc, got, err, want)
+			}
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package swar
 
-import "genomedsm/internal/bio"
+import (
+	"fmt"
+
+	"genomedsm/internal/bio"
+)
 
 // Rung names the rung a Ladder call starts at. The search layer's
 // router derives it from the routing mode (the test hooks aside); it is
@@ -15,6 +19,15 @@ const (
 	// RungScalar sends every target to the exact scalar kernel.
 	RungScalar
 )
+
+// Pair is the outcome of one pairwise scan: the best local-alignment
+// score and its 1-based end cell, bit-exact against align.Scan (the
+// first cell, row-major, at which the running maximum reaches its final
+// value; zero for a zero score).
+type Pair struct {
+	Score int
+	I, J  int
+}
 
 // GroupResult is the outcome of one Ladder call. Only the entries of
 // the group's targets are meaningful.
@@ -143,6 +156,35 @@ func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring,
 // the first. It is meaningful only for a target that call reported
 // Seeded, and valid until the next call.
 func (a *Aligner) Seed(i int) []uint16 { return a.seed[i] }
+
+// ScanPair is align.Scan's best-score scan of one pair on the lane
+// ladder: t alone as a lane group entered at the int8 rung, without a
+// bound, then the end cell — LocateEnd's replay of the end block from
+// the border row a packed rung saved, or the scalar rung's own cell. It
+// is the one fast pairwise forward scan (§6's first step); align.Scan
+// stays the scalar oracle it is tested against. A replay that
+// contradicts the ladder's score is an error, never a silent fallback:
+// only a kernel bug can cause it.
+func (a *Aligner) ScanPair(q, t bio.Sequence, sc bio.Scoring) (Pair, error) {
+	if err := sc.Validate(); err != nil {
+		return Pair{}, err
+	}
+	if len(q) == 0 || len(t) == 0 {
+		return Pair{}, nil
+	}
+	one := [1]bio.Sequence{t}
+	res := a.Ladder(q, one[:], sc, RungInter8, nil, nil)
+	p := Pair{Score: res.Scores[0], I: res.EndI[0], J: res.EndJ[0]}
+	ok := p.Score == 0 || p.J > 0
+	if res.Seeded&1 != 0 {
+		p.I, p.J, ok = a.LocateEnd(q, t, sc, res.EndBlock[0], a.Seed(0), p.Score)
+	}
+	if !ok {
+		return Pair{}, fmt.Errorf("swar: ladder score %d disagrees with the exact replay of query rows %d..%d from the saved border row",
+			p.Score, res.EndBlock[0]*BlockRows+1, min((res.EndBlock[0]+1)*BlockRows, len(q)))
+	}
+	return p, nil
+}
 
 // set records target i's outcome from the scalar rung, which knows the
 // exact end cell, or a pruned target's (a zero Pair).

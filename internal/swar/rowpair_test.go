@@ -340,13 +340,13 @@ func checkRowPair(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap ui
 		func() {
 			defer func(saved bool) { hasAVX2 = saved }(hasAVX2)
 			hasAVX2 = avx2
-			checkRowPairRoute(t, w, seed, n, calls, gap, dirty, mode, avx2)
+			checkRowPairOn(t, w, seed, n, calls, gap, dirty, mode, avx2)
 		}()
 	}
 }
 
-// checkRowPairRoute is checkRowPair on one route.
-func checkRowPairRoute(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode int, avx2 bool) {
+// checkRowPairOn is checkRowPair on one route.
+func checkRowPairOn(t *testing.T, w rowPairWidth, seed int64, n, calls int, gap uint64, dirty uint8, mode int, avx2 bool) {
 	t.Helper()
 	in, guards := newRowPairInputs(w, seed, dirty, mode)
 	sc := in.scoring(gap)

@@ -7,8 +7,8 @@ import "genomedsm/internal/bio"
 // and LocateEnd, which replays the same row kernel over one block from
 // a saved border row. It is the profile-driven int32 row kernel of
 // align.Scan (differential tests in swar_test pin the two against each
-// other), kept in this package so align can itself import swar for the
-// striped fast path without an import cycle.
+// other), kept in this package so align can itself import swar for
+// ScanPair and the lane passes without an import cycle.
 
 // scalarRow advances one row of the zero-clamped local recurrence: prev
 // and cur are rows of len(sub)+1 cells whose cell 0 is the zero border

@@ -36,14 +36,6 @@ import (
 // if that invariant is ever broken by a bug, which sends callers down
 // the exact scalar fallback instead of returning silent garbage.
 
-// Pair is the outcome of one striped pairwise scan: the best
-// local-alignment score and its 1-based end coordinates, bit-exact
-// against align.Scan (same strict-improvement tie-breaking).
-type Pair struct {
-	Score int
-	I, J  int
-}
-
 // stepStriped8 advances one outer step (one row of the DP matrix) over
 // the striped words. diagIn is the border diagonal value for lane 0 of
 // word 0 (clean, ≤ 127); fIn is the border gap-chain word (lane 0 only,
@@ -243,7 +235,7 @@ func (a *Aligner) StripedScan8(s, t bio.Sequence, sc bio.Scoring) (Pair, bool) {
 	if prof == nil {
 		return Pair{}, false
 	}
-	return a.stripedScan(s, prof, -sc.Gap)
+	return a.scanStriped(s, prof, -sc.Gap)
 }
 
 // StripedScan16 is StripedScan8 with 4 int16 lanes: half the
@@ -256,12 +248,12 @@ func (a *Aligner) StripedScan16(s, t bio.Sequence, sc bio.Scoring) (Pair, bool) 
 	if prof == nil {
 		return Pair{}, false
 	}
-	return a.stripedScan(s, prof, -sc.Gap)
+	return a.scanStriped(s, prof, -sc.Gap)
 }
 
-// stripedScan streams s over the striped profile; ok is false once any
+// scanStriped streams s over the striped profile; ok is false once any
 // cell saturates the lanes, and the caller moves to the wider rung.
-func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int) (Pair, bool) {
+func (a *Aligner) scanStriped(s bio.Sequence, prof *bio.StripedProfile, gap int) (Pair, bool) {
 	if len(s) == 0 || prof.SegLen() == 0 {
 		return Pair{}, true
 	}

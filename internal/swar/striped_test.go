@@ -10,27 +10,32 @@ import (
 	"genomedsm/internal/swar"
 )
 
-// scalarPair is the striped oracle: a forced-scalar align.Scan, whose
+// scalarPair is the striped oracle: the scalar align.Scan, whose
 // BestScore/BestI/BestJ tie-breaking the striped kernels must
 // reproduce exactly.
 func scalarPair(t *testing.T, s, tt bio.Sequence, sc bio.Scoring) swar.Pair {
 	t.Helper()
-	return scanPair(t, s, tt, sc, true)
-}
-
-// scanPair runs align.Scan; unforced, it is the striped int8 → int16 →
-// scalar ladder the router opens.
-func scanPair(t *testing.T, s, tt bio.Sequence, sc bio.Scoring, forceScalar bool) swar.Pair {
-	t.Helper()
-	r, err := align.Scan(s, tt, sc, align.ScanOptions{ForceScalar: forceScalar})
+	r, err := align.Scan(s, tt, sc, align.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return swar.Pair{Score: r.BestScore, I: r.BestI, J: r.BestJ}
 }
 
+// scanPair runs ScanPair, the lane ladder's pairwise scan, which must
+// always be exact.
+func scanPair(t *testing.T, s, tt bio.Sequence, sc bio.Scoring) swar.Pair {
+	t.Helper()
+	var al swar.Aligner
+	p, err := al.ScanPair(s, tt, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // checkStriped compares every rung that accepts the pair against the
-// scalar oracle, and requires align.Scan's ladder to always be exact.
+// scalar oracle, and requires ScanPair to always be exact.
 func checkStriped(t *testing.T, name string, s, tt bio.Sequence, sc bio.Scoring) {
 	t.Helper()
 	want := scalarPair(t, s, tt, sc)
@@ -41,8 +46,8 @@ func checkStriped(t *testing.T, name string, s, tt bio.Sequence, sc bio.Scoring)
 	if got, ok := al.StripedScan16(s, tt, sc); ok && got != want {
 		t.Errorf("%s: StripedScan16 (|s|=%d |t|=%d) = %+v, want %+v", name, len(s), len(tt), got, want)
 	}
-	if got := scanPair(t, s, tt, sc, false); got != want {
-		t.Errorf("%s: align.Scan (|s|=%d |t|=%d) = %+v, want %+v", name, len(s), len(tt), got, want)
+	if got := scanPair(t, s, tt, sc); got != want {
+		t.Errorf("%s: ScanPair (|s|=%d |t|=%d) = %+v, want %+v", name, len(s), len(tt), got, want)
 	}
 }
 
@@ -106,7 +111,7 @@ func TestStripedSaturation(t *testing.T) {
 // TestStripedSaturation16 straddles the int16 cap with a match reward
 // of 300: identities of length 109/110 score 32700/33000, either side
 // of 32767. The overflowing case must be flagged by both packed rungs
-// and recovered exactly by the scalar rung of align.Scan's ladder.
+// and recovered exactly by the scalar rung of ScanPair's ladder.
 func TestStripedSaturation16(t *testing.T) {
 	g := bio.NewGenerator(24)
 	sc := bio.Scoring{Match: 300, Mismatch: -300, Gap: -600}
@@ -125,8 +130,8 @@ func TestStripedSaturation16(t *testing.T) {
 		} else if ok16 {
 			t.Errorf("identity-%d: int16 rung accepted score %d above its cap", n, n*sc.Match)
 		}
-		if got := scanPair(t, s, s, sc, false); got != want {
-			t.Errorf("identity-%d: align.Scan = %+v, want %+v", n, got, want)
+		if got := scanPair(t, s, s, sc); got != want {
+			t.Errorf("identity-%d: ScanPair = %+v, want %+v", n, got, want)
 		}
 	}
 }

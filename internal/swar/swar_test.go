@@ -14,8 +14,8 @@ import (
 )
 
 // The tests live in an external package (swar_test) because the
-// differential oracles import align, which itself imports swar for the
-// striped fast path; guard-bit masks are restated here.
+// differential oracles import align, which itself imports swar for
+// ScanPair and the lane passes; guard-bit masks are restated here.
 const (
 	hi8  = 0x8080808080808080
 	hi16 = 0x8000800080008000
@@ -155,14 +155,12 @@ func TestClampPrimitives(t *testing.T) {
 
 // ---- Differential tests: packed lane scores vs the scalar align.Scan ----
 
-// scalarScores is the reference: one forced-scalar align.Scan per
-// target (ForceScalar keeps the oracle independent of the striped fast
-// path under test).
+// scalarScores is the reference: one scalar align.Scan per target.
 func scalarScores(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) []int {
 	t.Helper()
 	out := make([]int, len(targets))
 	for i, tgt := range targets {
-		r, err := align.Scan(q, tgt, sc, align.ScanOptions{ForceScalar: true})
+		r, err := align.Scan(q, tgt, sc, align.ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +217,7 @@ func (p *ladderCodes) Int16(lanes uint8) []uint64 {
 // code words, provided ones (ladderCodes: the int8 words as a layout
 // holds them, the int16 ones shared by every call)}. Every unpruned score must
 // equal want with the full query consumed and report the end-row block
-// of the forced-scalar align.Scan's BestI; a lane may only be pruned
+// of the scalar align.Scan's BestI; a lane may only be pruned
 // under the live bound, and only when its true score is below it. And
 // every unpruned target with a positive score must say where it ends:
 // a pairwise rung by align.Scan's own (BestI, BestJ); a packed rung by
@@ -237,7 +235,7 @@ func checkLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, want []
 	wantEnd := make([]swar.Pair, len(targets))
 	matrix := make([]*align.Matrix, len(targets))
 	for i, tgt := range targets {
-		r, err := align.Scan(q, tgt, sc, align.ScanOptions{ForceScalar: true})
+		r, err := align.Scan(q, tgt, sc, align.ScanOptions{})
 		if err != nil {
 			fail("target %d: %v", i, err)
 			return
@@ -808,7 +806,7 @@ func TestLocateEnd(t *testing.T) {
 		{"row 2·BlockRows", plant(upTo(2*b), 4*b+20, 2*b), upTo(2 * b), 2 * b, len(upTo(2 * b))},
 		{"last row, mid-block", query(mid, mid), m, mid, 24},
 	} {
-		r, err := align.Scan(c.q, c.tgt, sc, align.ScanOptions{ForceScalar: true})
+		r, err := align.Scan(c.q, c.tgt, sc, align.ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

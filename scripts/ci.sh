@@ -4,18 +4,19 @@
 #   1. go vet, a gofmt -l check that fails on any unformatted file,
 #      build, and the test suite under the race detector
 #      (plus a doubled -race pass over the concurrency-heavy SWAR,
-#      align, search, dispatch, dbpack and server packages — the
-#      striped kernels, their pooled aligners, the shared router's
+#      align, search, dispatch, dbpack and server packages — the lane
+#      ladder, its pooled aligners and retrievers, the shared router's
 #      counters and the HTTP batching/admission machinery run under
 #      -race -count=2), then vet + tests of the nested bench/ module,
 #      which the root ./... patterns cannot see, then the portable
-#      row kernels vetted and compiled for arm64 (the AVX2 ones
-#      are amd64 only), then the AVX2 route check (CPUID against
+#      row kernels and the align and search packages that reach them
+#      vetted and compiled for arm64 (the AVX2 kernels are amd64
+#      only), then the AVX2 route check (CPUID against
 #      /proc/cpuinfo's avx2 flag, logging hasAVX2), then a kernel oracle
 #      fuzz: 10 s each of the eleven differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
-#      located from them — and the striped rungs and align.Scan's
-#      striped → scalar ladder to the scalar kernel, the AVX2 eight-row
+#      located from them — and the striped rungs and ScanPair, one
+#      pair down the lane ladder, to the scalar kernel, the AVX2 eight-row
 #      kernels to the portable pass, both to the profile-word passes
 #      they replaced, the leaf scalar row kernel to the
 #      per-cell-argmax one it replaced, pruned search
@@ -121,12 +122,15 @@ echo "== bench module (nested: the root ./... cannot see it)"
 echo "== go test -race -count=2 (swar + align + search + shard + dispatch + dbpack + server)"
 go test -race -count=2 ./internal/swar ./internal/align ./internal/search ./internal/shard ./internal/dispatch ./internal/dbpack ./internal/server ./cmd/genomedsm
 
-echo "== portable kernels (GOARCH=arm64 vet + test build of internal/swar)"
-# Off amd64 the row kernels are the portable Go ones: keep them
-# compiling. vet's asmdecl check on amd64 (above) keeps the assembly's
-# frame offsets in step with its Go declarations.
-GOARCH=arm64 go vet ./internal/swar
-GOARCH=arm64 go test -c -o /dev/null ./internal/swar
+echo "== portable kernels (GOARCH=arm64 vet + test build of internal/swar, align, search)"
+# Off amd64 the row kernels are the portable Go ones: keep them, and the
+# align and search packages whose pairwise scans and lane passes reach
+# them, compiling. vet's asmdecl check on amd64 (above) keeps the
+# assembly's frame offsets in step with its Go declarations.
+for pkg in ./internal/swar ./internal/align ./internal/search; do
+    GOARCH=arm64 go vet "$pkg"
+    GOARCH=arm64 go test -c -o /dev/null "$pkg"
+done
 
 echo "== AVX2 route (CPUID detection against /proc/cpuinfo)"
 # The packed scan runs the AVX2 kernels only where CPUID and the OS's
@@ -138,8 +142,8 @@ echo "$avx2" | grep -E 'hasAVX2|SKIP'
 
 echo "== kernel oracle fuzz (10 s x 11 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
-# The striped rungs and align.Scan's ladder, from a pair under the
-# router's scalar cutoff to a 513-row query.
+# The striped rungs and ScanPair on both packed-kernel routes, from a
+# three-base pair to a 513-row query, int8 and int16 saturation and N runs.
 go test -run '^$' -fuzz '^FuzzStripedVsScalar$' -fuzztime 10s ./internal/swar
 # The AVX2 eight-row kernels against the portable pass: clean lanes
 # bit-identical beside dirty lanes, phantom rows, short rows.
@@ -480,7 +484,7 @@ echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -c
 # ten independent 20 kb x 500 bp rescans to its workers, so two cores
 # must buy at least 1.4x the cells/s of one. The subject is the row of
 # hand-built hits, which know no end cell and scan whole matrices
-# forward: the long20000x500/scanned row beside it only walks back from
+# forward on the lane ladder (ScanPair): the long20000x500/scanned row beside it only walks back from
 # located cells, ten items of ~20 us, too short for a pool to show
 # scaling.
 # The main run above uses the host's default GOMAXPROCS only, so this
