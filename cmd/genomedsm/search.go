@@ -53,7 +53,6 @@ func searchCmd(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dispatch.SetActive(dispatch.New(mode, nil))
 	opt := genomedsm.SearchOptions{
 		Scoring:     genomedsm.Scoring{Match: *match, Mismatch: *mismatch, Gap: *gap},
 		TopK:        *k,

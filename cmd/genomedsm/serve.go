@@ -137,7 +137,6 @@ func serveCmd(args []string, w io.Writer) error {
 		db = search.NewDB(recs)
 	}
 
-	dispatch.SetActive(dispatch.New(mode, nil))
 	srv, err := server.New(server.Config{
 		DB:   db,
 		Pack: packInfo,

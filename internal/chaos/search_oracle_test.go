@@ -88,6 +88,9 @@ func TestRunShardedOnceReplays(t *testing.T) {
 // and asserts the sharded search stays bit-identical to the single-node
 // oracle under every valid plan the inputs decode to: the dealt plan
 // PlanSpans computes, and the contiguous custom plan of the cut bytes.
+// Every plan runs twice: on the bare database, where each shard's view
+// interleaves its groups per scan, and after EnsureLayout, where a view
+// reads the layout's words for each run that is a whole lane group.
 func FuzzShardPlan(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(3), uint8(5), false, []byte{4, 8})
 	f.Add(int64(2), uint8(1), uint8(4), uint8(3), false, []byte{})
@@ -95,6 +98,10 @@ func FuzzShardPlan(f *testing.F) {
 	f.Add(int64(4), uint8(9), uint8(2), uint8(1), true, []byte{9})
 	f.Add(int64(5), uint8(20), uint8(2), uint8(4), false, []byte{5, 13})
 	f.Add(int64(6), uint8(23), uint8(3), uint8(9), true, []byte{8, 1, 16})
+	// All-identical lengths cut mid-group through the tie run: [0,5) [5,20).
+	f.Add(int64(7), uint8(19), uint8(1), uint8(3), true, []byte{5})
+	// Dealt over 21 records: shard 0 owns [0,8) and the partial [16,21).
+	f.Add(int64(8), uint8(20), uint8(1), uint8(6), false, []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, n, shards, k uint8, identical bool, cuts []byte) {
 		nn := int(n)%24 + 1
 		ns := int(shards)%6 + 1
@@ -129,23 +136,28 @@ func FuzzShardPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spans := range plans {
-			c, err := shard.New(db, shard.Options{Shards: ns, Spans: spans, Lease: time.Hour})
-			if err != nil {
-				t.Fatal(err)
+		for _, layout := range []bool{false, true} {
+			if layout {
+				db.EnsureLayout()
 			}
-			got, err := c.Search(context.Background(), q, opt)
-			c.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Hits, want.Hits) {
-				t.Fatalf("plan %v (n=%d shards=%d k=%d identical=%v):\n got %+v\nwant %+v",
-					spans, nn, ns, kk, identical, got.Hits, want.Hits)
-			}
-			if got.Searched != want.Searched || got.Cells != want.Cells {
-				t.Fatalf("plan %v: searched/cells %d/%d, single-node %d/%d",
-					spans, got.Searched, got.Cells, want.Searched, want.Cells)
+			for _, spans := range plans {
+				c, err := shard.New(db, shard.Options{Shards: ns, Spans: spans, Lease: time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Search(context.Background(), q, opt)
+				c.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Hits, want.Hits) {
+					t.Fatalf("plan %v (n=%d shards=%d k=%d identical=%v layout=%v):\n got %+v\nwant %+v",
+						spans, nn, ns, kk, identical, layout, got.Hits, want.Hits)
+				}
+				if got.Searched != want.Searched || got.Cells != want.Cells {
+					t.Fatalf("plan %v layout=%v: searched/cells %d/%d, single-node %d/%d",
+						spans, layout, got.Searched, got.Cells, want.Searched, want.Cells)
+				}
 			}
 		}
 	})

@@ -1,15 +1,12 @@
-// Package dispatch routes the two routed exact-alignment workloads of
-// the repo to an exact kernel by a fixed rule: the lane groups of a
-// database scan, and the bands of the pre-process strategy. The rule is
-// a pure function of its inputs, computed before the scan starts, as
-// the source paper computes each processor's share:
-//
-//   - every lane group of a database scan starts on the inter-sequence
-//     int8 ladder (ModeScalar aside); the §5.6 ladder retries flagged
-//     lanes at int16 and then scalar, so saturation costs one cheap
-//     narrow pass, never a prediction (router.go);
-//   - a pre-process band narrower than a word runs the scalar column
-//     loop, a wider one the striped band kernel.
+// Package dispatch routes the one routed exact-alignment workload of the
+// repo, the lane groups of a database scan, to an exact kernel by a
+// fixed rule. The rule is a pure function of its inputs, computed
+// before the scan starts, as the source paper computes each processor's
+// share: every lane group starts on the inter-sequence int8 ladder
+// (ModeScalar aside); the §5.6 ladder retries flagged lanes at int16
+// and then scalar, so saturation costs one cheap narrow pass, never a
+// prediction (router.go). The pre-process strategy picks its band
+// kernel by its own height rule (internal/preprocess).
 //
 // A pairwise scan takes no route: swar.(*Aligner).ScanPair runs one
 // target down the same lane ladder, and align.Scan is the scalar oracle.
@@ -85,12 +82,16 @@ func (r GroupRoute) String() string {
 	return "scalar"
 }
 
-// active is the process-wide router consulted by call sites that have
-// no per-scan router of their own (the pre-process band loop). It defaults to ModeAuto until something (the
-// CLI -dispatch flag, a test) installs another.
+// active is the process-wide router. Nothing in the module reads it; it
+// defaults to ModeAuto until something installs another.
 var active atomic.Pointer[Router]
 
 // Active returns the process-wide router, never nil.
+//
+// Deprecated: no scan reads a process-wide router — a database scan
+// takes Options.Router or one built from Options.Dispatch, and the
+// pre-process band rule is the preprocess package's own. Only the bench
+// module's layer pass still calls it.
 func Active() *Router {
 	if r := active.Load(); r != nil {
 		return r
@@ -104,6 +105,9 @@ func Active() *Router {
 
 // SetActive installs the process-wide router; nil resets to the auto
 // default.
+//
+// Deprecated: see Active; only the bench module's layer pass still
+// calls it.
 func SetActive(r *Router) {
 	if r == nil {
 		active.Store(New(ModeAuto, nil))

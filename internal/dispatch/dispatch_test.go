@@ -49,15 +49,11 @@ func TestRouterFixedAndScalarModes(t *testing.T) {
 	if r := scalar.Group(100, []int{50, 60}); r != GroupScalar {
 		t.Fatalf("scalar group → %v, want scalar", r)
 	}
-	if !fixed.Band(64) || scalar.Band(100) {
-		t.Fatal("band gating: auto must allow, scalar must refuse")
-	}
 }
 
 // TestRoutingIsAFunctionOfInputs pins the rule: every lane group of
 // every shape starts on the int8 ladder in auto mode and on the scalar
-// kernel in scalar mode, whatever history of calls the router has seen,
-// and Band takes the packed kernel from a word of rows on.
+// kernel in scalar mode, whatever history of calls the router has seen.
 func TestRoutingIsAFunctionOfInputs(t *testing.T) {
 	shapes := []struct {
 		q    int
@@ -85,12 +81,6 @@ func TestRoutingIsAFunctionOfInputs(t *testing.T) {
 		}
 		if got := r.GroupCounts(); len(got) != 1 || got[want.String()] != int64(3*len(shapes)) {
 			t.Fatalf("mode %v: route counts %v, want all %d on %v", mode, got, 3*len(shapes), want)
-		}
-		for rows, want := range map[int]bool{4: false, 7: false, 8: true, 64: true} {
-			want = want && mode == ModeAuto
-			if got := r.Band(rows); got != want {
-				t.Errorf("mode %v: Band(%d) = %v, want %v", mode, rows, got, want)
-			}
 		}
 	}
 }

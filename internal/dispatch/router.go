@@ -1,10 +1,6 @@
 package dispatch
 
-import (
-	"sync/atomic"
-
-	"genomedsm/internal/bio"
-)
+import "sync/atomic"
 
 // Router turns the routing rule into per-workload kernel decisions. A
 // Router is immutable after construction (the test hooks excepted) and
@@ -80,11 +76,4 @@ func (r *Router) group(qLen int, lens []int) GroupRoute {
 		return GroupScalar
 	}
 	return GroupInter8
-}
-
-// Band reports whether a pre-process band of the given height should
-// run the striped band kernel (true) or the scalar column loop (false):
-// a band of fewer rows than int8 lanes would be mostly padding.
-func (r *Router) Band(rows int) bool {
-	return r.mode != ModeScalar && rows >= bio.PackedLanes8
 }

@@ -64,3 +64,19 @@ func TestBandKernelDifferentialRun(t *testing.T) {
 		}
 	}
 }
+
+// TestBandKernelCutoff pins the band rule: a band shorter than a word of
+// int8 lanes runs the scalar column loop, a taller one the band kernel,
+// and the differential switch sends every band to the scalar loop.
+func TestBandKernelCutoff(t *testing.T) {
+	for rows, want := range map[int]bool{4: false, 7: false, 8: true, 64: true} {
+		if got := bandKernel(rows); got != want {
+			t.Errorf("bandKernel(%d) = %v, want %v", rows, got, want)
+		}
+	}
+	disableBandKernel = true
+	defer func() { disableBandKernel = false }()
+	if bandKernel(64) {
+		t.Error("bandKernel(64) ran the kernel with the kernel disabled")
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"genomedsm/internal/bio"
 	"genomedsm/internal/cluster"
-	"genomedsm/internal/dispatch"
 	"genomedsm/internal/dsm"
 	"genomedsm/internal/recovery"
 	"genomedsm/internal/swar"
@@ -16,6 +15,13 @@ import (
 // produce bit-identical runs (hits, best tracking, saved columns,
 // checkpoint state included).
 var disableBandKernel bool
+
+// bandKernel reports whether a band of h rows runs the striped band
+// kernel: one shorter than a word of int8 lanes would be mostly
+// padding, so it runs the scalar column loop.
+func bandKernel(h int) bool {
+	return !disableBandKernel && h >= bio.PackedLanes8
+}
 
 // Result is the outcome of a pre-process run.
 type Result struct {
@@ -176,7 +182,7 @@ func Run(nprocs int, cc cluster.Config, s, t bio.Sequence, sc bio.Scoring, cfg C
 			// (or a disabled kernel) fall back to the scalar loop below,
 			// which stays the differential oracle.
 			var kern *swar.BandKernel
-			if !disableBandKernel && dispatch.Active().Band(h) {
+			if bandKernel(h) {
 				kern = swar.NewBandKernel(s[band.R0-1:band.R0-1+h], sc, cfg.Threshold)
 			}
 			var hitbuf []int32

@@ -16,7 +16,7 @@ import (
 // This file holds the multi-query scan engine behind Run, RunCtx and
 // RunBatch. A batch shares one pass over the lane groups: every group a
 // worker pulls is scored for every live query while its targets are hot,
-// so per-scan costs (worker pool, group traversal, channel traffic) are
+// so per-scan costs (worker pool, group traversal, work hand-out) are
 // paid once per batch instead of once per query — the shared-scan
 // serving mode of the resident server. Sharing changes only scheduling:
 // each query keeps its own top-K heap, pruning floor and query bound,
@@ -53,9 +53,10 @@ type BatchQuery struct {
 	FloorHint func() int
 	// OnScore, when non-nil, observes every result-eligible exact score
 	// (score > 0 and ≥ the query's MinScore) as it is pushed into the
-	// heap, with the record's index in the scanned DB. The distributed
-	// layer gossips these to the master as floor evidence. Called
-	// concurrently from scan workers.
+	// heap, with the record's index — a view's record indices are its
+	// database's, like its hits'. The distributed layer gossips these to
+	// the master as floor evidence. Called concurrently from scan
+	// workers.
 	OnScore func(score, index int)
 	// OnGroup, when non-nil, runs after each lane group is scanned for
 	// this query — a progress hook for gossip cadence and fault
@@ -175,108 +176,66 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	// The scan cannot use more workers than lane groups; the realign
-	// pool below is sized by its own items, so it gets the unclamped
-	// count.
-	poolWorkers := workers
-	groups := db.groups()
-	if workers > len(groups) && len(groups) > 0 {
-		workers = len(groups)
-	}
-	work := make(chan int)
-	heaps := make([][]*topK, workers)
-	errs := make([]error, workers)
-	padded := make([][]int64, workers)
-	pstats := make([][]PruneStats, workers)
-	procRecs := make([][]int, workers)
-	procCells := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// A worker that fails keeps taking work items, unscanned, so
-			// the feed never blocks on it.
-			defer func() {
-				for range work {
-				}
-			}()
-			al := aligners.Get().(*swar.Aligner)
-			gp := groupProfs.Get().(*groupProf)
-			// A panic in a scan, a kernel bug, fails the batch like a kernel
-			// error, and the process lives on; the Aligner and code words the
-			// worker held mid-scan are dropped instead of pooled.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("search: scan worker panicked: %v", r)
-					return
-				}
-				aligners.Put(al)
-				gp.drop()
-				groupProfs.Put(gp)
-			}()
-			heaps[w] = make([]*topK, nq)
-			for qi, st := range states {
-				heaps[w][qi] = &topK{k: st.k}
+	// The scan runs on at most one worker per lane group (fanOut's
+	// clamp); the realign pool below is sized by its own items, so it
+	// gets the unclamped count.
+	scans := make([]scanWorker, max(1, min(workers, len(db.groups))))
+	fanOut(len(db.groups), workers, func(w int, f *fan) {
+		sw := &scans[w]
+		al := aligners.Get().(*swar.Aligner)
+		gp := groupProfs.Get().(*groupProf)
+		// A panic in a scan, a kernel bug, fails the batch like a kernel
+		// error, and the process lives on; the Aligner and code words the
+		// worker held mid-scan are dropped instead of pooled.
+		defer func() {
+			if r := recover(); r != nil {
+				sw.err = fmt.Errorf("search: scan worker panicked: %v", r)
+				return
 			}
-			padded[w] = make([]int64, nq)
-			pstats[w] = make([]PruneStats, nq)
-			procRecs[w] = make([]int, nq)
-			procCells[w] = make([]int64, nq)
-			var scratch groupScratch
-			for gi := range work {
-				group := groups[gi]
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				if TestHookScan != nil {
-					TestHookScan(gi)
-				}
-				var groupBases int64
-				for _, idx := range group {
-					groupBases += int64(len(db.recs[idx].Seq))
-				}
-				// Every query of the batch scans this group's same
-				// query-independent code words: reset the lazy holder once
-				// per work item, point it at the group's precomputed layout
-				// words when the DB carries them.
-				gp.reset(db, group)
-				if db.layout != nil {
-					gp.words = db.layout.GroupWords(gi)
-				}
-				for qi, st := range states {
-					if st.done() {
-						continue
-					}
-					err := scanGroupFor(al, st, db, group, sc, opt.Prune,
-						heaps[w][qi], &pstats[w][qi], &padded[w][qi], &scratch, gp)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					procRecs[w][qi] += len(group)
-					procCells[w][qi] += int64(len(st.q)) * groupBases
-					if st.onGroup != nil {
-						st.onGroup()
-					}
-				}
-			}
-		}(w)
-	}
-feed:
-	for gi := range groups {
-		select {
-		case work <- gi:
-		case <-ctx.Done():
-			break feed
+			aligners.Put(al)
+			gp.drop()
+			groupProfs.Put(gp)
+		}()
+		sw.qs = make([]queryTally, nq)
+		for qi, st := range states {
+			sw.qs[qi].heap.k = st.k
 		}
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		var scratch groupScratch
+		// Groups are claimed in rank order: longest first.
+		for gi, ok := f.claim(); ok; gi, ok = f.claim() {
+			if sw.err = ctx.Err(); sw.err != nil {
+				return
+			}
+			if TestHookScan != nil {
+				TestHookScan(gi)
+			}
+			g := &db.groups[gi]
+			// Every query of the batch scans this group's same
+			// query-independent code words: reset the lazy holder once
+			// per work item, point it at the group's precomputed layout
+			// words when the DB carries them.
+			gp.reset(db, g.recs)
+			gp.words = db.words(g)
+			for qi, st := range states {
+				if st.done() {
+					continue
+				}
+				t := &sw.qs[qi]
+				sw.err = scanGroupFor(al, st, db, g.recs, sc, opt.Prune, &t.heap, &t.prune, &t.padded, &scratch, gp)
+				if sw.err != nil {
+					return
+				}
+				t.searched += len(g.recs)
+				t.cells += int64(len(st.q)) * g.bases
+				if st.onGroup != nil {
+					st.onGroup()
+				}
+			}
+		}
+	})
+	for _, sw := range scans {
+		if sw.err != nil {
+			return nil, sw.err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -289,46 +248,34 @@ feed:
 		qerr := st.ctx.Err()
 		res := &Result{}
 		if qerr == nil {
-			res.Searched = len(db.recs)
+			res.Searched = db.size
 			res.Cells = int64(len(st.q)) * db.total
-		} else {
-			for w := range procRecs {
-				if procRecs[w] != nil {
-					res.Searched += procRecs[w][qi]
-					res.Cells += procCells[w][qi]
-				}
-			}
 		}
-		for w := range padded {
-			if padded[w] != nil {
-				res.PaddedCells += padded[w][qi]
+		merged := &topK{k: st.k}
+		var pst PruneStats
+		for _, sw := range scans {
+			t := &sw.qs[qi]
+			res.PaddedCells += t.padded
+			pst.Skipped += t.prune.Skipped
+			pst.Abandoned += t.prune.Abandoned
+			pst.Scanned += t.prune.Scanned
+			pst.CellsSaved += t.prune.CellsSaved
+			if qerr != nil {
+				res.Searched += t.searched
+				res.Cells += t.cells
+				continue
+			}
+			for _, it := range t.heap.items {
+				merged.push(it)
 			}
 		}
 		if opt.Prune {
-			pst := &PruneStats{FloorFinal: st.ft.Get()}
-			for w := range pstats {
-				if pstats[w] == nil {
-					continue
-				}
-				pst.Skipped += pstats[w][qi].Skipped
-				pst.Abandoned += pstats[w][qi].Abandoned
-				pst.Scanned += pstats[w][qi].Scanned
-				pst.CellsSaved += pstats[w][qi].CellsSaved
-			}
-			res.Prune = pst
+			pst.FloorFinal = st.ft.Get()
+			res.Prune = &pst
 		}
 		if qerr != nil {
 			out[qi] = BatchResult{Result: res, Err: qerr}
 			continue
-		}
-		merged := &topK{k: st.k}
-		for w := range heaps {
-			if heaps[w] == nil {
-				continue
-			}
-			for _, it := range heaps[w][qi].items {
-				merged.push(it)
-			}
 		}
 		ends := merged.items
 		sort.Slice(ends, func(a, b int) bool { return ends[a].before(ends[b]) })
@@ -357,10 +304,26 @@ feed:
 	// One pool call over the whole batch: every (query, hit) pair is an
 	// independent item, so a 4-query batch keeps all workers busy where a
 	// per-query loop would leave them idle between queries.
-	if err := finishHits(ctx, queries, out, db.recs, sc, poolWorkers, from, !opt.NoEndpoints); err != nil {
+	if err := finishHits(ctx, queries, out, db.recs, sc, workers, from, !opt.NoEndpoints); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// scanWorker is one scan worker's share of a batch: its error, and per
+// query what its groups add to the result.
+type scanWorker struct {
+	err error
+	qs  []queryTally
+}
+
+// queryTally is what one worker's groups add to one query's result.
+type queryTally struct {
+	heap     topK
+	prune    PruneStats
+	padded   int64
+	searched int
+	cells    int64
 }
 
 // TestHookScan, when non-nil, runs at the start of every work item of
@@ -411,11 +374,11 @@ type codes16 struct {
 
 // reset points the holder at a new group and drops every cached set of
 // words.
-func (g *groupProf) reset(db *DB, group []int) {
+func (g *groupProf) reset(db *DB, recs []int) {
 	g.words, g.codes = nil, nil
 	g.memo16 = g.memo16[:0]
 	g.targets = g.targets[:0]
-	for _, idx := range group {
+	for _, idx := range recs {
 		g.targets = append(g.targets, db.recs[idx].Seq)
 	}
 }

@@ -9,18 +9,37 @@ import (
 
 // DB is a prepared database: the records plus everything a scan derives
 // from them that does not depend on the query — the canonical
-// descending-length order behind the lane-group batching, the total
-// base count, and (optionally) a pack's precomputed lane-group layout.
-// Build one DB per database and reuse it across scans: a resident
-// server amortizes the preparation over millions of queries, and
-// internal/dbpack persists exactly this state so a cold process loads
-// it without re-parsing FASTA or re-sorting. A DB is read-only after
-// construction and safe for concurrent scans.
+// descending-length order, its lane groups, the total base count, and
+// (optionally) a pack's precomputed lane-group layout. Build one DB per
+// database and reuse it across scans: a resident server amortizes the
+// preparation over millions of queries, and internal/dbpack persists
+// exactly this state so a cold process loads it without re-parsing
+// FASTA or re-sorting. A DB is read-only after construction and safe
+// for concurrent scans.
+//
+// A DB may also be a view of another (View): the same records, order,
+// layout and index space, scanning only some of its lane groups.
 type DB struct {
+	*base
+	groups []group // the lane groups a scan visits, in rank order
+	size   int     // records in groups
+	total  int64   // their bases
+}
+
+// base is what a DB shares with its views.
+type base struct {
 	recs   []bio.Record
 	order  []int   // canonical scan order: length desc, index asc on ties
-	total  int64   // Σ record lengths
+	whole  []group // the order cut into consecutive groups of 8
 	layout *Layout // optional precomputed lane-group layout (layout.go)
+}
+
+// group is one lane group of a scan: the records of up to
+// bio.PackedLanes8 consecutive canonical ranks, in rank order.
+type group struct {
+	recs   []int // a slice of the order
+	bases  int64
+	layout int // the group of the whole cut these records form, whose layout words a scan reads; -1 if none
 }
 
 // sortedOrder computes the canonical scan order of recs: decreasing
@@ -46,10 +65,17 @@ func sortedOrder(recs []bio.Record) []int {
 
 // NewDB prepares recs for scanning.
 func NewDB(recs []bio.Record) *DB {
-	d := &DB{recs: recs, order: sortedOrder(recs)}
-	for _, r := range recs {
-		d.total += int64(len(r.Seq))
+	return newDB(recs, sortedOrder(recs))
+}
+
+// newDB cuts a canonical order into its lane groups.
+func newDB(recs []bio.Record, order []int) *DB {
+	b := &base{recs: recs, order: order}
+	d := &DB{base: b}
+	for lo := 0; lo < len(order); lo += bio.PackedLanes8 {
+		d.add(lo, min(lo+bio.PackedLanes8, len(order)))
 	}
+	b.whole = d.groups
 	return d
 }
 
@@ -82,32 +108,65 @@ func PreparedDB(recs []bio.Record, order []int) (*DB, error) {
 			return nil, fmt.Errorf("search: order is not the canonical length-sorted order at rank %d", rank)
 		}
 	}
-	d := &DB{recs: recs, order: order}
-	for _, r := range recs {
-		d.total += int64(len(r.Seq))
-	}
-	return d, nil
+	return newDB(recs, order), nil
 }
 
-// Records returns the underlying records (callers must not mutate).
+// View returns the view of d that scans the lane groups runs name:
+// each run [lo, hi) is one group, of at most bio.PackedLanes8
+// consecutive canonical ranks, and the runs ascend without overlap.
+// The view keeps d's records, order, layout and index space — its hits'
+// Index, and the index OnScore reports, name records of d — so the
+// results of views of one database merge with no translation. A run
+// that is a whole group of d's cut reads that group's layout words, if
+// any; another run interleaves its records per scan, as a DB without a
+// layout does. Size and TotalBases count the view's own records, and so
+// do the Searched and Cells of its scans.
+func (d *DB) View(runs [][2]int) (*DB, error) {
+	v := &DB{base: d.base}
+	prev := 0
+	for _, r := range runs {
+		lo, hi := r[0], r[1]
+		if lo < prev || hi <= lo || hi > len(d.order) || hi-lo > bio.PackedLanes8 {
+			return nil, fmt.Errorf("search: view run [%d,%d) after rank %d of %d: want ascending runs of 1 to %d ranks", lo, hi, prev, len(d.order), bio.PackedLanes8)
+		}
+		v.add(lo, hi)
+		prev = hi
+	}
+	return v, nil
+}
+
+// add appends the group of ranks [lo, hi).
+func (d *DB) add(lo, hi int) {
+	g := group{recs: d.order[lo:hi], layout: -1}
+	for _, idx := range g.recs {
+		g.bases += int64(len(d.recs[idx].Seq))
+	}
+	if lo%bio.PackedLanes8 == 0 && (hi-lo == bio.PackedLanes8 || hi == len(d.order)) {
+		g.layout = lo / bio.PackedLanes8
+	}
+	d.groups = append(d.groups, g)
+	d.size += len(g.recs)
+	d.total += g.bases
+}
+
+// words returns the layout words of g, a group of d, or nil when d's
+// database has no layout or g is no group of its whole cut.
+func (d *DB) words(g *group) []uint64 {
+	if d.layout == nil || g.layout < 0 {
+		return nil
+	}
+	return d.layout.GroupWords(g.layout)
+}
+
+// Records returns the underlying records (callers must not mutate); a
+// view's are its database's.
 func (d *DB) Records() []bio.Record { return d.recs }
 
 // Order returns the canonical scan order (callers must not mutate).
 func (d *DB) Order() []int { return d.order }
 
-// Size returns the number of records.
-func (d *DB) Size() int { return len(d.recs) }
+// Size returns the number of records a scan visits.
+func (d *DB) Size() int { return d.size }
 
-// TotalBases returns the summed record lengths.
+// TotalBases returns the summed lengths of the records a scan visits.
 func (d *DB) TotalBases() int64 { return d.total }
-
-// groups cuts the canonical order into consecutive lane groups of 8:
-// the one cut every scan and the precomputed Layout share.
-func (d *DB) groups() [][]int {
-	const lanes = bio.PackedLanes8
-	out := make([][]int, 0, (len(d.order)+lanes-1)/lanes)
-	for lo := 0; lo < len(d.order); lo += lanes {
-		out = append(out, d.order[lo:min(lo+lanes, len(d.order))])
-	}
-	return out
-}

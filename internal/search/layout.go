@@ -13,41 +13,32 @@ import (
 // each query row's code in register. The layout is query- and
 // scoring-independent, so `genomedsm index` computes it once at index
 // time and a pack-v2 load maps the words straight from the file: the
-// scan reads memory it never copied and builds nothing per group, and
-// the shard layer hands each worker a Pick of the same words without
-// materializing a sub-database. A Layout is read-only after
-// construction and safe for concurrent scans.
+// scan reads memory it never copied and builds nothing per group, and a
+// view of the DB (a shard's) reads the same words for each of its runs
+// that is a whole group. A Layout is read-only after construction and
+// safe for concurrent scans.
 type Layout struct {
-	// Group g's words are words[lo[g]:hi[g]]. A whole layout's bounds
-	// are two views of one cumulative offset table; a Pick's are its
-	// own, over the parent's words.
-	lo, hi []int64
-	words  []uint64 // lane-interleaved code words
-	view   bool     // words alias a caller-owned region (an mmap'd pack)
+	offs  []int64  // group g's words are words[offs[g]:offs[g+1]]
+	words []uint64 // lane-interleaved code words
+	view  bool     // words alias a caller-owned region (an mmap'd pack)
 }
 
-// cumulative wraps words cut by a cumulative offset table.
-func cumulative(offs []int64, words []uint64, view bool) *Layout {
-	return &Layout{lo: offs[:len(offs)-1], hi: offs[1:], words: words, view: view}
-}
-
-// BuildLayout computes the layout of d in memory — the single shared
-// layout code path: the index-time encoder, an in-memory build and the
-// forged-section rebuild all come through here.
+// BuildLayout computes the layout of d's database in memory — the
+// single shared layout code path: the index-time encoder, an in-memory
+// build and the forged-section rebuild all come through here.
 func BuildLayout(d *DB) *Layout {
-	groups := d.groups()
-	offs := make([]int64, 1, len(groups)+1)
+	offs := make([]int64, 1, len(d.whole)+1)
 	var words []uint64
 	targets := make([]bio.Sequence, 0, bio.PackedLanes8)
-	for _, g := range groups {
+	for _, g := range d.whole {
 		targets = targets[:0]
-		for _, idx := range g {
+		for _, idx := range g.recs {
 			targets = append(targets, d.recs[idx].Seq)
 		}
 		words = bio.InterleaveWords8(words, targets)
 		offs = append(offs, int64(len(words)))
 	}
-	return cumulative(offs, words, false)
+	return &Layout{offs: offs, words: words}
 }
 
 // NewLayoutView wraps precomputed layout data — typically slices into
@@ -67,50 +58,39 @@ func NewLayoutView(offs []int64, words []uint64) (*Layout, error) {
 	if offs[len(offs)-1] != int64(len(words)) {
 		return nil, fmt.Errorf("search: layout offsets end at %d for %d words", offs[len(offs)-1], len(words))
 	}
-	return cumulative(offs, words, true), nil
+	return &Layout{offs: offs, words: words, view: true}, nil
 }
 
 // Groups returns the number of lane groups.
-func (l *Layout) Groups() int { return len(l.lo) }
+func (l *Layout) Groups() int { return len(l.offs) - 1 }
 
 // GroupWords returns group g's interleaved code words (do not modify).
-func (l *Layout) GroupWords(g int) []uint64 { return l.words[l.lo[g]:l.hi[g]] }
+func (l *Layout) GroupWords(g int) []uint64 { return l.words[l.offs[g]:l.offs[g+1]] }
 
 // IsView reports whether the words alias a caller-owned region rather
 // than heap memory built by BuildLayout.
 func (l *Layout) IsView() bool { return l.view }
 
-// Bytes returns the in-memory size of a whole layout's data.
-func (l *Layout) Bytes() int64 { return int64(len(l.words))*8 + int64(len(l.lo)+1)*8 }
+// Bytes returns the in-memory size of the layout's data.
+func (l *Layout) Bytes() int64 { return int64(len(l.words))*8 + int64(len(l.offs))*8 }
 
-// Pick returns the sub-layout of the listed groups, in list order,
-// sharing the parent's words — how a shard worker attaches to the lane
-// groups it owns of an mmap'd pack without copying.
-func (l *Layout) Pick(groups []int) *Layout {
-	p := &Layout{lo: make([]int64, len(groups)), hi: make([]int64, len(groups)), words: l.words, view: l.view}
-	for i, g := range groups {
-		p.lo[i], p.hi[i] = l.lo[g], l.hi[g]
-	}
-	return p
-}
-
-// Validate proves the layout semantically consistent with d: every
-// group's words must equal the interleave of the group's record bytes.
+// Validate proves the layout semantically consistent with d's database:
+// every group's words must equal the interleave of the group's record
+// bytes.
 // This is what upholds the "a forged lane section can only slow, never
 // corrupt" rule for pack v2 — a file whose section checksums were
 // forged along with the section can pass Open's integrity pass, but it
 // cannot pass this compare against the sequence bytes, and the loader
 // then rebuilds the layout from the records instead of trusting it.
 func (l *Layout) Validate(d *DB) error {
-	groups := d.groups()
-	if l.Groups() != len(groups) {
-		return fmt.Errorf("search: layout holds %d groups for %d", l.Groups(), len(groups))
+	if l.Groups() != len(d.whole) {
+		return fmt.Errorf("search: layout holds %d groups for %d", l.Groups(), len(d.whole))
 	}
 	var scratch []uint64
 	targets := make([]bio.Sequence, 0, bio.PackedLanes8)
-	for gi, g := range groups {
+	for gi, g := range d.whole {
 		targets = targets[:0]
-		for _, idx := range g {
+		for _, idx := range g.recs {
 			targets = append(targets, d.recs[idx].Seq)
 		}
 		scratch = bio.InterleaveWords8(scratch[:0], targets)
@@ -127,20 +107,20 @@ func (l *Layout) Validate(d *DB) error {
 	return nil
 }
 
-// SetLayout attaches a precomputed lane-group layout; scans then read
-// its words instead of interleaving the record bytes.
-// Only the cheap structural shape is checked here — callers loading
-// untrusted bytes must Validate first. Call before the first scan.
+// SetLayout attaches a precomputed lane-group layout to d's database,
+// its views included; scans then read its words instead of interleaving
+// the record bytes. Only the cheap structural shape is checked here —
+// callers loading untrusted bytes must Validate first. Call before the
+// first scan.
 func (d *DB) SetLayout(l *Layout) error {
-	want := (len(d.order) + bio.PackedLanes8 - 1) / bio.PackedLanes8
-	if l.Groups() != want {
+	if l.Groups() != len(d.whole) {
 		return fmt.Errorf("search: layout holds %d groups for %d records", l.Groups(), len(d.order))
 	}
 	d.layout = l
 	return nil
 }
 
-// Layout returns the attached layout, or nil.
+// Layout returns the layout attached to d's database, or nil.
 func (d *DB) Layout() *Layout { return d.layout }
 
 // EnsureLayout returns the attached layout, building (and attaching)

@@ -365,8 +365,8 @@ func TestLocateCatchesWrongScore(t *testing.T) {
 		var ps PruneStats
 		var padded int64
 		var buf groupScratch
-		for _, group := range db.groups() {
-			if err := scanGroupFor(&al, st, db, group, sc, false, heap, &ps, &padded, &buf, nil); err != nil {
+		for _, group := range db.groups {
+			if err := scanGroupFor(&al, st, db, group.recs, sc, false, heap, &ps, &padded, &buf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

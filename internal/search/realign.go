@@ -136,7 +136,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	byBox := func(a, b finishItem) int { return cmp.Compare(b.box, a.box) }
 	slices.SortStableFunc(items, byBox)
 
-	fanOut(len(items), workers, func(f *fan) {
+	fanOut(len(items), workers, func(_ int, f *fan) {
 		al := aligners.Get().(*swar.Aligner)
 		defer func() { aligners.Put(al) }()
 		for i, ok := f.claim(); ok; i, ok = f.claim() {
@@ -175,7 +175,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 		}
 		d := deal(located, workers, lanes)
 		begins := make([]align.BeginItem, located)
-		fanOut(d.passes, workers, func(f *fan) {
+		fanOut(d.passes, workers, func(_ int, f *fan) {
 			rt := retrievers.Get().(*align.Retriever)
 			defer func() { retrievers.Put(rt) }()
 			for k, ok := f.claim(); ok; k, ok = f.claim() {
@@ -239,23 +239,24 @@ func (f *fan) claim() (int, bool) {
 }
 
 // fanOut runs work on min(workers, n) goroutines, or on the caller when
-// that is one, each claiming from one fan of n, and waits for them.
-func fanOut(n, workers int, work func(*fan)) {
+// that is at most one, each claiming from one fan of n, and waits for
+// them. Each call of work gets its own w in [0, max(1, min(workers, n))).
+func fanOut(n, workers int, work func(w int, f *fan)) {
 	f := &fan{n: n}
 	if workers = min(workers, n); workers <= 1 {
-		work(f)
+		work(0, f)
 		return
 	}
 	f.wg.Add(workers)
-	for range workers {
-		go fanWorker(f, work)
+	for w := range workers {
+		go fanWorker(w, f, work)
 	}
 	f.wg.Wait()
 }
 
-func fanWorker(f *fan, work func(*fan)) {
+func fanWorker(w int, f *fan, work func(int, *fan)) {
 	defer f.wg.Done()
-	work(f)
+	work(w, f)
 }
 
 // contain runs f and returns its error; a panic in f becomes an error

@@ -301,8 +301,8 @@ func TestLanePassPanicFailsBatch(t *testing.T) {
 func TestScanPanicFailsBatch(t *testing.T) {
 	queries, recs := realignBatch(t, 7)
 	db := NewDB(recs)
-	if len(db.groups()) < 2 {
-		t.Fatalf("%d lane groups, want several", len(db.groups()))
+	if len(db.groups) < 2 {
+		t.Fatalf("%d lane groups, want several", len(db.groups))
 	}
 	for _, workers := range []int{1, 4} {
 		for _, every := range []bool{false, true} {

@@ -189,17 +189,17 @@ func TestLaneGroups(t *testing.T) {
 	for _, n := range []int{5, 900, 17, 900, 33, 1, 0, 250, 250, 249} {
 		db = append(db, bio.Record{Seq: g.Random(n)})
 	}
-	groups := NewDB(db).groups()
+	groups := NewDB(db).groups
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
 	seen := map[int]bool{}
 	prevMin := 1 << 30
 	for _, grp := range groups {
-		if len(grp) > bio.PackedLanes8 {
-			t.Fatalf("group of %d lanes", len(grp))
+		if len(grp.recs) > bio.PackedLanes8 {
+			t.Fatalf("group of %d lanes", len(grp.recs))
 		}
-		for _, idx := range grp {
+		for _, idx := range grp.recs {
 			if seen[idx] {
 				t.Fatalf("record %d in two groups", idx)
 			}

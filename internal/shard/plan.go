@@ -24,7 +24,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 
 	"genomedsm/internal/bio"
 	"genomedsm/internal/search"
@@ -35,10 +34,11 @@ import (
 // forms. A contiguous span (Deal ≤ 1) owns the ranks [Lo, Hi). A dealt
 // span owns, of the ranks in [Lo, Hi), the runs of bio.PackedLanes8
 // ranks starting at Lo, Lo+8·Deal, Lo+16·Deal, … — every Deal-th lane
-// group. Either way the shard's local scan order is a subsequence of
-// the global one, so its lane groups pack the same near-equal lengths
-// they would in a single-node scan. A span owning no rank is a valid
-// shard with no work — it appears when shards outnumber lane groups.
+// group. Either way each run of at most bio.PackedLanes8 ranks is one
+// lane group of the shard's scan, and the runs ascend in rank order, so
+// the groups pack the same near-equal lengths they would in a
+// single-node scan. A span owning no rank is a valid shard with no work
+// — it appears when shards outnumber lane groups.
 type Span struct {
 	Lo, Hi int
 	Deal   int
@@ -53,11 +53,12 @@ func (s Span) runs(f func(lo, hi int)) {
 	}
 }
 
-// Len returns the number of records the span owns.
-func (s Span) Len() int {
-	n := 0
-	s.runs(func(lo, hi int) { n += hi - lo })
-	return n
+// view returns the view of db that scans the span's runs, each run one
+// lane group (search.DB.View).
+func (s Span) view(db *search.DB) (*search.DB, error) {
+	var runs [][2]int
+	s.runs(func(lo, hi int) { runs = append(runs, [2]int{lo, hi}) })
+	return db.View(runs)
 }
 
 func (s Span) String() string {
@@ -76,10 +77,10 @@ func (s Span) String() string {
 // shard). It balances cells too: shard i's k-th group is never shorter
 // than shard i+1's, so loads fall with the shard id and the first and
 // last differ by at most the first group's bases. Each dealt group is a whole
-// global group, so a worker attaches to its groups of the pack's
-// precomputed (possibly mmap'd) lane layout instead of re-interleaving
-// (see subDB). The plan is deterministic, and FuzzShardPlan proves no
-// plan affects results, only speed.
+// global group, so a shard's scan reads the pack's precomputed (possibly
+// mmap'd) lane layout words instead of re-interleaving (search.DB.View).
+// The plan is deterministic, and FuzzShardPlan proves no plan affects
+// results, only speed.
 func PlanSpans(db *search.DB, shards int) []Span {
 	n := db.Size()
 	spans := make([]Span, shards)
@@ -122,54 +123,4 @@ func ValidateSpans(spans []Span, n int) error {
 		}
 	}
 	return nil
-}
-
-// subDB materializes one span as a prepared sub-database plus the
-// local→global record index map. The sub-records are laid out in
-// ascending global index order — NOT canonical order — because the
-// top-K heap breaks score ties by record index, and local index order
-// must agree with global index order for the merged tie-breaks to be
-// bit-identical to a single-node scan. The canonical scan permutation
-// is supplied explicitly: the span's ranks of the global canonical
-// order, translated to local indices. (It is still canonical for the
-// sub-database: a subsequence of the global order keeps lengths
-// non-increasing, and on equal lengths global rank order is global
-// index order, which is local index order.)
-func subDB(db *search.DB, sp Span) (*search.DB, []int, error) {
-	order := db.Order()
-	recs := db.Records()
-	var canon, groups []int
-	whole := true // every run is a whole global lane group
-	sp.runs(func(lo, hi int) {
-		canon = append(canon, order[lo:hi]...)
-		groups = append(groups, lo/bio.PackedLanes8)
-		whole = whole && lo%bio.PackedLanes8 == 0 && (hi-lo == bio.PackedLanes8 || hi == len(order))
-	})
-	toGlobal := slices.Clone(canon)
-	slices.Sort(toGlobal)
-	local := make(map[int]int, len(canon))
-	sub := make([]bio.Record, len(canon))
-	for li, gi := range toGlobal {
-		sub[li] = recs[gi]
-		local[gi] = li
-	}
-	perm := make([]int, len(canon))
-	for j, gi := range canon {
-		perm[j] = local[gi]
-	}
-	d, err := search.PreparedDB(sub, perm)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lay := db.Layout(); lay != nil && len(canon) > 0 && whole {
-		// When every run is a whole global group, the sub-DB's groups are
-		// exactly those groups (a partial group only occurs at rank n,
-		// last in either order), so the sub-DB picks the parent's
-		// precomputed — possibly mmap'd — words instead of
-		// re-interleaving. Other custom spans fall back to lazy rebuild.
-		if err := d.SetLayout(lay.Pick(groups)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return d, toGlobal, nil
 }

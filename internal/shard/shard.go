@@ -61,6 +61,7 @@ type Cluster struct {
 	db      *search.DB
 	opt     Options
 	spans   []Span
+	views   []*search.DB // views[i] scans spans[i]
 	net     *transport
 	workers []*worker
 	stop    chan struct{}
@@ -99,6 +100,13 @@ func New(db *search.DB, opt Options) (*Cluster, error) {
 	if err := ValidateSpans(spans, db.Size()); err != nil {
 		return nil, err
 	}
+	views := make([]*search.DB, len(spans))
+	for i, sp := range spans {
+		var err error
+		if views[i], err = sp.view(db); err != nil {
+			return nil, err
+		}
+	}
 	for _, k := range opt.Kills {
 		if k.Shard < 0 || k.Shard >= opt.Shards {
 			return nil, fmt.Errorf("shard: kill names shard %d of %d", k.Shard, opt.Shards)
@@ -108,6 +116,7 @@ func New(db *search.DB, opt Options) (*Cluster, error) {
 		db:       db,
 		opt:      opt,
 		spans:    spans,
+		views:    views,
 		stop:     make(chan struct{}),
 		waiters:  make(map[uint64]chan response),
 		floors:   make(map[uint64]*search.Floor),
@@ -194,7 +203,7 @@ func (c *Cluster) handle(m msg) {
 // onGossip folds a worker's evidence into the query's global floor — a
 // search.Floor, the same bounded heap and validity argument as the
 // single-node pruning floor — and broadcasts a rise to every live
-// shard. Evidence is deduped by global record index, so replayed spans
+// shard. Evidence is deduped by record index, so replayed spans
 // and duplicated messages cannot count one record twice — the floor
 // stays valid (K distinct eligible records score ≥ it) under every
 // fault the transport can draw.
@@ -480,7 +489,7 @@ func (c *Cluster) runSpan(ctx context.Context, home int, wqs []wireQuery, opt se
 		c.waiters[id] = ch
 		c.mu.Unlock()
 		start := time.Now()
-		c.send(c.masterID(), target, cRequest, request{ID: id, Span: sp, Queries: wqs, Opt: opt})
+		c.send(c.masterID(), target, cRequest, request{ID: id, Span: home, Queries: wqs, Opt: opt})
 	wait:
 		for {
 			select {

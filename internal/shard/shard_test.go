@@ -743,8 +743,7 @@ func TestShardsLocateOnlyMergeSurvivors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	located := func(part *subPart, trim bool) int {
-		groups := (part.db.Size() + bio.PackedLanes8 - 1) / bio.PackedLanes8
+	located := func(view *search.DB, groups int, trim bool) int {
 		qs := make([]search.BatchQuery, len(batch))
 		for i, bq := range batch {
 			scanned := 0
@@ -759,7 +758,7 @@ func TestShardsLocateOnlyMergeSurvivors(t *testing.T) {
 				},
 			}
 		}
-		brs, err := search.RunBatch(context.Background(), qs, part.db, search.Options{Prune: true, NoEndpoints: true, Workers: 1})
+		brs, err := search.RunBatch(context.Background(), qs, view, search.Options{Prune: true, NoEndpoints: true, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -776,12 +775,10 @@ func TestShardsLocateOnlyMergeSurvivors(t *testing.T) {
 	}
 	trimmed, untrimmed := 0, 0
 	for si, sp := range c.Spans() {
-		part, err := c.workers[si].subFor(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trimmed += located(part, true)
-		untrimmed += located(part, false)
+		groups := 0
+		sp.runs(func(int, int) { groups++ })
+		trimmed += located(c.views[si], groups, true)
+		untrimmed += located(c.views[si], groups, false)
 	}
 	if trimmed >= untrimmed || trimmed < single {
 		t.Errorf("the spans locate %d entries per batch, %d untrimmed: want fewer, and at least the single node's %d", trimmed, untrimmed, single)

@@ -104,22 +104,17 @@ func (c *Cluster) Stats() Stats {
 		MsgsReordered:   c.net.reordered.Load(),
 	}
 	now := time.Now()
-	recs, order := c.db.Records(), c.db.Order()
 	for i, w := range c.workers {
 		h := ShardHealth{
 			Shard:        i,
+			Records:      c.views[i].Size(),
+			Bases:        c.views[i].TotalBases(),
 			Alive:        !c.dead[i].Load(),
 			Killed:       w.dead.Load(),
 			Answered:     c.lat[i].answered.Load(),
 			ReassignedTo: c.lat[i].reassigned.Load(),
 			LastBeatMS:   -1,
 		}
-		c.spans[i].runs(func(lo, hi int) {
-			for _, idx := range order[lo:hi] {
-				h.Records++
-				h.Bases += int64(len(recs[idx].Seq))
-			}
-		})
 		if beat := c.lastBeat[i].Load(); beat != 0 {
 			h.LastBeatMS = now.Sub(time.Unix(0, beat)).Milliseconds()
 		}

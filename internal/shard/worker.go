@@ -13,9 +13,11 @@ import (
 )
 
 // The wire types. The transport is in-process, so "wire" means "what a
-// real RPC would carry": the request holds the span and the resolved
-// per-query parameters, the response holds hits already mapped to
-// global record indices plus the scan diagnostics. A hit carries, in two
+// real RPC would carry": the request names the span of the plan to scan
+// and holds the resolved per-query parameters, the response holds hits
+// plus the scan diagnostics. Every record index on the wire — of a hit,
+// of floor evidence — is the database's: a span's view scans in the
+// database's index space, so no side translates one. A hit carries, in two
 // unexported ints that travel with the value, the end cell the worker's
 // scan located and the master's realign walks back from (search.Hit); a
 // transport that serialises must carry them, or the master scans whole
@@ -39,7 +41,7 @@ type wireQuery struct {
 // the two.
 type request struct {
 	ID      uint64
-	Span    Span
+	Span    int // the span's place in the plan: the worker scans Cluster.views[Span]
 	Queries []wireQuery
 	Opt     search.Options
 }
@@ -47,7 +49,7 @@ type request struct {
 // wireResult is one query's outcome on one shard.
 type wireResult struct {
 	QID      uint64
-	Hits     []search.Hit // global record indices
+	Hits     []search.Hit
 	Searched int
 	Cells    int64
 	Padded   int64
@@ -68,7 +70,7 @@ type response struct {
 }
 
 // scoreEv is one record's floor evidence: a result-eligible exact
-// score, keyed by global record index so the master can dedup replays.
+// score, keyed by record index so the master can dedup replays.
 type scoreEv struct {
 	Score, Index int
 }
@@ -139,7 +141,7 @@ type queryState struct {
 	cancels   []context.CancelFunc
 }
 
-// worker is one shard: a sub-database scanner behind a handler. Workers
+// worker is one shard: a scanner of span views behind a handler. Workers
 // model crash-stop nodes — a killed worker stops scanning, answering
 // and heartbeating, and everything sent to it is dropped.
 type worker struct {
@@ -155,22 +157,14 @@ type worker struct {
 	mu        sync.Mutex
 	seen      idSet // request ids
 	cancelled idSet // query ids cancelled before any of their requests arrived
-	subs      map[Span]*subPart
 	qs        map[uint64]*queryState
-}
-
-// subPart is one cached materialized span.
-type subPart struct {
-	db       *search.DB
-	toGlobal []int
 }
 
 func newWorker(c *Cluster, id int, killAfter int64) *worker {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &worker{
 		c: c, id: id, ctx: ctx, cancel: cancel, killAfter: killAfter,
-		subs: make(map[Span]*subPart),
-		qs:   make(map[uint64]*queryState),
+		qs: make(map[uint64]*queryState),
 	}
 }
 
@@ -308,25 +302,6 @@ func (w *worker) releaseQuery(qid uint64, st *queryState) {
 	}
 }
 
-// subFor materializes (and caches) the span's sub-database.
-func (w *worker) subFor(sp Span) (*subPart, error) {
-	w.mu.Lock()
-	p := w.subs[sp]
-	w.mu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	db, toGlobal, err := subDB(w.c.db, sp)
-	if err != nil {
-		return nil, err
-	}
-	p = &subPart{db: db, toGlobal: toGlobal}
-	w.mu.Lock()
-	w.subs[sp] = p
-	w.mu.Unlock()
-	return p, nil
-}
-
 // gossipBuf batches one query's floor evidence between group
 // boundaries, so gossip costs one message per group, not per record.
 type gossipBuf struct {
@@ -341,12 +316,12 @@ type gossipBuf struct {
 // the query's hint cannot: the hint is a floor the master published,
 // so its heap already holds K records scoring ≥ it — Floor.Push's fast
 // path, applied before the message is sent.
-func (g *gossipBuf) add(score, globalIdx int) {
+func (g *gossipBuf) add(score, idx int) {
 	if int64(score) <= g.st.floor.Load() {
 		return
 	}
 	g.mu.Lock()
-	g.ev = append(g.ev, scoreEv{Score: score, Index: globalIdx})
+	g.ev = append(g.ev, scoreEv{Score: score, Index: idx})
 	flush := len(g.ev) >= 64
 	g.mu.Unlock()
 	if flush {
@@ -396,11 +371,6 @@ var TestHookScan func(shard int)
 
 func (w *worker) scan(req request) response {
 	resp := response{ID: req.ID, Shard: w.id}
-	part, err := w.subFor(req.Span)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
 	opt := req.Opt
 	// Workers split the host cores: endpoints come from the master's
 	// single Realign pass over the merged winners, not per shard.
@@ -430,7 +400,7 @@ func (w *worker) scan(req request) response {
 		if opt.Prune {
 			buf := &gossipBuf{w: w, qid: wq.QID, st: st}
 			bq.FloorHint = func() int { return int(st.floor.Load()) }
-			bq.OnScore = func(score, idx int) { buf.add(score, part.toGlobal[idx]) }
+			bq.OnScore = buf.add
 			bq.OnGroup = func() {
 				buf.flush()
 				w.step()
@@ -444,7 +414,7 @@ func (w *worker) scan(req request) response {
 		}
 	}()
 
-	results, err := search.RunBatch(w.ctx, queries, part.db, opt)
+	results, err := search.RunBatch(w.ctx, queries, w.c.views[req.Span], opt)
 	if err != nil {
 		// The worker context only dies by crash; anything else is a real
 		// scan failure the master must not retry.
@@ -462,11 +432,7 @@ func (w *worker) scan(req request) response {
 			wr.Padded = r.PaddedCells
 			wr.Prune = r.Prune
 			if br.Err == nil {
-				wr.Hits = make([]search.Hit, len(r.Hits))
-				for j, h := range r.Hits {
-					h.Index = part.toGlobal[h.Index]
-					wr.Hits[j] = h
-				}
+				wr.Hits = r.Hits
 			}
 		}
 		wr.Cancelled = br.Err != nil

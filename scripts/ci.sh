@@ -13,7 +13,7 @@
 #      vetted and compiled for arm64 (the AVX2 kernels are amd64
 #      only), then the AVX2 route check (CPUID against
 #      /proc/cpuinfo's avx2 flag, logging hasAVX2), then a kernel oracle
-#      fuzz: 10 s each of the eleven differential fuzzers that pin the
+#      fuzz: 10 s each of the twelve differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
 #      located from them — and the striped rungs and ScanPair, one
 #      pair down the lane ladder, to the scalar kernel, the AVX2 eight-row
@@ -22,13 +22,14 @@
 #      per-cell-argmax one it replaced, pruned search
 #      hits to unpruned ones, the realign pool's arrow-free begin
 #      sweep to the §6 traceback, that sweep's score-to-go floor to
-#      the same sweep without it, and its 16-lane passes to it lane by
-#      lane (FuzzScoresVsScalar,
+#      the same sweep without it, its 16-lane passes to it lane by
+#      lane, and every shard plan's hits to one node's (FuzzScoresVsScalar,
 #      FuzzStripedVsScalar, FuzzRowQuadVsPortable,
 #      FuzzRowPairVsPortable, FuzzLeafRowVsReference,
 #      FuzzDispatchVsScalar, FuzzStripRealignVsFull,
 #      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve,
-#      FuzzBeginReachVsAnchored, FuzzBeginLanesVsBegin) — past their
+#      FuzzBeginReachVsAnchored, FuzzBeginLanesVsBegin,
+#      FuzzShardPlan) — past their
 #      seed corpora, which is all `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
@@ -140,7 +141,7 @@ avx2=$(go test -count=1 -run '^TestHasAVX2MatchesCPUInfo$' -v ./internal/swar) |
     { echo "$avx2"; echo "AVX2 route check FAILED"; exit 1; }
 echo "$avx2" | grep -E 'hasAVX2|SKIP'
 
-echo "== kernel oracle fuzz (10 s x 11 differential fuzzers)"
+echo "== kernel oracle fuzz (10 s x 12 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 # The striped rungs and ScanPair on both packed-kernel routes, from a
 # three-base pair to a 513-row query, int8 and int16 saturation and N runs.
@@ -168,6 +169,9 @@ go test -run '^$' -fuzz '^FuzzBeginReachVsAnchored$' -fuzztime 10s ./internal/al
 # The finish pass runs those sweeps 16 hits to a pass in int16 lanes:
 # every lane must give Begin's begin cell and ok, on both routes.
 go test -run '^$' -fuzz '^FuzzBeginLanesVsBegin$' -fuzztime 10s ./internal/swar
+# A shard plan changes speed, never results: every plan of every shape,
+# on the bare database and with its lane layout, matches one node.
+go test -run '^$' -fuzz '^FuzzShardPlan$' -fuzztime 10s ./internal/chaos
 
 echo "== chaos sweep (16 seeds x 3 strategies, -race)"
 chaos_bin=$(mktemp -d)/genomedsm
