@@ -670,6 +670,93 @@ func BenchmarkBeginLanesVsScalar(b *testing.B) {
 	b.ReportMetric(float64(len(items)), "hits")
 }
 
+// homologLocateItems returns the LocateEnd calls of the homolog batch's
+// final hits: each hit's query and record, the end block and saved
+// border row a packed rung leaves for it — the record alone down the
+// lane ladder gives the same ones as its lane group, as both are a
+// function of the pair — and its score.
+func homologLocateItems(b *testing.B) []swar.LocateItem {
+	batch, db := benchHomologBatch()
+	out, err := search.RunBatch(context.Background(), batch, db, search.Options{Prune: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := bio.DefaultScoring()
+	var al swar.Aligner
+	var items []swar.LocateItem
+	for qi, br := range out {
+		for _, h := range br.Result.Hits {
+			q, t := batch[qi].Seq, db.Records()[h.Index].Seq
+			res := al.Ladder(q, []bio.Sequence{t}, sc, swar.RungInter8, nil, nil)
+			if res.Seeded&1 == 0 || res.Scores[0] != h.Score {
+				b.Fatalf("hit %q: the ladder scores %d (seeded %v), the search %d", h.ID, res.Scores[0], res.Seeded&1 != 0, h.Score)
+			}
+			items = append(items, swar.LocateItem{Q: q, T: t, Block: res.EndBlock[0], Seed: slices.Clone(al.Seed(0)), Score: h.Score})
+		}
+	}
+	return items
+}
+
+// BenchmarkLocateLanesVsScalar times the end cells of the homolog
+// batch's 40 final hits in their two forms, alternated in every
+// iteration with the first arm switched every iteration: LocateLanes in
+// passes of ten hits sorted by the box of their replay, block rows ×
+// target length — the deal the finish pass makes on two workers — and
+// LocateEnd one hit at a time. scalar/lanes is their time ratio, a
+// same-run reading, so the host's speed that hour cancels. ci.sh gates
+// its median over five runs.
+func BenchmarkLocateLanesVsScalar(b *testing.B) {
+	if !swar.HasBeginRow() {
+		b.Skip("no lane kernel on this host")
+	}
+	items := homologLocateItems(b)
+	box := func(it swar.LocateItem) int {
+		return min(swar.BlockRows, len(it.Q)-it.Block*swar.BlockRows) * len(it.T)
+	}
+	slices.SortStableFunc(items, func(x, y swar.LocateItem) int { return cmp.Compare(box(y), box(x)) })
+	sc := bio.DefaultScoring()
+	var al swar.Aligner // reused scratch: steady-state allocs only
+	lanes := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < len(items); i += 10 {
+			pass := items[i:min(i+10, len(items))]
+			if n := al.LocateLanes(sc, pass); n != len(pass) {
+				b.Fatalf("%d items of a pass of %d ran in lanes", n, len(pass))
+			}
+			for _, it := range pass {
+				if !it.OK {
+					b.Fatal("a final hit's end block does not reach its score")
+				}
+			}
+		}
+		return time.Since(start)
+	}
+	scalar := func() time.Duration {
+		start := time.Now()
+		for _, it := range items {
+			if _, _, ok := al.LocateEnd(it.Q, it.T, sc, it.Block, it.Seed, it.Score); !ok {
+				b.Fatal("a final hit's end block does not reach its score")
+			}
+		}
+		return time.Since(start)
+	}
+	lanes()
+	scalar()
+	var tl, ts time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			tl += lanes()
+			ts += scalar()
+		} else {
+			ts += scalar()
+			tl += lanes()
+		}
+	}
+	b.ReportMetric(ts.Seconds()/tl.Seconds(), "scalar/lanes")
+	b.ReportMetric(float64(len(items)), "hits")
+}
+
 // BenchmarkSearchRealign measures the realign stage alone — finding the
 // end cell plus the §6 reverse retrieval of ten final hits, fanned over
 // the realign pool — in the two shapes the serve-path benchmark spends

@@ -106,7 +106,7 @@ func (rt *Retriever) lanePass(sc bio.Scoring, items []*BeginItem) {
 	match, gap := sc.Match, -max(sc.Gap, swar.LaneDead)
 	n, qmax := len(items), 0
 	for l := range swar.BeginLanes {
-		row.Floor[l], row.Reach[l] = swar.LaneStopped, swar.LaneStopped
+		row.Floor[l], row.Reach[l], row.Clamp[l] = swar.LaneStopped, swar.LaneStopped, swar.LaneDead
 	}
 	for l, it := range items {
 		ls.s[l], ls.t[l] = it.S, it.T
@@ -155,8 +155,8 @@ func (rt *Retriever) lanePass(sc bio.Scoring, items []*BeginItem) {
 			ls.fillCodes(n, built, to)
 			built = to
 		}
-		end, hits := swar.BeginRow(prev, cur, ls.codes, row, lo, mid, last)
-		for m := running & compress(hits); m != 0; m &= m - 1 {
+		end, hits, _ := swar.BeginRow(prev, cur, ls.codes, row, lo, mid, last)
+		for m := running & hits; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
 			// The row's first column reaching k has its smallest p+q.
 			for q := lo; q < end && p+q < ls.bestSum[l]; q++ {
@@ -187,16 +187,6 @@ func (rt *Retriever) lanePass(sc bio.Scoring, items []*BeginItem) {
 		}
 		ls.s[l], ls.t[l] = nil, nil
 	}
-}
-
-// compress turns BeginRow's reach mask, two equal bits per lane, into
-// one bit per lane: the even bits, gathered.
-func compress(reach uint32) uint32 {
-	m := reach & 0x5555_5555
-	m = (m | m>>1) & 0x3333_3333
-	m = (m | m>>2) & 0x0F0F_0F0F
-	m = (m | m>>4) & 0x00FF_00FF
-	return (m | m>>8) & 0xFFFF
 }
 
 // fillCodes fills code columns from+1…to of the first n lanes: each

@@ -60,17 +60,24 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 
 // finishHits is the pass over the final hits of a batch, in two phases.
 //
-// The first gives every hit its end cell, one (query, hit) pair per
-// item, handed out dynamically in decreasing order of the box the item
-// scans — the longest-first rule, so the largest is never the last item
-// started. from, when non-nil, holds per query the scan's merged heap
-// entries, from[qi][i] behind out[qi].Result.Hits[i]: a hit the packed
-// rungs scored has no end cell yet, only the entry's end block and
-// saved border row, and swar.LocateEnd replays that block to the cell.
-// The replay is also where such a score is checked, over the block it
-// was claimed for: a block that never reaches the score, or exceeds it
-// first, is a kernel bug and fails the batch. A hit with neither scans
-// its whole matrix on ScanPair (locate).
+// The first gives every hit its end cell. from, when non-nil, holds per
+// query the scan's merged heap entries, from[qi][i] behind
+// out[qi].Result.Hits[i]: a hit the packed rungs scored has no end cell
+// yet, only the entry's end block and saved border row, and replaying
+// that block finds the cell. The replay is also where such a score is
+// checked, over the block it was claimed for: a block that never
+// reaches the score, or exceeds it first, is a kernel bug and fails the
+// batch. These seeded hits, sorted by the box of their replay, block
+// rows × target length, are dealt into lane passes of up to
+// swar.BeginLanes hits as the second phase deals its sweeps, and a pass
+// runs on one worker as one swar.(*Aligner).LocateLanes call: the end
+// blocks of its hits in int16 lanes, one hit per lane, or LocateEnd one
+// hit at a time where they do not fit (locatePass). A hit with no seed
+// keeps its own item: one already located only counts its cells, one
+// built by hand scans its whole matrix on ScanPair (locate). Those
+// items are handed out first, in decreasing order of their box — the
+// longest-first rule, so the largest is never the last item started —
+// and the passes after them.
 //
 // The second, when spans is set (not for a NoEndpoints scan), runs the
 // reverse sweep of RealignBatch from every end cell. The located hits,
@@ -84,10 +91,10 @@ func RealignBatch(ctx context.Context, queries []BatchQuery, out []BatchResult, 
 //
 // Each worker holds a pooled swar.Aligner for the first phase and a
 // pooled align.Retriever for the second. A panic in an item, or in a
-// pass, a kernel bug, becomes the error of that item, or of the pass's
-// first item in (query, hit) order: it fails the batch like any other,
-// and the process lives on. The worker then drops the Aligner or
-// Retriever it held mid-work instead of pooling it.
+// pass of either phase, a kernel bug, becomes the error of that item,
+// or of the pass's first item in (query, hit) order: it fails the batch
+// like any other, and the process lives on. The worker then drops the
+// Aligner or Retriever it held mid-work instead of pooling it.
 func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db []bio.Record, sc bio.Scoring, workers int, from [][]scored, spans bool) error {
 	if sc == (bio.Scoring{}) {
 		sc = bio.DefaultScoring()
@@ -122,7 +129,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 				it.box = int64(it.hit.endI) * int64(it.hit.endJ)
 			case from != nil:
 				it.from = &from[qi][i]
-				it.box = min(int64(it.from.endI+swar.BlockRows), m) * n
+				it.box = min(swar.BlockRows, m-int64(it.from.endI)) * n
 			default:
 				it.box = m * n
 			}
@@ -134,26 +141,56 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 	// errs stays in (query, hit) order while the schedules are sorted.
 	errs := make([]error, len(items))
 	byBox := func(a, b finishItem) int { return cmp.Compare(b.box, a.box) }
-	slices.SortStableFunc(items, byBox)
+	lanes := 1
+	if swar.HasBeginRow() {
+		lanes = swar.BeginLanes
+	}
 
-	fanOut(len(items), workers, func(_ int, f *fan) {
+	// The items without a seed first, by box, then the seeded ones, by
+	// box, dealt into passes.
+	slices.SortStableFunc(items, func(a, b finishItem) int {
+		if c := cmp.Compare(seeded(a), seeded(b)); c != 0 {
+			return c
+		}
+		return byBox(a, b)
+	})
+	single := len(items)
+	for single > 0 && items[single-1].from != nil {
+		single--
+	}
+	d := deal(len(items)-single, workers, lanes)
+	fanOut(single+d.passes, workers, func(_ int, f *fan) {
 		al := aligners.Get().(*swar.Aligner)
 		defer func() { aligners.Put(al) }()
-		for i, ok := f.claim(); ok; i, ok = f.claim() {
-			it := &items[i]
-			if ctxOf(it.qi).Err() != nil {
-				continue // skipped: nothing computed
+		drop := func() { al = new(swar.Aligner) }
+		for k, ok := f.claim(); ok; k, ok = f.claim() {
+			if k < single {
+				it := &items[k]
+				if ctxOf(it.qi).Err() != nil {
+					continue // skipped: nothing computed
+				}
+				errs[it.n] = contain(it, func() error {
+					if TestHookFinish != nil {
+						TestHookFinish([]int{it.n})
+					}
+					cells, err := locate(al, queries[it.qi].Seq, db[it.hit.Index].Seq, sc, it)
+					if spans {
+						it.cells = cells
+					}
+					return err
+				}, drop)
+				continue
 			}
-			errs[it.n] = contain(it, func() error {
-				if TestHookFinish != nil {
-					TestHookFinish(it.n)
-				}
-				cells, err := locate(al, queries[it.qi].Seq, db[it.hit.Index].Seq, sc, it)
-				if spans {
-					it.cells = cells
-				}
-				return err
-			}, func() { al = new(swar.Aligner) })
+			lo, hi := d.bounds(k - single)
+			pass := items[single+lo : single+hi]
+			// A pass's hits get their own errors; a panic is its first's.
+			first := firstOf(pass)
+			if err := contain(first, func() error {
+				locatePass(al, queries, db, sc, pass, errs, ctxOf, spans)
+				return nil
+			}, drop); err != nil {
+				errs[first.n] = err
+			}
 		}
 	})
 
@@ -169,10 +206,6 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 			}
 		}
 		slices.SortStableFunc(items, byBox)
-		lanes := 1
-		if swar.HasBeginRow() {
-			lanes = swar.BeginLanes
-		}
 		d := deal(located, workers, lanes)
 		begins := make([]align.BeginItem, located)
 		fanOut(d.passes, workers, func(_ int, f *fan) {
@@ -181,12 +214,7 @@ func finishHits(ctx context.Context, queries []BatchQuery, out []BatchResult, db
 			for k, ok := f.claim(); ok; k, ok = f.claim() {
 				lo, hi := d.bounds(k)
 				pass := items[lo:hi]
-				first := &pass[0]
-				for i := range pass {
-					if pass[i].n < first.n {
-						first = &pass[i]
-					}
-				}
+				first := firstOf(pass)
 				// A pass's hits get their own errors; a panic is its first's.
 				if err := contain(first, func() error {
 					beginPass(rt, queries, db, sc, pass, begins[lo:hi], errs, ctxOf)
@@ -222,6 +250,26 @@ type finishItem struct {
 	from  *scored // block and seed of a hit still to be located
 	box   int64   // the schedule key
 	cells int64   // what the item adds to RealignCells
+}
+
+// seeded orders the items of the first phase: 1 for a hit a lane pass
+// locates, 0 for one with an item of its own.
+func seeded(it finishItem) int {
+	if it.from != nil {
+		return 1
+	}
+	return 0
+}
+
+// firstOf returns the pass's first item in (query, hit) order.
+func firstOf(pass []finishItem) *finishItem {
+	first := &pass[0]
+	for i := range pass {
+		if pass[i].n < first.n {
+			first = &pass[i]
+		}
+	}
+	return first
 }
 
 // A fan hands out 0…n−1, each once, in order, to the workers of a
@@ -311,11 +359,7 @@ func beginPass(rt *align.Retriever, queries []BatchQuery, db []bio.Record, sc bi
 		run = append(run, align.BeginItem{S: queries[it.qi].Seq, T: db[h.Index].Seq, EndI: h.endI, EndJ: h.endJ, K: h.Score})
 	}
 	if TestHookLanePass != nil {
-		ns := make([]int, len(pass))
-		for i, it := range pass {
-			ns[i] = it.n
-		}
-		TestHookLanePass(ns)
+		TestHookLanePass(positions(pass))
 	}
 	rt.BeginLanes(sc, run)
 	for i, it := range pass {
@@ -326,16 +370,26 @@ func beginPass(rt *align.Retriever, queries []BatchQuery, db []bio.Record, sc bi
 	}
 }
 
-// TestHookFinish, when non-nil, runs at the start of every item of the
-// finish pass's first phase with the item's position in (query, hit)
-// order. TestHookLanePass, when non-nil, runs at the start of every
-// lane pass of its second phase with the positions of the pass's hits.
-// They are for tests, which plant a panic with them; nothing else sets
-// them.
+// TestHookFinish, when non-nil, runs at the start of every item and
+// every lane pass of the finish pass's first phase with the positions
+// of its hits in (query, hit) order. TestHookLanePass, when non-nil,
+// runs at the start of every lane pass of its second phase with the
+// positions of the pass's hits. They are for tests, which plant a panic
+// with them; nothing else sets them.
 var (
-	TestHookFinish   func(item int)
+	TestHookFinish   func(items []int)
 	TestHookLanePass func(items []int)
 )
+
+// positions returns the (query, hit) positions of a pass's hits, for
+// the test hooks.
+func positions(pass []finishItem) []int {
+	ns := make([]int, len(pass))
+	for i, it := range pass {
+		ns[i] = it.n
+	}
+	return ns
+}
 
 // retrievers keeps the workers' align.Retrievers — their rolling rows,
 // profile and lane-pass rows — alive between calls. Begin never touches
@@ -348,31 +402,56 @@ var retrievers = sync.Pool{New: func() any { return new(align.Retriever) }}
 // the longest record group seen.
 var aligners = sync.Pool{New: func() any { return new(swar.Aligner) }}
 
-// locateHit turns the end block and border row a packed rung left for h
-// into its end cell.
-func locateHit(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, h *Hit, from *scored) error {
-	endI, endJ, ok := al.LocateEnd(q, t, sc, from.endI/swar.BlockRows, from.seed, h.Score)
-	if !ok {
-		return fmt.Errorf("search: scan score %d for %q disagrees with the exact rescan of query rows %d..%d from the saved border row",
-			h.Score, h.ID, from.endI+1, min(from.endI+swar.BlockRows, len(q)))
+// locatePass gives the seeded hits of one lane pass of the first phase
+// their end cells — one swar.(*Aligner).LocateLanes call, which replays
+// each hit's end block from its saved border row — skipping those of a
+// query whose context has fired, and fills in their errors in errs and,
+// when spans is set, their share of Result.RealignCells: the rows of
+// the end block replayed.
+func locatePass(al *swar.Aligner, queries []BatchQuery, db []bio.Record, sc bio.Scoring, pass []finishItem, errs []error, ctxOf func(int) context.Context, spans bool) {
+	var skip uint32
+	var locs [swar.BeginLanes]swar.LocateItem
+	run := locs[:0]
+	for i, it := range pass {
+		if ctxOf(it.qi).Err() != nil {
+			skip |= 1 << i
+			continue
+		}
+		run = append(run, swar.LocateItem{
+			Q: queries[it.qi].Seq, T: db[it.hit.Index].Seq,
+			Block: it.from.endI / swar.BlockRows, Seed: it.from.seed, Score: it.hit.Score,
+		})
 	}
-	h.endI, h.endJ = endI, endJ
-	return nil
+	if TestHookFinish != nil {
+		TestHookFinish(positions(pass))
+	}
+	al.LocateLanes(sc, run)
+	for i := range pass {
+		if skip>>i&1 != 0 {
+			continue
+		}
+		it, loc := &pass[i], &run[0]
+		run = run[1:]
+		h := it.hit
+		if !loc.OK {
+			errs[it.n] = fmt.Errorf("search: scan score %d for %q disagrees with the exact rescan of query rows %d..%d from the saved border row",
+				h.Score, h.ID, it.from.endI+1, min(it.from.endI+swar.BlockRows, len(loc.Q)))
+			continue
+		}
+		h.endI, h.endJ = loc.EndI, loc.EndJ
+		if spans {
+			it.cells = int64((h.endI-1)%swar.BlockRows+1) * int64(len(loc.T))
+		}
+	}
 }
 
-// locate gives the item's hit its end cell: replayed from the end block and
-// border row a packed rung left, or, for a hit that came with neither,
-// found by ScanPair over the whole matrix. cells is the hit's share
-// of Result.RealignCells: the rows of its end block, or the whole
-// matrix.
+// locate gives an item without a seed its end cell: for a hit that came
+// without one, found by ScanPair over the whole matrix. cells is the
+// hit's share of Result.RealignCells: the whole matrix, or for a hit
+// already located the rows of its end block.
 func locate(al *swar.Aligner, q, t bio.Sequence, sc bio.Scoring, it *finishItem) (cells int64, err error) {
 	h := it.hit
-	switch {
-	case it.from != nil:
-		if err := locateHit(al, q, t, sc, h, it.from); err != nil {
-			return 0, err
-		}
-	case h.endI == 0:
+	if h.endI == 0 {
 		p, err := al.ScanPair(q, t, sc)
 		if err != nil {
 			return 0, fmt.Errorf("search: rescanning %q: %w", h.ID, err)

@@ -206,47 +206,27 @@ func TestRealignLocatedAllocs(t *testing.T) {
 	}
 }
 
-// TestFinishPanicFailsBatch: a panic planted in one item of the finish
-// pass fails its batch with that item's error, on one worker and on
-// four, and the next batch — on the same pools — is bit-identical to
-// per-query Runs.
+// TestFinishPanicFailsBatch: a panic planted in one lane pass of the
+// finish pass's first phase, the end cells, fails its batch with the
+// error of the pass's first hit in (query, hit) order, on one worker and
+// on four, and the next batch — on the same pools — is bit-identical to
+// the first clean one.
 func TestFinishPanicFailsBatch(t *testing.T) {
-	queries, recs := realignBatch(t, 5)
-	db := NewDB(recs)
-	for _, workers := range []int{1, 4} {
-		opt := Options{Workers: workers, Prune: true}
-		TestHookFinish = func(item int) {
-			if item == 2 {
-				panic("planted")
-			}
-		}
-		_, err := RunBatch(context.Background(), queries, db, opt)
-		TestHookFinish = nil
-		if err == nil || !strings.Contains(err.Error(), "panicked: planted") {
-			t.Fatalf("workers %d: err = %v, want the planted panic", workers, err)
-		}
-		got, err := RunBatch(context.Background(), queries, db, opt)
-		if err != nil {
-			t.Fatalf("workers %d: batch after the panic: %v", workers, err)
-		}
-		for qi, bq := range queries {
-			want, err := Run(bq.Seq, recs, Options{TopK: bq.TopK, Workers: workers, Prune: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got[qi].Result.Hits) != fmt.Sprint(want.Hits) {
-				t.Errorf("workers %d query %d: hits after the panic %v, Run %v", workers, qi, got[qi].Result.Hits, want.Hits)
-			}
-		}
-	}
+	checkPassPanic(t, &TestHookFinish)
 }
 
-// TestLanePassPanicFailsBatch: a panic planted in one lane pass of the
-// finish pass's sweeps fails its batch with the error of the pass's
-// first hit in (query, hit) order, on one worker and on four, and the
-// next batch — on the same pools — is bit-identical to the first clean
-// one.
+// TestLanePassPanicFailsBatch is TestFinishPanicFailsBatch for a lane
+// pass of the finish pass's sweeps.
 func TestLanePassPanicFailsBatch(t *testing.T) {
+	checkPassPanic(t, &TestHookLanePass)
+}
+
+// checkPassPanic plants a panic with hook in the lane pass holding the
+// batch's last hit: on a host with the lane kernel that pass holds
+// others, so its first hit is not the planted one. The batch must fail
+// with the error of the pass's first hit in (query, hit) order, and the
+// next batch must match the first clean one.
+func checkPassPanic(t *testing.T, hook *func(items []int)) {
 	queries, recs := realignBatch(t, 5)
 	db := NewDB(recs)
 	for _, workers := range []int{1, 4} {
@@ -261,11 +241,9 @@ func TestLanePassPanicFailsBatch(t *testing.T) {
 				order = append(order, fmt.Sprintf("hit %q of query %d", h.ID, qi))
 			}
 		}
-		// The pass holding the last hit: on a host with the lane kernel
-		// it holds others, so its first hit is not the planted one.
 		var mu sync.Mutex
 		var planted []int
-		TestHookLanePass = func(items []int) {
+		*hook = func(items []int) {
 			if slices.Contains(items, len(order)-1) {
 				mu.Lock()
 				planted = slices.Clone(items)
@@ -274,7 +252,10 @@ func TestLanePassPanicFailsBatch(t *testing.T) {
 			}
 		}
 		_, err = RunBatch(context.Background(), queries, db, opt)
-		TestHookLanePass = nil
+		*hook = nil
+		if planted == nil {
+			t.Fatalf("workers %d: no pass held the last hit", workers)
+		}
 		want := order[slices.Min(planted)] + " panicked: planted"
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("workers %d: err = %v, want %q", workers, err, want)

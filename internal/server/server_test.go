@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -680,50 +681,64 @@ func (b repeatByte) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFinishPanicContained plants a panic in one item of the finish
-// pass (locate + reverse sweep): the request gets the batch's typed 500
-// in the JSON error shape, /healthz stays green, and the next query is
-// answered bit-identically to search.Run.
+// TestFinishPanicContained plants a panic in one lane pass of each phase
+// of the finish pass — the end cells, then the reverse sweeps — the pass
+// holding the second hit: the request gets the batch's typed 500 in the
+// JSON error shape, naming the pass's first hit, /healthz stays green,
+// and the next query is answered bit-identically to search.Run.
 func TestFinishPanicContained(t *testing.T) {
 	q, recs := testDB(t, 24, 60, 20)
 	_, hs := newTestServer(t, recs, Config{})
-	search.TestHookFinish = func(item int) {
-		if item == 1 {
-			panic("planted")
-		}
-	}
-	resp, body := postSearch(t, hs.URL, RequestJSON{Query: q.String(), TopK: 5})
-	search.TestHookFinish = nil
-	var e struct{ Error string }
-	if err := json.Unmarshal(body, &e); resp.StatusCode != http.StatusInternalServerError || err != nil ||
-		!strings.Contains(e.Error, "panicked: planted") {
-		t.Fatalf("planted panic: status %d, body %s, want 500 with the panic's error", resp.StatusCode, body)
-	}
-	hresp, err := http.Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after a finish panic got %d, want 200", hresp.StatusCode)
-	}
 	want, err := search.Run(q, recs, search.Options{TopK: 5, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body = postSearch(t, hs.URL, RequestJSON{Query: q.String(), TopK: 5})
-	var got ResultJSON
-	if err := json.Unmarshal(body, &got); resp.StatusCode != http.StatusOK || err != nil {
-		t.Fatalf("query after the panic: status %d, body %s", resp.StatusCode, body)
+	if len(want.Hits) < 2 {
+		t.Fatalf("search.Run found %d hits, want at least 2", len(want.Hits))
 	}
-	if len(got.Hits) != len(want.Hits) || len(want.Hits) < 2 {
-		t.Fatalf("%d hits after the panic, search.Run %d (want at least 2)", len(got.Hits), len(want.Hits))
-	}
-	for i, h := range want.Hits {
-		g := got.Hits[i]
-		if g.Index != h.Index || g.ID != h.ID || g.Score != h.Score ||
-			g.QBegin != h.QBegin || g.QEnd != h.QEnd || g.TBegin != h.TBegin || g.TEnd != h.TEnd {
-			t.Errorf("hit %d after the panic: %+v, search.Run %+v", i, g, h)
+	for _, phase := range []struct {
+		name string
+		hook *func(items []int)
+	}{{"locate", &search.TestHookFinish}, {"sweep", &search.TestHookLanePass}} {
+		var mu sync.Mutex
+		var planted []int
+		*phase.hook = func(items []int) {
+			if slices.Contains(items, 1) {
+				mu.Lock()
+				planted = slices.Clone(items)
+				mu.Unlock()
+				panic("planted")
+			}
+		}
+		resp, body := postSearch(t, hs.URL, RequestJSON{Query: q.String(), TopK: 5})
+		*phase.hook = nil
+		var e struct{ Error string }
+		if err := json.Unmarshal(body, &e); resp.StatusCode != http.StatusInternalServerError || err != nil || planted == nil ||
+			!strings.Contains(e.Error, fmt.Sprintf("hit %q of query 0 panicked: planted", want.Hits[slices.Min(planted)].ID)) {
+			t.Fatalf("%s: planted panic in pass %v: status %d, body %s, want 500 with the error of the pass's first hit", phase.name, planted, resp.StatusCode, body)
+		}
+		hresp, err := http.Get(hs.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hresp.Body.Close()
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: healthz after a finish panic got %d, want 200", phase.name, hresp.StatusCode)
+		}
+		resp, body = postSearch(t, hs.URL, RequestJSON{Query: q.String(), TopK: 5})
+		var got ResultJSON
+		if err := json.Unmarshal(body, &got); resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: query after the panic: status %d, body %s", phase.name, resp.StatusCode, body)
+		}
+		if len(got.Hits) != len(want.Hits) {
+			t.Fatalf("%s: %d hits after the panic, search.Run %d", phase.name, len(got.Hits), len(want.Hits))
+		}
+		for i, h := range want.Hits {
+			g := got.Hits[i]
+			if g.Index != h.Index || g.ID != h.ID || g.Score != h.Score ||
+				g.QBegin != h.QBegin || g.QEnd != h.QEnd || g.TBegin != h.TBegin || g.TEnd != h.TEnd {
+				t.Errorf("%s: hit %d after the panic: %+v, search.Run %+v", phase.name, i, g, h)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
 	"sync"
@@ -813,10 +814,11 @@ func TestShardsLocateOnlyMergeSurvivors(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicFailsBatch plants a panic in one shard worker's scan:
-// the batch fails with that shard's error — not retried, not
-// reassigned — the process lives on, and the next batch on the same
-// cluster matches a single node.
+// TestWorkerPanicFailsBatch plants a panic in one shard worker's scan,
+// then in the first lane pass a shard's finish pass runs to locate its
+// entries: each time the batch fails with that shard's error — not
+// retried, not reassigned — the process lives on, and the next batch on
+// the same cluster matches a single node.
 func TestWorkerPanicFailsBatch(t *testing.T) {
 	q, recs := synthInputs(7, 200, 40, 300)
 	db := search.NewDB(recs)
@@ -826,6 +828,25 @@ func TestWorkerPanicFailsBatch(t *testing.T) {
 	}
 	defer c.Close()
 	opt := search.Options{Prune: true, TopK: 5}
+	want, err := search.RunCtx(context.Background(), q, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(phase string, err error, wantErr *regexp.Regexp) {
+		t.Helper()
+		if err == nil || !wantErr.MatchString(err.Error()) {
+			t.Fatalf("%s: err = %v, want %v", phase, err, wantErr)
+		}
+		if st := c.Stats(); st.Reassigns != 0 || st.DeadDetected != 0 {
+			t.Errorf("%s: a panicked scan was replayed: %+v", phase, st)
+		}
+		got, err := c.Search(context.Background(), q, opt)
+		if err != nil {
+			t.Fatalf("%s: batch after the panic: %v", phase, err)
+		}
+		mustEqualResults(t, phase+": after the panic", got, want)
+	}
+
 	TestHookScan = func(shard int) {
 		if shard == 1 {
 			panic("planted")
@@ -833,19 +854,17 @@ func TestWorkerPanicFailsBatch(t *testing.T) {
 	}
 	_, err = c.Search(context.Background(), q, opt)
 	TestHookScan = nil
-	if err == nil || err.Error() != "shard 1: scan panicked: planted" {
-		t.Fatalf("err = %v, want shard 1's planted panic", err)
+	check("scan", err, regexp.MustCompile(`^shard 1: scan panicked: planted$`))
+
+	// The shards locate before the master's finish pass starts, so the
+	// first pass to run is one shard's.
+	var fired atomic.Bool
+	search.TestHookFinish = func([]int) {
+		if !fired.Swap(true) {
+			panic("planted")
+		}
 	}
-	if st := c.Stats(); st.Reassigns != 0 || st.DeadDetected != 0 {
-		t.Errorf("a panicked scan was replayed: %+v", st)
-	}
-	want, err := search.RunCtx(context.Background(), q, db, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Search(context.Background(), q, opt)
-	if err != nil {
-		t.Fatalf("batch after the panic: %v", err)
-	}
-	mustEqualResults(t, "after the panic", got, want)
+	_, err = c.Search(context.Background(), q, opt)
+	search.TestHookFinish = nil
+	check("locate", err, regexp.MustCompile(`^shard [01]: search: finishing hit "[^"]+" of query 0 panicked: planted$`))
 }

@@ -8,8 +8,10 @@ import "genomedsm/internal/bio"
 // paper, applied to the paper's Section 6. Lane l sweeps its own pair of
 // reversed prefixes: its row p is its own query row and its column q its
 // own target column, so a row of the pass is row p of every lane at
-// once. Its caller (align.Retriever.BeginLanes) owns the windows, the
-// floors, the tie-break and the stop rule; the kernel only evaluates.
+// once. Its callers (align.Retriever.BeginLanes, and LocateLanes,
+// which runs the forward end-block replays of LocateEnd in its lanes)
+// own the windows, the floors, the tie-break and the stop rule; the
+// kernel only evaluates.
 //
 // A row array holds four words per column, lane l's value in bits
 // 16(l%4)… of word 4q+l/4. A live value is exact and ≥ its row's floor;
@@ -56,6 +58,10 @@ type LaneRow struct {
 	Reach [BeginLanes]int16
 	// The scoring in every lane, set by SetScoring.
 	Match, Mismatch, Gap [BeginLanes]int16
+	// Clamp is the least value a cell takes, per lane: LaneDead, no
+	// clamp, for a begin sweep, 0 for LocateLanes' zero-clamped local
+	// recurrence.
+	Clamp [BeginLanes]int16
 }
 
 // SetScoring puts sc's scores in every lane. A penalty below the int16
@@ -98,25 +104,41 @@ func HasBeginRow() bool { return hasAVX2 }
 // BeginRow evaluates row p of a lane pass from the row above it, prev,
 // into cur: columns [lo, mid] by the full recurrence
 //
-//	v = max(d + sub, n + gap, w + gap)
+//	v = max(clamp, d + sub, n + gap, w + gap)
 //
-// with d, n from prev and w the cell to the west, then the west chain
-// past mid — cells whose north and diagonal are dead — while any lane
-// of it is live, up to column qmax. Each cell is then capped by its
-// column's code (a dead column kills it) and stored as LaneDead when
-// below its lane's floor. Column lo−1 of cur is set dead, and so is the
-// column after the last one evaluated, end (≤ qmax+1), so cur holds a
-// value for every column in [lo−1, end]. reach has bits 2l and 2l+1 set
-// when lane l's row holds a cell above r.Reach[l].
+// with d, n from prev, w the cell to the west and clamp the lane's
+// r.Clamp, then the west chain past mid — cells whose north and
+// diagonal are dead, max(clamp, w + gap) — while any lane of it is
+// live, up to column qmax. Each cell is then capped by its column's
+// code (a dead column kills it) and stored as LaneDead when below its
+// lane's floor. Column lo−1 of cur is set to the clamp — dead for a
+// begin sweep, the zero border column of a locate pass — and the column
+// after the last one evaluated, end (≤ qmax+1), dead, so cur holds a
+// value for every column in [lo−1, end]. reach has bit l set when lane
+// l's row holds a cell above r.Reach[l], over when it holds one above
+// r.Reach[l]+1: with Reach at k−1, the lanes whose row reaches k and
+// those whose row exceeds it.
 //
 // prev must hold mid+1 columns, cur qmax+2 and codes qmax+1, with
 // 1 ≤ lo ≤ mid ≤ qmax; it panics otherwise, and on a host without AVX2.
-func BeginRow(prev, cur, codes []uint64, r *LaneRow, lo, mid, qmax int) (end int, reach uint32) {
+func BeginRow(prev, cur, codes []uint64, r *LaneRow, lo, mid, qmax int) (end int, reach, over uint32) {
 	if !hasAVX2 {
 		panic("swar: BeginRow needs AVX2")
 	}
 	if lo < 1 || mid < lo || qmax < mid || len(prev) < 4*(mid+1) || len(cur) < 4*(qmax+2) || len(codes) < 4*(qmax+1) {
 		panic("swar: BeginRow row or codes shorter than its columns")
 	}
-	return beginRow(prev, cur, codes, r, lo, mid, qmax)
+	end, reach, over = beginRow(prev, cur, codes, r, lo, mid, qmax)
+	return end, compress(reach), compress(over)
+}
+
+// compress turns one of the kernel's lane masks, two equal bits per
+// lane (a byte mask of the lanes' words), into one bit per lane: the
+// even bits, gathered.
+func compress(reach uint32) uint32 {
+	m := reach & 0x5555_5555
+	m = (m | m>>1) & 0x3333_3333
+	m = (m | m>>2) & 0x0F0F_0F0F
+	m = (m | m>>4) & 0x00FF_00FF
+	return (m | m>>8) & 0xFFFF
 }

@@ -1,9 +1,15 @@
+//go:build amd64 && !purego
+
 package swar
 
 // hasAVX2 routes the eight-row passes: true when the CPU runs AVX2 and
 // the OS saves the YMM registers, detected once at start-up. Only the
 // tests' route switch (export_test.go) writes it afterwards.
 var hasAVX2 = detectAVX2()
+
+// asmKernels reports whether the build holds the AVX2 assembly: not
+// under the purego tag (rowoct_other.go).
+const asmKernels = true
 
 // detectAVX2 reads CPUID leaf 7's AVX2 bit, after leaf 1's OSXSAVE and
 // AVX bits and XGETBV's XMM and YMM state bits.
@@ -62,9 +68,22 @@ func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv0() uint32
 
-func beginRow(prev, cur, codes []uint64, r *LaneRow, lo, mid, qmax int) (int, uint32) {
+func beginRow(prev, cur, codes []uint64, r *LaneRow, lo, mid, qmax int) (int, uint32, uint32) {
 	return beginRow16AVX2(&prev[0], &cur[0], &codes[0], r, lo, mid, qmax)
 }
 
 //go:noescape
-func beginRow16AVX2(prev, cur, codes *uint64, r *LaneRow, lo, mid, qmax int) (end int, reach uint32)
+func beginRow16AVX2(prev, cur, codes *uint64, r *LaneRow, lo, mid, qmax int) (end int, reach, over uint32)
+
+// fillLanes is the AVX fill of columns from+1…from+n of word g of a
+// locate pass (locateScratch.fill, locate_amd64.s), n a multiple of 8,
+// from the bases and seeds t and s point at, column from+1's: each
+// column's four target codes into codes and seeds into prev, masked to
+// the live lanes, and the seed words ORed.
+func fillLanes(codes, prev []uint64, g, from int, t *[4]*byte, s *[4]*uint16, n int, live, dead uint64) uint64 {
+	_, _ = codes[4*(from+n)+g], prev[4*(from+n)+g]
+	return laneFill(&codes[4*(from+1)+g], &prev[4*(from+1)+g], t, s, n, live, dead)
+}
+
+//go:noescape
+func laneFill(codes, prev *uint64, t *[4]*byte, s *[4]*uint16, n int, live, dead uint64) (or uint64)

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // The AVX2 eight-row kernels: rows i…i+7 of the packed recurrence in one

@@ -468,10 +468,13 @@ func TestRowPairShortProfilePanics(t *testing.T) {
 // linux/amd64, the avx2 flag of /proc/cpuinfo, which Linux shows only
 // when the CPU has AVX2 and the kernel saves the YMM registers. It logs
 // the route, so a CI log says which kernel the build host ran.
-// Elsewhere it is skipped.
+// Elsewhere, and in a build under the purego tag, it is skipped.
 func TestHasAVX2MatchesCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skipf("no /proc/cpuinfo flags to compare on %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	if !asmKernels {
+		t.Skip("built with the purego tag: no AVX2 kernels, hasAVX2 = false")
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

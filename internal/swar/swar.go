@@ -417,6 +417,7 @@ type Aligner struct {
 	schg          []uint64 // striped correction-loop change mask
 	iprev, icur   []int32  // scalar rows (ScalarPair, LocateEnd)
 	iprof         bio.Profile
+	locate        locateScratch // LocateLanes's passes
 	// laneSeed[l] is the saved border row of lane l of the last packed
 	// scan; seed[i] that of target i of the last Ladder call, whichever
 	// packed pass resolved it (Seed).

@@ -747,6 +747,17 @@ func matrixRow(m *align.Matrix, i int) []uint16 {
 	return row
 }
 
+// wideSeed returns seed with its last value raised past the int16
+// range, or a one-value seed of that value for the first block.
+func wideSeed(seed []uint16) []uint16 {
+	if len(seed) == 0 {
+		return []uint16{0x8000}
+	}
+	wide := slices.Clone(seed)
+	wide[len(wide)-1] |= 0x8000
+	return wide
+}
+
 // TestLocateEnd replays one block from the scalar matrix's own row and
 // must land on align.Scan's (BestI, BestJ) — which each case pins to
 // the cell it was built to end on: the first and last rows of the first
@@ -757,7 +768,10 @@ func matrixRow(m *align.Matrix, i int) []uint16 {
 // scoring steps by 2 along a diagonal, so a score one too low is
 // stepped over like one too high is never reached: both, a seed of the
 // wrong length, the block before the end block replayed from its own
-// true seed, and a block past the query must all come back not ok.
+// true seed, a block past the query and a seed value past the int16
+// range must all come back not ok.
+// Every case, good and bad, then runs through LocateLanes in passes of
+// sixteen, which must agree with LocateEnd lane by lane.
 func TestLocateEnd(t *testing.T) {
 	sc := bio.Scoring{Match: 2, Mismatch: -3, Gap: -4}
 	g := bio.NewGenerator(23)
@@ -784,6 +798,7 @@ func TestLocateEnd(t *testing.T) {
 	b := swar.BlockRows
 	mid := (1+len(m)/b)*b + b/2 + 1 // a row inside a block, past the motif's length
 	ns := bio.MustSequence("NNNNNNN")
+	var laneItems []swar.LocateItem
 	for _, c := range []struct {
 		name   string
 		q, tgt bio.Sequence
@@ -823,6 +838,7 @@ func TestLocateEnd(t *testing.T) {
 		if i, j, ok := al.LocateEnd(c.q, c.tgt, sc, block, seed, r.BestScore); !ok || i != r.BestI || j != r.BestJ {
 			t.Errorf("%s: LocateEnd = (%d,%d) ok %v, want (%d,%d)", c.name, i, j, ok, r.BestI, r.BestJ)
 		}
+		laneItems = append(laneItems, swar.LocateItem{Q: c.q, T: c.tgt, Block: block, Seed: seed, Score: r.BestScore})
 		for _, bad := range []struct {
 			what  string
 			block int
@@ -834,12 +850,17 @@ func TestLocateEnd(t *testing.T) {
 			{"seed one cell long", block, append(seed[:len(seed):len(seed)], 0), r.BestScore},
 			{"previous block", block - 1, matrixRow(full, max(block-1, 0)*swar.BlockRows), r.BestScore},
 			{"block past the query", (len(c.q) + swar.BlockRows - 1) / swar.BlockRows, make([]uint16, len(c.tgt)), r.BestScore},
+			// A seed value past the int16 range, which a lane cannot hold.
+			{"seed past int16", block, wideSeed(seed), r.BestScore},
 		} {
 			if i, j, ok := al.LocateEnd(c.q, c.tgt, sc, bad.block, bad.seed, bad.score); ok {
 				t.Errorf("%s, %s: LocateEnd = (%d,%d) ok, want not ok", c.name, bad.what, i, j)
 			}
+			laneItems = append(laneItems, swar.LocateItem{Q: c.q, T: c.tgt, Block: bad.block, Seed: bad.seed, Score: bad.score})
 		}
 	}
+	var lanes swar.Aligner
+	checkLocateLanes(t, &lanes, sc, laneItems, swar.BeginLanes)
 }
 
 // ---- Two-row kernel vs the retired one-row kernel ----

@@ -12,10 +12,14 @@
 #      row kernels and the align and search packages that reach them
 #      vetted and compiled for arm64 (the AVX2 kernels are amd64
 #      only), then the AVX2 route check (CPUID against
-#      /proc/cpuinfo's avx2 flag, logging hasAVX2), then a kernel oracle
-#      fuzz: 10 s each of the twelve differential fuzzers that pin the
+#      /proc/cpuinfo's avx2 flag, logging hasAVX2), then the swar,
+#      align, search and shard tests built with the purego tag — no
+#      assembly, so every lane pass takes its scalar fallback (LocateEnd,
+#      Begin) end to end — then a kernel oracle
+#      fuzz: 10 s each of the thirteen differential fuzzers that pin the
 #      packed kernels — scores, saved border rows and the end cells
-#      located from them — and the striped rungs and ScanPair, one
+#      located from them, one at a time and in 16-lane passes — and the
+#      striped rungs and ScanPair, one
 #      pair down the lane ladder, to the scalar kernel, the AVX2 eight-row
 #      kernels to the portable pass, both to the profile-word passes
 #      they replaced, the leaf scalar row kernel to the
@@ -29,7 +33,7 @@
 #      FuzzDispatchVsScalar, FuzzStripRealignVsFull,
 #      FuzzPrunedSearchVsFull, FuzzBeginVsRetrieve,
 #      FuzzBeginReachVsAnchored, FuzzBeginLanesVsBegin,
-#      FuzzShardPlan) — past their
+#      FuzzLocateLanesVsLocate, FuzzShardPlan) — past their
 #      seed corpora, which is all `go test` runs
 #   2. a chaos sweep: 16 seeds x 3 strategies of the fault-injection
 #      differential oracle, under the race detector, plus a
@@ -67,7 +71,11 @@
 #      host: the median scalar/lanes time ratio of BeginLanesVsScalar
 #      over five runs, the homolog batch's final hits in 16-lane passes
 #      and one at a time alternated in one process, must stay >= 4.6),
-#      then
+#      the locate lane gate (on an AVX2 host: the median scalar/lanes
+#      time ratio of LocateLanesVsScalar over five runs, the homolog
+#      batch's end blocks replayed in 16-lane passes and one at a time
+#      alternated in one process, must stay >= 3.5), a syntax
+#      check of scripts/abpair.sh, then
 #      (unless SKIP_BENCHDIFF=1) a -smoke run of the system benchmark
 #      BENCHMARK.json declares
 #   6. the kernel, search and serve benchmarks for real, gated by
@@ -141,7 +149,14 @@ avx2=$(go test -count=1 -run '^TestHasAVX2MatchesCPUInfo$' -v ./internal/swar) |
     { echo "$avx2"; echo "AVX2 route check FAILED"; exit 1; }
 echo "$avx2" | grep -E 'hasAVX2|SKIP'
 
-echo "== kernel oracle fuzz (10 s x 12 differential fuzzers)"
+echo "== purego build (swar + align + search + shard without assembly)"
+# The purego tag drops the AVX2 kernels: the packed passes run the
+# portable ones and every lane pass its scalar fallback, LocateEnd or
+# Begin — the route a host without AVX2 takes, which no test on an AVX2
+# host reaches through search or shard.
+go test -tags purego ./internal/swar ./internal/align ./internal/search ./internal/shard
+
+echo "== kernel oracle fuzz (10 s x 13 differential fuzzers)"
 go test -run '^$' -fuzz '^FuzzScoresVsScalar$' -fuzztime 10s ./internal/swar
 # The striped rungs and ScanPair on both packed-kernel routes, from a
 # three-base pair to a 513-row query, int8 and int16 saturation and N runs.
@@ -169,6 +184,10 @@ go test -run '^$' -fuzz '^FuzzBeginReachVsAnchored$' -fuzztime 10s ./internal/al
 # The finish pass runs those sweeps 16 hits to a pass in int16 lanes:
 # every lane must give Begin's begin cell and ok, on both routes.
 go test -run '^$' -fuzz '^FuzzBeginLanesVsBegin$' -fuzztime 10s ./internal/swar
+# The finish pass replays the hits' end blocks 16 to a pass in int16
+# lanes: every lane must give LocateEnd's end cell and ok, on both
+# routes, for true, too high and too low scores.
+go test -run '^$' -fuzz '^FuzzLocateLanesVsLocate$' -fuzztime 10s ./internal/swar
 # A shard plan changes speed, never results: every plan of every shape,
 # on the bare database and with its lane layout, matches one node.
 go test -run '^$' -fuzz '^FuzzShardPlan$' -fuzztime 10s ./internal/chaos
@@ -399,6 +418,35 @@ else
         printf "begin lane gate ok: %.2fx\n", r
     }'
 fi
+
+echo "== locate lane gate (LocateLanesVsScalar: scalar/lanes >= 3.5, median of 5)"
+# The homolog batch's 40 final hits: their end blocks replayed from the
+# saved border rows in 16-lane passes of ten (LocateLanes) and one at a
+# time (LocateEnd), alternated in each iteration: a same-run ratio, so
+# the host's speed that hour cancels. The floor sits under every median
+# the lane passes read on a 2-vCPU host (4.06-5.03, nine medians of
+# five over three clock hours) and over every median a kernel with a
+# dependent chain of eight VPORs planted in its column step read
+# (2.42-3.00, six medians, the lane passes 35-45 % slower;
+# EXPERIMENTS.md, the locate-lane section).
+# On a host without AVX2 there are no lane passes: the route step above
+# logs hasAVX2 = false and the gate is skipped.
+if ! echo "$avx2" | grep -q 'hasAVX2 = true'; then
+    echo "locate lane gate skipped: no AVX2 on this host (LocateEnd runs one hit at a time)"
+else
+    ratio=$(go test -run '^$' -bench '^BenchmarkLocateLanesVsScalar$' -count 5 . |
+        awk '$1 ~ /^BenchmarkLocateLanesVsScalar(-[0-9]+)?$/ {
+            for (i = 2; i < NF; i++) if ($(i+1) == "scalar/lanes") print $i
+        }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
+    echo "end blocks replayed one at a time at ${ratio}x the time of the lane passes (median)"
+    awk -v r="$ratio" 'BEGIN {
+        if (r < 3.5) { printf "locate lane gate FAILED: %.2fx < 3.5x\n", r; exit 1 }
+        printf "locate lane gate ok: %.2fx\n", r
+    }'
+fi
+
+echo "== abpair.sh syntax (the A/B pair runner of the system benchmark)"
+sh -n scripts/abpair.sh
 
 if [ "${SKIP_BENCHDIFF:-0}" = "1" ]; then
     echo "== system benchmark smoke and benchdiff gate skipped (SKIP_BENCHDIFF=1)"
