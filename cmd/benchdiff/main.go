@@ -1,11 +1,14 @@
 // Command benchdiff maintains the kernel benchmark snapshot file
-// (BENCH_kernels.json) and gates regressions against it.
+// (BENCH_kernels.json) and gates benchmark runs, against it and
+// against themselves.
 //
 // It reads `go test -bench` output on stdin and either records it as a
-// named snapshot or checks it against a stored baseline:
+// named snapshot or checks it:
 //
 //	go test -run '^$' -bench Kernel -count 5 . | benchdiff -snapshot current
 //	go test -run '^$' -bench Kernel -count 5 . | benchdiff -check
+//	go test -run '^$' -bench Search -count 5 . |
+//		benchdiff -require 'SearchDatabasePruned cells/s >= 1.5 * SearchDatabase cells/s'
 //	benchdiff -diff seed current
 //	benchdiff -list
 //
@@ -13,11 +16,19 @@
 // best observation — maximum for throughput metrics, minimum for ns/op —
 // which is the standard way to strip scheduler noise from shared
 // machines. -check compares the preferred throughput metric (cells/s,
-// falling back to MB/s, falling back to inverted ns/op) and exits
-// non-zero when any benchmark is slower than baseline by more than
-// -max-regress percent (default 5). The older -tol flag is the same
-// limit as a fraction and is kept for compatibility; when both are
-// given, -max-regress wins.
+// falling back to MB/s, falling back to inverted ns/op) and fails when
+// any benchmark is slower than baseline by more than -max-regress
+// percent (default 5).
+//
+// -require (repeatable) gates rows of the run itself. 'ROW UNIT OP N'
+// compares the median of the row's samples of UNIT with N (the lower
+// middle sample for an even count); 'ROW UNIT OP K * ROW UNIT' compares
+// the best samples of two rows. OP is >= or <=. ROW names a row
+// as printed, -GOMAXPROCS suffix included, so the rows of a -cpu 1,2
+// run stay apart; a name that no row carries exactly matches the rows
+// it names once their suffix is stripped. A missing row or unit fails
+// its requirement. Every requirement and every -check row is printed
+// before benchdiff exits 1 on any failure.
 package main
 
 import (
@@ -51,63 +62,80 @@ func lowerIsBetter(unit string) bool {
 	return strings.HasSuffix(unit, "/op")
 }
 
-// parseBench extracts benchmark results from `go test -bench` output,
-// collapsing repeated runs of the same benchmark to the best value per
-// metric.
-func parseBench(r io.Reader) (Snapshot, error) {
-	snap := Snapshot{}
+// Sample is one value of a `go test -bench` line, under the row name
+// as printed: without the Benchmark prefix, with any -GOMAXPROCS suffix.
+type Sample struct {
+	Row, Unit string
+	V         float64
+}
+
+// readRun collects every sample of `go test -bench` output, in order.
+func readRun(r io.Reader) ([]Sample, error) {
+	var run []Sample
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		name := strings.TrimPrefix(f[0], "Benchmark")
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			// Strip the -GOMAXPROCS suffix so snapshots from machines
-			// with different core counts stay comparable.
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
 		// f[1] is the iteration count; value/unit pairs follow.
-		m := snap[name]
-		if m == nil {
-			m = Metrics{}
-			snap[name] = m
-		}
 		for i := 2; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				continue
-			}
-			unit := f[i+1]
-			old, seen := m[unit]
-			if !seen || (lowerIsBetter(unit) && v < old) || (!lowerIsBetter(unit) && v > old) {
-				m[unit] = v
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				run = append(run, Sample{strings.TrimPrefix(f[0], "Benchmark"), f[i+1], v})
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return run, sc.Err()
 }
 
-// throughput picks the metric used for regression checks: cells/s when
-// reported, else MB/s, else the inverse of ns/op (ops/ns). The second
-// return is the unit label.
-func throughput(m Metrics) (float64, string, bool) {
-	if v, ok := m["cells/s"]; ok {
-		return v, "cells/s", true
+// stripProcs drops a -GOMAXPROCS suffix so snapshots from machines with
+// different core counts stay comparable.
+func stripProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
 	}
-	if v, ok := m["MB/s"]; ok {
-		return v, "MB/s", true
+	return name
+}
+
+// collapse reduces a run to the best value per metric, keyed by
+// suffix-stripped name.
+func collapse(run []Sample) Snapshot {
+	snap := Snapshot{}
+	for _, s := range run {
+		m := snap[stripProcs(s.Row)]
+		if m == nil {
+			m = Metrics{}
+			snap[stripProcs(s.Row)] = m
+		}
+		// Keep the lower value of an ns/op-style unit, else the higher.
+		if old, seen := m[s.Unit]; !seen || lowerIsBetter(s.Unit) == (s.V < old) {
+			m[s.Unit] = s.V
+		}
 	}
-	if v, ok := m["ns/op"]; ok && v > 0 {
-		return 1 / v, "op/ns", true
+	return snap
+}
+
+// samples returns the values of unit in row, and whether the run has
+// the row at all. A row printed exactly as named wins, so `-cpu 1,2`
+// output keeps its unsuffixed -cpu 1 row apart from the -2 row;
+// otherwise every row whose suffix-stripped name is row pools its
+// samples.
+func samples(run []Sample, row, unit string) (vs []float64, seen bool) {
+	exact := false
+	for _, s := range run {
+		exact = exact || s.Row == row
 	}
-	return 0, "", false
+	for _, s := range run {
+		if s.Row == row || !exact && stripProcs(s.Row) == row {
+			seen = true
+			if s.Unit == unit {
+				vs = append(vs, s.V)
+			}
+		}
+	}
+	return vs, seen
 }
 
 // commonThroughput picks the best throughput metric present in both
@@ -198,103 +226,190 @@ func saveFile(path string, f *File) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// requirement is one -require line, ROW UNIT OP RHS, where RHS is a
+// constant or K * ROW UNIT. A constant is compared with the median of
+// the row's samples (the lower middle one for an even count); another
+// row is compared through each row's best sample.
+type requirement struct {
+	text        string
+	row, unit   string
+	op          string
+	k           float64
+	rrow, runit string // the right-hand row, empty for a constant
+}
+
+func parseRequirement(s string) (requirement, error) {
+	f := strings.Fields(s)
+	r := requirement{text: strings.Join(f, " ")}
+	if (len(f) != 4 && len(f) != 7) || (len(f) == 7 && f[4] != "*") || (f[2] != ">=" && f[2] != "<=") {
+		return r, fmt.Errorf("want 'ROW UNIT OP N' or 'ROW UNIT OP K * ROW UNIT', OP >= or <=")
+	}
+	k, err := strconv.ParseFloat(f[3], 64)
+	r.row, r.unit, r.op, r.k = f[0], f[1], f[2], k
+	if len(f) == 7 {
+		r.rrow, r.runit = f[5], f[6]
+	}
+	return r, err
+}
+
+// eval reports the requirement against run as one line, and whether it
+// holds. A missing row or unit fails it.
+func (r requirement) eval(run []Sample) (string, bool) {
+	lv, n, err := reading(run, r.row, r.unit, r.rrow != "")
+	rv := 1.0
+	if err == nil && r.rrow != "" {
+		rv, _, err = reading(run, r.rrow, r.runit, true)
+	}
+	ok := err == nil && (r.op == ">=" && lv >= r.k*rv || r.op == "<=" && lv <= r.k*rv)
+	msg, verdict := "", "FAILED"
+	switch {
+	case err != nil:
+		msg = err.Error()
+	case r.rrow == "":
+		msg = fmt.Sprintf("median %.2f of %d", lv, n)
+	default:
+		msg = fmt.Sprintf("%.2fx (best %.4g vs %.4g)", lv/rv, lv, rv)
+	}
+	if ok {
+		verdict = "ok"
+	}
+	return r.text + ": " + msg + ": " + verdict, ok
+}
+
+// reading is row's best sample of unit, or with bestOf false its
+// median, and the number of samples it was taken from.
+func reading(run []Sample, row, unit string, bestOf bool) (float64, int, error) {
+	vs, seen := samples(run, row, unit)
+	if !seen {
+		return 0, 0, fmt.Errorf("no row %s", row)
+	}
+	if len(vs) == 0 {
+		return 0, 0, fmt.Errorf("row %s has no %s", row, unit)
+	}
+	sort.Float64s(vs)
+	switch {
+	case !bestOf:
+		return vs[(len(vs)-1)/2], len(vs), nil
+	case lowerIsBetter(unit):
+		return vs[0], len(vs), nil
+	}
+	return vs[len(vs)-1], len(vs), nil
+}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is benchdiff with its arguments and streams given; it returns the
+// exit status: 1 for a failed gate or an error, 2 for a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		file       = flag.String("file", "BENCH_kernels.json", "snapshot file")
-		snapshot   = flag.String("snapshot", "", "record stdin bench output under this snapshot name")
-		doCheck    = flag.Bool("check", false, "check stdin bench output against the baseline snapshot")
-		baseline   = flag.String("baseline", "current", "baseline snapshot name for -check")
-		maxRegress = flag.Float64("max-regress", 5, "allowed per-benchmark throughput regression for -check, in percent")
-		tol        = flag.Float64("tol", 0.05, "deprecated fractional form of -max-regress")
-		doList     = flag.Bool("list", false, "list stored snapshots")
-		diff       = flag.Bool("diff", false, "compare two stored snapshots given as arguments: benchdiff -diff OLD NEW")
+		file       = fs.String("file", "BENCH_kernels.json", "snapshot file")
+		snapshot   = fs.String("snapshot", "", "record stdin bench output under this snapshot name")
+		doCheck    = fs.Bool("check", false, "check stdin bench output against the baseline snapshot")
+		baseline   = fs.String("baseline", "current", "baseline snapshot name for -check")
+		maxRegress = fs.Float64("max-regress", 5, "allowed per-benchmark throughput regression for -check, in percent")
+		doList     = fs.Bool("list", false, "list stored snapshots")
+		diff       = fs.Bool("diff", false, "compare two stored snapshots given as arguments: benchdiff -diff OLD NEW")
+		require    []requirement
 	)
-	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	tolerance := resolveTolerance(*maxRegress, *tol, explicit)
+	fs.Func("require", "gate stdin bench output on a line 'ROW UNIT OP N' (the row's median) or 'ROW UNIT OP K * ROW UNIT' (the best of two rows); repeatable", func(s string) error {
+		r, err := parseRequirement(s)
+		require = append(require, r)
+		return err
+	})
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
+	}
 
 	f, err := loadFile(*file)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	var cur []Sample
+	if *snapshot != "" || *doCheck || len(require) > 0 {
+		if cur, err = readRun(stdin); err == nil && len(cur) == 0 {
+			err = fmt.Errorf("no benchmark lines on stdin")
+		}
+		if err != nil {
+			return fail(err)
+		}
 	}
 
 	switch {
 	case *snapshot != "":
-		snap, err := parseBench(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		if len(snap) == 0 {
-			fatal(fmt.Errorf("no benchmark lines on stdin"))
-		}
-		f.Snapshots[*snapshot] = snap
+		f.Snapshots[*snapshot] = collapse(cur)
 		if err := saveFile(*file, f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("recorded %d benchmarks as %q in %s\n", len(snap), *snapshot, *file)
+		fmt.Fprintf(stdout, "recorded %d benchmarks as %q in %s\n", len(f.Snapshots[*snapshot]), *snapshot, *file)
 
-	case *doCheck:
+	case *doCheck || len(require) > 0:
 		base, ok := f.Snapshots[*baseline]
-		if !ok {
-			fatal(fmt.Errorf("%s: no snapshot %q (have %v)", *file, *baseline, mapKeys(f.Snapshots)))
+		if *doCheck && !ok {
+			return fail(fmt.Errorf("%s: no snapshot %q (have %v)", *file, *baseline, mapKeys(f.Snapshots)))
 		}
-		cur, err := parseBench(os.Stdin)
-		if err != nil {
-			fatal(err)
+		status := 0
+		if *doCheck {
+			lines, regressions := check(base, collapse(cur), *maxRegress/100)
+			for _, l := range lines {
+				fmt.Fprintln(stdout, l)
+			}
+			if len(regressions) > 0 {
+				fmt.Fprintf(stderr, "benchdiff: %d regression(s) beyond %.0f%%: %s\n",
+					len(regressions), *maxRegress, strings.Join(regressions, ", "))
+				status = 1
+			}
 		}
-		if len(cur) == 0 {
-			fatal(fmt.Errorf("no benchmark lines on stdin"))
+		var unmet []string
+		for _, r := range require {
+			line, ok := r.eval(cur)
+			fmt.Fprintln(stdout, line)
+			if !ok {
+				unmet = append(unmet, r.text)
+			}
 		}
-		lines, regressions := check(base, cur, tolerance)
-		for _, l := range lines {
-			fmt.Println(l)
+		if len(unmet) > 0 {
+			fmt.Fprintf(stderr, "benchdiff: %d of %d requirement(s) failed: %s\n",
+				len(unmet), len(require), strings.Join(unmet, "; "))
+			status = 1
 		}
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond %.0f%%: %s\n",
-				len(regressions), tolerance*100, strings.Join(regressions, ", "))
-			os.Exit(1)
-		}
+		return status
 
 	case *diff:
-		args := flag.Args()
+		args := fs.Args()
 		if len(args) != 2 {
-			fatal(fmt.Errorf("-diff needs two snapshot names"))
+			return fail(fmt.Errorf("-diff needs two snapshot names"))
 		}
 		old, ok := f.Snapshots[args[0]]
 		if !ok {
-			fatal(fmt.Errorf("no snapshot %q", args[0]))
+			return fail(fmt.Errorf("no snapshot %q", args[0]))
 		}
 		cur, ok := f.Snapshots[args[1]]
 		if !ok {
-			fatal(fmt.Errorf("no snapshot %q", args[1]))
+			return fail(fmt.Errorf("no snapshot %q", args[1]))
 		}
 		lines, _ := check(old, cur, math.Inf(1))
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(stdout, l)
 		}
 
 	case *doList:
 		for _, name := range mapKeys(f.Snapshots) {
-			fmt.Printf("%s: %d benchmarks\n", name, len(f.Snapshots[name]))
+			fmt.Fprintf(stdout, "%s: %d benchmarks\n", name, len(f.Snapshots[name]))
 		}
 
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
-}
-
-// resolveTolerance merges the two regression-limit flags: -max-regress
-// is the canonical knob (percent), -tol the fractional spelling older
-// scripts used. An explicit -max-regress wins, an explicit -tol alone
-// is honoured, otherwise the -max-regress default applies. explicit
-// holds the flag names actually given on the command line.
-func resolveTolerance(maxRegress, tol float64, explicit map[string]bool) float64 {
-	if explicit["tol"] && !explicit["max-regress"] {
-		return tol
-	}
-	return maxRegress / 100
+	return 0
 }
 
 func mapKeys(m map[string]Snapshot) []string {
@@ -304,9 +419,4 @@ func mapKeys(m map[string]Snapshot) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,10 +18,11 @@ ok  	genomedsm	12.3s
 `
 
 func TestParseBench(t *testing.T) {
-	snap, err := parseBench(strings.NewReader(sampleOutput))
+	run, err := readRun(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := collapse(run)
 	if len(snap) != 2 {
 		t.Fatalf("got %d benchmarks, want 2: %v", len(snap), snap)
 	}
@@ -38,24 +39,6 @@ func TestParseBench(t *testing.T) {
 	}
 	if got := exact["ns/op"]; got != 2772724 {
 		t.Errorf("ns/op = %v, want best-of (min) 2772724", got)
-	}
-}
-
-func TestThroughputFallback(t *testing.T) {
-	v, unit, ok := throughput(Metrics{"cells/s": 5, "MB/s": 4, "ns/op": 2})
-	if !ok || unit != "cells/s" || v != 5 {
-		t.Errorf("preferred metric: got %v %s %v", v, unit, ok)
-	}
-	v, unit, ok = throughput(Metrics{"MB/s": 4, "ns/op": 2})
-	if !ok || unit != "MB/s" || v != 4 {
-		t.Errorf("MB/s fallback: got %v %s %v", v, unit, ok)
-	}
-	v, unit, ok = throughput(Metrics{"ns/op": 2})
-	if !ok || unit != "op/ns" || v != 0.5 {
-		t.Errorf("ns/op fallback: got %v %s %v", v, unit, ok)
-	}
-	if _, _, ok = throughput(Metrics{}); ok {
-		t.Error("empty metrics should report no throughput")
 	}
 }
 
@@ -111,35 +94,204 @@ func TestCheck(t *testing.T) {
 }
 
 func TestCheckRoundTrip(t *testing.T) {
-	snap, err := parseBench(strings.NewReader(sampleOutput))
+	run, err := readRun(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := collapse(run)
 	// Identical output against itself: never a regression.
 	if _, regressions := check(snap, snap, 0.10); len(regressions) != 0 {
 		t.Errorf("self-check regressed: %v", regressions)
 	}
 }
 
-func TestResolveTolerance(t *testing.T) {
+// benchdiff runs the command on stdin and returns its exit status and
+// what it printed.
+func benchdiff(t *testing.T, stdin string, args ...string) (status int, stdout, stderr string) {
+	t.Helper()
+	var out, errOut strings.Builder
+	status = run(append([]string{"-file", filepath.Join(t.TempDir(), "none.json")}, args...),
+		strings.NewReader(stdin), &out, &errOut)
+	return status, out.String(), errOut.String()
+}
+
+func TestRequireGrammar(t *testing.T) {
+	for _, line := range []string{
+		"A x/y >= 2",
+		"A x/y <= 1.3",
+		"A cells/s >= 0.9 * B cells/s",
+		"  A   cells/s  >=  1.5  *  B  queries/s ",
+	} {
+		if _, err := parseRequirement(line); err != nil {
+			t.Errorf("%q: %v", line, err)
+		}
+	}
+	for _, line := range []string{
+		"",
+		"A x/y >= ",
+		"A x/y => 2",
+		"A x/y > 2",
+		"A x/y >= two",
+		"A x/y >= 2 * B",
+		"A x/y >= 2 x B x/y",
+		"A x/y >= 2 * B x/y extra",
+		"A >= 2 * B x/y",
+	} {
+		if _, err := parseRequirement(line); err == nil {
+			t.Errorf("%q parsed, want an error", line)
+		}
+		status, stdout, stderr := benchdiff(t, sampleOutput, "-require", line)
+		if status != 2 || stdout != "" || !strings.Contains(stderr, "Usage") {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want usage and exit 2", line, status, stdout, stderr)
+		}
+	}
+}
+
+const ratioRuns = `
+BenchmarkOdd-2    1  100 ns/op  3.0 r
+BenchmarkOdd-2    1  100 ns/op  1.0 r
+BenchmarkOdd-2    1  100 ns/op  5.0 r
+BenchmarkOdd-2    1  100 ns/op  2.0 r
+BenchmarkOdd-2    1  100 ns/op  4.0 r
+BenchmarkEven-2   1  100 ns/op  4.0 r
+BenchmarkEven-2   1  100 ns/op  1.0 r
+BenchmarkEven-2   1  100 ns/op  3.0 r
+BenchmarkEven-2   1  100 ns/op  2.0 r
+`
+
+func TestRequireMedian(t *testing.T) {
+	// Odd counts take the middle sample; even counts the lower middle,
+	// as awk's v[int((NR+1)/2)] over sorted values did.
 	cases := []struct {
-		name            string
-		maxRegress, tol float64
-		explicit        []string
-		want            float64
+		req, line string
+		status    int
 	}{
-		{"defaults", 5, 0.05, nil, 0.05},
-		{"max-regress only", 8, 0.05, []string{"max-regress"}, 0.08},
-		{"legacy tol only", 5, 0.12, []string{"tol"}, 0.12},
-		{"both given: max-regress wins", 3, 0.25, []string{"max-regress", "tol"}, 0.03},
+		{"Odd r >= 3", "Odd r >= 3: median 3.00 of 5: ok", 0},
+		{"Odd r >= 3.01", "Odd r >= 3.01: median 3.00 of 5: FAILED", 1},
+		{"Even r >= 2", "Even r >= 2: median 2.00 of 4: ok", 0},
+		{"Even r >= 2.5", "Even r >= 2.5: median 2.00 of 4: FAILED", 1},
+		{"Even r <= 2", "Even r <= 2: median 2.00 of 4: ok", 0},
+		{"Odd r <= 2.99", "Odd r <= 2.99: median 3.00 of 5: FAILED", 1},
 	}
 	for _, tc := range cases {
-		explicit := map[string]bool{}
-		for _, f := range tc.explicit {
-			explicit[f] = true
+		status, stdout, _ := benchdiff(t, ratioRuns, "-require", tc.req)
+		if status != tc.status || strings.TrimSpace(stdout) != tc.line {
+			t.Errorf("%q: exit %d, printed %q; want %d, %q", tc.req, status, stdout, tc.status, tc.line)
 		}
-		if got := resolveTolerance(tc.maxRegress, tc.tol, explicit); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: resolveTolerance = %v, want %v", tc.name, got, tc.want)
+	}
+}
+
+const rateRuns = `
+BenchmarkFast-2   10  900 ns/op  300 cells/s
+BenchmarkFast-2   10  700 ns/op  100 cells/s
+BenchmarkFast-2   10  800 ns/op  200 cells/s
+BenchmarkSlow-2   10  990 ns/op  150 cells/s
+BenchmarkSlow-2   10  999 ns/op  190 cells/s
+BenchmarkSlow-2   10  995 ns/op  100 cells/s
+`
+
+func TestRequireBestOf(t *testing.T) {
+	// Two rows compare through their best samples: the largest rate
+	// (300 vs 190) and the smallest time (700 vs 990), not medians.
+	cases := []struct {
+		req, line string
+		status    int
+	}{
+		{"Fast cells/s >= 1.5 * Slow cells/s", "Fast cells/s >= 1.5 * Slow cells/s: 1.58x (best 300 vs 190): ok", 0},
+		{"Fast cells/s >= 1.6 * Slow cells/s", "Fast cells/s >= 1.6 * Slow cells/s: 1.58x (best 300 vs 190): FAILED", 1},
+		{"Fast ns/op <= 0.71 * Slow ns/op", "Fast ns/op <= 0.71 * Slow ns/op: 0.71x (best 700 vs 990): ok", 0},
+		{"Fast ns/op <= 0.7 * Slow ns/op", "Fast ns/op <= 0.7 * Slow ns/op: 0.71x (best 700 vs 990): FAILED", 1},
+	}
+	for _, tc := range cases {
+		status, stdout, _ := benchdiff(t, rateRuns, "-require", tc.req)
+		if status != tc.status || strings.TrimSpace(stdout) != tc.line {
+			t.Errorf("%q: exit %d, printed %q; want %d, %q", tc.req, status, stdout, tc.status, tc.line)
+		}
+	}
+}
+
+// cpuRuns is `-cpu 1,2` output: go test prints the -cpu 1 row without a
+// suffix and the -cpu 2 row with "-2".
+const cpuRuns = `
+BenchmarkSearchRealign/long20000x500      1  9 ns/op  100 cells/s
+BenchmarkSearchRealign/long20000x500      1  9 ns/op  110 cells/s
+BenchmarkSearchRealign/long20000x500-2    1  9 ns/op  150 cells/s
+BenchmarkSearchRealign/long20000x500-2    1  9 ns/op  170 cells/s
+BenchmarkSearchRealign/short-2            1  9 ns/op  5 cells/s
+BenchmarkSearchRealign/short-4            1  9 ns/op  7 cells/s
+`
+
+func TestRequireCPURows(t *testing.T) {
+	// A name printed exactly wins over the suffix-stripped one, so the
+	// -cpu 1 row is not merged with the -2 row.
+	status, stdout, _ := benchdiff(t, cpuRuns, "-require",
+		"SearchRealign/long20000x500-2 cells/s >= 1.4 * SearchRealign/long20000x500 cells/s")
+	want := "SearchRealign/long20000x500-2 cells/s >= 1.4 * SearchRealign/long20000x500 cells/s: 1.55x (best 170 vs 110): ok"
+	if status != 0 || strings.TrimSpace(stdout) != want {
+		t.Errorf("exit %d, printed %q; want 0, %q", status, stdout, want)
+	}
+	// A name no row carries exactly pools every suffixed row it names.
+	status, stdout, _ = benchdiff(t, cpuRuns, "-require", "SearchRealign/short cells/s >= 5")
+	want = "SearchRealign/short cells/s >= 5: median 5.00 of 2: ok"
+	if status != 0 || strings.TrimSpace(stdout) != want {
+		t.Errorf("exit %d, printed %q; want 0, %q", status, stdout, want)
+	}
+	// The -check snapshot strips every suffix and keeps the best sample.
+	run, err := readRun(strings.NewReader(cpuRuns))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collapse(run)["SearchRealign/long20000x500"]["cells/s"]; got != 170 {
+		t.Errorf("snapshot cells/s = %v, want 170 over both rows", got)
+	}
+}
+
+func TestRequireMissing(t *testing.T) {
+	cases := []struct{ req, line string }{
+		{"Gone r >= 1", "Gone r >= 1: no row Gone: FAILED"},
+		{"Odd cells/s >= 1", "Odd cells/s >= 1: row Odd has no cells/s: FAILED"},
+		{"Odd r >= 1 * Gone r", "Odd r >= 1 * Gone r: no row Gone: FAILED"},
+		{"Odd r >= 1 * Even cells/s", "Odd r >= 1 * Even cells/s: row Even has no cells/s: FAILED"},
+	}
+	for _, tc := range cases {
+		status, stdout, stderr := benchdiff(t, ratioRuns, "-require", tc.req)
+		if status != 1 || strings.TrimSpace(stdout) != tc.line || !strings.Contains(stderr, tc.req) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want 1, %q and the requirement named",
+				tc.req, status, stdout, stderr, tc.line)
+		}
+	}
+	if status, _, _ := benchdiff(t, "PASS\n", "-require", "Odd r >= 1"); status != 1 {
+		t.Errorf("no benchmark lines: exit %d, want 1", status)
+	}
+}
+
+func TestRequireReportsAll(t *testing.T) {
+	// Every requirement is evaluated and printed, failing or not, and
+	// -check's rows with them, before the one exit.
+	file := filepath.Join(t.TempDir(), "bench.json")
+	if err := saveFile(file, &File{Snapshots: map[string]Snapshot{
+		"baseline": {"Fast": Metrics{"cells/s": 1000}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	status := run([]string{"-file", file, "-check", "-baseline", "baseline",
+		"-require", "Gone r >= 1",
+		"-require", "Fast cells/s >= 1.5 * Slow cells/s",
+		"-require", "Fast cells/s >= 9 * Slow cells/s",
+	}, strings.NewReader(rateRuns), &out, &errOut)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if status != 1 || len(lines) != 5 {
+		t.Fatalf("exit %d, %d lines; want 1 and 5:\n%s", status, len(lines), out.String())
+	}
+	for i, want := range []string{"REGRESSION", "added", ": FAILED", ": ok", ": FAILED"} {
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %q, want %q in it", i, lines[i], want)
+		}
+	}
+	for _, want := range []string{"1 regression(s)", "2 of 3 requirement(s) failed: Gone r >= 1; Fast cells/s >= 9 * Slow cells/s"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr %q lacks %q", errOut.String(), want)
 		}
 	}
 }

@@ -133,9 +133,15 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	var router *dispatch.Router // nil = the scalar reference scorer
 	switch opt.Lanes {
 	case 0:
-		var err error
-		if router, err = routerFor(opt); err != nil {
-			return nil, err
+		// A caller-provided shared router (Options.Router) wins — the
+		// resident server's, or a test's forced mis-route — then one
+		// built from the Dispatch mode.
+		if router = opt.Router; router == nil {
+			mode, err := dispatch.ParseMode(opt.Dispatch)
+			if err != nil {
+				return nil, err
+			}
+			router = dispatch.New(mode, nil)
 		}
 	case 1:
 	default:
@@ -504,10 +510,21 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 	buf.targets, buf.lens = targets, lens
 	var res swar.GroupResult
 	if st.scan != nil {
+		// The router's verdict for the group picks the rung the ladder
+		// starts at. Every rung is exact, so the hits are bit-identical
+		// across routes, forced mis-routes included: only the padded
+		// cells differ. gp, when set, supplies the group's code words.
+		var cw swar.Codes
 		if gp != nil {
 			gp.use(kept, targets)
+			cw = gp
 		}
-		res = scoreGroup(al, q, targets, lens, sc, st.scan, ab, gp)
+		start := [...]swar.Rung{
+			dispatch.GroupInter8:  swar.RungInter8,
+			dispatch.GroupInter16: swar.RungInter16,
+			dispatch.GroupScalar:  swar.RungScalar,
+		}[st.scan.Group(len(q), lens)]
+		res = al.Ladder(q, targets, sc, start, ab, cw)
 	} else {
 		var err error
 		if res, err = referenceScores(al, q, targets, sc, ab); err != nil {

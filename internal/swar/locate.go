@@ -83,14 +83,28 @@ func locateFits(sc bio.Scoring, it *LocateItem) bool {
 	return it.Score < LaneMax && sc.Match <= LaneMax
 }
 
-// locateScratch is the storage of LocateLanes's passes, kept by the
-// Aligner: the two rolling rows and the code columns, four words per
-// column (BeginRow's layout), the zero seed of a first block and the
-// row operands.
+// locateScratch is the storage of LocateLanes's passes that the
+// Aligner keeps for them alone: the zero seed of a first block and the
+// row operands. The rows themselves are borrowed (locateRows).
 type locateScratch struct {
-	prev, cur, codes []uint64
-	zero             []uint16
-	row              LaneRow
+	zero []uint16
+	row  LaneRow
+}
+
+// locateRows lends a locate pass its two rolling rows and its code
+// columns, words words each (BeginRow's layout, four words per column),
+// from the scan buffers that sit idle between Ladder calls: the packed
+// row and two border-row copies. So a pooled Aligner holds one set of
+// rows for both jobs, and a scan regrows nothing a pass has grown. A
+// seed is a []uint16, so no LocateItem.Seed aliases them.
+func (a *Aligner) locateRows(words int) (prev, cur, codes []uint64) {
+	for _, b := range [...]*[]uint64{&a.row, &a.borders[0], &a.borders[1]} {
+		if cap(*b) < words {
+			*b = make([]uint64, words)
+		}
+		*b = (*b)[:words]
+	}
+	return a.row, a.borders[0], a.borders[1]
 }
 
 // locatePass replays the end blocks of up to BeginLanes admitted items,
@@ -117,19 +131,15 @@ func (a *Aligner) locatePass(sc bio.Scoring, all []LocateItem, pass []int) int {
 		cols = max(cols, len(it.T))
 		rows = max(rows, min(BlockRows, len(it.Q)-it.Block*BlockRows))
 	}
-	words := 4 * (cols + 2)
-	if cap(ls.prev) < words {
-		ls.prev, ls.cur, ls.codes = make([]uint64, words), make([]uint64, words), make([]uint64, words)
-	}
+	prev, cur, codes := a.locateRows(4 * (cols + 2))
 	if len(ls.zero) < cols {
 		ls.zero = make([]uint16, cols)
 	}
-	wide := ls.fill(items, cols)
+	wide := ls.fill(prev, codes, items, cols)
 	running := (uint32(1)<<len(items) - 1) &^ wide
 	for m := wide; m != 0; m &= m - 1 {
 		row.Floor[bits.TrailingZeros32(m)] = LaneStopped
 	}
-	prev, cur := ls.prev, ls.cur
 	for r := 0; r < rows && running != 0; r++ {
 		for m := running; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
@@ -144,7 +154,7 @@ func (a *Aligner) locatePass(sc bio.Scoring, all []LocateItem, pass []int) int {
 		if running == 0 {
 			break
 		}
-		_, reach, over := BeginRow(prev, cur, ls.codes, row, 1, cols, cols)
+		_, reach, over := BeginRow(prev, cur, codes, row, 1, cols, cols)
 		if reach &= running; reach != 0 {
 			// A row reaching the score is the end row unless it exceeds it.
 			for m := reach &^ over; m != 0; m &= m - 1 {
@@ -171,18 +181,18 @@ func (a *Aligner) locatePass(sc bio.Scoring, all []LocateItem, pass []int) int {
 	return len(items) - bits.OnesCount32(wide)
 }
 
-// fill writes row 0 of a pass — each lane's seed behind the zero border
-// column — and its code columns 1…cols, four lanes to a word: a lane's
-// target codes and seed, dead past its own target. Lanes past the
-// pass's items are left as they are — their floor, LaneStopped, kills
+// fill writes row 0 of a pass into prev — each lane's seed behind the
+// zero border column — and its code columns 1…cols into codes, four
+// lanes to a word: a lane's target codes and seed, dead past its own
+// target. Lanes past the pass's items are left as they are, whatever a
+// scan or an earlier pass left there — their floor, LaneStopped, kills
 // every cell they compute — and so is a word that holds none of the
 // items. A word's columns go in runs over which its set of live lanes
 // stays the same, up to the shortest target among them:
 // eight columns at a time through fillLanes' unpacks, the last few a
 // word at a time here. It returns the lanes whose seed holds a value
 // outside the int16 range.
-func (ls *locateScratch) fill(items []*LocateItem, cols int) (wide uint32) {
-	prev, codes := ls.prev, ls.codes
+func (ls *locateScratch) fill(prev, codes []uint64, items []*LocateItem, cols int) (wide uint32) {
 	clear(prev[:4])
 	for g := range (len(items) + 3) / 4 {
 		var t [4]bio.Sequence

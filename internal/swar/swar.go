@@ -408,6 +408,8 @@ type Aligner struct {
 	codes []uint64
 	// borders are the copies of row as it entered a block (scanPacked):
 	// the current block's, and the ones lanes' seeds are still cut from.
+	// Between Ladder calls row, borders[0] and borders[1] are idle, and
+	// a locate pass borrows them (locateRows).
 	borders [borderBufs][]uint64
 	// resume and marks are the resume point of the ladder's last int8
 	// pass (pass.lens): the row entering the block of its first guard bit

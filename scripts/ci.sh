@@ -58,41 +58,22 @@
 #      the pack is mmap'd, answer an HTTP query with hits, then drain
 #      cleanly on SIGTERM
 #   5. a 1-iteration smoke run of every kernel, search, serve and pack
-#      benchmark, the AVX2 kernel gate (on an AVX2 host: the median
-#      portable/avx2 time ratio of RowOct8VsPortable over five runs,
-#      both kernels alternated in one process, must stay >= 17), the
-#      leaf scalar row gate (the median ref/leaf time ratio of
-#      ScalarRowLeafVsReference over five runs, the two row kernels
-#      alternated in one process, must stay >= 1.2), the begin floor
-#      gate (the median anchored/reach time ratio of
-#      BeginReachVsAnchored over five runs, Begin with and without its
-#      score-to-go floor alternated over the homolog batch's final hits
-#      in one process, must stay >= 1.6), the begin lane gate (on an AVX2
-#      host: the median scalar/lanes time ratio of BeginLanesVsScalar
-#      over five runs, the homolog batch's final hits in 16-lane passes
-#      and one at a time alternated in one process, must stay >= 4.6),
-#      the locate lane gate (on an AVX2 host: the median scalar/lanes
-#      time ratio of LocateLanesVsScalar over five runs, the homolog
-#      batch's end blocks replayed in 16-lane passes and one at a time
-#      alternated in one process, must stay >= 3.5), a syntax
-#      check of scripts/abpair.sh, then
-#      (unless SKIP_BENCHDIFF=1) a -smoke run of the system benchmark
+#      benchmark, the same-run ratio gates (five benchmarks that alternate
+#      two arms in one process, three of them AVX2 only, each gated by a
+#      `benchdiff -require` line on the median of five readings; they run
+#      even with SKIP_BENCHDIFF=1), a syntax check of scripts/abpair.sh,
+#      then (unless SKIP_BENCHDIFF=1) a -smoke run of the system benchmark
 #      BENCHMARK.json declares
-#   6. the kernel, search and serve benchmarks for real, gated by
-#      cmd/benchdiff against the committed BENCH_kernels.json baseline,
-#      plus the pruning speedup gate: SearchDatabasePruned must hold
-#      >= 1.5x the cells/s of both SearchDatabaseSkewed and
-#      SearchDatabase,
-#      plus the begin-sweep gate: the median begin/retrieve per-cell
-#      rate ratio of KernelReverseBeginVsRetrieve, the two sweeps
-#      alternated in one process, must stay >= 2,
-#      plus the pruned sharding gate: SearchShardedPruned's 2-shard
-#      homolog batch must take <= 1.3x the time of search.RunBatch,
-#      plus the realign pool scaling gate: SearchRealign's 20 kb shape
-#      at -cpu 2 must reach >= 1.4x its -cpu 1 cells/s (skipped with a
-#      notice on a 1-core host),
-#      plus the serve batching gate: one 16-query POST must beat 16
-#      sequential single-query POSTs by >= 1.5x queries/s
+#   6. the kernel, search and serve benchmarks for real, in one run that
+#      one benchdiff call checks against the committed BENCH_kernels.json
+#      baseline and against itself (the pruning, begin-sweep, sharded
+#      scaling, pruned sharding and serve batching -require lines), then
+#      the realign pool scaling gate over its own -cpu 1,2 run (skipped
+#      on a 1-core host). Each call prints every row and requirement
+#      before it fails, and both calls run before the script exits 1.
+#
+# Every bound lives in its -require line below, beside the reason it is
+# what it is; `go run ./cmd/benchdiff -h` gives the grammar.
 #
 # The benchmark gate fails the build when any kernel loses more than
 # BENCHDIFF_MAX_REGRESS percent (default 5) cells/sec against the
@@ -335,115 +316,68 @@ echo "index/serve e2e ok"
 echo "== benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'Kernel|Search|Serve|Pack' -benchtime 1x .
 
-echo "== AVX2 kernel gate (RowOct8VsPortable: portable/avx2 >= 17, median of 5)"
-# rowOct8 and the portable pass (four rowPair8Go passes) alternated
-# over one 8-lane 1000 x 1000 group in each iteration: a same-run
-# ratio, so the host's speed that hour cancels. Since the portable pass
-# derives its substitution terms per word it runs 0.81x as fast, so
-# the ratio reads about twice what it did. The floor sits under every
-# median the code-word AVX2 kernel read on a 2-vCPU host (18.82-20.53,
-# six medians of five over four clock hours) and over every median a
-# kernel 24-29 % slower read — seven dependent VPORs planted per step:
-# 13.97-16.01 (EXPERIMENTS.md, the code-word and begin-lane sections).
-# On a host without AVX2 the two arms are one kernel: the route step
-# above logs hasAVX2 = false and the gate is skipped.
-if ! echo "$avx2" | grep -q 'hasAVX2 = true'; then
-    echo "AVX2 kernel gate skipped: no AVX2 on this host (the portable pass is the kernel)"
-else
-    ratio=$(go test -run '^$' -bench '^BenchmarkRowOct8VsPortable$' -count 5 ./internal/swar |
-        awk '$1 ~ /^BenchmarkRowOct8VsPortable(-[0-9]+)?$/ {
-            for (i = 2; i < NF; i++) if ($(i+1) == "portable/avx2") print $i
-        }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-    echo "portable pass at ${ratio}x the time of the AVX2 eight-row one (median)"
-    awk -v r="$ratio" 'BEGIN {
-        if (r < 17.0) { printf "AVX2 kernel gate FAILED: %.2fx < 17x\n", r; exit 1 }
-        printf "AVX2 kernel gate ok: %.2fx\n", r
-    }'
+echo "== same-run ratio gates (benchdiff -require: median of 5 readings)"
+# Each benchmark below alternates its two arms in every iteration of one
+# process: a same-run ratio, so the host's speed that hour cancels. Each
+# -require line compares the median of the five readings with its bound.
+# On a host without AVX2 the route step above logs hasAVX2 = false, and
+# the three AVX2 lines and their benchmarks are left out: the portable
+# pass is then the kernel, and Begin and LocateEnd run one hit at a time.
+hasavx2=false
+echo "$avx2" | grep -q 'hasAVX2 = true' && hasavx2=true
+set --
+if $hasavx2; then
+    # rowOct8 and the portable pass (four rowPair8Go passes) over one
+    # 8-lane 1000 x 1000 group. Since the portable pass derives its
+    # substitution terms per word it runs 0.81x as fast, so the ratio
+    # reads about twice what it did. The floor sits under every median the
+    # code-word AVX2 kernel read on a 2-vCPU host (18.82-20.53, six
+    # medians of five over four clock hours) and over every median a
+    # kernel 24-29 % slower read — seven dependent VPORs planted per step:
+    # 13.97-16.01 (EXPERIMENTS.md, the code-word and begin-lane sections).
+    set -- -require 'RowOct8VsPortable portable/avx2 >= 17'
 fi
-
-echo "== leaf scalar row gate (ScalarRowLeafVsReference: ref/leaf >= 1.2, median of 5)"
-# The leaf row kernel that locates end cells and the per-cell-argmax
-# one it replaced, alternated over one located hit's rows in each
-# iteration: a same-run ratio, so the host's speed that hour cancels.
-# The leaf kernel must stay faster by at least the margin below, which
-# sits under the lowest median read on a 2-vCPU host (EXPERIMENTS.md).
-ratio=$(go test -run '^$' -bench '^BenchmarkScalarRowLeafVsReference$' -count 5 ./internal/swar |
-    awk '$1 ~ /^BenchmarkScalarRowLeafVsReference(-[0-9]+)?$/ {
-        for (i = 2; i < NF; i++) if ($(i+1) == "ref/leaf") print $i
-    }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-echo "per-cell-argmax scalar row at ${ratio}x the time of the leaf one (median)"
-awk -v r="$ratio" 'BEGIN {
-    if (r < 1.2) { printf "leaf scalar row gate FAILED: %.2fx < 1.2x\n", r; exit 1 }
-    printf "leaf scalar row gate ok: %.2fx\n", r
-}'
-
-echo "== begin floor gate (BeginReachVsAnchored: anchored/reach >= 1.6, median of 5)"
-# Begin with its score-to-go floor and the same sweep without it,
-# alternated over the homolog batch's 40 final hits in each iteration:
-# a same-run ratio, so the host's speed that hour cancels. The floor
-# sits under the lowest median read (2.04-2.05 over ~3 hours on a 2-vCPU
-# host) and far above a build whose floor never rises above 1 (1.0;
-# EXPERIMENTS.md).
-ratio=$(go test -run '^$' -bench '^BenchmarkBeginReachVsAnchored$' -count 5 ./internal/align |
-    awk '$1 ~ /^BenchmarkBeginReachVsAnchored(-[0-9]+)?$/ {
-        for (i = 2; i < NF; i++) if ($(i+1) == "anchored/reach") print $i
-    }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-echo "floor-less begin sweep at ${ratio}x the time of the floored one (median)"
-awk -v r="$ratio" 'BEGIN {
-    if (r < 1.6) { printf "begin floor gate FAILED: %.2fx < 1.6x\n", r; exit 1 }
-    printf "begin floor gate ok: %.2fx\n", r
-}'
-
-echo "== begin lane gate (BeginLanesVsScalar: scalar/lanes >= 4.6, median of 5)"
-# The homolog batch's 40 final hits: their begin sweeps in 16-lane
-# passes of ten (BeginLanes) and one hit at a time (Begin), alternated
-# in each iteration: a same-run ratio, so the host's speed that hour
-# cancels. The floor sits under every median the lane passes read on a
-# 2-vCPU host (4.95-5.34, three clock hours) and over every median a
-# kernel with a dependent chain of eight ops planted in its column step
-# read (3.99-4.43, the lane passes 13-23 % slower; EXPERIMENTS.md, the
-# begin-lane section).
-# On a host without AVX2 there are no lane passes: the route step above
-# logs hasAVX2 = false and the gate is skipped.
-if ! echo "$avx2" | grep -q 'hasAVX2 = true'; then
-    echo "begin lane gate skipped: no AVX2 on this host (Begin runs one hit at a time)"
+# The leaf row kernel that locates end cells and the per-cell-argmax one
+# it replaced, over one located hit's rows. The leaf kernel must stay
+# faster by at least the margin below, which sits under the lowest
+# median read on a 2-vCPU host (EXPERIMENTS.md).
+set -- "$@" -require 'ScalarRowLeafVsReference ref/leaf >= 1.2'
+# Begin with its score-to-go floor and the same sweep without it, over
+# the homolog batch's 40 final hits. The floor sits under the lowest
+# median read (2.04-2.05 over ~3 hours on a 2-vCPU host) and far above
+# a build whose floor never rises above 1 (1.0; EXPERIMENTS.md).
+set -- "$@" -require 'BeginReachVsAnchored anchored/reach >= 1.6'
+if $hasavx2; then
+    # The homolog batch's 40 final hits: their begin sweeps in 16-lane
+    # passes of ten (BeginLanes) and one hit at a time (Begin). The floor
+    # sits under every median the lane passes read on a 2-vCPU host
+    # (4.95-5.34, three clock hours) and over every median a kernel with
+    # a dependent chain of eight ops planted in its column step read
+    # (3.99-4.43, the lane passes 13-23 % slower; EXPERIMENTS.md, the
+    # begin-lane section).
+    set -- "$@" -require 'BeginLanesVsScalar scalar/lanes >= 4.6'
+    # The same hits' end blocks replayed from the saved border rows in
+    # 16-lane passes of ten (LocateLanes) and one at a time (LocateEnd).
+    # The floor sits under every median the lane passes read on a 2-vCPU
+    # host (4.06-5.03, nine medians of five over three clock hours) and
+    # over every median a kernel with a dependent chain of eight VPORs
+    # planted in its column step read (2.42-3.00, six medians, the lane
+    # passes 35-45 % slower; EXPERIMENTS.md, the locate-lane section).
+    set -- "$@" -require 'LocateLanesVsScalar scalar/lanes >= 3.5'
 else
-    ratio=$(go test -run '^$' -bench '^BenchmarkBeginLanesVsScalar$' -count 5 . |
-        awk '$1 ~ /^BenchmarkBeginLanesVsScalar(-[0-9]+)?$/ {
-            for (i = 2; i < NF; i++) if ($(i+1) == "scalar/lanes") print $i
-        }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-    echo "begin sweeps one at a time at ${ratio}x the time of the lane passes (median)"
-    awk -v r="$ratio" 'BEGIN {
-        if (r < 4.6) { printf "begin lane gate FAILED: %.2fx < 4.6x\n", r; exit 1 }
-        printf "begin lane gate ok: %.2fx\n", r
-    }'
+    echo "AVX2 kernel, begin lane and locate lane gates skipped: no AVX2 on this host"
 fi
-
-echo "== locate lane gate (LocateLanesVsScalar: scalar/lanes >= 3.5, median of 5)"
-# The homolog batch's 40 final hits: their end blocks replayed from the
-# saved border rows in 16-lane passes of ten (LocateLanes) and one at a
-# time (LocateEnd), alternated in each iteration: a same-run ratio, so
-# the host's speed that hour cancels. The floor sits under every median
-# the lane passes read on a 2-vCPU host (4.06-5.03, nine medians of
-# five over three clock hours) and over every median a kernel with a
-# dependent chain of eight VPORs planted in its column step read
-# (2.42-3.00, six medians, the lane passes 35-45 % slower;
-# EXPERIMENTS.md, the locate-lane section).
-# On a host without AVX2 there are no lane passes: the route step above
-# logs hasAVX2 = false and the gate is skipped.
-if ! echo "$avx2" | grep -q 'hasAVX2 = true'; then
-    echo "locate lane gate skipped: no AVX2 on this host (LocateEnd runs one hit at a time)"
-else
-    ratio=$(go test -run '^$' -bench '^BenchmarkLocateLanesVsScalar$' -count 5 . |
-        awk '$1 ~ /^BenchmarkLocateLanesVsScalar(-[0-9]+)?$/ {
-            for (i = 2; i < NF; i++) if ($(i+1) == "scalar/lanes") print $i
-        }' | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-    echo "end blocks replayed one at a time at ${ratio}x the time of the lane passes (median)"
-    awk -v r="$ratio" 'BEGIN {
-        if (r < 3.5) { printf "locate lane gate FAILED: %.2fx < 3.5x\n", r; exit 1 }
-        printf "locate lane gate ok: %.2fx\n", r
-    }'
-fi
+{
+    if $hasavx2; then
+        go test -run '^$' -bench '^BenchmarkRowOct8VsPortable$' -count 5 ./internal/swar
+    fi
+    go test -run '^$' -bench '^BenchmarkScalarRowLeafVsReference$' -count 5 ./internal/swar
+    go test -run '^$' -bench '^BenchmarkBeginReachVsAnchored$' -count 5 ./internal/align
+    if $hasavx2; then
+        go test -run '^$' -bench '^BenchmarkBeginLanesVsScalar$' -count 5 .
+        go test -run '^$' -bench '^BenchmarkLocateLanesVsScalar$' -count 5 .
+    fi
+} | go run ./cmd/benchdiff "$@"
 
 echo "== abpair.sh syntax (the A/B pair runner of the system benchmark)"
 sh -n scripts/abpair.sh
@@ -458,80 +392,48 @@ go run -C bench . -smoke
 
 count="${BENCH_COUNT:-5}"
 maxregress="${BENCHDIFF_MAX_REGRESS:-5}"
-echo "== benchmark regression gate (count=$count, max-regress=${maxregress}%)"
-benchout=$(mktemp)
-go test -run '^$' -bench 'Kernel|Search|Serve|Pack' -benchtime 1s -count "$count" . |
-    tee "$benchout" |
-    go run ./cmd/benchdiff -check -baseline baseline -max-regress "$maxregress"
-
-echo "== pruning speedup gate (SearchDatabasePruned >= 1.5x unpruned)"
-# Best value of a metric ($2, default cells/s) over the -count runs,
-# same collapse rule as benchdiff.
-best() {
-    awk -v name="Benchmark$1" -v unit="${2:-cells/s}" '
-        $1 ~ "^"name"(-[0-9]+)?$" {
-            for (i = 2; i < NF; i++) if ($(i+1) == unit && $i > best) best = $i
-        }
-        END { if (best == "") exit 1; print best }' "$benchout"
-}
-pruned=$(best SearchDatabasePruned)
-skewed=$(best SearchDatabaseSkewed)
-uniform=$(best SearchDatabase)
-echo "pruned $pruned cells/s vs skewed $skewed, uniform $uniform"
-awk -v p="$pruned" -v s="$skewed" -v u="$uniform" 'BEGIN {
-    if (p < 1.5 * s) { printf "pruning gate FAILED: %.2fx over skewed < 1.5x\n", p / s; exit 1 }
-    if (p < 1.5 * u) { printf "pruning gate FAILED: %.2fx over uniform < 1.5x\n", p / u; exit 1 }
-    printf "pruning gate ok: %.2fx over skewed, %.2fx over uniform\n", p / s, p / u
-}'
-
-echo "== begin-sweep gate (KernelReverseBeginVsRetrieve: begin/retrieve >= 2, median)"
+echo "== benchmark regression and main-run ratio gates (count=$count, max-regress=${maxregress}%)"
+# -check reads each row's best of the -count runs against "baseline";
+# the -require lines compare rows of this one run, each through its best
+# sample, except the two alternated benchmarks, read as a median.
+# Pruning speedup: SearchDatabasePruned against the same scan unpruned,
+# on the skewed and on the uniform database.
+set -- -check -baseline baseline -max-regress "$maxregress" \
+    -require 'SearchDatabasePruned cells/s >= 1.5 * SearchDatabaseSkewed cells/s' \
+    -require 'SearchDatabasePruned cells/s >= 1.5 * SearchDatabase cells/s'
 # The realign pool's begin-cell sweep is the §6 sweep without its
 # traceback store, on the same pair; each arm's rate counts its own
 # CellsComputed, and Begin's score-to-go floor computes fewer of them,
 # so the ratio compares per-cell rates. The two arms are alternated in
-# every iteration of one benchmark, so the host's speed cancels; the
-# median over the -count runs must stay >= 2.
-ratio=$(awk '$1 ~ /^BenchmarkKernelReverseBeginVsRetrieve(-[0-9]+)?$/ {
-        for (i = 2; i < NF; i++) if ($(i+1) == "begin/retrieve") print $i
-    }' "$benchout" | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-echo "begin sweep at ${ratio}x the per-cell rate of the traceback sweep (median)"
-awk -v r="$ratio" 'BEGIN {
-    if (r < 2) { printf "begin-sweep gate FAILED: %.2fx < 2x\n", r; exit 1 }
-    printf "begin-sweep gate ok: %.2fx\n", r
-}'
+# every iteration of one benchmark, so the host's speed cancels.
+set -- "$@" -require 'KernelReverseBeginVsRetrieve begin/retrieve >= 2'
+# Sharded scaling sanity: the distribution layer's wins come from adding
+# hosts; on one host the 4-shard in-process scan must at least hold
+# parity with the single-node scan on the uniform benchmark database.
+# The floor is twice the benchdiff tolerance — the usual allowance for
+# two same-speed runs (±7% run to run on a 1-core host).
+floor=$(awk -v tol="$maxregress" 'BEGIN { print 1 - 2 * tol / 100 }')
+set -- "$@" -require "SearchDatabaseSharded cells/s >= $floor * SearchDatabase cells/s"
+# Pruned sharding: the gate above scans a uniform database with pruning
+# off, so it cannot see a shard that starts its scan far from the
+# homologs and prunes only as fast as the gossiped floor reaches it.
+# This one runs a pruned 4-query batch over long planted homologs and
+# short noise, the 2-shard cluster and the single-node RunBatch
+# alternated in each iteration, and reads their time ratio.
+set -- "$@" -require 'SearchShardedPruned sharded/single <= 1.3'
+# Serve batching, the shared-scan contract: one POST carrying 16 queries
+# must amortize the per-request fixed costs (HTTP round trip, JSON,
+# per-scan setup) over 16 sequential single-query POSTs of the same
+# workload. The DP work per query is identical on both sides, so the
+# ratio isolates exactly what the batching path exists to remove.
+set -- "$@" -require 'ServeThroughputBatched queries/s >= 1.5 * ServeQueryLatency queries/s'
+# A failed call still lets the realign gate below run; the script exits
+# non-zero at the end.
+gate=0
+go test -run '^$' -bench 'Kernel|Search|Serve|Pack' -benchtime 1s -count "$count" . |
+    go run ./cmd/benchdiff "$@" || gate=1
 
-echo "== sharded scaling sanity gate (4-shard in-process >= single-node)"
-# The distribution layer's wins come from adding hosts; on one host it
-# must at least hold parity with the single-node scan on the uniform
-# benchmark database. The floor is twice the benchdiff tolerance — the
-# usual allowance for two same-speed runs (±7% run to run on a 1-core
-# host).
-sharded=$(best SearchDatabaseSharded)
-echo "sharded $sharded cells/s vs single-node $uniform"
-awk -v tol="$maxregress" -v sh="$sharded" -v u="$uniform" 'BEGIN {
-    floor = 1 - 2 * tol / 100
-    if (sh < floor * u) { printf "scaling gate FAILED: 4-shard at %.2fx of single-node (floor %.2fx)\n", sh / u, floor; exit 1 }
-    printf "scaling gate ok: 4-shard at %.2fx of single-node\n", sh / u
-}'
-
-echo "== pruned sharding gate (SearchShardedPruned: 2-shard batch <= 1.3x RunBatch)"
-# The gate above scans a uniform database with pruning off, so it
-# cannot see a shard that starts its scan far from the homologs and
-# prunes only as fast as the gossiped floor reaches it. This one runs a
-# pruned 4-query batch over long planted homologs and short noise, the
-# 2-shard cluster and the single-node RunBatch alternated in each
-# iteration, and reads their time ratio: the median over the -count
-# runs must stay <= 1.3.
-ratio=$(awk '$1 ~ /^BenchmarkSearchShardedPruned(-[0-9]+)?$/ {
-        for (i = 2; i < NF; i++) if ($(i+1) == "sharded/single") print $i
-    }' "$benchout" | sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print v[int((NR + 1) / 2)] }')
-echo "pruned 2-shard batch at ${ratio}x of single-node (median)"
-awk -v r="$ratio" 'BEGIN {
-    if (r > 1.3) { printf "pruned sharding gate FAILED: %.2fx > 1.3x\n", r; exit 1 }
-    printf "pruned sharding gate ok: %.2fx\n", r
-}'
-
-echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -cpu 1)"
+echo "== realign pool scaling gate (SearchRealign 20 kb shape, -cpu 1,2)"
 # The repo's first recorded multi-core number: the realign pool hands
 # ten independent 20 kb x 500 bp rescans to its workers, so two cores
 # must buy at least 1.4x the cells/s of one. The subject is the row of
@@ -541,39 +443,14 @@ echo "== realign pool scaling gate (SearchRealign 20 kb shape: -cpu 2 >= 1.4x -c
 # scaling.
 # The main run above uses the host's default GOMAXPROCS only, so this
 # gate makes its own -cpu 1,2 run; go test prints the -cpu 1 row without
-# a suffix and the -cpu 2 row as "-2".
+# a suffix and the -cpu 2 row as "-2", and -require reads a row printed
+# exactly as named apart from the suffix-stripped one.
 if [ "$(nproc)" -lt 2 ]; then
     echo "realign scaling gate skipped: nproc $(nproc) < 2"
 else
-    realignout=$(mktemp)
-    go test -run '^$' -bench 'SearchRealign/long' -benchtime 1s -count "$count" -cpu 1,2 . >"$realignout"
-    bestcpu() {
-        awk -v name="BenchmarkSearchRealign/long20000x500$1" '
-            $1 == name { for (i = 2; i < NF; i++) if ($(i+1) == "cells/s" && $i > best) best = $i }
-            END { if (best == "") exit 1; print best }' "$realignout"
-    }
-    one=$(bestcpu "")
-    two=$(bestcpu "-2")
-    rm -f "$realignout"
-    echo "realign 20 kb shape: $one cells/s on 1 core vs $two on 2"
-    awk -v a="$one" -v b="$two" 'BEGIN {
-        if (b < 1.4 * a) { printf "realign scaling gate FAILED: 2 cores at %.2fx of 1 < 1.4x\n", b / a; exit 1 }
-        printf "realign scaling gate ok: 2 cores at %.2fx of 1\n", b / a
-    }'
+    go test -run '^$' -bench 'SearchRealign/long' -benchtime 1s -count "$count" -cpu 1,2 . |
+        go run ./cmd/benchdiff \
+            -require 'SearchRealign/long20000x500-2 cells/s >= 1.4 * SearchRealign/long20000x500 cells/s' ||
+        gate=1
 fi
-
-echo "== serve batching gate (batched >= 1.5x sequential queries/s)"
-# The shared-scan contract: one POST carrying 16 queries must amortize
-# the per-request fixed costs (HTTP round trip, JSON, per-scan setup)
-# into at least a 1.5x queries/s win over 16 sequential single-query
-# POSTs of the same workload. The DP work per query is identical on
-# both sides, so the ratio isolates exactly what the batching path
-# exists to remove.
-seqrate=$(best ServeQueryLatency queries/s)
-batchrate=$(best ServeThroughputBatched queries/s)
-echo "sequential $seqrate queries/s vs batched $batchrate queries/s"
-awk -v s="$seqrate" -v b="$batchrate" 'BEGIN {
-    if (b < 1.5 * s) { printf "serve gate FAILED: batched at %.2fx of sequential < 1.5x\n", b / s; exit 1 }
-    printf "serve gate ok: batched %.2fx over sequential\n", b / s
-}'
-rm -f "$benchout"
+exit "$gate"
